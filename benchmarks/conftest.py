@@ -2,7 +2,7 @@
 
 Each bench prints its paper-style series table (visible in the tee'd
 output via ``capsys.disabled``) and saves raw numbers as JSON under
-``bench_results/`` for EXPERIMENTS.md.
+``bench_results/``.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.backup.restore import init_restored_shell, roll_forward, undo_in_flight
+from repro.backup.restore import roll_forward, undo_in_flight
 from repro.core.split_lsn import checkpoint_chain, find_split_lsn
 from repro.engine.database import Database
 from repro.errors import ArchiveError
@@ -139,7 +139,7 @@ def restore_from_archive(
     if config is None:
         source = engine.databases.get(db_name)
         config = source.config if source is not None else engine.default_config
-    restored = init_restored_shell(engine, new_name, config, plan.roll_from_lsn)
+    restored = Database(new_name, config, engine.env, bootstrap=False)
     restored.file_manager.write_sequential(store.read_backup_pages(plan.chain))
     restored.reload_boot()
     restored.last_checkpoint_lsn = plan.roll_from_lsn

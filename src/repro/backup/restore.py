@@ -9,11 +9,11 @@ random page fetches during redo), so the restore curve in Figures 7/8 —
 flat with respect to the target time, huge with respect to the data
 needed — emerges from the same accounting as the as-of numbers.
 
-The building blocks (:func:`init_restored_shell`, :func:`roll_forward`,
-:func:`undo_in_flight`) are shared with the archive tier's restore
-planner (:mod:`repro.archive.restore`), which runs the same recipe
-against an *archived* log + incremental backup chain instead of the
-primary's retained log.
+The building blocks (:func:`roll_forward`, :func:`undo_in_flight`) are
+shared with the archive tier's restore planner
+(:mod:`repro.archive.restore`), which runs the same recipe against an
+*archived* log + incremental backup chain instead of the primary's
+retained log.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from repro.core.split_lsn import checkpoint_chain, find_split_lsn
 from repro.engine.database import Database
 from repro.engine.recovery import analyze_log
 from repro.errors import BackupError
-from repro.storage.datafile import MemoryDataFile
 from repro.txn.transaction import RecoveredTransaction
 from repro.txn.undo import LogicalUndo
 from repro.wal.lsn import NULL_LSN
@@ -120,10 +119,10 @@ def restore_point_in_time(
             f"(split {split:#x} < backup {backup.backup_lsn:#x})"
         )
 
-    # 1. Lay the backup pages down as the new database files.
-    restored = init_restored_shell(
-        engine, new_name, source_db.config, backup.backup_lsn
-    )
+    # 1. Lay the backup pages down as the new database files
+    #    (``bootstrap=False``: the shell adopts them instead of
+    #    formatting a fresh catalog).
+    restored = Database(new_name, source_db.config, engine.env, bootstrap=False)
     restored.file_manager.write_sequential(backup.pages)
     restored.reload_boot()
 
@@ -153,61 +152,4 @@ def restore_point_in_time(
     restored.buffer.flush_all()
     restored.read_only = True
     engine.databases[new_name] = restored
-    return restored
-
-
-def init_restored_shell(engine, name: str, config, backup_lsn: int) -> Database:
-    """Hand-assemble a Database shell ready to adopt backup page content.
-
-    ``Database.__init__`` would bootstrap a fresh catalog; a restore must
-    adopt the backup's pages instead, so the shell is wired field by field
-    (same components, no bootstrap).
-    """
-    from repro.access.btree import BTreeServices
-    from repro.catalog.catalog import Catalog
-    from repro.storage.allocation import AllocationManager
-    from repro.storage.buffer import BufferPool
-    from repro.storage.datafile import FileManager
-    from repro.txn.locks import LockManager
-    from repro.txn.manager import TransactionManager
-    from repro.wal.apply import PageModifier
-    from repro.wal.log_manager import LogManager
-
-    restored = Database.__new__(Database)
-    datafile = MemoryDataFile(config.page_size)
-    restored.name = name
-    restored.config = config
-    restored.env = engine.env
-    restored.file_manager = FileManager(datafile, engine.env.data_device, engine.env.stats)
-    restored.log = LogManager(
-        engine.env,
-        block_size=config.log_block_size,
-        cache_blocks=config.log_cache_blocks,
-    )
-    restored.buffer = BufferPool(
-        restored.file_manager,
-        config.buffer_pool_pages,
-        engine.env.stats,
-        restored.log,
-    )
-    restored.locks = LockManager()
-    restored.txns = TransactionManager(engine.env, restored.log, restored.locks)
-    restored.txns.undo_context = restored
-    restored.modifier = PageModifier(restored.log, config.extensions, engine.env)
-    restored.alloc = AllocationManager(restored.buffer, restored.modifier, restored.run_system_txn)
-    restored.services = BTreeServices(
-        env=engine.env,
-        fetch=restored.fetch_page,
-        modifier=restored.modifier,
-        alloc=restored.alloc,
-        system_txn=restored.run_system_txn,
-    )
-    restored.catalog = Catalog(restored.services)
-    restored.read_only = False
-    restored.crashed = False
-    restored.last_checkpoint_lsn = backup_lsn
-    restored.invalidate_caches()
-    restored.snapshots = {}
-    restored.reset_retention_pins()
-    restored.retention_override_s = None
     return restored

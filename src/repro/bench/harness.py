@@ -9,8 +9,8 @@ measure as-of snapshot creation, the as-of stock-level query, the
 restore-based alternative, and the undo log I/O counts.
 
 All timings are simulated seconds produced by the device/cost models
-(section 4 of DESIGN.md documents this substitution for the paper's
-physical testbed).
+(:mod:`repro.sim.device` and :class:`repro.config.CostModel` document
+this substitution for the paper's physical testbed).
 """
 
 from __future__ import annotations

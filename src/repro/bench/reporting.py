@@ -1,7 +1,7 @@
 """Benchmark result formatting and persistence.
 
 Benches print paper-style series tables and save raw numbers as JSON under
-``bench_results/`` so EXPERIMENTS.md can quote them verbatim.
+``bench_results/``, where the committed baselines CI gates against live.
 """
 
 from __future__ import annotations

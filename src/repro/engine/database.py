@@ -228,7 +228,8 @@ class Database:
             # A shell for log-shipping replication: state materializes by
             # replaying the primary's log from its very first record (the
             # primary's own bootstrap is logged, so the boot page, catalog
-            # and allocation map all arrive through redo).
+            # and allocation map all arrive through redo). Restores use it
+            # too: they lay backup pages down, then ``reload_boot``.
             return
         if self._is_fresh():
             self._bootstrap()
@@ -525,9 +526,7 @@ class Database:
 
         The replica apply loop calls this after replaying records that
         touch the boot page or the system catalog — the caches would
-        otherwise serve the pre-replay metadata. Assigns fresh containers
-        (rather than clearing) so restore shells built via ``__new__``
-        can also use it to create the caches in the first place.
+        otherwise serve the pre-replay metadata.
         """
         self._boot_cache = None
         self._table_cache = {}
@@ -538,10 +537,6 @@ class Database:
         """Register a retention pin: a callable returning an LSN the log
         must retain (or ``NULL_LSN``/``None`` for "no pin")."""
         self.retention_pins.append(pin)
-
-    def reset_retention_pins(self) -> None:
-        """Drop every registered retention pin (restore shells)."""
-        self.retention_pins = []
 
     def enforce_retention(self) -> int:
         """Truncate log outside the retention window; returns new start LSN."""

@@ -14,6 +14,7 @@ import zlib
 from dataclasses import dataclass
 
 from repro.errors import ReplicationError
+from repro.storage.checksum import crc32_zeroing
 
 #: Magic bytes opening every shipped frame.
 FRAME_MAGIC = b"REPROSHP"
@@ -58,8 +59,7 @@ class LogFrame:
                 f"frame length mismatch: header claims {length} payload "
                 f"bytes, got {len(blob) - FRAME_HEADER_SIZE}"
             )
-        check = blob[: FRAME_HEADER_SIZE - 4] + b"\0\0\0\0" + blob[FRAME_HEADER_SIZE:]
-        if zlib.crc32(check) & 0xFFFFFFFF != crc:
+        if crc32_zeroing(memoryview(blob), 0, len(blob), FRAME_HEADER_SIZE - 4) != crc:
             raise ReplicationError(
                 f"frame CRC mismatch for LSNs starting at {start_lsn:#x}"
             )

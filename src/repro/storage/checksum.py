@@ -17,12 +17,22 @@ CHECKSUM_OFFSET = 48
 _FIELD = slice(CHECKSUM_OFFSET, CHECKSUM_OFFSET + 4)
 
 
+def crc32_zeroing(view: memoryview, start: int, stop: int, field: int) -> int:
+    """CRC-32 of ``view[start:stop]`` with the u32 at offset ``field``
+    read as zero — the checksum of anything that stores its own CRC
+    inside the checksummed range (pages, log records, shipped frames).
+
+    Takes a ``memoryview`` so the three pieces are hashed in place: no
+    copy of the buffer is built with the field blanked out.
+    """
+    crc = zlib.crc32(view[start:field])
+    crc = zlib.crc32(b"\0\0\0\0", crc)
+    return zlib.crc32(view[field + 4 : stop], crc)
+
+
 def compute_checksum(data: bytes | bytearray) -> int:
     """CRC-32 of ``data`` with the checksum field treated as zero."""
-    crc = zlib.crc32(data[: _FIELD.start])
-    crc = zlib.crc32(b"\0\0\0\0", crc)
-    crc = zlib.crc32(data[_FIELD.stop :], crc)
-    return crc & 0xFFFFFFFF
+    return crc32_zeroing(memoryview(data), 0, len(data), CHECKSUM_OFFSET)
 
 
 def stamp_checksum(data: bytearray) -> None:
@@ -42,8 +52,8 @@ def verify_and_clear_checksum(data: bytearray, page_id: int) -> None:
     stored = int.from_bytes(data[_FIELD], "little")
     if stored == 0 and not any(data):
         return
+    actual = compute_checksum(data)
     data[_FIELD] = b"\0\0\0\0"
-    actual = zlib.crc32(data) & 0xFFFFFFFF
     if actual != stored:
         raise PageCorruptionError(
             f"page {page_id}: checksum mismatch "

@@ -41,6 +41,7 @@ from repro.wal.records import (
     PreformatPageRecord,
     UpdateRowRecord,
     decode_record,
+    walk_headers,
 )
 
 
@@ -264,6 +265,13 @@ def chain_report(db, *, split_lsn: int | None = None, max_pages: int | None = No
     return lines
 
 
+def _frame_records(frame):
+    """Every record of a decoded archived frame, CRC-verified, in LSN
+    order; a broken stream raises from the record it breaks at."""
+    for header in walk_headers(frame.payload, base_lsn=frame.start_lsn):
+        yield decode_record(frame.payload, header.lsn - frame.start_lsn, header.lsn)[0]
+
+
 def _collect_segments(source, db_name: str | None) -> list[tuple[str, bytes]]:
     """``(label, blob)`` for every segment of ``source``, in LSN order.
 
@@ -307,12 +315,7 @@ def archive_chain_report(source, db_name: str | None = None) -> list[str]:
     blobs = [blob for _label, blob in _collect_segments(source, db_name)]
     lengths: dict[int, int] = {}
     for blob in blobs:
-        frame = LogFrame.decode(blob)
-        offset = 0
-        while offset < len(frame.payload):
-            record, offset = decode_record(
-                frame.payload, offset, frame.start_lsn + offset
-            )
+        for record in _frame_records(LogFrame.decode(blob)):
             if record.IS_PAGE_MOD:
                 lengths[record.page_id] = lengths.get(record.page_id, 0) + 1
     histogram: Counter = Counter()
@@ -339,11 +342,7 @@ def dump_archived_segment(blob: bytes, *, limit: int | None = None) -> list[str]
         f"segment [{format_lsn(frame.start_lsn)}, {format_lsn(frame.end_lsn)}) "
         f"{len(frame.payload)}B shipped at {frame.ship_wall:.3f}s"
     ]
-    offset = 0
-    while offset < len(frame.payload):
-        record, offset = decode_record(
-            frame.payload, offset, frame.start_lsn + offset
-        )
+    for record in _frame_records(frame):
         lines.append("  " + describe_record(record))
         if limit is not None and len(lines) > limit:
             lines.append("  ...")
@@ -479,24 +478,22 @@ def lint_log_segments(source, db_name: str | None = None):
             )
             continue
         db_key = label.rsplit("-", 2)[0]
-        offset = 0
-        while offset < len(frame.payload):
-            try:
-                _record, offset = decode_record(
-                    frame.payload, offset, frame.start_lsn + offset
+        offset = 0  # of the record being checked: where a break is reported
+        try:
+            for header in walk_headers(frame.payload, base_lsn=frame.start_lsn):
+                decode_record(frame.payload, offset, header.lsn)
+                offset += header.total
+        except (ReproError, ValueError) as err:
+            findings.append(
+                Finding(
+                    label,
+                    index,
+                    offset,
+                    "LOG002",
+                    f"record stream broken at "
+                    f"{format_lsn(frame.start_lsn + offset)}: {err}",
                 )
-            except (ReproError, ValueError) as err:
-                findings.append(
-                    Finding(
-                        label,
-                        index,
-                        offset,
-                        "LOG002",
-                        f"record stream broken at "
-                        f"{format_lsn(frame.start_lsn + offset)}: {err}",
-                    )
-                )
-                break
+            )
         previous = prev_end.get(db_key)
         if previous is not None:
             prev_label, end_lsn = previous

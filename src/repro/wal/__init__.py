@@ -33,6 +33,7 @@ from repro.wal.records import (
     UpdateRowRecord,
     decode_record,
     unpack_header,
+    walk_headers,
 )
 
 __all__ = [
@@ -59,6 +60,7 @@ __all__ = [
     "RecordHeader",
     "decode_record",
     "unpack_header",
+    "walk_headers",
     "LogManager",
     "PageModifier",
     "LOG_HEADER_MAGIC",

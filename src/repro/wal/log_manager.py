@@ -23,7 +23,6 @@ from repro.latch import Latch
 from repro.obs.registry import DEFAULT_BYTES_BUCKETS
 from repro.wal.lsn import FIRST_LSN, NULL_LSN, format_lsn
 from repro.wal.records import (
-    HEADER_SIZE,
     LOG_HEADER_MAGIC,
     ClrRecord,
     CommitRecord,
@@ -34,6 +33,7 @@ from repro.wal.records import (
     RecordType,
     decode_record,
     unpack_header,
+    walk_headers,
 )
 
 #: Wire discriminators for ingest's header-only frame scan.
@@ -366,14 +366,15 @@ class LogManager:
                 self.end_lsn if limit_lsn is None else min(limit_lsn, self.end_lsn)
             )
             end = from_lsn
-            while end < limit:
-                offset = end - self._base
-                total = int.from_bytes(self._data[offset : offset + 4], "little")
-                if total < HEADER_SIZE or end + total > limit:
+            for header in walk_headers(
+                self._data, from_lsn - self._base, base_lsn=self._base
+            ):
+                next_lsn = header.lsn + header.total
+                if next_lsn > limit:
                     break
-                if end + total - from_lsn > max_bytes and end > from_lsn:
+                if next_lsn - from_lsn > max_bytes and end > from_lsn:
                     break
-                end += total
+                end = next_lsn
             return end
 
     def ingest(self, start_lsn: int, data: bytes) -> int:
@@ -398,26 +399,15 @@ class LogManager:
                 )
             if not data:
                 return NULL_LSN
-            # Header walk: reject torn frames before mutating any state.
-            offset = 0
+            # Header walk: reject torn frames (LogRecordDecodeError)
+            # before mutating any state.
             last_commit = NULL_LSN
             last_checkpoint = NULL_LSN
-            while offset < len(data):
-                if offset + HEADER_SIZE > len(data):
-                    raise LogRecordDecodeError(
-                        f"ingest frame ends mid-header at byte {offset}"
-                    )
-                total = int.from_bytes(data[offset : offset + 4], "little")
-                if total < HEADER_SIZE or offset + total > len(data):
-                    raise LogRecordDecodeError(
-                        f"ingest frame ends mid-record at byte {offset}"
-                    )
-                rtype = data[offset + 4]
-                if rtype == _COMMIT_TYPE:
-                    last_commit = start_lsn + offset
-                elif rtype == _CHECKPOINT_BEGIN_TYPE:
-                    last_checkpoint = start_lsn + offset
-                offset += total
+            for header in walk_headers(data, base_lsn=start_lsn):
+                if header.record_type == _COMMIT_TYPE:
+                    last_commit = header.lsn
+                elif header.record_type == _CHECKPOINT_BEGIN_TYPE:
+                    last_checkpoint = header.lsn
             self._data += data
             self._durable_end = self.end_lsn
             if last_commit != NULL_LSN:

@@ -26,14 +26,17 @@ have moved rows to other pages. Rollback lives in
 from __future__ import annotations
 
 import enum
+import operator
 import struct
 import zlib
+from typing import NamedTuple
 
 from repro.errors import (
     LogRecordDecodeError,
     MissingUndoInfoError,
     WalError,
 )
+from repro.storage.checksum import crc32_zeroing
 from repro.storage.page import (
     NULL_PAGE,
     Page,
@@ -51,11 +54,19 @@ FLAG_SMO = 0x01
 #: Record flag: heap row (rollback tombstones instead of key lookup).
 FLAG_HEAP = 0x02
 
+#: total length, type, the six :data:`_HEADER_FIELDS`, crc32 (of the
+#: whole record, with this field read as zero).
 _HEADER = struct.Struct("<IBBQQIQII")
 HEADER_SIZE = _HEADER.size  # 42 bytes
+_CRC_OFFSET = HEADER_SIZE - 4
+#: Header fields a record object carries, in wire order (``lsn`` is not on
+#: the wire: it is the record's offset). All default to 0, the two LSNs'
+#: ``NULL_LSN``.
+_HEADER_FIELDS = ("flags", "txn_id", "prev_txn_lsn", "page_id", "prev_page_lsn", "object_id")
+_header_values = operator.attrgetter(*_HEADER_FIELDS)
 
 
-class RecordHeader:
+class RecordHeader(NamedTuple):
     """A decoded record header, without the body.
 
     The per-page back-chain (``prev_page_lsn``) and the per-transaction
@@ -65,39 +76,16 @@ class RecordHeader:
     (:meth:`repro.wal.log_manager.LogManager.read_many`).
     """
 
-    __slots__ = (
-        "lsn",
-        "total",
-        "record_type",
-        "flags",
-        "txn_id",
-        "prev_txn_lsn",
-        "page_id",
-        "prev_page_lsn",
-        "object_id",
-    )
-
-    def __init__(
-        self,
-        lsn: int,
-        total: int,
-        record_type: int,
-        flags: int,
-        txn_id: int,
-        prev_txn_lsn: int,
-        page_id: int,
-        prev_page_lsn: int,
-        object_id: int,
-    ) -> None:
-        self.lsn = lsn
-        self.total = total
-        self.record_type = record_type
-        self.flags = flags
-        self.txn_id = txn_id
-        self.prev_txn_lsn = prev_txn_lsn
-        self.page_id = page_id
-        self.prev_page_lsn = prev_page_lsn
-        self.object_id = object_id
+    lsn: int
+    total: int
+    record_type: int
+    flags: int
+    txn_id: int
+    prev_txn_lsn: int
+    page_id: int
+    prev_page_lsn: int
+    object_id: int
+    crc: int
 
     def __repr__(self) -> str:
         return (
@@ -107,36 +95,44 @@ class RecordHeader:
         )
 
 
-def unpack_header(data, offset: int, lsn: int = NULL_LSN) -> RecordHeader:
-    """Decode only the fixed-size header of the record at ``offset``."""
+def _parse_header(data, offset: int) -> tuple:
+    """The header fields of the record at ``offset``, in wire order.
+
+    The one place the header layout is read: every decoder, header reader
+    and stream walk goes through here, so they all reject a record that
+    does not lie whole within ``data`` the same way.
+    """
     if offset + HEADER_SIZE > len(data):
         raise LogRecordDecodeError(f"truncated header at offset {offset}")
-    (
-        total,
-        rtype,
-        flags,
-        txn_id,
-        prev_txn_lsn,
-        page_id,
-        prev_page_lsn,
-        object_id,
-        _crc,
-    ) = _HEADER.unpack_from(data, offset)
+    fields = _HEADER.unpack_from(data, offset)
+    total = fields[0]
     if total < HEADER_SIZE or offset + total > len(data):
         raise LogRecordDecodeError(
             f"truncated record at offset {offset} (claims {total} bytes)"
         )
-    return RecordHeader(
-        lsn=lsn,
-        total=total,
-        record_type=rtype,
-        flags=flags,
-        txn_id=txn_id,
-        prev_txn_lsn=prev_txn_lsn,
-        page_id=page_id,
-        prev_page_lsn=prev_page_lsn,
-        object_id=object_id,
-    )
+    return fields
+
+
+def unpack_header(data, offset: int, lsn: int = NULL_LSN) -> RecordHeader:
+    """Decode only the fixed-size header of the record at ``offset``."""
+    return RecordHeader(lsn, *_parse_header(data, offset))
+
+
+def walk_headers(data, start: int = 0, *, base_lsn: int = NULL_LSN):
+    """Yield the header of every record from ``data[start]`` to the end
+    of ``data``, in order; each ``lsn`` is ``base_lsn`` plus its offset.
+
+    Touches headers only (each record opens with its total length), so
+    framing a shipping batch, validating an ingested frame or tiling an
+    archived segment never decodes a body. Raises
+    :class:`LogRecordDecodeError` where ``data`` stops being whole
+    records — a consumer that breaks out earlier never sees it.
+    """
+    offset = start
+    while offset < len(data):
+        header = unpack_header(data, offset, base_lsn + offset)
+        yield header
+        offset += header.total
 
 
 class RecordType(enum.IntEnum):
@@ -160,90 +156,183 @@ class RecordType(enum.IntEnum):
     CLR = 16
 
 
-class _Writer:
-    """Little-endian body serializer."""
+# ---------------------------------------------------------------------------
+# Body layout: one field spec per record type, compiled at import
+# ---------------------------------------------------------------------------
+#
+# A record class declares its body once, as ``FIELDS``: ``(name, wire kind,
+# default)`` per field, in wire order. ``__slots__``, the constructor, the
+# encoder and the decoder all derive from it (``docs/wal-format.md``
+# tabulates every type and shows the code generated for one).
 
-    def __init__(self) -> None:
-        self.buf = bytearray()
-
-    def u8(self, v: int) -> None:
-        self.buf += v.to_bytes(1, "little")
-
-    def u16(self, v: int) -> None:
-        self.buf += v.to_bytes(2, "little")
-
-    def u32(self, v: int) -> None:
-        self.buf += v.to_bytes(4, "little")
-
-    def u64(self, v: int) -> None:
-        self.buf += v.to_bytes(8, "little")
-
-    def f64(self, v: float) -> None:
-        self.buf += struct.pack("<d", v)
-
-    def blob(self, b: bytes) -> None:
-        self.u32(len(b))
-        self.buf += b
-
-    def opt_blob(self, b: bytes | None) -> None:
-        if b is None:
-            self.u8(0)
-        else:
-            self.u8(1)
-            self.blob(b)
+#: Fixed-width wire kinds are their little-endian ``struct`` codes.
+U8, U16, U32, U64, F64, BOOL = "B", "H", "I", "Q", "d", "?"
+_U32 = struct.Struct("<I")
+_PAIR = struct.Struct("<QQ")
 
 
-class _Reader:
-    """Little-endian body deserializer."""
+class _VarKind(NamedTuple):
+    """A variable-length wire kind: a fixed-width prefix, then a payload.
 
-    def __init__(self, data: bytes, pos: int = 0) -> None:
-        self.data = data
-        self.pos = pos
+    The prefix is packed by the same ``struct`` call as the fixed-width
+    fields before it. The rest are source templates for the generated
+    codec: ``{f}`` is the field's name (a local), ``n`` the decoded prefix,
+    ``view``/``pos`` the buffer and read position, ``parts`` the encoder's
+    output. A decoder never binds a slice of ``view`` to a name outside a
+    ``with``: a traceback would keep it — and so the log's ``bytearray``,
+    which cannot grow while exported — alive while the exception is held.
+    """
 
-    def u8(self) -> int:
-        v = self.data[self.pos]
-        self.pos += 1
-        return v
+    prefix: str  # struct code
+    read: tuple  # decode: statements leaving the value in {f}, pos past it
+    count: str = "len({f})"  # encode: the prefix value
+    emit: str = "parts.append({f})"  # encode: statement appending the payload
+    bind: str = "self.{f}"  # encode: what the local {f} is bound to
+    store: str = "{f}"  # constructor: what the slot is set to
 
-    def u16(self) -> int:
-        v = int.from_bytes(self.data[self.pos : self.pos + 2], "little")
-        self.pos += 2
-        return v
 
-    def u32(self) -> int:
-        v = int.from_bytes(self.data[self.pos : self.pos + 4], "little")
-        self.pos += 4
-        return v
+#: u32 length, then that many bytes.
+BLOB = _VarKind(prefix="I", read=("{f} = bytes(view[pos : pos + n])", "pos += n"))
+#: u8 presence flag; when 1, a :data:`BLOB` follows. ``None`` encodes as 0.
+OPT_BLOB = _VarKind(
+    prefix="B",
+    count="{f} is not None",
+    emit="if {f} is not None: parts += (_U32.pack(len({f})), {f})",
+    read=(
+        "{f} = None",
+        "if n:",
+        "    (n,) = _U32.unpack_from(view, pos)",
+        "    {f} = bytes(view[pos + 4 : pos + 4 + n])",
+        "    pos += 4 + n",
+    ),
+)
+#: u32 count, then that many (u64, u64) pairs.
+PAIRS = _VarKind(
+    prefix="I",
+    emit="parts += [_PAIR.pack(*pair) for pair in {f}]",
+    read=("{f} = tuple(_PAIR.iter_unpack(view[pos : pos + 16 * n]))", "pos += 16 * n"),
+    store="tuple({f})",
+)
+#: A :data:`BLOB` holding a whole serialized record (own header, own CRC,
+#: verified again on decode). Never optional.
+RECORD = BLOB._replace(
+    read=("with view[pos : pos + n] as inner: {f} = decode_record(inner, 0)[0]", "pos += n"),
+    bind="self.{f}.serialize()",
+    store="_nested({f})",
+)
 
-    def u64(self) -> int:
-        v = int.from_bytes(self.data[self.pos : self.pos + 8], "little")
-        self.pos += 8
-        return v
 
-    def f64(self) -> float:
-        (v,) = struct.unpack_from("<d", self.data, self.pos)
-        self.pos += 8
-        return v
-
-    def blob(self) -> bytes:
-        n = self.u32()
-        b = bytes(self.data[self.pos : self.pos + n])
-        self.pos += n
-        return b
-
-    def opt_blob(self) -> bytes | None:
-        if self.u8() == 0:
-            return None
-        return self.blob()
+def _nested(value):
+    if not isinstance(value, LogRecord):
+        raise WalError("CLR requires a compensation operation")
+    return value
 
 
 _REGISTRY: dict[int, type] = {}
 
 
-class LogRecord:
+def decode_record(data, offset: int, lsn: int = NULL_LSN) -> tuple[LogRecord, int]:
+    """Decode one record at ``offset``; returns (record, end offset).
+
+    Raises :class:`LogRecordDecodeError` on truncation or CRC mismatch —
+    the signal recovery uses to find the end of a torn log tail.
+    """
+    total, rtype, *header, crc = _parse_header(data, offset)
+    end = offset + total
+    with memoryview(data) as view:
+        if crc32_zeroing(view, offset, end, offset + _CRC_OFFSET) != crc:
+            raise LogRecordDecodeError(f"CRC mismatch at offset {offset}")
+        cls = _REGISTRY.get(rtype)
+        if cls is None:
+            raise LogRecordDecodeError(f"unknown record type {rtype} at {offset}")
+        try:
+            values, body_end = cls._decode_body(view, offset + HEADER_SIZE)
+        except struct.error:
+            body_end = None  # ran off the end of ``data``
+    if body_end != end:
+        raise LogRecordDecodeError(
+            f"{cls.__name__} at offset {offset}: body does not fill its {total} bytes"
+        )
+    record = cls(*values, *header)
+    record.lsn = lsn
+    return record, end
+
+
+def _compile_codec(fields) -> dict:
+    """``__init__``, ``_encode_body`` and ``_decode_body`` for a body of
+    ``fields``, as straight-line code over ``struct`` plans: each run of
+    fixed-width fields, with the prefix of the variable-length field that
+    ends it, is one precompiled ``Struct`` call."""
+    scope = {"_U32": _U32, "_PAIR": _PAIR, "_nested": _nested, "decode_record": decode_record}
+    init = [f"self.lsn = {NULL_LSN}", *(f"self.{name} = {name}" for name in _HEADER_FIELDS)]
+    pack, unpack = ["parts = []"], []
+    fmt, run = "<", []
+
+    def end_run(kind=None, name="end"):
+        """One Struct call for the pending run, which variable-length
+        field ``name`` (or the end of the body) closes."""
+        nonlocal fmt, run
+        plan = f"_to_{name}"
+        scope[plan] = struct.Struct(fmt + (kind.prefix if kind else ""))
+        sources, targets = [f"self.{field}" for field in run], list(run)
+        if kind:
+            pack.append(f"{name} = {kind.bind.format(f=name)}")
+            sources.append(kind.count.format(f=name))
+            targets.append("n")
+        pack.append(f"parts.append({plan}.pack({', '.join(sources)}))")
+        unpack.append(f"{', '.join(targets)}, = {plan}.unpack_from(view, pos)")
+        unpack.append(f"pos += {scope[plan].size}")
+        if kind:
+            pack.append(kind.emit.format(f=name))
+            unpack.extend(line.format(f=name) for line in kind.read)
+        fmt, run = "<", []
+
+    for name, kind, default in fields:
+        scope[f"_default_{name}"] = default
+        if isinstance(kind, _VarKind):
+            init.append(f"self.{name} = {kind.store.format(f=name)}")
+            end_run(kind, name)
+        else:
+            init.append(f"self.{name} = {name}")
+            fmt += kind
+            run.append(name)
+    if run:
+        end_run()
+    names = [name for name, _kind, _default in fields]
+    params = [f"{name}=_default_{name}" for name in names] + [f"{h}=0" for h in _HEADER_FIELDS]
+    pack.append("return b''.join(parts)")
+    unpack.append(f"return ({''.join(f'{name}, ' for name in names)}), pos")
+    source = (
+        f"def __init__(self, {', '.join(params)}):\n    " + "\n    ".join(init)
+        + "\ndef _encode_body(self):\n    " + "\n    ".join(pack)
+        + "\n@staticmethod\ndef _decode_body(view, pos):\n    " + "\n    ".join(unpack)
+    )
+    # Under this file's name, so a profile attributes the generated code to the codec.
+    exec(compile(source, __file__, "exec"), scope)
+    return {name: scope[name] for name in ("__init__", "_encode_body", "_decode_body")}
+
+
+class _RecordType(type):
+    """Derives a record class's ``__slots__``, constructor and codec from
+    its ``FIELDS`` (slots cannot be added once a class exists, hence a
+    metaclass) and registers concrete types for :func:`decode_record`."""
+
+    def __new__(mcls, name, bases, namespace):
+        fields = namespace.get("FIELDS", ())
+        namespace.setdefault("__slots__", tuple(field[0] for field in fields))
+        namespace.update(_compile_codec(fields))
+        cls = super().__new__(mcls, name, bases, namespace)
+        if "TYPE" in namespace:
+            _REGISTRY[int(cls.TYPE)] = cls
+        return cls
+
+
+class LogRecord(metaclass=_RecordType):
     """Base class: common header fields plus redo/undo protocol."""
 
     TYPE: RecordType
+    #: The body, in wire order: ``(name, wire kind, default)`` per field.
+    FIELDS: tuple = ()
     #: Participates in a page's modification chain (has a meaningful
     #: page_id / prev_page_lsn). Note page 0 (boot) is a real page, so this
     #: cannot be inferred from ``page_id != 0``.
@@ -251,37 +340,7 @@ class LogRecord:
     #: Transaction rollback generates a CLR for this record.
     UNDOABLE_IN_ROLLBACK = False
 
-    __slots__ = (
-        "lsn",
-        "flags",
-        "txn_id",
-        "prev_txn_lsn",
-        "page_id",
-        "prev_page_lsn",
-        "object_id",
-    )
-
-    def __init__(
-        self,
-        txn_id: int = 0,
-        prev_txn_lsn: int = NULL_LSN,
-        page_id: int = 0,
-        prev_page_lsn: int = NULL_LSN,
-        object_id: int = 0,
-        flags: int = 0,
-    ) -> None:
-        self.lsn = NULL_LSN
-        self.txn_id = txn_id
-        self.prev_txn_lsn = prev_txn_lsn
-        self.page_id = page_id
-        self.prev_page_lsn = prev_page_lsn
-        self.object_id = object_id
-        self.flags = flags
-
-    def __init_subclass__(cls, **kw) -> None:
-        super().__init_subclass__(**kw)
-        if hasattr(cls, "TYPE"):
-            _REGISTRY[int(cls.TYPE)] = cls
+    __slots__ = ("lsn", *_HEADER_FIELDS)
 
     @property
     def is_smo(self) -> bool:
@@ -291,36 +350,11 @@ class LogRecord:
     def is_heap(self) -> bool:
         return bool(self.flags & FLAG_HEAP)
 
-    # -- serialization -------------------------------------------------
-
-    def pack_body(self, w: _Writer) -> None:
-        """Append the type-specific body (override in subclasses)."""
-
-    @classmethod
-    def unpack_body(cls, r: _Reader) -> dict:
-        """Parse the type-specific body into constructor kwargs."""
-        return {}
-
     def serialize(self) -> bytes:
-        w = _Writer()
-        self.pack_body(w)
-        body = bytes(w.buf)
-        total = HEADER_SIZE + len(body)
-        header = _HEADER.pack(
-            total,
-            int(self.TYPE),
-            self.flags,
-            self.txn_id,
-            self.prev_txn_lsn,
-            self.page_id,
-            self.prev_page_lsn,
-            self.object_id,
-            0,
-        )
-        crc = zlib.crc32(header) & 0xFFFFFFFF
-        crc = zlib.crc32(body, crc) & 0xFFFFFFFF
-        header = header[:-4] + crc.to_bytes(4, "little")
-        return header + body
+        body = self._encode_body()
+        header = _HEADER.pack(HEADER_SIZE + len(body), self.TYPE, *_header_values(self), 0)
+        crc = zlib.crc32(body, zlib.crc32(header))
+        return header[:_CRC_OFFSET] + crc.to_bytes(4, "little") + body
 
     # -- redo / physical undo -------------------------------------------
 
@@ -344,50 +378,6 @@ class LogRecord:
         )
 
 
-def decode_record(data, offset: int, lsn: int = NULL_LSN) -> tuple[LogRecord, int]:
-    """Decode one record at ``offset``; returns (record, end offset).
-
-    Raises :class:`LogRecordDecodeError` on truncation or CRC mismatch —
-    the signal recovery uses to find the end of a torn log tail.
-    """
-    if offset + HEADER_SIZE > len(data):
-        raise LogRecordDecodeError(f"truncated header at offset {offset}")
-    (
-        total,
-        rtype,
-        flags,
-        txn_id,
-        prev_txn_lsn,
-        page_id,
-        prev_page_lsn,
-        object_id,
-        crc,
-    ) = _HEADER.unpack_from(data, offset)
-    if total < HEADER_SIZE or offset + total > len(data):
-        raise LogRecordDecodeError(
-            f"truncated record at offset {offset} (claims {total} bytes)"
-        )
-    raw = bytes(data[offset : offset + total])
-    check = raw[: HEADER_SIZE - 4] + b"\0\0\0\0" + raw[HEADER_SIZE:]
-    if zlib.crc32(check) & 0xFFFFFFFF != crc:
-        raise LogRecordDecodeError(f"CRC mismatch at offset {offset}")
-    cls = _REGISTRY.get(rtype)
-    if cls is None:
-        raise LogRecordDecodeError(f"unknown record type {rtype} at {offset}")
-    kwargs = cls.unpack_body(_Reader(raw, HEADER_SIZE))
-    rec = cls(
-        txn_id=txn_id,
-        prev_txn_lsn=prev_txn_lsn,
-        page_id=page_id,
-        prev_page_lsn=prev_page_lsn,
-        object_id=object_id,
-        flags=flags,
-        **kwargs,
-    )
-    rec.lsn = lsn
-    return rec, offset + total
-
-
 # ---------------------------------------------------------------------------
 # Transaction control records
 # ---------------------------------------------------------------------------
@@ -397,7 +387,6 @@ class BeginRecord(LogRecord):
     """Transaction start."""
 
     TYPE = RecordType.BEGIN
-    __slots__ = ()
 
 
 class CommitRecord(LogRecord):
@@ -405,25 +394,13 @@ class CommitRecord(LogRecord):
     search (section 5.1)."""
 
     TYPE = RecordType.COMMIT
-    __slots__ = ("wall_clock",)
-
-    def __init__(self, wall_clock: float = 0.0, **kw) -> None:
-        super().__init__(**kw)
-        self.wall_clock = wall_clock
-
-    def pack_body(self, w: _Writer) -> None:
-        w.f64(self.wall_clock)
-
-    @classmethod
-    def unpack_body(cls, r: _Reader) -> dict:
-        return {"wall_clock": r.f64()}
+    FIELDS = (("wall_clock", F64, 0.0),)
 
 
 class AbortRecord(LogRecord):
     """Transaction fully rolled back (end of its log chain)."""
 
     TYPE = RecordType.ABORT
-    __slots__ = ()
 
 
 class CheckpointBeginRecord(LogRecord):
@@ -432,63 +409,19 @@ class CheckpointBeginRecord(LogRecord):
     table (consumed by as-of snapshot recovery's analysis pass)."""
 
     TYPE = RecordType.CHECKPOINT_BEGIN
-    __slots__ = ("wall_clock", "prev_checkpoint_lsn", "active_txns")
-
-    def __init__(
-        self,
-        wall_clock: float = 0.0,
-        prev_checkpoint_lsn: int = NULL_LSN,
-        active_txns: tuple = (),
-        **kw,
-    ) -> None:
-        super().__init__(**kw)
-        self.wall_clock = wall_clock
-        self.prev_checkpoint_lsn = prev_checkpoint_lsn
-        #: tuple of (txn_id, last_lsn) pairs.
-        self.active_txns = tuple(active_txns)
-
-    def pack_body(self, w: _Writer) -> None:
-        w.f64(self.wall_clock)
-        w.u64(self.prev_checkpoint_lsn)
-        w.u32(len(self.active_txns))
-        for txn_id, last_lsn in self.active_txns:
-            w.u64(txn_id)
-            w.u64(last_lsn)
-
-    @classmethod
-    def unpack_body(cls, r: _Reader) -> dict:
-        wall = r.f64()
-        prev = r.u64()
-        count = r.u32()
-        active = tuple((r.u64(), r.u64()) for _ in range(count))
-        return {
-            "wall_clock": wall,
-            "prev_checkpoint_lsn": prev,
-            "active_txns": active,
-        }
+    FIELDS = (
+        ("wall_clock", F64, 0.0),
+        ("prev_checkpoint_lsn", U64, NULL_LSN),
+        # (txn_id, last_lsn) of every transaction active at the checkpoint.
+        ("active_txns", PAIRS, ()),
+    )
 
 
 class CheckpointEndRecord(LogRecord):
     """Checkpoint completion marker."""
 
     TYPE = RecordType.CHECKPOINT_END
-    __slots__ = ("begin_lsn",)
-
-    def __init__(self, begin_lsn: int = NULL_LSN, **kw) -> None:
-        super().__init__(**kw)
-        self.begin_lsn = begin_lsn
-
-    def pack_body(self, w: _Writer) -> None:
-        w.u64(self.begin_lsn)
-
-    @classmethod
-    def unpack_body(cls, r: _Reader) -> dict:
-        return {"begin_lsn": r.u64()}
-
-
-# ---------------------------------------------------------------------------
-# Page lifecycle records
-# ---------------------------------------------------------------------------
+    FIELDS = (("begin_lsn", U64, NULL_LSN),)
 
 
 class FormatPageRecord(LogRecord):
@@ -503,40 +436,13 @@ class FormatPageRecord(LogRecord):
     TYPE = RecordType.FORMAT_PAGE
     IS_PAGE_MOD = True
     UNDOABLE_IN_ROLLBACK = True
-    __slots__ = ("page_type", "index_id", "level", "prev_page", "next_page")
-
-    def __init__(
-        self,
-        page_type: int = PageType.UNFORMATTED,
-        index_id: int = 0,
-        level: int = 0,
-        prev_page: int = NULL_PAGE,
-        next_page: int = NULL_PAGE,
-        **kw,
-    ) -> None:
-        super().__init__(**kw)
-        self.page_type = int(page_type)
-        self.index_id = index_id
-        self.level = level
-        self.prev_page = prev_page
-        self.next_page = next_page
-
-    def pack_body(self, w: _Writer) -> None:
-        w.u8(self.page_type)
-        w.u16(self.index_id)
-        w.u8(self.level)
-        w.u32(self.prev_page)
-        w.u32(self.next_page)
-
-    @classmethod
-    def unpack_body(cls, r: _Reader) -> dict:
-        return {
-            "page_type": r.u8(),
-            "index_id": r.u16(),
-            "level": r.u8(),
-            "prev_page": r.u32(),
-            "next_page": r.u32(),
-        }
+    FIELDS = (
+        ("page_type", U8, int(PageType.UNFORMATTED)),
+        ("index_id", U16, 0),
+        ("level", U8, 0),
+        ("prev_page", U32, NULL_PAGE),
+        ("next_page", U32, NULL_PAGE),
+    )
 
     def redo(self, page: Page, fetch=None) -> None:
         page.format(
@@ -569,18 +475,7 @@ class PreformatPageRecord(LogRecord):
     TYPE = RecordType.PREFORMAT_PAGE
     IS_PAGE_MOD = True
     UNDOABLE_IN_ROLLBACK = False
-    __slots__ = ("image",)
-
-    def __init__(self, image: bytes = b"", **kw) -> None:
-        super().__init__(**kw)
-        self.image = image
-
-    def pack_body(self, w: _Writer) -> None:
-        w.blob(self.image)
-
-    @classmethod
-    def unpack_body(cls, r: _Reader) -> dict:
-        return {"image": r.blob()}
+    FIELDS = (("image", BLOB, b""),)
 
     def redo(self, page: Page, fetch=None) -> None:
         """No page change: the record only preserves history."""
@@ -600,20 +495,10 @@ class PageImageRecord(LogRecord):
     TYPE = RecordType.PAGE_IMAGE
     IS_PAGE_MOD = True
     UNDOABLE_IN_ROLLBACK = False
-    __slots__ = ("image", "prev_image_lsn")
-
-    def __init__(self, image: bytes = b"", prev_image_lsn: int = NULL_LSN, **kw) -> None:
-        super().__init__(**kw)
-        self.image = image
-        self.prev_image_lsn = prev_image_lsn
-
-    def pack_body(self, w: _Writer) -> None:
-        w.u64(self.prev_image_lsn)
-        w.blob(self.image)
-
-    @classmethod
-    def unpack_body(cls, r: _Reader) -> dict:
-        return {"prev_image_lsn": r.u64(), "image": r.blob()}
+    FIELDS = (
+        ("prev_image_lsn", U64, NULL_LSN),
+        ("image", BLOB, b""),
+    )
 
     def redo(self, page: Page, fetch=None) -> None:
         page.restore(self.image)
@@ -631,22 +516,11 @@ class DeformatPageRecord(LogRecord):
 
     TYPE = RecordType.DEFORMAT_PAGE
     IS_PAGE_MOD = True
-    __slots__ = ("page_type", "index_id", "level")
-
-    def __init__(self, page_type: int = 0, index_id: int = 0, level: int = 0, **kw) -> None:
-        super().__init__(**kw)
-        self.page_type = page_type
-        self.index_id = index_id
-        self.level = level
-
-    def pack_body(self, w: _Writer) -> None:
-        w.u8(self.page_type)
-        w.u16(self.index_id)
-        w.u8(self.level)
-
-    @classmethod
-    def unpack_body(cls, r: _Reader) -> dict:
-        return {"page_type": r.u8(), "index_id": r.u16(), "level": r.u8()}
+    FIELDS = (
+        ("page_type", U8, 0),
+        ("index_id", U16, 0),
+        ("level", U8, 0),
+    )
 
     def redo(self, page: Page, fetch=None) -> None:
         page.deformat()
@@ -676,22 +550,11 @@ class InsertRowRecord(LogRecord):
     TYPE = RecordType.INSERT_ROW
     IS_PAGE_MOD = True
     UNDOABLE_IN_ROLLBACK = True
-    __slots__ = ("slot", "row", "key_bytes")
-
-    def __init__(self, slot: int = 0, row: bytes = b"", key_bytes: bytes = b"", **kw) -> None:
-        super().__init__(**kw)
-        self.slot = slot
-        self.row = row
-        self.key_bytes = key_bytes
-
-    def pack_body(self, w: _Writer) -> None:
-        w.u16(self.slot)
-        w.blob(self.row)
-        w.blob(self.key_bytes)
-
-    @classmethod
-    def unpack_body(cls, r: _Reader) -> dict:
-        return {"slot": r.u16(), "row": r.blob(), "key_bytes": r.blob()}
+    FIELDS = (
+        ("slot", U16, 0),
+        ("row", BLOB, b""),
+        ("key_bytes", BLOB, b""),
+    )
 
     def redo(self, page: Page, fetch=None) -> None:
         page.insert_record(self.slot, self.row)
@@ -714,36 +577,12 @@ class DeleteRowRecord(LogRecord):
     TYPE = RecordType.DELETE_ROW
     IS_PAGE_MOD = True
     UNDOABLE_IN_ROLLBACK = True
-    __slots__ = ("slot", "row", "key_bytes", "pair_lsn")
-
-    def __init__(
-        self,
-        slot: int = 0,
-        row: bytes | None = None,
-        key_bytes: bytes = b"",
-        pair_lsn: int = NULL_LSN,
-        **kw,
-    ) -> None:
-        super().__init__(**kw)
-        self.slot = slot
-        self.row = row
-        self.key_bytes = key_bytes
-        self.pair_lsn = pair_lsn
-
-    def pack_body(self, w: _Writer) -> None:
-        w.u16(self.slot)
-        w.opt_blob(self.row)
-        w.blob(self.key_bytes)
-        w.u64(self.pair_lsn)
-
-    @classmethod
-    def unpack_body(cls, r: _Reader) -> dict:
-        return {
-            "slot": r.u16(),
-            "row": r.opt_blob(),
-            "key_bytes": r.blob(),
-            "pair_lsn": r.u64(),
-        }
+    FIELDS = (
+        ("slot", U16, 0),
+        ("row", OPT_BLOB, None),
+        ("key_bytes", BLOB, b""),
+        ("pair_lsn", U64, NULL_LSN),
+    )
 
     def redo(self, page: Page, fetch=None) -> None:
         page.delete_record(self.slot)
@@ -771,36 +610,12 @@ class UpdateRowRecord(LogRecord):
     TYPE = RecordType.UPDATE_ROW
     IS_PAGE_MOD = True
     UNDOABLE_IN_ROLLBACK = True
-    __slots__ = ("slot", "old", "new", "key_bytes")
-
-    def __init__(
-        self,
-        slot: int = 0,
-        old: bytes | None = None,
-        new: bytes = b"",
-        key_bytes: bytes = b"",
-        **kw,
-    ) -> None:
-        super().__init__(**kw)
-        self.slot = slot
-        self.old = old
-        self.new = new
-        self.key_bytes = key_bytes
-
-    def pack_body(self, w: _Writer) -> None:
-        w.u16(self.slot)
-        w.opt_blob(self.old)
-        w.blob(self.new)
-        w.blob(self.key_bytes)
-
-    @classmethod
-    def unpack_body(cls, r: _Reader) -> dict:
-        return {
-            "slot": r.u16(),
-            "old": r.opt_blob(),
-            "new": r.blob(),
-            "key_bytes": r.blob(),
-        }
+    FIELDS = (
+        ("slot", U16, 0),
+        ("old", OPT_BLOB, None),
+        ("new", BLOB, b""),
+        ("key_bytes", BLOB, b""),
+    )
 
     def redo(self, page: Page, fetch=None) -> None:
         page.update_record(self.slot, self.new)
@@ -819,36 +634,12 @@ class SetLinksRecord(LogRecord):
     TYPE = RecordType.SET_LINKS
     IS_PAGE_MOD = True
     UNDOABLE_IN_ROLLBACK = True
-    __slots__ = ("old_prev", "old_next", "new_prev", "new_next")
-
-    def __init__(
-        self,
-        old_prev: int = NULL_PAGE,
-        old_next: int = NULL_PAGE,
-        new_prev: int = NULL_PAGE,
-        new_next: int = NULL_PAGE,
-        **kw,
-    ) -> None:
-        super().__init__(**kw)
-        self.old_prev = old_prev
-        self.old_next = old_next
-        self.new_prev = new_prev
-        self.new_next = new_next
-
-    def pack_body(self, w: _Writer) -> None:
-        w.u32(self.old_prev)
-        w.u32(self.old_next)
-        w.u32(self.new_prev)
-        w.u32(self.new_next)
-
-    @classmethod
-    def unpack_body(cls, r: _Reader) -> dict:
-        return {
-            "old_prev": r.u32(),
-            "old_next": r.u32(),
-            "new_prev": r.u32(),
-            "new_next": r.u32(),
-        }
+    FIELDS = (
+        ("old_prev", U32, NULL_PAGE),
+        ("old_next", U32, NULL_PAGE),
+        ("new_prev", U32, NULL_PAGE),
+        ("new_next", U32, NULL_PAGE),
+    )
 
     def redo(self, page: Page, fetch=None) -> None:
         page.prev_page = self.new_prev
@@ -886,20 +677,10 @@ class AllocPageRecord(LogRecord):
     TYPE = RecordType.ALLOC_PAGE
     IS_PAGE_MOD = True
     UNDOABLE_IN_ROLLBACK = True
-    __slots__ = ("target_page", "was_ever_allocated")
-
-    def __init__(self, target_page: int = 0, was_ever_allocated: bool = False, **kw) -> None:
-        super().__init__(**kw)
-        self.target_page = target_page
-        self.was_ever_allocated = was_ever_allocated
-
-    def pack_body(self, w: _Writer) -> None:
-        w.u32(self.target_page)
-        w.u8(1 if self.was_ever_allocated else 0)
-
-    @classmethod
-    def unpack_body(cls, r: _Reader) -> dict:
-        return {"target_page": r.u32(), "was_ever_allocated": bool(r.u8())}
+    FIELDS = (
+        ("target_page", U32, 0),
+        ("was_ever_allocated", BOOL, False),
+    )
 
     def redo(self, page: Page, fetch=None) -> None:
         alloc_bit, ever_bit = _alloc_bit_indexes(page, self.page_id, self.target_page)
@@ -924,20 +705,10 @@ class DeallocPageRecord(LogRecord):
     TYPE = RecordType.DEALLOC_PAGE
     IS_PAGE_MOD = True
     UNDOABLE_IN_ROLLBACK = True
-    __slots__ = ("target_page", "clear_ever")
-
-    def __init__(self, target_page: int = 0, clear_ever: bool = False, **kw) -> None:
-        super().__init__(**kw)
-        self.target_page = target_page
-        self.clear_ever = clear_ever
-
-    def pack_body(self, w: _Writer) -> None:
-        w.u32(self.target_page)
-        w.u8(1 if self.clear_ever else 0)
-
-    @classmethod
-    def unpack_body(cls, r: _Reader) -> dict:
-        return {"target_page": r.u32(), "clear_ever": bool(r.u8())}
+    FIELDS = (
+        ("target_page", U32, 0),
+        ("clear_ever", BOOL, False),
+    )
 
     def redo(self, page: Page, fetch=None) -> None:
         alloc_bit, ever_bit = _alloc_bit_indexes(page, self.page_id, self.target_page)
@@ -975,37 +746,11 @@ class ClrRecord(LogRecord):
     TYPE = RecordType.CLR
     IS_PAGE_MOD = True
     UNDOABLE_IN_ROLLBACK = False  # CLRs are never compensated themselves
-    __slots__ = ("compensated_lsn", "undo_next_lsn", "comp")
-
-    def __init__(
-        self,
-        compensated_lsn: int = NULL_LSN,
-        undo_next_lsn: int = NULL_LSN,
-        comp: LogRecord | None = None,
-        comp_bytes: bytes | None = None,
-        **kw,
-    ) -> None:
-        super().__init__(**kw)
-        self.compensated_lsn = compensated_lsn
-        self.undo_next_lsn = undo_next_lsn
-        if comp is None and comp_bytes is not None:
-            comp, _ = decode_record(comp_bytes, 0)
-        if comp is None:
-            raise WalError("CLR requires a compensation operation")
-        self.comp = comp
-
-    def pack_body(self, w: _Writer) -> None:
-        w.u64(self.compensated_lsn)
-        w.u64(self.undo_next_lsn)
-        w.blob(self.comp.serialize())
-
-    @classmethod
-    def unpack_body(cls, r: _Reader) -> dict:
-        return {
-            "compensated_lsn": r.u64(),
-            "undo_next_lsn": r.u64(),
-            "comp_bytes": r.blob(),
-        }
+    FIELDS = (
+        ("compensated_lsn", U64, NULL_LSN),
+        ("undo_next_lsn", U64, NULL_LSN),
+        ("comp", RECORD, None),
+    )
 
     def redo(self, page: Page, fetch=None) -> None:
         self.comp.redo(page, fetch)

@@ -12,6 +12,7 @@ from repro import (
     SimEnv,
     TableSchema,
 )
+from repro.errors import SnapshotReadOnlyError
 
 
 @pytest.fixture
@@ -89,3 +90,20 @@ def fill_items(database, count: int, start: int = 0) -> None:
     with database.transaction() as txn:
         for i in range(start, start + count):
             database.insert(txn, "items", (i, f"item-{i}", i * 10))
+
+
+def assert_refuses_writes(engine, restored) -> None:
+    """``restored`` answers reads and turns every way of starting a write
+    away with SnapshotReadOnlyError (both restore routes)."""
+    with pytest.raises(SnapshotReadOnlyError):
+        with restored.transaction():
+            pass
+    session = engine.session(restored.name)
+    for statement in ("INSERT INTO items VALUES (999, 'x', 1)", "BEGIN"):
+        with pytest.raises(SnapshotReadOnlyError):
+            session.execute(statement)
+    assert session.execute("SELECT qty FROM items WHERE id = 1").rows
+    # A full shell: the state Database.__init__ owns is all there.
+    fresh = type(restored)("probe", restored.config, engine.env, bootstrap=False)
+    assert vars(restored).keys() == vars(fresh).keys()
+    assert restored.log.coalesce_gap_blocks == restored.config.log_coalesce_gap_blocks

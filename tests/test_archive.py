@@ -28,7 +28,7 @@ from repro.sim.device import SLC_SSD
 from repro.tools import check_database, dump_archive, dump_archived_segment
 from repro.tools.loginspect import main as loginspect_main
 from repro.wal.lsn import FIRST_LSN
-from tests.conftest import fill_items
+from tests.conftest import assert_refuses_writes, fill_items
 
 
 def expire_retention(db, window_s: float = 10.0) -> None:
@@ -284,6 +284,11 @@ class TestRestoreFromArchive:
             assert 100 + gen + 1 not in present
             assert restored.read_only
             assert restored.name in engine.databases
+
+    def test_restored_refuses_every_write_path(self, engine, items_db):
+        marks = _marked_generations(engine, items_db)
+        restored = engine.restore_from_archive("itemsdb", marks[1])
+        assert_refuses_writes(engine, restored)
 
     def test_restore_past_retention_horizon(self, engine, items_db):
         """The acceptance path: the pool cannot reach t, the archive can."""

@@ -6,7 +6,7 @@ import pytest
 
 from repro.backup import FullBackup, restore_point_in_time, take_full_backup
 from repro.errors import BackupError, SnapshotReadOnlyError
-from tests.conftest import fill_items
+from tests.conftest import assert_refuses_writes, fill_items
 
 
 class TestFullBackup:
@@ -58,6 +58,14 @@ class TestRestore:
         restored = restore_point_in_time(engine, backup, items_db, marks[0], "ro")
         with pytest.raises(SnapshotReadOnlyError):
             restored.begin()
+
+    def test_restored_refuses_every_write_path(self, engine, items_db):
+        """The restored shell is a real Database (built by the constructor,
+        not field by field): each write entry point finds its write latch
+        and refuses with the read-only error, never an AttributeError."""
+        backup, marks = self._scenario(engine, items_db)
+        restored = restore_point_in_time(engine, backup, items_db, marks[0], "ro")
+        assert_refuses_writes(engine, restored)
 
     def test_restore_undoes_in_flight(self, engine, items_db):
         db = items_db

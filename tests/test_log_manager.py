@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.config import SimEnv
-from repro.errors import LogTruncatedError, WalError
+from repro.errors import LogRecordDecodeError, LogTruncatedError, WalError
 from repro.sim.device import SAS_10K, SLC_SSD
 from repro.wal.log_manager import LogManager
 from repro.wal.lsn import FIRST_LSN
@@ -15,6 +17,8 @@ from repro.wal.records import (
     InsertRowRecord,
     PageImageRecord,
     PreformatPageRecord,
+    decode_record,
+    walk_headers,
 )
 
 
@@ -322,3 +326,96 @@ class TestBatchedReads:
         log.truncate_before(lsns[2])
         with pytest.raises(LogTruncatedError):
             log.read_header(lsns[0])
+
+
+@pytest.fixture(scope="module")
+def tpcc_log():
+    """(log, record boundaries) of a small TPC-C run: every record type
+    the workload emits, sizes from 42 bytes to a page image, a volatile
+    tail past the last flush."""
+    from repro import DatabaseConfig, Engine
+    from repro.workload import TpccDriver, TpccScale, load_tpcc
+
+    scale = TpccScale(warehouses=1, districts_per_warehouse=2, customers_per_district=10, items=40)
+    db = Engine(SimEnv.for_tests()).create_database(
+        "tpcc", DatabaseConfig(page_size=1024, buffer_pool_pages=64)
+    )
+    load_tpcc(db, scale)
+    TpccDriver(db, scale, seed=3).run_transactions(40)
+    log = db.log
+    log.append(BeginRecord(txn_id=10**6))  # unflushed tail
+    data = log.read_bytes(log.start_lsn, log.end_lsn)
+    boundaries = [log.start_lsn]
+    offset = 0
+    while offset < len(data):  # the reference walk: a full decode of every record
+        _record, offset = decode_record(data, offset)
+        boundaries.append(log.start_lsn + offset)
+    assert len(boundaries) > 1000
+    return log, boundaries
+
+
+class TestStreamWalk:
+    """The header walker against a full ``decode_record`` loop, and the
+    two LogManager paths built on it."""
+
+    def test_walker_boundaries_equal_a_full_decode_loop(self, tpcc_log):
+        log, boundaries = tpcc_log
+        data = log.read_bytes(log.start_lsn, log.end_lsn)
+        headers = list(walk_headers(data, base_lsn=log.start_lsn))
+        assert [h.lsn for h in headers] == boundaries[:-1]
+        assert [h.lsn + h.total for h in headers] == boundaries[1:]
+        middle = boundaries[len(boundaries) // 2]
+        resumed = walk_headers(data, middle - log.start_lsn, base_lsn=log.start_lsn)
+        assert [h.lsn for h in resumed] == [b for b in boundaries[:-1] if b >= middle]
+        for header in headers[:: len(headers) // 50]:
+            assert header == log.read_header(header.lsn)
+            record = log.read(header.lsn)
+            assert (header.record_type, header.page_id, header.prev_page_lsn) == (
+                record.TYPE, record.page_id, record.prev_page_lsn
+            )
+
+    def test_record_aligned_end_agrees_with_the_boundary_oracle(self, tpcc_log):
+        log, boundaries = tpcc_log
+        end = boundaries[-1]
+        rng = random.Random(5)
+        starts = boundaries[:3] + rng.sample(boundaries[:-1], 25) + boundaries[-3:-1]
+        for from_lsn in starts:
+            later = [b for b in boundaries if b > from_lsn]
+            limits = [None, from_lsn, later[0], later[0] - 1, later[len(later) // 2] + 7,
+                      rng.choice(later), end, end + 10**6]
+            for limit_lsn in limits:
+                for max_bytes in (1, 41, 300, 5000, 1 << 20):
+                    limit = end if limit_lsn is None else min(limit_lsn, end)
+                    reachable = [b for b in later if b <= limit]
+                    fitting = [b for b in reachable if b - from_lsn <= max_bytes]
+                    # One record always ships, however small the budget.
+                    expected = max(fitting) if fitting else (reachable or [from_lsn])[0]
+                    assert log.record_aligned_end(from_lsn, max_bytes, limit_lsn) == expected, (
+                        from_lsn, max_bytes, limit_lsn
+                    )
+
+    def test_ingest_rejects_every_cut_off_a_record_boundary(self, tpcc_log):
+        source, boundaries = tpcc_log
+        start, stop = boundaries[0], boundaries[60]
+        data = source.read_bytes(start, stop)
+        assert {CommitRecord.TYPE, BeginRecord.TYPE} <= {
+            h.record_type for h in walk_headers(data)
+        }
+        standby, env = make_log()
+        standby.open_at(start)
+        pristine = (repr(standby), standby.last_commit_lsn, env.stats.snapshot())
+        whole = {b - start for b in boundaries[:61]}
+        for cut in range(len(data)):
+            if cut in whole:
+                continue
+            with pytest.raises(LogRecordDecodeError):
+                standby.ingest(start, data[:cut])
+            assert (repr(standby), standby.last_commit_lsn, env.stats.snapshot()) == pristine
+        # ... and lands the same bytes whole, at any boundary.
+        for boundary in (boundaries[1], boundaries[30], stop):
+            standby.ingest(standby.end_lsn, data[standby.end_lsn - start : boundary - start])
+            assert standby.end_lsn == standby.durable_lsn == boundary
+        assert standby.read_bytes(start, stop) == data
+        commits = [h.lsn for h in walk_headers(data, base_lsn=start)
+                   if h.record_type == CommitRecord.TYPE]
+        assert standby.last_commit_lsn == commits[-1]

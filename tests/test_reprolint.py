@@ -450,6 +450,19 @@ class TestLogLint:
         findings = lint_log_segments(str(tmp_path))
         assert rules_of(findings) == ["LOG001"]
 
+    def test_broken_record_stream_flagged_where_it_breaks(self, tmp_path):
+        """A frame whose own CRC holds around a rotted or torn record."""
+        good = InsertRowRecord(slot=0, row=bytes(20), page_id=1).serialize()
+        rotted = good[:-1] + bytes([good[-1] ^ 0xFF])
+        for name, payload in (("rot", good + rotted + good), ("torn", good + good[:50])):
+            blob = LogFrame(FIRST_LSN, payload, ship_wall=0.0).encode()
+            self._write(str(tmp_path), blob, FIRST_LSN, FIRST_LSN + len(payload), name)
+        findings = lint_log_segments(str(tmp_path))
+        assert rules_of(findings) == ["LOG002", "LOG002"]
+        assert [finding.col for finding in findings] == [len(good), len(good)]
+        assert "CRC mismatch" in findings[0].message
+        assert "truncated" in findings[1].message
+
     def test_gap_between_segments_flagged(self, tmp_path):
         blob = self._segment(FIRST_LSN)
         end = LogFrame.decode(blob).end_lsn
