@@ -227,6 +227,11 @@ FAULT_RECORDERS: frozenset[str] = frozenset(
     }
 )
 
+#: The modules that may replay a log record onto a page, and the one
+#: that may roll analysis' losers back (RL008; matched as path suffixes).
+REDO_OWNERS: tuple[str, ...] = ("repro/wal/apply.py", "repro/wal/records.py")
+ROLLBACK_OWNERS: tuple[str, ...] = ("repro/txn/undo.py",)
+
 
 def _default_rules() -> dict[str, RuleConfig]:
     return {
@@ -289,6 +294,13 @@ def _default_rules() -> dict[str, RuleConfig]:
             options={
                 "broad_handlers": BROAD_EXCEPTION_HANDLERS,
                 "recorders": FAULT_RECORDERS,
+            },
+        ),
+        "RL008": RuleConfig(
+            include=("src/repro/*",),
+            options={
+                "redo_owners": REDO_OWNERS,
+                "rollback_owners": ROLLBACK_OWNERS,
             },
         ),
     }

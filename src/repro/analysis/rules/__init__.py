@@ -7,5 +7,6 @@ from repro.analysis.rules import (  # noqa: F401
     lsn,
     obs,
     priced_io,
+    replay,
     shared_state,
 )

@@ -12,14 +12,19 @@ laying down more chain members costs backup bytes but shortens log
 replay, so the planner evaluates every chain prefix and picks the
 cheapest (ties prefer the longer chain — less replay for the same
 estimate).
+
+Only the planning lives here. Executing a plan is
+:func:`repro.backup.restore.restore_at_split` — the skeleton the primary's
+own point-in-time restore runs — fed the chain's pages and the archive's
+log view instead of a live database's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.backup.restore import roll_forward, undo_in_flight
-from repro.core.split_lsn import checkpoint_chain, find_split_lsn
+from repro.backup.restore import restore_at_split
+from repro.core.split_lsn import find_split_lsn
 from repro.engine.database import Database
 from repro.errors import ArchiveError
 from repro.wal.lsn import NULL_LSN, format_lsn
@@ -117,7 +122,6 @@ def restore_from_archive(
     target_wall: float,
     new_name: str,
     *,
-    register: bool = True,
     plan: RestorePlan | None = None,
 ) -> Database:
     """Materialize ``db_name`` as of ``target_wall`` from the archive.
@@ -125,38 +129,26 @@ def restore_from_archive(
     Runs the cheapest :func:`plan_restore` plan: lay the chain's pages
     down oldest-first, roll the archived log forward to the SplitLSN,
     undo transactions in flight there. The result is a read-only database
-    (registered with the engine under ``new_name`` unless ``register`` is
-    false — the engine's archive-backed ``query_as_of`` fallback keeps
-    its copies private). A caller that already planned (for the split, or
-    to inspect the chain) passes ``plan`` to skip re-planning.
+    named ``new_name`` that no engine knows yet:
+    :meth:`Engine.restore_from_archive <repro.engine.engine.Engine
+    .restore_from_archive>` registers it, the engine's archive-backed
+    ``query_as_of`` fallback keeps its copies private. A caller that
+    already planned (for the split, or to inspect the chain) passes
+    ``plan`` to skip re-planning.
     """
     if plan is None:
         plan = plan_restore(store, db_name, target_wall)
     view = store.log_view(db_name)
-    log = view.log
-
     config = plan.chain[0].config
     if config is None:
         source = engine.databases.get(db_name)
         config = source.config if source is not None else engine.default_config
-    restored = Database(new_name, config, engine.env, bootstrap=False)
-    restored.file_manager.write_sequential(store.read_backup_pages(plan.chain))
-    restored.reload_boot()
-    restored.last_checkpoint_lsn = plan.roll_from_lsn
-
-    roll_forward(restored, log, plan.roll_from_lsn, plan.split_lsn)
-
-    base = NULL_LSN
-    for lsn, _wall, _prev in checkpoint_chain(view):
-        if lsn <= plan.split_lsn:
-            base = lsn
-            break
-    if base == NULL_LSN:
-        base = max(plan.roll_from_lsn, log.start_lsn)
-    undo_in_flight(restored, log, base, plan.split_lsn)
-
-    restored.buffer.flush_all()
-    restored.read_only = True
-    if register:
-        engine.databases[new_name] = restored
-    return restored
+    return restore_at_split(
+        new_name,
+        config,
+        engine.env,
+        store.read_backup_pages(plan.chain),
+        view,
+        plan.roll_from_lsn,
+        plan.split_lsn,
+    )

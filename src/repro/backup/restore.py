@@ -9,32 +9,32 @@ random page fetches during redo), so the restore curve in Figures 7/8 —
 flat with respect to the target time, huge with respect to the data
 needed — emerges from the same accounting as the as-of numbers.
 
-The building blocks (:func:`roll_forward`, :func:`undo_in_flight`) are
-shared with the archive tier's restore planner
-(:mod:`repro.archive.restore`), which runs the same recipe against an
-*archived* log + incremental backup chain instead of the primary's
-retained log.
+:func:`restore_at_split` is the skeleton this route shares with the
+archive tier's restore planner (:mod:`repro.archive.restore`): the two
+differ only in where the pages and the log come from. Its three stages —
+redo, analysis window, loser rollback — are the ones crash recovery,
+replica promotion and as-of snapshot recovery run (``docs/recovery.md``);
+nothing here replays or rolls back on its own.
 """
 
 from __future__ import annotations
 
 from repro.backup.backup import FullBackup
-from repro.core.split_lsn import checkpoint_chain, find_split_lsn
+from repro.core.split_lsn import analysis_base, find_split_lsn
 from repro.engine.database import Database
 from repro.engine.recovery import analyze_log
 from repro.errors import BackupError
-from repro.txn.transaction import RecoveredTransaction
-from repro.txn.undo import LogicalUndo
-from repro.wal.lsn import NULL_LSN
-from repro.wal.records import FormatPageRecord, PageImageRecord
+from repro.txn.undo import rollback_losers
+from repro.wal.apply import RedoApplier
 
 
 class _RestoreUndoContext:
     """Undo context stitching the restored database to the *source* log.
 
-    Loser chains live in the source database's log; compensations apply to
-    the restored database's pages (and are logged into its fresh log,
-    which is harmless — the restored copy is handed out read-only).
+    Loser chains live in the source history's log; compensations apply to
+    the restored database's pages and are logged into its own log, which
+    :meth:`~repro.engine.database.Database.adopt_backup` opened just past
+    the split — so the pageLSNs they stamp continue that history.
     """
 
     def __init__(self, restored: Database, source_log) -> None:
@@ -45,51 +45,29 @@ class _RestoreUndoContext:
         self.tree_for_object = restored.tree_for_object
 
 
-def roll_forward(restored: Database, log, from_lsn: int, split: int) -> int:
-    """Replay ``log``'s page modifications in ``[from_lsn, split]`` onto
-    ``restored``, gated by each page's pageLSN; returns records replayed.
+def restore_at_split(
+    name: str, config, env, pages: dict[int, bytes], source, roll_from: int, split: int
+) -> Database:
+    """Materialize ``source``'s history at ``split`` from backup ``pages``.
 
-    A format record is the first record of a page's (new) incarnation and
-    erases whatever was there, so its redo never needs to read the
-    restored file — pages born after the backup cost no I/O to
-    materialize.
+    ``source`` is database-shaped (``log``, ``last_checkpoint_lsn``): the
+    live source database, or the archive's log view. ``pages`` must be
+    consistent with ``roll_from``, and the log must cover
+    ``[roll_from, split]``. Returns a read-only, unregistered database
+    with no history of its own: its log starts past the split, so a
+    point-in-time read against the copy is refused with
+    :class:`~repro.errors.RetentionExceededError`.
     """
-    replayed = 0
-    for rec in log.scan(from_lsn, split + 1):
-        if not rec.IS_PAGE_MOD:
-            continue
-        create = isinstance(rec, FormatPageRecord)
-        with restored.fetch_page(rec.page_id, create=create) as guard:
-            page = guard.page
-            if page.is_formatted() and page.page_lsn >= rec.lsn:
-                continue
-            rec.redo(page, fetch=log.undo_fetch)
-            page.page_lsn = rec.lsn
-            if isinstance(rec, PageImageRecord):
-                page.last_image_lsn = rec.lsn
-            guard.mark_dirty()
-        restored.env.charge_cpu(restored.env.cost.redo_record_cpu_s)
-        replayed += 1
-    return replayed
-
-
-def undo_in_flight(restored: Database, log, base: int, split: int) -> int:
-    """Undo transactions in flight at ``split`` (standard restore undo).
-
-    ``base`` is a checkpoint LSN at or before ``split`` (or the oldest
-    covered LSN when no checkpoint qualifies) — the analysis scan starts
-    there. Returns the number of transactions rolled back.
-    """
+    log = source.log
+    restored = Database(name, config, env, bootstrap=False)
+    restored.adopt_backup(pages, log.record_aligned_end(split, 1))
+    RedoApplier(restored).apply(log.scan(roll_from, split + 1))
+    base = analysis_base(source, split, max(roll_from, log.start_lsn))
     analysis = analyze_log(log, base, split + 1)
-    ctx = _RestoreUndoContext(restored, log)
-    undo = LogicalUndo(ctx)
-    for txn_id, last_lsn in sorted(
-        analysis.losers.items(), key=lambda item: item[1], reverse=True
-    ):
-        loser = RecoveredTransaction(txn_id)
-        loser.last_lsn = last_lsn
-        undo.rollback_chain(loser, last_lsn)
-    return len(analysis.losers)
+    rollback_losers(_RestoreUndoContext(restored, log), analysis.losers)
+    restored.buffer.flush_all()
+    restored.read_only = True
+    return restored
 
 
 def restore_point_in_time(
@@ -118,28 +96,15 @@ def restore_point_in_time(
             f"target time precedes the backup "
             f"(split {split:#x} < backup {backup.backup_lsn:#x})"
         )
-
-    # 1. Lay the backup pages down as the new database files
-    #    (``bootstrap=False``: the shell adopts them instead of
-    #    formatting a fresh catalog).
-    restored = Database(new_name, source_db.config, engine.env, bootstrap=False)
-    restored.file_manager.write_sequential(backup.pages)
-    restored.reload_boot()
-
-    # 2. Roll forward: replay the source log from the backup LSN to the
-    #    split.
-    roll_forward(restored, log, backup.backup_lsn, split)
-
-    # 3. Undo transactions in flight at the split.
-    base = NULL_LSN
-    for lsn, _wall, _prev in checkpoint_chain(source_db):
-        if lsn <= split:
-            base = lsn
-            break
-    if base == NULL_LSN:
-        base = max(backup.backup_lsn, log.start_lsn)
-    undo_in_flight(restored, log, base, split)
-
+    restored = restore_at_split(
+        new_name,
+        source_db.config,
+        engine.env,
+        backup.pages,
+        source_db,
+        backup.backup_lsn,
+        split,
+    )
     # Initialization of the unused log portion: the restored database's
     # log file spans the full retained range, and the part past the
     # restore point must still be formatted. The paper names this cost as
@@ -147,9 +112,5 @@ def restore_point_in_time(
     # (section 6.2).
     unused = max(0, log.end_lsn - split)
     if unused:
-        restored.env.log_device.write_seq(unused)
-
-    restored.buffer.flush_all()
-    restored.read_only = True
-    engine.databases[new_name] = restored
-    return restored
+        engine.env.log_device.write_seq(unused)
+    return engine.register_database(restored)

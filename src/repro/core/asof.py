@@ -39,7 +39,7 @@ from repro.catalog.catalog import (
     ObjectInfo,
 )
 from repro.core.page_undo import prepare_page_version
-from repro.core.split_lsn import checkpoint_chain, find_split_lsn
+from repro.core.split_lsn import analysis_base, find_split_lsn
 from repro.engine.recovery import analyze_log
 from repro.latch import Latch
 from repro.errors import (
@@ -51,8 +51,7 @@ from repro.errors import (
 from repro.storage.buffer import Frame
 from repro.storage.page import Page
 from repro.storage.sparsefile import SparseFile
-from repro.txn.transaction import RecoveredTransaction
-from repro.txn.undo import LogicalUndo
+from repro.txn.undo import rollback_losers
 from repro.wal.apply import UnloggedModifier
 from repro.wal.lsn import NULL_LSN
 from repro.wal.records import BeginRecord, ClrRecord
@@ -257,27 +256,30 @@ class AsOfSnapshot:
             # stream's LSN space.
             if not db.read_only:
                 db.checkpoint()
-            # Analysis from the checkpoint preceding the split, bounded at
-            # the split: yields the transactions in flight at that point
-            # plus the row locks the redo pass re-acquires (no page reads
-            # happen).
-            base = NULL_LSN
-            for lsn, _wall, _prev in checkpoint_chain(db):
-                if lsn <= split:
-                    base = lsn
-                    break
-            if base == NULL_LSN:
-                base = db.log.start_lsn
-            analysis = analyze_log(db.log, base, split + 1)
-            snap = cls(db, name, split, analysis=analysis)
-            snap.retention_pin_lsn = min(base, split)
-            snap._collect_missing_locks()
+            snap = cls.recover_at(db, name, split)
         except LogTruncatedError as err:
             raise RetentionExceededError(
                 f"snapshot at split {split:#x} needs log below the "
                 f"retention horizon (truncated at "
                 f"{db.log.start_lsn:#x}): {err}"
             ) from err
+        return snap
+
+    @classmethod
+    def recover_at(cls, db, name: str, split: int) -> "AsOfSnapshot":
+        """Snapshot recovery (section 5.2) at ``split``.
+
+        Analysis from the checkpoint preceding the split, bounded at the
+        split: yields the transactions in flight at that point plus the
+        row locks the redo pass re-acquires (no page reads happen). Their
+        rollback is the same :func:`~repro.txn.undo.rollback_losers` stage
+        crash recovery and restores run, deferred until a read needs it.
+        """
+        base = analysis_base(db, split, db.log.start_lsn)
+        analysis = analyze_log(db.log, base, split + 1)
+        snap = cls(db, name, split, analysis=analysis)
+        snap.retention_pin_lsn = min(base, split)
+        snap._collect_missing_locks()
         return snap
 
     def _collect_missing_locks(self) -> None:
@@ -417,22 +419,17 @@ class AsOfSnapshot:
             return self._run_background_undo_locked(txn_ids)
 
     def _run_background_undo_locked(self, txn_ids=None) -> int:
+        pending = self._pending_undo
         if txn_ids is None:
-            txn_ids = list(self._pending_undo)
-        undo = LogicalUndo(self)
-        done = 0
-        for txn_id in sorted(
-            txn_ids, key=lambda t: self._pending_undo.get(t, 0), reverse=True
-        ):
-            last_lsn = self._pending_undo.pop(txn_id, None)
-            if last_lsn is None:
-                continue
-            pseudo = RecoveredTransaction(txn_id)
-            pseudo.last_lsn = last_lsn
-            undo.rollback_chain(pseudo, last_lsn)
-            self._pending_locks.pop(txn_id, None)
-            done += 1
-        return done
+            txn_ids = list(pending)
+
+        def forget(loser) -> None:
+            del pending[loser.txn_id]
+            self._pending_locks.pop(loser.txn_id, None)
+
+        return rollback_losers(
+            self, {t: pending[t] for t in txn_ids if t in pending}, forget
+        )
 
     def ensure_readable(self, object_id: int, key_bytes: bytes | None = None) -> None:
         """Block-equivalent of lock acquisition: a read touching data locked

@@ -53,6 +53,22 @@ def checkpoint_chain(db, *, max_entries: int | None = None):
             break
 
 
+def analysis_base(db, split: int, floor: int) -> int:
+    """Where the analysis window of a recovery to ``split`` starts.
+
+    The newest checkpoint at or before ``split`` — its active-transaction
+    table seeds the scan, so nothing older has to be read to know who was
+    in flight — else ``floor`` (the oldest LSN the caller's log and pages
+    cover) when the chain holds no such checkpoint. ``db`` is anything
+    :func:`checkpoint_chain` walks: a database, a standby's shell, the
+    archive's log view.
+    """
+    for lsn, _wall, _prev in checkpoint_chain(db):
+        if lsn <= split:
+            return lsn
+    return floor
+
+
 def _last_commit_lsn(db) -> int:
     """The LSN of the last commit record in the retained log.
 

@@ -228,8 +228,8 @@ class Database:
             # A shell for log-shipping replication: state materializes by
             # replaying the primary's log from its very first record (the
             # primary's own bootstrap is logged, so the boot page, catalog
-            # and allocation map all arrive through redo). Restores use it
-            # too: they lay backup pages down, then ``reload_boot``.
+            # and allocation map all arrive through redo). Restores and
+            # backup-seeded standbys use it too, via ``adopt_backup``.
             return
         if self._is_fresh():
             self._bootstrap()
@@ -329,6 +329,22 @@ class Database:
             boot = read_boot_record(guard.page)
         self._boot_cache = boot
         self.last_checkpoint_lsn = boot.last_checkpoint_lsn
+
+    def adopt_backup(self, pages: dict[int, bytes], log_start_lsn: int) -> None:
+        """Start a ``bootstrap=False`` shell from backup pages.
+
+        The pages are laid down as the data file and the (still pristine)
+        log is rebased so its first record lands at ``log_start_lsn``:
+        everything below lives in the pages, or in the source's log, never
+        here — so whatever this shell logs next (a restore's compensation
+        records, a standby's shipped stream) continues the source
+        history's LSN space instead of restarting at ``FIRST_LSN`` beneath
+        the pageLSNs already on the pages.
+        """
+        self.file_manager.write_sequential(pages)
+        self.log.open_at(log_start_lsn)
+        self.invalidate_caches()
+        self.reload_boot()
 
     def boot_record(self) -> BootRecord:
         if self._boot_cache is None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from contextlib import contextmanager
 from datetime import datetime
 
@@ -169,18 +170,35 @@ class Engine:
         # Same reasoning for stored page versions: the new incarnation's
         # LSN space restarts, so a namesake's intervals would lie.
         self.version_store.purge(name)
-        db = Database(name, config or self.default_config, self.env)
-        db.version_store = self.version_store
-        self._register_pool_pin(db)
-        self.databases[name] = db
-        install_database_metrics(self, db)
-        return db
-
-    def _register_pool_pin(self, db: Database) -> None:
-        """Pooled splits pin the database's log against retention."""
-        db.add_retention_pin(
-            lambda name=db.name: self.snapshot_pool.min_pin_lsn(name)
+        return self.register_database(
+            Database(name, config or self.default_config, self.env)
         )
+
+    def register_database(self, db: Database) -> Database:
+        """Take ``db`` into the engine under its own name; returns it.
+
+        The one step every way of obtaining a database ends with — a
+        fresh create, a promoted standby, a restored copy: the name must
+        be free, pooled splits pin the database's log against retention,
+        its snapshots share the engine's version store, and its
+        ``log.<name>.*`` / ``retention.<name>.*`` gauges appear (to be
+        removed again by :meth:`drop_database`).
+        """
+        with self.latch:
+            self._check_name_free(db.name)
+            self.databases[db.name] = db
+            db.add_retention_pin(
+                lambda name=db.name: self.snapshot_pool.min_pin_lsn(name)
+            )
+            db.version_store = self.version_store
+            install_database_metrics(self, db)
+            return db
+
+    def _free_name(self, stem: str) -> str:
+        """The first of ``<stem>1``, ``<stem>2``, ... nothing is using."""
+        taken = self.databases.keys() | self.snapshots.keys() | self.replicas.keys()
+        names = (f"{stem}{n}" for n in itertools.count(1))
+        return next(name for name in names if name not in taken)
 
     def database(self, name: str) -> Database:
         db = self.databases.get(name)
@@ -309,7 +327,6 @@ class Engine:
         name: str | None = None,
         *,
         apply_delay_s: float = 0.0,
-        apply_slots: int = 4,
         config: DatabaseConfig | None = None,
         seed_from_backup: bool = False,
     ) -> "Replica":
@@ -336,7 +353,6 @@ class Engine:
                 db_name,
                 name,
                 apply_delay_s,
-                apply_slots,
                 config,
                 seed_from_backup,
             )
@@ -348,20 +364,12 @@ class Engine:
         db_name,
         name,
         apply_delay_s,
-        apply_slots,
         config,
         seed_from_backup,
     ) -> "Replica":
         db = self.database(db_name)
         if name is None:
-            suffix = 1
-            while True:
-                name = f"{db_name}_replica{suffix}"
-                try:
-                    self._check_name_free(name)
-                    break
-                except CatalogError:
-                    suffix += 1
+            name = self._free_name(f"{db_name}_replica")
         self._check_name_free(name)
         if db.log.start_lsn != FIRST_LSN and not seed_from_backup:
             raise ReplicationError(
@@ -374,7 +382,6 @@ class Engine:
             db,
             name,
             apply_delay_s=apply_delay_s,
-            apply_slots=apply_slots,
             config=config,
         )
         # The standby replays the primary's exact log, so its prepared
@@ -461,10 +468,7 @@ class Engine:
         self._purge_monitor(
             f"replica.{name}.", f"pool.{name}.", f"repl.ship.{name}."
         )
-        self._register_pool_pin(db)
-        self.databases[name] = db
-        install_database_metrics(self, db)
-        return db
+        return self.register_database(db)
 
     def replication_tick(self) -> int:
         """Pump replication once: ship pending log, apply what's eligible.
@@ -860,20 +864,15 @@ class Engine:
         if not archiver.closed:
             archiver.poll()
         if new_name is None:
-            suffix = 1
-            while True:
-                new_name = f"{db_name}_restored{suffix}"
-                try:
-                    self._check_name_free(new_name)
-                    break
-                except CatalogError:
-                    suffix += 1
+            new_name = self._free_name(f"{db_name}_restored")
         self._check_name_free(new_name)
         with self.env.tracer.span("archive.restore", db=db_name, target=new_name):
             if self.chaos is not None:
                 self.chaos.hit("restore.page_copy", target=db_name)
-            return restore_from_archive(
-                self, archiver.store, db_name, self.resolve_as_of(as_of), new_name
+            return self.register_database(
+                restore_from_archive(
+                    self, archiver.store, db_name, self.resolve_as_of(as_of), new_name
+                )
             )
 
     def _retention_error(
@@ -939,7 +938,6 @@ class Engine:
                     db_name,
                     wall,
                     f"~archive:{db_name}@{split:#x}",
-                    register=False,
                     plan=plan,
                 )
                 cached.append((split, reader))

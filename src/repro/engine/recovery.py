@@ -11,10 +11,14 @@ Standard three-pass recovery over the durable log tail:
   machinery live rollback uses, logging CLRs; a crash during recovery
   resumes exactly where it left off (CLR ``undo_next`` chains).
 
-The as-of snapshot recovery of paper section 5.2 is a variant of the
-analysis pass (bounded at the SplitLSN, collecting locks instead of a
-DPT); it lives in :mod:`repro.core.asof` but shares
-:func:`analyze_log` below.
+Each pass is one of the three stages every route to "the database at a
+SplitLSN" composes (``docs/recovery.md``): :func:`analyze_log` is the
+analysis all of them run (restores, replica promotion and the as-of
+snapshot recovery of paper section 5.2 bound it at the split),
+:func:`redo_pass` is :class:`~repro.wal.apply.RedoApplier` behind the
+dirty-page-table gate, and :func:`undo_pass` is
+:func:`~repro.txn.undo.rollback_losers` plus the abort records only a
+writable database logs.
 """
 
 from __future__ import annotations
@@ -23,8 +27,7 @@ from dataclasses import dataclass, field
 
 from repro.engine.boot import BOOT_PAGE_ID, read_boot_record
 from repro.errors import RecoveryError
-from repro.txn.transaction import RecoveredTransaction
-from repro.txn.undo import LogicalUndo
+from repro.txn.undo import rollback_losers
 from repro.wal.apply import RedoApplier
 from repro.wal.lsn import FIRST_LSN, NULL_LSN
 from repro.wal.records import (
@@ -86,11 +89,12 @@ def analyze_log(log, start_lsn: int, to_lsn: int | None = None) -> AnalysisResul
     return result
 
 
-def redo_pass(db, analysis: AnalysisResult, to_lsn: int | None = None) -> int:
+def redo_pass(db, analysis: AnalysisResult) -> int:
     """Repeat history; returns the number of records replayed.
 
     Delegates to the :class:`~repro.wal.apply.RedoApplier` shared with
-    log-shipping replication: same gating, same page-batched apply loop.
+    restores and log-shipping replication: same gating, same page-batched
+    apply loop.
     """
     if not analysis.dirty_pages:
         return 0
@@ -100,24 +104,20 @@ def redo_pass(db, analysis: AnalysisResult, to_lsn: int | None = None) -> int:
         first_lsn = analysis.dirty_pages.get(rec.page_id)
         return first_lsn is not None and rec.lsn >= first_lsn
 
-    applier = RedoApplier(db)
-    return applier.apply(
-        db.log.scan(redo_start, to_lsn, stop_on_torn_tail=True), gate=gate
+    return RedoApplier(db).apply(
+        db.log.scan(redo_start, stop_on_torn_tail=True), gate=gate
     )
 
 
 def undo_pass(db, analysis: AnalysisResult) -> int:
     """Roll back loser transactions; returns how many were undone."""
-    undo = LogicalUndo(db)
-    undone = 0
-    for txn_id, last_lsn in sorted(
-        analysis.losers.items(), key=lambda item: item[1], reverse=True
-    ):
-        loser = RecoveredTransaction(txn_id)
-        loser.last_lsn = last_lsn
-        undo.rollback_chain(loser, last_lsn)
-        db.log.append(AbortRecord(txn_id=txn_id, prev_txn_lsn=loser.last_lsn))
-        undone += 1
+
+    def log_abort(loser) -> None:
+        db.log.append(
+            AbortRecord(txn_id=loser.txn_id, prev_txn_lsn=loser.last_lsn)
+        )
+
+    undone = rollback_losers(db, analysis.losers, log_abort)
     if undone:
         db.log.flush()
     return undone

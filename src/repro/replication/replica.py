@@ -5,8 +5,10 @@ without bootstrap — every page of its state, including the boot page and
 the system catalog, arrives by replaying the primary's log from its very
 first record (the primary's own bootstrap is logged). Apply runs through
 the :class:`~repro.wal.apply.RedoApplier` shared with ARIES crash
-recovery, batched per page and costed as partition-parallel redo (cf.
-*Fast Failure Recovery for Main-Memory DBMSs on Multicores*).
+recovery and both restores, batched per page and costed as
+partition-parallel redo (cf. *Fast Failure Recovery for Main-Memory DBMSs
+on Multicores*); promotion finishes with the same analysis window and
+loser rollback every other recovery route runs (``docs/recovery.md``).
 
 The replica serves three kinds of reads:
 
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 
 from repro.catalog.catalog import SYS_COLUMNS_ID, SYS_OBJECTS_ID
 from repro.core.snapshot_pool import DEFAULT_POOL_BUDGET_BYTES, SnapshotPool
-from repro.core.split_lsn import checkpoint_chain, find_split_lsn
+from repro.core.split_lsn import analysis_base, find_split_lsn
 from repro.engine.boot import BOOT_PAGE_ID
 from repro.engine.database import Database
 from repro.engine.recovery import analyze_log, undo_pass
@@ -46,6 +48,10 @@ from repro.replication.stream import LogFrame
 from repro.wal.apply import RedoApplier
 from repro.wal.lsn import FIRST_LSN, NULL_LSN, format_lsn
 from repro.wal.records import CommitRecord
+
+#: Redo partitions a standby's apply is costed across (the
+#: :class:`~repro.wal.apply.RedoApplier` multicore model).
+APPLY_SLOTS = 4
 
 
 @dataclass
@@ -69,7 +75,6 @@ class Replica:
         name: str,
         *,
         apply_delay_s: float = 0.0,
-        apply_slots: int = 4,
         snapshot_pool_budget: int = DEFAULT_POOL_BUDGET_BYTES,
         config=None,
     ) -> None:
@@ -91,7 +96,7 @@ class Replica:
         #: Pooled ephemeral snapshots over the replica's own log/state.
         self.snapshot_pool = SnapshotPool(snapshot_pool_budget)
         self.stats = ReplicaStats()
-        self._applier = RedoApplier(self.db, parallel_slots=apply_slots)
+        self._applier = RedoApplier(self.db, parallel_slots=APPLY_SLOTS)
         #: Next LSN to apply (exclusive end of the applied prefix).
         self.applied_lsn = FIRST_LSN
         #: Wall clock / LSN of the last applied commit record.
@@ -131,12 +136,9 @@ class Replica:
                 f"replica {self.name!r} already has shipped state; seed "
                 f"before attaching it to a shipper"
             )
-        self.db.file_manager.write_sequential(pages)
-        self.db.log.open_at(seed_lsn)
+        self.db.adopt_backup(pages, seed_lsn)
         self.applied_lsn = seed_lsn
         self.db.publish_horizon_lsn = seed_lsn
-        self.db.invalidate_caches()
-        self.db.reload_boot()
         # The backup's boot page names the checkpoint the chain is
         # consistent with — the SplitLSN search anchor until newer
         # checkpoints arrive through the stream.
@@ -407,12 +409,7 @@ class Replica:
         # tail; the boot page of the applied state is the truth now.
         self.db.invalidate_caches()
         self.db.reload_boot()
-        base = NULL_LSN
-        for lsn, _wall, _prev in checkpoint_chain(self.db):
-            base = lsn
-            break
-        if base == NULL_LSN or base >= to_lsn:
-            base = self.db.log.start_lsn
+        base = analysis_base(self.db, to_lsn, self.db.log.start_lsn)
         analysis = analyze_log(self.db.log, base)
         undo_pass(self.db, analysis)
         self.db.txns.adopt_txn_id_floor(analysis.max_txn_id)

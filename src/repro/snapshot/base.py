@@ -21,7 +21,6 @@ as-of scheme.
 from __future__ import annotations
 
 from repro.core.asof import AsOfSnapshot
-from repro.engine.recovery import analyze_log
 from repro.storage.page import Page
 
 
@@ -37,10 +36,7 @@ class RegularSnapshot(AsOfSnapshot):
         """Create a snapshot of the current committed state."""
         db.checkpoint()
         split = max(db.log.end_lsn - 1, db.log.start_lsn)
-        base = db.last_checkpoint_lsn or db.log.start_lsn
-        analysis = analyze_log(db.log, base, split + 1)
-        snap = cls(db, name, split, analysis=analysis)
-        snap._collect_missing_locks()
+        snap = cls.recover_at(db, name, split)
         snap._install_hook()
         return snap
 

@@ -22,12 +22,16 @@ the rollback.
 The same machinery runs against an as-of snapshot (with an unlogged
 modifier and snapshot-backed trees) to implement section 5.2's background
 logical undo of transactions in flight at the SplitLSN.
+
+:func:`rollback_losers` is the loser-rollback stage every recovery route
+shares (crash recovery, replica promotion, both restores, snapshot
+recovery): analysis names the losers, this rolls them back.
 """
 
 from __future__ import annotations
 
 from repro.errors import RecoveryError
-from repro.txn.transaction import Transaction
+from repro.txn.transaction import RecoveredTransaction, Transaction
 from repro.wal.lsn import NULL_LSN
 from repro.wal.records import (
     AllocPageRecord,
@@ -234,3 +238,23 @@ class LogicalUndo:
             tree.undo_delete(txn, rec)
         else:
             tree.undo_update(txn, rec)
+
+
+def rollback_losers(ctx, losers: dict[int, int], finished=None) -> int:
+    """Roll back the transactions analysis found in flight.
+
+    ``losers`` maps txn id to the last LSN of its chain (in ``ctx.log``).
+    They are undone newest-last-record first, each through
+    :meth:`LogicalUndo.rollback_chain`; ``finished(loser)`` runs after each
+    one — crash recovery logs its abort record there, a snapshot forgets
+    the transaction's locks. Returns how many were rolled back.
+    """
+    undo = LogicalUndo(ctx)
+    ordered = sorted(losers.items(), key=lambda item: item[1], reverse=True)
+    for txn_id, last_lsn in ordered:
+        loser = RecoveredTransaction(txn_id)
+        loser.last_lsn = last_lsn
+        undo.rollback_chain(loser, last_lsn)
+        if finished is not None:
+            finished(loser)
+    return len(ordered)

@@ -13,13 +13,16 @@ snapshots use it when the background logical-undo pass or a rare
 re-balance must modify *snapshot* pages, which are ephemeral side-file
 cache entries, not durable state (section 5.2).
 
-``RedoApplier`` is the read side of the same discipline: one redo path
-shared by ARIES crash recovery and log-shipping replication. It repeats
-history onto pages gated by ``pageLSN``, batching records per page so each
-page in a batch is fetched once, and optionally modeling multicore redo
-(*Fast Failure Recovery for Main-Memory DBMSs on Multicores*-style
-partition-by-page parallelism) by charging the batch's CPU as its critical
-path across ``parallel_slots`` workers instead of the serial sum.
+``RedoApplier`` is the read side of the same discipline and the only
+redo loop in the engine: ARIES crash recovery, backup and archive
+restores, and log-shipping standbys all repeat history through it (see
+``docs/recovery.md``). It applies records onto pages gated by ``pageLSN``,
+batching records per page so each page in a batch is fetched once — with
+no read at all when the batch opens the page with a format record — and
+optionally modeling multicore redo (*Fast Failure Recovery for Main-Memory
+DBMSs on Multicores*-style partition-by-page parallelism) by charging the
+batch's CPU as its critical path across ``parallel_slots`` workers instead
+of the serial sum.
 """
 
 from __future__ import annotations
@@ -37,6 +40,9 @@ from repro.wal.records import (
 
 #: Cap for the per-page modification counter (u16 header field).
 _MODS_CAP = 0xFFFF
+
+#: Page modifications buffered per redo batch.
+REDO_BATCH_RECORDS = 256
 
 
 class PageModifier:
@@ -80,7 +86,7 @@ class PageModifier:
             record.txn_id = txn.txn_id
             record.prev_txn_lsn = txn.last_lsn
         lsn = self.log.append(record)
-        record.redo(page, fetch=self.log.undo_fetch)
+        record.redo(page)
         page.page_lsn = lsn
         if txn is not None:
             txn.last_lsn = lsn
@@ -172,21 +178,20 @@ class PageModifier:
 class RedoApplier:
     """Repeat history from log records onto pages (recovery + replication).
 
-    The target supplies the undo-context subset redo needs: ``env``,
-    ``log`` and ``fetch_page``. Records that are not page modifications
-    are ignored; page modifications are applied in per-page order, gated
-    by each page's ``pageLSN`` so re-applying an already-applied record is
-    a no-op (restart safety on both the recovery and the replica path).
+    The target supplies ``env`` and ``fetch_page``; the records come from
+    whichever log holds the history (the target's own, the source
+    database's, an archived view) — redo reads nothing but the record and
+    the page. Records that are not page modifications are ignored; page
+    modifications are applied in per-page order, gated by each page's
+    ``pageLSN`` so re-applying an already-applied record is a no-op
+    (restart safety on the recovery, restore and replica paths alike).
     """
 
-    def __init__(self, target, *, parallel_slots: int = 1, batch_records: int = 256) -> None:
+    def __init__(self, target, *, parallel_slots: int = 1) -> None:
         if parallel_slots < 1:
             raise ValueError("parallel_slots must be >= 1")
-        if batch_records < 1:
-            raise ValueError("batch_records must be >= 1")
         self.target = target
         self.parallel_slots = parallel_slots
-        self.batch_records = batch_records
 
     def apply(self, records, gate=None) -> int:
         """Apply ``records`` (an iterable in LSN order); returns how many
@@ -194,8 +199,8 @@ class RedoApplier:
 
         ``gate`` is an optional per-record predicate (recovery passes the
         dirty-page-table filter). Records are buffered into batches of
-        ``batch_records`` page modifications; each batch is partitioned by
-        page so a page is fetched once per batch and, with
+        :data:`REDO_BATCH_RECORDS` page modifications; each batch is
+        partitioned by page so a page is fetched once per batch and, with
         ``parallel_slots > 1``, the CPU charge models partitions redone in
         parallel.
         """
@@ -207,7 +212,7 @@ class RedoApplier:
             if gate is not None and not gate(rec):
                 continue
             batch.append(rec)
-            if len(batch) >= self.batch_records:
+            if len(batch) >= REDO_BATCH_RECORDS:
                 applied += self._apply_batch(batch)
                 batch = []
         if batch:
@@ -224,12 +229,18 @@ class RedoApplier:
         partition_counts: list[int] = []
         for page_id, recs in by_page.items():
             count = 0
-            with target.fetch_page(page_id) as guard:
+            # A format erases the page, so a batch that opens a page with
+            # one never needs its old bytes: a miss materializes a zeroed
+            # frame instead of reading the file. Restart-safe — a page
+            # already on disk ahead of the format is rebuilt from records
+            # that are all in the stream (docs/recovery.md).
+            create = isinstance(recs[0], FormatPageRecord)
+            with target.fetch_page(page_id, create=create) as guard:
                 page = guard.page
                 for rec in recs:
                     if page.is_formatted() and page.page_lsn >= rec.lsn:
                         continue
-                    rec.redo(page, fetch=target.log.undo_fetch)
+                    rec.redo(page)
                     page.page_lsn = rec.lsn
                     if isinstance(rec, PageImageRecord):
                         page.last_image_lsn = rec.lsn

@@ -358,7 +358,7 @@ class LogRecord(metaclass=_RecordType):
 
     # -- redo / physical undo -------------------------------------------
 
-    def redo(self, page: Page, fetch=None) -> None:
+    def redo(self, page: Page) -> None:
         """Replay this modification on ``page``."""
         raise WalError(f"{type(self).__name__} is not redoable on a page")
 
@@ -444,7 +444,7 @@ class FormatPageRecord(LogRecord):
         ("next_page", U32, NULL_PAGE),
     )
 
-    def redo(self, page: Page, fetch=None) -> None:
+    def redo(self, page: Page) -> None:
         page.format(
             self.page_id,
             PageType(self.page_type),
@@ -477,7 +477,7 @@ class PreformatPageRecord(LogRecord):
     UNDOABLE_IN_ROLLBACK = False
     FIELDS = (("image", BLOB, b""),)
 
-    def redo(self, page: Page, fetch=None) -> None:
+    def redo(self, page: Page) -> None:
         """No page change: the record only preserves history."""
 
     def physical_undo(self, page: Page, fetch=None) -> None:
@@ -500,7 +500,7 @@ class PageImageRecord(LogRecord):
         ("image", BLOB, b""),
     )
 
-    def redo(self, page: Page, fetch=None) -> None:
+    def redo(self, page: Page) -> None:
         page.restore(self.image)
 
     def physical_undo(self, page: Page, fetch=None) -> None:
@@ -522,7 +522,7 @@ class DeformatPageRecord(LogRecord):
         ("level", U8, 0),
     )
 
-    def redo(self, page: Page, fetch=None) -> None:
+    def redo(self, page: Page) -> None:
         page.deformat()
 
     def physical_undo(self, page: Page, fetch=None) -> None:
@@ -556,7 +556,7 @@ class InsertRowRecord(LogRecord):
         ("key_bytes", BLOB, b""),
     )
 
-    def redo(self, page: Page, fetch=None) -> None:
+    def redo(self, page: Page) -> None:
         page.insert_record(self.slot, self.row)
 
     def physical_undo(self, page: Page, fetch=None) -> None:
@@ -584,7 +584,7 @@ class DeleteRowRecord(LogRecord):
         ("pair_lsn", U64, NULL_LSN),
     )
 
-    def redo(self, page: Page, fetch=None) -> None:
+    def redo(self, page: Page) -> None:
         page.delete_record(self.slot)
 
     def resolve_row(self, fetch=None) -> bytes:
@@ -617,7 +617,7 @@ class UpdateRowRecord(LogRecord):
         ("key_bytes", BLOB, b""),
     )
 
-    def redo(self, page: Page, fetch=None) -> None:
+    def redo(self, page: Page) -> None:
         page.update_record(self.slot, self.new)
 
     def physical_undo(self, page: Page, fetch=None) -> None:
@@ -641,7 +641,7 @@ class SetLinksRecord(LogRecord):
         ("new_next", U32, NULL_PAGE),
     )
 
-    def redo(self, page: Page, fetch=None) -> None:
+    def redo(self, page: Page) -> None:
         page.prev_page = self.new_prev
         page.next_page = self.new_next
 
@@ -682,7 +682,7 @@ class AllocPageRecord(LogRecord):
         ("was_ever_allocated", BOOL, False),
     )
 
-    def redo(self, page: Page, fetch=None) -> None:
+    def redo(self, page: Page) -> None:
         alloc_bit, ever_bit = _alloc_bit_indexes(page, self.page_id, self.target_page)
         page.set_body_bit(alloc_bit, True)
         page.set_body_bit(ever_bit, True)
@@ -710,7 +710,7 @@ class DeallocPageRecord(LogRecord):
         ("clear_ever", BOOL, False),
     )
 
-    def redo(self, page: Page, fetch=None) -> None:
+    def redo(self, page: Page) -> None:
         alloc_bit, ever_bit = _alloc_bit_indexes(page, self.page_id, self.target_page)
         page.set_body_bit(alloc_bit, False)
         if self.clear_ever:
@@ -752,8 +752,8 @@ class ClrRecord(LogRecord):
         ("comp", RECORD, None),
     )
 
-    def redo(self, page: Page, fetch=None) -> None:
-        self.comp.redo(page, fetch)
+    def redo(self, page: Page) -> None:
+        self.comp.redo(page)
 
     def _fetch_compensated(self, fetch):
         if fetch is None:

@@ -107,39 +107,6 @@ class TestRestore:
                 engine, backup, db, db.env.clock.now(), "broken"
             )
 
-    def test_restore_and_asof_agree(self, engine, items_db):
-        """The two time-travel mechanisms must produce identical data."""
-        db = items_db
-        fill_items(db, 30)
-        backup = take_full_backup(db)
-        db.env.clock.advance(10)
-        with db.transaction() as txn:
-            for i in range(15):
-                db.update(txn, "items", (i,), {"qty": -i})
-        mark = db.env.clock.now()
-        db.env.clock.advance(10)
-        with db.transaction() as txn:
-            for i in range(30):
-                db.delete(txn, "items", (i,))
-        restored = restore_point_in_time(engine, backup, db, mark, "agree")
-        snap = engine.create_asof_snapshot("itemsdb", "agree_snap", mark)
-        assert list(restored.scan("items")) == list(snap.scan("items"))
-
-    def test_restore_preserves_structure_after_splits(self, engine, small_db):
-        from tests.conftest import ITEMS_SCHEMA
-
-        db = small_db
-        db.create_table(ITEMS_SCHEMA)
-        fill_items(db, 50)
-        backup = take_full_backup(db)
-        db.env.clock.advance(5)
-        fill_items(db, 400, start=50)  # splits after the backup
-        mark = db.env.clock.now()
-        db.env.clock.advance(5)
-        fill_items(db, 100, start=450)
-        restored = restore_point_in_time(engine, backup, db, mark, "grown")
-        assert [r[0] for r in restored.scan("items")] == list(range(450))
-
     def test_backup_repr(self, items_db):
         fill_items(items_db, 5)
         backup = take_full_backup(items_db)

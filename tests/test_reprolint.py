@@ -33,6 +33,7 @@ class TestFramework:
             "RL005",
             "RL006",
             "RL007",
+            "RL008",
         }
 
     def test_syntax_error_reported_as_rl000(self):
@@ -356,6 +357,38 @@ class TestFaultHandlingDiscipline:
         assert check(src, "src/repro/engine/x.py", {"RL007"}) == []
 
 
+class TestSingleReplayPath:
+    def test_private_redo_and_rollback_loops_flagged(self):
+        src = (
+            "def roll_forward(restored, log, start, split):\n"
+            "    for rec in log.scan(start, split + 1):\n"
+            "        with restored.fetch_page(rec.page_id) as guard:\n"
+            "            rec.redo(guard.page)\n"
+            "def undo_in_flight(undo, losers):\n"
+            "    for txn_id, last_lsn in sorted(losers.items()):\n"
+            "        loser = RecoveredTransaction(txn_id)\n"
+            "        undo.rollback_chain(loser, last_lsn)\n"
+        )
+        findings = check(src, "src/repro/backup/restore.py", {"RL008"})
+        assert rules_of(findings) == ["RL008", "RL008"]
+        assert "RedoApplier.apply" in findings[0].message
+        assert "rollback_losers" in findings[1].message
+
+    def test_shared_stages_and_their_owners_clean(self):
+        src = (
+            "def restore(restored, log, start, split, losers):\n"
+            "    RedoApplier(restored).apply(log.scan(start, split + 1))\n"
+            "    rollback_losers(restored, losers)\n"
+        )
+        assert check(src, "src/repro/backup/restore.py", {"RL008"}) == []
+        owner = "def apply(rec, page):\n    rec.redo(page)\n"
+        assert check(owner, "src/repro/wal/apply.py", {"RL008"}) == []
+        owner = "def one(txn_id):\n    return RecoveredTransaction(txn_id)\n"
+        assert check(owner, "src/repro/txn/undo.py", {"RL008"}) == []
+        # Tests may replay a record by hand (reference implementations).
+        assert check("rec.redo(page)\n", "tests/test_x.py", {"RL008"}) == []
+
+
 class TestSuppressions:
     SRC = "import time\nx = time.time()  # reprolint: ignore[RL003]\n"
 
@@ -413,6 +446,7 @@ class TestCli:
         out = capsys.readouterr().out
         for rule_id in (
             "RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007",
+            "RL008",
         ):
             assert rule_id in out
 
