@@ -101,6 +101,13 @@ SHARED_STATE_REGISTRY: tuple[dict, ...] = (
     {"attr": "_fault_events", "owners": ("repro/chaos/injector.py",)},
     {"attr": "_ha_state", "owners": ("repro/chaos/detector.py",)},
     {"attr": "ha_events", "owners": ("repro/engine/engine.py",)},
+    # The engine catalog: who is registered, who ships and archives for
+    # whom, which fallback copies are cached — all under engine.latch.
+    {"attr": "databases", "owners": ("repro/engine/engine.py",), "latch": True},
+    {"attr": "replicas", "owners": ("repro/engine/engine.py",), "latch": True},
+    {"attr": "_shippers", "owners": ("repro/engine/engine.py",), "latch": True},
+    {"attr": "archives", "owners": ("repro/engine/engine.py",), "latch": True},
+    {"attr": "_archive_reads", "owners": ("repro/engine/engine.py",), "latch": True},
 )
 
 #: Private methods of shared structures that outside modules must not

@@ -26,6 +26,7 @@ from repro.engine.boot import BOOT_PAGE_ID, BOOT_SLOT, BootRecord, read_boot_rec
 from repro.latch import Latch
 from repro.errors import (
     CatalogError,
+    DatabaseUnavailableError,
     SnapshotReadOnlyError,
 )
 from repro.storage.allocation import AllocationManager
@@ -195,6 +196,9 @@ class Database:
         #: Set when chaos halts this primary (engine.crash_database): the
         #: write path refuses service until failover retires the node.
         self.crashed = False
+        #: Set by :meth:`close`: the database left the engine and gave
+        #: its memory back.
+        self.closed = False
         self.last_checkpoint_lsn = NULL_LSN
         self._boot_cache: BootRecord | None = None
         self._table_cache: dict[str, Table] = {}
@@ -387,6 +391,7 @@ class Database:
         tree = self._tree_cache.get(object_id)
         if tree is not None:
             return tree
+        self._require_open()
         info = self.catalog.get_by_id(object_id)
         if info is None or info.is_heap:
             return None
@@ -406,8 +411,6 @@ class Database:
 
     def require_writable(self) -> None:
         if self.crashed:
-            from repro.errors import DatabaseUnavailableError
-
             raise DatabaseUnavailableError(
                 f"database {self.name!r} is down (crashed primary); "
                 f"fail over to a replica"
@@ -489,6 +492,7 @@ class Database:
         cached = self._table_cache.get(name)
         if cached is not None:
             return cached
+        self._require_open()
         info = self.catalog.require(name)
         schema = self.catalog.load_schema(info)
         handle = Table(self, info, schema)
@@ -496,6 +500,7 @@ class Database:
         return handle
 
     def tables(self) -> list[str]:
+        self._require_open()
         return [obj.name for obj in self.catalog.list_objects()]
 
     # -- reader protocol (shared with snapshots) -------------------------
@@ -584,6 +589,28 @@ class Database:
 
         run_crash_recovery(self)
         self.reload_boot()
+
+    def close(self) -> None:
+        """Give back everything this database holds in memory — metadata
+        caches, buffer frames, log bytes, data pages (or the file handle)
+        — because it is leaving the engine for good.
+
+        No flush and no priced I/O: nothing here is being made durable.
+        Idempotent. The emptied caches force every later ``table()`` /
+        ``tree_for_object`` through the miss path, which refuses typed
+        (:meth:`_require_open`) — no per-page check is needed.
+        """
+        self.closed = True
+        self.invalidate_caches()
+        self.buffer.crash()
+        self.log.close()
+        self.file_manager.datafile.close()
+
+    def _require_open(self) -> None:
+        if self.closed:
+            raise DatabaseUnavailableError(
+                f"database {self.name!r} was retired from its engine"
+            )
 
     # ------------------------------------------------------------------
 

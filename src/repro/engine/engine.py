@@ -22,13 +22,15 @@ from repro.errors import (
     SnapshotError,
 )
 from repro.obs.install import (
+    forget_archiver_metrics,
+    forget_database_metrics,
+    forget_replica_metrics,
+    forget_shipper_metrics,
     install_archiver_metrics,
     install_database_metrics,
     install_engine_metrics,
     install_replica_metrics,
     install_shipper_metrics,
-    remove_database_metrics,
-    remove_replica_metrics,
 )
 from repro.obs.monitor import EngineMonitor
 from repro.obs.slowlog import SlowQueryLog
@@ -156,23 +158,16 @@ class Engine:
 
     def create_database(self, name: str, config: DatabaseConfig | None = None) -> Database:
         with self.latch:
-            return self._create_database_locked(name, config)
-
-    def _create_database_locked(
-        self, name: str, config: DatabaseConfig | None
-    ) -> Database:
-        self._check_name_free(name)
-        # A dropped namesake's archive must not serve (or absorb) the new
-        # incarnation's history: its LSN space is unrelated. Reusing the
-        # name forfeits the old incarnation's archived restorability.
-        self.archives.pop(name, None)
-        self._archive_reads.pop(name, None)
-        # Same reasoning for stored page versions: the new incarnation's
-        # LSN space restarts, so a namesake's intervals would lie.
-        self.version_store.purge(name)
-        return self.register_database(
-            Database(name, config or self.default_config, self.env)
-        )
+            self._check_name_free(name)
+            # A dropped namesake's archive must not serve (or absorb) the
+            # new incarnation's history: its LSN space is unrelated.
+            # Reusing the name forfeits the old incarnation's archived
+            # restorability. (Its fallback copies and stored page
+            # versions already went when it retired.)
+            self.archives.pop(name, None)
+            return self.register_database(
+                Database(name, config or self.default_config, self.env)
+            )
 
     def register_database(self, db: Database) -> Database:
         """Take ``db`` into the engine under its own name; returns it.
@@ -181,8 +176,8 @@ class Engine:
         fresh create, a promoted standby, a restored copy: the name must
         be free, pooled splits pin the database's log against retention,
         its snapshots share the engine's version store, and its
-        ``log.<name>.*`` / ``retention.<name>.*`` gauges appear (to be
-        removed again by :meth:`drop_database`).
+        ``log.<name>.*`` / ``retention.<name>.*`` gauges appear — all of
+        it undone in one place, :meth:`_retire_database`.
         """
         with self.latch:
             self._check_name_free(db.name)
@@ -208,35 +203,42 @@ class Engine:
 
     def drop_database(self, name: str) -> None:
         with self.latch:
-            return self._drop_database_locked(name)
+            db = self.database(name)
+            for replica_name in [
+                n for n, r in self.replicas.items() if r.primary is db
+            ]:
+                self.drop_replica(replica_name)
+            archiver = self.archives.get(name)
+            if archiver is not None:
+                # Capture the durable tail before the archiver stops
+                # following (a closed archiver polls nothing).
+                archiver.poll()
+            self._retire_database(name)
 
-    def _drop_database_locked(self, name: str) -> None:
-        db = self.database(name)
-        for snap_name in [n for n, s in self.snapshots.items() if s.db is db]:
-            self.drop_snapshot(snap_name)
-        for replica_name in [
-            n for n, r in self.replicas.items() if r.primary is db
-        ]:
-            self.drop_replica(replica_name)
-        archiver = self.archives.get(name)
-        if archiver is not None and not archiver.closed:
-            # Capture the durable tail, then stop following the primary.
-            archiver.poll()
-            archiver.close()
-        shipper = self._shippers.pop(name, None)
-        if shipper is not None:
-            shipper.remove_metrics()
-        self.snapshot_pool.purge_database(name)
-        self.version_store.purge(name)
-        del self.databases[name]
-        remove_database_metrics(self, name)
-        self.env.metrics.remove_prefix(f"shipper.{name}.")
-        self._purge_monitor(
-            f"log.{name}.",
-            f"retention.{name}.",
-            f"shipper.{name}.",
-            f"repl.ship.~archive:{name}.",
-        )
+    def _retire_database(self, name: str) -> None:
+        """The one way a database leaves the engine — ``DROP``, a dropped
+        restored copy, a failed-over corpse (whose subscribers were
+        re-pointed already).
+
+        Everything wired to it at registration or since is undone here,
+        dependents first, then its memory is released. ``archives[name]``
+        stays: its *store* still serves ``restore_from_archive`` of the
+        retired history.
+        """
+        with self.latch:
+            db = self.database(name)
+            for snap_name in [n for n, s in self.snapshots.items() if s.db is db]:
+                self.drop_snapshot(snap_name)
+            self._retire_archiver(name)
+            if self._shippers.pop(name, None) is not None:
+                forget_shipper_metrics(self, name)
+            for _split, copy in self._archive_reads.pop(name, ()):
+                copy.close()
+            self.snapshot_pool.purge_database(name)
+            self.version_store.purge(name)
+            del self.databases[name]
+            forget_database_metrics(self, name)
+            db.close()
 
     # ------------------------------------------------------------------
     # Snapshots
@@ -347,76 +349,57 @@ class Engine:
         from repro.wal.lsn import FIRST_LSN
 
         with self.latch:
-            return self._add_replica_locked(
-                Replica,
-                FIRST_LSN,
-                db_name,
-                name,
-                apply_delay_s,
-                config,
-                seed_from_backup,
-            )
-
-    def _add_replica_locked(
-        self,
-        Replica,
-        FIRST_LSN,
-        db_name,
-        name,
-        apply_delay_s,
-        config,
-        seed_from_backup,
-    ) -> "Replica":
-        db = self.database(db_name)
-        if name is None:
-            name = self._free_name(f"{db_name}_replica")
-        self._check_name_free(name)
-        if db.log.start_lsn != FIRST_LSN and not seed_from_backup:
-            raise ReplicationError(
-                f"primary {db_name!r} log already truncated at "
-                f"{db.log.start_lsn:#x}; a replica cannot be seeded from "
-                f"the log alone — use add_replica(seed_from_backup=True) "
-                f"with an archived backup chain"
-            )
-        replica = Replica(
-            db,
-            name,
-            apply_delay_s=apply_delay_s,
-            config=config,
-        )
-        # The standby replays the primary's exact log, so its prepared
-        # page images are byte-identical to the primary's: both sides
-        # share one version store under the primary's key (one budget,
-        # mutual reuse across the primary pool and every replica pool).
-        replica.db.version_store = self.version_store
-        replica.db.version_store_key = db_name
-        if seed_from_backup:
-            archiver = self.archives.get(db_name)
-            if archiver is None or not archiver.store.backups(db_name):
+            db = self.database(db_name)
+            if name is None:
+                name = self._free_name(f"{db_name}_replica")
+            self._check_name_free(name)
+            if db.log.start_lsn != FIRST_LSN and not seed_from_backup:
                 raise ReplicationError(
-                    f"seed_from_backup needs an archived backup of "
-                    f"{db_name!r}: call engine.backup_database({db_name!r}) "
-                    f"(which enables archiving) first"
+                    f"primary {db_name!r} log already truncated at "
+                    f"{db.log.start_lsn:#x}; a replica cannot be seeded from "
+                    f"the log alone — use add_replica(seed_from_backup=True) "
+                    f"with an archived backup chain"
                 )
-            archiver.poll()
-            store = archiver.store
-            chain = store.newest_chain(db_name)
-            replica.seed(store.read_backup_pages(chain), chain[-1].backup_lsn)
-            # Fill the gap between the chain's end and whatever the
-            # primary still retains from archived segments; the shipper
-            # takes over at the archive's edge.
-            for blob in store.frames_from(db_name, replica.received_lsn):
-                replica.receive(blob)
-        shipper = self.shipper_for(db_name)
-        # Attach before registering: if the stream cannot resume (a stale
-        # chain whose end the primary no longer retains), the engine must
-        # not be left tracking a dead, never-attached standby.
-        shipper.attach(replica)
-        self.replicas[name] = replica
-        install_replica_metrics(self, replica)
-        shipper.poll()
-        replica.apply_ready()
-        return replica
+            replica = Replica(
+                db,
+                name,
+                apply_delay_s=apply_delay_s,
+                config=config,
+            )
+            # The standby replays the primary's exact log, so its prepared
+            # page images are byte-identical to the primary's: both sides
+            # share one version store under the primary's key (one budget,
+            # mutual reuse across the primary pool and every replica pool).
+            replica.db.version_store = self.version_store
+            replica.db.version_store_key = db_name
+            if seed_from_backup:
+                archiver = self.archives.get(db_name)
+                if archiver is None or not archiver.store.backups(db_name):
+                    raise ReplicationError(
+                        f"seed_from_backup needs an archived backup of "
+                        f"{db_name!r}: call engine.backup_database({db_name!r}) "
+                        f"(which enables archiving) first"
+                    )
+                archiver.poll()
+                store = archiver.store
+                chain = store.newest_chain(db_name)
+                replica.seed(store.read_backup_pages(chain), chain[-1].backup_lsn)
+                # Fill the gap between the chain's end and whatever the
+                # primary still retains from archived segments; the shipper
+                # takes over at the archive's edge.
+                for blob in store.frames_from(db_name, replica.received_lsn):
+                    replica.receive(blob)
+            shipper = self.shipper_for(db_name)
+            # Attach before registering: if the stream cannot resume (a
+            # stale chain whose end the primary no longer retains), the
+            # engine must not be left tracking a dead, never-attached
+            # standby.
+            shipper.attach(replica)
+            self.replicas[name] = replica
+            install_replica_metrics(self, replica)
+            shipper.poll()
+            replica.apply_ready()
+            return replica
 
     def replica(self, name: str) -> "Replica":
         replica = self.replicas.get(name)
@@ -426,19 +409,22 @@ class Engine:
 
     def drop_replica(self, name: str) -> None:
         with self.latch:
-            return self._drop_replica_locked(name)
+            self._retire_replica(name).drop()
 
-    def _drop_replica_locked(self, name: str) -> None:
-        replica = self.replica(name)
-        shipper = self._shippers.get(replica.primary.name)
-        if shipper is not None:
-            shipper.detach(name)
-        replica.drop()
-        del self.replicas[name]
-        remove_replica_metrics(self, name)
-        self._purge_monitor(
-            f"replica.{name}.", f"pool.{name}.", f"repl.ship.{name}."
-        )
+    def _retire_replica(self, name: str) -> "Replica":
+        """The one way a standby leaves the engine — ``DROP`` or
+        promotion: its subscription ends, its instruments are forgotten,
+        its name is free again. Returns it for the caller's last word:
+        ``drop()`` releases its memory, a promoted one's database lives
+        on under the same name."""
+        with self.latch:
+            replica = self.replica(name)
+            shipper = self._shippers.get(replica.primary.name)
+            if shipper is not None:
+                shipper.detach(name)
+            del self.replicas[name]
+            forget_replica_metrics(self, name)
+            return replica
 
     def replicas_of(self, db_name: str) -> list["Replica"]:
         return [
@@ -452,23 +438,14 @@ class Engine:
         own name (failover, or delayed-apply error recovery when ``up_to``
         stops the timeline just before the error)."""
         with self.latch:
-            return self._promote_replica_locked(name, up_to)
-
-    def _promote_replica_locked(self, name: str, up_to) -> Database:
-        replica = self.replica(name)
-        up_to_wall = None if up_to is None else self.resolve_as_of(up_to)
-        # Promote first: if it refuses (unreachable point, already-applied
-        # guard), the replica stays subscribed and keeps following.
-        db = replica.promote(up_to_wall)
-        shipper = self._shippers.get(replica.primary.name)
-        if shipper is not None:
-            shipper.detach(name)
-        del self.replicas[name]
-        remove_replica_metrics(self, name)
-        self._purge_monitor(
-            f"replica.{name}.", f"pool.{name}.", f"repl.ship.{name}."
-        )
-        return self.register_database(db)
+            replica = self.replica(name)
+            up_to_wall = None if up_to is None else self.resolve_as_of(up_to)
+            # Promote first: if it refuses (unreachable point,
+            # already-applied guard), the replica stays subscribed and
+            # keeps following.
+            db = replica.promote(up_to_wall)
+            self._retire_replica(name)
+            return self.register_database(db)
 
     def replication_tick(self) -> int:
         """Pump replication once: ship pending log, apply what's eligible.
@@ -574,18 +551,15 @@ class Engine:
 
     def _record_ha(self, event: str, db: str, detail: str) -> None:
         with self.latch:
-            self._record_ha_locked(event, db, detail)
-
-    def _record_ha_locked(self, event: str, db: str, detail: str) -> None:
-        self.ha_events.append(
-            {
-                "seq": len(self.ha_events),
-                "t": self.env.clock.now(),
-                "event": event,
-                "db": db,
-                "detail": detail,
-            }
-        )
+            self.ha_events.append(
+                {
+                    "seq": len(self.ha_events),
+                    "t": self.env.clock.now(),
+                    "event": event,
+                    "db": db,
+                    "detail": detail,
+                }
+            )
 
     def crash_database(self, name: str) -> None:
         """Halt ``name``: the process dies, durable media survive.
@@ -651,81 +625,47 @@ class Engine:
         naturally follows the re-pointed replicas.
         """
         with self.latch:
-            return self._failover_locked(db_name, replica_name)
-
-    def _failover_locked(
-        self, db_name: str, replica_name: str | None
-    ) -> Database:
-        survivors = self.replicas_of(db_name)
-        if not survivors:
-            raise ReplicationError(
-                f"cannot fail over {db_name!r}: no surviving replica"
-            )
-        if replica_name is not None:
-            winner = self.replica(replica_name)
-            if winner.primary.name != db_name:
+            survivors = self.replicas_of(db_name)
+            if not survivors:
                 raise ReplicationError(
-                    f"replica {replica_name!r} replicates "
-                    f"{winner.primary.name!r}, not {db_name!r}"
+                    f"cannot fail over {db_name!r}: no surviving replica"
                 )
-        else:
-            healthy = [r for r in survivors if not r.is_faulted()] or survivors
-            winner = max(healthy, key=lambda r: (r.received_lsn, r.name))
-        others = [r for r in survivors if r is not winner]
-        old_shipper = self._shippers.get(db_name)
-        archiver = self.archives.get(db_name)
-        promoted = self.promote_replica(winner.name)
-        new_shipper = self.shipper_for(promoted.name)
-        for rep in others:
-            if old_shipper is not None:
-                old_shipper.detach(rep.name)
-            rep.primary = promoted
-            rep.db.version_store_key = promoted.name
-            new_shipper.attach(rep)
-        rearchived = False
-        if archiver is not None and not archiver.closed:
-            archiver.close()
-            self.enable_archiving(promoted.name, store=archiver.store)
-            rearchived = True
-        self._decommission(db_name)
-        self._record_ha(
-            "failover",
-            db_name,
-            f"promoted {promoted.name}; re-pointed {len(others)} standby(s)"
-            + ("; archiving continued" if rearchived else ""),
-        )
-        new_shipper.poll()
-        return promoted
-
-    def _decommission(self, name: str) -> None:
-        """Retire a crashed, failed-over primary: every subscription was
-        re-pointed already, so this only unhooks the corpse's metrics,
-        monitor series and pooled state, then forgets the database."""
-        with self.latch:
-            return self._decommission_locked(name)
-
-    def _decommission_locked(self, name: str) -> None:
-        db = self.databases.get(name)
-        if db is None:
-            return
-        for snap_name in [n for n, s in self.snapshots.items() if s.db is db]:
-            self.drop_snapshot(snap_name)
-        shipper = self._shippers.pop(name, None)
-        if shipper is not None:
-            shipper.remove_metrics()
-        self.snapshot_pool.purge_database(name)
-        self.version_store.purge(name)
-        del self.databases[name]
-        remove_database_metrics(self, name)
-        self.env.metrics.remove_prefix(f"shipper.{name}.")
-        self.env.metrics.remove_prefix(f"archive.{name}.")
-        self._purge_monitor(
-            f"log.{name}.",
-            f"retention.{name}.",
-            f"shipper.{name}.",
-            f"archive.{name}.",
-            f"repl.ship.~archive:{name}.",
-        )
+            if replica_name is not None:
+                winner = self.replica(replica_name)
+                if winner.primary.name != db_name:
+                    raise ReplicationError(
+                        f"replica {replica_name!r} replicates "
+                        f"{winner.primary.name!r}, not {db_name!r}"
+                    )
+            else:
+                healthy = [r for r in survivors if not r.is_faulted()] or survivors
+                winner = max(healthy, key=lambda r: (r.received_lsn, r.name))
+            others = [r for r in survivors if r is not winner]
+            old_shipper = self._shippers.get(db_name)
+            archiver = self.archives.get(db_name)
+            promoted = self.promote_replica(winner.name)
+            new_shipper = self.shipper_for(promoted.name)
+            for rep in others:
+                if old_shipper is not None:
+                    old_shipper.detach(rep.name)
+                rep.primary = promoted
+                rep.db.version_store_key = promoted.name
+                new_shipper.attach(rep)
+            rearchived = archiver is not None and not archiver.closed
+            if rearchived:
+                self._retire_archiver(db_name)
+                self.enable_archiving(promoted.name, store=archiver.store)
+            # Decommission the corpse: every subscription was re-pointed
+            # above, so retiring it only unhooks what is left.
+            self._retire_database(db_name)
+            self._record_ha(
+                "failover",
+                db_name,
+                f"promoted {promoted.name}; re-pointed {len(others)} standby(s)"
+                + ("; archiving continued" if rearchived else ""),
+            )
+            new_shipper.poll()
+            return promoted
 
     # ------------------------------------------------------------------
     # Archive tier (continuous log archiving + backup chains)
@@ -754,44 +694,36 @@ class Engine:
         from repro.errors import ArchiveError
 
         with self.latch:
-            return self._enable_archiving_locked(
-                LogArchiver, ArchiveStore, ArchiveError,
-                db_name, store, directory, profile,
-            )
-
-    def _enable_archiving_locked(
-        self, LogArchiver, ArchiveStore, ArchiveError,
-        db_name, store, directory, profile,
-    ) -> "LogArchiver":
-        existing = self.archives.get(db_name)
-        if existing is not None and not existing.closed:
-            # Idempotent re-enable is fine; a *different* requested store
-            # configuration is not.
-            same_store = store is None or store is existing.store
-            same_dir = directory is None or directory == existing.store.directory
-            same_profile = (
-                profile is None or profile is existing.store.device.profile
-            )
-            if not (same_store and same_dir and same_profile):
-                raise ArchiveError(
-                    f"archiving is already enabled for {db_name!r} with a "
-                    f"different store configuration; disable_archiving first"
+            existing = self.archives.get(db_name)
+            if existing is not None and not existing.closed:
+                # Idempotent re-enable is fine; a *different* requested
+                # store configuration is not.
+                same_store = store is None or store is existing.store
+                same_dir = directory is None or directory == existing.store.directory
+                same_profile = (
+                    profile is None or profile is existing.store.device.profile
                 )
-            return existing
-        db = self.database(db_name)
-        if store is None:
-            # Resume the previous store only when no explicit store
-            # configuration was requested; silently dropping a directory/
-            # profile argument would fake persistence the caller asked for.
-            if existing is not None and directory is None and profile is None:
-                store = existing.store
-            else:
-                store = ArchiveStore(self.env, directory=directory, profile=profile)
-        archiver = LogArchiver(db, store, self.shipper_for(db_name))
-        self.archives[db_name] = archiver
-        install_archiver_metrics(self, archiver)
-        archiver.poll()
-        return archiver
+                if not (same_store and same_dir and same_profile):
+                    raise ArchiveError(
+                        f"archiving is already enabled for {db_name!r} with a "
+                        f"different store configuration; disable_archiving first"
+                    )
+                return existing
+            db = self.database(db_name)
+            if store is None:
+                # Resume the previous store only when no explicit store
+                # configuration was requested; silently dropping a
+                # directory/profile argument would fake persistence the
+                # caller asked for.
+                if existing is not None and directory is None and profile is None:
+                    store = existing.store
+                else:
+                    store = ArchiveStore(self.env, directory=directory, profile=profile)
+            archiver = LogArchiver(db, store, self.shipper_for(db_name))
+            self.archives[db_name] = archiver
+            install_archiver_metrics(self, archiver)
+            archiver.poll()
+            return archiver
 
     def disable_archiving(self, db_name: str) -> None:
         """Stop archiving ``db_name`` (its retention hold is released).
@@ -801,12 +733,21 @@ class Engine:
         """
         with self.latch:
             archiver = self.archives.get(db_name)
-            if archiver is not None and not archiver.closed:
+            if archiver is not None:
                 archiver.poll()
-                archiver.close()
-                # The detached subscription's recorded progress series
-                # would otherwise go stale and read as a ship stall.
-                self._purge_monitor(f"repl.ship.{archiver.name}.")
+            self._retire_archiver(db_name)
+
+    def _retire_archiver(self, db_name: str) -> None:
+        """The one way an archiver stops following its database: the
+        subscription (and with it the retention hold) ends and its
+        instruments are forgotten — a switched-off archiver must not keep
+        reporting lag, and its stale progress series would read as a ship
+        stall. The ``archives`` entry and its store stay, for restores
+        and for ``enable_archiving`` to resume. Not following: no-op."""
+        archiver = self.archives.get(db_name)
+        if archiver is not None and not archiver.closed:
+            archiver.close()
+            forget_archiver_metrics(self, archiver)
 
     def backup_database(self, db_name: str, *, full: bool = False):
         """``BACKUP DATABASE``: archive a backup chained onto the newest.
@@ -927,22 +868,28 @@ class Engine:
                 # on a miss, the restore itself.
                 plan = plan_restore(archiver.store, db_name, wall)
                 split = plan.split_lsn
-                cached = self._archive_reads.setdefault(db_name, [])
-                for index, (cached_split, reader) in enumerate(cached):
-                    if cached_split == split:
-                        cached.append(cached.pop(index))
-                        return reader
-                reader = restore_from_archive(
-                    self,
-                    archiver.store,
-                    db_name,
-                    wall,
-                    f"~archive:{db_name}@{split:#x}",
-                    plan=plan,
-                )
-                cached.append((split, reader))
-                del cached[:-2]
-                return reader
+                # pin_as_of runs on session threads: the cache is probed
+                # and filled under the catalog latch, held across the
+                # restore so one split is restored once and a concurrent
+                # retire cannot pop the list mid-insert.
+                with self.latch:
+                    self.database(db_name)  # retired meanwhile: no ghost entry
+                    cached = self._archive_reads.setdefault(db_name, [])
+                    for index, (cached_split, reader) in enumerate(cached):
+                        if cached_split == split:
+                            cached.append(cached.pop(index))
+                            return reader
+                    reader = restore_from_archive(
+                        self,
+                        archiver.store,
+                        db_name,
+                        wall,
+                        f"~archive:{db_name}@{split:#x}",
+                        plan=plan,
+                    )
+                    cached.append((split, reader))
+                    del cached[:-2]
+                    return reader
             except (ArchiveError, BackupError, RetentionExceededError) as caught:
                 archive_failure = caught
         raise self._retention_error(db_name, err, archive_failure) from err
@@ -1206,14 +1153,6 @@ class Engine:
         if self.monitor is None:
             raise ValueError("start_monitor() before subscribing to alerts")
         self.monitor.on_alert(pattern, callback)
-
-    def _purge_monitor(self, *prefixes: str) -> None:
-        """Drop a dead subsystem's series and alert conditions (ghost
-        alerts must not outlive a DROP/promote)."""
-        if self.monitor is None:
-            return
-        for prefix in prefixes:
-            self.monitor.remove_prefix(prefix)
 
     # ------------------------------------------------------------------
     # Concurrent sessions (see repro.engine.scheduler)

@@ -2,8 +2,11 @@
 
 Each ``install_*`` function binds one subsystem's counters (backed over
 its existing stats dataclass, so the legacy attribute APIs keep working)
-and registers its derived gauges. The engine calls these as subsystems
-come and go; ``registry.remove_prefix`` unwinds them on drop.
+and registers its derived gauges; the ``forget_*`` function beside it
+names the same prefixes to :func:`forget` when the subsystem retires.
+Instrument names are spelled here and nowhere else (save the shipper's
+own per-subscriber ``repl.ship.<sub>.*``); the engine calls these as
+subsystems come and go (``docs/observability.md``, "Lifecycle").
 
 All gauges are *derived* — closures over live engine state, evaluated at
 snapshot time — never sampled copies that could go stale.
@@ -11,28 +14,37 @@ snapshot time — never sampled copies that could go stale.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from functools import partial
 
 
-def _bind_stats(registry, prefix: str, stats, names) -> None:
-    """Register each ``stats`` field as backed counter ``prefix.name``."""
-    for name in names:
+def _bind_stats(registry, prefix: str, stats) -> None:
+    """Register every field of the ``stats`` dataclass as backed counter
+    ``prefix.<field>`` — the dataclass is the one list of names."""
+    for field in fields(stats):
         registry.backed_counter(
-            f"{prefix}.{name}",
-            read=partial(getattr, stats, name),
-            write=partial(setattr, stats, name),
+            f"{prefix}.{field.name}",
+            read=partial(getattr, stats, field.name),
+            write=partial(setattr, stats, field.name),
         )
+
+
+def forget(engine, *prefixes: str) -> None:
+    """Retire every instrument under ``prefixes``: out of the registry
+    and, when the monitor runs, out of its recorded series and alert
+    conditions with them — an owner that left the engine leaves no gauge
+    to sample and no ghost alert behind. Registry first: a tick landing
+    in between finds nothing new to record."""
+    for prefix in prefixes:
+        engine.env.metrics.remove_prefix(prefix)
+        if engine.monitor is not None:
+            engine.monitor.remove_prefix(prefix)
 
 
 def install_pool_metrics(registry, prefix: str, pool) -> None:
     """A :class:`~repro.core.snapshot_pool.SnapshotPool` under ``prefix``
     (``pool.engine`` for the engine pool, ``pool.<replica>`` per standby)."""
-    _bind_stats(
-        registry,
-        prefix,
-        pool.stats,
-        ("hits", "misses", "evictions", "releases", "peak_bytes"),
-    )
+    _bind_stats(registry, prefix, pool.stats)
     registry.gauge(f"{prefix}.bytes", pool.total_bytes, "pooled side-file bytes")
     registry.gauge(f"{prefix}.budget_bytes", lambda: pool.budget_bytes)
     registry.gauge(f"{prefix}.entries", lambda: len(pool))
@@ -62,19 +74,7 @@ def install_version_store_metrics(registry, store) -> None:
     bumps the IoStats sheet); ``version_store.*`` is the canonical view
     with occupancy and hit rate attached.
     """
-    _bind_stats(
-        registry,
-        "version_store",
-        store.stats,
-        (
-            "hits",
-            "misses",
-            "publishes",
-            "evictions",
-            "invalidations",
-            "peak_bytes",
-        ),
-    )
+    _bind_stats(registry, "version_store", store.stats)
     registry.gauge("version_store.bytes", lambda: store.as_dict()["bytes"])
     registry.gauge("version_store.versions", lambda: store.as_dict()["versions"])
     registry.gauge("version_store.budget_bytes", lambda: store.budget_bytes)
@@ -141,10 +141,8 @@ def install_database_metrics(engine, db) -> None:
     )
 
 
-def remove_database_metrics(engine, name: str) -> None:
-    registry = engine.env.metrics
-    registry.remove_prefix(f"log.{name}.")
-    registry.remove_prefix(f"retention.{name}.")
+def forget_database_metrics(engine, name: str) -> None:
+    forget(engine, f"log.{name}.", f"retention.{name}.")
 
 
 def install_replica_metrics(engine, replica) -> None:
@@ -152,18 +150,7 @@ def install_replica_metrics(engine, replica) -> None:
     own snapshot pool (``pool.<name>.*``)."""
     registry = engine.env.metrics
     prefix = f"replica.{replica.name}"
-    _bind_stats(
-        registry,
-        prefix,
-        replica.stats,
-        (
-            "frames_received",
-            "bytes_received",
-            "records_applied",
-            "apply_batches",
-            "peak_apply_backlog_bytes",
-        ),
-    )
+    _bind_stats(registry, prefix, replica.stats)
     registry.gauge(f"{prefix}.applied_lsn", lambda: replica.applied_lsn)
     registry.gauge(f"{prefix}.received_lsn", lambda: replica.received_lsn)
     registry.gauge(
@@ -194,22 +181,17 @@ def install_replica_metrics(engine, replica) -> None:
     install_pool_metrics(registry, f"pool.{replica.name}", replica.snapshot_pool)
 
 
-def remove_replica_metrics(engine, name: str) -> None:
-    registry = engine.env.metrics
-    registry.remove_prefix(f"replica.{name}.")
-    registry.remove_prefix(f"pool.{name}.")
+def forget_replica_metrics(engine, name: str) -> None:
+    """A standby's own instruments and its ship subscription's (the
+    shipper unregistered those on detach; their recorded series go here)."""
+    forget(engine, f"replica.{name}.", f"pool.{name}.", f"repl.ship.{name}.")
 
 
 def install_shipper_metrics(engine, shipper) -> None:
     """Outbound shipping instruments (``shipper.<db>.*``)."""
     registry = engine.env.metrics
     prefix = f"shipper.{shipper.db.name}"
-    _bind_stats(
-        registry,
-        prefix,
-        shipper.stats,
-        ("polls", "frames_shipped", "bytes_shipped", "resyncs", "send_errors", "retries"),
-    )
+    _bind_stats(registry, prefix, shipper.stats)
     registry.gauge(
         f"{prefix}.max_lag_bytes",
         shipper.max_lag_bytes,
@@ -222,22 +204,26 @@ def install_shipper_metrics(engine, shipper) -> None:
     shipper.bind_registry(registry)
 
 
+def forget_shipper_metrics(engine, db_name: str) -> None:
+    forget(engine, f"shipper.{db_name}.")
+
+
 def install_archiver_metrics(engine, archiver) -> None:
     """Archive-tier instruments (``archive.<db>.*``): the durable-cursor
     lag gauge is the archiver's health signal — log past it is only as
     safe as the primary's retention window."""
     registry = engine.env.metrics
     prefix = f"archive.{archiver.db.name}"
-    _bind_stats(
-        registry,
-        prefix,
-        archiver.stats,
-        ("segments_archived", "bytes_archived"),
-    )
+    _bind_stats(registry, prefix, archiver.stats)
     registry.gauge(
         f"{prefix}.cursor_lag_bytes",
         archiver.lag_bytes,
         "durable primary log not yet durably archived",
     )
     registry.gauge(f"{prefix}.archived_lsn", lambda: archiver.received_lsn)
-    registry.gauge(f"{prefix}.closed", lambda: int(archiver.closed))
+
+
+def forget_archiver_metrics(engine, archiver) -> None:
+    """A closed archiver's instruments and its ship subscription's series
+    (``enable_archiving`` installs a fresh set on resume)."""
+    forget(engine, f"archive.{archiver.db.name}.", f"repl.ship.{archiver.name}.")

@@ -423,10 +423,12 @@ class Replica:
             raise ReplicationError(f"replica {self.name!r} was dropped")
 
     def drop(self) -> None:
-        """Discard the standby and its pooled snapshots."""
+        """Discard the standby: its pooled snapshots, its staged frames
+        and everything its database holds in memory."""
         self.dropped = True
         self.snapshot_pool.clear()
         self._delay_queue.clear()
+        self.db.close()
 
     def __repr__(self) -> str:
         return (

@@ -297,13 +297,6 @@ class LogShipper:
             return 0
         return max(target - sub.cursor for sub in self._subs.values())
 
-    def remove_metrics(self) -> None:
-        """Unregister every per-subscriber gauge (shipper teardown)."""
-        if self._registry is None:
-            return
-        for name in self._subs:
-            self._registry.remove_prefix(f"repl.ship.{name}.")
-
     def __repr__(self) -> str:
         return (
             f"LogShipper({self.db.name!r}, subscribers={len(self._subs)}, "

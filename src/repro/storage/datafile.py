@@ -41,7 +41,9 @@ class DataFile:
         """Make buffered writes durable (no-op for memory files)."""
 
     def close(self) -> None:
-        """Release resources."""
+        """Release what the store holds (its database is being retired):
+        nothing is flushed, and the page count reads zero from here on.
+        Idempotent."""
 
 
 class MemoryDataFile(DataFile):
@@ -77,6 +79,10 @@ class MemoryDataFile(DataFile):
     def page_count(self) -> int:
         return self._page_count
 
+    def close(self) -> None:
+        self._pages = {}
+        self._page_count = 0
+
     def copy_pages(self) -> dict[int, bytes]:
         """Snapshot of all written pages (used by backups)."""
         return dict(self._pages)
@@ -110,6 +116,8 @@ class OnDiskDataFile(DataFile):
 
     @property
     def page_count(self) -> int:
+        if self._file.closed:
+            return 0
         self._file.seek(0, os.SEEK_END)
         return self._file.tell() // self.page_size
 

@@ -532,6 +532,15 @@ class LogManager:
                 # tracker.
                 self._last_commit_lsn = NULL_LSN
 
+    def close(self) -> None:
+        """Release the log's bytes and block cache: its database is being
+        retired. Nothing is flushed and nothing is charged; the positions
+        stay where they were, with every LSN now below the horizon."""
+        with self.latch:
+            self._base = self._truncated_before = self.end_lsn
+            self._data = bytearray()
+            self._cache.clear()
+
     def truncate_before(self, lsn: int) -> None:
         """Drop all records with LSN < ``lsn`` (retention enforcement).
 

@@ -9,8 +9,9 @@ The acceptance contract this file pins down:
   fires then clears ``repl.apply_lag``, observable through both
   ``engine.active_alerts()`` and SQL ``SHOW ALERTS``, with
   ``SHOW HEALTH`` transitioning OK → DEGRADED → OK;
-* ``DROP DATABASE`` / ``promote_replica`` purge the dead subsystem's
-  gauges, recorded series and alert conditions — no ghost alerts.
+* (that ``DROP DATABASE`` / ``drop_replica`` / ``promote_replica`` purge
+  the dead subsystem's gauges, recorded series and alert conditions is
+  now three routes of ``tests/test_retirement.py``'s matrix.)
 """
 
 from __future__ import annotations
@@ -435,69 +436,6 @@ class TestLagScenario:
         engine.stop_monitor()
         assert engine.monitor is None
         assert engine.start_monitor() is not monitor
-
-
-# ---------------------------------------------------------------------------
-# Drop / promote lifecycle: no ghost state
-# ---------------------------------------------------------------------------
-
-
-class TestLifecyclePurge:
-    def test_drop_database_purges_metrics_history_and_alerts(self):
-        engine = _monitored_engine(pin_lag_bytes=1)  # hair-trigger retention rule
-        engine.create_database("scratch")
-        engine.sql(
-            "CREATE TABLE t (id INT NOT NULL, PRIMARY KEY (id))", "scratch"
-        )
-        engine.start_monitor()
-        for i in range(40):
-            engine.sql(f"INSERT INTO t VALUES ({i})", "scratch")
-        # The database's gauges were recorded...
-        assert engine.monitor_history("log.scratch.*")
-        assert any(
-            name.startswith("log.scratch.")
-            for name in engine.metrics.names("log.scratch.*")
-        )
-        engine.drop_database("scratch")
-        # ... and a drop leaves nothing behind: no gauges, no series,
-        # no alert conditions anchored to the dead database.
-        assert engine.metrics.names("log.scratch.*") == []
-        assert engine.metrics.names("retention.scratch.*") == []
-        assert engine.monitor_history("log.scratch.*") == {}
-        assert engine.monitor_history("retention.scratch.*") == {}
-        assert not any(
-            row["metric"].startswith(("log.scratch.", "retention.scratch."))
-            for row in engine.monitor.alert_rows()
-        )
-        flat = json.dumps(engine.metrics_snapshot(), sort_keys=True)
-        assert "scratch" not in flat
-
-    def test_drop_replica_purges_lag_series_and_conditions(self):
-        engine = _monitored_engine()
-        engine.add_replica("shop", "standby")
-        engine.replication_tick()
-        engine.start_monitor()
-        for i in range(150):
-            engine.sql(f"INSERT INTO items VALUES ({i}, {i})", "shop")
-        assert engine.active_alerts()  # lag alert is firing
-        engine.drop_replica("standby")
-        assert engine.active_alerts() == []  # no ghost alert on a dead replica
-        assert engine.monitor_history("replica.standby.*") == {}
-        assert engine.metrics.names("replica.standby.*") == []
-
-    def test_promote_replica_purges_replica_series(self):
-        engine = _monitored_engine()
-        engine.add_replica("shop", "standby")
-        engine.replication_tick()
-        engine.start_monitor()
-        for i in range(150):
-            engine.sql(f"INSERT INTO items VALUES ({i}, {i})", "shop")
-        assert engine.active_alerts()
-        engine.replication_tick()  # promote requires a caught-up timeline
-        engine.promote_replica("standby")
-        assert engine.active_alerts() == []
-        assert engine.monitor_history("replica.standby.*") == {}
-        assert "standby" in engine.databases
 
 
 # ---------------------------------------------------------------------------

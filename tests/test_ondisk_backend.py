@@ -63,3 +63,14 @@ class TestOnDiskDatabase:
         db.file_manager.datafile.flush()
         assert os.path.getsize(path) >= 5 * db.config.page_size
         db.file_manager.datafile.close()
+
+    def test_drop_closes_the_file_handle(self, tmp_path, engine):
+        db, _path = make_disk_db(tmp_path, engine)
+        db.create_table(ITEMS_SCHEMA)
+        fill_items(db, 10)
+        datafile = db.file_manager.datafile
+        engine.drop_database("diskdb")
+        assert datafile._file.closed
+        assert db.file_manager.page_count == 0
+        assert "diskdb" in repr(db)
+        db.close()  # twice is a no-op

@@ -259,6 +259,19 @@ class TestSharedStateDiscipline:
         findings = check(src, "src/repro/wal/log_manager.py", {"RL005"})
         assert rules_of(findings) == ["RL005"]
 
+    def test_engine_catalog_mutation_outside_latch_flagged(self):
+        # The engine catalog is strict: a retire path that forgets the
+        # latch (the old ``_locked`` twin bodies) is a finding even in
+        # engine.py itself.
+        src = (
+            "class Engine:\n"
+            "    def _retire_database(self, name):\n"
+            "        del self.databases[name]\n"
+        )
+        findings = check(src, "src/repro/engine/engine.py", {"RL005"})
+        assert rules_of(findings) == ["RL005"]
+        assert "self.databases" in findings[0].message
+
 
 class TestObsInstrumentation:
     def test_bare_host_clock_read_flagged(self):
