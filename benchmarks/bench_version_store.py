@@ -58,6 +58,8 @@ RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "bench_results")
 def _sweep(engine, driver, env, targets) -> dict:
     """Run one AS OF sweep; returns I/O deltas, timings and results."""
     before = env.stats.snapshot()
+    store_stats = engine.version_store.stats
+    hits, misses = store_stats.hits, store_stats.misses
     t0 = env.clock.now()
     results = [driver.stock_level_as_of(engine, t) for t in targets]
     elapsed = env.clock.now() - t0
@@ -70,8 +72,8 @@ def _sweep(engine, driver, env, targets) -> dict:
         "undo_reads_coalesced": spent.undo_reads_coalesced,
         "undo_records_applied": spent.undo_records_applied,
         "pages_prepared": spent.pages_prepared_asof,
-        "store_hits": spent.version_store_hits,
-        "store_misses": spent.version_store_misses,
+        "store_hits": store_stats.hits - hits,
+        "store_misses": store_stats.misses - misses,
     }
 
 

@@ -79,14 +79,20 @@ SHARED_STATE_REGISTRY: tuple[dict, ...] = (
     {"attr": "_entries", "owners": ("repro/core/snapshot_pool.py",), "latch": True},
     {"attr": "_orphans", "owners": ("repro/core/snapshot_pool.py",), "latch": True},
     {"attr": "_versions", "owners": ("repro/core/version_store.py",), "latch": True},
-    # Shipper subscriptions and the archive store's segment/backup maps.
+    # Shipper subscriptions.
     {"attr": "_subs", "owners": ("repro/replication/shipper.py",)},
-    {"attr": "_segments", "owners": ("repro/archive/store.py",)},
-    {"attr": "_backups", "owners": ("repro/archive/store.py",)},
-    # Observability: the metrics instrument table and the tracer's span
-    # stack — engine code holds instrument handles and Span objects, it
-    # never mutates the tables directly.
+    # The archive store's segment/backup/log-view maps and each view's
+    # segment cursor: filled by the archiver, read from session threads.
+    {"attr": "_segments", "owners": ("repro/archive/store.py",), "latch": True},
+    {"attr": "_backups", "owners": ("repro/archive/store.py",), "latch": True},
+    {"attr": "_log_views", "owners": ("repro/archive/store.py",), "latch": True},
+    {"attr": "_next_segment", "owners": ("repro/archive/store.py",), "latch": True},
+    # Observability: the metrics instrument and sheet tables and the
+    # tracer's span stack — engine code holds instrument handles, its
+    # own stats sheets and Span objects, it never mutates the tables
+    # directly.
     {"attr": "_instruments", "owners": ("repro/obs/registry.py",), "latch": True},
+    {"attr": "_sheets", "owners": ("repro/obs/registry.py",), "latch": True},
     {"attr": "_span_stack", "owners": ("repro/obs/tracer.py",), "latch": True},
     # Monitoring: recorded series, alert condition states, and the
     # slow-query ring — read through the monitor/engine surfaces,

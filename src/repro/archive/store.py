@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from repro.config import SimEnv
 from repro.errors import ArchiveError, BackupError, FaultInjectedError
+from repro.latch import Latch
 from repro.replication.stream import LogFrame
 from repro.sim import hostio
 from repro.sim.device import DeviceProfile, SimDevice
@@ -63,27 +64,33 @@ class _ArchivedLogView:
         self._next_segment = 0
 
     def refresh(self) -> "_ArchivedLogView":
-        segments = self._store.segments(self.db_name)
-        if not segments:
-            raise ArchiveError(
-                f"no archived log segments for {self.db_name!r}"
-            )
-        if self.log is None:
-            # The scratch copy lives in memory: the only real media cost
-            # of materializing the view is the archive read (charged per
-            # segment below), so the LogManager runs on a free-device env
-            # sharing the real clock — ingest/scan must not bill phantom
-            # primary log-device traffic into the shared stats.
-            self.log = LogManager(SimEnv(clock=self.env.clock))
-            self.log.open_at(segments[0].start_lsn)
-        for segment in segments[self._next_segment:]:
-            self._store._charge_read(len(segment.blob))
-            frame = LogFrame.decode(segment.blob)
-            ckpt = self.log.ingest(frame.start_lsn, frame.payload)
-            if ckpt != NULL_LSN and ckpt > self.last_checkpoint_lsn:
-                self.last_checkpoint_lsn = ckpt
-        self._next_segment = len(segments)
-        return self
+        # Session threads reach this through past-retention reads: the
+        # ``log is None`` test, the segment cursor and the ingests are
+        # one step under the store latch, or two first readers both
+        # ingest segment 0.
+        with self._store.latch:
+            segments = self._store.segments(self.db_name)
+            if not segments:
+                raise ArchiveError(
+                    f"no archived log segments for {self.db_name!r}"
+                )
+            if self.log is None:
+                # The scratch copy lives in memory: the only real media
+                # cost of materializing the view is the archive read
+                # (charged per segment below), so the LogManager runs on
+                # a free-device env sharing the real clock — ingest/scan
+                # must not bill phantom primary log-device traffic into
+                # the shared stats.
+                self.log = LogManager(SimEnv(clock=self.env.clock))
+                self.log.open_at(segments[0].start_lsn)
+            for segment in segments[self._next_segment:]:
+                self._store._charge_read(len(segment.blob))
+                frame = LogFrame.decode(segment.blob)
+                ckpt = self.log.ingest(frame.start_lsn, frame.payload)
+                if ckpt != NULL_LSN and ckpt > self.last_checkpoint_lsn:
+                    self.last_checkpoint_lsn = ckpt
+            self._next_segment = len(segments)
+            return self
 
 
 class ArchiveStore:
@@ -106,6 +113,10 @@ class ArchiveStore:
         self.directory = directory
         if directory is not None:
             hostio.ensure_directory(directory)
+        #: Guards the three maps below and every log view's cursor: the
+        #: archiver fills them from whoever pumps replication while
+        #: session threads read past retention (``docs/concurrency.md``).
+        self.latch = Latch("archive_store")
         self._segments: dict[str, list[ArchivedSegment]] = {}
         self._backups: dict[str, list] = {}
         self._log_views: dict[str, _ArchivedLogView] = {}
@@ -134,46 +145,49 @@ class ArchiveStore:
         means two archivers (or a cursor rewind) raced on one store.
         """
         frame = LogFrame.decode(blob)
-        segments = self._segments.setdefault(db_name, [])
-        if segments and frame.start_lsn != segments[-1].end_lsn:
-            raise ArchiveError(
-                f"segment for {db_name!r} starts at "
-                f"{format_lsn(frame.start_lsn)} but the archive ends at "
-                f"{format_lsn(segments[-1].end_lsn)}; refusing to leave a gap"
+        # Continuity check and append are one step: the index never shows
+        # a gap or a segment twice.
+        with self.latch:
+            segments = self._segments.setdefault(db_name, [])
+            if segments and frame.start_lsn != segments[-1].end_lsn:
+                raise ArchiveError(
+                    f"segment for {db_name!r} starts at "
+                    f"{format_lsn(frame.start_lsn)} but the archive ends at "
+                    f"{format_lsn(segments[-1].end_lsn)}; refusing to leave a gap"
+                )
+            segment = ArchivedSegment(
+                db_name=db_name,
+                start_lsn=frame.start_lsn,
+                end_lsn=frame.end_lsn,
+                ship_wall=frame.ship_wall,
+                blob=bytes(blob),
             )
-        segment = ArchivedSegment(
-            db_name=db_name,
-            start_lsn=frame.start_lsn,
-            end_lsn=frame.end_lsn,
-            ship_wall=frame.ship_wall,
-            blob=bytes(blob),
-        )
-        path = None
-        if self.directory is not None:
-            path = os.path.join(
-                self.directory,
-                f"{db_name}-{frame.start_lsn:016x}-{frame.end_lsn:016x}.seg",
-            )
-        chaos = getattr(self.env, "chaos", None)
-        if chaos is not None:
-            try:
-                chaos.hit("archive.flush", target=db_name)
-            except FaultInjectedError:
-                # A crash mid-flush leaves at most a torn partial file on
-                # the medium; the in-memory index never sees the segment
-                # (the append below is the atomicity point), so the
-                # archive stays gap-free and the retried flush simply
-                # overwrites the torn artifact with the full frame.
-                if path is not None:
-                    self._charge_write(len(blob) // 2)
-                    hostio.write_blob(path, blob[: max(1, len(blob) // 2)])
-                raise
-        self._charge_write(len(blob))
-        if path is not None:
-            hostio.write_blob(path, blob)
-        segments.append(segment)
-        self.env.stats.archive_segments_written += 1
-        return segment
+            path = None
+            if self.directory is not None:
+                path = os.path.join(
+                    self.directory,
+                    f"{db_name}-{frame.start_lsn:016x}-{frame.end_lsn:016x}.seg",
+                )
+            chaos = getattr(self.env, "chaos", None)
+            if chaos is not None:
+                try:
+                    chaos.hit("archive.flush", target=db_name)
+                except FaultInjectedError:
+                    # A crash mid-flush leaves at most a torn partial file on
+                    # the medium; the in-memory index never sees the segment
+                    # (the append below is the atomicity point), so the
+                    # archive stays gap-free and the retried flush simply
+                    # overwrites the torn artifact with the full frame.
+                    if path is not None:
+                        self._charge_write(len(blob) // 2)
+                        hostio.write_blob(path, blob[: max(1, len(blob) // 2)])
+                    raise
+            self._charge_write(len(blob))
+            if path is not None:
+                hostio.write_blob(path, blob)
+            segments.append(segment)
+            self.env.stats.archive_segments_written += 1
+            return segment
 
     def segments(self, db_name: str) -> list[ArchivedSegment]:
         return list(self._segments.get(db_name, ()))
@@ -221,11 +235,12 @@ class ArchiveStore:
     def log_view(self, db_name: str) -> _ArchivedLogView:
         """The materialized archived log for ``db_name`` (cached and
         extended incrementally as new segments land)."""
-        view = self._log_views.get(db_name)
-        if view is None:
-            view = _ArchivedLogView(self, db_name)
-            self._log_views[db_name] = view
-        return view.refresh()
+        with self.latch:
+            view = self._log_views.get(db_name)
+            if view is None:
+                view = _ArchivedLogView(self, db_name)
+                self._log_views[db_name] = view
+            return view.refresh()
 
     # ------------------------------------------------------------------
     # Backups
@@ -237,23 +252,24 @@ class ArchiveStore:
         Incrementals must chain onto an already-archived backup (their
         ``base_lsn`` names the predecessor's ``backup_lsn``).
         """
-        backups = self._backups.setdefault(backup.source_name, [])
-        base_lsn = getattr(backup, "base_lsn", None)
-        if base_lsn is not None and not any(
-            b.backup_lsn == base_lsn for b in backups
-        ):
-            raise BackupError(
-                f"incremental backup of {backup.source_name!r} chains onto "
-                f"LSN {format_lsn(base_lsn)}, which is not in the archive"
-            )
-        if backups and backup.backup_lsn < backups[-1].backup_lsn:
-            raise BackupError(
-                f"backup of {backup.source_name!r} at "
-                f"{format_lsn(backup.backup_lsn)} is older than the newest "
-                f"archived backup ({format_lsn(backups[-1].backup_lsn)})"
-            )
-        self._charge_write(backup.size_bytes)
-        backups.append(backup)
+        with self.latch:
+            backups = self._backups.setdefault(backup.source_name, [])
+            base_lsn = getattr(backup, "base_lsn", None)
+            if base_lsn is not None and not any(
+                b.backup_lsn == base_lsn for b in backups
+            ):
+                raise BackupError(
+                    f"incremental backup of {backup.source_name!r} chains onto "
+                    f"LSN {format_lsn(base_lsn)}, which is not in the archive"
+                )
+            if backups and backup.backup_lsn < backups[-1].backup_lsn:
+                raise BackupError(
+                    f"backup of {backup.source_name!r} at "
+                    f"{format_lsn(backup.backup_lsn)} is older than the newest "
+                    f"archived backup ({format_lsn(backups[-1].backup_lsn)})"
+                )
+            self._charge_write(backup.size_bytes)
+            backups.append(backup)
 
     def backups(self, db_name: str) -> list:
         return list(self._backups.get(db_name, ()))

@@ -98,16 +98,15 @@ class SimEnv:
         log_profile: DeviceProfile = ZERO_COST,
         cost: CostModel | None = None,
         clock: SimClock | None = None,
-        stats: IoStats | None = None,
     ) -> None:
         self.clock = clock if clock is not None else SimClock()
-        self.stats = stats if stats is not None else IoStats()
-        #: The typed metrics registry (see :mod:`repro.obs`): every
-        #: ``io.*`` counter is the IoStats field itself, registered as a
-        #: backed counter, so one ``metrics.reset()`` (or the bound
-        #: ``stats.reset()``) clears the whole environment's counters.
+        self.stats = IoStats()
+        #: The metrics registry (see :mod:`repro.obs`): ``stats`` is
+        #: attached as its ``io`` sheet, and every subsystem attaches its
+        #: own beside it, so ``metrics.reset()`` clears the whole
+        #: environment's counters.
         self.metrics = MetricsRegistry()
-        self.stats.bind_registry(self.metrics)
+        self.metrics.sheet("io", self.stats)
         #: The span tracer (inactive — cheap no-ops — between traces).
         self.tracer = Tracer(self.clock, self.stats)
         self.data_device = SimDevice(data_profile, self.clock, self.stats)

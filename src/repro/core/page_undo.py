@@ -177,19 +177,3 @@ def _earliest_image_after(page: Page, asof_lsn: int, log: LogManager) -> PageIma
         best = rec
         image_lsn = rec.prev_image_lsn
     return best
-
-
-def undo_io_estimate(env_stats_before, env_stats_after) -> int:
-    """Undo log *device* reads between two stats snapshots (Figure 11).
-
-    Counts every random I/O the undo path issued: coalesced span reads
-    plus header-only discovery reads (both stall on the log device; the
-    batched walk trades N block reads for N cheap header reads and a few
-    spans, and this metric keeps that trade visible).
-    """
-    return (
-        env_stats_after.undo_log_reads
-        - env_stats_before.undo_log_reads
-        + env_stats_after.undo_header_reads
-        - env_stats_before.undo_header_reads
-    )

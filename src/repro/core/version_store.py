@@ -100,18 +100,12 @@ class PageVersionStore:
     nothing is published) — the ablation/baseline configuration.
     """
 
-    def __init__(
-        self,
-        budget_bytes: int = DEFAULT_VERSION_STORE_BUDGET_BYTES,
-        iostats=None,
-    ) -> None:
+    def __init__(self, budget_bytes: int = DEFAULT_VERSION_STORE_BUDGET_BYTES) -> None:
         if budget_bytes < 0:
             raise ValueError("version store budget must be >= 0")
         self.latch = Latch("version_store")
         self.budget_bytes = budget_bytes
         self.stats = VersionStoreStats()
-        #: Mirror counters into the engine-wide IoStats sheet when given.
-        self.iostats = iostats
         self._versions: dict[tuple[str, int], list[_Version]] = {}
         self._bytes = 0
         self._clock = 0
@@ -136,12 +130,8 @@ class PageVersionStore:
                     self._clock += 1
                     version.last_used = self._clock
                     self.stats.hits += 1
-                    if self.iostats is not None:
-                        self.iostats.version_store_hits += 1
                     return version.data
             self.stats.misses += 1
-            if self.iostats is not None:
-                self.iostats.version_store_misses += 1
             return None
 
     def publish(
@@ -182,8 +172,6 @@ class PageVersionStore:
 
     def _note_publish(self) -> None:
         self.stats.publishes += 1
-        if self.iostats is not None:
-            self.iostats.version_store_publishes += 1
 
     # ------------------------------------------------------------------
     # Budget
@@ -231,8 +219,6 @@ class PageVersionStore:
                 if not versions:
                     del self._versions[key]
                 self.stats.evictions += 1
-                if self.iostats is not None:
-                    self.iostats.version_store_evictions += 1
                 evicted += 1
             return evicted
 
@@ -258,8 +244,6 @@ class PageVersionStore:
                     del self._versions[key]
             if dropped:
                 self.stats.invalidations += dropped
-                if self.iostats is not None:
-                    self.iostats.version_store_invalidations += dropped
             return dropped
 
     def invalidate_from(self, store_key: str, lsn: int) -> int:

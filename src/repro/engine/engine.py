@@ -96,8 +96,7 @@ class Engine:
         self.version_store = PageVersionStore(
             version_store_budget
             if version_store_budget is not None
-            else DEFAULT_VERSION_STORE_BUDGET_BYTES,
-            iostats=self.env.stats,
+            else DEFAULT_VERSION_STORE_BUDGET_BYTES
         )
         #: Ephemeral snapshots backing inline ``AS OF`` reads.
         self.snapshot_pool: "SnapshotPool" = SnapshotPool(
@@ -142,6 +141,14 @@ class Engine:
         self.ha_events: list[dict] = []
         #: Backoff for replica apply retries under injected faults.
         self._apply_retry = RetryPolicy()
+        # Handles held here: fetched by name they cost a registry-latch
+        # round trip on every statement and every AS OF pin.
+        self.statement_sim_s = self.env.metrics.histogram(
+            "sql.execute_sim_s", "sim-seconds per SQL statement"
+        )
+        self._pin_sim_s = self.env.metrics.histogram(
+            "asof.pin_sim_s", "sim-seconds to lease an AS OF view"
+        )
         install_engine_metrics(self)
 
     # ------------------------------------------------------------------
@@ -953,9 +960,7 @@ class Engine:
                     reader = self._archive_fallback_reader(db_name, wall, err)
                 return self._archive_leases, reader
             finally:
-                self.env.metrics.histogram(
-                    "asof.pin_sim_s", "sim-seconds to lease an AS OF view"
-                ).observe(self.env.clock.now() - started)
+                self._pin_sim_s.observe(self.env.clock.now() - started)
 
     @contextmanager
     def query_as_of(
@@ -996,19 +1001,6 @@ class Engine:
             yield snapshot
         finally:
             pool.release(snapshot)
-
-    def drain_snapshot_pools(self, max_txns: int | None = None) -> int:
-        """Drive pending background undo on pooled snapshots (engine pool
-        and every replica pool); returns transactions drained."""
-        drained = self.snapshot_pool.drain(max_txns)
-        for replica in self.replicas.values():
-            if replica.dropped:
-                continue
-            budget = None if max_txns is None else max_txns - drained
-            if budget is not None and budget <= 0:
-                break
-            drained += replica.snapshot_pool.drain(budget)
-        return drained
 
     def version_store_stats(self) -> dict:
         """The cross-snapshot version store's counters, as a plain dict

@@ -66,20 +66,12 @@ class TransactionError(ReproError):
     """Transaction misuse (operating on a finished transaction, etc.)."""
 
 
-class TransactionAborted(TransactionError):
-    """The transaction was rolled back (by deadlock or explicit abort)."""
-
-
 class LockError(TransactionError):
     """Lock manager failure."""
 
 
 class DeadlockError(LockError):
     """A lock request would create a cycle in the wait-for graph."""
-
-
-class LockTimeoutError(LockError):
-    """A lock request waited past its timeout."""
 
 
 class CatalogError(ReproError):

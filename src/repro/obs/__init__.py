@@ -2,8 +2,9 @@
 
 Three layers, one schema:
 
-* :mod:`repro.obs.registry` — typed instruments (counters, gauges,
-  histograms with deterministic sim-time buckets) in one
+* :mod:`repro.obs.registry` — counters (the fields of the attached
+  stats sheets), gauges and histograms with deterministic sim-time
+  buckets in one
   :class:`~repro.obs.registry.MetricsRegistry` per
   :class:`~repro.config.SimEnv`. ``registry.snapshot()`` is the canonical
   JSON document consumed by ``SHOW METRICS``, ``python -m
@@ -48,7 +49,6 @@ from repro.obs.timeseries import HISTORY_SCHEMA, MetricsRecorder, Series, summar
 from repro.obs.registry import (
     DEFAULT_SIM_TIME_BUCKETS_S,
     METRICS_SCHEMA,
-    Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -68,7 +68,6 @@ __all__ = [
     "OK",
     "AlertEngine",
     "AlertRule",
-    "Counter",
     "EngineMonitor",
     "Gauge",
     "Histogram",

@@ -1,9 +1,10 @@
-"""Wiring subsystem stats objects and derived gauges into the registry.
+"""Wiring subsystem stats sheets and derived gauges into the registry.
 
-Each ``install_*`` function binds one subsystem's counters (backed over
-its existing stats dataclass, so the legacy attribute APIs keep working)
-and registers its derived gauges; the ``forget_*`` function beside it
-names the same prefixes to :func:`forget` when the subsystem retires.
+Each ``install_*`` function attaches one subsystem's stats dataclass as
+a sheet (``registry.sheet(prefix, stats)`` — its fields are the
+counters, the owner keeps bumping them as attributes) and registers its
+derived gauges; the ``forget_*`` function beside it names the same
+prefixes to :func:`forget` when the subsystem retires.
 Instrument names are spelled here and nowhere else (save the shipper's
 own per-subscriber ``repl.ship.<sub>.*``); the engine calls these as
 subsystems come and go (``docs/observability.md``, "Lifecycle").
@@ -13,20 +14,6 @@ snapshot time — never sampled copies that could go stale.
 """
 
 from __future__ import annotations
-
-from dataclasses import fields
-from functools import partial
-
-
-def _bind_stats(registry, prefix: str, stats) -> None:
-    """Register every field of the ``stats`` dataclass as backed counter
-    ``prefix.<field>`` — the dataclass is the one list of names."""
-    for field in fields(stats):
-        registry.backed_counter(
-            f"{prefix}.{field.name}",
-            read=partial(getattr, stats, field.name),
-            write=partial(setattr, stats, field.name),
-        )
 
 
 def forget(engine, *prefixes: str) -> None:
@@ -44,7 +31,7 @@ def forget(engine, *prefixes: str) -> None:
 def install_pool_metrics(registry, prefix: str, pool) -> None:
     """A :class:`~repro.core.snapshot_pool.SnapshotPool` under ``prefix``
     (``pool.engine`` for the engine pool, ``pool.<replica>`` per standby)."""
-    _bind_stats(registry, prefix, pool.stats)
+    registry.sheet(prefix, pool.stats)
     registry.gauge(f"{prefix}.bytes", pool.total_bytes, "pooled side-file bytes")
     registry.gauge(f"{prefix}.budget_bytes", lambda: pool.budget_bytes)
     registry.gauge(f"{prefix}.entries", lambda: len(pool))
@@ -68,15 +55,11 @@ def install_pool_metrics(registry, prefix: str, pool) -> None:
 
 
 def install_version_store_metrics(registry, store) -> None:
-    """The engine-wide :class:`~repro.core.version_store.PageVersionStore`.
-
-    The ``io.version_store_*`` counters mirror these (the store double-
-    bumps the IoStats sheet); ``version_store.*`` is the canonical view
-    with occupancy and hit rate attached.
-    """
-    _bind_stats(registry, "version_store", store.stats)
-    registry.gauge("version_store.bytes", lambda: store.as_dict()["bytes"])
-    registry.gauge("version_store.versions", lambda: store.as_dict()["versions"])
+    """The engine-wide :class:`~repro.core.version_store.PageVersionStore`
+    (``version_store.*``): its counters with occupancy and hit rate."""
+    registry.sheet("version_store", store.stats)
+    registry.gauge("version_store.bytes", store.total_bytes)
+    registry.gauge("version_store.versions", store.version_count)
     registry.gauge("version_store.budget_bytes", lambda: store.budget_bytes)
     registry.gauge(
         "version_store.hit_rate",
@@ -150,7 +133,7 @@ def install_replica_metrics(engine, replica) -> None:
     own snapshot pool (``pool.<name>.*``)."""
     registry = engine.env.metrics
     prefix = f"replica.{replica.name}"
-    _bind_stats(registry, prefix, replica.stats)
+    registry.sheet(prefix, replica.stats)
     registry.gauge(f"{prefix}.applied_lsn", lambda: replica.applied_lsn)
     registry.gauge(f"{prefix}.received_lsn", lambda: replica.received_lsn)
     registry.gauge(
@@ -191,7 +174,7 @@ def install_shipper_metrics(engine, shipper) -> None:
     """Outbound shipping instruments (``shipper.<db>.*``)."""
     registry = engine.env.metrics
     prefix = f"shipper.{shipper.db.name}"
-    _bind_stats(registry, prefix, shipper.stats)
+    registry.sheet(prefix, shipper.stats)
     registry.gauge(
         f"{prefix}.max_lag_bytes",
         shipper.max_lag_bytes,
@@ -214,7 +197,7 @@ def install_archiver_metrics(engine, archiver) -> None:
     safe as the primary's retention window."""
     registry = engine.env.metrics
     prefix = f"archive.{archiver.db.name}"
-    _bind_stats(registry, prefix, archiver.stats)
+    registry.sheet(prefix, archiver.stats)
     registry.gauge(
         f"{prefix}.cursor_lag_bytes",
         archiver.lag_bytes,

@@ -5,13 +5,15 @@ One :class:`MetricsRegistry` lives on each :class:`~repro.config.SimEnv`
 tool attached to that environment — mirroring how ``env.stats`` already
 threads one :class:`~repro.sim.iostats.IoStats` sheet through the stack.
 
-Instruments come in three types:
+What it exports comes in three kinds:
 
-* :class:`Counter` — monotone int. Counters may *own* their value or be
-  *backed* by read/write closures over an existing stats object (the
-  ``IoStats`` fields and the per-subsystem stats dataclasses register
-  this way), so legacy attribute APIs keep working as thin shims while
-  the registry becomes the single reset/snapshot/export surface.
+* **Counters** — monotone ints, and never objects of the registry's own:
+  a counter is a field of a stats dataclass (a *sheet*: ``IoStats``,
+  ``PoolStats``, ``VersionStoreStats``, ``ShipperStats``,
+  ``ReplicaStats``, ``ArchiverStats``) that its owner bumps as a plain
+  attribute. :meth:`MetricsRegistry.sheet` attaches the sheet under a
+  prefix and the registry *reads* ``dataclasses.fields()`` of it for
+  names, snapshots and resets, so each value is stored exactly once.
 * :class:`Gauge` — derived, read-only. Evaluated at snapshot time from a
   closure (replica apply lag, archiver cursor lag, retention-pin horizon
   distance, pool occupancy, hit rates). Never sampled, never reset.
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
+from dataclasses import fields
 from fnmatch import fnmatchcase
 
 from repro.latch import Latch
@@ -42,45 +45,6 @@ DEFAULT_SIM_TIME_BUCKETS_S = (1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0)
 
 #: Default histogram bounds for byte sizes (log records, frames).
 DEFAULT_BYTES_BUCKETS = (64, 256, 1024, 4096, 16384, 65536, 262144)
-
-
-class Counter:
-    """A monotone counter, optionally backed by external storage."""
-
-    __slots__ = ("name", "doc", "_read", "_write", "_value")
-
-    def __init__(self, name: str, doc: str = "", *, read=None, write=None) -> None:
-        if (read is None) != (write is None):
-            raise ValueError(f"counter {name}: read and write go together")
-        self.name = name
-        self.doc = doc
-        self._read = read
-        self._write = write
-        self._value = 0
-
-    @property
-    def backed(self) -> bool:
-        return self._read is not None
-
-    @property
-    def value(self) -> int:
-        if self._read is not None:
-            return self._read()
-        return self._value
-
-    def inc(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name}: negative increment {amount}")
-        if self._write is not None:
-            self._write(self._read() + amount)
-        else:
-            self._value += amount
-
-    def reset(self) -> None:
-        if self._write is not None:
-            self._write(0)
-        else:
-            self._value = 0
 
 
 class Gauge:
@@ -145,109 +109,107 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """All instruments of one :class:`~repro.config.SimEnv`, by name.
+    """Everything one :class:`~repro.config.SimEnv` exports, by name.
 
-    The instrument tables (``_instruments``) are owned by this module —
-    other modules hold instrument *handles* returned by
-    :meth:`counter`/:meth:`gauge`/:meth:`histogram` and mutate only
-    through them (the RL005 shared-state contract).
+    The tables (``_instruments``, ``_sheets``) are owned by this module:
+    other modules hold the stats sheets they attached and the gauge /
+    histogram *handles* returned by :meth:`gauge`/:meth:`histogram`, and
+    mutate only through those (the RL005 shared-state contract).
     """
 
     def __init__(self) -> None:
         self.latch = Latch("metrics_registry")
         self._instruments: dict[str, object] = {}
-        # Dynamic providers contribute extra counter values at snapshot
-        # time (the IoStats ``_extra`` ad-hoc counters register one).
-        self._providers: list = []
-        self._reset_hooks: list = []
+        #: prefix -> attached stats dataclass; its fields are the
+        #: counters ``<prefix>.<field>``.
+        self._sheets: dict[str, object] = {}
 
     # -- registration ---------------------------------------------------
 
-    def _check_kind(self, name: str, existing, kind) -> None:
-        if type(existing) is not kind:
-            raise ValueError(
-                f"metric {name!r} already registered as "
-                f"{type(existing).__name__}"
-            )
+    def _check_kind(self, name: str, kind: str) -> None:
+        """One name, one kind: ``name`` is free or a ``kind`` already."""
+        instrument = self._instruments.get(name)
+        prefix, _, field = name.rpartition(".")
+        sheet = self._sheets.get(prefix)
+        if instrument is not None:
+            existing = type(instrument).__name__
+        elif sheet is not None and field in [spec.name for spec in fields(sheet)]:
+            existing = "Counter"
+        else:
+            return
+        if existing != kind:
+            raise ValueError(f"metric {name!r} already registered as {existing}")
 
-    def counter(self, name: str, doc: str = "") -> Counter:
-        """Create (or fetch the existing) self-owned counter ``name``."""
-        with self.latch:
-            existing = self._instruments.get(name)
-            if existing is not None:
-                self._check_kind(name, existing, Counter)
-                return existing
-            instrument = Counter(name, doc)
-            self._instruments[name] = instrument
-            return instrument
-
-    def backed_counter(self, name: str, read, write, doc: str = "") -> Counter:
-        """A counter whose storage lives elsewhere (a legacy stats field).
-
-        Re-registration *replaces* the closures — a subsystem restart
-        (new pool, new replica under a reused name) rebinds the metric to
-        its live object.
+    def sheet(self, prefix: str, stats) -> None:
+        """Export every field of the ``stats`` dataclass as counter
+        ``<prefix>.<field>``. The dataclass stays the only storage: the
+        owner bumps attributes, the registry reads them. Re-attaching a
+        prefix *replaces* the sheet — a subsystem restart (new pool, new
+        replica under a reused name) exports its live object.
         """
         with self.latch:
-            existing = self._instruments.get(name)
-            if existing is not None:
-                self._check_kind(name, existing, Counter)
-            instrument = Counter(name, doc, read=read, write=write)
-            self._instruments[name] = instrument
-            return instrument
+            for spec in fields(stats):
+                name = f"{prefix}.{spec.name}"
+                if name in self._instruments:  # a gauge or histogram has it
+                    self._check_kind(name, "Counter")
+            self._sheets[prefix] = stats
 
     def gauge(self, name: str, read, doc: str = "") -> Gauge:
         """Register derived gauge ``name``; re-registration replaces the
         closure (a subsystem restart rebinds its live object)."""
         with self.latch:
-            existing = self._instruments.get(name)
-            if existing is not None:
-                self._check_kind(name, existing, Gauge)
+            self._check_kind(name, "Gauge")
             instrument = Gauge(name, read, doc)
             self._instruments[name] = instrument
             return instrument
 
     def histogram(self, name: str, doc: str = "", bounds=DEFAULT_SIM_TIME_BUCKETS_S) -> Histogram:
+        """Create (or fetch the existing) histogram ``name``."""
         with self.latch:
-            existing = self._instruments.get(name)
-            if existing is not None:
-                self._check_kind(name, existing, Histogram)
-                return existing
-            instrument = Histogram(name, doc, bounds)
-            self._instruments[name] = instrument
+            self._check_kind(name, "Histogram")
+            instrument = self._instruments.get(name)
+            if instrument is None:
+                instrument = Histogram(name, doc, bounds)
+                self._instruments[name] = instrument
             return instrument
 
-    def add_provider(self, provider) -> None:
-        """``provider()`` returns ``{name: int}`` merged into the counter
-        section at snapshot time (ad-hoc counters)."""
-        with self.latch:
-            self._providers.append(provider)
-
-    def add_reset_hook(self, hook) -> None:
-        """``hook()`` runs on :meth:`reset` (clears provider storage)."""
-        with self.latch:
-            self._reset_hooks.append(hook)
-
     def remove(self, name: str) -> None:
+        """Unregister one gauge or histogram."""
         with self.latch:
             self._instruments.pop(name, None)
 
     def remove_prefix(self, prefix: str) -> None:
-        """Unregister every instrument under ``prefix`` (dropped replica,
-        detached archiver, dropped database)."""
+        """Unregister everything under ``prefix`` (dropped replica,
+        detached archiver, dropped database): each instrument whose name
+        starts with it and each sheet all of whose counters do."""
         with self.latch:
-            for name in [n for n in self._instruments if n.startswith(prefix)]:
-                del self._instruments[name]
+            for name in list(self._instruments):
+                if name.startswith(prefix):
+                    del self._instruments[name]
+            for attached in list(self._sheets):
+                if f"{attached}.".startswith(prefix):
+                    del self._sheets[attached]
 
     # -- read side ------------------------------------------------------
 
+    def _counters(self):
+        """``(name, sheet, field)`` for every counter of every attached
+        sheet (call under the latch)."""
+        for prefix, stats in self._sheets.items():
+            for spec in fields(stats):
+                yield f"{prefix}.{spec.name}", stats, spec.name
+
     def get(self, name: str):
+        """The gauge or histogram registered as ``name`` (``None`` for a
+        free name and for counters, which have no object)."""
         with self.latch:
             return self._instruments.get(name)
 
     def names(self, like: str | None = None) -> list[str]:
         with self.latch:
-            names = sorted(self._instruments)
+            names = sorted(
+                [*self._instruments, *(name for name, _, _ in self._counters())]
+            )
         if like is None:
             return names
         return [n for n in names if fnmatchcase(n, like)]
@@ -260,29 +222,24 @@ class MetricsRegistry:
         uses.
         """
         with self.latch:
-            return self._snapshot_locked(like)
-
-    def _snapshot_locked(self, like: str | None) -> dict:
-        counters: dict[str, int] = {}
-        gauges: dict[str, float] = {}
-        histograms: dict[str, dict] = {}
-        for name in sorted(self._instruments):
-            if like is not None and not fnmatchcase(name, like):
-                continue
-            instrument = self._instruments[name]
-            if type(instrument) is Counter:
-                counters[name] = instrument.value
-            elif type(instrument) is Gauge:
-                gauges[name] = instrument.value
-            else:
-                histograms[name] = instrument.as_dict()
-        for provider in self._providers:
-            for name, value in sorted(provider().items()):
-                if like is None or fnmatchcase(name, like):
-                    counters[name] = counters.get(name, 0) + value
+            counters = {
+                name: getattr(stats, field)
+                for name, stats, field in self._counters()
+                if like is None or fnmatchcase(name, like)
+            }
+            gauges: dict[str, float] = {}
+            histograms: dict[str, dict] = {}
+            for name in sorted(self._instruments):
+                if like is not None and not fnmatchcase(name, like):
+                    continue
+                instrument = self._instruments[name]
+                if type(instrument) is Gauge:
+                    gauges[name] = instrument.value
+                else:
+                    histograms[name] = instrument.as_dict()
         return {
             "schema": METRICS_SCHEMA,
-            "counters": counters,
+            "counters": dict(sorted(counters.items())),
             "gauges": gauges,
             "histograms": histograms,
         }
@@ -290,12 +247,12 @@ class MetricsRegistry:
     # -- reset ----------------------------------------------------------
 
     def reset(self) -> None:
-        """Zero every counter and histogram — including backed ones, so
-        one call clears the IoStats sheet *and* every subsystem stats
-        object registered over it (pool, version store, shipper, replica,
-        archiver). Gauges are derived and untouched."""
+        """Zero every counter and histogram: the one call that clears the
+        IoStats sheet *and* every subsystem sheet attached beside it
+        (pool, version store, shipper, replica, archiver), on the owner
+        objects themselves. Gauges are derived and untouched."""
         with self.latch:
+            for _name, stats, field in self._counters():
+                setattr(stats, field, 0)
             for instrument in self._instruments.values():
                 instrument.reset()
-            for hook in self._reset_hooks:
-                hook()

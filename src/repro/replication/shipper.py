@@ -47,6 +47,7 @@ from repro.errors import (
     ReplicationError,
     ReplicationFaultError,
 )
+from repro.latch import Latch
 from repro.replication.stream import LogFrame
 from repro.wal.lsn import format_lsn
 
@@ -111,6 +112,10 @@ class LogShipper:
         self.stats = ShipperStats()
         self._subs: dict[str, _Subscription] = {}
         self._registry = None
+        #: One poll at a time: read-cursor, ship, advance-cursor is one
+        #: step per subscriber. Past-retention readers poll the archiver
+        #: from session threads beside whoever pumps replication.
+        self.latch = Latch("log_shipper")
         db.add_retention_pin(self._retention_pin)
 
     # ------------------------------------------------------------------
@@ -201,37 +206,38 @@ class LogShipper:
         Fatal faults (reseed-required cursor divergence, archiver races)
         propagate.
         """
-        self.stats.polls += 1
-        log = self.db.log
-        now = self.db.env.clock.now()
-        chaos = getattr(self.db.env, "chaos", None)
-        total = 0
-        with self.db.env.tracer.span("repl.ship.poll", db=self.db.name) as span:
-            if getattr(self.db, "crashed", False):
-                down = DatabaseUnavailableError(
-                    f"primary {self.db.name!r} is down"
-                )
-                for sub in self._subs.values():
-                    if now >= sub.next_retry_s:
-                        self._note_failure(sub, down, now)
-                span.set(bytes=0)
-                return 0
-            target = log.durable_lsn
-            for sub in list(self._subs.values()):
-                if now < sub.next_retry_s:
-                    continue  # still backing off from the last failure
-                try:
-                    if chaos is not None:
-                        chaos.hit("repl.ship.poll", target=self.db.name)
-                    total += self._ship_to(sub, log, target, now, chaos)
-                except (ReplicationFaultError, FaultInjectedError) as err:
-                    if not err.transient:
-                        raise
-                    self._note_failure(sub, err, now)
-                else:
-                    self._note_progress(sub, now)
-            span.set(bytes=total)
-        return total
+        with self.latch:
+            self.stats.polls += 1
+            log = self.db.log
+            now = self.db.env.clock.now()
+            chaos = getattr(self.db.env, "chaos", None)
+            total = 0
+            with self.db.env.tracer.span("repl.ship.poll", db=self.db.name) as span:
+                if getattr(self.db, "crashed", False):
+                    down = DatabaseUnavailableError(
+                        f"primary {self.db.name!r} is down"
+                    )
+                    for sub in self._subs.values():
+                        if now >= sub.next_retry_s:
+                            self._note_failure(sub, down, now)
+                    span.set(bytes=0)
+                    return 0
+                target = log.durable_lsn
+                for sub in list(self._subs.values()):
+                    if now < sub.next_retry_s:
+                        continue  # still backing off from the last failure
+                    try:
+                        if chaos is not None:
+                            chaos.hit("repl.ship.poll", target=self.db.name)
+                        total += self._ship_to(sub, log, target, now, chaos)
+                    except (ReplicationFaultError, FaultInjectedError) as err:
+                        if not err.transient:
+                            raise
+                        self._note_failure(sub, err, now)
+                    else:
+                        self._note_progress(sub, now)
+                span.set(bytes=total)
+            return total
 
     def _ship_to(self, sub, log, target: int, now: float, chaos) -> int:
         """Ship everything pending to one subscriber; returns bytes."""

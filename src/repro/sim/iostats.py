@@ -5,31 +5,27 @@ snapshot layers. Figure 11 of the paper ("estimated number of undo IOs") is
 read directly off these counters; the other figures are derived from the
 simulated time the devices charge while the counters tick.
 
-Since the observability layer landed, the attribute API here is a thin
-shim over the env-wide :class:`~repro.obs.registry.MetricsRegistry`:
-:meth:`IoStats.bind_registry` (called by :class:`~repro.config.SimEnv`)
-registers every field as a backed ``io.<name>`` counter, so the registry
-reads and resets the very same storage the hot paths bump. A *bound*
-sheet's :meth:`reset` delegates to ``registry.reset()`` — one call clears
-the io counters, the ad-hoc extras, **and** every subsystem stats object
-registered over the same registry (pool, version store, shipper, replica,
-archiver) — closing the gap where ``env.stats.reset()`` zeroed
-``version_store_*`` mirrors but left the store's own counters ticking.
+The dataclass is the only storage: hot paths bump its attributes, and
+:class:`~repro.config.SimEnv` attaches it to the env-wide
+:class:`~repro.obs.registry.MetricsRegistry` as the ``io`` sheet, which
+reads the same fields for ``io.<name>`` in snapshots. :meth:`IoStats.reset`
+zeroes this sheet only; ``MetricsRegistry.reset()`` (``Engine
+.reset_metrics()``) is the one call that clears every sheet of the
+environment — pool, version store, shipper, replica, archiver — with it.
 
 Concurrency: individual ``+=`` bumps from different sessions are benign
 under the GIL for *reporting* counters (a lost increment skews a report,
 never corrupts engine state), but multi-counter **views** must not tear
-mid-operation — so :meth:`snapshot`, :meth:`delta`, :meth:`as_dict`,
-:meth:`bump` on ad-hoc extras, and the unbound :meth:`reset` serialize
-on an internal leaf lock (``_lock``; nothing is called while holding
-it, so it can never participate in a latch-order cycle).
+mid-operation — so :meth:`snapshot`, :meth:`delta`, :meth:`as_dict` and
+:meth:`reset` serialize on an internal leaf lock (``_lock``; nothing is
+called while holding it, so it can never participate in a latch-order
+cycle).
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field, fields
-from functools import partial
+from dataclasses import dataclass, fields
 
 
 @dataclass
@@ -86,13 +82,6 @@ class IoStats:
     sparse_writes: int = 0
     sparse_bytes: int = 0
 
-    # Cross-snapshot page version store (interval-keyed prepared pages).
-    version_store_hits: int = 0
-    version_store_misses: int = 0
-    version_store_publishes: int = 0
-    version_store_evictions: int = 0
-    version_store_invalidations: int = 0
-
     # Backup/restore traffic.
     backup_read_bytes: int = 0
     backup_write_bytes: int = 0
@@ -113,58 +102,17 @@ class IoStats:
     deadlocks: int = 0
     lock_waits: int = 0
 
-    _extra: dict = field(default_factory=dict, repr=False)
-
     def __post_init__(self) -> None:
         # Not a dataclass field: the lock must stay out of ``fields()``
         # iteration, comparisons, and serialized views.
         self._lock = threading.Lock()
-
-    def bind_registry(self, registry) -> None:
-        """Expose every counter through ``registry`` as ``io.<name>``.
-
-        The registry's counters are *backed* by this object's fields —
-        no double bookkeeping — and the ad-hoc ``_extra`` counters join
-        snapshots through a provider. After binding, :meth:`reset`
-        delegates to ``registry.reset()``.
-        """
-        self._registry = registry
-        for spec in fields(self):
-            if spec.name == "_extra":
-                continue
-            registry.backed_counter(
-                f"io.{spec.name}",
-                read=partial(getattr, self, spec.name),
-                write=partial(setattr, self, spec.name),
-            )
-        registry.add_provider(
-            lambda: {f"io.{key}": value for key, value in self._extra.items()}
-        )
-        registry.add_reset_hook(self._extra.clear)
-
-    def bump(self, counter: str, amount: int = 1) -> None:
-        """Increment ``counter`` by ``amount`` (creating ad-hoc counters)."""
-        if hasattr(self, counter) and not counter.startswith("_"):
-            setattr(self, counter, getattr(self, counter) + amount)
-        else:
-            with self._lock:
-                self._extra[counter] = self._extra.get(counter, 0) + amount
-
-    def get(self, counter: str) -> int:
-        """Read a counter by name (0 for unknown ad-hoc counters)."""
-        if hasattr(self, counter) and not counter.startswith("_"):
-            return getattr(self, counter)
-        return self._extra.get(counter, 0)
 
     def snapshot(self) -> "IoStats":
         """A frozen copy of the current counter values."""
         copy = IoStats()
         with self._lock:
             for spec in fields(self):
-                if spec.name == "_extra":
-                    continue
                 setattr(copy, spec.name, getattr(self, spec.name))
-            copy._extra = dict(self._extra)
         return copy
 
     def delta(self, since: "IoStats") -> "IoStats":
@@ -172,47 +120,20 @@ class IoStats:
         diff = IoStats()
         with self._lock:
             for spec in fields(self):
-                if spec.name == "_extra":
-                    continue
                 setattr(
                     diff,
                     spec.name,
                     getattr(self, spec.name) - getattr(since, spec.name),
                 )
-            keys = set(self._extra) | set(since._extra)
-            diff._extra = {
-                key: self._extra.get(key, 0) - since._extra.get(key, 0)
-                for key in keys
-            }
         return diff
 
     def as_dict(self) -> dict:
-        """All counters (including ad-hoc ones) as a plain dict."""
+        """All counters as a plain dict."""
         with self._lock:
-            result = {
-                spec.name: getattr(self, spec.name)
-                for spec in fields(self)
-                if spec.name != "_extra"
-            }
-            result.update(self._extra)
-            return result
+            return {spec.name: getattr(self, spec.name) for spec in fields(self)}
 
     def reset(self) -> None:
-        """Zero every counter in place.
-
-        When bound to a registry (the normal, in-``SimEnv`` case) this
-        resets the *whole registry* — the ``io.*`` fields here, the
-        ad-hoc extras, and every subsystem stats object (pool, version
-        store, shipper, replica, archiver) registered over it — so one
-        reset really clears all engine counters.
-        """
-        registry = getattr(self, "_registry", None)
-        if registry is not None:
-            registry.reset()
-            return
+        """Zero every counter of this sheet in place."""
         with self._lock:
             for spec in fields(self):
-                if spec.name == "_extra":
-                    continue
                 setattr(self, spec.name, 0)
-            self._extra.clear()

@@ -292,9 +292,7 @@ class Session:
                         sim_s=elapsed,
                         spans=handle.render(),
                     )
-        env.metrics.histogram(
-            "sql.execute_sim_s", "sim-seconds per SQL statement"
-        ).observe(elapsed)
+        self.engine.statement_sim_s.observe(elapsed)
         self.engine.monitor_tick()
         return result
 

@@ -166,13 +166,6 @@ class BufferPool:
             self.file_manager.write_page(frame.page_id, bytes(frame.page.data))
             frame.dirty = False
 
-    def flush_page(self, page_id: int) -> None:
-        """Write one page back if dirty (stays cached)."""
-        with self.latch:
-            frame = self._frames.get(page_id)
-            if frame is not None and frame.dirty:
-                self._write_back(frame)
-
     def flush_all(self) -> int:
         """Write every dirty page back (checkpoint); returns pages written."""
         with self.latch:
@@ -192,15 +185,6 @@ class BufferPool:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-
-    def drop_clean(self, page_id: int) -> None:
-        """Forget a cached page without writing it (snapshot caches)."""
-        with self.latch:
-            frame = self._frames.get(page_id)
-            if frame is not None:
-                if frame.pin_count:
-                    raise BufferPoolError(f"page {page_id} is pinned")
-                del self._frames[page_id]
 
     def crash(self) -> None:
         """Simulate power loss: all buffered state disappears."""

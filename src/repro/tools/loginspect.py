@@ -380,45 +380,6 @@ def dump_archive(source, db_name: str | None = None, *, limit: int = 100) -> lis
     return lines
 
 
-def metrics_report(engine, db_name: str | None = None) -> list[str]:
-    """Cursor-lag and health gauges for a live engine, as text lines.
-
-    Reads the shipping/apply/archive/retention sections of the engine's
-    metrics registry (``shipper.*``, ``archive.*``, ``replica.*``,
-    ``log.*``, ``retention.*``). ``db_name`` keeps only instruments whose
-    instance segment matches (replica instruments are named after the
-    *replica*, so they pass the filter only unfiltered). Histograms are
-    reported as interpolated p50/p95/p99 summaries rather than raw
-    bucket dumps.
-    """
-    from repro.obs.export import (
-        flatten_snapshot,
-        format_metric_value,
-        histogram_percentiles,
-    )
-
-    sections = ("shipper", "archive", "replica", "log", "retention")
-    snap = engine.metrics_snapshot()
-    lines = []
-    for name, value in flatten_snapshot(snap).items():
-        head, _, rest = name.partition(".")
-        if head not in sections:
-            continue
-        if db_name is not None and not rest.startswith(f"{db_name}."):
-            continue
-        lines.append(f"{name} = {format_metric_value(value)}")
-    for name in sorted(snap.get("histograms", {})):
-        hist = snap["histograms"][name]
-        if hist["count"] == 0:
-            continue
-        quantiles = " ".join(
-            f"{label}={format_metric_value(value)}"
-            for label, value in histogram_percentiles(hist).items()
-        )
-        lines.append(f"{name}: count={hist['count']} {quantiles}")
-    return lines
-
-
 def archive_metrics_report(source, db_name: str | None = None) -> list[str]:
     """Offline cursor gauges recovered from archived segments alone.
 

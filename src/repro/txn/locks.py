@@ -151,19 +151,6 @@ class LockManager:
 
     # ------------------------------------------------------------------
 
-    def holders_of(self, key: tuple) -> frozenset:
-        with self.latch:
-            entry = self._table.get(key)
-            return frozenset(entry.holders) if entry else frozenset()
-
-    def held_by(self, txn_id: int) -> list[tuple]:
-        with self.latch:
-            return [
-                key
-                for key, entry in self._table.items()
-                if txn_id in entry.holders
-            ]
-
     def lock_count(self) -> int:
         with self.latch:
             return sum(len(entry.holders) for entry in self._table.values())

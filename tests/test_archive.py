@@ -5,6 +5,8 @@ surface (BACKUP DATABASE / RESTORE DATABASE ... AS OF)."""
 from __future__ import annotations
 
 import os
+import sys
+import threading
 
 import pytest
 
@@ -28,7 +30,7 @@ from repro.sim.device import SLC_SSD
 from repro.tools import check_database, dump_archive, dump_archived_segment
 from repro.tools.loginspect import main as loginspect_main
 from repro.wal.lsn import FIRST_LSN
-from tests.conftest import assert_refuses_writes, fill_items
+from tests.conftest import ITEMS_SCHEMA, assert_refuses_writes, fill_items
 
 
 def expire_retention(db, window_s: float = 10.0) -> None:
@@ -141,8 +143,6 @@ class TestLogArchiver:
         engine.archives["itemsdb"].poll()
         old_store = engine.archives["itemsdb"].store
         engine.drop_database("itemsdb")
-        from tests.conftest import ITEMS_SCHEMA
-
         reborn = engine.create_database("itemsdb")
         reborn.create_table(ITEMS_SCHEMA)
         # Reusing the name forfeits the namesake's archive entirely...
@@ -598,3 +598,47 @@ class TestLoginspectArchive:
         engine.archives["itemsdb"].poll()
         lines = dump_archive(engine.archives["itemsdb"].store, "itemsdb", limit=10)
         assert len(lines) <= 13  # limit + segment headers + ellipsis
+
+
+def test_fresh_log_view_under_racing_first_readers(engine):
+    """Session threads whose past-retention reads are the first to touch
+    a database's archived log view: unlatched, two of them ingest segment
+    0 twice (``WalError: ingest at 0x8 does not continue the log``) or
+    ship one pending range to the archiver twice. Five fresh views per
+    run, and a busy thread for the preemptions a quiet host rarely gives."""
+    marks = {}
+    for name in "abcde":
+        db = engine.create_database(name)
+        db.create_table(ITEMS_SCHEMA)
+        fill_items(db, 30)
+        engine.backup_database(name)
+        marks[name] = db.env.clock.now()
+        db.env.clock.advance(10)
+        fill_items(db, 30, start=30)
+        expire_retention(db)  # leaves checkpoints the archiver has yet to receive
+    stop = threading.Event()
+
+    def hog() -> None:
+        while not stop.is_set():
+            sum(range(200))
+
+    def session(name: str) -> int:
+        with engine.query_as_of(name, marks[name]) as copy:
+            return len(list(copy.scan("items")))
+
+    busy = threading.Thread(target=hog, daemon=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    busy.start()
+    try:
+        for name in marks:
+            tasks = [lambda name=name: session(name) for _ in range(6)]
+            assert engine.run_sessions(tasks, workers=6, timeout_s=60.0) == [30] * 6
+    finally:
+        stop.set()
+        busy.join(timeout=10.0)
+        sys.setswitchinterval(interval)
+    assert not busy.is_alive()
+    for name in marks:
+        store = engine.archives[name].store
+        assert store.log_view(name).log.end_lsn == store.coverage(name)[1]

@@ -150,15 +150,6 @@ class TestFlush:
         assert pool.dirty_page_ids() == []
         assert Page(fm.read_page(1)).record(0) == b"1"
 
-    def test_flush_page_single(self):
-        pool, fm, _log, _env = make_pool()
-        with pool.fetch(0, create=True) as guard:
-            guard.page.format(0, PageType.HEAP)
-            guard.mark_dirty()
-        pool.flush_page(0)
-        assert pool.dirty_page_ids() == []
-        assert Page(fm.read_page(0)).is_formatted()
-
     def test_crash_loses_buffered_state(self):
         pool, fm, _log, _env = make_pool()
         with pool.fetch(0, create=True) as guard:
@@ -167,17 +158,3 @@ class TestFlush:
         pool.crash()
         assert len(pool) == 0
         assert not Page(fm.read_page(0)).is_formatted()
-
-    def test_drop_clean(self):
-        pool, _fm, _log, _env = make_pool()
-        with pool.fetch(0, create=True):
-            pass
-        pool.drop_clean(0)
-        assert pool.peek(0) is None
-
-    def test_drop_pinned_rejected(self):
-        pool, _fm, _log, _env = make_pool()
-        guard = pool.fetch(0, create=True)
-        with pytest.raises(BufferPoolError):
-            pool.drop_clean(0)
-        guard.unpin()

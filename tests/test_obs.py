@@ -3,8 +3,10 @@
 The acceptance contract this file pins down, from the public surface
 only (SQL and the engine API):
 
-* one ``reset()`` clears *every* counter — the io sheet, the ad-hoc
-  extras, and each subsystem stats object registered over the registry;
+* a counter is a field of a stats sheet and nothing else (read, reset,
+  retired and re-attached through its owner) for every ``install_*``;
+  one ``metrics.reset()`` clears every sheet; one topology's metric
+  names and values are pinned;
 * a warm AS OF re-read shows a ``version_store.lookup hit=True`` span
   and **zero** undo-path log reads, while the cold run shows the chain
   walk with its coalesced-span read counts;
@@ -15,6 +17,8 @@ only (SQL and the engine API):
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass, fields
+from pathlib import Path
 
 import pytest
 
@@ -32,46 +36,40 @@ from tests.conftest import ITEMS_SCHEMA, fill_items
 # ---------------------------------------------------------------------------
 
 
+@dataclass
+class _Sheet:
+    """A stand-in subsystem stats sheet."""
+
+    hits: int = 0
+    frames: int = 0
+
+
 class TestRegistry:
-    def test_counter_owned_and_backed(self):
+    def test_kind_clash_rejected(self):
         registry = MetricsRegistry()
-        owned = registry.counter("a.hits")
-        owned.inc()
-        owned.inc(2)
-        assert owned.value == 3
-
-        class Stats:
-            misses = 0
-
-        stats = Stats()
-        backed = registry.backed_counter(
-            "a.misses",
-            read=lambda: stats.misses,
-            write=lambda v: setattr(stats, "misses", v),
-        )
-        backed.inc(5)
-        assert stats.misses == 5  # the external storage is the storage
-        stats.misses = 9
-        assert backed.value == 9
-
-    def test_counter_rejects_negative_and_kind_clash(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("a.n")
+        registry.sheet("a", _Sheet())
+        registry.gauge("a.lag", lambda: 0)
         with pytest.raises(ValueError):
-            counter.inc(-1)
+            registry.gauge("a.hits", lambda: 0)  # a counter of the sheet
         with pytest.raises(ValueError):
-            registry.gauge("a.n", lambda: 0)
+            registry.histogram("a.lag")
+        registry.gauge("b.hits", lambda: 0)
+        with pytest.raises(ValueError):
+            registry.sheet("b", _Sheet())  # its ``hits`` would shadow the gauge
 
     def test_reregistration_semantics(self):
         registry = MetricsRegistry()
-        # Owned counters and histograms return the existing instrument.
-        assert registry.counter("a.n") is registry.counter("a.n")
+        # Histograms return the existing instrument.
         assert registry.histogram("a.h") is registry.histogram("a.h")
-        # Gauges and backed counters *replace* — a subsystem restart
-        # rebinds the metric to its new live object.
+        # Gauges and sheets *replace* — a subsystem restart rebinds the
+        # metric to its new live object.
         registry.gauge("a.g", lambda: 1)
         registry.gauge("a.g", lambda: 2)
-        assert registry.snapshot()["gauges"]["a.g"] == 2
+        registry.sheet("a", _Sheet(hits=1))
+        registry.sheet("a", _Sheet(hits=2))
+        snap = registry.snapshot()
+        assert snap["gauges"]["a.g"] == 2
+        assert snap["counters"] == {"a.frames": 0, "a.hits": 2}
 
     def test_histogram_buckets_deterministic(self):
         registry = MetricsRegistry()
@@ -86,39 +84,135 @@ class TestRegistry:
 
     def test_snapshot_glob_and_flatten(self):
         registry = MetricsRegistry()
-        registry.counter("pool.hits").inc(3)
-        registry.counter("log.records").inc(7)
+        registry.sheet("pool", _Sheet(hits=3))
+        registry.sheet("log", _Sheet(frames=7))
         registry.gauge("pool.bytes", lambda: 11)
         snap = registry.snapshot("pool.*")
         assert snap["schema"] == METRICS_SCHEMA
-        assert list(snap["counters"]) == ["pool.hits"]
-        flat = flatten_snapshot(registry.snapshot())
-        assert flat == {"log.records": 7, "pool.bytes": 11, "pool.hits": 3}
-        assert metrics_to_text(snap) == ["pool.bytes = 11", "pool.hits = 3"]
+        assert list(snap["counters"]) == ["pool.frames", "pool.hits"]
+        flat = flatten_snapshot(registry.snapshot("*.[bh]*"))
+        assert flat == {"log.hits": 0, "pool.bytes": 11, "pool.hits": 3}
+        assert metrics_to_text(snap) == ["pool.bytes = 11", "pool.frames = 0", "pool.hits = 3"]
 
     def test_remove_prefix_unwinds_subsystem(self):
         registry = MetricsRegistry()
-        registry.counter("replica.r1.frames").inc()
+        registry.sheet("replica.r1", _Sheet())
         registry.gauge("replica.r1.lag", lambda: 0)
-        registry.counter("replica.r2.frames").inc()
+        registry.sheet("replica.r2", _Sheet())
         registry.remove_prefix("replica.r1.")
-        assert registry.names("replica.*") == ["replica.r2.frames"]
+        assert registry.names("replica.*") == ["replica.r2.frames", "replica.r2.hits"]
 
     def test_reset_zeroes_counters_and_histograms(self):
         registry = MetricsRegistry()
-        registry.counter("a.n").inc(4)
+        sheet = _Sheet(hits=4)
+        registry.sheet("a", sheet)
         registry.histogram("a.h").observe(1.0)
         registry.gauge("a.g", lambda: 42)
         registry.reset()
         snap = registry.snapshot()
-        assert snap["counters"]["a.n"] == 0
+        assert sheet.hits == snap["counters"]["a.hits"] == 0
         assert snap["histograms"]["a.h"]["count"] == 0
         assert snap["gauges"]["a.g"] == 42  # derived, untouched
 
 
 # ---------------------------------------------------------------------------
-# IoStats shim over the registry: the one-reset contract
+# One fixed topology: its names and values pinned, its sheets held to
+# the one-storage contract
 # ---------------------------------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "golden" / "metrics_topology.json"
+
+
+def _topology(env=None) -> Engine:
+    """Something behind every ``install_*`` function: a primary with its
+    shipper and archiver, a standby, one pooled AS OF read through SQL
+    and one named snapshot."""
+    engine = Engine(
+        env if env is not None else SimEnv.for_tests(),
+        config=DatabaseConfig(page_size=1024, buffer_pool_pages=64),
+    )
+    db = engine.create_database("shop")
+    db.create_table(ITEMS_SCHEMA)
+    fill_items(db, 40)
+    engine.backup_database("shop")
+    engine.add_replica("shop", "standby")
+    mark = engine.env.clock.now()
+    engine.env.clock.advance(1.0)
+    fill_items(db, 40, start=40)
+    engine.replication_tick()
+    assert engine.sql(f"SELECT qty FROM items AS OF {mark} WHERE id = 1", "shop").scalar() == 10
+    engine.create_asof_snapshot("shop", "shop_then", mark)
+    return engine
+
+
+def test_metric_names_and_values_are_pinned():
+    """Captured at 436447b (before the sheets became the only storage);
+    the one edit since is the five ``io.version_store_*`` mirrors gone."""
+    engine = _topology()
+    golden = json.loads(GOLDEN.read_text())
+    assert sorted(engine.metrics.names()) == golden["names"]
+    assert engine.metrics_snapshot() == golden["snapshot"]
+
+
+#: prefix -> (the object whose ``.stats`` is attached under it, what has
+#: to leave for the sheet to go: a replica, a database, the engine itself
+#: or — None — the env).
+SHEETS = {
+    "io": (lambda e: e.env, None),
+    "pool.engine": (lambda e: e.snapshot_pool, "engine"),
+    "version_store": (lambda e: e.version_store, "engine"),
+    "replica.standby": (lambda e: e.replicas["standby"], "standby"),
+    "pool.standby": (lambda e: e.replicas["standby"].snapshot_pool, "standby"),
+    "shipper.shop": (lambda e: e.shipper_for("shop"), "shop"),
+    "archive.shop": (lambda e: e.archives["shop"], "shop"),
+}
+
+
+@pytest.mark.parametrize("prefix", SHEETS)
+def test_sheet_contract(prefix):
+    """A counter exists once, as a field of its owner's sheet: the
+    registry reads the attribute, ``reset`` zeroes the attribute, the
+    sheet leaves with its owner, and a namesake's sheet is the new
+    object's."""
+    owner_of, scope = SHEETS[prefix]
+    engine = _topology()
+    sheet = owner_of(engine).stats
+
+    def exported(engine) -> dict:
+        return engine.metrics_snapshot(f"{prefix}.*")["counters"]
+
+    def held(sheet) -> dict:
+        return {f"{prefix}.{spec.name}": getattr(sheet, spec.name) for spec in fields(sheet)}
+
+    for value, spec in enumerate(fields(sheet), start=1):
+        setattr(sheet, spec.name, value)
+    assert exported(engine) == held(sheet) and 0 not in held(sheet).values()
+    engine.reset_metrics()
+    assert exported(engine) == held(sheet) and not any(held(sheet).values())
+    if scope is None:
+        return
+    for spec in fields(sheet):
+        setattr(sheet, spec.name, -1)  # the old object, marked
+    if scope != "engine":
+        (engine.drop_replica if scope == "standby" else engine.drop_database)(scope)
+        assert exported(engine) == {}
+    engine = _topology(engine.env)  # namesakes of every owner, same machine
+    fresh = owner_of(engine).stats
+    assert fresh is not sheet and exported(engine) == held(fresh)
+
+
+def test_one_reset_clears_every_counter():
+    """`env.metrics.reset()` clears the io sheet *and* every subsystem
+    sheet, on the owner objects themselves: there is no second copy."""
+    engine = _topology()
+    sheets = [owner_of(engine).stats for owner_of, _scope in SHEETS.values()]
+    busy = [sheet for sheet in sheets if any(getattr(sheet, f.name) for f in fields(sheet))]
+    assert len(busy) >= 5  # all but the idle engine pool (the standby served the read)
+    engine.env.metrics.reset()
+    snap = engine.metrics_snapshot()
+    assert not any(snap["counters"].values())
+    assert not any(hist["count"] for hist in snap["histograms"].values())
+    assert not any(getattr(sheet, f.name) for sheet in sheets for f in fields(sheet))
 
 
 def _traced_engine():
@@ -128,57 +222,6 @@ def _traced_engine():
     db = engine.create_database("vdb")
     db.create_table(ITEMS_SCHEMA)
     return engine, db
-
-
-def test_one_reset_clears_every_counter(items_schema):
-    """`env.stats.reset()` clears the io sheet, the ad-hoc extras *and*
-    every subsystem stats object — the PR-4-era gap where
-    `version_store_*` mirrors were zeroed while the store's own counters
-    kept ticking is closed."""
-    engine, db = _traced_engine()
-    clock = engine.env.clock
-    fill_items(db, 20)
-    clock.advance(5)
-    t_past = clock.now()
-    clock.advance(5)
-    with db.transaction() as txn:
-        for i in range(20):
-            db.update(txn, "items", (i,), {"qty": i})
-    with engine.query_as_of("vdb", t_past) as snap:
-        list(snap.scan("items"))
-    engine.snapshot_pool.clear()
-    with engine.query_as_of("vdb", t_past) as snap:
-        list(snap.scan("items"))
-    engine.env.stats.bump("adhoc_probe", 3)
-
-    stats = engine.env.stats
-    assert stats.log_records > 0
-    assert stats.pages_prepared_asof > 0
-    assert stats.version_store_publishes > 0
-    assert stats.version_store_hits > 0
-    assert engine.version_store.stats.hits > 0
-    assert engine.snapshot_pool.stats.misses > 0
-
-    stats.reset()
-
-    flat = flatten_snapshot(engine.metrics_snapshot())
-    nonzero = {
-        name: value
-        for name, value in flat.items()
-        if value and (name.split(".")[-1] not in ("count", "sum"))
-        and not _is_gauge(engine, name)
-    }
-    assert nonzero == {}, f"counters survived reset: {nonzero}"
-    # The subsystem stats objects themselves were cleared too.
-    assert engine.version_store.stats.hits == 0
-    assert engine.snapshot_pool.stats.misses == 0
-    assert stats.get("adhoc_probe") == 0
-
-
-def _is_gauge(engine, name: str) -> bool:
-    from repro.obs.registry import Gauge
-
-    return type(engine.env.metrics.get(name)) is Gauge
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +284,7 @@ def test_warm_trace_hits_store_and_skips_undo(items_schema):
     io = warm.root.io
     assert io.get("undo_log_reads", 0) == 0
     assert io.get("undo_header_reads", 0) == 0
-    assert io.get("version_store_hits", 0) == len(probes)
+    assert engine.version_store.stats.hits == len(probes)
 
 
 def test_span_nesting_and_sim_timing(items_schema):

@@ -143,9 +143,10 @@ class TestUndoDrain:
         engine.add_replica(db.name, "standby")
         with engine.query_as_of(db.name, engine.env.clock.now()) as view:
             assert sum(1 for _ in view.scan("items")) == 6
-        # Served by the standby's pool; draining via the engine reaches it.
-        assert engine.replicas["standby"].snapshot_pool.stats.misses == 1
-        assert engine.drain_snapshot_pools() == 0  # nothing pending: no-op
+        # Served by the standby's pool, which drains like the engine's.
+        standby_pool = engine.replicas["standby"].snapshot_pool
+        assert standby_pool.stats.misses == 1
+        assert standby_pool.drain() == 0  # nothing pending: no-op
 
 
 class TestUseAsOfSessions:

@@ -104,19 +104,6 @@ class TestIoStats:
         assert stats.page_reads == 0
         assert stats.undo_log_reads == 0
 
-    def test_bump_known_counter(self):
-        stats = IoStats()
-        stats.bump("page_reads", 3)
-        assert stats.page_reads == 3
-        assert stats.get("page_reads") == 3
-
-    def test_bump_adhoc_counter(self):
-        stats = IoStats()
-        stats.bump("custom_thing")
-        stats.bump("custom_thing", 4)
-        assert stats.get("custom_thing") == 5
-        assert stats.as_dict()["custom_thing"] == 5
-
     def test_snapshot_is_frozen_copy(self):
         stats = IoStats()
         stats.page_reads = 7
@@ -129,53 +116,15 @@ class TestIoStats:
         stats.page_reads = 5
         before = stats.snapshot()
         stats.page_reads = 12
-        stats.bump("adhoc", 2)
         diff = stats.delta(before)
         assert diff.page_reads == 7
-        assert diff.get("adhoc") == 2
+        assert diff.page_writes == 0
 
     def test_reset(self):
         stats = IoStats()
         stats.page_reads = 5
-        stats.bump("adhoc")
         stats.reset()
         assert stats.page_reads == 0
-        assert stats.get("adhoc") == 0
-
-    def test_unknown_get_returns_zero(self):
-        assert IoStats().get("never_seen") == 0
-
-    def test_concurrent_bumps_and_snapshots_are_atomic(self):
-        """The leaf-lock contract the concurrent engine relies on: ad-hoc
-        bumps from many threads all land, and every snapshot taken
-        mid-storm is internally consistent (no torn _extra dict)."""
-        import threading
-
-        stats = IoStats()
-        barrier = threading.Barrier(5)
-        snapshots = []
-
-        def bumper():
-            barrier.wait(10.0)
-            for _ in range(500):
-                stats.bump("storm_counter")
-
-        def observer():
-            barrier.wait(10.0)
-            for _ in range(200):
-                snapshots.append(stats.snapshot().get("storm_counter"))
-
-        threads = [threading.Thread(target=bumper) for _ in range(4)]
-        threads.append(threading.Thread(target=observer))
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(10.0)
-            assert not t.is_alive()
-        assert stats.get("storm_counter") == 4 * 500
-        # Observed values never exceed the final total and never regress.
-        assert all(0 <= v <= 2000 for v in snapshots)
-        assert snapshots == sorted(snapshots)
 
     def test_concurrent_clock_advances_all_land(self):
         """SimClock.advance is a locked read-modify-write: concurrent
