@@ -13,7 +13,11 @@ from __future__ import annotations
 
 from repro.errors import RetentionExceededError
 from repro.wal.lsn import FIRST_LSN, NULL_LSN
-from repro.wal.records import CheckpointBeginRecord, CommitRecord
+from repro.wal.records import CheckpointBeginRecord, RecordType
+
+#: Split search reads commit records only; the scan still checks (and is
+#: charged for) every record it passes over.
+_COMMITS = (RecordType.COMMIT,)
 
 
 def checkpoint_chain(db, *, max_entries: int | None = None):
@@ -87,10 +91,10 @@ def _last_commit_lsn(db) -> int:
     for start in dict.fromkeys((base, db.log.start_lsn)):
         last_commit = NULL_LSN
         last_record = NULL_LSN
-        for rec in db.log.scan(start):
-            last_record = rec.lsn
-            if isinstance(rec, CommitRecord):
-                last_commit = rec.lsn
+        for header, _raw in db.log.scan_headers(start):
+            last_record = header.lsn
+            if header.record_type == RecordType.COMMIT:
+                last_commit = header.lsn
         if last_commit != NULL_LSN:
             return last_commit
     if last_record != NULL_LSN:
@@ -137,10 +141,8 @@ def find_split_lsn(db, target_wall: float) -> int:
 
     # Scan forward for the last commit at or before the target.
     split = base_lsn
-    for rec in db.log.scan(base_lsn):
-        if isinstance(rec, CommitRecord):
-            if rec.wall_clock <= target_wall:
-                split = rec.lsn
-            else:
-                break
+    for rec in db.log.scan(base_lsn, types=_COMMITS):
+        if rec.wall_clock > target_wall:
+            break
+        split = rec.lsn
     return split

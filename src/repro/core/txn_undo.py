@@ -33,6 +33,7 @@ from repro.wal.records import (
     DeleteRowRecord,
     FormatPageRecord,
     InsertRowRecord,
+    RecordType,
     UpdateRowRecord,
 )
 
@@ -67,14 +68,14 @@ def _find_transaction(db, txn_id: int):
     last_lsn = NULL_LSN
     committed = False
     aborted = False
-    for rec in db.log.scan(db.log.start_lsn, stop_on_torn_tail=True):
-        if rec.txn_id != txn_id:
+    for header, _raw in db.log.scan_headers(db.log.start_lsn, stop_on_torn_tail=True):
+        if header.txn_id != txn_id:
             continue
-        if isinstance(rec, CommitRecord):
+        if header.record_type == RecordType.COMMIT:
             committed = True
-        elif type(rec).__name__ == "AbortRecord":
+        elif header.record_type == RecordType.ABORT:
             aborted = True
-        last_lsn = rec.lsn
+        last_lsn = header.lsn
     return last_lsn, committed, aborted
 
 

@@ -31,11 +31,19 @@ from repro.txn.undo import rollback_losers
 from repro.wal.apply import RedoApplier
 from repro.wal.lsn import FIRST_LSN, NULL_LSN
 from repro.wal.records import (
+    FLAG_SMO,
+    RECORD_CLASSES,
     AbortRecord,
-    BeginRecord,
-    CheckpointBeginRecord,
-    CommitRecord,
+    RecordType,
+    decode_record,
 )
+
+#: What analysis knows a record by: its wire type, straight off the header.
+_PAGE_MODS = frozenset(rtype for rtype, cls in RECORD_CLASSES.items() if cls.IS_PAGE_MOD)
+#: Types whose body names the row they touch (``key_bytes``): the one body
+#: field analysis reads, and only for transactions that end up losers.
+_KEYED = frozenset(rtype for rtype, cls in RECORD_CLASSES.items() if "key_bytes" in cls.__slots__)
+_TXN_END = (RecordType.COMMIT, RecordType.ABORT)
 
 
 @dataclass
@@ -60,32 +68,47 @@ class AnalysisResult:
 
 
 def analyze_log(log, start_lsn: int, to_lsn: int | None = None) -> AnalysisResult:
-    """Scan ``[start_lsn, to_lsn)`` rebuilding transaction and page state."""
+    """Scan ``[start_lsn, to_lsn)`` rebuilding transaction and page state.
+
+    Header-driven: transaction and page state come from header fields, so
+    no record body is decoded on the way — except the starting checkpoint's
+    active-transaction table, and the lock keys of losers. A keyed row
+    record of a transaction still open is kept as raw bytes and dropped
+    when that transaction ends; what is left at the end of the window
+    belongs to losers and is decoded then, in log order.
+    """
     result = AnalysisResult()
-    for rec in log.scan(start_lsn, to_lsn, stop_on_torn_tail=True):
-        result.end_lsn = rec.lsn
-        if isinstance(rec, CheckpointBeginRecord) and rec.lsn == start_lsn:
-            for txn_id, last_lsn in rec.active_txns:
-                result.losers[txn_id] = last_lsn
-                result.checkpoint_seeded.add(txn_id)
-                result.max_txn_id = max(result.max_txn_id, txn_id)
+    losers, dirty_pages = result.losers, result.dirty_pages
+    #: txn_id -> [(lsn, object_id, txn_id, raw record)], keyed non-SMO rows.
+    open_rows: dict[int, list] = {}
+    for header, raw in log.scan_headers(
+        start_lsn, to_lsn, raw=_KEYED | {RecordType.CHECKPOINT_BEGIN}, stop_on_torn_tail=True
+    ):
+        lsn, rtype, txn_id = header.lsn, header.record_type, header.txn_id
+        result.end_lsn = lsn
+        if rtype == RecordType.CHECKPOINT_BEGIN and lsn == start_lsn:
+            for active_id, last_lsn in decode_record(raw, 0, lsn)[0].active_txns:
+                losers[active_id] = last_lsn
+                result.checkpoint_seeded.add(active_id)
+                result.max_txn_id = max(result.max_txn_id, active_id)
             continue
-        if rec.txn_id:
-            result.max_txn_id = max(result.max_txn_id, rec.txn_id)
-        if isinstance(rec, BeginRecord):
-            result.losers[rec.txn_id] = rec.lsn
-        elif isinstance(rec, (CommitRecord, AbortRecord)):
-            result.losers.pop(rec.txn_id, None)
-            result.loser_locks.pop(rec.txn_id, None)
-        elif rec.IS_PAGE_MOD:
-            if rec.txn_id in result.losers:
-                result.losers[rec.txn_id] = rec.lsn
-                key_bytes = getattr(rec, "key_bytes", b"")
-                if key_bytes and not rec.is_smo:
-                    result.loser_locks.setdefault(rec.txn_id, []).append(
-                        (rec.object_id, key_bytes)
-                    )
-            result.dirty_pages.setdefault(rec.page_id, rec.lsn)
+        if txn_id > result.max_txn_id:
+            result.max_txn_id = txn_id
+        if rtype == RecordType.BEGIN:
+            losers[txn_id] = lsn
+        elif rtype in _TXN_END:
+            losers.pop(txn_id, None)
+            open_rows.pop(txn_id, None)
+        elif rtype in _PAGE_MODS:
+            if txn_id in losers:
+                losers[txn_id] = lsn
+                if rtype in _KEYED and not header.flags & FLAG_SMO:
+                    open_rows.setdefault(txn_id, []).append((lsn, header.object_id, txn_id, raw))
+            dirty_pages.setdefault(header.page_id, lsn)
+    for lsn, object_id, txn_id, raw in sorted(row for rows in open_rows.values() for row in rows):
+        key_bytes = decode_record(raw, 0, lsn)[0].key_bytes
+        if key_bytes:
+            result.loser_locks.setdefault(txn_id, []).append((object_id, key_bytes))
     return result
 
 

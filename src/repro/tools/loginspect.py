@@ -117,9 +117,9 @@ def page_history(db, page_id: int, *, max_records: int = 1000) -> list[LogRecord
 def transaction_history(db, txn_id: int, *, max_records: int = 1000) -> list[LogRecord]:
     """A transaction's records, newest first (rollbacks included)."""
     last = NULL_LSN
-    for rec in db.log.scan(db.log.start_lsn, stop_on_torn_tail=True):
-        if rec.txn_id == txn_id:
-            last = rec.lsn
+    for header, _raw in db.log.scan_headers(db.log.start_lsn, stop_on_torn_tail=True):
+        if header.txn_id == txn_id:
+            last = header.lsn
     chain = []
     current = last
     while current != NULL_LSN and len(chain) < max_records:

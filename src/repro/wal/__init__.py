@@ -32,6 +32,7 @@ from repro.wal.records import (
     SetLinksRecord,
     UpdateRowRecord,
     decode_record,
+    decode_span,
     unpack_header,
     walk_headers,
 )
@@ -59,6 +60,7 @@ __all__ = [
     "ClrRecord",
     "RecordHeader",
     "decode_record",
+    "decode_span",
     "unpack_header",
     "walk_headers",
     "LogManager",

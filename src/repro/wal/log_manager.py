@@ -32,6 +32,7 @@ from repro.wal.records import (
     RecordHeader,
     RecordType,
     decode_record,
+    decode_span,
     unpack_header,
     walk_headers,
 )
@@ -85,6 +86,10 @@ class LogManager:
         """LSN one past the last appended record (next record's LSN)."""
         with self.latch:
             return self._base + len(self._data)
+
+    def _end(self) -> int:
+        """:attr:`end_lsn` for a read path that already holds the latch."""
+        return self._base + len(self._data)
 
     @property
     def durable_lsn(self) -> int:
@@ -174,23 +179,22 @@ class LogManager:
     # ------------------------------------------------------------------
 
     def _check_readable(self, lsn: int) -> None:
+        """Raise unless ``lsn`` lies in the retained log; the caller holds
+        the latch."""
         if lsn < self._truncated_before:
             raise LogTruncatedError(
                 f"LSN {format_lsn(lsn)} is below the retention horizon "
                 f"{format_lsn(self._truncated_before)}"
             )
-        if lsn < self._base or lsn >= self.end_lsn:
+        if lsn < self._base or lsn >= self._end():
             raise WalError(
                 f"LSN {format_lsn(lsn)} out of log range "
-                f"[{format_lsn(self._base)}, {format_lsn(self.end_lsn)})"
+                f"[{format_lsn(self._base)}, {format_lsn(self._end())})"
             )
 
     def _touch_block(self, lsn: int, *, sequential: bool, undo: bool) -> None:
-        """Account (and charge) the block access containing ``lsn``."""
-        with self.latch:
-            self._touch_block_locked(lsn, sequential=sequential, undo=undo)
-
-    def _touch_block_locked(self, lsn: int, *, sequential: bool, undo: bool) -> None:
+        """Account (and charge) the block access containing ``lsn``; the
+        caller holds the latch."""
         if lsn >= self._durable_end:
             return  # volatile tail: still in memory, free
         block = lsn // self.block_size
@@ -338,10 +342,10 @@ class LogManager:
             return b""
         with self.latch:
             self._check_readable(from_lsn)
-            if to_lsn > self.end_lsn:
+            if to_lsn > self._end():
                 raise WalError(
                     f"read_bytes end {format_lsn(to_lsn)} beyond log end "
-                    f"{format_lsn(self.end_lsn)}"
+                    f"{format_lsn(self._end())}"
                 )
             block = (from_lsn // self.block_size) * self.block_size
             while block < to_lsn:
@@ -362,9 +366,7 @@ class LogManager:
         """
         with self.latch:
             self._check_readable(from_lsn)
-            limit = (
-                self.end_lsn if limit_lsn is None else min(limit_lsn, self.end_lsn)
-            )
+            limit = self._end() if limit_lsn is None else min(limit_lsn, self._end())
             end = from_lsn
             for header in walk_headers(
                 self._data, from_lsn - self._base, base_lsn=self._base
@@ -481,40 +483,80 @@ class LogManager:
         from_lsn: int,
         to_lsn: int | None = None,
         *,
+        types=None,
         stop_on_torn_tail: bool = False,
     ):
         """Yield records with ``from_lsn <= record.lsn < to_lsn`` in order.
 
+        ``types`` (an iterable of :class:`RecordType`) narrows what is
+        *built*, never what is *checked*: every record in the range has
+        its header bounds, CRC and type verified, the same log blocks are
+        read and charged, and only records of a wanted type get a body
+        decode and an object (``None``: all of them).
+
         With ``stop_on_torn_tail`` the scan ends silently at the first
-        undecodable record — the behavior recovery relies on to find the
-        end of a crash-truncated log.
+        record that fails a check — the behavior recovery relies on to
+        find the end of a crash-truncated log.
         """
-        # The latch is taken per record, never held across a yield: a
-        # suspended generator must not wedge concurrent appenders.
+        wanted = None if types is None else frozenset(map(int, types))
+        return self._scan(from_lsn, to_lsn, stop_on_torn_tail, types=wanted)
+
+    def scan_headers(
+        self,
+        from_lsn: int,
+        to_lsn: int | None = None,
+        *,
+        raw=(),
+        stop_on_torn_tail: bool = False,
+    ):
+        """:meth:`scan` for readers that need no bodies: yields
+        ``(RecordHeader, bytes | None)`` for every record in the range —
+        checked and charged exactly as :meth:`scan` does, with no body
+        decoded. The second item is the whole serialized record when its
+        type is in ``raw`` (for :func:`decode_record` later, should the
+        reader turn out to need it), else ``None``.
+        """
+        return self._scan(from_lsn, to_lsn, stop_on_torn_tail, raw=frozenset(map(int, raw)))
+
+    def _scan(self, from_lsn: int, to_lsn: int | None, stop_on_torn_tail: bool, **build):
+        # One latch hold per log block, never across a yield: a suspended
+        # generator must not wedge concurrent appenders. Every record that
+        # starts in the block is checked and built under that hold; the
+        # batch is handed out after the latch is released.
         with self.latch:
             if from_lsn < self._truncated_before:
                 raise LogTruncatedError(
                     f"scan start {format_lsn(from_lsn)} is below the "
                     f"retention horizon {format_lsn(self._truncated_before)}"
                 )
-            limit = self.end_lsn if to_lsn is None else min(to_lsn, self.end_lsn)
+            limit = self._end() if to_lsn is None else min(to_lsn, self._end())
             lsn = max(from_lsn, FIRST_LSN, self._base)
+        block_size = self.block_size
         while lsn < limit:
+            batch: list = []
+            torn = None
             with self.latch:
-                if lsn >= self._base + len(self._data):
-                    return
+                base = self._base
+                if lsn < self._truncated_before:
+                    raise LogTruncatedError(
+                        f"scan position {format_lsn(lsn)} fell below the "
+                        f"retention horizon {format_lsn(self._truncated_before)}"
+                    )
+                stop = min((lsn // block_size + 1) * block_size, limit, self._end())
+                if lsn >= stop:
+                    return  # the log shrank under the scan (crash, discard_after)
                 self._touch_block(lsn, sequential=True, undo=False)
                 try:
-                    record, end_offset = decode_record(
-                        self._data, lsn - self._base, lsn
+                    lsn = base + decode_span(
+                        self._data, lsn - base, stop - base, batch, base_lsn=base, **build
                     )
-                except LogRecordDecodeError:
-                    if stop_on_torn_tail:
-                        return
-                    raise
-                next_lsn = self._base + end_offset
-            yield record
-            lsn = next_lsn
+                except LogRecordDecodeError as exc:
+                    torn = exc
+            yield from batch
+            if torn is not None:
+                if stop_on_torn_tail:
+                    return
+                raise torn
 
     # ------------------------------------------------------------------
     # Lifecycle

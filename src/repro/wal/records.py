@@ -29,6 +29,7 @@ import enum
 import operator
 import struct
 import zlib
+from types import MappingProxyType
 from typing import NamedTuple
 
 from repro.errors import (
@@ -98,9 +99,11 @@ class RecordHeader(NamedTuple):
 def _parse_header(data, offset: int) -> tuple:
     """The header fields of the record at ``offset``, in wire order.
 
-    The one place the header layout is read: every decoder, header reader
-    and stream walk goes through here, so they all reject a record that
-    does not lie whole within ``data`` the same way.
+    The statement of the header rule: the header readers and the stream
+    walk go through here, and :func:`decode_span` — which runs the same
+    conditions inline — sends every record that fails them here to be
+    rejected, so all of them refuse a record that does not lie whole
+    within ``data`` the same way.
     """
     if offset + HEADER_SIZE > len(data):
         raise LogRecordDecodeError(f"truncated header at offset {offset}")
@@ -229,33 +232,85 @@ def _nested(value):
 
 
 _REGISTRY: dict[int, type] = {}
+#: Wire type -> record class, for readers that work from headers and need
+#: a type's class attributes (``IS_PAGE_MOD``, ``FIELDS``) without a record.
+RECORD_CLASSES = MappingProxyType(_REGISTRY)
+
+
+def decode_span(
+    data, offset: int, stop: int, out: list, *, base_lsn: int = NULL_LSN, types=None, raw=None
+) -> int:
+    """Check every record that starts in ``data[offset:stop]`` and append
+    to ``out`` what the reader asked for; returns the offset of the first
+    record that starts at or after ``stop``.
+
+    *Checked*, for every record passed over: the header and its bounds
+    (:func:`_parse_header` — the record lies whole within ``data``, which
+    may reach past ``stop``), the CRC over the whole record, a known type.
+    *Built* depends on the reader:
+
+    * by default a record object for each record whose wire type is in
+      ``types`` (``None``: all of them) — the body of any other record is
+      checksummed and stepped over, never decoded;
+    * with ``raw`` (a set of wire types, possibly empty) no record object
+      at all: ``(RecordHeader, bytes)`` for every record, where ``bytes``
+      is the whole serialized record when its type is in ``raw`` and
+      ``None`` otherwise — for readers that need header fields of
+      everything and may want a few bodies later.
+
+    Each ``lsn`` is ``base_lsn`` plus the record's offset. Raises
+    :class:`LogRecordDecodeError` at the first record that fails a check —
+    the signal recovery uses to find the end of a torn log tail — with
+    everything before it already in ``out``.
+    """
+    size = len(data)
+    unpack = _HEADER.unpack_from
+    with memoryview(data) as view:
+        while offset < stop:
+            # The header rule, run inline (this loop is the log read path's
+            # hot spot): _parse_header states it, and is what raises —
+            # naming the damage — for a record that fails it.
+            if offset + HEADER_SIZE > size:
+                _parse_header(view, offset)
+            fields = unpack(view, offset)
+            rtype = fields[1]
+            end = offset + fields[0]
+            if fields[0] < HEADER_SIZE or end > size:
+                _parse_header(view, offset)
+            if crc32_zeroing(view, offset, end, offset + _CRC_OFFSET) != fields[-1]:
+                raise LogRecordDecodeError(f"CRC mismatch at offset {offset}")
+            try:
+                cls = _REGISTRY[rtype]
+            except KeyError:
+                raise LogRecordDecodeError(f"unknown record type {rtype} at {offset}") from None
+            if raw is not None:
+                header = RecordHeader(base_lsn + offset, *fields)
+                out.append((header, bytes(view[offset:end]) if rtype in raw else None))
+            elif types is None or rtype in types:
+                try:
+                    values, body_end = cls._decode_body(view, offset + HEADER_SIZE)
+                except struct.error:
+                    body_end = None  # ran off the end of ``data``
+                if body_end != end:
+                    raise LogRecordDecodeError(
+                        f"{cls.__name__} at offset {offset}: "
+                        f"body does not fill its {fields[0]} bytes"
+                    )
+                record = cls(*values, *fields[2:-1])
+                record.lsn = base_lsn + offset
+                out.append(record)
+            offset = end
+    return offset
 
 
 def decode_record(data, offset: int, lsn: int = NULL_LSN) -> tuple[LogRecord, int]:
     """Decode one record at ``offset``; returns (record, end offset).
 
-    Raises :class:`LogRecordDecodeError` on truncation or CRC mismatch —
-    the signal recovery uses to find the end of a torn log tail.
+    The one-record use of :func:`decode_span`: same checks, same errors.
     """
-    total, rtype, *header, crc = _parse_header(data, offset)
-    end = offset + total
-    with memoryview(data) as view:
-        if crc32_zeroing(view, offset, end, offset + _CRC_OFFSET) != crc:
-            raise LogRecordDecodeError(f"CRC mismatch at offset {offset}")
-        cls = _REGISTRY.get(rtype)
-        if cls is None:
-            raise LogRecordDecodeError(f"unknown record type {rtype} at {offset}")
-        try:
-            values, body_end = cls._decode_body(view, offset + HEADER_SIZE)
-        except struct.error:
-            body_end = None  # ran off the end of ``data``
-    if body_end != end:
-        raise LogRecordDecodeError(
-            f"{cls.__name__} at offset {offset}: body does not fill its {total} bytes"
-        )
-    record = cls(*values, *header)
-    record.lsn = lsn
-    return record, end
+    out: list = []
+    end = decode_span(data, offset, offset + 1, out, base_lsn=lsn - offset)
+    return out[0], end
 
 
 def _compile_codec(fields) -> dict:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import threading
+import zlib
 
 import pytest
 
@@ -12,11 +14,16 @@ from repro.sim.device import SAS_10K, SLC_SSD
 from repro.wal.log_manager import LogManager
 from repro.wal.lsn import FIRST_LSN
 from repro.wal.records import (
+    HEADER_SIZE,
     BeginRecord,
+    ClrRecord,
     CommitRecord,
+    DeleteRowRecord,
     InsertRowRecord,
+    LogRecord,
     PageImageRecord,
     PreformatPageRecord,
+    RecordType,
     decode_record,
     walk_headers,
 )
@@ -419,3 +426,228 @@ class TestStreamWalk:
         commits = [h.lsn for h in walk_headers(data, base_lsn=start)
                    if h.record_type == CommitRecord.TYPE]
         assert standby.last_commit_lsn == commits[-1]
+
+
+# ---------------------------------------------------------------------------
+# The block-granular scan against the per-record loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_scan(log, from_lsn, to_lsn=None, *, stop_on_torn_tail=False):
+    """The scan as it was before it went block-granular — one latch hold,
+    one block touch and one full ``decode_record`` per record — kept as
+    the oracle for what is yielded and what is charged."""
+    with log.latch:
+        limit = log.end_lsn if to_lsn is None else min(to_lsn, log.end_lsn)
+        lsn = max(from_lsn, FIRST_LSN, log._base)
+    while lsn < limit:
+        with log.latch:
+            if lsn >= log._base + len(log._data):
+                return
+            log._touch_block(lsn, sequential=True, undo=False)
+            try:
+                record, end_offset = decode_record(log._data, lsn - log._base, lsn)
+            except LogRecordDecodeError:
+                if stop_on_torn_tail:
+                    return
+                raise
+            next_lsn = log._base + end_offset
+        yield record
+        lsn = next_lsn
+
+
+def observed(log, env, scan, *args, **kwargs):
+    """Run one scan from a cold block cache; returns what it yielded (and
+    the error it ended with, if any) and everything it cost."""
+    log._cache.clear()
+    stats, device = env.stats, env.log_device
+    before = (stats.log_scan_reads, stats.log_scan_bytes, device.busy_seconds, env.clock.now())
+    got, error = [], None
+    try:
+        for item in scan(*args, **kwargs):
+            got.append(item)
+    except LogRecordDecodeError as exc:
+        error = str(exc)
+    after = (stats.log_scan_reads, stats.log_scan_bytes, device.busy_seconds, env.clock.now())
+    # (Deltas of two float accumulators: equal up to where they started.)
+    cost = tuple(round(b - a, 9) for a, b in zip(before, after, strict=True)) + (tuple(log._cache),)
+    return got, error, cost
+
+
+def wire(records):
+    return [(rec.lsn, rec.serialize()) for rec in records]
+
+
+@pytest.fixture()
+def rebased_log(tpcc_log):
+    """(log, env, record LSNs) of a log with everything a scan can meet:
+    opened mid-history (``open_at``) on a priced device, blocks far
+    smaller than a page image so records straddle and skip blocks, CLRs
+    with nested records, a truncated prefix and a volatile tail."""
+    source, boundaries = tpcc_log
+    start = boundaries[len(boundaries) // 4]
+    env = SimEnv(log_profile=SAS_10K)
+    log = LogManager(env, block_size=512, cache_blocks=3)
+    log.open_at(start)
+    log.ingest(start, source.read_bytes(start, source.durable_lsn))
+    for slot in range(6):
+        comp = DeleteRowRecord(slot=slot, row=b"r" * 40, key_bytes=b"k", page_id=7)
+        log.append(ClrRecord(compensated_lsn=start, comp=comp, txn_id=99, page_id=7))
+        log.append(PageImageRecord(image=bytes([slot]) * 1200, page_id=7))  # skips a block
+    log.flush()
+    log.truncate_before(boundaries[len(boundaries) // 3])
+    log.append(BeginRecord(txn_id=10**6))  # volatile from here
+    log.append(InsertRowRecord(slot=1, row=b"tail", key_bytes=b"t", txn_id=10**6, page_id=9))
+    log.append(CommitRecord(wall_clock=1.0, txn_id=10**6))
+    lsns = [rec.lsn for rec in reference_scan(log, log.start_lsn)]
+    assert log.start_lsn % log.block_size and log.durable_lsn == lsns[-3]
+    return log, env, lsns
+
+
+class TestBlockScan:
+    """``scan`` / ``scan(types=…)`` / ``scan_headers``: same records, same
+    charges, same errors as the per-record loop."""
+
+    TYPE_SETS = (
+        (RecordType.COMMIT,),
+        (RecordType.CLR, RecordType.PAGE_IMAGE),
+        (RecordType.INSERT_ROW, RecordType.DELETE_ROW, RecordType.UPDATE_ROW),
+        (RecordType.CHECKPOINT_BEGIN, RecordType.BEGIN, RecordType.ABORT),
+        (),
+    )
+
+    def ranges(self, log, lsns):
+        rng = random.Random(11)
+        mid_block = next(lsn for lsn in lsns[50:] if lsn % log.block_size > 100)
+        yield log.start_lsn, None
+        yield mid_block, None
+        yield mid_block, lsns[-2]  # ends inside the volatile tail
+        yield lsns[-3], None  # volatile tail only
+        yield lsns[7], lsns[7]  # empty
+        yield lsns[7], lsns[7] + 1  # one record
+        for _ in range(6):
+            lo, hi = sorted(rng.sample(range(len(lsns)), 2))
+            yield lsns[lo], lsns[hi] + rng.choice((0, 1, 20))  # limits off a boundary too
+
+    def test_filtered_unfiltered_and_reference_agree(self, rebased_log):
+        log, env, lsns = rebased_log
+        seen = set()
+        for from_lsn, to_lsn in self.ranges(log, lsns):
+            expected, _, expected_cost = observed(log, env, reference_scan, log, from_lsn, to_lsn)
+            everything, _, cost = observed(log, env, log.scan, from_lsn, to_lsn)
+            assert wire(everything) == wire(expected)
+            assert cost == expected_cost, (from_lsn, to_lsn)
+            headers, _, cost = observed(
+                log, env, log.scan_headers, from_lsn, to_lsn, raw=(RecordType.CLR,)
+            )
+            assert cost == expected_cost
+            assert [h for h, _raw in headers] == [log.read_header(r.lsn) for r in expected]
+            assert [raw for _h, raw in headers] == [
+                r.serialize() if r.TYPE == RecordType.CLR else None for r in expected
+            ]
+            for types in self.TYPE_SETS:
+                filtered, _, cost = observed(log, env, log.scan, from_lsn, to_lsn, types=types)
+                assert wire(filtered) == wire(r for r in expected if r.TYPE in types)
+                assert cost == expected_cost, (from_lsn, to_lsn, types)
+            seen.update(type(r) for r in expected)
+        assert {ClrRecord, PageImageRecord, CommitRecord, InsertRowRecord} <= seen
+
+    def test_nested_records_survive_the_filter(self, rebased_log):
+        log, _env, _lsns = rebased_log
+        clrs = list(log.scan(log.start_lsn, types=(RecordType.CLR,)))
+        assert [clr.comp.slot for clr in clrs[-6:]] == list(range(6))
+        assert all(isinstance(clr.comp, LogRecord) for clr in clrs)
+
+    @pytest.mark.parametrize("stop_on_torn_tail", [False, True])
+    def test_crc_is_checked_for_records_the_reader_did_not_ask_for(
+        self, rebased_log, stop_on_torn_tail
+    ):
+        """Flip one body byte of a row record in the middle of a block:
+        a commits-only scan must fail (or stop) exactly where a full one
+        does, having lost nothing it decoded earlier in that block."""
+        log, env, _lsns = rebased_log
+        records = list(log.scan(log.start_lsn))
+        block = log.block_size
+        victim = next(
+            rec for i, rec in enumerate(records) if i > 200
+            and rec.TYPE == RecordType.UPDATE_ROW
+            and any(  # a commit earlier in the victim's own block
+                r.TYPE == RecordType.COMMIT and r.lsn // block == rec.lsn // block
+                for r in records[i - 5 : i]
+            )
+        )
+        log._data[victim.lsn - log._base + HEADER_SIZE + 3] ^= 0x40
+        how = {"stop_on_torn_tail": stop_on_torn_tail}
+        expected, error, cost = observed(log, env, reference_scan, log, log.start_lsn, **how)
+        assert expected[-1].lsn < victim.lsn and (error is None) == stop_on_torn_tail
+        for types in (None, (RecordType.COMMIT,), (RecordType.CLR,)):
+            got, got_error, got_cost = observed(
+                log, env, log.scan, log.start_lsn, types=types, **how
+            )
+            assert wire(got) == wire(r for r in expected if types is None or r.TYPE in types)
+            assert (got_error, got_cost) == (error, cost)
+        headers, got_error, got_cost = observed(log, env, log.scan_headers, log.start_lsn, **how)
+        assert [h.lsn for h, _raw in headers] == [r.lsn for r in expected]
+        assert (got_error, got_cost) == (error, cost)
+
+    def test_unknown_type_is_rejected_when_filtered_out(self):
+        log, _env = make_log()
+        log.append(BeginRecord(txn_id=1))
+        foreign = bytearray(BeginRecord(txn_id=2).serialize())
+        foreign[4] = 0x63
+        foreign[HEADER_SIZE - 4 : HEADER_SIZE] = bytes(4)
+        foreign[HEADER_SIZE - 4 : HEADER_SIZE] = zlib.crc32(foreign).to_bytes(4, "little")
+        log._data += foreign
+        log.append(CommitRecord(txn_id=1))
+        with pytest.raises(LogRecordDecodeError, match="unknown record type 99"):
+            list(log.scan(FIRST_LSN, types=(RecordType.COMMIT,)))
+        assert list(log.scan(FIRST_LSN, types=(RecordType.COMMIT,), stop_on_torn_tail=True)) == []
+
+    def test_latch_is_not_held_across_a_yield(self, rebased_log):
+        log, _env, lsns = rebased_log
+        limit = log.end_lsn
+        scan = log.scan(log.start_lsn)
+        first = next(scan)
+        second_in_block = lsns[1] // log.block_size == lsns[0] // log.block_size
+        assert first.lsn == lsns[0] and second_in_block  # suspended mid-block
+        appended = []
+
+        def writer():
+            appended.append(log.append(BeginRecord(txn_id=7)))
+            log.flush()
+
+        thread = threading.Thread(target=writer, daemon=True)
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive() and appended == [limit]
+        assert log.durable_lsn == log.end_lsn > limit
+        rest = list(scan)
+        # The scan keeps the limit it started with: it does not see the append.
+        assert [first.lsn, *(r.lsn for r in rest)] == lsns
+
+    def test_one_latch_acquisition_per_block(self, rebased_log):
+        log, _env, lsns = rebased_log
+        for scan, kwargs in (
+            (log.scan, {}),
+            (log.scan, {"types": (RecordType.COMMIT,)}),
+            (log.scan_headers, {}),
+        ):
+            before = log.latch.acquisitions
+            count = sum(1 for _ in scan(log.start_lsn, **kwargs))
+            blocks = len({lsn // log.block_size for lsn in lsns})
+            assert count and log.latch.acquisitions - before <= blocks + 2
+
+    def test_scan_overtaken_by_truncation_is_a_typed_error(self, rebased_log):
+        log, _env, lsns = rebased_log
+        scan = log.scan(log.start_lsn)
+        next(scan)
+        log.truncate_before(lsns[len(lsns) // 2])
+        with pytest.raises(LogTruncatedError):
+            list(scan)
+
+    def test_random_reads_take_the_latch_once(self, rebased_log):
+        log, _env, lsns = rebased_log
+        for read in (log.read, log.read_header):
+            before = log.latch.acquisitions
+            read(lsns[40])
+            assert log.latch.acquisitions - before == 1

@@ -2,7 +2,20 @@
 
 from __future__ import annotations
 
-from repro.engine.recovery import analyze_log
+import pytest
+
+from repro.engine.recovery import AnalysisResult, analyze_log
+from repro.wal.records import (
+    RECORD_CLASSES,
+    AbortRecord,
+    BeginRecord,
+    CheckpointBeginRecord,
+    ClrRecord,
+    CommitRecord,
+    DeleteRowRecord,
+    InsertRowRecord,
+    UpdateRowRecord,
+)
 from tests.conftest import ITEMS_SCHEMA, fill_items
 
 
@@ -198,3 +211,137 @@ class TestAnalysis:
         before = items_db.env.stats.checkpoints_taken
         crash_and_recover(items_db)
         assert items_db.env.stats.checkpoints_taken == before + 1
+
+
+def reference_analyze_log(log, start_lsn, to_lsn=None) -> AnalysisResult:
+    """The analysis pass as it was while it decoded every record in full:
+    the oracle the header-driven :func:`analyze_log` must equal."""
+    result = AnalysisResult()
+    for rec in log.scan(start_lsn, to_lsn, stop_on_torn_tail=True):
+        result.end_lsn = rec.lsn
+        if isinstance(rec, CheckpointBeginRecord) and rec.lsn == start_lsn:
+            for txn_id, last_lsn in rec.active_txns:
+                result.losers[txn_id] = last_lsn
+                result.checkpoint_seeded.add(txn_id)
+                result.max_txn_id = max(result.max_txn_id, txn_id)
+            continue
+        if rec.txn_id:
+            result.max_txn_id = max(result.max_txn_id, rec.txn_id)
+        if isinstance(rec, BeginRecord):
+            result.losers[rec.txn_id] = rec.lsn
+        elif isinstance(rec, (CommitRecord, AbortRecord)):
+            result.losers.pop(rec.txn_id, None)
+            result.loser_locks.pop(rec.txn_id, None)
+        elif rec.IS_PAGE_MOD:
+            if rec.txn_id in result.losers:
+                result.losers[rec.txn_id] = rec.lsn
+                key_bytes = getattr(rec, "key_bytes", b"")
+                if key_bytes and not rec.is_smo:
+                    result.loser_locks.setdefault(rec.txn_id, []).append(
+                        (rec.object_id, key_bytes)
+                    )
+            result.dirty_pages.setdefault(rec.page_id, rec.lsn)
+    return result
+
+
+def ordered(analysis: AnalysisResult):
+    """Every field, dict order included (``loser_locks`` order is the
+    order snapshot recovery re-acquires locks in)."""
+    return (
+        list(analysis.losers.items()),
+        list(analysis.dirty_pages.items()),
+        analysis.max_txn_id,
+        list(analysis.loser_locks.items()),
+        analysis.checkpoint_seeded,
+        analysis.end_lsn,
+    )
+
+
+class TestHeaderDrivenAnalysis:
+    """``analyze_log`` reads headers and defers the one body field it
+    needs; it must return what the full-decode pass returned."""
+
+    @pytest.fixture()
+    def history(self, engine, small_config):
+        """Winners and losers interleaved, a loser open across the
+        middle checkpoint, savepoint rollbacks (CLRs), bulk inserts that
+        split leaves (SMO records inside user transactions' windows),
+        heap rows, an aborted transaction — all durable, all still open
+        at the end where marked."""
+        from tests.test_heap import HISTORY_SCHEMA
+
+        db = engine.create_database("analysis", small_config)
+        db.create_table(ITEMS_SCHEMA)
+        db.create_table(HISTORY_SCHEMA, heap=True)
+        fill_items(db, 300)
+        spanning = db.begin()  # loser: open across the checkpoint below
+        db.insert(spanning, "items", (1000, "spanning", 1))
+        db.update(spanning, "items", (7,), {"qty": -7})
+        db.checkpoint()
+        middle = db.last_checkpoint_lsn
+        db.delete(spanning, "items", (9,))
+        partial = db.begin()  # loser: half of it rolled back to a savepoint
+        db.insert(partial, "items", (2000, "kept", 1))
+        db.savepoint(partial, "sp")
+        for i in range(2001, 2031):
+            db.insert(partial, "items", (i, "undone", i))
+        db.rollback_to(partial, "sp")
+        fill_items(db, 250, start=3000)  # winner: splits leaves meanwhile
+        db.update(partial, "items", (2000,), {"qty": 2})
+        aborted = db.begin()
+        db.insert(aborted, "items", (4000, "aborted", 1))
+        db.insert(aborted, "history", (1, "aborted heap row"))
+        db.rollback(aborted)
+        heap_loser = db.begin()  # loser: heap rows (empty key_bytes) and a keyed row
+        db.insert(heap_loser, "history", (2, "heap loser"))
+        db.insert(heap_loser, "items", (5000, "heap loser", 5))
+        bulk_loser = db.begin()  # loser: its own inserts split leaves
+        for i in range(6000, 6200):
+            db.insert(bulk_loser, "items", (i, "bulk loser " * 3, i))
+        db.log.flush()
+        open_ids = [t.txn_id for t in (spanning, partial, heap_loser, bulk_loser)]
+        return db, middle, open_ids
+
+    def test_equals_the_full_decode_pass_on_every_window(self, history):
+        db, middle, open_ids = history
+        log = db.log
+        records = list(log.scan(log.start_lsn))
+        types = {type(rec) for rec in records}
+        assert {ClrRecord, AbortRecord, CheckpointBeginRecord} <= types
+        assert any(rec.is_smo for rec in records) and any(rec.is_heap for rec in records)
+        first_checkpoint = next(r.lsn for r in records if isinstance(r, CheckpointBeginRecord))
+        starts = [log.start_lsn, first_checkpoint, middle, records[len(records) // 2].lsn]
+        ends = [None, middle, middle + 1, records[-40].lsn, records[-40].lsn + 1, log.end_lsn + 99]
+        for start in starts:
+            for end in ends:
+                expected = reference_analyze_log(log, start, end)
+                assert ordered(analyze_log(log, start, end)) == ordered(expected), (start, end)
+        whole = analyze_log(log, middle)
+        assert list(whole.losers) == open_ids and whole.checkpoint_seeded == {open_ids[0]}
+        assert list(whole.loser_locks) == open_ids
+
+    def test_equals_the_full_decode_pass_up_to_a_torn_tail(self, history):
+        db, middle, _open_ids = history
+        log = db.log
+        victim = list(log.scan(middle))[-25]
+        log._data[victim.lsn - log._base + 50] ^= 0x01  # rots a body byte
+        expected = reference_analyze_log(log, middle)
+        assert expected.end_lsn < victim.lsn
+        assert ordered(analyze_log(log, middle)) == ordered(expected)
+
+    def test_decodes_no_body_but_the_checkpoint_and_losers_rows(self, history, monkeypatch):
+        db, middle, _open_ids = history
+        expected = reference_analyze_log(db.log, middle)
+        decoded = []
+        for cls in RECORD_CLASSES.values():
+            def counting(view, pos, cls=cls, decode=cls._decode_body):
+                decoded.append(cls)
+                return decode(view, pos)
+            monkeypatch.setattr(cls, "_decode_body", staticmethod(counting))
+        analyze_log(db.log, middle)
+        rows = sum(len(keys) for keys in expected.loser_locks.values())
+        assert decoded.count(CheckpointBeginRecord) == 1
+        assert rows <= len(decoded) - 1 < len(list(db.log.scan_headers(middle))) // 2
+        assert {cls for cls in decoded if not issubclass(cls, CheckpointBeginRecord)} <= {
+            InsertRowRecord, UpdateRowRecord, DeleteRowRecord
+        }

@@ -16,6 +16,7 @@ from repro.core.txn_undo import (
     undo_transaction,
 )
 from repro.errors import CatalogError, TransactionError
+from repro.wal.records import InsertRowRecord
 from tests.conftest import fill_items
 
 
@@ -214,7 +215,10 @@ class TestTransactionUndo:
             undo_transaction(db, txn.txn_id)
         db.rollback(txn)
 
-    def test_rejects_unknown(self, items_db):
+    def test_rejects_unknown(self, items_db, monkeypatch):
+        fill_items(items_db, 3)
+        # Looking a transaction up reads headers: no row body is decoded.
+        monkeypatch.setattr(InsertRowRecord, "_decode_body", None)
         with pytest.raises(TransactionError):
             undo_transaction(items_db, 999999)
 

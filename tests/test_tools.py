@@ -60,14 +60,23 @@ class TestLogInspect:
         pre_at = kinds.index("PreformatPageRecord")
         assert len(kinds) > pre_at + 1
 
-    def test_transaction_history(self, items_db):
+    def test_transaction_history(self, items_db, monkeypatch):
         db = items_db
         fill_items(db, 2)
         txn = db.begin()
         db.insert(txn, "items", (7, "seven", 70))
         db.update(txn, "items", (0,), {"qty": 5})
         db.commit(txn)
+        inserts = []
+
+        def counting(view, pos, decode=InsertRowRecord._decode_body):
+            inserts.append(pos)
+            return decode(view, pos)
+
+        monkeypatch.setattr(InsertRowRecord, "_decode_body", staticmethod(counting))
         chain = transaction_history(db, txn.txn_id)
+        # Finding the chain's head reads headers; only the chain is decoded.
+        assert len(inserts) == sum(isinstance(rec, InsertRowRecord) for rec in chain) == 1
         kinds = [type(rec).__name__ for rec in chain]
         assert kinds[0] == "CommitRecord"
         assert kinds[-1] == "BeginRecord"

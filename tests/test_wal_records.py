@@ -46,6 +46,8 @@ from repro.wal.records import (
     SetLinksRecord,
     UpdateRowRecord,
     decode_record,
+    decode_span,
+    walk_headers,
 )
 
 PAGE_SIZE = 1024
@@ -823,6 +825,24 @@ class TestSafetyContracts:
             total = len(doctored).to_bytes(4, "little")
             with pytest.raises(LogRecordDecodeError, match="does not fill"):
                 decode_record(with_valid_crc(total + doctored[4:]), 0)
+
+    def test_span_and_header_readers_state_one_header_rule(self):
+        """The span loop runs the header rule inline; for every way a
+        header can break it must raise what the header-only readers do."""
+        blob = InsertRowRecord(slot=1, row=b"row", key_bytes=b"key", page_id=5).serialize()
+        stream = blob * 2
+        damaged = [stream[:cut] for cut in range(len(blob) + 1, len(stream))]  # torn second record
+        for claim in (0, 1, HEADER_SIZE - 1, len(stream) + 1, 2**32 - 1):  # lying first record
+            damaged.append(claim.to_bytes(4, "little") + stream[4:])
+        for data in damaged:
+            with pytest.raises(LogRecordDecodeError) as from_headers:
+                list(walk_headers(data))
+            for build in ({}, {"types": frozenset()}, {"raw": frozenset()}):
+                out = []
+                with pytest.raises(LogRecordDecodeError) as from_span:
+                    decode_span(data, 0, len(data), out, **build)
+                assert str(from_span.value) == str(from_headers.value)
+                assert len(out) == ("types" not in build and data[:4] == blob[:4])
 
     def test_nested_clr_body_is_crc_checked(self):
         clr, _ = next((rec, h) for rec, h in GOLDEN if isinstance(rec, ClrRecord))
