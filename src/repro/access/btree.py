@@ -103,24 +103,12 @@ class BTree:
     # Descent
     # ------------------------------------------------------------------
 
-    def _entry_key(self, payload: bytes) -> tuple | None:
-        child, key_bytes = decode_entry(payload)
-        del child
-        if key_bytes is None:
-            return None
-        return self.key_codec.decode(key_bytes)
-
     def _child_index(self, page: Page, key: tuple) -> int:
         """Index of the interior entry whose subtree covers ``key``."""
-        lo, hi = 1, page.slot_count  # entry 0 is the -inf sentinel
-        while lo < hi:
-            mid = (lo + hi) // 2
-            entry_key = self._entry_key(page.record(mid))
-            if entry_key <= key:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo - 1
+        # Entry 0 is the -inf sentinel; separator keys are decoded in place,
+        # past each entry's child pointer.
+        slot, found = page.search(key, self.key_codec.decode, 1, _ENTRY_CHILD.size)
+        return slot if found else slot - 1
 
     def _descend(self, key: tuple | None, *, to_level: int = 0):
         """Walk from the root toward ``to_level``.
@@ -151,18 +139,9 @@ class BTree:
             pid = child
 
     def _find_slot(self, page: Page, key: tuple) -> tuple[int, bool]:
-        """(insertion slot, exact-match?) within a leaf page."""
-        lo, hi = 0, page.slot_count
-        while lo < hi:
-            mid = (lo + hi) // 2
-            mid_key = self.codec.decode_key(page.record(mid))
-            if mid_key < key:
-                lo = mid + 1
-            elif mid_key > key:
-                hi = mid
-            else:
-                return mid, True
-        return lo, False
+        """(insertion slot, exact-match?) within a leaf page; only keys are
+        decoded, straight off the page buffer."""
+        return page.search(key, self.codec.decode_key)
 
     # ------------------------------------------------------------------
     # Reads
@@ -179,25 +158,31 @@ class BTree:
             return self.codec.decode(guard.page.record(slot))
 
     def scan(self, lo: tuple | None = None, hi: tuple | None = None):
-        """Yield rows with ``lo <= key <= hi`` in key order."""
+        """Yield rows with ``lo <= key <= hi`` in key order.
+
+        Each leaf's bounds are found by key-only probes, so no row outside
+        the range is decoded.
+        """
         env = self.services.env
+        decode = self.codec.decode
         pid, _path = self._descend(lo)
+        start = lo  # only the first leaf can hold keys below ``lo``
         while pid != NULL_PAGE:
-            rows = []
             with self.services.fetch(pid) as guard:
                 page = guard.page
-                next_pid = page.next_page
-                for payload in page.records():
-                    rows.append(self.codec.decode(payload))
+                pid = page.next_page
+                first = 0 if start is None else self._find_slot(page, start)[0]
+                stop = None
+                if hi is not None:
+                    slot, found = self._find_slot(page, hi)
+                    stop = slot + found
+                    if stop < page.slot_count:
+                        pid = NULL_PAGE  # the next key is past ``hi``
+                rows = [decode(payload) for payload in page.records(first, stop)]
+            start = None
             for row in rows:
-                key = self.schema.key_of(row)
-                if lo is not None and key < lo:
-                    continue
-                if hi is not None and key > hi:
-                    return
                 env.charge_cpu(env.cost.query_row_cpu_s)
                 yield row
-            pid = next_pid
 
     def count(self) -> int:
         """Number of rows (full scan)."""

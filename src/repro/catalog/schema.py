@@ -7,6 +7,8 @@ pages) and the B-tree (which prefix of the row is the clustering key).
 from __future__ import annotations
 
 import enum
+import operator
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 
@@ -78,6 +80,14 @@ class Column:
             raise ValueError(f"column {self.name!r}: integer out of 64-bit range")
 
 
+def _key_getter(positions: tuple[int, ...]) -> Callable[[tuple], tuple]:
+    """``row -> key tuple`` for the key columns at ``positions``."""
+    if len(positions) > 1:
+        return operator.itemgetter(*positions)
+    (only,) = positions  # itemgetter would return the bare value, not a 1-tuple
+    return lambda row: (row[only],)
+
+
 @dataclass(frozen=True)
 class TableSchema:
     """A named table: ordered columns plus a primary-key column list.
@@ -89,6 +99,10 @@ class TableSchema:
     name: str
     columns: tuple[Column, ...]
     key: tuple[str, ...]
+    #: Positions of the key columns within the row tuple.
+    key_positions: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    #: ``key_of(row)``: the primary-key tuple of a full row tuple.
+    key_of: Callable[[tuple], tuple] = field(init=False, compare=False, repr=False)
     _index_by_name: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __init__(self, name: str, columns, key) -> None:
@@ -101,6 +115,9 @@ class TableSchema:
             {col.name: pos for pos, col in enumerate(self.columns)},
         )
         self._validate()
+        positions = tuple(self._index_by_name[k] for k in self.key)
+        object.__setattr__(self, "key_positions", positions)
+        object.__setattr__(self, "key_of", _key_getter(positions))
 
     def _validate(self) -> None:
         if not self.name:
@@ -123,21 +140,12 @@ class TableSchema:
     def column_names(self) -> tuple[str, ...]:
         return tuple(col.name for col in self.columns)
 
-    @property
-    def key_positions(self) -> tuple[int, ...]:
-        """Positions of the key columns within the row tuple."""
-        return tuple(self._index_by_name[k] for k in self.key)
-
     def position_of(self, column_name: str) -> int:
         """Index of ``column_name`` in the row tuple; raises ``KeyError``."""
         return self._index_by_name[column_name]
 
     def column(self, column_name: str) -> Column:
         return self.columns[self.position_of(column_name)]
-
-    def key_of(self, row: tuple) -> tuple:
-        """Extract the primary-key tuple from a full row tuple."""
-        return tuple(row[pos] for pos in self.key_positions)
 
     def check_row(self, row: tuple) -> None:
         """Validate arity and every value of ``row``."""

@@ -11,9 +11,10 @@ from __future__ import annotations
 import zlib
 
 from repro.errors import PageCorruptionError
+from repro.storage.page import HEADER_FIELDS
 
 #: Byte offset of the u32 checksum field inside the page header.
-CHECKSUM_OFFSET = 48
+CHECKSUM_OFFSET = HEADER_FIELDS["checksum"][1]
 _FIELD = slice(CHECKSUM_OFFSET, CHECKSUM_OFFSET + 4)
 
 

@@ -23,6 +23,7 @@ needs no logging.
 from __future__ import annotations
 
 import enum
+import functools
 import struct
 
 from repro.errors import PageFullError, StorageError
@@ -33,16 +34,57 @@ _SLOT = struct.Struct("<H")
 #: Record framing: u16 payload length prefix at the record offset.
 _RECLEN = struct.Struct("<H")
 
-_HEADER = struct.Struct(
-    "<HBBIQQIHBBIIHHHHI4s"
-    # magic, page_type, flags, page_id, page_lsn, last_image_lsn,
-    # object_id, index_id, level, pad, prev_page, next_page,
-    # slot_count, free_lower, free_upper, mods_since_image, checksum, reserved
+#: The header, field by field: the one place its layout is written.
+_HEADER_LAYOUT = (
+    ("magic", "H"), ("page_type", "B"), ("flags", "B"), ("page_id", "I"),
+    ("page_lsn", "Q"), ("last_image_lsn", "Q"), ("object_id", "I"),
+    ("index_id", "H"), ("level", "B"), ("pad", "B"), ("prev_page", "I"),
+    ("next_page", "I"), ("slot_count", "H"), ("free_lower", "H"),
+    ("free_upper", "H"), ("mods_since_image", "H"), ("checksum", "I"),
+    ("reserved", "4s"),
 )
+_HEADER = struct.Struct("<" + "".join(code for _name, code in _HEADER_LAYOUT))
 
 HEADER_SIZE = _HEADER.size  # 56 bytes
 PAGE_MAGIC = 0xD81A
 NULL_PAGE = 0
+
+#: ``name -> (Struct, offset)`` per header field: a read is one
+#: ``unpack_from`` of that field and a write one ``pack_into`` that
+#: touches no other (``docs/storage-format.md`` is asserted against it).
+HEADER_FIELDS: dict[str, tuple[struct.Struct, int]] = {}
+for _name, _code in _HEADER_LAYOUT:
+    HEADER_FIELDS[_name] = (
+        struct.Struct("<" + _code),
+        sum(plan.size for plan, _at in HEADER_FIELDS.values()),
+    )
+
+_MAGIC, _MAGIC_AT = HEADER_FIELDS["magic"]
+_TYPE, _TYPE_AT = HEADER_FIELDS["page_type"]
+_COUNT, _COUNT_AT = HEADER_FIELDS["slot_count"]
+_LOWER, _LOWER_AT = HEADER_FIELDS["free_lower"]
+_UPPER, _UPPER_AT = HEADER_FIELDS["free_upper"]
+
+
+@functools.cache
+def _directory(count: int) -> struct.Struct:
+    """The whole slot directory of a ``count``-slot page as one plan (at
+    most a page's worth of distinct counts exist)."""
+    return struct.Struct(f"<{count}H")
+
+
+def _header_field(name: str, *, settable: bool = False, doc: str | None = None) -> property:
+    """A ``Page`` property over the one header field ``name``."""
+    plan, offset = HEADER_FIELDS[name]
+    unpack_from, pack_into = plan.unpack_from, plan.pack_into
+
+    def read(self):
+        return unpack_from(self.data, offset)[0]
+
+    def write(self, value) -> None:
+        pack_into(self.data, offset, value)
+
+    return property(read, write if settable else None, doc=doc)
 
 
 class PageType(enum.IntEnum):
@@ -74,110 +116,29 @@ class Page:
     # Header accessors
     # ------------------------------------------------------------------
 
-    def _get(self, index: int):
-        return _HEADER.unpack_from(self.data, 0)[index]
-
-    def _set(self, index: int, value) -> None:
-        fields = list(_HEADER.unpack_from(self.data, 0))
-        fields[index] = value
-        _HEADER.pack_into(self.data, 0, *fields)
-
     @property
     def page_size(self) -> int:
         return len(self.data)
 
     @property
-    def magic(self) -> int:
-        return self._get(0)
-
-    @property
     def page_type(self) -> PageType:
-        return PageType(self._get(1))
+        return PageType(_TYPE.unpack_from(self.data, _TYPE_AT)[0])
 
-    @property
-    def flags(self) -> int:
-        return self._get(2)
-
-    @flags.setter
-    def flags(self, value: int) -> None:
-        self._set(2, value)
-
-    @property
-    def page_id(self) -> int:
-        return self._get(3)
-
-    @property
-    def page_lsn(self) -> int:
-        return self._get(4)
-
-    @page_lsn.setter
-    def page_lsn(self, lsn: int) -> None:
-        self._set(4, lsn)
-
-    @property
-    def last_image_lsn(self) -> int:
-        return self._get(5)
-
-    @last_image_lsn.setter
-    def last_image_lsn(self, lsn: int) -> None:
-        self._set(5, lsn)
-
-    @property
-    def object_id(self) -> int:
-        return self._get(6)
-
-    @property
-    def index_id(self) -> int:
-        return self._get(7)
-
-    @property
-    def level(self) -> int:
-        """B-tree level; 0 means leaf."""
-        return self._get(8)
-
-    @property
-    def prev_page(self) -> int:
-        return self._get(10)
-
-    @prev_page.setter
-    def prev_page(self, pid: int) -> None:
-        self._set(10, pid)
-
-    @property
-    def next_page(self) -> int:
-        return self._get(11)
-
-    @next_page.setter
-    def next_page(self, pid: int) -> None:
-        self._set(11, pid)
-
-    @property
-    def slot_count(self) -> int:
-        return self._get(12)
-
-    @property
-    def free_lower(self) -> int:
-        return self._get(13)
-
-    @property
-    def free_upper(self) -> int:
-        return self._get(14)
-
-    @property
-    def mods_since_image(self) -> int:
-        return self._get(15)
-
-    @mods_since_image.setter
-    def mods_since_image(self, count: int) -> None:
-        self._set(15, count)
-
-    @property
-    def checksum(self) -> int:
-        return self._get(16)
-
-    @checksum.setter
-    def checksum(self, value: int) -> None:
-        self._set(16, value)
+    magic = _header_field("magic")
+    flags = _header_field("flags", settable=True)
+    page_id = _header_field("page_id")
+    page_lsn = _header_field("page_lsn", settable=True)
+    last_image_lsn = _header_field("last_image_lsn", settable=True)
+    object_id = _header_field("object_id")
+    index_id = _header_field("index_id")
+    level = _header_field("level", doc="B-tree level; 0 means leaf.")
+    prev_page = _header_field("prev_page", settable=True)
+    next_page = _header_field("next_page", settable=True)
+    slot_count = _header_field("slot_count")
+    free_lower = _header_field("free_lower")
+    free_upper = _header_field("free_upper")
+    mods_since_image = _header_field("mods_since_image", settable=True)
+    checksum = _header_field("checksum", settable=True)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -233,7 +194,7 @@ class Page:
         self.data[:] = bytes(len(self.data))
 
     def is_formatted(self) -> bool:
-        return self.magic == PAGE_MAGIC
+        return _MAGIC.unpack_from(self.data, _MAGIC_AT)[0] == PAGE_MAGIC
 
     def clone_bytes(self) -> bytes:
         """An immutable copy of the current page content."""
@@ -251,22 +212,22 @@ class Page:
     # Slot directory
     # ------------------------------------------------------------------
 
-    def _slot_pos(self, slot: int) -> int:
-        return len(self.data) - _SLOT.size * (slot + 1)
-
-    def _slot_offset(self, slot: int) -> int:
-        return _SLOT.unpack_from(self.data, self._slot_pos(slot))[0]
-
-    def _set_slot_offset(self, slot: int, offset: int) -> None:
-        _SLOT.pack_into(self.data, self._slot_pos(slot), offset)
-
-    def _check_slot(self, slot: int, *, insert: bool = False) -> None:
-        limit = self.slot_count + (1 if insert else 0)
-        if not 0 <= slot < limit:
+    def _check_slot(self, slot: int, *, insert: bool = False) -> int:
+        """The slot count, once ``slot`` is known to address a record (or,
+        for an insert, the position one past the last)."""
+        count = _COUNT.unpack_from(self.data, _COUNT_AT)[0]
+        if not 0 <= slot < count + insert:
             raise StorageError(
                 f"slot {slot} out of range (page {self.page_id}, "
-                f"{self.slot_count} slots)"
+                f"{count} slots)"
             )
+        return count
+
+    def _slot_offsets(self, count: int) -> tuple[int, ...]:
+        """Record offsets in slot order: the directory in one unpack (it
+        is stored downward from the page end, so reversed)."""
+        data = self.data
+        return _directory(count).unpack_from(data, len(data) - _SLOT.size * count)[::-1]
 
     # ------------------------------------------------------------------
     # Space accounting
@@ -274,15 +235,17 @@ class Page:
 
     def contiguous_free(self) -> int:
         """Bytes available between the record area and the slot directory."""
-        return self.free_upper - self.free_lower
+        data = self.data
+        return _UPPER.unpack_from(data, _UPPER_AT)[0] - _LOWER.unpack_from(data, _LOWER_AT)[0]
 
     def live_bytes(self) -> int:
         """Bytes occupied by live records (length prefixes included)."""
-        total = 0
-        for slot in range(self.slot_count):
-            offset = self._slot_offset(slot)
-            total += _RECLEN.size + _RECLEN.unpack_from(self.data, offset)[0]
-        return total
+        data = self.data
+        count = _COUNT.unpack_from(data, _COUNT_AT)[0]
+        length_at = _RECLEN.unpack_from
+        return _RECLEN.size * count + sum(
+            [length_at(data, offset)[0] for offset in self._slot_offsets(count)]
+        )
 
     def total_free(self) -> int:
         """Free bytes counting reclaimable garbage (what compaction yields)."""
@@ -298,7 +261,10 @@ class Page:
         return len(self.data) - HEADER_SIZE - _RECLEN.size - _SLOT.size
 
     def has_room_for(self, payload_len: int) -> bool:
-        return self.space_needed(payload_len) <= self.total_free()
+        # Contiguous space never exceeds total free space, so the record
+        # walk is needed only once the gap is too small.
+        needed = self.space_needed(payload_len)
+        return needed <= self.contiguous_free() or needed <= self.total_free()
 
     # ------------------------------------------------------------------
     # Record operations (physiological units that log records replay)
@@ -307,15 +273,58 @@ class Page:
     def record(self, slot: int) -> bytes:
         """The payload stored at ``slot``."""
         self._check_slot(slot)
-        offset = self._slot_offset(slot)
-        (length,) = _RECLEN.unpack_from(self.data, offset)
+        data = self.data
+        offset = _SLOT.unpack_from(data, len(data) - _SLOT.size * (slot + 1))[0]
         start = offset + _RECLEN.size
-        return bytes(self.data[start : start + length])
+        return bytes(data[start : start + _RECLEN.unpack_from(data, offset)[0]])
 
-    def records(self):
-        """Iterate payloads in slot order."""
-        for slot in range(self.slot_count):
-            yield self.record(slot)
+    def records(self, start: int = 0, stop: int | None = None) -> list[bytes]:
+        """Payloads of slots ``[start, stop)`` (default: all) in slot order."""
+        data = self.data
+        length_at = _RECLEN.unpack_from
+        head = _RECLEN.size
+        offsets = self._slot_offsets(_COUNT.unpack_from(data, _COUNT_AT)[0])
+        return [
+            bytes(data[offset + head : offset + head + length_at(data, offset)[0]])
+            for offset in offsets[start:stop]
+        ]
+
+    def search(self, key, key_at, lo: int = 0, skip: int = 0) -> tuple[int, bool]:
+        """Binary search of slots ``[lo, slot_count)`` for ``key``.
+
+        The caller keeps those slots in key order; ``key_at(data, start,
+        end)`` decodes a payload's key in place, ``skip`` bytes into the
+        payload, so no record is copied out. Returns ``(slot, True)`` on
+        a match, else ``(insertion slot, False)``.
+        """
+        data = self.data
+        slot_at, length_at = _SLOT.unpack_from, _RECLEN.unpack_from
+        last = len(data) - _SLOT.size
+        hi = _COUNT.unpack_from(data, _COUNT_AT)[0]
+        while lo < hi:
+            mid = (lo + hi) // 2
+            offset = slot_at(data, last - _SLOT.size * mid)[0]
+            start = offset + _RECLEN.size
+            mid_key = key_at(data, start + skip, start + length_at(data, offset)[0])
+            if mid_key < key:
+                lo = mid + 1
+            elif mid_key > key:
+                hi = mid
+            else:
+                return mid, True
+        return lo, False
+
+    def _place(self, payload: bytes) -> int:
+        """Frame ``payload`` at ``free_lower`` and advance it; returns the
+        record's offset. The caller has made sure it fits."""
+        data = self.data
+        offset = _LOWER.unpack_from(data, _LOWER_AT)[0]
+        start = offset + _RECLEN.size
+        end = start + len(payload)
+        _RECLEN.pack_into(data, offset, len(payload))
+        data[start:end] = payload
+        _LOWER.pack_into(data, _LOWER_AT, end)
+        return offset
 
     def insert_record(self, slot: int, payload: bytes) -> None:
         """Insert ``payload`` at position ``slot``, shifting later slots up.
@@ -323,7 +332,7 @@ class Page:
         Compacts the page first when fragmented; raises
         :class:`PageFullError` when the record cannot fit even then.
         """
-        self._check_slot(slot, insert=True)
+        count = self._check_slot(slot, insert=True)
         needed = self.space_needed(len(payload))
         if needed > self.contiguous_free():
             if needed > self.total_free():
@@ -332,23 +341,18 @@ class Page:
                     f"have {self.total_free()}"
                 )
             self.compact()
-        offset = self.free_lower
-        _RECLEN.pack_into(self.data, offset, len(payload))
-        start = offset + _RECLEN.size
-        self.data[start : start + len(payload)] = payload
+        offset = self._place(payload)
         # Shift slot directory entries [slot, count) one position down
         # (toward lower addresses, since the directory grows downward).
-        count = self.slot_count
+        data = self.data
+        size = _SLOT.size
+        dir_lo = len(data) - size * count
+        slot_pos = len(data) - size * (slot + 1)
         if slot < count:
-            src_lo = self._slot_pos(count - 1)
-            src_hi = self._slot_pos(slot) + _SLOT.size
-            self.data[src_lo - _SLOT.size : src_hi - _SLOT.size] = self.data[
-                src_lo:src_hi
-            ]
-        self._set_slot_offset(slot, offset)
-        self._set(12, count + 1)
-        self._set(13, offset + _RECLEN.size + len(payload))
-        self._set(14, self._slot_pos(count))
+            data[dir_lo - size : slot_pos] = data[dir_lo : slot_pos + size]
+        _SLOT.pack_into(data, slot_pos, offset)
+        _COUNT.pack_into(data, _COUNT_AT, count + 1)
+        _UPPER.pack_into(data, _UPPER_AT, dir_lo - size)
 
     def delete_record(self, slot: int) -> bytes:
         """Remove the record at ``slot`` and return its payload.
@@ -356,29 +360,29 @@ class Page:
         Later slots shift down by one; the record bytes become reclaimable
         garbage.
         """
-        self._check_slot(slot)
         payload = self.record(slot)
-        count = self.slot_count
+        data = self.data
+        size = _SLOT.size
+        count = _COUNT.unpack_from(data, _COUNT_AT)[0]
+        dir_lo = len(data) - size * count
+        slot_pos = len(data) - size * (slot + 1)
         if slot < count - 1:
-            src_lo = self._slot_pos(count - 1)
-            src_hi = self._slot_pos(slot)
-            self.data[src_lo + _SLOT.size : src_hi + _SLOT.size] = self.data[
-                src_lo:src_hi
-            ]
-        self._set_slot_offset(count - 1, 0)
-        self._set(12, count - 1)
-        self._set(14, self._slot_pos(count - 2) if count > 1 else len(self.data))
+            data[dir_lo + size : slot_pos + size] = data[dir_lo:slot_pos]
+        _SLOT.pack_into(data, dir_lo, 0)
+        _COUNT.pack_into(data, _COUNT_AT, count - 1)
+        _UPPER.pack_into(data, _UPPER_AT, dir_lo + size)
         return payload
 
     def update_record(self, slot: int, payload: bytes) -> bytes:
         """Replace the record at ``slot``; returns the prior payload."""
-        self._check_slot(slot)
         old = self.record(slot)
-        offset = self._slot_offset(slot)
+        data = self.data
+        slot_pos = len(data) - _SLOT.size * (slot + 1)
         if len(payload) <= len(old):
-            _RECLEN.pack_into(self.data, offset, len(payload))
+            offset = _SLOT.unpack_from(data, slot_pos)[0]
+            _RECLEN.pack_into(data, offset, len(payload))
             start = offset + _RECLEN.size
-            self.data[start : start + len(payload)] = payload
+            data[start : start + len(payload)] = payload
             return old
         # Grow: relocate to fresh space (compacting first if necessary).
         extra = _RECLEN.size + len(payload)
@@ -389,14 +393,9 @@ class Page:
                     f"more bytes, have {self.total_free()}"
                 )
             # Temporarily drop the old record so compaction reclaims it.
-            self._set_slot_offset(slot, 0)
+            _SLOT.pack_into(data, slot_pos, 0)
             self.compact(skip_vacant=True)
-        new_offset = self.free_lower
-        _RECLEN.pack_into(self.data, new_offset, len(payload))
-        start = new_offset + _RECLEN.size
-        self.data[start : start + len(payload)] = payload
-        self._set_slot_offset(slot, new_offset)
-        self._set(13, new_offset + _RECLEN.size + len(payload))
+        _SLOT.pack_into(data, slot_pos, self._place(payload))
         return old
 
     def compact(self, skip_vacant: bool = False) -> None:
@@ -405,24 +404,22 @@ class Page:
         Physiological logging makes compaction invisible to the log: the
         logical content (slot → payload) is unchanged.
         """
+        data = self.data
+        count = _COUNT.unpack_from(data, _COUNT_AT)[0]
         live: list[tuple[int, bytes]] = []
-        for slot in range(self.slot_count):
-            offset = self._slot_offset(slot)
+        for slot, offset in enumerate(self._slot_offsets(count)):
             if offset == 0:
                 if skip_vacant:
                     continue
                 raise StorageError(f"page {self.page_id}: vacant slot {slot}")
-            (length,) = _RECLEN.unpack_from(self.data, offset)
-            start = offset + _RECLEN.size
-            live.append((slot, bytes(self.data[start : start + length])))
+            end = offset + _RECLEN.size + _RECLEN.unpack_from(data, offset)[0]
+            live.append((slot, bytes(data[offset:end])))
         write_at = HEADER_SIZE
-        for slot, payload in live:
-            _RECLEN.pack_into(self.data, write_at, len(payload))
-            start = write_at + _RECLEN.size
-            self.data[start : start + len(payload)] = payload
-            self._set_slot_offset(slot, write_at)
-            write_at = start + len(payload)
-        self._set(13, write_at)
+        for slot, framed in live:
+            data[write_at : write_at + len(framed)] = framed
+            _SLOT.pack_into(data, len(data) - _SLOT.size * (slot + 1), write_at)
+            write_at += len(framed)
+        _LOWER.pack_into(data, _LOWER_AT, write_at)
 
     # ------------------------------------------------------------------
     # Body bit access (allocation bitmaps)

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.access.btree import decode_entry
+from repro.errors import StorageError
 from repro.storage.page import NULL_PAGE, PageType
 
 
@@ -116,7 +117,7 @@ def _check_btree(target, info, schema, claimed, report) -> None:
                 for payload in page.records():
                     try:
                         row = codec.decode(payload)
-                    except Exception as exc:  # noqa: BLE001
+                    except StorageError as exc:
                         report.complain(
                             f"{info.name}: page {page_id} row undecodable: {exc}"
                         )
@@ -211,7 +212,7 @@ def _check_heap(target, info, schema, claimed, report) -> None:
                 try:
                     codec.decode(payload)
                     report.rows_checked += 1
-                except Exception as exc:  # noqa: BLE001
+                except StorageError as exc:
                     report.complain(
                         f"{info.name}: heap page {pid} row undecodable: {exc}"
                     )

@@ -8,9 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import Engine
 from repro.access.btree import BTree, decode_entry, encode_entry
+from repro.catalog.schema import Column, ColumnType, TableSchema
+from repro.config import CostModel, SimEnv
 from repro.errors import DuplicateKeyError, KeyNotFoundError
-from tests.conftest import ITEMS_SCHEMA, fill_items
+from tests.conftest import ITEMS_SCHEMA, WIDE_SCHEMA, fill_items
 
 
 def tree_of(db, name="items") -> BTree:
@@ -172,6 +175,169 @@ class TestScans:
                     db.insert(txn, "wide", (k1, k2, 0.0, False, None, None))
         keys = [(r[0], r[1]) for r in db.scan("wide")]
         assert keys == [(1, "a"), (1, "b"), (2, "a"), (2, "b")]
+
+
+def pages_of(tree: BTree):
+    """(page, is_leaf) for every page of ``tree``, each under its pin."""
+    for pid in tree.page_ids():
+        with tree.services.fetch(pid) as guard:
+            yield guard.page, guard.page.level == 0
+
+
+def probes_around(keys: list[tuple]) -> list[tuple]:
+    """Every present key, a key in every gap and one off each end; for
+    composite keys also the bare prefixes, which sort before every key
+    they begin."""
+    probes = list(keys)
+    for key in keys:
+        *head, last = key
+        after = last + 1 if isinstance(last, int) else last + "!"
+        probes.append((*head, after))
+        probes.append(tuple(head))
+    first, last = keys[0], keys[-1]
+    low = first[0] - 1 if isinstance(first[0], int) else ""
+    high = last[0] + 1 if isinstance(last[0], int) else last[0] + "~"
+    return [*probes, (low,), (high,)]
+
+
+@pytest.fixture(params=["int_key", "composite_key", "string_key"])
+def probe_tree(request, engine, small_config) -> BTree:
+    """A three-level-or-so tree with gaps between its keys."""
+    db = engine.create_database("probes", small_config)
+    if request.param == "int_key":
+        db.create_table(ITEMS_SCHEMA)
+        with db.transaction() as txn:
+            for i in range(0, 800, 2):
+                db.insert(txn, "items", (i, f"item-{i}", i))
+        return tree_of(db)
+    if request.param == "composite_key":
+        db.create_table(WIDE_SCHEMA)
+        with db.transaction() as txn:
+            for k1 in range(0, 40, 2):
+                for k2 in ("", "b", "bb", "d", "é", "☃☃"):
+                    db.insert(txn, "wide", (k1, k2, 0.5, True, None, "n" * 60))
+        return tree_of(db, "wide")
+    schema = TableSchema("names", [
+        Column("pad", ColumnType.BYTES, max_len=8, nullable=True),
+        Column("name", ColumnType.STR, max_len=24),
+        Column("n", ColumnType.INT),
+    ], key=["name"])
+    db.create_table(schema)
+    with db.transaction() as txn:
+        for i in range(300):
+            db.insert(txn, "names", (None if i % 3 else b"pad", f"name-{i:05d}" * (1 + i % 2), i))
+    return tree_of(db, "names")
+
+
+class TestProbes:
+    """``_find_slot`` / ``_child_index`` decode keys in place; a linear
+    scan over the copied-out records is the oracle."""
+
+    def test_tree_is_deep_enough_to_matter(self, probe_tree):
+        assert probe_tree.height() >= 2
+
+    def test_find_slot_agrees_with_linear_scan(self, probe_tree):
+        tree = probe_tree
+        for page, is_leaf in pages_of(tree):
+            if not is_leaf:
+                continue
+            keys = [tree.schema.key_of(tree.codec.decode(p)) for p in page.records()]
+            assert keys == sorted(keys)
+            for probe in probes_around(keys):
+                slot, found = tree._find_slot(page, probe)
+                assert found == (probe in keys)
+                assert slot == sum(1 for key in keys if key < probe)
+                if found:
+                    assert tree.codec.decode_key(page.record(slot)) == probe
+
+    def test_child_index_agrees_with_linear_scan(self, probe_tree):
+        tree = probe_tree
+        interiors = 0
+        for page, is_leaf in pages_of(tree):
+            if is_leaf:
+                continue
+            interiors += 1
+            entries = [decode_entry(payload) for payload in page.records()]
+            # Entry 0 is -inf whatever it stores.
+            keys = [tree.key_codec.decode(kb) for _child, kb in entries[1:]]
+            for probe in probes_around(keys):
+                expected = sum(1 for key in keys if key <= probe)
+                assert tree._child_index(page, probe) == expected
+        assert interiors
+
+
+def scan_bounds(tree: BTree) -> list[tuple | None]:
+    """``None``, keys before/after the tree, and around every leaf
+    boundary (first and last key of each leaf, and the gaps beside them)."""
+    bounds: list[tuple | None] = [None]
+    for page, is_leaf in pages_of(tree):
+        if is_leaf and page.slot_count:
+            edge_keys = [tree.codec.decode_key(page.record(slot)) for slot in (0, page.slot_count - 1)]
+            bounds.extend(probes_around(edge_keys))
+    return bounds
+
+
+class TestScanBounds:
+    def test_scan_yields_what_the_full_decode_filter_yields(self, probe_tree):
+        tree = probe_tree
+        everything = [(tree.schema.key_of(row), row) for row in tree.scan()]
+        assert [key for key, _row in everything] == sorted(key for key, _row in everything)
+        bounds = scan_bounds(tree)
+        rng = random.Random(5)
+        pairs = [(lo, hi) for lo in bounds[:12] for hi in bounds[:12]]
+        pairs += [(rng.choice(bounds), rng.choice(bounds)) for _ in range(300)]
+        for lo, hi in pairs:
+            expected = [
+                row for key, row in everything
+                if (lo is None or key >= lo) and (hi is None or key <= hi)
+            ]
+            assert list(tree.scan(lo, hi)) == expected, (lo, hi)
+
+    def test_scan_over_emptied_leaves(self, small_db):
+        db = small_db
+        db.create_table(ITEMS_SCHEMA)
+        fill_items(db, 300)
+        with db.transaction() as txn:
+            for i in range(40, 260):
+                db.delete(txn, "items", (i,))
+        tree = tree_of(db)
+        assert any(is_leaf and page.slot_count == 0 for page, is_leaf in pages_of(tree))
+        assert [r[0] for r in tree.scan((30,), (270,))] == [*range(30, 40), *range(260, 271)]
+        assert [r[0] for r in tree.scan((100,), (200,))] == []
+
+    def test_scan_charges_the_rows_it_yields_and_decodes_no_others(self, small_config):
+        """The sim clock must not notice the key-only probes: one
+        ``query_row_cpu_s`` per row yielded, nothing else; and no row
+        outside ``[lo, hi]`` is fully decoded."""
+        env = SimEnv(cost=CostModel())
+        db = Engine(env).create_database("priced", small_config)
+        db.create_table(ITEMS_SCHEMA)
+        fill_items(db, 400)
+        tree = tree_of(db)
+        decoded = []
+        real_decode = tree.codec.decode
+
+        def counting_decode(*args):
+            row = real_decode(*args)
+            decoded.append(row[0])
+            return row
+
+        tree.codec.decode = counting_decode
+        charges = []
+        real_charge = env.charge_cpu
+        env.charge_cpu = lambda seconds: (charges.append(seconds), real_charge(seconds))
+        for lo, hi in [((120,), (135,)), (None, (3,)), ((390,), None), ((500,), None), ((7,), (7,))]:
+            decoded.clear()
+            charges.clear()
+            before = env.clock.now()
+            rows = list(tree.scan(lo, hi))
+            keys = [row[0] for row in rows]
+            assert keys == [
+                k for k in range(400) if (lo is None or k >= lo[0]) and (hi is None or k <= hi[0])
+            ]
+            assert decoded == keys
+            assert charges == [env.cost.query_row_cpu_s] * len(rows)
+            assert env.clock.now() - before == pytest.approx(sum(charges), abs=1e-12)
 
 
 class TestDeleteChurn:

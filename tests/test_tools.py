@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.storage.page import HEADER_FIELDS
 from repro.tools import (
     check_database,
     describe_record,
@@ -161,12 +162,24 @@ class TestCheckDb:
         assert not report.ok
         assert any("out of order" in problem for problem in report.problems)
 
+    def test_detects_undecodable_row(self, items_db):
+        db = items_db
+        fill_items(db, 5)
+        leaf = db.table("items").accessor.page_ids()[0]
+        with db.fetch_page(leaf) as guard:
+            guard.page.update_record(2, guard.page.record(2)[:-3])
+            guard.mark_dirty()
+        report = check_database(db)
+        (problem,) = report.problems
+        assert "row undecodable: row for 'items'" in problem
+
     def test_detects_wrong_object(self, items_db):
         db = items_db
         fill_items(db, 5)
         leaf = db.table("items").accessor.page_ids()[0]
         with db.fetch_page(leaf) as guard:
-            guard.page._set(6, 424242)  # clobber object_id
+            plan, offset = HEADER_FIELDS["object_id"]
+            plan.pack_into(guard.page.data, offset, 424242)  # clobber it
             guard.mark_dirty()
         report = check_database(db)
         assert any("belongs to object" in problem for problem in report.problems)
