@@ -17,7 +17,8 @@ Standalone script (CI runs it with ``--smoke``)::
 
     python benchmarks/bench_archive.py [--smoke]
 
-Raw numbers land in ``bench_results/archive.json``.
+Raw numbers land in ``bench_results/archive.json``
+(``archive_smoke.json`` under ``--smoke``).
 """
 
 from __future__ import annotations
@@ -164,7 +165,7 @@ def main(argv=None) -> int:
         )
     table.add("past-horizon restore (s)", f"{result['past_horizon_restore_s']:.3f}")
     table.show()
-    path = save_results("archive", result)
+    path = save_results("archive_smoke" if args.smoke else "archive", result)
     print(f"\nresults saved to {path}")
 
     # The subsystem's contract, enforced even in smoke mode.

@@ -15,7 +15,7 @@ promote a survivor. The run's contract, enforced even in smoke mode:
 
 Standalone script (CI runs it with ``--smoke``):
 ``python benchmarks/bench_chaos.py [--smoke]``. Raw numbers land in
-``bench_results/chaos.json``.
+``bench_results/chaos.json`` (``chaos_smoke.json`` under ``--smoke``).
 """
 
 from __future__ import annotations
@@ -175,7 +175,7 @@ def main(argv=None) -> int:
     table.add("offload routed to", result["offload_routed"])
     table.add("deterministic replay", result["deterministic"])
     table.show()
-    path = save_results("chaos", result)
+    path = save_results("chaos_smoke" if args.smoke else "chaos", result)
     print(f"\nresults saved to {path}")
 
     assert result["promoted"], "no failover happened"

@@ -18,7 +18,8 @@ concurrent sessions (``engine.run_sessions``) and reports:
 
 Standalone script (CI runs it with ``--smoke``):
 ``python benchmarks/bench_concurrency.py [--smoke]``.
-Raw numbers land in ``bench_results/concurrency.json``.
+Raw numbers land in ``bench_results/concurrency.json``
+(``concurrency_smoke.json`` under ``--smoke``).
 """
 
 from __future__ import annotations
@@ -241,7 +242,7 @@ def main(argv=None) -> int:
     print("hottest latches (contentions): " + ", ".join(
         f"{name}={count}" for count, name in contended[:3]
     ))
-    path = save_results("concurrency", result)
+    path = save_results("concurrency_smoke" if args.smoke else "concurrency", result)
     print(f"results saved to {path}")
 
     # Integrity is the contract even at bench scale; scaling is reported,

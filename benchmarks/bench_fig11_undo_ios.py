@@ -2,10 +2,10 @@
 
 Paper series: the number of log reads performed while bringing pages back
 in time, versus distance. The paper estimates these from response times;
-our simulator counts them exactly (`undo_log_reads` span reads plus
-`undo_header_reads` discovery reads: physical log-device I/Os on the
-undo path, excluding block-cache hits; the cross-snapshot version store
-is disabled here so the figure shows the paper's per-snapshot cost).
+our simulator counts them exactly (`undo_log_reads`: random log block
+reads on the undo path, excluding block-cache hits; the cross-snapshot
+version store is disabled here so the figure shows the paper's
+per-snapshot cost).
 Expected shape: linear growth with distance — each extra minute adds a
 proportional slice of modifications to the touched pages' chains.
 """

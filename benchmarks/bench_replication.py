@@ -14,7 +14,8 @@ Measures, under a running TPC-C workload with the replication pump active:
 
 Unlike the figure benches this is a standalone script (CI runs it with
 ``--smoke``): ``python benchmarks/bench_replication.py [--smoke]``.
-Raw numbers land in ``bench_results/replication.json``.
+Raw numbers land in ``bench_results/replication.json``
+(``replication_smoke.json`` under ``--smoke``).
 """
 
 from __future__ import annotations
@@ -147,7 +148,7 @@ def main(argv=None) -> int:
     table.add("monitor samples", result["monitor_samples"])
     table.add("health", result["health"])
     table.show()
-    path = save_results("replication", result)
+    path = save_results("replication_smoke" if args.smoke else "replication", result)
     print(f"\nresults saved to {path}")
 
     # The subsystem's contract, enforced even in smoke mode.

@@ -10,7 +10,7 @@ The tour:
 
 1. **TRACE a cold AS OF query.** The span tree shows the whole pipeline:
    split resolution, pool miss, snapshot creation, and — per page — the
-   version-store probe missing and the chain walk paying batched log
+   version-store probe missing and the chain walk paying its undo log
    reads (the ``io[...]`` deltas on each span).
 2. **TRACE the same query warm.** The snapshot pool is dropped first, so
    the pool still misses — but every page probe now *hits* the

@@ -211,7 +211,7 @@ GLOBAL_RNG_ALLOWED = frozenset({"Random", "SystemRandom"})
 #: error (or an ancestor) — the PR 1 bugfix, generalized into a checked
 #: contract.
 TRUNCATION_RAISING_LOG_METHODS: frozenset[str] = frozenset(
-    {"read", "read_header", "read_many", "undo_fetch", "scan", "read_bytes"}
+    {"read", "undo_fetch", "scan", "read_bytes"}
 )
 TRUNCATION_RAISING_HELPERS: frozenset[str] = frozenset(
     {"find_split_lsn", "resolve_split", "create_at_split", "checkpoint_chain"}
@@ -261,9 +261,8 @@ def _default_rules() -> dict[str, RuleConfig]:
             ),
             options={
                 "banned_calls": RAW_IO_CALLS,
-                # Per-record raw log reads are banned in chain-walk code:
-                # discovery goes through read_header, fetch through
-                # read_many (the batched PR 4 path).
+                # Raw log reads are banned in chain-walk code: every
+                # chain record comes through undo_fetch.
                 "chain_walk_modules": ("src/repro/core/*",),
                 "chain_walk_banned_methods": frozenset({"read_bytes"}),
             },

@@ -8,10 +8,10 @@ one sanctioned boundary to the real filesystem is
 :mod:`repro.sim.hostio`, whose callers (the on-disk page backend, the
 archive's ``.seg`` persistence) charge their devices separately.
 
-The second half of the discipline is PR 4's: chain-walk code must not
-fall back to per-record raw reads (``read_bytes``) — discovery goes
-through ``read_header`` and fetch through ``read_many`` so undo I/O
-stays batched and the Figure 11 counters stay meaningful.
+The second half: chain-walk code must not read raw log bytes
+(``read_bytes``) — every chain record comes through ``undo_fetch``, the
+block-cached read that counts as an undo access, so the Figure 11
+counters stay meaningful.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ class PricedIoDiscipline(Rule):
     invariant = (
         "Inside core/wal/storage/archive every byte moves through "
         "SimDevice-priced APIs; raw host I/O lives only in "
-        "repro.sim.hostio, and chain walks use read_header/read_many."
+        "repro.sim.hostio, and chain walks read the log through undo_fetch."
     )
 
     def check(self, ctx) -> None:
@@ -60,7 +60,6 @@ class PricedIoDiscipline(Rule):
                 self.report(
                     ctx,
                     node,
-                    f"per-record {node.func.attr!r} in chain-walk code; "
-                    f"use read_header for chain discovery and read_many "
-                    f"for coalesced record fetch",
+                    f"raw {node.func.attr!r} in chain-walk code; fetch chain "
+                    f"records through undo_fetch",
                 )

@@ -126,9 +126,8 @@ def run_time_travel_experiment(
     """Run the shared experiment on the given media profile."""
     profile = PROFILES[profile_name]
     env = make_perf_env(profile)
-    # Store disabled: Figures 7-11 measure per-snapshot chain-walk costs
-    # (via the batched/coalesced walk the engine now always uses), not
-    # the cross-snapshot reuse layered on top.
+    # Store disabled: Figures 7-11 measure per-snapshot chain-walk
+    # costs, not the cross-snapshot reuse layered on top.
     engine, db, driver = build_tpcc(
         env, scale, filler_pages=filler_pages, version_store_budget=0
     )
@@ -182,7 +181,7 @@ def run_time_travel_experiment(
                 asof_create_s=create_s,
                 asof_query_s=query_s,
                 restore_s=restore_s,
-                undo_ios=spent.undo_log_reads + spent.undo_header_reads,
+                undo_ios=spent.undo_log_reads,
                 undo_records=spent.undo_records_applied,
                 pages_prepared=spent.pages_prepared_asof,
                 sparse_bytes=sparse_bytes,

@@ -207,11 +207,6 @@ class DatabaseConfig:
     #: misses stall as-of queries).
     log_block_size: int = 65536
     log_cache_blocks: int = 32
-    #: Batched undo reads merge needed log blocks separated by at most
-    #: this many unneeded blocks into one sequential-priced span
-    #: (:meth:`repro.wal.log_manager.LogManager.read_many`); 0 coalesces
-    #: only directly adjacent blocks.
-    log_coalesce_gap_blocks: int = 4
     #: Retention period for the transaction log (section 4.3); seconds.
     undo_interval_s: float = 24 * 3600.0
     #: Target recovery interval driving periodic checkpoints; seconds.
@@ -232,7 +227,5 @@ class DatabaseConfig:
             raise ValueError("buffer_pool_pages must be at least 8")
         if self.undo_interval_s <= 0:
             raise ValueError("undo_interval_s must be positive")
-        if self.log_coalesce_gap_blocks < 0:
-            raise ValueError("log_coalesce_gap_blocks must be >= 0")
         if self.extensions.page_image_interval < 0:
             raise ValueError("page_image_interval must be >= 0")

@@ -14,23 +14,20 @@ between the target and that image are undone, skipping whole regions of
 the log.
 
 The paper's own measurements (Figure 11, section 6) put the cost of this
-walk at roughly one random log read per chain record — the term that
-dominates as-of query latency on high-latency media. Two things attack
-that cost here:
+walk at one random log read per chain record the log block cache does
+not already hold — the term that dominates as-of query latency on
+high-latency media. :func:`prepare_page_version` is that walk, once:
+every record comes through
+:meth:`~repro.wal.log_manager.LogManager.undo_fetch`, so a log block
+holding several records of one chain is read once and hit in the cache
+for the rest.
 
-* **Batched chain walks** — :func:`prepare_page_version` discovers the
-  chain with header-only reads first (``prev_page_lsn`` lives in the
-  fixed-size record header), then fetches the full records through
-  :meth:`~repro.wal.log_manager.LogManager.read_many`, which sorts the
-  LSNs by log block and coalesces nearby blocks into sequential-priced
-  spans instead of N random undo reads.
-* **Validity intervals** — the walk itself proves for which SplitLSNs the
-  prepared image is byte-identical: every split in
-  ``[version_lsn, limit_lsn)`` (the page's LSN after the rewind, and the
-  first chain record above the target) yields the same bytes. The
-  returned :class:`PreparedVersion` is what the cross-snapshot
-  :class:`~repro.core.version_store.PageVersionStore` keys on, so nearby
-  as-of reads skip the walk entirely.
+The walk itself proves for which SplitLSNs the prepared image is
+byte-identical: every split in ``[version_lsn, limit_lsn)`` (the page's
+LSN after the rewind, and the first chain record above the target)
+yields the same bytes. The returned :class:`PreparedVersion` is what the
+cross-snapshot :class:`~repro.core.version_store.PageVersionStore` keys
+on, so nearby as-of reads skip the walk entirely.
 """
 
 from __future__ import annotations
@@ -91,18 +88,13 @@ def prepare_page_version(
     env: SimEnv,
     *,
     use_images: bool = True,
-    batched: bool = True,
 ) -> PreparedVersion | None:
     """Rewind ``page`` to ``asof_lsn`` and report the validity interval.
 
-    With ``batched`` (the default) the chain is discovered first via
-    header-only reads and the records are fetched in one coalesced
-    :meth:`~repro.wal.log_manager.LogManager.read_many` pass; otherwise
-    each record is fetched with its own random block read — the paper's
-    Figure 11 access pattern, kept as the reference implementation (the
-    equivalence test pins both paths to identical pages and intervals).
-    Returns ``None`` for a page whose history cannot be stated
-    (unformatted with no chain to walk).
+    The paper's Figure 3 loop: fetch the record at the page's LSN, apply
+    its inverse, follow ``prevPageLSN`` — one block-cached log read per
+    record (Figure 11's access pattern). Returns ``None`` for a page
+    whose history cannot be stated (unformatted with no chain to walk).
     """
     env.stats.pages_prepared_asof += 1
     fetch = log.undo_fetch
@@ -122,27 +114,13 @@ def prepare_page_version(
             limit = best.lsn
             current = best.prev_page_lsn
 
-    if batched and current > asof_lsn:
-        chain: list[int] = []
-        while current > asof_lsn:
-            header = log.read_header(current)
-            chain.append(current)
-            current = header.prev_page_lsn
-        records = log.read_many(chain, for_undo=True)
-        for lsn in chain:
-            rec = records[lsn]
-            env.charge_cpu(env.cost.undo_record_cpu_s)
-            _apply_inverse(rec, page, fetch, lsn)
-            env.stats.undo_records_applied += 1
-            limit = lsn
-    else:
-        while current > asof_lsn:
-            rec = fetch(current)
-            env.charge_cpu(env.cost.undo_record_cpu_s)
-            _apply_inverse(rec, page, fetch, current)
-            env.stats.undo_records_applied += 1
-            limit = current
-            current = rec.prev_page_lsn
+    while current > asof_lsn:
+        rec = fetch(current)
+        env.charge_cpu(env.cost.undo_record_cpu_s)
+        _apply_inverse(rec, page, fetch, current)
+        env.stats.undo_records_applied += 1
+        limit = current
+        current = rec.prev_page_lsn
 
     if page.is_formatted():
         page.page_lsn = current

@@ -18,7 +18,7 @@ The key is the validity *interval* the chain walk itself proves
 split ``S`` finishes preparing page ``P``, the image is published under
 ``(db, P, [version_lsn, limit_lsn))``; a later snapshot at split ``S'``
 probes the store first and, when ``version_lsn <= S' < limit_lsn``, skips
-the entire chain walk — no header reads, no undo log reads, no undo CPU.
+the entire chain walk — no undo log reads, no undo CPU.
 Repeated and nearby AS OF reads (audit loops, dashboards) become fast by
 construction instead of fast by luck.
 

@@ -171,7 +171,6 @@ class Database:
             self.env,
             block_size=self.config.log_block_size,
             cache_blocks=self.config.log_cache_blocks,
-            coalesce_gap_blocks=self.config.log_coalesce_gap_blocks,
         )
         self.buffer = BufferPool(
             self.file_manager,

@@ -155,13 +155,23 @@ class Engine:
     # Databases
     # ------------------------------------------------------------------
 
-    def _check_name_free(self, name: str) -> None:
+    def _name_owner(self, name: str) -> str | None:
+        """What holds ``name``. Databases, snapshots and replicas share
+        one name space: ``USE`` and ``DROP DATABASE`` resolve a bare name."""
         if name in self.databases:
-            raise CatalogError(f"database {name!r} already exists")
+            return "database"
         if name in self.snapshots:
-            raise CatalogError(f"name {name!r} is in use by a snapshot")
+            return "snapshot"
         if name in self.replicas:
-            raise CatalogError(f"name {name!r} is in use by a replica")
+            return "replica"
+        return None
+
+    def _check_name_free(self, name: str) -> None:
+        owner = self._name_owner(name)
+        if owner == "database":
+            raise CatalogError(f"database {name!r} already exists")
+        if owner is not None:
+            raise CatalogError(f"name {name!r} is in use by a {owner}")
 
     def create_database(self, name: str, config: DatabaseConfig | None = None) -> Database:
         with self.latch:
@@ -275,7 +285,7 @@ class Engine:
         from repro.core.asof import AsOfSnapshot
 
         with self.latch:
-            if snap_name in self.snapshots or snap_name in self.databases:
+            if self._name_owner(snap_name) is not None:
                 raise SnapshotError(f"name {snap_name!r} already in use")
             db = self.database(db_name)
             try:
@@ -293,7 +303,7 @@ class Engine:
         from repro.snapshot.base import RegularSnapshot
 
         with self.latch:
-            if snap_name in self.snapshots or snap_name in self.databases:
+            if self._name_owner(snap_name) is not None:
                 raise SnapshotError(f"name {snap_name!r} already in use")
             db = self.database(db_name)
             snap = RegularSnapshot.create_now(db, snap_name)
@@ -1034,7 +1044,7 @@ class Engine:
 
         While the block runs, every instrumented boundary (SQL execute,
         AS OF pin/resolve/prepare, pool acquire, version-store probe,
-        chain walk, batched log reads, shipping/apply, archive) opens a
+        chain walk, shipping/apply, archive) opens a
         nested span; after the block, ``t.root`` is the finished span
         tree (``t.render()`` for text, ``t.as_dict()`` for JSON). Spans
         carry simulated elapsed time and per-span I/O-counter deltas.

@@ -4,7 +4,7 @@ A trace is started through :meth:`Engine.trace` (or SQL ``TRACE
 <select>``), which activates the env-wide :class:`Tracer`. While a trace
 is active, the instrumentation points threaded through the engine
 (``sql.execute``, ``asof.*``, ``pool.acquire``, ``version_store.*``,
-``log.read_many``, ``repl.*``, ``archive.*``) open nested spans; when no
+``repl.*``, ``archive.*``) open nested spans; when no
 trace is active the same calls return a shared no-op span, so the hot
 paths pay one ``is None`` check.
 

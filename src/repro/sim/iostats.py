@@ -51,15 +51,16 @@ class IoStats:
     log_flushes: int = 0
     log_write_bytes: int = 0
     log_records: int = 0
-    #: Random log reads issued by page-oriented undo (Figure 11's metric).
-    #: With the batched chain walk one coalesced span counts as one read.
+    #: Random log block reads issued by page-oriented undo (Figure 11's
+    #: metric).
     undo_log_reads: int = 0
     #: Undo-path log record fetches served from the log block cache.
     undo_log_cache_hits: int = 0
-    #: Header-only (sector-sized) random reads issued by chain discovery.
+    #: Nothing increments these two: they stay, reading 0, only because
+    #: the frozen ``perflab/lab/metrics.py`` looks ``io.undo_header_reads``
+    #: and ``io.undo_reads_coalesced`` up by name (a missing key is a
+    #: ``KeyError``). Delete them with that lookup.
     undo_header_reads: int = 0
-    #: Log blocks absorbed into a coalesced span beyond its first block —
-    #: random reads the batched walk turned into sequential transfer.
     undo_reads_coalesced: int = 0
     #: Log records physically undone by PreparePageAsOf.
     undo_records_applied: int = 0

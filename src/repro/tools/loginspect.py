@@ -16,10 +16,9 @@ one encoded frame, :func:`dump_archive` walks a store or a directory of
 ``--chains`` (and the :func:`chain_stats` API on a live database) answers
 the capacity question behind Figure 11: how long are the per-page
 back-chains, and what would preparing each page cost? The live-database
-walk uses the same header-only discovery pass as the batched
-``PreparePageAsOf`` path, so the estimate prices both the naive
-one-random-read-per-record walk and the coalesced
-:meth:`~repro.wal.log_manager.LogManager.read_many` plan.
+walk follows ``prevPageLSN`` through one header scan of the retained log
+and prices ``PreparePageAsOf``'s access pattern: one random read per log
+block a page's chain touches.
 """
 
 from __future__ import annotations
@@ -143,40 +142,30 @@ def _bucket_label(length: int) -> str:
     return f"{_CHAIN_BUCKETS[-1]}+"
 
 
-def _coalesced_spans(blocks: set[int], gap: int) -> list[tuple[int, int]]:
-    """The ``(first, last)`` block spans ``read_many`` would issue."""
-    spans: list[list[int]] = []
-    for block in sorted(blocks):
-        if spans and block - spans[-1][1] - 1 <= gap:
-            spans[-1][1] = block
-        else:
-            spans.append([block, block])
-    return [(start, end) for start, end in spans]
-
-
 def chain_stats(db, *, split_lsn: int | None = None, max_pages: int | None = None) -> dict:
     """Per-page back-chain lengths and estimated prepare cost.
 
-    Walks every allocated page's ``prevPageLSN`` chain with the same
-    header-only reads the batched ``PreparePageAsOf`` path uses for
-    discovery — down to ``split_lsn`` when given (the records an as-of
-    read at that split would undo), otherwise to the start of the
-    retained log. Returns a histogram of chain lengths plus, per the
-    log-device profile, the estimated cost of preparing *every* page
-    naively (one random block read per record, the paper's Figure 11
-    cost) versus batched (coalesced spans via ``read_many``).
+    Follows every allocated page's ``prevPageLSN`` chain — down to
+    ``split_lsn`` when given (the records an as-of read at that split
+    would undo), otherwise to the start of the retained log — through
+    one header scan of the log, priced as any scan is. Returns a
+    histogram of chain lengths plus, per the log-device profile, the
+    estimated cost of preparing *every* page from a cold log cache: one
+    random block read per log block its chain touches (the paper's
+    Figure 11 cost).
     """
-    from repro.wal.log_manager import HEADER_READ_BYTES
-
     log = db.log
     profile = db.env.log_device.profile
-    target = db.log.start_lsn - 1 if split_lsn is None else split_lsn
+    target = log.start_lsn - 1 if split_lsn is None else split_lsn
+    prev_page_lsn = {
+        header.lsn: header.prev_page_lsn
+        for header, _raw in log.scan_headers(log.start_lsn, stop_on_torn_tail=True)
+        if header.lsn > target
+    }
     histogram: Counter = Counter()
     lengths: list[int] = []
     total_records = 0
-    naive_reads = 0
-    batched_spans = 0
-    batched_s = 0.0
+    undo_reads = 0
     truncated_chains = 0
     pages_scanned = 0
     # Dirty pages not yet checkpointed exist only in the buffer pool, so
@@ -196,28 +185,17 @@ def chain_stats(db, *, split_lsn: int | None = None, max_pages: int | None = Non
         length = 0
         blocks: set[int] = set()
         while current != NULL_LSN and current > target:
-            try:
-                header = log.read_header(current)
-            except LogTruncatedError:
-                truncated_chains += 1
+            if current not in prev_page_lsn:
+                truncated_chains += 1  # the chain left the retained log
                 break
             length += 1
             blocks.add(current // log.block_size)
-            current = header.prev_page_lsn
+            current = prev_page_lsn[current]
         histogram[_bucket_label(length)] += 1
         lengths.append(length)
         total_records += length
-        naive_reads += len(blocks)
-        spans = _coalesced_spans(blocks, log.coalesce_gap_blocks)
-        batched_spans += len(spans)
-        # Price the batched plan the way read_many charges it: one random
-        # read of the whole span (gap blocks included) per span, plus one
-        # sector-priced header read per chain record for discovery.
-        for start, end in spans:
-            batched_s += profile.rand_read_time((end - start + 1) * log.block_size)
-        batched_s += length * profile.rand_read_time(HEADER_READ_BYTES)
+        undo_reads += len(blocks)
     lengths.sort()
-    naive_s = naive_reads * profile.rand_read_time(log.block_size)
     return {
         "pages_scanned": pages_scanned,
         "split_lsn": split_lsn,
@@ -226,10 +204,8 @@ def chain_stats(db, *, split_lsn: int | None = None, max_pages: int | None = Non
         "max_chain": lengths[-1] if lengths else 0,
         "median_chain": lengths[len(lengths) // 2] if lengths else 0,
         "truncated_chains": truncated_chains,
-        "naive_undo_reads": naive_reads,
-        "batched_undo_reads": batched_spans,
-        "est_naive_prepare_s": naive_s,
-        "est_batched_prepare_s": batched_s,
+        "undo_reads": undo_reads,
+        "est_prepare_s": undo_reads * profile.rand_read_time(log.block_size),
     }
 
 
@@ -257,10 +233,8 @@ def chain_report(db, *, split_lsn: int | None = None, max_pages: int | None = No
         f"median={stats['median_chain']} max={stats['max_chain']}"
     )
     lines.append(
-        f"  est prepare cost: naive {stats['naive_undo_reads']} reads "
-        f"({stats['est_naive_prepare_s'] * 1000:.1f} ms), batched "
-        f"{stats['batched_undo_reads']} spans "
-        f"({stats['est_batched_prepare_s'] * 1000:.1f} ms)"
+        f"  est prepare cost: {stats['undo_reads']} undo reads "
+        f"({stats['est_prepare_s'] * 1000:.1f} ms)"
     )
     return lines
 

@@ -29,21 +29,15 @@ from repro.wal.records import (
     LogRecord,
     PageImageRecord,
     PreformatPageRecord,
-    RecordHeader,
     RecordType,
     decode_record,
     decode_span,
-    unpack_header,
     walk_headers,
 )
 
 #: Wire discriminators for ingest's header-only frame scan.
 _COMMIT_TYPE = int(RecordType.COMMIT)
 _CHECKPOINT_BEGIN_TYPE = int(RecordType.CHECKPOINT_BEGIN)
-
-#: Bytes charged for a header-only random read: one device sector pulls
-#: the 42-byte header without streaming the surrounding cache block.
-HEADER_READ_BYTES = 512
 
 
 class LogManager:
@@ -54,15 +48,10 @@ class LogManager:
         env: SimEnv,
         block_size: int = 65536,
         cache_blocks: int = 32,
-        coalesce_gap_blocks: int = 4,
     ) -> None:
         self.env = env
         self.block_size = block_size
         self.cache_blocks = cache_blocks
-        #: :meth:`read_many` merges two needed blocks into one sequential
-        #: span when at most this many unneeded blocks separate them —
-        #: reading through a short gap beats paying another random seek.
-        self.coalesce_gap_blocks = coalesce_gap_blocks
         self.latch = Latch("log_manager")
         self._data = bytearray(LOG_HEADER_MAGIC)
         self._base = 0  # LSN of _data[0]
@@ -225,107 +214,13 @@ class LogManager:
             return record
 
     def undo_fetch(self, lsn: int) -> LogRecord:
-        """``read`` bound for undo paths: counted as an undo log access."""
+        """``read`` bound for undo paths: counted as an undo log access.
+
+        The only way a chain walk reads the log. The frozen perflab's
+        ``INCLUSIVE`` table still names a multi-record read on this class;
+        it finds none, says so on stderr and reports 0 for that row.
+        """
         return self.read(lsn, for_undo=True)
-
-    # ------------------------------------------------------------------
-    # Batched reads (the as-of chain walk's access path)
-    # ------------------------------------------------------------------
-
-    def read_header(self, lsn: int) -> RecordHeader:
-        """Fetch only the fixed-size header of the record at ``lsn``.
-
-        This is how chain *discovery* stays cheap: the per-page back-chain
-        lives entirely in record headers, so the batched undo path walks
-        ``prev_page_lsn`` with one sector-sized random read per uncached
-        record instead of pulling a whole cache block each hop. Served
-        free from the volatile tail and from cached blocks; an uncached
-        header charges :data:`HEADER_READ_BYTES` of random I/O and does
-        **not** populate the block cache (the block was never streamed).
-        """
-        with self.latch:
-            self._check_readable(lsn)
-            if lsn < self._durable_end:
-                block = lsn // self.block_size
-                stats = self.env.stats
-                if block in self._cache:
-                    self._cache.move_to_end(block)
-                    stats.undo_log_cache_hits += 1
-                else:
-                    self.env.log_device.read_random(HEADER_READ_BYTES)
-                    stats.undo_header_reads += 1
-            return unpack_header(self._data, lsn - self._base, lsn)
-
-    def read_many(self, lsns, *, for_undo: bool = True) -> dict[int, LogRecord]:
-        """Fetch the records at ``lsns`` with coalesced I/O; returns
-        ``{lsn: record}``.
-
-        The paper's Figure 11 cost is one random log read per back-chain
-        record; this is the batched alternative. The needed LSNs are
-        sorted by log block, blocks already cached (or in the volatile
-        tail) are served free, and the remaining blocks are grouped into
-        spans: blocks separated by at most :attr:`coalesce_gap_blocks`
-        unneeded blocks join one span, charged as a *single* random read
-        of the whole span — one seek plus a sequential-priced transfer —
-        instead of one seek per block. Every spanned block (gap blocks
-        included) lands in the block cache, so nearby chains walked next
-        ride the same transfer.
-
-        ``undo_log_reads`` counts issued spans (it stays "number of
-        random undo I/Os", the Figure 11 metric); the blocks a span
-        absorbed beyond its first are counted in ``undo_reads_coalesced``.
-        """
-        wanted = sorted(set(lsns))
-        result: dict[int, LogRecord] = {}
-        if not wanted:
-            return result
-        with self.latch, self.env.tracer.span(
-            "log.read_many", records=len(wanted)
-        ) as span:
-            for lsn in wanted:
-                self._check_readable(lsn)
-            stats = self.env.stats
-            needed: list[int] = []
-            for lsn in wanted:
-                if lsn >= self._durable_end:
-                    continue  # volatile tail: in memory, free
-                block = lsn // self.block_size
-                if needed and needed[-1] == block:
-                    # A second record in a block this batch already fetches.
-                    if for_undo:
-                        stats.undo_log_cache_hits += 1
-                    continue
-                if block in self._cache:
-                    self._cache.move_to_end(block)
-                    if for_undo:
-                        stats.undo_log_cache_hits += 1
-                    continue
-                needed.append(block)
-            spans: list[list[int]] = []
-            for block in needed:
-                if spans and block - spans[-1][1] - 1 <= self.coalesce_gap_blocks:
-                    spans[-1][1] = block
-                else:
-                    spans.append([block, block])
-            span.set(
-                spans=len(spans),
-                blocks=sum(end - start + 1 for start, end in spans),
-            )
-            for start, end in spans:
-                nblocks = end - start + 1
-                self.env.log_device.read_random(nblocks * self.block_size)
-                if for_undo:
-                    stats.undo_log_reads += 1
-                    stats.undo_reads_coalesced += nblocks - 1
-                for block in range(start, end + 1):
-                    self._cache[block] = None
-                    self._cache.move_to_end(block)
-                while len(self._cache) > self.cache_blocks:
-                    self._cache.popitem(last=False)
-            for lsn in wanted:
-                record, _end = decode_record(self._data, lsn - self._base, lsn)
-                result[lsn] = record
-            return result
 
     # ------------------------------------------------------------------
     # Raw byte access (log shipping)

@@ -72,9 +72,9 @@ class RecordHeader(NamedTuple):
 
     The per-page back-chain (``prev_page_lsn``) and the per-transaction
     chain (``prev_txn_lsn``) both live in the fixed-size header, so chain
-    *discovery* never needs record bodies: the batched undo path walks
-    headers first, then fetches the full records in one coalesced pass
-    (:meth:`repro.wal.log_manager.LogManager.read_many`).
+    *discovery* never needs record bodies: header scans
+    (:meth:`repro.wal.log_manager.LogManager.scan_headers`) and the
+    diagnostic tools follow them without building a record.
     """
 
     lsn: int

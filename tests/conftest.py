@@ -106,4 +106,3 @@ def assert_refuses_writes(engine, restored) -> None:
     # A full shell: the state Database.__init__ owns is all there.
     fresh = type(restored)("probe", restored.config, engine.env, bootstrap=False)
     assert vars(restored).keys() == vars(fresh).keys()
-    assert restored.log.coalesce_gap_blocks == restored.config.log_coalesce_gap_blocks

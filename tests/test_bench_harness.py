@@ -6,8 +6,11 @@ guard the harness code paths under the ordinary test suite.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
+
+import pytest
 
 from repro.bench.harness import (
     run_logging_sweep,
@@ -90,3 +93,22 @@ class TestReporting:
         assert os.path.exists(path)
         with open(path) as handle:
             assert json.load(handle) == {"a": 1, "b": [1, 2]}
+
+
+@pytest.mark.parametrize(
+    "name", ["replication", "archive", "chaos", "concurrency", "version_store"]
+)
+def test_smoke_run_leaves_the_full_result_alone(name, tmp_path, monkeypatch):
+    """``bench_results/<name>.json`` is a committed full-scale result; a
+    ``--smoke`` run (every CI job makes one) writes ``<name>_smoke.json``."""
+    import repro.bench.reporting as reporting
+
+    monkeypatch.setattr(reporting, "RESULTS_DIR", str(tmp_path))
+    script = os.path.join(os.path.dirname(__file__), "..", "benchmarks", f"bench_{name}.py")
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.main(["--smoke"]) == 0
+    assert os.listdir(tmp_path) == [f"{name}_smoke.json"]
+    with open(tmp_path / f"{name}_smoke.json") as handle:
+        assert json.load(handle)["smoke"] is True

@@ -87,6 +87,17 @@ class TestEngineLifecycle:
         with pytest.raises(SnapshotError):
             engine.create_asof_snapshot("itemsdb", "itemsdb", 0.0)
 
+    def test_snapshot_name_collides_with_replica(self, engine, items_db):
+        """A snapshot may not take a standby's name: ``USE standby`` would
+        read the snapshot and ``DROP DATABASE standby`` would drop it."""
+        engine.add_replica("itemsdb", "standby")
+        now = items_db.env.clock.now()
+        with pytest.raises(SnapshotError, match="already in use"):
+            engine.create_snapshot("itemsdb", "standby")
+        with pytest.raises(SnapshotError, match="already in use"):
+            engine.create_asof_snapshot("itemsdb", "standby", now)
+        assert "standby" not in engine.snapshots
+
     def test_database_name_collides_with_snapshot(self, engine, items_db):
         engine.create_asof_snapshot("itemsdb", "snap", items_db.env.clock.now())
         with pytest.raises(CatalogError):

@@ -25,6 +25,7 @@ from repro.wal.records import (
     PreformatPageRecord,
     RecordType,
     decode_record,
+    unpack_header,
     walk_headers,
 )
 
@@ -223,118 +224,6 @@ class TestCrashTruncate:
             assert log.read(lsns[idx]).slot == idx
 
 
-class TestBatchedReads:
-    """read_header / read_many: the batched chain-walk access path."""
-
-    def test_read_header_matches_record(self):
-        log, _env = make_log()
-        lsn = log.append(
-            InsertRowRecord(
-                slot=3, row=b"abc", page_id=9, prev_page_lsn=77, txn_id=5
-            )
-        )
-        header = log.read_header(lsn)
-        assert header.lsn == lsn
-        assert header.page_id == 9
-        assert header.prev_page_lsn == 77
-        assert header.txn_id == 5
-
-    def test_read_header_charges_sector_not_block(self):
-        from repro.wal.log_manager import HEADER_READ_BYTES
-
-        log, env = make_log(log_profile=SAS_10K, block_size=4096, cache_blocks=4)
-        lsn = log.append(BeginRecord(txn_id=1))
-        log.flush()
-        t0 = env.clock.now()
-        log.read_header(lsn)
-        header_s = env.clock.now() - t0
-        expected = SAS_10K.rand_read_time(HEADER_READ_BYTES)
-        assert header_s == pytest.approx(expected)
-        assert env.stats.undo_header_reads == 1
-        # The block was never streamed: a full read still charges it.
-        t1 = env.clock.now()
-        log.read(lsn, for_undo=True)
-        assert env.clock.now() > t1
-        assert env.stats.undo_log_reads == 1
-        # ... and once the block is cached, headers are free.
-        t2 = env.clock.now()
-        log.read_header(lsn)
-        assert env.clock.now() == t2
-
-    def test_read_many_returns_all_records(self):
-        log, _env = make_log()
-        lsns = [
-            log.append(InsertRowRecord(slot=i, row=bytes([i] * 20), page_id=1))
-            for i in range(10)
-        ]
-        log.flush()
-        records = log.read_many([lsns[7], lsns[2], lsns[7], lsns[0]])
-        assert set(records) == {lsns[0], lsns[2], lsns[7]}
-        assert records[lsns[2]].slot == 2
-        assert records[lsns[7]].slot == 7
-
-    def test_read_many_coalesces_adjacent_blocks(self):
-        # 10 records of ~72 bytes across 256-byte blocks: the LSN set
-        # spans several adjacent blocks that one span must absorb.
-        log, env = make_log(
-            log_profile=SAS_10K, block_size=256, cache_blocks=16,
-            coalesce_gap_blocks=1,
-        )
-        lsns = [
-            log.append(InsertRowRecord(slot=i, row=bytes([i] * 30), page_id=1))
-            for i in range(10)
-        ]
-        log.flush()
-        records = log.read_many(lsns)
-        assert len(records) == 10
-        assert env.stats.undo_log_reads == 1  # one coalesced span
-        assert env.stats.undo_reads_coalesced > 0
-        # Spanned blocks are cached: re-reads are free.
-        t0 = env.clock.now()
-        log.read(lsns[0], for_undo=True)
-        assert env.clock.now() == t0
-
-    def test_read_many_respects_gap_limit(self):
-        log, env = make_log(
-            log_profile=SAS_10K, block_size=256, cache_blocks=32,
-            coalesce_gap_blocks=0,
-        )
-        lsns = []
-        for i in range(40):
-            lsns.append(
-                log.append(InsertRowRecord(slot=i, row=bytes([i]) * 30, page_id=1))
-            )
-        log.flush()
-        # Two records far apart with gap 0: two separate spans.
-        log.read_many([lsns[0], lsns[-1]])
-        assert env.stats.undo_log_reads == 2
-
-    def test_read_many_volatile_tail_free(self):
-        log, env = make_log(log_profile=SAS_10K)
-        lsns = [log.append(BeginRecord(txn_id=i)) for i in range(3)]
-        t0 = env.clock.now()
-        records = log.read_many(lsns)
-        assert env.clock.now() == t0
-        assert len(records) == 3
-        assert env.stats.undo_log_reads == 0
-
-    def test_read_many_below_horizon_raises(self):
-        log, _env = make_log()
-        lsns = [log.append(BeginRecord(txn_id=i)) for i in range(4)]
-        log.flush()
-        log.truncate_before(lsns[2])
-        with pytest.raises(LogTruncatedError):
-            log.read_many([lsns[0], lsns[3]])
-
-    def test_read_header_below_horizon_raises(self):
-        log, _env = make_log()
-        lsns = [log.append(BeginRecord(txn_id=i)) for i in range(4)]
-        log.flush()
-        log.truncate_before(lsns[2])
-        with pytest.raises(LogTruncatedError):
-            log.read_header(lsns[0])
-
-
 @pytest.fixture(scope="module")
 def tpcc_log():
     """(log, record boundaries) of a small TPC-C run: every record type
@@ -375,7 +264,7 @@ class TestStreamWalk:
         resumed = walk_headers(data, middle - log.start_lsn, base_lsn=log.start_lsn)
         assert [h.lsn for h in resumed] == [b for b in boundaries[:-1] if b >= middle]
         for header in headers[:: len(headers) // 50]:
-            assert header == log.read_header(header.lsn)
+            assert header == unpack_header(data, header.lsn - log.start_lsn, header.lsn)
             record = log.read(header.lsn)
             assert (header.record_type, header.page_id, header.prev_page_lsn) == (
                 record.TYPE, record.page_id, record.prev_page_lsn
@@ -541,7 +430,9 @@ class TestBlockScan:
                 log, env, log.scan_headers, from_lsn, to_lsn, raw=(RecordType.CLR,)
             )
             assert cost == expected_cost
-            assert [h for h, _raw in headers] == [log.read_header(r.lsn) for r in expected]
+            assert [h for h, _raw in headers] == [
+                unpack_header(r.serialize(), 0, r.lsn) for r in expected
+            ]
             assert [raw for _h, raw in headers] == [
                 r.serialize() if r.TYPE == RecordType.CLR else None for r in expected
             ]
@@ -647,7 +538,6 @@ class TestBlockScan:
 
     def test_random_reads_take_the_latch_once(self, rebased_log):
         log, _env, lsns = rebased_log
-        for read in (log.read, log.read_header):
-            before = log.latch.acquisitions
-            read(lsns[40])
-            assert log.latch.acquisitions - before == 1
+        before = log.latch.acquisitions
+        log.read(lsns[40])
+        assert log.latch.acquisitions - before == 1

@@ -147,7 +147,9 @@ def _topology(env=None) -> Engine:
 
 def test_metric_names_and_values_are_pinned():
     """Captured at 436447b (before the sheets became the only storage);
-    the one edit since is the five ``io.version_store_*`` mirrors gone."""
+    the edits since: the five ``io.version_store_*`` mirrors gone, and
+    ``io.undo_log_cache_hits`` counting each chain record once (54 → 27)
+    now that no header pass precedes the fetch."""
     engine = _topology()
     golden = json.loads(GOLDEN.read_text())
     assert sorted(engine.metrics.names()) == golden["names"]
@@ -263,7 +265,7 @@ def test_cold_trace_shows_chain_walk(items_schema):
     walks = cold.find_all("asof.chain_walk")
     assert walks, "cold read must chain-walk"
     # Every walked page missed the store first, and the walk's I/O
-    # carries the batched read counts the bench quotes.
+    # carries the undo read counts the bench quotes.
     for walk in walks:
         probe = cold.find("version_store.lookup")
         assert probe is not None and probe.attrs["hit"] is False
@@ -283,7 +285,7 @@ def test_warm_trace_hits_store_and_skips_undo(items_schema):
     assert warm.find("asof.chain_walk") is None
     io = warm.root.io
     assert io.get("undo_log_reads", 0) == 0
-    assert io.get("undo_header_reads", 0) == 0
+    assert io.get("undo_log_cache_hits", 0) == 0
     assert engine.version_store.stats.hits == len(probes)
 
 
@@ -304,8 +306,15 @@ def test_span_nesting_and_sim_timing(items_schema):
     assert walk is not None
     prep = cold.find("asof.prepare_page")
     assert walk in prep.find_all("asof.chain_walk")
-    # The batched log reads happen inside the chain walk.
-    assert cold.find("log.read_many") is not None
+    # The undo log reads happen inside the chain walks: one fetch per
+    # record undone, a device read or a block-cache hit each.
+    walk_io = [w.io for w in cold.find_all("asof.chain_walk")]
+    fetches = sum(
+        io.get("undo_log_reads", 0) + io.get("undo_log_cache_hits", 0) for io in walk_io
+    )
+    assert fetches == sum(io.get("undo_records_applied", 0) for io in walk_io) > 0
+    root_io = cold.root.io
+    assert fetches == root_io.get("undo_log_reads", 0) + root_io.get("undo_log_cache_hits", 0)
     assert cold.root.elapsed_s > 0  # priced env: sim time advanced
 
 

@@ -5,8 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro import DatabaseConfig, Engine
+from repro.config import SimEnv
 from repro.core.page_undo import prepare_page_as_of
 from repro.errors import LogTruncatedError
+from repro.sim.device import SAS_10K
 from repro.storage.page import Page
 from tests.conftest import ITEMS_SCHEMA, fill_items
 
@@ -111,6 +113,36 @@ class TestBasicRewind:
             page = page_copy(db, pid)
             prepare_page_as_of(page, lsn, db.log, db.env)
             assert rows_on(page, codec) == expected[lsn]
+
+
+class TestChainWalkCost:
+    def test_chain_inside_one_log_block_costs_one_read(self):
+        """Figure 3's walk on Figure 11's pricing: a chain whose records
+        share a log block pays the device once and hits the log block
+        cache for the rest."""
+        env = SimEnv(log_profile=SAS_10K)
+        db = Engine(env).create_database("itemsdb")
+        db.create_table(ITEMS_SCHEMA)
+        fill_items(db, 5)
+        mark = db.log.end_lsn - 1
+        n = 10
+        with db.transaction() as txn:
+            for i in range(n):
+                db.update(txn, "items", (2,), {"qty": 1000 + i})
+        assert db.log.durable_lsn == db.log.end_lsn  # no free volatile tail
+        assert mark // db.log.block_size == db.log.end_lsn // db.log.block_size
+        page = page_copy(db, leaf_page_id(db))
+        db.log._cache.clear()
+        before = env.stats.snapshot()
+        busy_before = env.log_device.busy_seconds
+        prepare_page_as_of(page, mark, db.log, env)
+        spent = env.stats.delta(before)
+        assert spent.undo_records_applied == n
+        assert spent.undo_log_reads == 1
+        assert spent.undo_log_cache_hits == n - 1
+        assert env.log_device.busy_seconds - busy_before == pytest.approx(
+            SAS_10K.rand_read_time(db.log.block_size)
+        )
 
 
 class TestPageImages:

@@ -104,11 +104,11 @@ class TestPricedIoDiscipline:
         )
         assert check(src, "src/repro/archive/x.py", {"RL002"}) == []
 
-    def test_chain_walk_read_bytes_flagged_read_many_clean(self):
+    def test_chain_walk_read_bytes_flagged_undo_fetch_clean(self):
         src = (
-            "def walk(log, spans):\n"
-            "    log.read_bytes(spans[0], 10)\n"
-            "    return log.read_many(spans)\n"
+            "def walk(log, lsn):\n"
+            "    log.read_bytes(lsn, lsn + 10)\n"
+            "    return log.undo_fetch(lsn)\n"
         )
         findings = check(src, "src/repro/core/x.py", {"RL002"})
         assert rules_of(findings) == ["RL002"]

@@ -292,44 +292,6 @@ def test_store_hits_match_tpcc_history():
     assert engine.version_store.stats.hits > hits
 
 
-def test_batched_walk_equals_reference_walk():
-    """The batched (header-discovery + read_many) walk and the reference
-    one-read-per-record walk produce identical pages and intervals."""
-    from repro.core.page_undo import prepare_page_version
-    from repro.core.split_lsn import find_split_lsn
-    from repro.storage.page import Page
-
-    engine, db = _items_engine()
-    clock = engine.env.clock
-    fill_items(db, 40)
-    clock.advance(5)
-    split = find_split_lsn(db, clock.now())
-    clock.advance(5)
-    for round_no in range(3):
-        with db.transaction() as txn:
-            for i in range(0, 40, 2):
-                db.update(txn, "items", (i,), {"qty": round_no * 100 + i})
-    db.checkpoint()
-    compared = 0
-    for page_id in range(db.file_manager.page_count):
-        with db.fetch_page(page_id) as guard:
-            if not guard.page.is_formatted():
-                continue
-            current = bytes(guard.page.data)
-        batched_page = Page(bytearray(current))
-        naive_page = Page(bytearray(current))
-        batched = prepare_page_version(
-            batched_page, split, db.log, db.env, batched=True
-        )
-        naive = prepare_page_version(
-            naive_page, split, db.log, db.env, batched=False
-        )
-        assert bytes(batched_page.data) == bytes(naive_page.data), page_id
-        assert batched == naive, page_id
-        compared += 1
-    assert compared > 3
-
-
 # ---------------------------------------------------------------------------
 # Invalidation: eviction, truncation, pool eviction, crash, name reuse
 # ---------------------------------------------------------------------------
@@ -600,7 +562,7 @@ def test_chain_stats_counts_modifications(items_schema):
     stats = chain_stats(db)
     assert stats["pages_scanned"] > 0
     assert stats["total_chain_records"] > 20
-    assert stats["batched_undo_reads"] <= stats["naive_undo_reads"]
+    assert 0 < stats["undo_reads"] <= stats["total_chain_records"]
     assert sum(stats["histogram"].values()) == stats["pages_scanned"]
     report = chain_report(db)
     assert any("est prepare cost" in line for line in report)
