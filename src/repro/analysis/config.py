@@ -39,8 +39,10 @@ class RuleConfig:
 #: **strict**: the structure has grown its latch, so every mutation —
 #: owner module included — must sit lexically under the guard (the sole
 #: exception is first assignment on ``self`` inside ``__init__`` /
-#: ``__new__``, before the object is shared). This is the lint-side
-#: contract for the concurrent-engine latching work (ROADMAP item 1).
+#: ``__new__``, before the object is shared). A call of ``append``,
+#: ``clear`` and the like on the attribute is a mutation; ``mutators``
+#: adds the mutating methods of a structure that has its own. This is
+#: the lint-side contract for the concurrent-engine latching work.
 SHARED_STATE_REGISTRY: tuple[dict, ...] = (
     # Retention pins: pooled splits, shipper cursors, archiver cursors.
     {"attr": "retention_pins", "owners": ("repro/engine/database.py",)},
@@ -66,12 +68,17 @@ SHARED_STATE_REGISTRY: tuple[dict, ...] = (
         "owners": ("repro/storage/buffer.py", "repro/core/asof.py"),
         "latch": True,
     },
-    # The log tail: bytes, durable boundary, truncation point, block
-    # cache, commit tracker.
+    # The log tail: bytes, durable boundary, truncation point, commit
+    # directory.
     {"attr": "_data", "owners": ("repro/wal/log_manager.py",), "latch": True},
     {"attr": "_durable_end", "owners": ("repro/wal/log_manager.py",), "latch": True},
     {"attr": "_truncated_before", "owners": ("repro/wal/log_manager.py",), "latch": True},
-    {"attr": "_last_commit_lsn", "owners": ("repro/wal/log_manager.py",), "latch": True},
+    {
+        "attr": "_commit_dir",
+        "owners": ("repro/wal/log_manager.py",),
+        "latch": True,
+        "mutators": ("note", "cut", "drop_below"),
+    },
     # Lock-manager table and declared waits (one per database).
     {"attr": "_table", "owners": ("repro/txn/locks.py",), "latch": True},
     {"attr": "_waits", "owners": ("repro/txn/locks.py",), "latch": True},

@@ -81,6 +81,11 @@ class SharedStateDiscipline(Rule):
             for entry in options.get("shared_state", ())
             if entry.get("latch")
         )
+        # A structure with methods of its own names the ones that mutate.
+        mutators = {
+            entry["attr"]: _MUTATORS | frozenset(entry.get("mutators", ()))
+            for entry in options.get("shared_state", ())
+        }
         method_owners = {
             entry["method"]: entry["owners"]
             for entry in options.get("shared_methods", ())
@@ -103,7 +108,7 @@ class SharedStateDiscipline(Rule):
                     )
             elif isinstance(node, ast.Call):
                 self._check_call(
-                    ctx, node, attr_owners, strict, method_owners, guards
+                    ctx, node, attr_owners, strict, mutators, method_owners, guards
                 )
 
     # ------------------------------------------------------------------
@@ -193,16 +198,16 @@ class SharedStateDiscipline(Rule):
         self._flag(ctx, node, attr, owners, "mutation")
 
     def _check_call(
-        self, ctx, node, attr_owners, strict, method_owners, guards
+        self, ctx, node, attr_owners, strict, mutators, method_owners, guards
     ) -> None:
         func = node.func
         if not isinstance(func, ast.Attribute):
             return
         # x.<shared_attr>.append(...) and friends.
         if (
-            func.attr in _MUTATORS
-            and isinstance(func.value, ast.Attribute)
+            isinstance(func.value, ast.Attribute)
             and func.value.attr in attr_owners
+            and func.attr in mutators[func.value.attr]
         ):
             owners = attr_owners[func.value.attr]
             if self._under_guard(node, guards):

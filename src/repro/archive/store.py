@@ -250,7 +250,8 @@ class ArchiveStore:
         """Archive a full or incremental backup.
 
         Incrementals must chain onto an already-archived backup (their
-        ``base_lsn`` names the predecessor's ``backup_lsn``).
+        ``base_lsn`` names the predecessor's ``backup_lsn``) that has no
+        successor yet: two incrementals on one base would fork the chain.
         """
         with self.latch:
             backups = self._backups.setdefault(backup.source_name, [])
@@ -261,6 +262,13 @@ class ArchiveStore:
                 raise BackupError(
                     f"incremental backup of {backup.source_name!r} chains onto "
                     f"LSN {format_lsn(base_lsn)}, which is not in the archive"
+                )
+            if base_lsn is not None and any(
+                getattr(b, "base_lsn", None) == base_lsn for b in backups
+            ):
+                raise BackupError(
+                    f"incremental backup of {backup.source_name!r} chains onto "
+                    f"LSN {format_lsn(base_lsn)}, which already has a successor"
                 )
             if backups and backup.backup_lsn < backups[-1].backup_lsn:
                 raise BackupError(

@@ -1,18 +1,24 @@
 """Wall-clock time → SplitLSN translation (paper section 5.1).
 
-The search first narrows the log region using the backward chain of
-checkpoint records (which carry wall-clock stamps), then scans forward
-reading transaction commit records to find the last commit at or before
-the requested time. The SplitLSN is that commit's LSN: the snapshot's
-state is "every record with LSN ≤ SplitLSN applied, minus transactions
-still in flight at that point" — the in-flight ones are what snapshot
-recovery's logical undo removes.
+The SplitLSN for a time *t* is the last commit at or before *t*: the
+snapshot's state is "every record with LSN ≤ SplitLSN applied, minus
+transactions still in flight at that point" — the in-flight ones are what
+snapshot recovery's logical undo removes.
+
+Section 5.1 narrows the log region with the backward chain of checkpoint
+records (which carry wall-clock stamps), then scans forward reading every
+commit record from there. This module narrows by checkpoint the same way
+and then reads **one log block**: the one the log's commit directory
+(:class:`repro.wal.log_manager.CommitDirectory`) names as the first whose
+commits reach past *t*. The answer is the forward scan's for every *t*
+(``docs/wal-format.md``, "Commit directory"); the scan itself is left
+only for the one case the directory cannot decide.
 """
 
 from __future__ import annotations
 
 from repro.errors import RetentionExceededError
-from repro.wal.lsn import FIRST_LSN, NULL_LSN
+from repro.wal.lsn import NULL_LSN
 from repro.wal.records import CheckpointBeginRecord, RecordType
 
 #: Split search reads commit records only; the scan still checks (and is
@@ -73,48 +79,21 @@ def analysis_base(db, split: int, floor: int) -> int:
     return floor
 
 
-def _last_commit_lsn(db) -> int:
-    """The LSN of the last commit record in the retained log.
-
-    The common case is O(1): the log manager tracks the last appended
-    commit. The scan fallback covers logs where the tracker is unset
-    (freshly restored files, post-crash before any commit). With no
-    commit anywhere the last appended record's start LSN is returned, so
-    the result is always a readable record boundary.
-    """
-    tracked = getattr(db.log, "last_commit_lsn", NULL_LSN)
-    if tracked != NULL_LSN and tracked >= db.log.start_lsn:
-        return tracked
-    base = db.last_checkpoint_lsn
-    if base == NULL_LSN or base < db.log.start_lsn:
-        base = db.log.start_lsn
-    for start in dict.fromkeys((base, db.log.start_lsn)):
-        last_commit = NULL_LSN
-        last_record = NULL_LSN
-        for header, _raw in db.log.scan_headers(start):
-            last_record = header.lsn
-            if header.record_type == RecordType.COMMIT:
-                last_commit = header.lsn
-        if last_commit != NULL_LSN:
-            return last_commit
-    if last_record != NULL_LSN:
-        return last_record
-    return FIRST_LSN
-
-
 def find_split_lsn(db, target_wall: float) -> int:
     """The SplitLSN for a snapshot as of ``target_wall`` (simulated time).
 
     Raises :class:`RetentionExceededError` when the target precedes the
     retained log (section 4.3's retention period).
     """
-    now = db.env.clock.now()
-    if target_wall >= now:
+    if target_wall >= db.env.clock.now():
         # "As of now" (or future): everything committed so far. The split
         # must be a real record LSN (callers read it back and the analysis
-        # window is bounded at split + 1), so return the last commit
-        # record's LSN — not a raw byte offset into the log tail.
-        return _last_commit_lsn(db)
+        # window is bounded at split + 1), so it is the last commit
+        # record's LSN — not a raw byte offset into the log tail. A log
+        # with no commit answers like any time past its newest checkpoint.
+        last = db.log.last_commit_lsn
+        if last != NULL_LSN:
+            return last
 
     # Narrow using the checkpoint chain: newest checkpoint at/before target.
     base_lsn = NULL_LSN
@@ -139,7 +118,23 @@ def find_split_lsn(db, target_wall: float) -> int:
                 f"as-of time {target_wall:.3f}s precedes the retained log"
             )
 
-    # Scan forward for the last commit at or before the target.
+    # The commit directory names the block holding the first commit
+    # stamped after the target (commits [first, last]); every commit in
+    # an earlier block is at or before it. Unless that first later commit
+    # lies below the base (walls out of LSN order), the block decides.
+    before, first, last = db.log.commits_around(target_wall)
+    split = max(base_lsn, before)
+    if first == NULL_LSN:
+        return split
+    start = max(base_lsn, first)
+    if start <= last:
+        for rec in db.log.scan(start, last + 1, types=_COMMITS):
+            if rec.wall_clock > target_wall:
+                return split
+            split = rec.lsn
+
+    # Undecided: scan forward from the base for the last commit at or
+    # before the target, as section 5.1 does.
     split = base_lsn
     for rec in db.log.scan(base_lsn, types=_COMMITS):
         if rec.wall_clock > target_wall:

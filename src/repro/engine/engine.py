@@ -14,6 +14,7 @@ from repro.engine.database import Database
 from repro.engine.scheduler import DEFAULT_TIMEOUT_S, SessionScheduler
 from repro.latch import Latch
 from repro.errors import (
+    BackupError,
     CatalogError,
     FaultInjectedError,
     ReplicationError,
@@ -779,8 +780,9 @@ class Engine:
         from repro.backup.backup import take_full_backup
 
         archiver = self.enable_archiving(db_name)
+        store = archiver.store
         db = self.database(db_name)
-        chain = archiver.store.newest_chain(db_name)
+        chain = store.newest_chain(db_name)
         with self.env.tracer.span(
             "backup.database", db=db_name, full=bool(full or not chain)
         ):
@@ -789,11 +791,21 @@ class Engine:
             # The backup media here IS the archive store (put_backup
             # charges the archive device), so the generic media charge
             # is off.
-            if full or not chain:
-                backup = take_full_backup(db, charge_media=False)
-            else:
-                backup = take_incremental_backup(db, chain[-1], charge_media=False)
-            archiver.store.put_backup(backup)
+            while True:
+                if full or not chain:
+                    backup = take_full_backup(db, charge_media=False)
+                else:
+                    backup = take_incremental_backup(db, chain[-1], charge_media=False)
+                try:
+                    store.put_backup(backup)
+                    break
+                except BackupError:
+                    # A concurrent BACKUP DATABASE chained onto the same
+                    # base first: take the incremental again on the new tip.
+                    moved = store.newest_chain(db_name)
+                    if full or not chain or moved[-1] is chain[-1]:
+                        raise
+                    chain = moved
             # The backup's checkpoint records are in the log now; archive
             # them promptly so the chain is immediately restorable.
             archiver.poll()
@@ -871,7 +883,7 @@ class Engine:
         for one restore. Raises the enriched retention error when no
         archive can serve the time.
         """
-        from repro.errors import ArchiveError, BackupError
+        from repro.errors import ArchiveError
 
         archive_failure = None
         archiver = self.archives.get(db_name)

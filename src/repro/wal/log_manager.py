@@ -11,10 +11,17 @@ Durability model: appended records sit in a volatile tail until
 :meth:`flush` moves the durable boundary (charging a sequential write).
 :meth:`crash` discards the volatile tail, which is how the crash-recovery
 tests produce torn histories.
+
+The log keeps a :class:`CommitDirectory` beside its bytes — one summary
+per log block holding a commit — so SplitLSN search reads one block
+instead of scanning forward from a checkpoint (``docs/wal-format.md``,
+"Commit directory").
 """
 
 from __future__ import annotations
 
+import struct
+from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 
 from repro.config import SimEnv
@@ -23,6 +30,7 @@ from repro.latch import Latch
 from repro.obs.registry import DEFAULT_BYTES_BUCKETS
 from repro.wal.lsn import FIRST_LSN, NULL_LSN, format_lsn
 from repro.wal.records import (
+    HEADER_SIZE,
     LOG_HEADER_MAGIC,
     ClrRecord,
     CommitRecord,
@@ -38,6 +46,87 @@ from repro.wal.records import (
 #: Wire discriminators for ingest's header-only frame scan.
 _COMMIT_TYPE = int(RecordType.COMMIT)
 _CHECKPOINT_BEGIN_TYPE = int(RecordType.CHECKPOINT_BEGIN)
+#: A commit's body is its wall clock alone: read in place, never decoded.
+_WALL = struct.Struct("<d")
+_COMMIT_SIZE = HEADER_SIZE + _WALL.size
+
+
+def _commit_wall(data, offset: int) -> float:
+    """Wall clock of the commit record at ``offset`` in ``data``."""
+    return _WALL.unpack_from(data, offset + HEADER_SIZE)[0]
+
+
+class CommitDirectory:
+    """One entry per log block that holds a commit record: the first and
+    last commit LSN in the block and the running maximum of commit wall
+    clocks up to and including it (the block is ``first // block_size``).
+
+    The running maximum never decreases, so the first block whose
+    maximum exceeds a time *t* is a bisect away, and every commit in an
+    earlier block is at or before *t* — whatever order the walls were
+    stamped in. :func:`repro.core.split_lsn.find_split_lsn` turns that
+    into one block read. Entries are in LSN order; the owning
+    :class:`LogManager` calls every method under its latch.
+    """
+
+    __slots__ = ("block_size", "_firsts", "_lasts", "_walls")
+
+    def __init__(self, block_size: int) -> None:
+        self.block_size = block_size
+        self._firsts: list[int] = []
+        self._lasts: list[int] = []
+        self._walls: list[float] = []
+
+    @property
+    def last(self) -> int:
+        """The newest commit's LSN, ``NULL_LSN`` when there is none."""
+        return self._lasts[-1] if self._lasts else NULL_LSN
+
+    def note(self, lsn: int, wall: float) -> None:
+        """Record a commit at ``lsn``, newer than every one noted so far."""
+        lasts, walls = self._lasts, self._walls
+        if lasts and lasts[-1] // self.block_size == lsn // self.block_size:
+            lasts[-1] = lsn
+            walls[-1] = max(walls[-1], wall)
+        else:
+            self._firsts.append(lsn)
+            lasts.append(lsn)
+            walls.append(max(walls[-1], wall) if walls else wall)
+
+    def around(self, wall: float) -> tuple[int, int, int]:
+        """``(before, first, last)``: the last commit of the blocks whose
+        running maximum is at or before ``wall``, and the commit range of
+        the first block whose maximum exceeds it (``NULL_LSN`` for each
+        that does not exist)."""
+        i = bisect_right(self._walls, wall)
+        before = self._lasts[i - 1] if i else NULL_LSN
+        if i == len(self._walls):
+            return before, NULL_LSN, NULL_LSN
+        return before, self._firsts[i], self._lasts[i]
+
+    def drop_below(self, lsn: int) -> None:
+        """Forget the blocks whose commits all lie below ``lsn``."""
+        i = bisect_left(self._lasts, lsn)
+        del self._firsts[:i], self._lasts[:i], self._walls[:i]
+
+    def cut(self, lsn: int, data, base: int) -> None:
+        """Forget commits at or past ``lsn``, where the log now ends.
+
+        ``data`` is the log's kept bytes, ``data[0]`` at LSN ``base``. A
+        block the cut falls inside is summarized again from the commits
+        it keeps, read in place from its first commit (or the log start,
+        if that was truncated) to the end of ``data``.
+        """
+        i = bisect_left(self._lasts, lsn)
+        if i == len(self._lasts):
+            return
+        first = self._firsts[i]
+        del self._firsts[i:], self._lasts[i:], self._walls[i:]
+        if first >= lsn:
+            return
+        for header in walk_headers(data, max(first, base) - base, base_lsn=base):
+            if header.record_type == _COMMIT_TYPE:
+                self.note(header.lsn, _commit_wall(data, header.lsn - base))
 
 
 class LogManager:
@@ -57,7 +146,7 @@ class LogManager:
         self._base = 0  # LSN of _data[0]
         self._durable_end = FIRST_LSN
         self._truncated_before = FIRST_LSN
-        self._last_commit_lsn = NULL_LSN
+        self._commit_dir = CommitDirectory(block_size)
         self._cache: OrderedDict[int, None] = OrderedDict()
         # Handle cached at init: append() is the engine's hottest path.
         self._append_hist = env.metrics.histogram(
@@ -96,9 +185,15 @@ class LogManager:
 
     @property
     def last_commit_lsn(self) -> int:
-        """LSN of the last appended commit record, ``NULL_LSN`` when
-        unknown (no commit yet, or the tracker was reset by a crash)."""
-        return self._last_commit_lsn
+        """LSN of the newest commit record in the log, ``NULL_LSN`` when
+        it holds none."""
+        with self.latch:
+            return self._commit_dir.last
+
+    def commits_around(self, wall: float) -> tuple[int, int, int]:
+        """:meth:`CommitDirectory.around` for SplitLSN search."""
+        with self.latch:
+            return self._commit_dir.around(wall)
 
     # ------------------------------------------------------------------
     # Append / flush
@@ -116,7 +211,7 @@ class LogManager:
             self._data += blob
             self._append_hist.observe(len(blob))
             if isinstance(record, CommitRecord):
-                self._last_commit_lsn = record.lsn
+                self._commit_dir.note(record.lsn, record.wall_clock)
             stats = self.env.stats
             stats.log_records += 1
             if isinstance(record, PreformatPageRecord):
@@ -279,9 +374,10 @@ class LogManager:
 
         ``start_lsn`` must equal :attr:`end_lsn` — shipped frames arrive in
         order with no gaps (the shipper resumes from the standby's cursor).
-        The bytes are validated to decode as whole records, the last-commit
-        tracker is advanced, and one sequential log write is charged (the
-        standby lands the stream the same way the primary flushed it).
+        The bytes are validated to decode as whole records, their commits
+        enter the commit directory (each wall clock read in place, no body
+        decoded), and one sequential log write is charged (the standby
+        lands the stream the same way the primary flushed it).
 
         Returns the LSN of the newest checkpoint-begin record in the
         frame (``NULL_LSN`` if none): a standby needs a checkpoint-chain
@@ -298,17 +394,22 @@ class LogManager:
                 return NULL_LSN
             # Header walk: reject torn frames (LogRecordDecodeError)
             # before mutating any state.
-            last_commit = NULL_LSN
+            commits = []
             last_checkpoint = NULL_LSN
             for header in walk_headers(data, base_lsn=start_lsn):
                 if header.record_type == _COMMIT_TYPE:
-                    last_commit = header.lsn
+                    if header.total != _COMMIT_SIZE:
+                        raise LogRecordDecodeError(
+                            f"commit at {format_lsn(header.lsn)} is {header.total} "
+                            f"bytes, not {_COMMIT_SIZE}"
+                        )
+                    commits.append(header.lsn)
                 elif header.record_type == _CHECKPOINT_BEGIN_TYPE:
                     last_checkpoint = header.lsn
             self._data += data
             self._durable_end = self.end_lsn
-            if last_commit != NULL_LSN:
-                self._last_commit_lsn = last_commit
+            for lsn in commits:
+                self._commit_dir.note(lsn, _commit_wall(data, lsn - start_lsn))
             self.env.log_device.write_seq_async(len(data))
             self.env.stats.log_flushes += 1
             self.env.stats.log_write_bytes += len(data)
@@ -366,8 +467,7 @@ class LogManager:
             del self._data[lsn - self._base :]
             self._durable_end = min(self._durable_end, lsn)
             self._cache.clear()
-            if self._last_commit_lsn >= lsn:
-                self._last_commit_lsn = NULL_LSN
+            self._commit_dir.cut(lsn, self._data, self._base)
 
     # ------------------------------------------------------------------
     # Sequential scans (recovery, SplitLSN search, roll-forward)
@@ -463,20 +563,18 @@ class LogManager:
             keep = self._durable_end - self._base
             del self._data[keep:]
             self._cache.clear()
-            if self._last_commit_lsn >= self._durable_end:
-                # The last commit sat in the volatile tail; the survivor
-                # (if any) is only discoverable by scanning, so reset the
-                # tracker.
-                self._last_commit_lsn = NULL_LSN
+            self._commit_dir.cut(self._durable_end, self._data, self._base)
 
     def close(self) -> None:
-        """Release the log's bytes and block cache: its database is being
-        retired. Nothing is flushed and nothing is charged; the positions
-        stay where they were, with every LSN now below the horizon."""
+        """Release the log's bytes, block cache and commit directory: its
+        database is being retired. Nothing is flushed and nothing is
+        charged; the positions stay where they were, with every LSN now
+        below the horizon."""
         with self.latch:
             self._base = self._truncated_before = self.end_lsn
             self._data = bytearray()
             self._cache.clear()
+            self._commit_dir = CommitDirectory(self.block_size)
 
     def truncate_before(self, lsn: int) -> None:
         """Drop all records with LSN < ``lsn`` (retention enforcement).
@@ -496,6 +594,7 @@ class LogManager:
             del self._data[:cut]
             self._base = lsn
             self._truncated_before = lsn
+            self._commit_dir.drop_below(lsn)
 
     def __repr__(self) -> str:
         return (

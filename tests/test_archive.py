@@ -72,6 +72,47 @@ class TestArchiveStore:
             IncrementalBackup,
         ]
 
+    def test_second_incremental_on_one_base_rejected(self, env, items_db):
+        store = ArchiveStore(env)
+        fill_items(items_db, 10)
+        full = take_full_backup(items_db)
+        first = take_incremental_backup(items_db, full)
+        second = take_incremental_backup(items_db, full)
+        store.put_backup(full)
+        store.put_backup(first)
+        with pytest.raises(BackupError, match="already has a successor"):
+            store.put_backup(second)
+        assert store.backups("itemsdb") == [full, first]
+
+    def test_concurrent_backup_database_does_not_fork_the_chain(
+        self, engine, items_db, monkeypatch
+    ):
+        """A second BACKUP DATABASE lands while the first is copying pages:
+        both read the same chain tip, and the later put must not chain
+        onto it again."""
+        from repro.archive import backup as archive_backup
+
+        fill_items(items_db, 10)
+        engine.backup_database("itemsdb")  # the full baseline
+        real = archive_backup.take_incremental_backup
+        calls = []
+
+        def racing(db, base, **kwargs):
+            calls.append(base.backup_lsn)
+            if len(calls) == 1:
+                fill_items(db, 5, start=100)
+                engine.backup_database("itemsdb")  # lands first
+            return real(db, base, **kwargs)
+
+        monkeypatch.setattr(archive_backup, "take_incremental_backup", racing)
+        fill_items(items_db, 5, start=50)
+        engine.backup_database("itemsdb")
+        backups = engine.archives["itemsdb"].store.backups("itemsdb")
+        bases = [b.base_lsn for b in backups if isinstance(b, IncrementalBackup)]
+        assert len(bases) == 2 and len(set(bases)) == 2
+        assert len(calls) == 3  # the outer incremental was taken again
+        assert engine.archives["itemsdb"].store.newest_chain("itemsdb") == backups
+
     def test_directory_persistence(self, env, tmp_path):
         store = ArchiveStore(env, directory=str(tmp_path / "arch"))
         store.put_segment("db", LogFrame(8, b"x" * 16, 0.0).encode())

@@ -259,6 +259,20 @@ class TestSharedStateDiscipline:
         findings = check(src, "src/repro/wal/log_manager.py", {"RL005"})
         assert rules_of(findings) == ["RL005"]
 
+    def test_declared_mutator_method_needs_the_guard(self):
+        # The commit directory's own methods count as mutations of it.
+        bare = "def append(self, lsn, wall):\n    self._commit_dir.note(lsn, wall)\n"
+        findings = check(bare, "src/repro/wal/log_manager.py", {"RL005"})
+        assert rules_of(findings) == ["RL005"]
+        assert "self._commit_dir" in findings[0].message
+        guarded = (
+            "def append(self, lsn, wall):\n"
+            "    with self.latch:\n"
+            "        self._commit_dir.note(lsn, wall)\n"
+            "    return self._commit_dir.around(wall)\n"
+        )
+        assert check(guarded, "src/repro/wal/log_manager.py", {"RL005"}) == []
+
     def test_engine_catalog_mutation_outside_latch_flagged(self):
         # The engine catalog is strict: a retire path that forgets the
         # latch (the old ``_locked`` twin bodies) is a finding even in
