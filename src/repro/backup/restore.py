@@ -25,7 +25,7 @@ from repro.engine.database import Database
 from repro.engine.recovery import analyze_log
 from repro.errors import BackupError
 from repro.txn.undo import rollback_losers
-from repro.wal.apply import RedoApplier
+from repro.wal.apply import PAGE_MOD_TYPES, RedoApplier
 
 
 class _RestoreUndoContext:
@@ -61,7 +61,9 @@ def restore_at_split(
     log = source.log
     restored = Database(name, config, env, bootstrap=False)
     restored.adopt_backup(pages, log.record_aligned_end(split, 1))
-    RedoApplier(restored).apply(log.scan(roll_from, split + 1))
+    # Narrowed to what redo applies: every record in the range is still
+    # checked and charged, only the others are not built.
+    RedoApplier(restored).apply(log.scan(roll_from, split + 1, types=PAGE_MOD_TYPES))
     base = analysis_base(source, split, max(roll_from, log.start_lsn))
     analysis = analyze_log(log, base, split + 1)
     rollback_losers(_RestoreUndoContext(restored, log), analysis.losers)

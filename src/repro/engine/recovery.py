@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from repro.engine.boot import BOOT_PAGE_ID, read_boot_record
 from repro.errors import RecoveryError
 from repro.txn.undo import rollback_losers
-from repro.wal.apply import RedoApplier
+from repro.wal.apply import PAGE_MOD_TYPES, RedoApplier
 from repro.wal.lsn import FIRST_LSN, NULL_LSN
 from repro.wal.records import (
     FLAG_SMO,
@@ -38,8 +38,6 @@ from repro.wal.records import (
     decode_record,
 )
 
-#: What analysis knows a record by: its wire type, straight off the header.
-_PAGE_MODS = frozenset(rtype for rtype, cls in RECORD_CLASSES.items() if cls.IS_PAGE_MOD)
 #: Types whose body names the row they touch (``key_bytes``): the one body
 #: field analysis reads, and only for transactions that end up losers.
 _KEYED = frozenset(rtype for rtype, cls in RECORD_CLASSES.items() if "key_bytes" in cls.__slots__)
@@ -99,7 +97,7 @@ def analyze_log(log, start_lsn: int, to_lsn: int | None = None) -> AnalysisResul
         elif rtype in _TXN_END:
             losers.pop(txn_id, None)
             open_rows.pop(txn_id, None)
-        elif rtype in _PAGE_MODS:
+        elif rtype in PAGE_MOD_TYPES:
             if txn_id in losers:
                 losers[txn_id] = lsn
                 if rtype in _KEYED and not header.flags & FLAG_SMO:

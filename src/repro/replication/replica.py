@@ -53,6 +53,9 @@ from repro.wal.records import CommitRecord
 #: :class:`~repro.wal.apply.RedoApplier` multicore model).
 APPLY_SLOTS = 4
 
+#: Objects whose pages hold the catalog: redoing one reloads it.
+_META_OBJECTS = frozenset((SYS_OBJECTS_ID, SYS_COLUMNS_ID))
+
 
 @dataclass
 class ReplicaStats:
@@ -260,14 +263,12 @@ class Replica:
         def records():
             nonlocal touched_meta
             for rec in self.db.log.scan(self.applied_lsn, to_lsn):
-                if isinstance(rec, CommitRecord):
+                if rec.IS_PAGE_MOD:
+                    if rec.page_id == BOOT_PAGE_ID or rec.object_id in _META_OBJECTS:
+                        touched_meta = True
+                elif type(rec) is CommitRecord:
                     state["wall"] = rec.wall_clock
                     state["commit"] = rec.lsn
-                elif rec.IS_PAGE_MOD and (
-                    rec.page_id == BOOT_PAGE_ID
-                    or rec.object_id in (SYS_OBJECTS_ID, SYS_COLUMNS_ID)
-                ):
-                    touched_meta = True
                 yield rec
 
         applied = self._applier.apply(records())

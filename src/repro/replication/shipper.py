@@ -258,6 +258,11 @@ class LogShipper:
         while sub.cursor < target:
             end = log.record_aligned_end(sub.cursor, self.batch_bytes, target)
             if end <= sub.cursor:
+                # Reached only when the record at the cursor ends past
+                # ``target``. Both are record boundaries in every history
+                # the engine writes (a durable end, a replica's received
+                # end), so this takes a cursor off a boundary whose bytes
+                # happen to parse as a header: stop rather than spin.
                 break
             payload = log.read_bytes(sub.cursor, end)
             blob = LogFrame(sub.cursor, payload, now).encode()

@@ -23,6 +23,15 @@ optionally modeling multicore redo (*Fast Failure Recovery for Main-Memory
 DBMSs on Multicores*-style partition-by-page parallelism) by charging the
 batch's CPU as its critical path across ``parallel_slots`` workers instead
 of the serial sum.
+
+The gate runs once per page run, not once per record. A page's records in
+a batch are in LSN order, and after an applied record the page is either
+unformatted or stamped with that record's LSN, below every later one's —
+so once one applies, every later one does: only a prefix at or below the
+page's ``pageLSN`` as fetched is skipped. No redo reads the ``pageLSN``,
+so it is written once, after the run — the bytes are those the
+per-record gate leaves (``tests/test_replay_routes.py`` keeps that loop
+as the oracle).
 """
 
 from __future__ import annotations
@@ -32,6 +41,7 @@ from repro.storage.page import Page, PageType
 from repro.wal.log_manager import LogManager
 from repro.wal.lsn import NULL_LSN
 from repro.wal.records import (
+    RECORD_CLASSES,
     FormatPageRecord,
     LogRecord,
     PageImageRecord,
@@ -43,6 +53,10 @@ _MODS_CAP = 0xFFFF
 
 #: Page modifications buffered per redo batch.
 REDO_BATCH_RECORDS = 256
+
+#: Wire types of the page modifications, the only records redo applies: a
+#: reader that feeds nothing but the applier scans for these alone.
+PAGE_MOD_TYPES = frozenset(rtype for rtype, cls in RECORD_CLASSES.items() if cls.IS_PAGE_MOD)
 
 
 class PageModifier:
@@ -228,24 +242,37 @@ class RedoApplier:
         applied = 0
         partition_counts: list[int] = []
         for page_id, recs in by_page.items():
-            count = 0
             # A format erases the page, so a batch that opens a page with
             # one never needs its old bytes: a miss materializes a zeroed
             # frame instead of reading the file. Restart-safe — a page
             # already on disk ahead of the format is rebuilt from records
             # that are all in the stream (docs/recovery.md).
-            create = isinstance(recs[0], FormatPageRecord)
+            create = type(recs[0]) is FormatPageRecord
             with target.fetch_page(page_id, create=create) as guard:
                 page = guard.page
-                for rec in recs:
-                    if page.is_formatted() and page.page_lsn >= rec.lsn:
-                        continue
-                    rec.redo(page)
-                    page.page_lsn = rec.lsn
-                    if isinstance(rec, PageImageRecord):
-                        page.last_image_lsn = rec.lsn
-                    guard.mark_dirty()
-                    count += 1
+                # The pageLSN gate, once per run: the run is in LSN order,
+                # so only a prefix at or below the page's LSN can be
+                # skipped, and every record after it applies.
+                start = 0
+                if page.is_formatted():
+                    page_lsn = page.page_lsn
+                    while start < len(recs) and recs[start].lsn <= page_lsn:
+                        start += 1
+                count = len(recs) - start
+                done = NULL_LSN
+                try:
+                    for rec in recs[start:]:
+                        rec.redo(page)
+                        done = rec.lsn
+                        if type(rec) is PageImageRecord:
+                            page.last_image_lsn = done
+                finally:
+                    # No redo reads the pageLSN, so writing the last applied
+                    # one — once, even if a redo raised — leaves the bytes
+                    # the per-record gate left.
+                    if done != NULL_LSN:
+                        page.page_lsn = done
+                        guard.mark_dirty()
             applied += count
             if count:
                 partition_counts.append(count)

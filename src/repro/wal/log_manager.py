@@ -40,10 +40,10 @@ from repro.wal.records import (
     RecordType,
     decode_record,
     decode_span,
-    walk_headers,
+    walk_boundaries,
 )
 
-#: Wire discriminators for ingest's header-only frame scan.
+#: Wire discriminators for ingest's boundary walk of a frame.
 _COMMIT_TYPE = int(RecordType.COMMIT)
 _CHECKPOINT_BEGIN_TYPE = int(RecordType.CHECKPOINT_BEGIN)
 #: A commit's body is its wall clock alone: read in place, never decoded.
@@ -124,9 +124,11 @@ class CommitDirectory:
         del self._firsts[i:], self._lasts[i:], self._walls[i:]
         if first >= lsn:
             return
-        for header in walk_headers(data, max(first, base) - base, base_lsn=base):
-            if header.record_type == _COMMIT_TYPE:
-                self.note(header.lsn, _commit_wall(data, header.lsn - base))
+        for lsn, _total, record_type in walk_boundaries(
+            data, max(first, base) - base, base_lsn=base
+        ):
+            if record_type == _COMMIT_TYPE:
+                self.note(lsn, _commit_wall(data, lsn - base))
 
 
 class LogManager:
@@ -349,19 +351,21 @@ class LogManager:
         """Largest record boundary in ``(from_lsn, limit_lsn]`` within
         ``max_bytes`` of ``from_lsn``.
 
-        Walks record headers only (each starts with its u32 total length),
-        so a shipper can frame batches without decoding bodies. Returns
-        ``from_lsn`` when not even one record fits the budget — the caller
-        must then grow the budget rather than ship a torn record.
+        Walks record boundaries only (each record starts with its u32
+        total length), so a shipper can frame batches without decoding
+        bodies. The first record always counts whole, however small
+        ``max_bytes`` is, so a record larger than the budget still ships,
+        alone. Returns ``from_lsn`` only when no record starts there, or
+        the one that does ends past ``limit_lsn`` (or past the log end).
         """
         with self.latch:
             self._check_readable(from_lsn)
             limit = self._end() if limit_lsn is None else min(limit_lsn, self._end())
             end = from_lsn
-            for header in walk_headers(
+            for lsn, total, _type in walk_boundaries(
                 self._data, from_lsn - self._base, base_lsn=self._base
             ):
-                next_lsn = header.lsn + header.total
+                next_lsn = lsn + total
                 if next_lsn > limit:
                     break
                 if next_lsn - from_lsn > max_bytes and end > from_lsn:
@@ -392,20 +396,20 @@ class LogManager:
                 )
             if not data:
                 return NULL_LSN
-            # Header walk: reject torn frames (LogRecordDecodeError)
+            # Boundary walk: reject torn frames (LogRecordDecodeError)
             # before mutating any state.
             commits = []
             last_checkpoint = NULL_LSN
-            for header in walk_headers(data, base_lsn=start_lsn):
-                if header.record_type == _COMMIT_TYPE:
-                    if header.total != _COMMIT_SIZE:
+            for lsn, total, record_type in walk_boundaries(data, base_lsn=start_lsn):
+                if record_type == _COMMIT_TYPE:
+                    if total != _COMMIT_SIZE:
                         raise LogRecordDecodeError(
-                            f"commit at {format_lsn(header.lsn)} is {header.total} "
+                            f"commit at {format_lsn(lsn)} is {total} "
                             f"bytes, not {_COMMIT_SIZE}"
                         )
-                    commits.append(header.lsn)
-                elif header.record_type == _CHECKPOINT_BEGIN_TYPE:
-                    last_checkpoint = header.lsn
+                    commits.append(lsn)
+                elif record_type == _CHECKPOINT_BEGIN_TYPE:
+                    last_checkpoint = lsn
             self._data += data
             self._durable_end = self.end_lsn
             for lsn in commits:

@@ -37,7 +37,6 @@ from repro.errors import (
     MissingUndoInfoError,
     WalError,
 )
-from repro.storage.checksum import crc32_zeroing
 from repro.storage.page import (
     NULL_PAGE,
     Page,
@@ -60,6 +59,10 @@ FLAG_HEAP = 0x02
 _HEADER = struct.Struct("<IBBQQIQII")
 HEADER_SIZE = _HEADER.size  # 42 bytes
 _CRC_OFFSET = HEADER_SIZE - 4
+#: The CRC field as :func:`~repro.storage.checksum.crc32_zeroing` reads it.
+_ZERO_CRC = b"\0\0\0\0"
+#: The head of :data:`_HEADER`: all a boundary walk reads of a record.
+_FRAMING = struct.Struct("<IB")
 #: Header fields a record object carries, in wire order (``lsn`` is not on
 #: the wire: it is the record's offset). All default to 0, the two LSNs'
 #: ``NULL_LSN``.
@@ -126,8 +129,7 @@ def walk_headers(data, start: int = 0, *, base_lsn: int = NULL_LSN):
     of ``data``, in order; each ``lsn`` is ``base_lsn`` plus its offset.
 
     Touches headers only (each record opens with its total length), so
-    framing a shipping batch, validating an ingested frame or tiling an
-    archived segment never decodes a body. Raises
+    tiling an archived segment never decodes a body. Raises
     :class:`LogRecordDecodeError` where ``data`` stops being whole
     records — a consumer that breaks out earlier never sees it.
     """
@@ -136,6 +138,30 @@ def walk_headers(data, start: int = 0, *, base_lsn: int = NULL_LSN):
         header = unpack_header(data, offset, base_lsn + offset)
         yield header
         offset += header.total
+
+
+def walk_boundaries(data, start: int = 0, *, base_lsn: int = NULL_LSN):
+    """:func:`walk_headers` for readers that need only where each record
+    lies and what it is: yields ``(lsn, total, record_type)``.
+
+    One ``struct`` unpack per record and no :class:`RecordHeader` — this
+    frames every shipping batch, validates every ingested frame and
+    re-summarizes a cut commit block. The header rule is run inline, and
+    a record that fails it goes to :func:`_parse_header`, so it is
+    refused at the same offset with the same error as by
+    :func:`walk_headers`.
+    """
+    size = len(data)
+    unpack = _FRAMING.unpack_from
+    offset = start
+    while offset < size:
+        if offset + HEADER_SIZE > size:
+            _parse_header(data, offset)
+        total, record_type = unpack(data, offset)
+        if total < HEADER_SIZE or offset + total > size:
+            _parse_header(data, offset)
+        yield base_lsn + offset, total, record_type
+        offset += total
 
 
 class RecordType(enum.IntEnum):
@@ -246,7 +272,8 @@ def decode_span(
 
     *Checked*, for every record passed over: the header and its bounds
     (:func:`_parse_header` — the record lies whole within ``data``, which
-    may reach past ``stop``), the CRC over the whole record, a known type.
+    may reach past ``stop``), the CRC over the whole record
+    (:func:`~repro.storage.checksum.crc32_zeroing`'s rule), a known type.
     *Built* depends on the reader:
 
     * by default a record object for each record whose wire type is in
@@ -265,6 +292,7 @@ def decode_span(
     """
     size = len(data)
     unpack = _HEADER.unpack_from
+    crc32 = zlib.crc32
     with memoryview(data) as view:
         while offset < stop:
             # The header rule, run inline (this loop is the log read path's
@@ -277,7 +305,11 @@ def decode_span(
             end = offset + fields[0]
             if fields[0] < HEADER_SIZE or end > size:
                 _parse_header(view, offset)
-            if crc32_zeroing(view, offset, end, offset + _CRC_OFFSET) != fields[-1]:
+            # crc32_zeroing's rule, inline for the same reason: the record
+            # with its CRC field read as zero, hashed in three pieces.
+            at = offset + _CRC_OFFSET
+            crc = crc32(_ZERO_CRC, crc32(view[offset:at]))
+            if crc32(view[at + 4 : end], crc) != fields[-1]:
                 raise LogRecordDecodeError(f"CRC mismatch at offset {offset}")
             try:
                 cls = _REGISTRY[rtype]

@@ -5,8 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.backup import FullBackup, restore_point_in_time, take_full_backup
-from repro.errors import BackupError, SnapshotReadOnlyError
-from tests.conftest import assert_refuses_writes, fill_items
+from repro.backup.restore import restore_at_split
+from repro.config import DatabaseConfig
+from repro.core.split_lsn import analysis_base, find_split_lsn
+from repro.errors import BackupError, LogRecordDecodeError, SnapshotReadOnlyError
+from repro.wal.apply import PAGE_MOD_TYPES, RedoApplier
+from repro.wal.records import HEADER_SIZE, RecordType
+from tests.conftest import ITEMS_SCHEMA, assert_refuses_writes, fill_items
 
 
 class TestFullBackup:
@@ -112,3 +117,72 @@ class TestRestore:
         backup = take_full_backup(items_db)
         assert isinstance(backup, FullBackup)
         assert "FullBackup" in repr(backup)
+
+
+class TestTypedRollForward:
+    """``restore_at_split`` builds only the page modifications of its
+    roll-forward range, and still checks and pays for every record."""
+
+    def _source(self, engine):
+        """A backup, then history the restore must roll forward over, a
+        checkpoint, and more history up to the split — so the stretch
+        before the checkpoint is read by redo and by no analysis."""
+        config = DatabaseConfig(page_size=1024, log_block_size=512, log_cache_blocks=4)
+        db = engine.create_database("typed", config)
+        db.create_table(ITEMS_SCHEMA)
+        fill_items(db, 30)
+        backup = take_full_backup(db)
+        for generation in range(1, 5):
+            fill_items(db, 25, start=100 * generation)
+            db.env.clock.advance(10)
+            if generation == 2:
+                db.checkpoint()
+        db.log.flush()
+        split = find_split_lsn(db, db.env.clock.now())
+        assert analysis_base(db, split, backup.backup_lsn) > backup.backup_lsn
+        return db, backup, split
+
+    def _restore(self, db, backup, split, name):
+        db.log._cache.clear()
+        before = db.env.stats.snapshot()
+        restored = restore_at_split(
+            name, db.config, db.env, backup.pages, db, backup.backup_lsn, split
+        )
+        spent = db.env.stats.delta(before)
+        return restored, (spent.log_scan_reads, spent.log_scan_bytes)
+
+    def test_same_charges_and_same_redo_as_an_untyped_scan(self, engine, monkeypatch):
+        db, backup, split = self._source(engine)
+        counts, asked = [], []
+        apply, scan = RedoApplier.apply, db.log.scan
+
+        def counted(self, records, gate=None):
+            counts.append(apply(self, records, gate))
+            return counts[-1]
+
+        def recorded(*args, types=None, **kwargs):
+            asked.append(types)
+            return scan(*args, types=types, **kwargs)
+
+        monkeypatch.setattr(RedoApplier, "apply", counted)
+        monkeypatch.setattr(db.log, "scan", recorded)
+        typed, typed_cost = self._restore(db, backup, split, "typed_copy")
+        assert asked == [PAGE_MOD_TYPES]
+        monkeypatch.setattr(db.log, "scan", lambda *args, types=None, **kw: scan(*args, **kw))
+        untyped, untyped_cost = self._restore(db, backup, split, "untyped_copy")
+        assert counts[0] == counts[1] > 100
+        assert typed_cost == untyped_cost and typed_cost[0] > 10
+        assert list(typed.scan("items")) == list(untyped.scan("items"))
+
+    @pytest.mark.parametrize("record_type", [RecordType.BEGIN, RecordType.COMMIT])
+    def test_a_flipped_byte_the_typed_scan_does_not_build_fails_it(self, engine, record_type):
+        db, backup, split = self._source(engine)
+        checkpoint = analysis_base(db, split, backup.backup_lsn)
+        victim = next(
+            rec.lsn
+            for rec in db.log.scan(backup.backup_lsn, checkpoint, types=(record_type,))
+            if rec.lsn > backup.backup_lsn
+        )
+        db.log._data[victim - db.log._base + HEADER_SIZE - 6] ^= 0x40  # object_id: CRC only
+        with pytest.raises(LogRecordDecodeError, match=f"CRC mismatch at offset {victim}"):
+            self._restore(db, backup, split, "torn_copy")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import random
 import threading
 import zlib
@@ -11,7 +12,7 @@ import pytest
 from repro.config import SimEnv
 from repro.errors import LogRecordDecodeError, LogTruncatedError, WalError
 from repro.sim.device import SAS_10K, SLC_SSD
-from repro.wal.log_manager import LogManager
+from repro.wal.log_manager import CommitDirectory, LogManager
 from repro.wal.lsn import FIRST_LSN
 from repro.wal.records import (
     HEADER_SIZE,
@@ -26,6 +27,7 @@ from repro.wal.records import (
     RecordType,
     decode_record,
     unpack_header,
+    walk_boundaries,
     walk_headers,
 )
 
@@ -251,8 +253,9 @@ def tpcc_log():
 
 
 class TestStreamWalk:
-    """The header walker against a full ``decode_record`` loop, and the
-    two LogManager paths built on it."""
+    """The header walker against a full ``decode_record`` loop, the
+    boundary walker against the header walker, and the LogManager paths
+    built on the boundary walker."""
 
     def test_walker_boundaries_equal_a_full_decode_loop(self, tpcc_log):
         log, boundaries = tpcc_log
@@ -269,6 +272,85 @@ class TestStreamWalk:
             assert (header.record_type, header.page_id, header.prev_page_lsn) == (
                 record.TYPE, record.page_id, record.prev_page_lsn
             )
+
+    def test_boundary_walk_equals_the_header_walk(self, tpcc_log):
+        log, boundaries = tpcc_log
+        base = log.start_lsn
+        view = memoryview(log.read_bytes(base, log.end_lsn))
+        offsets = [b - base for b in boundaries]
+        last = len(offsets) - 1
+        endings = collections.Counter()
+
+        def same(start, cut):
+            lean = walked(walk_boundaries, view[:cut], start, base)
+            full = walked(walk_headers, view[:cut], start, base)
+            assert lean == ([(h.lsn, h.total, h.record_type) for h in full[0]], full[1]), (
+                start, cut
+            )
+            endings[lean[1] and lean[1].split(" at ")[0]] += 1
+
+        # Every start boundary, cut on and off the boundaries just past it.
+        for i, start in enumerate(offsets[:-1]):
+            ahead = offsets[min(i + 3, last)]
+            for cut in {offsets[i + 1], ahead, ahead - 1, start + 1, start + HEADER_SIZE - 1,
+                        start + HEADER_SIZE}:
+                same(start, cut)
+        # Every cut of a stretch, from its first boundary and its middle one.
+        for start in (offsets[0], offsets[20]):
+            for cut in range(start + 1, offsets[40] + 1):
+                same(start, cut)
+        # Whole, from two boundaries; and off-boundary starts.
+        same(offsets[0], len(view))
+        same(offsets[last // 2], len(view))
+        for i in range(0, last - 4, 40):
+            for skew in (1, 5, HEADER_SIZE):
+                same(offsets[i] + skew, offsets[i + 4])
+        assert endings.keys() == {None, "truncated header", "truncated record"}
+        assert endings.total() > 12000
+
+    def test_crash_and_discard_inside_a_commit_block_resummarize_it(self):
+        """``CommitDirectory.cut`` walks the kept part of a block with
+        commits on both sides of the cut: the directory left equals one
+        noted afresh from the commits below the cut."""
+
+        def build(flush_before: int) -> LogManager:
+            # 40 begin/commit pairs, walls out of LSN order so that the
+            # running max is what an entry must get right.
+            log, _env = make_log(block_size=512)
+            for index in range(80):
+                if index == flush_before:
+                    log.flush()
+                txn = index // 2 + 1
+                if index % 2:
+                    log.append(CommitRecord(wall_clock=float(txn * 7 % 13), txn_id=txn))
+                else:
+                    log.append(BeginRecord(txn_id=txn))
+            return log
+
+        records = list(build(80).scan(FIRST_LSN))
+        commits = [(rec.lsn, rec.wall_clock) for rec in records if isinstance(rec, CommitRecord)]
+        cuts = 0
+        for index, rec in enumerate(records):
+            block = [lsn for lsn, _wall in commits if lsn // 512 == rec.lsn // 512]
+            if not (block and block[0] < rec.lsn <= block[-1]):
+                continue  # commits on both sides of the cut, in its block
+            expected = CommitDirectory(512)
+            for lsn, wall in commits:
+                if lsn < rec.lsn:
+                    expected.note(lsn, wall)
+            crashed = build(index)  # durable up to this record
+            crashed.crash()
+            discarded = build(80)
+            discarded.discard_after(rec.lsn)
+            for log in (crashed, discarded):
+                assert log.end_lsn == rec.lsn
+                directory = log._commit_dir
+                assert (directory._firsts, directory._lasts, directory._walls) == (
+                    expected._firsts, expected._lasts, expected._walls
+                ), (index, log is crashed)
+                assert log.last_commit_lsn == expected.last
+            cuts += 1
+        assert cuts >= 10
 
     def test_record_aligned_end_agrees_with_the_boundary_oracle(self, tpcc_log):
         log, boundaries = tpcc_log
@@ -315,6 +397,18 @@ class TestStreamWalk:
         commits = [h.lsn for h in walk_headers(data, base_lsn=start)
                    if h.record_type == CommitRecord.TYPE]
         assert standby.last_commit_lsn == commits[-1]
+
+
+def walked(walk, data, start, base):
+    """What ``walk`` yields from ``start`` until it stops, and the error
+    it stops with (``None`` at the end of ``data``)."""
+    got = []
+    try:
+        for item in walk(data, start, base_lsn=base):
+            got.append(item)
+    except LogRecordDecodeError as exc:
+        return got, str(exc)
+    return got, None
 
 
 # ---------------------------------------------------------------------------

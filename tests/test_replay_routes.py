@@ -13,13 +13,28 @@ import pytest
 
 from repro import Column, ColumnType, DatabaseConfig, Engine, SimEnv, TableSchema
 from repro.backup import restore_point_in_time, take_full_backup
+from repro.config import LoggingExtensions
 from repro.core.split_lsn import analysis_base, checkpoint_chain, find_split_lsn
 from repro.engine.database import Database
 from repro.engine.recovery import analyze_log, redo_pass
-from repro.errors import CatalogError, RetentionExceededError
+from repro.errors import CatalogError, ReproError, RetentionExceededError
+from repro.storage.buffer import Frame
+from repro.storage.page import Page, PageType
 from repro.tools import check_database
-from repro.wal.apply import REDO_BATCH_RECORDS, RedoApplier
-from repro.wal.records import CheckpointBeginRecord, FormatPageRecord
+from repro.wal.apply import REDO_BATCH_RECORDS, PageModifier, RedoApplier
+from repro.wal.log_manager import LogManager
+from repro.wal.lsn import FIRST_LSN
+from repro.wal.records import (
+    CheckpointBeginRecord,
+    ClrRecord,
+    DeformatPageRecord,
+    DeleteRowRecord,
+    FormatPageRecord,
+    InsertRowRecord,
+    PageImageRecord,
+    PreformatPageRecord,
+    UpdateRowRecord,
+)
 from tests.conftest import ITEMS_SCHEMA, fill_items
 
 SMALL_PAGES = DatabaseConfig(page_size=1024, buffer_pool_pages=64)
@@ -345,6 +360,128 @@ class TestCreateOnFormat:
         shortcut.buffer.crash()
         assert RedoApplier(shortcut).apply(chain) == len(chain)
         assert _durable_bytes(shortcut, page_id) == _durable_bytes(plain, page_id)
+
+
+# ----------------------------------------------------------------------
+# Redo: the pageLSN gate, once per page run
+# ----------------------------------------------------------------------
+
+
+def reference_apply(target, records) -> int:
+    """The applier as it was before the gate moved out of the record
+    loop — per record: the gate, the redo, a pageLSN write and a
+    ``mark_dirty`` — kept as the oracle for what redo leaves behind."""
+    mods = [rec for rec in records if rec.IS_PAGE_MOD]
+    applied = 0
+    for lo in range(0, len(mods), REDO_BATCH_RECORDS):
+        by_page: dict[int, list] = {}
+        for rec in mods[lo : lo + REDO_BATCH_RECORDS]:
+            by_page.setdefault(rec.page_id, []).append(rec)
+        for page_id, recs in by_page.items():
+            create = isinstance(recs[0], FormatPageRecord)
+            with target.fetch_page(page_id, create=create) as guard:
+                page = guard.page
+                for rec in recs:
+                    if page.is_formatted() and page.page_lsn >= rec.lsn:
+                        continue
+                    rec.redo(page)
+                    page.page_lsn = rec.lsn
+                    if isinstance(rec, PageImageRecord):
+                        page.last_image_lsn = rec.lsn
+                    guard.mark_dirty()
+                    applied += 1
+    return applied
+
+
+GATE_PAGES = (3, 4)
+
+
+def _gate_history() -> list:
+    """Page modifications of two pages, interleaved, off a bare log: on
+    page 3 a format, rows with a full image every third modification, a
+    compensated format (a CLR whose body deformats), a re-format spliced
+    through a preformat, more rows; page 4 alongside."""
+    env = SimEnv.for_tests()
+    log = LogManager(env)
+    modifier = PageModifier(log, LoggingExtensions(page_image_interval=3), env)
+    frames = {pid: Frame(Page(bytearray(SMALL_PAGES.page_size)), pid) for pid in GATE_PAGES}
+
+    def rows(pid: int, count: int, tag: str) -> None:
+        for i in range(count):
+            row = f"{tag}-{i}".encode() * 4
+            modifier.apply(None, frames[pid], InsertRowRecord(slot=i // 2, row=row, page_id=pid))
+        modifier.apply(None, frames[pid], UpdateRowRecord(slot=1, new=tag.encode() * 30, page_id=pid))
+        modifier.apply(None, frames[pid], DeleteRowRecord(slot=0, page_id=pid))
+
+    first = modifier.format_page(None, frames[3], PageType.HEAP, object_id=7)
+    modifier.format_page(None, frames[4], PageType.HEAP, object_id=8)
+    rows(3, 5, "a")
+    rows(4, 4, "b")
+    deformat = DeformatPageRecord(page_type=int(PageType.HEAP), page_id=3, object_id=7)
+    modifier.apply(None, frames[3], ClrRecord(compensated_lsn=first, comp=deformat, page_id=3))
+    modifier.format_page(None, frames[3], PageType.HEAP, object_id=9, was_ever_allocated=True)
+    rows(3, 6, "c")
+    rows(4, 3, "d")
+    records = list(log.scan(FIRST_LSN))
+    kinds = [type(rec) for rec in records if rec.page_id == 3]
+    assert kinds.count(FormatPageRecord) == 2 and PreformatPageRecord in kinds
+    assert ClrRecord in kinds and kinds.count(PageImageRecord) >= 4
+    return records
+
+
+def _redo_outcome(engine, apply, on_page: list, stream: list, *, on_disk: bool):
+    """What ``apply(shell, stream)`` returns (or raises) on a shell whose
+    pages hold ``on_page`` — in the pool, or flushed and read back — and
+    the durable bytes, pageLSN and last image LSN of each page after."""
+    shell = _shell(engine)
+    reference_apply(shell, on_page)
+    if on_disk:
+        shell.buffer.flush_all()
+        shell.buffer.crash()
+    try:
+        result = apply(shell, stream)
+    except ReproError as exc:
+        result = f"{type(exc).__name__}: {exc}"
+    pages = {}
+    for page_id in GATE_PAGES:
+        page = Page(bytearray(_durable_bytes(shell, page_id)))
+        pages[page_id] = (bytes(page.data), page.page_lsn, page.last_image_lsn)
+    return result, pages
+
+
+def _applier(target, records) -> int:
+    return RedoApplier(target).apply(records)
+
+
+class TestGateOncePerRun:
+    def test_equals_the_per_record_gate_for_every_prefix_on_the_page(self, engine):
+        records = _gate_history()
+        skipped = 0
+        for k in range(len(records) + 1):
+            # The whole stream (it opens with a format: create-on-format,
+            # a page flushed ahead of it included), one overlapping what
+            # the page holds, and the exact continuation.
+            for j in sorted({0, max(0, k - 5), k}):
+                for on_disk in (False, True):
+                    args = (records[:k], records[j:])
+                    got = _redo_outcome(engine, _applier, *args, on_disk=on_disk)
+                    want = _redo_outcome(engine, reference_apply, *args, on_disk=on_disk)
+                    assert got == want, (k, j, on_disk)
+                    if isinstance(got[0], int) and 0 < got[0] < len(records) - j:
+                        skipped += 1
+        assert skipped  # the gate skipped a prefix and applied the rest
+
+    def test_a_redo_that_raises_leaves_what_the_per_record_gate_left(self, engine):
+        records = _gate_history()
+        torn = InsertRowRecord(slot=999, row=b"x", page_id=3)
+        torn.lsn = records[-1].lsn + 1
+        stream = records[:-1] + [torn]
+        for k in (0, len(records) // 2):
+            got = _redo_outcome(engine, _applier, records[:k], stream, on_disk=True)
+            want = _redo_outcome(engine, reference_apply, records[:k], stream, on_disk=True)
+            assert got == want and got[0].startswith("StorageError: slot 999")
+            # The applied part of the run is durable, stamped with its last LSN.
+            assert got[1][3][1] == max(rec.lsn for rec in records[:-1] if rec.page_id == 3)
 
 
 # ----------------------------------------------------------------------
