@@ -39,7 +39,7 @@ from repro.chaos import (
 )
 from repro.config import CostModel, DatabaseConfig, LoggingExtensions, SimEnv
 from repro.core.asof import AsOfSnapshot
-from repro.core.page_undo import prepare_page_as_of, prepare_page_version
+from repro.core.page_undo import prepare_page_version
 from repro.core.split_lsn import find_split_lsn
 from repro.core.version_store import PageVersionStore
 from repro.engine.database import Database, Table
@@ -84,7 +84,6 @@ __all__ = [
     "DeviceProfile",
     "SAS_10K",
     "SLC_SSD",
-    "prepare_page_as_of",
     "prepare_page_version",
     "PageVersionStore",
     "find_split_lsn",

@@ -188,10 +188,6 @@ class BTree:
         """Number of rows (full scan)."""
         return sum(1 for _row in self.scan())
 
-    def height(self) -> int:
-        with self.services.fetch(self.root_page_id) as guard:
-            return guard.page.level + 1
-
     def page_ids(self) -> list[int]:
         """All page ids of this tree (root included), for drop/backup."""
         result = []

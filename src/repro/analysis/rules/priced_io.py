@@ -5,8 +5,8 @@ engine moves is charged to a simulated device. Inside the priced scope
 (``core/``, ``wal/``, ``storage/``, ``archive/``) raw host I/O —
 ``open``, ``os.read``, directory walks — bypasses the cost model; the
 one sanctioned boundary to the real filesystem is
-:mod:`repro.sim.hostio`, whose callers (the on-disk page backend, the
-archive's ``.seg`` persistence) charge their devices separately.
+:mod:`repro.sim.hostio`, whose caller (the archive's ``.seg``
+persistence) charges its device separately.
 
 The second half: chain-walk code must not read raw log bytes
 (``read_bytes``) — every chain record comes through ``undo_fetch``, the

@@ -40,10 +40,6 @@ class ArchivedSegment:
     ship_wall: float
     blob: bytes
 
-    @property
-    def payload_bytes(self) -> int:
-        return self.end_lsn - self.start_lsn
-
 
 class _ArchivedLogView:
     """Lazily materialized :class:`LogManager` over archived segments.
@@ -311,9 +307,9 @@ class ArchiveStore:
                     break
         return chains
 
-    def newest_chain(self, db_name: str, up_to_lsn: int | None = None) -> list:
-        """The chain ending at the newest eligible backup (``[]`` if none)."""
-        chains = self.chains(db_name, up_to_lsn)
+    def newest_chain(self, db_name: str) -> list:
+        """The chain ending at the newest backup (``[]`` if none)."""
+        chains = self.chains(db_name)
         if not chains:
             return []
         return max(chains, key=lambda chain: chain[-1].backup_lsn)

@@ -56,7 +56,7 @@ class ReportTable:
         print(self.render())
 
 
-def attach_metrics(payload: dict, env, like: str | None = None) -> dict:
+def attach_metrics(payload: dict, env) -> dict:
     """Embed the canonical metrics snapshot in a bench payload.
 
     Every bench that saves results also ships ``payload["metrics"]`` —
@@ -64,7 +64,7 @@ def attach_metrics(payload: dict, env, like: str | None = None) -> dict:
     ``python -m repro.tools.obs`` export — so the CI perf gate can read
     engine-internal rates without re-deriving them from ad-hoc fields.
     """
-    payload["metrics"] = env.metrics.snapshot(like)
+    payload["metrics"] = env.metrics.snapshot()
     return payload
 
 

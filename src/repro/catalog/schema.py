@@ -21,19 +21,6 @@ class ColumnType(enum.Enum):
     BYTES = "bytes"    # variable-length binary
     BOOL = "bool"      # single byte
 
-    @property
-    def is_varlen(self) -> bool:
-        return self in (ColumnType.STR, ColumnType.BYTES)
-
-    @property
-    def fixed_size(self) -> int:
-        """On-page size of a non-null fixed-width value."""
-        if self is ColumnType.INT or self is ColumnType.FLOAT:
-            return 8
-        if self is ColumnType.BOOL:
-            return 1
-        raise ValueError(f"{self} is variable length")
-
 
 _PYTHON_TYPES = {
     ColumnType.INT: int,
@@ -139,13 +126,6 @@ class TableSchema:
     @property
     def column_names(self) -> tuple[str, ...]:
         return tuple(col.name for col in self.columns)
-
-    def position_of(self, column_name: str) -> int:
-        """Index of ``column_name`` in the row tuple; raises ``KeyError``."""
-        return self._index_by_name[column_name]
-
-    def column(self, column_name: str) -> Column:
-        return self.columns[self.position_of(column_name)]
 
     def check_row(self, row: tuple) -> None:
         """Validate arity and every value of ``row``."""

@@ -52,9 +52,6 @@ class FailureDetector:
         entry = self._ha_state.get(db_name)
         return entry["state"] if entry is not None else HEALTHY
 
-    def states(self) -> dict[str, str]:
-        return {name: st["state"] for name, st in sorted(self._ha_state.items())}
-
     # ------------------------------------------------------------------
 
     def _primary_of(self, metric: str) -> str | None:
@@ -134,4 +131,5 @@ class FailureDetector:
                 )
 
     def __repr__(self) -> str:
-        return f"FailureDetector(confirm_s={self.confirm_s}, {self.states()})"
+        states = {name: st["state"] for name, st in sorted(self._ha_state.items())}
+        return f"FailureDetector(confirm_s={self.confirm_s}, {states})"

@@ -147,9 +147,6 @@ class FaultInjector:
             FaultRule(point="primary", kind="crash", target=db_name, at_s=at_s)
         )
 
-    def rules(self) -> list[FaultRule]:
-        return [armed.rule for armed in self._fault_rules]
-
     # ------------------------------------------------------------------
     # The hot path: called at every injection point
     # ------------------------------------------------------------------

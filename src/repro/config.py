@@ -199,6 +199,8 @@ class DatabaseConfig:
 
     The defaults give a correct, fast engine for tests; benchmarks override
     devices, retention and extension settings per experiment.
+    ``checkpoint_interval_s`` is the one checkpoint cadence: the workload
+    driver's :class:`~repro.engine.checkpoint.Checkpointer` reads it.
     """
 
     page_size: int = 8192
@@ -211,8 +213,6 @@ class DatabaseConfig:
     undo_interval_s: float = 24 * 3600.0
     #: Target recovery interval driving periodic checkpoints; seconds.
     checkpoint_interval_s: float = 30.0
-    #: Lock wait budget before declaring a timeout; simulated seconds.
-    lock_timeout_s: float = 10.0
     extensions: LoggingExtensions = field(default_factory=LoggingExtensions)
 
     def with_extensions(self, **changes) -> "DatabaseConfig":

@@ -1,6 +1,6 @@
 """The paper's contribution: page-oriented undo and as-of snapshots.
 
-* :func:`~repro.core.page_undo.prepare_page_as_of` — section 4's
+* :func:`~repro.core.page_undo.prepare_page_version` — section 4's
   ``PreparePageAsOf(page, asOfLSN)`` primitive.
 * :func:`~repro.core.split_lsn.find_split_lsn` — section 5.1's wall-clock
   to SplitLSN translation.
@@ -16,18 +16,14 @@
   validity interval their chain walk proved, shared engine-wide so
   nearby/repeated AS OF reads skip the Figure 11 undo I/O entirely.
 * :mod:`~repro.core.retention` — section 4.3's retention period.
-* :mod:`~repro.core.recovery_tools` — the user-facing error-recovery
-  workflows the paper's introduction walks through.
+
+The user-facing error-recovery workflow of the paper's introduction is
+SQL: probe with ``CREATE DATABASE ... AS SNAPSHOT OF ... AS OF``, then
+copy back with ``INSERT ... SELECT`` (``examples/recover_dropped_table.py``).
 """
 
 from repro.core.asof import AsOfSnapshot
-from repro.core.page_undo import PreparedVersion, prepare_page_as_of, prepare_page_version
-from repro.core.recovery_tools import (
-    diff_table,
-    find_when_table_existed,
-    recover_dropped_table,
-    restore_rows,
-)
+from repro.core.page_undo import PreparedVersion, prepare_page_version
 from repro.core.retention import enforce_retention, retention_horizon
 from repro.core.snapshot_pool import PoolStats, SnapshotPool
 from repro.core.split_lsn import checkpoint_chain, find_split_lsn
@@ -35,7 +31,6 @@ from repro.core.txn_undo import undo_transaction
 from repro.core.version_store import PageVersionStore, VersionStoreStats
 
 __all__ = [
-    "prepare_page_as_of",
     "prepare_page_version",
     "PreparedVersion",
     "find_split_lsn",
@@ -47,9 +42,5 @@ __all__ = [
     "VersionStoreStats",
     "enforce_retention",
     "retention_horizon",
-    "find_when_table_existed",
-    "recover_dropped_table",
-    "diff_table",
-    "restore_rows",
     "undo_transaction",
 ]

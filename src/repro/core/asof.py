@@ -69,8 +69,8 @@ class SnapshotAllocator:
     and never ever-allocated.
     """
 
-    def __init__(self, base: int = _VIRTUAL_PAGE_BASE) -> None:
-        self._next = base
+    def __init__(self) -> None:
+        self._next = _VIRTUAL_PAGE_BASE
 
     def allocate(self, txn, hint=None) -> tuple[int, bool]:
         pid = self._next
@@ -143,7 +143,7 @@ class SnapshotTable:
     def name(self) -> str:
         return self.info.name
 
-    def get(self, key: tuple, txn=None):
+    def get(self, key: tuple):
         if self.info.is_heap:
             raise CatalogError(f"heap {self.name!r} has no key access")
         key = tuple(key)
@@ -157,9 +157,6 @@ class SnapshotTable:
             yield from self.accessor.scan()
         else:
             yield from self.accessor.scan(lo, hi)
-
-    def count(self) -> int:
-        return sum(1 for _row in self.scan())
 
 
 class AsOfSnapshot:
@@ -509,7 +506,7 @@ class AsOfSnapshot:
         self.ensure_readable(SYS_OBJECTS_ID)
         return [obj.name for obj in self.catalog.list_objects()]
 
-    def get(self, table: str, key: tuple, txn=None):
+    def get(self, table: str, key: tuple):
         return self.table(table).get(tuple(key))
 
     def scan(self, table: str, lo: tuple | None = None, hi: tuple | None = None):

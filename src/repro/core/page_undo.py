@@ -61,49 +61,34 @@ class PreparedVersion:
     limit_lsn: int | None
 
 
-def prepare_page_as_of(
-    page: Page,
-    asof_lsn: int,
-    log: LogManager,
-    env: SimEnv,
-    *,
-    use_images: bool = True,
-) -> Page:
-    """Rewind ``page`` (in place) to its state as of ``asof_lsn``.
-
-    Mirrors the paper's Figure 3 pseudo code, plus the image fast path.
-    Raises :class:`~repro.errors.LogTruncatedError` when the chain leaves
-    the retention window and
-    :class:`~repro.errors.MissingUndoInfoError` when a record on the path
-    cannot be inverted (extensions disabled and derivation impossible).
-    """
-    prepare_page_version(page, asof_lsn, log, env, use_images=use_images)
-    return page
-
-
 def prepare_page_version(
     page: Page,
     asof_lsn: int,
     log: LogManager,
     env: SimEnv,
-    *,
-    use_images: bool = True,
 ) -> PreparedVersion | None:
-    """Rewind ``page`` to ``asof_lsn`` and report the validity interval.
+    """Rewind ``page`` (in place) to ``asof_lsn`` and report the validity
+    interval: the paper's ``PreparePageAsOf(page, asOfLSN)``.
 
-    The paper's Figure 3 loop: fetch the record at the page's LSN, apply
-    its inverse, follow ``prevPageLSN`` — one block-cached log read per
-    record (Figure 11's access pattern). Returns ``None`` for a page
-    whose history cannot be stated (unformatted with no chain to walk).
+    The paper's Figure 3 loop, plus the image fast path: fetch the record
+    at the page's LSN, apply its inverse, follow ``prevPageLSN`` — one
+    block-cached log read per record (Figure 11's access pattern).
+    Returns ``None`` for a page with no chain to walk (unformatted, no
+    LSN). A page a rolled-back format left unformatted still carries the
+    LSN of that compensation, and is walked back through it. Raises
+    :class:`~repro.errors.LogTruncatedError` when the chain leaves the
+    retention window and :class:`~repro.errors.MissingUndoInfoError` when
+    a record on the path cannot be inverted (extensions disabled and
+    derivation impossible).
     """
     env.stats.pages_prepared_asof += 1
     fetch = log.undo_fetch
-    if not page.is_formatted():
-        return None
     current = page.page_lsn
+    if current == NULL_LSN and not page.is_formatted():
+        return None
     limit: int | None = None
 
-    if use_images and page.last_image_lsn > asof_lsn and current > asof_lsn:
+    if page.last_image_lsn > asof_lsn and current > asof_lsn:
         best = _earliest_image_after(page, asof_lsn, log)
         if best is not None and best.lsn < current:
             page.restore(best.image)

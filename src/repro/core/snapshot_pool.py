@@ -64,10 +64,6 @@ class PoolStats:
     #: High-water mark of total pooled side-file bytes.
     peak_bytes: int = 0
 
-    @property
-    def snapshots_created(self) -> int:
-        return self.misses
-
 
 class _PoolEntry:
     """One pooled snapshot plus its lease bookkeeping."""
@@ -296,7 +292,7 @@ class SnapshotPool:
             entry.snapshot.drop()
 
     # ------------------------------------------------------------------
-    # Retention pinning / background undo drain
+    # Retention pinning
     # ------------------------------------------------------------------
 
     def min_pin_lsn(self, db_name: str) -> int | None:
@@ -315,42 +311,6 @@ class SnapshotPool:
                 if name == db_name and not entry.snapshot.dropped
             ]
             return min(pins) if pins else None
-
-    def drain(self, max_txns: int | None = None) -> int:
-        """Drive pending background undo on pooled entries; returns how
-        many in-flight transactions were undone.
-
-        The paper admits queries immediately and lets reads pay for
-        conflicting undo lazily; draining between queries moves that cost
-        off the first reader's latency. ``max_txns`` bounds one call (the
-        pacing knob for callers draining inside a workload loop).
-
-        Draining also *publishes*: every page an undo chain touches is
-        materialized through ``fetch_page``, whose freshly prepared
-        (pre-undo) images land in the cross-snapshot version store with
-        their proven intervals — so a background drain warms the store
-        for every later snapshot in the neighborhood, not just this
-        entry's sparse file.
-        """
-        # Snapshot the entry list under the latch, then undo outside it:
-        # undo walks log chains and fetches pages (log/buffer latches far
-        # below the pool in the lock order, but potentially slow).
-        with self.latch:
-            entries = list(self._entries.values())
-        drained = 0
-        for entry in entries:
-            snapshot = entry.snapshot
-            if snapshot.dropped or not snapshot.pending_undo_count:
-                continue
-            if max_txns is None:
-                drained += snapshot.run_background_undo()
-                continue
-            budget = max_txns - drained
-            if budget <= 0:
-                break
-            pending = list(snapshot._pending_undo)[:budget]
-            drained += snapshot.run_background_undo(pending)
-        return drained
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -384,20 +344,6 @@ class SnapshotPool:
     def __len__(self) -> int:
         with self.latch:
             return len(self._entries)
-
-    def __contains__(self, key: tuple[str, int]) -> bool:
-        with self.latch:
-            return key in self._entries
-
-    def entries(self) -> list[tuple[str, int, int, int]]:
-        """``(db_name, split_lsn, refcount, side_file_bytes)`` per entry."""
-        with self.latch:
-            return [
-                (key[0], key[1], entry.refcount, entry.snapshot.side_file_bytes())
-                for key, entry in sorted(
-                    self._entries.items(), key=lambda item: item[1].last_used
-                )
-            ]
 
     def active_leases(self) -> int:
         with self.latch:

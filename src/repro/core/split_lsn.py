@@ -26,7 +26,7 @@ from repro.wal.records import CheckpointBeginRecord, RecordType
 _COMMITS = (RecordType.COMMIT,)
 
 
-def checkpoint_chain(db, *, max_entries: int | None = None):
+def checkpoint_chain(db):
     """Yield (lsn, wall_clock, prev_lsn) for checkpoints, newest first.
 
     Walks the ``prev_checkpoint_lsn`` back-chain starting at the boot
@@ -45,7 +45,6 @@ def checkpoint_chain(db, *, max_entries: int | None = None):
     """
     lsn = db.last_checkpoint_lsn
     cache = getattr(db, "_ckpt_chain_cache", None)
-    count = 0
     while lsn != NULL_LSN and lsn >= db.log.start_lsn:
         entry = cache.get(lsn) if cache is not None else None
         if entry is None:
@@ -58,9 +57,6 @@ def checkpoint_chain(db, *, max_entries: int | None = None):
         wall, prev = entry
         yield lsn, wall, prev
         lsn = prev
-        count += 1
-        if max_entries is not None and count >= max_entries:
-            break
 
 
 def analysis_base(db, split: int, floor: int) -> int:

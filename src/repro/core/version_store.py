@@ -188,7 +188,8 @@ class PageVersionStore:
         with self.latch:
             self.budget_bytes = budget_bytes
             if not self.enabled:
-                self.clear()
+                for store_key in {key[0] for key in self._versions}:
+                    self.purge(store_key)
             else:
                 self.evict_to_budget()
 
@@ -282,23 +283,9 @@ class PageVersionStore:
         with self.latch:
             return self._drop_where(store_key, lambda v: True)
 
-    def clear(self) -> None:
-        """Drop every stored version."""
-        with self.latch:
-            for store_key in {key[0] for key in self._versions}:
-                self.purge(store_key)
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-
-    def versions(self, store_key: str, page_id: int) -> list[tuple[int, int]]:
-        """``(version_lsn, limit_lsn)`` intervals stored for a page."""
-        with self.latch:
-            return [
-                (v.version_lsn, v.limit_lsn)
-                for v in self._versions.get((store_key, page_id), ())
-            ]
 
     def version_count(self, store_key: str | None = None) -> int:
         with self.latch:

@@ -38,16 +38,14 @@ class Checkpointer:
     """Periodic checkpoint driver keyed to the simulated clock.
 
     Call :meth:`tick` between transactions (the workload driver does);
-    a checkpoint is taken when the configured interval has elapsed.
-    Retention is enforced opportunistically right after each checkpoint.
+    a checkpoint is taken when the database's ``checkpoint_interval_s``
+    has elapsed. Retention is enforced opportunistically right after each
+    checkpoint.
     """
 
-    def __init__(self, db, interval_s: float | None = None, *, enforce_retention: bool = True) -> None:
+    def __init__(self, db) -> None:
         self.db = db
-        self.interval_s = (
-            interval_s if interval_s is not None else db.config.checkpoint_interval_s
-        )
-        self.enforce_retention = enforce_retention
+        self.interval_s = db.config.checkpoint_interval_s
         self._last_wall = db.env.clock.now()
 
     def tick(self) -> bool:
@@ -56,7 +54,6 @@ class Checkpointer:
         if now - self._last_wall < self.interval_s:
             return False
         self.db.checkpoint()
-        if self.enforce_retention:
-            self.db.enforce_retention()
+        self.db.enforce_retention()
         self._last_wall = now
         return True

@@ -149,7 +149,6 @@ class Database:
         name: str,
         config: DatabaseConfig | None = None,
         env: SimEnv | None = None,
-        datafile=None,
         *,
         bootstrap: bool = True,
     ) -> None:
@@ -164,9 +163,9 @@ class Database:
         self.config = config if config is not None else DatabaseConfig()
         self.config.validate()
         self.env = env if env is not None else SimEnv.for_tests()
-        if datafile is None:
-            datafile = MemoryDataFile(self.config.page_size)
-        self.file_manager = FileManager(datafile, self.env.data_device, self.env.stats)
+        self.file_manager = FileManager(
+            MemoryDataFile(self.config.page_size), self.env.data_device, self.env.stats
+        )
         self.log = LogManager(
             self.env,
             block_size=self.config.log_block_size,
@@ -477,12 +476,9 @@ class Database:
         self._table_cache.pop(schema.name, None)
         return self.table(schema.name)
 
-    def drop_table(self, name: str, txn: Transaction | None = None) -> None:
+    def drop_table(self, name: str) -> None:
         self.require_writable()
-        if txn is None:
-            with self.transaction() as auto_txn:
-                info = self.catalog.drop_table(auto_txn, name)
-        else:
+        with self.transaction() as txn:
             info = self.catalog.drop_table(txn, name)
         self._table_cache.pop(name, None)
         self._tree_cache.pop(info.object_id, None)

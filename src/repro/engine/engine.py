@@ -45,6 +45,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.replication.shipper import LogShipper
     from repro.snapshot.base import RegularSnapshot
 
+#: A replica is routable for offloaded current reads only within this lag.
+READ_OFFLOAD_MAX_LAG_BYTES = 1 << 20
+
 
 class _ArchiveLeases:
     """Lease-shaped no-op pool for archive-backed as-of readers.
@@ -119,8 +122,6 @@ class Engine:
         self._archive_leases = _ArchiveLeases()
         #: Route read-only SQL SELECTs to caught-up replicas when enabled.
         self.read_offload = False
-        #: A replica is routable for current reads only within this lag.
-        self.read_offload_max_lag_bytes = 1 << 20
         #: Continuous monitoring (see :mod:`repro.obs.monitor`): ``None``
         #: until :meth:`start_monitor` arms it.
         self.monitor_config = (
@@ -508,7 +509,7 @@ class Engine:
     def routing_replica(self, db_name: str) -> "Replica | None":
         """The replica current reads should be offloaded to, if any.
 
-        Only non-delayed replicas within ``read_offload_max_lag_bytes`` of
+        Only non-delayed replicas within ``READ_OFFLOAD_MAX_LAG_BYTES`` of
         the primary qualify; among those, the most caught-up wins. Returns
         ``None`` when reads must stay on the primary.
         """
@@ -524,17 +525,15 @@ class Engine:
                 continue  # degrade: route around a standby stuck in apply
             if replica.applied_commit_lsn == NULL_LSN:
                 continue
-            if replica.lag_bytes() > self.read_offload_max_lag_bytes:
+            if replica.lag_bytes() > READ_OFFLOAD_MAX_LAG_BYTES:
                 continue
             if best is None or replica.applied_lsn > best.applied_lsn:
                 best = replica
         return best
 
-    def enable_read_offload(self, max_lag_bytes: int | None = None) -> None:
+    def enable_read_offload(self) -> None:
         """Route read-only SQL SELECTs to caught-up replicas."""
         self.read_offload = True
-        if max_lag_bytes is not None:
-            self.read_offload_max_lag_bytes = max_lag_bytes
 
     # ------------------------------------------------------------------
     # Chaos & high availability (see repro.chaos and docs/ha.md)
@@ -1034,11 +1033,6 @@ class Engine:
     # Observability (see repro.obs and docs/observability.md)
     # ------------------------------------------------------------------
 
-    @property
-    def metrics(self):
-        """The env-wide :class:`~repro.obs.registry.MetricsRegistry`."""
-        return self.env.metrics
-
     def metrics_snapshot(self, like: str | None = None) -> dict:
         """The canonical metrics document: counters, derived gauges and
         histograms for every subsystem, optionally filtered by the same
@@ -1058,7 +1052,7 @@ class Engine:
         AS OF pin/resolve/prepare, pool acquire, version-store probe,
         chain walk, shipping/apply, archive) opens a
         nested span; after the block, ``t.root`` is the finished span
-        tree (``t.render()`` for text, ``t.as_dict()`` for JSON). Spans
+        tree (``t.render()`` renders it as text). Spans
         carry simulated elapsed time and per-span I/O-counter deltas.
         """
         handle = self.env.tracer.begin(name)

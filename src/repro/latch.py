@@ -9,8 +9,8 @@ other sessions (there are none: lock *waits* are the lock manager's job;
 latches only serialize in-memory mutation).
 
 Reentrancy is load-bearing: public methods of a latched structure call
-each other (``release`` → ``evict_to_budget``, ``append_and_flush`` →
-``append`` + ``flush``) and private helpers re-assert the latch
+each other (``release`` → ``evict_to_budget``, ``set_budget`` →
+``evict_to_budget``) and private helpers re-assert the latch
 lexically so reprolint RL005 (strict mode) can verify every mutation
 site sits under ``with self.latch:``.
 

@@ -38,12 +38,10 @@ from repro.obs.alerts import ALERTS_SCHEMA, AlertEngine, AlertRule, builtin_rule
 from repro.obs.export import (
     flatten_snapshot,
     format_metric_value,
-    histogram_percentiles,
-    histogram_quantile,
     metrics_to_text,
 )
 from repro.obs.health import CRITICAL, DEGRADED, HEALTH_SCHEMA, OK, rollup
-from repro.obs.monitor import MONITOR_SCHEMA, EngineMonitor
+from repro.obs.monitor import EngineMonitor
 from repro.obs.slowlog import SlowQueryLog
 from repro.obs.timeseries import HISTORY_SCHEMA, MetricsRecorder, Series, summarize
 from repro.obs.registry import (
@@ -64,7 +62,6 @@ __all__ = [
     "HEALTH_SCHEMA",
     "HISTORY_SCHEMA",
     "METRICS_SCHEMA",
-    "MONITOR_SCHEMA",
     "OK",
     "AlertEngine",
     "AlertRule",
@@ -82,8 +79,6 @@ __all__ = [
     "builtin_rules",
     "flatten_snapshot",
     "format_metric_value",
-    "histogram_percentiles",
-    "histogram_quantile",
     "host_timing",
     "metrics_to_text",
     "rollup",

@@ -134,12 +134,6 @@ class AlertEngine:
             self._rules[rule.name] = rule
             return rule
 
-    def remove_rule(self, name: str) -> None:
-        with self.latch:
-            self._rules.pop(name, None)
-            for key in [k for k in self._conditions if k[0] == name]:
-                del self._conditions[key]
-
     def rules(self) -> list[AlertRule]:
         with self.latch:
             return [self._rules[name] for name in sorted(self._rules)]
@@ -152,12 +146,10 @@ class AlertEngine:
 
     # -- evaluation -----------------------------------------------------
 
-    def evaluate(self, now: float | None = None) -> list[dict]:
+    def evaluate(self) -> list[dict]:
         """Run every rule once; returns the events this pass emitted."""
-        if now is None:
-            now = self.recorder.clock.now()
         with self.latch:
-            return self._evaluate_locked(now)
+            return self._evaluate_locked(self.recorder.clock.now())
 
     def _evaluate_locked(self, now: float) -> list[dict]:
         self.evaluations += 1

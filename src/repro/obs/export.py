@@ -25,39 +25,6 @@ def flatten_snapshot(snap: dict) -> dict:
     return dict(sorted(flat.items()))
 
 
-def histogram_quantile(hist: dict, q: float) -> float | None:
-    """The ``q``-quantile of one snapshot histogram, linearly
-    interpolated inside its fixed buckets.
-
-    The rank is located in the cumulative bucket counts, then mapped to
-    a value between the bucket's lower and upper bound proportionally to
-    its position inside the bucket (the classic Prometheus
-    ``histogram_quantile`` estimate). Observations in the overflow
-    bucket clamp to the top bound — the histogram has no upper edge to
-    interpolate toward. ``None`` when the histogram is empty.
-    """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"quantile {q} must be in [0, 1]")
-    total = hist["count"]
-    if total == 0:
-        return None
-    rank = q * total
-    seen = 0
-    lo = 0.0
-    for bound, count in hist["buckets"]:
-        if count and seen + count >= rank:
-            fraction = (rank - seen) / count
-            return lo + (bound - lo) * fraction
-        seen += count
-        lo = bound
-    return lo  # rank landed in the overflow bucket: clamp to top bound
-
-
-def histogram_percentiles(hist: dict, qs=(0.5, 0.95, 0.99)) -> dict:
-    """``{"p50": ..., "p95": ..., "p99": ...}`` for one histogram."""
-    return {f"p{round(q * 100)}": histogram_quantile(hist, q) for q in qs}
-
-
 def format_metric_value(value) -> str:
     """One metric value as text (floats shortened, ints exact)."""
     if isinstance(value, float):

@@ -23,10 +23,6 @@ from repro.obs.alerts import AlertEngine, builtin_rules
 from repro.obs.health import rollup
 from repro.obs.timeseries import MetricsRecorder
 
-#: Canonical monitor document schema identifier.
-MONITOR_SCHEMA = "repro.obs.monitor/v1"
-
-
 class EngineMonitor:
     """Continuous monitoring over one metrics registry."""
 
@@ -86,14 +82,6 @@ class EngineMonitor:
 
     def on_alert(self, pattern: str, callback) -> None:
         self.alerts.subscribe(pattern, callback)
-
-    def as_dict(self, like: str | None = None) -> dict:
-        return {
-            "schema": MONITOR_SCHEMA,
-            "history": self.recorder.as_dict(like),
-            "alerts": self.alerts.as_dict(),
-            "health": self.health(),
-        }
 
     # -- lifecycle ------------------------------------------------------
 

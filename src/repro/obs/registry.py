@@ -199,12 +199,6 @@ class MetricsRegistry:
             for spec in fields(stats):
                 yield f"{prefix}.{spec.name}", stats, spec.name
 
-    def get(self, name: str):
-        """The gauge or histogram registered as ``name`` (``None`` for a
-        free name and for counters, which have no object)."""
-        with self.latch:
-            return self._instruments.get(name)
-
     def names(self, like: str | None = None) -> list[str]:
         with self.latch:
             names = sorted(

@@ -31,9 +31,6 @@ class SlowQueryLog:
     def enabled(self) -> bool:
         return self.threshold_s > 0
 
-    def __len__(self) -> int:
-        return len(self._slow_entries)
-
     def record(self, *, t_s: float, statement: str, sim_s: float, spans) -> None:
         """Keep one offender; ``spans`` is the rendered trace's lines."""
         with self.latch:

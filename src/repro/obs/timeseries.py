@@ -48,9 +48,6 @@ class Series:
         self.name = name
         self._points: deque = deque(maxlen=capacity)
 
-    def __len__(self) -> int:
-        return len(self._points)
-
     def append(self, t: float, value) -> None:
         self._points.append((t, value))
 
@@ -63,10 +60,6 @@ class Series:
             return pts
         horizon = (now if now is not None else pts[-1][0]) - window_s
         return [p for p in pts if p[0] >= horizon]
-
-    @property
-    def last(self):
-        return self._points[-1][1] if self._points else None
 
     @property
     def last_t(self) -> float | None:

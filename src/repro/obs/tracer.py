@@ -65,16 +65,6 @@ class Span:
             spans.extend(child.find_all(name))
         return spans
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "attrs": dict(self.attrs),
-            "start_s": self.start_s,
-            "elapsed_s": self.elapsed_s,
-            "io": dict(self.io),
-            "children": [child.as_dict() for child in self.children],
-        }
-
     def render(self, indent: int = 0) -> list[str]:
         """One text line per span: name, attrs, sim-elapsed, I/O deltas."""
         parts = [self.name]
@@ -135,11 +125,6 @@ class Trace:
     def __init__(self, name: str) -> None:
         self.name = name
         self.root: Span | None = None
-
-    def as_dict(self) -> dict:
-        if self.root is None:
-            raise ValueError("trace has not finished")
-        return self.root.as_dict()
 
     def render(self) -> list[str]:
         if self.root is None:

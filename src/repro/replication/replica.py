@@ -333,14 +333,11 @@ class Replica:
     # Reader protocol passthrough: a replica quacks like a read-only
     # database, so drivers and the SQL layer can target it directly.
 
-    def get(self, table: str, key, txn=None):
+    def get(self, table: str, key):
         return self.db.get(table, key)
 
     def scan(self, table: str, lo=None, hi=None):
         return self.db.scan(table, lo, hi)
-
-    def table(self, name: str):
-        return self.db.table(name)
 
     def tables(self) -> list[str]:
         return self.db.tables()

@@ -51,9 +51,9 @@ from repro.latch import Latch
 from repro.replication.stream import LogFrame
 from repro.wal.lsn import format_lsn
 
-#: Default frame payload budget. Frames are cut at record boundaries, so a
-#: single oversized record still ships whole.
-DEFAULT_BATCH_BYTES = 256 * 1024
+#: Frame payload budget. Frames are cut at record boundaries, so a single
+#: oversized record still ships whole.
+BATCH_BYTES = 256 * 1024
 
 
 @dataclass
@@ -97,18 +97,9 @@ class _Subscription:
 class LogShipper:
     """Streams one primary's committed, durable log to its replicas."""
 
-    def __init__(
-        self,
-        db,
-        *,
-        batch_bytes: int = DEFAULT_BATCH_BYTES,
-        retry: RetryPolicy | None = None,
-    ) -> None:
-        if batch_bytes < 1:
-            raise ValueError("batch_bytes must be positive")
+    def __init__(self, db) -> None:
         self.db = db
-        self.batch_bytes = batch_bytes
-        self.retry = retry if retry is not None else RetryPolicy()
+        self.retry = RetryPolicy()
         self.stats = ShipperStats()
         self._subs: dict[str, _Subscription] = {}
         self._registry = None
@@ -256,7 +247,7 @@ class LogShipper:
             self.stats.resyncs += 1
         shipped = 0
         while sub.cursor < target:
-            end = log.record_aligned_end(sub.cursor, self.batch_bytes, target)
+            end = log.record_aligned_end(sub.cursor, BATCH_BYTES, target)
             if end <= sub.cursor:
                 # Reached only when the record at the cursor ends past
                 # ``target``. Both are record boundaries in every history

@@ -56,18 +56,6 @@ class SimClock:
             self._now += seconds
             return self._now
 
-    def advance_to(self, timestamp: float) -> float:
-        """Move the clock forward to ``timestamp`` if it is in the future.
-
-        Moving to a past timestamp is a no-op (the clock never goes
-        backwards); this makes it safe for several actors to race toward
-        the same deadline.
-        """
-        with self._lock:
-            if timestamp > self._now:
-                self._now = timestamp
-            return self._now
-
     def to_datetime(self, timestamp: float | None = None) -> datetime:
         """Render a simulated timestamp as an absolute UTC datetime."""
         if timestamp is None:

@@ -2,11 +2,11 @@
 
 Everything inside the priced-I/O scope (``core/``, ``wal/``,
 ``storage/``, ``archive/``) moves bytes through simulated devices so the
-paper's cost figures stay honest; the few places that must also touch
-the *real* filesystem — the on-disk page backend, the archive tier's
-``.seg`` persistence — do it through these helpers. Keeping raw
-``open``/``os`` access in one module makes the discipline checkable:
-reprolint rule RL002 flags raw host I/O anywhere else in the scope.
+paper's cost figures stay honest; the one place that must also touch
+the *real* filesystem, the archive tier's ``.seg`` persistence, does it
+through these helpers. Keeping raw ``open``/``os`` access in one module
+makes the discipline checkable: reprolint rule RL002 flags raw host I/O
+anywhere else in the scope.
 
 Callers remain responsible for charging their simulated device for the
 logical transfer; these helpers only perform the host-side effect.
@@ -17,18 +17,6 @@ from __future__ import annotations
 import os
 
 
-def create_or_open(path: str):
-    """Open ``path`` read-write, creating it when absent (page backend)."""
-    flags = "r+b" if os.path.exists(path) else "w+b"
-    return open(path, flags)
-
-
-def fsync(fileobj) -> None:
-    """Flush python buffers and force the host file durable."""
-    fileobj.flush()
-    os.fsync(fileobj.fileno())
-
-
 def ensure_directory(path: str) -> None:
     os.makedirs(path, exist_ok=True)
 
@@ -37,8 +25,3 @@ def write_blob(path: str, blob: bytes) -> None:
     """Atomically-enough persist one immutable blob (archive segments)."""
     with open(path, "wb") as handle:
         handle.write(blob)
-
-
-def read_blob(path: str) -> bytes:
-    with open(path, "rb") as handle:
-        return handle.read()

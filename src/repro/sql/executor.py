@@ -242,9 +242,6 @@ class Session:
             result = self._dispatch(statement)
         return result
 
-    def execute_all(self, text: str) -> list[Result]:
-        return [self._dispatch(stmt) for stmt in parse_script(text)]
-
     def _dispatch(self, stmt) -> Result:
         handler = {
             Select: self._do_select,

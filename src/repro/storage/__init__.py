@@ -7,7 +7,7 @@ fields that page-oriented undo navigates by.
 """
 
 from repro.storage.buffer import BufferPool, FrameGuard
-from repro.storage.datafile import FileManager, MemoryDataFile, OnDiskDataFile
+from repro.storage.datafile import FileManager, MemoryDataFile
 from repro.storage.page import (
     HEADER_SIZE,
     NULL_PAGE,
@@ -27,7 +27,6 @@ __all__ = [
     "RowCodec",
     "FileManager",
     "MemoryDataFile",
-    "OnDiskDataFile",
     "SparseFile",
     "BufferPool",
     "FrameGuard",

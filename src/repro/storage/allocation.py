@@ -66,13 +66,6 @@ class AllocationManager:
             raise AllocationError(f"page {page_id} is an allocation map page")
         return map_pid, local
 
-    def is_map_page(self, page_id: int) -> bool:
-        stride = self.pages_per_map + 1
-        return (
-            page_id >= FIRST_MAP_PAGE_ID
-            and (page_id - FIRST_MAP_PAGE_ID) % stride == 0
-        )
-
     # ------------------------------------------------------------------
     # Map page lifecycle
     # ------------------------------------------------------------------

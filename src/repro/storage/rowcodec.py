@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import struct
 
-from repro.catalog.schema import Column, ColumnType, TableSchema
+from repro.catalog.schema import ColumnType, TableSchema
 from repro.errors import StorageError
 
 _FIXED = {ColumnType.INT: "q", ColumnType.FLOAT: "d", ColumnType.BOOL: "?"}
@@ -246,11 +246,3 @@ class KeyCodec:
         )
 
 
-def column_spec_from_strings(name: str, type_name: str, max_len: int, nullable: bool) -> Column:
-    """Rebuild a :class:`Column` from catalog-row primitives."""
-    return Column(
-        name=name,
-        ctype=ColumnType(type_name),
-        nullable=nullable,
-        max_len=max_len,
-    )

@@ -1,9 +1,8 @@
 """Operational tooling: log inspection and database consistency checking.
 
 The kind of DBA-facing tools a system like the paper's ships with:
-human-readable log dumps, per-page modification-chain traces (the paper's
-Figures 1/2, live), per-transaction traces, and a structural consistency
-checker in the spirit of ``DBCC CHECKDB``.
+human-readable dumps of archived log segments, per-transaction traces,
+and a structural consistency checker in the spirit of ``DBCC CHECKDB``.
 """
 
 from repro.tools.checkdb import CheckReport, check_database
@@ -11,20 +10,14 @@ from repro.tools.loginspect import (
     describe_record,
     dump_archive,
     dump_archived_segment,
-    dump_log,
-    log_statistics,
-    page_history,
     transaction_history,
 )
 
 __all__ = [
     "describe_record",
-    "dump_log",
     "dump_archive",
     "dump_archived_segment",
-    "page_history",
     "transaction_history",
-    "log_statistics",
     "check_database",
     "CheckReport",
 ]

@@ -1,9 +1,7 @@
 """Transaction log inspection.
 
-``page_history`` walks a page's ``prevPageLSN`` back-chain — the exact
-structure of the paper's Figures 1 and 2, including the preformat splice
-across re-allocations. ``transaction_history`` walks a transaction's
-chain; ``dump_log`` and ``log_statistics`` summarize the stream.
+``transaction_history`` walks a live database's transaction chain, and
+``describe_record`` renders one record on one line.
 
 Archived log segments (the shipper's frame format, persisted by the
 archive tier) are inspectable too: :func:`dump_archived_segment` decodes
@@ -13,12 +11,9 @@ one encoded frame, :func:`dump_archive` walks a store or a directory of
     python -m repro.tools.loginspect --archive <file-or-dir> [--limit N]
     python -m repro.tools.loginspect --archive <file-or-dir> --chains
 
-``--chains`` (and the :func:`chain_stats` API on a live database) answers
-the capacity question behind Figure 11: how long are the per-page
-back-chains, and what would preparing each page cost? The live-database
-walk follows ``prevPageLSN`` through one header scan of the retained log
-and prices ``PreparePageAsOf``'s access pattern: one random read per log
-block a page's chain touches.
+``--chains`` answers the capacity question behind Figure 11 over the
+archived window: how long are the per-page modification chains an as-of
+read landing at the window's start would undo?
 """
 
 from __future__ import annotations
@@ -26,7 +21,6 @@ from __future__ import annotations
 import os
 from collections import Counter
 
-from repro.errors import LogTruncatedError
 from repro.wal.lsn import NULL_LSN, format_lsn
 from repro.wal.records import (
     BeginRecord,
@@ -82,37 +76,6 @@ def describe_record(rec: LogRecord) -> str:
     return " ".join(parts)
 
 
-def dump_log(db, from_lsn: int | None = None, limit: int = 100) -> list[str]:
-    """Describe up to ``limit`` records starting at ``from_lsn``."""
-    start = from_lsn if from_lsn is not None else db.log.start_lsn
-    lines = []
-    for rec in db.log.scan(start, stop_on_torn_tail=True):
-        lines.append(describe_record(rec))
-        if len(lines) >= limit:
-            break
-    return lines
-
-
-def page_history(db, page_id: int, *, max_records: int = 1000) -> list[LogRecord]:
-    """The page's modification chain, newest first (paper Figures 1/2).
-
-    Starts at the page's current ``pageLSN`` and follows ``prevPageLSN``
-    through preformat splices until the chain starts (or leaves the
-    retained log, in which case the walk stops silently).
-    """
-    with db.fetch_page(page_id) as guard:
-        current = guard.page.page_lsn if guard.page.is_formatted() else NULL_LSN
-    chain = []
-    while current != NULL_LSN and len(chain) < max_records:
-        try:
-            rec = db.log.read(current)
-        except LogTruncatedError:
-            break
-        chain.append(rec)
-        current = rec.prev_page_lsn
-    return chain
-
-
 def transaction_history(db, txn_id: int, *, max_records: int = 1000) -> list[LogRecord]:
     """A transaction's records, newest first (rollbacks included)."""
     last = NULL_LSN
@@ -142,73 +105,6 @@ def _bucket_label(length: int) -> str:
     return f"{_CHAIN_BUCKETS[-1]}+"
 
 
-def chain_stats(db, *, split_lsn: int | None = None, max_pages: int | None = None) -> dict:
-    """Per-page back-chain lengths and estimated prepare cost.
-
-    Follows every allocated page's ``prevPageLSN`` chain — down to
-    ``split_lsn`` when given (the records an as-of read at that split
-    would undo), otherwise to the start of the retained log — through
-    one header scan of the log, priced as any scan is. Returns a
-    histogram of chain lengths plus, per the log-device profile, the
-    estimated cost of preparing *every* page from a cold log cache: one
-    random block read per log block its chain touches (the paper's
-    Figure 11 cost).
-    """
-    log = db.log
-    profile = db.env.log_device.profile
-    target = log.start_lsn - 1 if split_lsn is None else split_lsn
-    prev_page_lsn = {
-        header.lsn: header.prev_page_lsn
-        for header, _raw in log.scan_headers(log.start_lsn, stop_on_torn_tail=True)
-        if header.lsn > target
-    }
-    histogram: Counter = Counter()
-    lengths: list[int] = []
-    total_records = 0
-    undo_reads = 0
-    truncated_chains = 0
-    pages_scanned = 0
-    # Dirty pages not yet checkpointed exist only in the buffer pool, so
-    # the scan covers the file extent *and* every buffered page id.
-    page_extent = db.file_manager.page_count
-    buffered = getattr(db.buffer, "_frames", None)
-    if buffered:
-        page_extent = max(page_extent, max(buffered) + 1)
-    for page_id in range(page_extent):
-        if max_pages is not None and pages_scanned >= max_pages:
-            break
-        with db.fetch_page(page_id) as guard:
-            if not guard.page.is_formatted():
-                continue
-            current = guard.page.page_lsn
-        pages_scanned += 1
-        length = 0
-        blocks: set[int] = set()
-        while current != NULL_LSN and current > target:
-            if current not in prev_page_lsn:
-                truncated_chains += 1  # the chain left the retained log
-                break
-            length += 1
-            blocks.add(current // log.block_size)
-            current = prev_page_lsn[current]
-        histogram[_bucket_label(length)] += 1
-        lengths.append(length)
-        total_records += length
-        undo_reads += len(blocks)
-    lengths.sort()
-    return {
-        "pages_scanned": pages_scanned,
-        "split_lsn": split_lsn,
-        "histogram": dict(histogram),
-        "total_chain_records": total_records,
-        "max_chain": lengths[-1] if lengths else 0,
-        "median_chain": lengths[len(lengths) // 2] if lengths else 0,
-        "truncated_chains": truncated_chains,
-        "undo_reads": undo_reads,
-        "est_prepare_s": undo_reads * profile.rand_read_time(log.block_size),
-    }
-
-
 def _render_histogram(histogram: dict[str, int]) -> list[str]:
     lines = []
     width = max((len(label) for label in histogram), default=1)
@@ -219,26 +115,6 @@ def _render_histogram(histogram: dict[str, int]) -> list[str]:
     return lines
 
 
-def chain_report(db, *, split_lsn: int | None = None, max_pages: int | None = None) -> list[str]:
-    """Human-readable rendering of :func:`chain_stats`."""
-    stats = chain_stats(db, split_lsn=split_lsn, max_pages=max_pages)
-    lines = [
-        "per-page back-chain lengths"
-        + ("" if split_lsn is None else f" above split {format_lsn(split_lsn)}")
-    ]
-    lines.extend(_render_histogram(stats["histogram"]))
-    lines.append(
-        f"  pages={stats['pages_scanned']} "
-        f"chain-records={stats['total_chain_records']} "
-        f"median={stats['median_chain']} max={stats['max_chain']}"
-    )
-    lines.append(
-        f"  est prepare cost: {stats['undo_reads']} undo reads "
-        f"({stats['est_prepare_s'] * 1000:.1f} ms)"
-    )
-    return lines
-
-
 def _frame_records(frame):
     """Every record of a decoded archived frame, CRC-verified, in LSN
     order; a broken stream raises from the record it breaks at."""
@@ -246,14 +122,17 @@ def _frame_records(frame):
         yield decode_record(frame.payload, header.lsn - frame.start_lsn, header.lsn)[0]
 
 
-def _collect_segments(source, db_name: str | None) -> list[tuple[str, bytes]]:
-    """``(label, blob)`` for every segment of ``source``, in LSN order.
+def _collect_segments(source, db_name: str | None) -> list[tuple[str, str, bytes]]:
+    """``(label, database, blob)`` for every segment of ``source``, in LSN
+    order.
 
     ``source`` may be an ArchiveStore, a ``.seg`` file path, or a
     directory of them; the label is the file name (path mode) or the
-    database name (store mode), for use in diagnostics.
+    database name (store mode), for use in diagnostics. The database is
+    the store's name for it, or the ``<db>`` of ``<db>-<start>-<end>.seg``:
+    never split out of a bare database name, which may hold hyphens.
     """
-    out: list[tuple[str, bytes]] = []
+    out: list[tuple[str, str, bytes]] = []
     if isinstance(source, (str, os.PathLike)):
         path = os.fspath(source)
         paths = (
@@ -266,12 +145,13 @@ def _collect_segments(source, db_name: str | None) -> list[tuple[str, bytes]]:
             else [path]
         )
         for seg_path in paths:
+            name = os.path.basename(seg_path)
             with open(seg_path, "rb") as fh:
-                out.append((os.path.basename(seg_path), fh.read()))
+                out.append((name, _segment_database(name) or name, fh.read()))
     else:
         names = [db_name] if db_name is not None else source.database_names()
         for name in names:
-            out.extend((name, seg.blob) for seg in source.segments(name))
+            out.extend((name, name, seg.blob) for seg in source.segments(name))
     return out
 
 
@@ -286,7 +166,7 @@ def archive_chain_report(source, db_name: str | None = None) -> list[str]:
     """
     from repro.replication.stream import LogFrame
 
-    blobs = [blob for _label, blob in _collect_segments(source, db_name)]
+    blobs = [blob for _label, _database, blob in _collect_segments(source, db_name)]
     lengths: dict[int, int] = {}
     for blob in blobs:
         for record in _frame_records(LogFrame.decode(blob)):
@@ -307,7 +187,7 @@ def dump_archived_segment(blob: bytes, *, limit: int | None = None) -> list[str]
     """Describe one encoded archived log segment (a shipped frame).
 
     The first line summarizes the frame (LSN extent, ship time); the rest
-    describe its records with the same rendering ``dump_log`` uses.
+    describe its records, one :func:`describe_record` line each.
     """
     from repro.replication.stream import LogFrame
 
@@ -324,28 +204,34 @@ def dump_archived_segment(blob: bytes, *, limit: int | None = None) -> list[str]
     return lines
 
 
-def _segment_file_matches(name: str, db_name: str | None) -> bool:
-    """Does ``name`` look like ``<db>-<16 hex>-<16 hex>.seg`` (for the
-    requested database)? A bare prefix test would let ``shop`` swallow
-    ``shop-eu``'s segments."""
+def _segment_database(name: str) -> str | None:
+    """The ``<db>`` of a ``<db>-<16 hex>-<16 hex>.seg`` file name, or
+    ``None`` when ``name`` is not one."""
     if not name.endswith(".seg"):
-        return False
+        return None
     parts = name[: -len(".seg")].rsplit("-", 2)
     if len(parts) != 3 or not all(len(p) == 16 for p in parts[1:]):
-        return False
+        return None
     try:
         int(parts[1], 16)
         int(parts[2], 16)
     except ValueError:
-        return False
-    return db_name is None or parts[0] == db_name
+        return None
+    return parts[0]
+
+
+def _segment_file_matches(name: str, db_name: str | None) -> bool:
+    """Is ``name`` a segment file (of the requested database)? A bare
+    prefix test would let ``shop`` swallow ``shop-eu``'s segments."""
+    database = _segment_database(name)
+    return database is not None and (db_name is None or database == db_name)
 
 
 def dump_archive(source, db_name: str | None = None, *, limit: int = 100) -> list[str]:
     """Describe archived segments from an ArchiveStore, a ``.seg`` file,
     or a directory of them; at most ``limit`` record lines overall."""
     lines: list[str] = []
-    for _label, blob in _collect_segments(source, db_name):
+    for _label, _database, blob in _collect_segments(source, db_name):
         remaining = limit - len(lines)
         if remaining <= 0:
             lines.append("...")
@@ -366,11 +252,10 @@ def archive_metrics_report(source, db_name: str | None = None) -> list[str]:
     from repro.replication.stream import LogFrame
 
     per_db: dict[str, dict] = {}
-    for label, blob in _collect_segments(source, db_name):
+    for _label, database, blob in _collect_segments(source, db_name):
         frame = LogFrame.decode(blob)
-        db_key = label.rsplit("-", 2)[0]
         entry = per_db.setdefault(
-            db_key, {"segments": 0, "bytes": 0, "start": None, "end": None}
+            database, {"segments": 0, "bytes": 0, "start": None, "end": None}
         )
         entry["segments"] += 1
         entry["bytes"] += len(frame.payload)
@@ -379,12 +264,12 @@ def archive_metrics_report(source, db_name: str | None = None) -> list[str]:
         if entry["end"] is None or frame.end_lsn > entry["end"]:
             entry["end"] = frame.end_lsn
     lines = []
-    for db_key in sorted(per_db):
-        entry = per_db[db_key]
-        lines.append(f"archive.{db_key}.archived_lsn = {entry['end']}")
-        lines.append(f"archive.{db_key}.coverage_start_lsn = {entry['start']}")
-        lines.append(f"archive.{db_key}.segments_archived = {entry['segments']}")
-        lines.append(f"archive.{db_key}.bytes_archived = {entry['bytes']}")
+    for database in sorted(per_db):
+        entry = per_db[database]
+        lines.append(f"archive.{database}.archived_lsn = {entry['end']}")
+        lines.append(f"archive.{database}.coverage_start_lsn = {entry['start']}")
+        lines.append(f"archive.{database}.segments_archived = {entry['segments']}")
+        lines.append(f"archive.{database}.bytes_archived = {entry['bytes']}")
     return lines
 
 
@@ -404,7 +289,7 @@ def lint_log_segments(source, db_name: str | None = None):
 
     findings = []
     prev_end: dict[str, tuple[str, int]] = {}
-    for index, (label, blob) in enumerate(_collect_segments(source, db_name)):
+    for index, (label, database, blob) in enumerate(_collect_segments(source, db_name)):
         try:
             frame = LogFrame.decode(blob)
         except ReproError as err:
@@ -412,7 +297,6 @@ def lint_log_segments(source, db_name: str | None = None):
                 Finding(label, index, 0, "LOG001", f"undecodable segment: {err}")
             )
             continue
-        db_key = label.rsplit("-", 2)[0]
         offset = 0  # of the record being checked: where a break is reported
         try:
             for header in walk_headers(frame.payload, base_lsn=frame.start_lsn):
@@ -429,7 +313,7 @@ def lint_log_segments(source, db_name: str | None = None):
                     f"{format_lsn(frame.start_lsn + offset)}: {err}",
                 )
             )
-        previous = prev_end.get(db_key)
+        previous = prev_end.get(database)
         if previous is not None:
             prev_label, end_lsn = previous
             if frame.start_lsn != end_lsn:
@@ -444,7 +328,7 @@ def lint_log_segments(source, db_name: str | None = None):
                         f"{kind} {prev_label} ending at {format_lsn(end_lsn)}",
                     )
                 )
-        prev_end[db_key] = (label, frame.end_lsn)
+        prev_end[database] = (label, frame.end_lsn)
     return findings
 
 
@@ -514,27 +398,6 @@ def main(argv=None) -> int:
     for line in lines:
         print(line)
     return 0
-
-
-def log_statistics(db) -> dict:
-    """Counts and byte totals per record type over the retained log."""
-    counts: Counter = Counter()
-    sizes: Counter = Counter()
-    total = 0
-    for rec in db.log.scan(db.log.start_lsn, stop_on_torn_tail=True):
-        name = type(rec).__name__.replace("Record", "")
-        size = len(rec.serialize())
-        counts[name] += 1
-        sizes[name] += size
-        total += size
-    return {
-        "records": dict(counts),
-        "bytes": dict(sizes),
-        "total_records": sum(counts.values()),
-        "total_bytes": total,
-        "retained_from": db.log.start_lsn,
-        "end_lsn": db.log.end_lsn,
-    }
 
 
 if __name__ == "__main__":  # pragma: no cover - thin CLI shim

@@ -138,11 +138,11 @@ class LogicalUndo:
                 )
             self._apply_clr(txn, rec, comp, rec.page_id)
         elif isinstance(rec, AllocPageRecord):
-            comp = DeallocPageRecord(
-                target_page=rec.target_page,
-                clear_ever=not rec.was_ever_allocated,
-                page_id=rec.page_id,
-            )
+            # The ever-allocated bit stays set even when this undoes a
+            # first allocation: the page held data while the transaction
+            # ran, so a re-allocation must preformat it to keep the chain
+            # an as-of read from inside that window walks.
+            comp = DeallocPageRecord(target_page=rec.target_page, page_id=rec.page_id)
             self._apply_clr(txn, rec, comp, rec.page_id)
         elif isinstance(rec, DeallocPageRecord):
             comp = AllocPageRecord(

@@ -138,7 +138,6 @@ class PageModifier:
         page_type: PageType,
         *,
         object_id: int = 0,
-        index_id: int = 0,
         level: int = 0,
         prev_page: int = 0,
         next_page: int = 0,
@@ -166,18 +165,17 @@ class PageModifier:
         if was_ever_allocated and (
             self.extensions.preformat_on_realloc or force_preformat
         ):
-            old_image = page.clone_bytes()
-            old_lsn = page.page_lsn if page.is_formatted() else NULL_LSN
+            # A page a rolled-back format left unformatted still carries
+            # that compensation's LSN: the chain continues through it.
             pre = PreformatPageRecord(
-                image=old_image,
+                image=page.clone_bytes(),
                 page_id=frame.page_id,
-                prev_page_lsn=old_lsn,
+                prev_page_lsn=page.page_lsn,
                 object_id=page.object_id if page.is_formatted() else 0,
             )
             chain_prev = self.log.append(pre)
         fmt = FormatPageRecord(
             page_type=int(page_type),
-            index_id=index_id,
             level=level,
             prev_page=prev_page,
             next_page=next_page,
@@ -317,7 +315,6 @@ class UnloggedModifier:
         page_type: PageType,
         *,
         object_id: int = 0,
-        index_id: int = 0,
         level: int = 0,
         prev_page: int = 0,
         next_page: int = 0,
@@ -328,7 +325,6 @@ class UnloggedModifier:
             frame.page_id,
             page_type,
             object_id=object_id,
-            index_id=index_id,
             level=level,
             prev_page=prev_page,
             next_page=next_page,

@@ -254,12 +254,6 @@ class LogManager:
             self.env.stats.log_write_bytes += nbytes
             self._durable_end = end
 
-    def append_and_flush(self, record: LogRecord) -> int:
-        with self.latch:
-            lsn = self.append(record)
-            self.flush()
-            return lsn
-
     # ------------------------------------------------------------------
     # Random reads (page-oriented undo's access path)
     # ------------------------------------------------------------------

@@ -783,10 +783,11 @@ class AllocPageRecord(LogRecord):
 class DeallocPageRecord(LogRecord):
     """Allocation-map bit clear: ``target_page`` becomes free.
 
-    The ever-allocated bit normally stays set — that is what tells a
-    future re-allocation to log a preformat record first. ``clear_ever``
-    is used only by compensations that undo a *first-time* allocation,
-    restoring the page to never-allocated.
+    The ever-allocated bit stays set — that is what tells a future
+    re-allocation to log a preformat record first — even when a rollback
+    undoes a first-time allocation: the page held data while the
+    transaction ran. The engine writes ``clear_ever`` false; a record
+    that sets it still replays.
     """
 
     TYPE = RecordType.DEALLOC_PAGE

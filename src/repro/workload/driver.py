@@ -11,7 +11,6 @@ A periodic :class:`~repro.engine.checkpoint.Checkpointer` keeps the
 from __future__ import annotations
 
 import random
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from repro.engine.checkpoint import Checkpointer
@@ -33,6 +32,8 @@ DEFAULT_MIX = (
     ("delivery", 0.04),
     ("stock_level", 0.04),
 )
+_NAMES = [name for name, _weight in DEFAULT_MIX]
+_WEIGHTS = [weight for _name, weight in DEFAULT_MIX]
 
 
 @dataclass
@@ -70,34 +71,22 @@ class TpccDriver:
         db,
         scale: TpccScale,
         seed: int = 1,
-        mix=DEFAULT_MIX,
-        checkpoint_interval_s: float | None = None,
         #: Simulated per-transaction think/parse overhead.
         think_time_s: float = 0.0,
-        #: Read-offload target for the mix's read-only procedures
-        #: (order-status, stock-level): anything speaking the reader
-        #: protocol — a :class:`~repro.replication.replica.Replica`, its
-        #: database, or a snapshot. ``None`` keeps reads on the primary.
-        read_reader=None,
-        #: Called once per transaction (e.g.
-        #: ``engine.replication_tick``) — the simulated stand-in for the
-        #: shipper/apply daemons running alongside the workload.
-        pump=None,
     ) -> None:
         self.db = db
         self.scale = scale
         self.rng = random.Random(seed)
-        self.mix = tuple(mix)
-        self.checkpointer = Checkpointer(db, checkpoint_interval_s)
+        self.checkpointer = Checkpointer(db)
         self.think_time_s = think_time_s
-        self.read_reader = read_reader
-        self.pump = pump
+        #: Called once per transaction when set (e.g.
+        #: ``engine.replication_tick``) — the simulated stand-in for the
+        #: shipper/apply daemons running alongside the workload.
+        self.pump = None
         self._history_seq = 0
-        self._weights = [weight for _name, weight in self.mix]
-        self._names = [name for name, _weight in self.mix]
 
     def _run_one(self, result: TpccResult) -> None:
-        kind = self.rng.choices(self._names, weights=self._weights)[0]
+        kind = self.rng.choices(_NAMES, weights=_WEIGHTS)[0]
         result.by_type[kind] = result.by_type.get(kind, 0) + 1
         if self.think_time_s:
             self.db.env.clock.advance(self.think_time_s)
@@ -108,15 +97,15 @@ class TpccDriver:
             self._history_seq += 1
             payment(self.db, self.rng, self.scale, self._history_seq)
         elif kind == "order_status":
-            with self._read_guard():
-                order_status(self._read_target(), self.rng, self.scale)
+            with self.db.write_latch:
+                order_status(self.db, self.rng, self.scale)
         elif kind == "delivery":
             delivery(self.db, self.rng, self.scale)
         elif kind == "stock_level":
             w_id = self.rng.randint(1, self.scale.warehouses)
             d_id = self.rng.randint(1, self.scale.districts_per_warehouse)
-            with self._read_guard():
-                stock_level(self._read_target(), w_id, d_id, threshold=60)
+            with self.db.write_latch:
+                stock_level(self.db, w_id, d_id, threshold=60)
         result.transactions += 1
         if committed:
             result.committed += 1
@@ -126,22 +115,6 @@ class TpccDriver:
             result.checkpoints += 1
         if self.pump is not None:
             self.pump()
-
-    def _read_target(self):
-        """Where the mix's read-only procedures run (primary or standby)."""
-        return self.read_reader if self.read_reader is not None else self.db
-
-    def _read_guard(self):
-        """Serialize a multi-page read against concurrent writers when
-        the target is a live database (snapshots are covered by their
-        own latch and need no guard)."""
-        target = self._read_target()
-        latch = getattr(target, "write_latch", None)
-        if latch is None and getattr(target, "primary", None) is not None:
-            # A Replica read runs against its standby database, whose
-            # write latch the apply path holds.
-            latch = getattr(getattr(target, "db", None), "write_latch", None)
-        return latch if latch is not None else nullcontext()
 
     def run_transactions(self, count: int) -> TpccResult:
         """Run exactly ``count`` transactions of the mix."""
@@ -174,10 +147,6 @@ class TpccDriver:
         result.sim_seconds = self.db.env.clock.now() - sim_start
         result.real_seconds = timer.elapsed
         return result
-
-    def stock_level_query(self, reader, w_id: int = 1, d_id: int = 1, threshold: int = 60) -> int:
-        """The paper's as-of query against any reader (db or snapshot)."""
-        return stock_level(reader, w_id, d_id, threshold)
 
     def stock_level_as_of(
         self,

@@ -6,6 +6,10 @@ from dataclasses import dataclass
 
 from repro.catalog.schema import Column, ColumnType, TableSchema
 
+#: New-order transactions pick their line count in this range (TPC-C).
+MIN_ORDER_LINES = 5
+MAX_ORDER_LINES = 15
+
 
 @dataclass(frozen=True)
 class TpccScale:
@@ -17,9 +21,6 @@ class TpccScale:
     districts_per_warehouse: int = 4
     customers_per_district: int = 30
     items: int = 200
-    #: New-order transactions pick this range of line counts.
-    min_order_lines: int = 5
-    max_order_lines: int = 15
     #: Fraction of new-order transactions that roll back (TPC-C mandates
     #: 1% — it keeps CLRs present in the log stream).
     abort_rate: float = 0.01

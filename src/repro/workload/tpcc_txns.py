@@ -12,6 +12,10 @@ from __future__ import annotations
 import random
 
 from repro.errors import TransactionError
+from repro.workload.tpcc_schema import MAX_ORDER_LINES, MIN_ORDER_LINES
+
+#: Stock-level looks at the district's last this many orders (TPC-C).
+RECENT_ORDERS = 20
 
 
 class TpccAborted(TransactionError):
@@ -23,7 +27,7 @@ def new_order(db, rng: random.Random, scale, w_id: int | None = None) -> bool:
     w_id = w_id or rng.randint(1, scale.warehouses)
     d_id = rng.randint(1, scale.districts_per_warehouse)
     c_id = rng.randint(1, scale.customers_per_district)
-    line_count = rng.randint(scale.min_order_lines, scale.max_order_lines)
+    line_count = rng.randint(MIN_ORDER_LINES, MAX_ORDER_LINES)
     abort = rng.random() < scale.abort_rate
     try:
         with db.transaction() as txn:
@@ -155,10 +159,10 @@ def order_status(reader, rng: random.Random, scale) -> tuple | None:
     return customer, latest, lines
 
 
-def stock_level(reader, w_id: int, d_id: int, threshold: int, *, recent_orders: int = 20) -> int:
+def stock_level(reader, w_id: int, d_id: int, threshold: int) -> int:
     """The TPC-C stock-level procedure (the paper's as-of query).
 
-    Counts distinct items from the district's last ``recent_orders``
+    Counts distinct items from the district's last ``RECENT_ORDERS``
     orders whose stock quantity is below ``threshold``. Runs against a
     live database or an as-of snapshot unchanged.
     """
@@ -166,7 +170,7 @@ def stock_level(reader, w_id: int, d_id: int, threshold: int, *, recent_orders: 
     if district is None:
         return 0
     next_o_id = district[3]
-    lo_order = max(1, next_o_id - recent_orders)
+    lo_order = max(1, next_o_id - RECENT_ORDERS)
     item_ids = {
         line[4]
         for line in reader.scan(

@@ -106,3 +106,20 @@ def assert_refuses_writes(engine, restored) -> None:
     # A full shell: the state Database.__init__ owns is all there.
     fresh = type(restored)("probe", restored.config, engine.env, bootstrap=False)
     assert vars(restored).keys() == vars(fresh).keys()
+
+
+def pool_entries(pool) -> list[tuple[str, int, int, int]]:
+    """``(db_name, split_lsn, refcount, side_file_bytes)`` per pooled
+    snapshot, least recently used first."""
+    with pool.latch:
+        ordered = sorted(pool._entries.items(), key=lambda item: item[1].last_used)
+        return [
+            (name, split, entry.refcount, entry.snapshot.side_file_bytes())
+            for (name, split), entry in ordered
+        ]
+
+
+def stored_versions(store, store_key: str, page_id: int) -> list[tuple[int, int]]:
+    """``(version_lsn, limit_lsn)`` intervals a version store holds for a page."""
+    with store.latch:
+        return [(v.version_lsn, v.limit_lsn) for v in store._versions.get((store_key, page_id), ())]

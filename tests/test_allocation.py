@@ -23,13 +23,6 @@ class TestGeometry:
         with pytest.raises(AllocationError):
             db.alloc.map_page_for(FIRST_MAP_PAGE_ID)
 
-    def test_is_map_page(self, db):
-        alloc = db.alloc
-        assert alloc.is_map_page(1)
-        assert not alloc.is_map_page(2)
-        stride = alloc.pages_per_map + 1
-        assert alloc.is_map_page(1 + stride)
-
 
 class TestAllocate:
     def test_bootstrap_claimed_catalog_roots(self, db):
@@ -79,8 +72,10 @@ class TestAllocate:
         pid, _ = db.alloc.allocate(txn)
         db.rollback(txn)
         assert not db.alloc.is_allocated(pid)
-        # First-time allocation rolled back: ever-bit restored too.
-        assert not db.alloc.was_ever_allocated(pid)
+        # A rolled-back first allocation keeps its ever-bit: the page may
+        # have held data meanwhile, so its next allocation preformats it
+        # and the page chain an as-of read walks stays unbroken.
+        assert db.alloc.was_ever_allocated(pid)
 
     def test_rollback_of_dealloc_restores(self, db):
         with db.transaction() as txn:

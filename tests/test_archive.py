@@ -632,6 +632,52 @@ class TestLoginspectArchive:
         assert matched[0].startswith("shop-0")
         assert [n for n in names if _segment_file_matches(n, "shop-eu")] != matched
 
+    @staticmethod
+    def _archive_shop_and_shop_eu(engine, directory=None):
+        """``shop`` and ``shop-eu`` archive the same history (so the same
+        LSN extents) into one store; returns the store."""
+        store = None
+        for name in ("shop", "shop-eu"):
+            db = engine.create_database(name)
+            db.create_table(ITEMS_SCHEMA)
+            if store is None:
+                store = engine.enable_archiving(name, directory=directory).store
+            else:
+                engine.enable_archiving(name, store=store)
+            fill_items(db, 40)
+            db.log.flush()
+        engine.replication_tick()
+        return store
+
+    def test_store_mode_keeps_hyphenated_databases_apart(self, engine):
+        """The store labels segments by bare database name: ``shop-eu``
+        must not be read back as ``shop`` (a false LOG003 overlap, and one
+        merged metrics block counting both databases' segments)."""
+        from repro.tools.loginspect import archive_metrics_report, lint_log_segments
+
+        store = self._archive_shop_and_shop_eu(engine)
+        assert lint_log_segments(store) == []
+        lines = archive_metrics_report(store)
+        for name in ("shop", "shop-eu"):
+            count = len(store.segments(name))
+            assert count > 0
+            assert f"archive.{name}.segments_archived = {count}" in lines
+        assert len(lines) == 8
+
+    def test_metrics_cli_over_a_directory(self, engine, tmp_path, capsys):
+        """``--metrics`` on a directory archive: one gauge block per
+        database, the segment counts those of its ``.seg`` files."""
+        self._archive_shop_and_shop_eu(engine, directory=str(tmp_path))
+        assert loginspect_main(["--archive", str(tmp_path), "--metrics"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        files = os.listdir(tmp_path)
+        for name in ("shop", "shop-eu"):
+            count = sum(f.rsplit("-", 2)[0] == name for f in files)
+            assert count > 0
+            assert f"archive.{name}.segments_archived = {count}" in lines
+        assert len(lines) == 8
+        assert loginspect_main(["--archive", str(tmp_path), "--lint-log"]) == 0
+
     def test_dump_limit(self, engine, items_db):
         engine.enable_archiving("itemsdb")
         fill_items(items_db, 50)

@@ -1,0 +1,76 @@
+"""The line census (``benchmarks/census.py``) on a planted module.
+
+The census itself is a twenty-minute re-anchor run; this checks its
+tracer and classifier in-process so neither can rot between runs.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+PLANT = '''\
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class Settings:
+    size: int = 8
+    spare: int = 0
+
+
+def used(x, knob=3, *, unset=None):
+    return x + knob
+
+
+def never():
+    return 1
+
+
+def tests_only(flag=False):
+    return flag
+'''
+
+
+def load(monkeypatch, name: str, path: str):
+    """Import ``path`` as module ``name`` (registered, as an import would:
+    a dataclass finds its module's globals through ``sys.modules``)."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_census_classifies_a_planted_module(tmp_path, monkeypatch):
+    census = load(monkeypatch, "census", os.path.join(ROOT, "benchmarks", "census.py"))
+    root = tmp_path / "plant"
+    root.mkdir()
+    (root / "mod.py").write_text(PLANT)
+
+    with census.Tracer(str(root)) as production:
+        plant = load(monkeypatch, "census_plant", str(root / "mod.py"))
+        plant.used(1)
+        plant.Settings(size=16)
+    with census.Tracer(str(root)) as tier1:
+        plant.used(1, knob=4)
+        plant.tests_only(flag=True)
+        plant.Settings(spare=1)
+    doc = census.classify(str(root), [production.result()], [tier1.result()])
+
+    assert doc["never_entered_by_production"] == {
+        "plant/mod.py:14 never": "nothing",
+        "plant/mod.py:18 tests_only": "tier1",
+    }
+    assert doc["default_only_in_production"] == {
+        "plant/mod.py:used(knob)": "tier1",
+        "plant/mod.py:used(unset)": "nothing",
+        "plant/mod.py:Settings.__init__(spare)": "tier1",
+    }
+    counts = doc["files"]["plant/mod.py"]
+    assert counts == {"production": sum(counts.values()) - 2, "tier1": 1, "nothing": 1}
+    assert doc["lines"] == counts
+    assert doc["functions"] == {"tier1": 1, "nothing": 1}

@@ -333,8 +333,8 @@ class TestStallDetection:
         assert "repl.ship_errors" in firing
         assert "repl.ship_stall" in firing
         # The streak gauge kept counting the failed polls.
-        gauge = engine.env.metrics.get("repl.ship.sa.consecutive_errors")
-        assert gauge.value >= 3
+        streak = "repl.ship.sa.consecutive_errors"
+        assert engine.metrics_snapshot(streak)["gauges"][streak] >= 3
         # The progress gauge was unregistered — that absence IS the signal.
         assert engine.env.metrics.names(like="repl.ship.sa.progress_t") == []
 

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from repro.config import SimEnv
 from repro.core.version_store import PageVersionStore
 from repro.engine.engine import Engine
-from tests.conftest import ITEMS_SCHEMA, fill_items
+from tests.conftest import ITEMS_SCHEMA, fill_items, pool_entries
 
 BARRIER_TIMEOUT_S = 30.0
 
@@ -140,7 +140,7 @@ class TestSnapshotPoolSchedules:
             timeout_s=BARRIER_TIMEOUT_S,
         )
         assert pool.active_leases() == 0
-        for _name, _split, refcount, _bytes in pool.entries():
+        for _name, _split, refcount, _bytes in pool_entries(pool):
             assert refcount == 0
 
 

@@ -138,7 +138,7 @@ class TestCheckpointer:
         assert 3 <= taken <= 6
 
     def test_tick_below_interval_is_noop(self, items_db):
-        checkpointer = Checkpointer(items_db, interval_s=1000)
+        checkpointer = Checkpointer(items_db)  # 30 s interval, clock unmoved
         before = items_db.env.stats.checkpoints_taken
         assert not checkpointer.tick()
         assert items_db.env.stats.checkpoints_taken == before

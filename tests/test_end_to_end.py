@@ -11,7 +11,6 @@ from __future__ import annotations
 import pytest
 
 from repro.backup import restore_point_in_time, take_full_backup
-from repro.core.recovery_tools import diff_table, restore_rows
 from repro.workload import TpccDriver, TpccScale, load_tpcc
 from repro.workload.tpcc_txns import stock_level
 from tests.conftest import ITEMS_SCHEMA, fill_items
@@ -71,7 +70,8 @@ class TestCrashThenTimeTravel:
 
 class TestBackupPlusAsOf:
     def test_three_ways_to_the_same_instant(self, engine, items_db):
-        """Backup-restore, as-of snapshot and diff-reconcile all agree."""
+        """Backup-restore, as-of snapshot and an ``INSERT ... SELECT``
+        reconcile all agree."""
         db = items_db
         fill_items(db, 20)
         backup = take_full_backup(db)
@@ -91,9 +91,10 @@ class TestBackupPlusAsOf:
         restored_rows = list(restored.scan("items"))
         assert asof_rows == restored_rows
 
-        diff = diff_table(snap, db, "items")
-        assert len(diff.only_in_past) == 10
-        restore_rows(db, "items", diff)
+        present = {row[0] for row in db.scan("items")}
+        assert sum(row[0] not in present for row in snap.scan("items")) == 10
+        merged = engine.sql("INSERT INTO items SELECT * FROM s.items WHERE id >= 10", "itemsdb")
+        assert merged.rowcount == 10
         assert sum(1 for _ in db.scan("items")) == 20
 
 
@@ -120,10 +121,11 @@ class TestTpccFullStory:
         for seq in range(1000, 1010):
             payment(db, rng, SCALE, seq)
 
-        from repro.core.recovery_tools import recover_dropped_table
-
-        copied = recover_dropped_table(engine, "prod", "order_line", good)
-        assert copied == rows_before
+        snap = engine.create_asof_snapshot("prod", "good", good)
+        db.create_table(snap.schema("order_line"))
+        copied = engine.sql("INSERT INTO order_line SELECT * FROM good.order_line", "prod")
+        assert copied.rowcount == rows_before
+        engine.drop_snapshot("good")
         assert stock_level(db, 1, 1, 60) == level_before
         driver.run_transactions(40)  # and the system keeps going
         assert db.table("order_line").count() > rows_before

@@ -23,7 +23,6 @@ import pytest
 from repro import DatabaseConfig, Engine
 from repro.config import CostModel, MonitorConfig, SimEnv
 from repro.obs.alerts import AlertEngine, AlertRule
-from repro.obs.export import histogram_percentiles, histogram_quantile
 from repro.obs.health import CRITICAL, DEGRADED, OK, rollup
 from repro.obs.timeseries import MetricsRecorder, summarize
 from repro.sim.clock import SimClock
@@ -112,35 +111,6 @@ class TestRecorder:
         recorder.remove_prefix("replica.r1.")
         assert recorder.names("replica.*") == []
         assert recorder.names() == ["a.v"]
-
-
-# ---------------------------------------------------------------------------
-# Histogram percentiles
-# ---------------------------------------------------------------------------
-
-
-class TestHistogramQuantile:
-    HIST = {"buckets": [[1.0, 2], [2.0, 4], [4.0, 2]], "overflow": 2, "count": 10, "sum": 25.0}
-
-    def test_interpolates_within_buckets(self):
-        assert histogram_quantile(self.HIST, 0.2) == pytest.approx(1.0)
-        assert histogram_quantile(self.HIST, 0.5) == pytest.approx(1.75)
-        assert histogram_quantile(self.HIST, 0.8) == pytest.approx(4.0)
-
-    def test_overflow_clamps_to_top_bound(self):
-        assert histogram_quantile(self.HIST, 0.99) == 4.0
-        assert histogram_quantile(self.HIST, 1.0) == 4.0
-
-    def test_empty_histogram_is_none(self):
-        empty = {"buckets": [[1.0, 0]], "overflow": 0, "count": 0, "sum": 0.0}
-        assert histogram_quantile(empty, 0.5) is None
-
-    def test_percentile_labels(self):
-        assert set(histogram_percentiles(self.HIST)) == {"p50", "p95", "p99"}
-
-    def test_rejects_out_of_range_quantile(self):
-        with pytest.raises(ValueError):
-            histogram_quantile(self.HIST, 1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -558,9 +528,8 @@ def _seeded_monitored_run():
     engine.add_replica("tpcc", "standby")
     engine.replication_tick()
     engine.start_monitor()
-    driver = TpccDriver(
-        db, scale, seed=11, think_time_s=0.1, pump=engine.replication_tick
-    )
+    driver = TpccDriver(db, scale, seed=11, think_time_s=0.1)
+    driver.pump = engine.replication_tick
     driver.run_transactions(40)
     history_rows = engine.sql("SHOW HISTORY").rows
     events = engine.alert_events()

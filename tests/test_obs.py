@@ -152,7 +152,7 @@ def test_metric_names_and_values_are_pinned():
     now that no header pass precedes the fetch."""
     engine = _topology()
     golden = json.loads(GOLDEN.read_text())
-    assert sorted(engine.metrics.names()) == golden["names"]
+    assert sorted(engine.env.metrics.names()) == golden["names"]
     assert engine.metrics_snapshot() == golden["snapshot"]
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro import DatabaseConfig, Engine
 from repro.config import SimEnv
-from repro.core.page_undo import prepare_page_as_of
+from repro.core.page_undo import prepare_page_version
 from repro.errors import LogTruncatedError
 from repro.sim.device import SAS_10K
 from repro.storage.page import Page
@@ -41,7 +41,7 @@ class TestBasicRewind:
         pid = leaf_page_id(db)
         codec = db.table("items").accessor.codec
         page = page_copy(db, pid)
-        prepare_page_as_of(page, lsn_before, db.log, db.env)
+        prepare_page_version(page, lsn_before, db.log, db.env)
         rows = rows_on(page, codec)
         assert rows[2] == (2, "item-2", 20)
 
@@ -51,7 +51,7 @@ class TestBasicRewind:
         pid = leaf_page_id(db)
         page = page_copy(db, pid)
         before = page.clone_bytes()
-        prepare_page_as_of(page, db.log.end_lsn, db.log, db.env)
+        prepare_page_version(page, db.log.end_lsn, db.log, db.env)
         assert page.clone_bytes() == before
 
     def test_rewind_before_creation_empties_page(self, items_db):
@@ -59,7 +59,7 @@ class TestBasicRewind:
         fill_items(db, 5)
         pid = leaf_page_id(db)
         page = page_copy(db, pid)
-        prepare_page_as_of(page, 1, db.log, db.env)
+        prepare_page_version(page, 1, db.log, db.env)
         assert not page.is_formatted()
 
     def test_rewind_across_insert_delete_mix(self, items_db):
@@ -73,7 +73,7 @@ class TestBasicRewind:
         pid = leaf_page_id(db)
         codec = db.table("items").accessor.codec
         page = page_copy(db, pid)
-        prepare_page_as_of(page, mid, db.log, db.env)
+        prepare_page_version(page, mid, db.log, db.env)
         keys = [r[0] for r in rows_on(page, codec)]
         assert keys == [0, 1, 2, 3, 4]
 
@@ -91,7 +91,7 @@ class TestBasicRewind:
         pid = leaf_page_id(db)
         codec = db.table("items").accessor.codec
         page = page_copy(db, pid)
-        prepare_page_as_of(page, mid, db.log, db.env)
+        prepare_page_version(page, mid, db.log, db.env)
         rows = rows_on(page, codec)
         assert rows[0] == (0, "item-0", 0)
         assert rows[4] == (4, "item-4", 40)
@@ -111,7 +111,7 @@ class TestBasicRewind:
         pid = leaf_page_id(db)
         for lsn in history:
             page = page_copy(db, pid)
-            prepare_page_as_of(page, lsn, db.log, db.env)
+            prepare_page_version(page, lsn, db.log, db.env)
             assert rows_on(page, codec) == expected[lsn]
 
 
@@ -135,7 +135,7 @@ class TestChainWalkCost:
         db.log._cache.clear()
         before = env.stats.snapshot()
         busy_before = env.log_device.busy_seconds
-        prepare_page_as_of(page, mark, db.log, env)
+        prepare_page_version(page, mark, db.log, env)
         spent = env.stats.delta(before)
         assert spent.undo_records_applied == n
         assert spent.undo_log_reads == 1
@@ -172,7 +172,7 @@ class TestPageImages:
             pid = leaf_page_id(db)
             codec = db.table("items").accessor.codec
             page = page_copy(db, pid)
-            prepare_page_as_of(page, marks[tag], db.log, db.env)
+            prepare_page_version(page, marks[tag], db.log, db.env)
             assert rows_on(page, codec)[1] == (1, "item-1", 10)
 
     def test_images_reduce_undo_work(self):
@@ -190,23 +190,10 @@ class TestPageImages:
         for db, tag in ((db_img, "img"), (db_raw, "raw")):
             before = db.env.stats.snapshot()
             page = page_copy(db, leaf_page_id(db))
-            prepare_page_as_of(page, marks[tag], db.log, db.env)
+            prepare_page_version(page, marks[tag], db.log, db.env)
             counts[tag] = db.env.stats.delta(before).undo_records_applied
         assert counts["img"] < counts["raw"] / 3
         assert db_img.env.stats.undo_images_applied >= 1
-
-    def test_image_fast_path_can_be_disabled(self):
-        db = self._engine(4)
-        fill_items(db, 3)
-        mark = db.log.end_lsn - 1
-        with db.transaction() as txn:
-            for i in range(40):
-                db.update(txn, "items", (1,), {"qty": i})
-        pid = leaf_page_id(db)
-        codec = db.table("items").accessor.codec
-        page = page_copy(db, pid)
-        prepare_page_as_of(page, mark, db.log, db.env, use_images=False)
-        assert rows_on(page, codec)[1] == (1, "item-1", 10)
 
 
 class TestFailureModes:
@@ -220,7 +207,7 @@ class TestFailureModes:
         db.log.truncate_before(db.last_checkpoint_lsn)
         page = page_copy(db, leaf_page_id(db))
         with pytest.raises(LogTruncatedError):
-            prepare_page_as_of(page, mark, db.log, db.env)
+            prepare_page_version(page, mark, db.log, db.env)
         del mark
 
     def test_smo_delete_without_extension_derives_from_pair(self):
@@ -241,7 +228,7 @@ class TestFailureModes:
         for pid in tree.page_ids():
             with db.fetch_page(pid) as guard:
                 page = Page(bytearray(guard.page.data))
-            prepare_page_as_of(page, mark, db.log, db.env)
+            prepare_page_version(page, mark, db.log, db.env)
             # Filter on the *as-of* shape: pages that were leaves back then
             # (today's root may be interior; today's leaves may not have
             # existed yet).

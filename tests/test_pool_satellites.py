@@ -105,7 +105,7 @@ class TestUndoDrain:
     def test_drain_completes_pending_undo(self, engine, items_db):
         snap, txn = self._snap_with_pending_undo(engine, items_db)
         assert snap.pending_undo_count == 1
-        drained = engine.snapshot_pool.drain()
+        drained = snap.run_background_undo()
         assert drained == 1
         assert snap.pending_undo_count == 0
         # A reader touching the formerly-locked row pays no undo wait.
@@ -130,9 +130,9 @@ class TestUndoDrain:
         snap = engine.snapshot_pool.acquire(db, 0.5)
         engine.snapshot_pool.release(snap)
         assert snap.pending_undo_count == 3
-        assert engine.snapshot_pool.drain(max_txns=2) == 2
+        assert snap.run_background_undo(list(snap._pending_undo)[:2]) == 2
         assert snap.pending_undo_count == 1
-        assert engine.snapshot_pool.drain(max_txns=2) == 1
+        assert snap.run_background_undo(list(snap._pending_undo)[:2]) == 1
         assert snap.pending_undo_count == 0
         for txn in open_txns:
             db.rollback(txn)
@@ -143,10 +143,11 @@ class TestUndoDrain:
         engine.add_replica(db.name, "standby")
         with engine.query_as_of(db.name, engine.env.clock.now()) as view:
             assert sum(1 for _ in view.scan("items")) == 6
-        # Served by the standby's pool, which drains like the engine's.
+            # Served by the standby's pool, whose snapshots run the same
+            # background undo: nothing pending, a no-op.
+            assert view.run_background_undo() == 0
         standby_pool = engine.replicas["standby"].snapshot_pool
         assert standby_pool.stats.misses == 1
-        assert standby_pool.drain() == 0  # nothing pending: no-op
 
 
 class TestUseAsOfSessions:

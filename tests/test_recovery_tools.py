@@ -1,23 +1,53 @@
-"""Tests for the user-facing recovery workflows and selective txn undo."""
+"""The paper's error-recovery workflows in SQL, and selective txn undo.
+
+Section 1's workflow is a probe (``CREATE DATABASE ... AS SNAPSHOT OF ...
+AS OF`` at stepped-back instants) followed by ``INSERT ... SELECT`` from
+the snapshot that still holds the lost data.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.recovery_tools import (
-    diff_table,
-    find_when_table_existed,
-    recover_dropped_table,
-    restore_rows,
-)
 from repro.core.txn_undo import (
     TransactionUndoConflict,
     UnsupportedTransactionUndo,
     undo_transaction,
 )
-from repro.errors import CatalogError, TransactionError
+from repro.errors import CatalogError, RetentionExceededError, TransactionError
 from repro.wal.records import InsertRowRecord
 from tests.conftest import fill_items
+
+
+def sql_time(engine, instant: float) -> str:
+    """``instant`` as the SQL timestamp literal ``AS OF`` takes."""
+    return f"'{engine.env.clock.to_datetime(instant).isoformat(sep=' ')}'"
+
+
+def probe_for_table(engine, db_name: str, table: str, latest: float, step_s: float = 60.0):
+    """The paper's section 1 probe, in SQL: mount ``CREATE DATABASE ... AS
+    SNAPSHOT OF ... AS OF`` stepping back from ``latest`` (the step doubles
+    each miss) until ``table`` is visible. Returns ``(instant, snapshot
+    name)`` of the hit with the misses dropped, or ``None`` once retention
+    refuses the instant."""
+    when, step = latest, step_s
+    for probe in range(32):
+        name = f"probe{probe}"
+        try:
+            engine.sql(f"CREATE DATABASE {name} AS SNAPSHOT OF {db_name} AS OF {sql_time(engine, when)}")
+        except RetentionExceededError:
+            return None
+        if engine.snapshot(name).table_exists(table):
+            return when, name
+        engine.sql(f"DROP DATABASE {name}")
+        when -= step
+        step *= 2
+    return None
+
+
+def past_snapshot(engine, good: float):
+    engine.sql(f"CREATE DATABASE past AS SNAPSHOT OF itemsdb AS OF {sql_time(engine, good)}")
+    return engine.snapshot("past")
 
 
 class TestProbeSearch:
@@ -29,12 +59,12 @@ class TestProbeSearch:
         db.env.clock.advance(120)
         db.drop_table("items")
         db.env.clock.advance(600)
-        result = find_when_table_existed(
-            engine, "itemsdb", "items", latest=alive + 60, step_s=30
-        )
-        assert result.found
-        assert result.probes >= 1
-        assert engine.snapshots == {}  # probes cleaned up
+        found = probe_for_table(engine, "itemsdb", "items", alive + 60, step_s=30)
+        assert found is not None
+        when, name = found
+        assert when <= alive + 60
+        assert list(engine.snapshots) == [name]  # misses cleaned up
+        assert engine.sql(f"SELECT COUNT(*) FROM {name}.items").scalar() == 5
 
     def test_gives_up_outside_retention(self, engine, items_db):
         db = items_db
@@ -42,75 +72,76 @@ class TestProbeSearch:
         fill_items(db, 3)
         db.env.clock.advance(600)
         db.checkpoint()
-        result = find_when_table_existed(
-            engine, "itemsdb", "never_existed", latest=db.env.clock.now(), step_s=120
-        )
-        assert not result.found
+        latest = db.env.clock.now()
+        assert probe_for_table(engine, "itemsdb", "never_existed", latest, step_s=120) is None
+        assert engine.snapshots == {}
 
     def test_keep_snapshot_option(self, engine, items_db):
+        """The hit stays mounted: the recovery reads from it afterwards."""
         fill_items(items_db, 3)
         items_db.env.clock.advance(60)
-        result = find_when_table_existed(
-            engine,
-            "itemsdb",
-            "items",
-            latest=items_db.env.clock.now() - 1,
-            keep_snapshot=True,
-        )
-        assert result.found and result.snapshot_name
-        assert engine.snapshot(result.snapshot_name).table_exists("items")
-        engine.drop_snapshot(result.snapshot_name)
+        found = probe_for_table(engine, "itemsdb", "items", items_db.env.clock.now() - 1)
+        assert found is not None
+        _when, name = found
+        assert engine.snapshot(name).table_exists("items")
+        engine.sql(f"DROP DATABASE {name}")
+        assert engine.snapshots == {}
 
 
 class TestRecoverDroppedTable:
     def test_full_recovery(self, engine, items_db):
+        """Re-create the table from the snapshot's schema, then copy the
+        rows back with one ``INSERT ... SELECT``."""
         db = items_db
         fill_items(db, 25)
         good = db.env.clock.now()
         db.env.clock.advance(60)
         db.drop_table("items")
-        copied = recover_dropped_table(engine, "itemsdb", "items", good)
-        assert copied == 25
+        snap = past_snapshot(engine, good)
+        db.create_table(snap.schema("items"))
+        copied = engine.sql("INSERT INTO items SELECT * FROM past.items", "itemsdb")
+        assert copied.rowcount == 25
         assert sum(1 for _ in db.scan("items")) == 25
+        engine.sql("DROP DATABASE past")
         assert engine.snapshots == {}
 
     def test_rejects_existing_table(self, engine, items_db):
         fill_items(items_db, 3)
+        snap = past_snapshot(engine, items_db.env.clock.now())
         with pytest.raises(CatalogError):
-            recover_dropped_table(
-                engine, "itemsdb", "items", items_db.env.clock.now()
-            )
+            items_db.create_table(snap.schema("items"))
 
 
 class TestDiffAndRestore:
-    def test_diff_classifies(self, engine, items_db):
-        db = items_db
-        fill_items(db, 6)
+    @staticmethod
+    def _history(db):
+        """Lose row 1, change row 2, add row 100 after ``good``."""
         good = db.env.clock.now()
         db.env.clock.advance(30)
         with db.transaction() as txn:
             db.delete(txn, "items", (1,))           # lost
             db.update(txn, "items", (2,), {"qty": 999})  # changed
             db.insert(txn, "items", (100, "new", 0))     # legit new work
-        snap = engine.create_asof_snapshot("itemsdb", "past", good)
-        diff = diff_table(snap, db, "items")
-        assert [r[0] for r in diff.only_in_past] == [1]
-        assert [r[0] for r in diff.only_in_present] == [100]
-        assert [entry[0] for entry in diff.changed] == [(2,)]
+        return good
+
+    @staticmethod
+    def _rows(engine, source):
+        return {row[0]: row for row in engine.sql(f"SELECT * FROM {source}").rows}
+
+    def test_diff_classifies(self, engine, items_db):
+        fill_items(items_db, 6)
+        past_snapshot(engine, self._history(items_db))
+        past, present = self._rows(engine, "past.items"), self._rows(engine, "itemsdb.items")
+        assert sorted(past.keys() - present.keys()) == [1]
+        assert sorted(present.keys() - past.keys()) == [100]
+        assert [k for k in sorted(past.keys() & present.keys()) if past[k] != present[k]] == [2]
 
     def test_restore_rows_selective(self, engine, items_db):
         db = items_db
         fill_items(db, 6)
-        good = db.env.clock.now()
-        db.env.clock.advance(30)
-        with db.transaction() as txn:
-            db.delete(txn, "items", (1,))
-            db.update(txn, "items", (2,), {"qty": 999})
-            db.insert(txn, "items", (100, "new", 0))
-        snap = engine.create_asof_snapshot("itemsdb", "past", good)
-        diff = diff_table(snap, db, "items")
-        written = restore_rows(db, "items", diff)
-        assert written == 1
+        past_snapshot(engine, self._history(db))
+        written = engine.sql("INSERT INTO items SELECT * FROM past.items WHERE id = 1", "itemsdb")
+        assert written.rowcount == 1
         assert db.get("items", (1,)) is not None       # restored
         assert db.get("items", (2,))[2] == 999         # kept (changed)
         assert db.get("items", (100,)) is not None     # kept (new)
@@ -122,17 +153,15 @@ class TestDiffAndRestore:
         db.env.clock.advance(30)
         with db.transaction() as txn:
             db.update(txn, "items", (2,), {"qty": 999})
-        snap = engine.create_asof_snapshot("itemsdb", "past", good)
-        diff = diff_table(snap, db, "items")
-        restore_rows(db, "items", diff, restore_changed=True)
+        past_snapshot(engine, good)
+        qty = engine.sql("SELECT qty FROM past.items WHERE id = 2").scalar()
+        engine.sql(f"UPDATE items SET qty = {qty} WHERE id = 2", "itemsdb")
         assert db.get("items", (2,))[2] == 20
 
     def test_empty_diff(self, engine, items_db):
         fill_items(items_db, 3)
-        snap = engine.create_asof_snapshot(
-            "itemsdb", "now", items_db.env.clock.now()
-        )
-        assert diff_table(snap, items_db, "items").is_empty
+        past_snapshot(engine, items_db.env.clock.now())
+        assert self._rows(engine, "past.items") == self._rows(engine, "itemsdb.items")
 
 
 class TestTransactionUndo:

@@ -114,9 +114,8 @@ class TestCatchUp:
         db = engine.create_database("tpcc")
         load_tpcc(db, SMALL_SCALE, seed=3)
         replica = engine.add_replica("tpcc", "standby")
-        driver = TpccDriver(
-            db, SMALL_SCALE, seed=3, pump=engine.replication_tick
-        )
+        driver = TpccDriver(db, SMALL_SCALE, seed=3)
+        driver.pump = engine.replication_tick
         max_lag = 0
         for _ in range(8):
             driver.run_transactions(25)
@@ -143,13 +142,8 @@ class TestAsOfRouting:
         db = engine.create_database("tpcc")
         load_tpcc(db, SMALL_SCALE, seed=5)
         replica = engine.add_replica("tpcc", "standby")
-        driver = TpccDriver(
-            db,
-            SMALL_SCALE,
-            seed=5,
-            think_time_s=0.05,
-            pump=engine.replication_tick,
-        )
+        driver = TpccDriver(db, SMALL_SCALE, seed=5, think_time_s=0.05)
+        driver.pump = engine.replication_tick
         driver.run_transactions(120)
         target = engine.env.clock.now() - 2.0
         driver.run_transactions(40)

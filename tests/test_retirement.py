@@ -35,6 +35,7 @@ from repro.errors import (
     SnapshotError,
 )
 from repro.sim.device import SAS_10K
+from tests.conftest import pool_entries
 
 ITEMS_DDL = "CREATE TABLE items (id INT NOT NULL, qty INT, PRIMARY KEY (id))"
 #: The engine's catalog tables, by attribute.
@@ -91,10 +92,10 @@ def footprint(engine) -> dict:
     """Every place an owner can leave a trace in the engine, by name."""
     monitor = engine.monitor
     sheet = {attr: sorted(getattr(engine, attr)) for attr in CATALOG}
-    sheet["instruments"] = engine.metrics.names()
+    sheet["instruments"] = engine.env.metrics.names()
     sheet["series"] = monitor.recorder.names()
     sheet["conditions"] = sorted({row["metric"] for row in monitor.alert_rows()})
-    sheet["pool"] = [entry[:2] for entry in engine.snapshot_pool.entries()]
+    sheet["pool"] = [entry[:2] for entry in pool_entries(engine.snapshot_pool)]
     return sheet
 
 
@@ -168,7 +169,7 @@ def route_drop_database(engine):
 
     assert "doomed" in engine._archive_reads
     assert engine.version_store.version_count("doomed") > 0
-    assert ("doomed", lease.split_lsn) in engine.snapshot_pool
+    assert ("doomed", lease.split_lsn) in engine.snapshot_pool._entries
     fired = {e["metric"] for e in engine.alert_events()}
     assert {
         "replica.doomed_standby.apply_lag_bytes",
@@ -228,7 +229,7 @@ def route_failover(engine):
     # The survivors' instruments: a database, its shipper and archiver,
     # a standby with its pool and subscription — and not the promoted
     # standby's replica-role ones.
-    names = engine.metrics.names()
+    names = engine.env.metrics.names()
     for prefix in ("log.heir.", "shipper.heir.", "archive.heir.", "replica.spare.",
                    "pool.spare.", "repl.ship.spare.", "repl.ship.~archive:heir."):
         assert any(name.startswith(prefix) for name in names), prefix
@@ -288,7 +289,7 @@ def route_promote_replica(engine):
     assert not promoted.closed and promoted.get("items", (149,)) == (149, 149)
     for role in ("replica.doomed_heir.", "pool.doomed_heir.", "repl.ship.doomed_heir."):
         assert traces_of(engine, role) == []
-    assert engine.metrics.names("log.doomed_heir.*")
+    assert engine.env.metrics.names("log.doomed_heir.*")
     engine.drop_database("doomed_heir")
     return Left(before, ("doomed",), {}, (promoted,))
 
@@ -310,7 +311,7 @@ def route_disable_archiving(engine):
     assert engine.archives["doomed"].closed
     # Resuming installs a fresh set over the new archiver.
     engine.enable_archiving("doomed")
-    assert "archive.doomed.cursor_lag_bytes" in engine.metrics.names()
+    assert "archive.doomed.cursor_lag_bytes" in engine.env.metrics.names()
     assert engine.metrics_snapshot("archive.doomed.*")["gauges"][
         "archive.doomed.cursor_lag_bytes"
     ] == 0

@@ -329,7 +329,7 @@ def reference_decode(schema: TableSchema, data: bytes) -> tuple:
 
 def reference_decode_key(schema: TableSchema, data: bytes) -> tuple:
     row = reference_decode(schema, data)
-    return tuple(row[schema.position_of(name)] for name in schema.key)
+    return tuple(row[schema.column_names.index(name)] for name in schema.key)
 
 
 def reference_encode_key(ctypes, key: tuple) -> bytes:

@@ -28,16 +28,6 @@ class TestSimClock:
         with pytest.raises(ValueError):
             SimClock().advance(-1)
 
-    def test_advance_to_future(self):
-        clock = SimClock()
-        clock.advance_to(10.0)
-        assert clock.now() == 10.0
-
-    def test_advance_to_past_is_noop(self):
-        clock = SimClock(5.0)
-        clock.advance_to(1.0)
-        assert clock.now() == 5.0
-
     def test_datetime_round_trip(self):
         clock = SimClock()
         clock.advance(3600)

@@ -10,7 +10,7 @@ from repro.errors import (
     RetentionExceededError,
     SnapshotError,
 )
-from tests.conftest import fill_items
+from tests.conftest import fill_items, pool_entries
 
 
 def mark(db) -> float:
@@ -172,7 +172,7 @@ class TestEviction:
         # Touch the oldest point again: it becomes most-recently-used.
         with pool.lease(db, points[0]):
             pass
-        sizes = [entry[3] for entry in pool.entries()]
+        sizes = [entry[3] for entry in pool_entries(pool)]
         pool.set_budget(max(sizes))
         with pool.lease(db, points[0]):
             pass
@@ -259,6 +259,7 @@ class TestEngineIntegration:
 
     def test_driver_stock_level_as_of(self, engine):
         from repro.workload import TpccDriver, TpccScale, load_tpcc
+        from repro.workload.tpcc_txns import stock_level
 
         scale = TpccScale(
             warehouses=1,
@@ -274,7 +275,7 @@ class TestEngineIntegration:
         t0 = engine.env.clock.now()
         engine.env.clock.advance(5)
         driver.run_transactions(40)
-        live = driver.stock_level_query(db)
+        live = stock_level(db, 1, 1, 60)
         past = driver.stock_level_as_of(engine, t0)
         again = driver.stock_level_as_of(engine, t0)
         assert past == again

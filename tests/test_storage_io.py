@@ -13,7 +13,7 @@ from repro.storage.checksum import (
     stamp_checksum,
     verify_and_clear_checksum,
 )
-from repro.storage.datafile import FileManager, MemoryDataFile, OnDiskDataFile
+from repro.storage.datafile import FileManager, MemoryDataFile
 from repro.storage.page import Page, PageType
 from repro.storage.sparsefile import SparseFile
 
@@ -67,7 +67,6 @@ class TestMemoryDataFile:
         mem = MemoryDataFile(PAGE_SIZE)
         mem.write_page(9, bytes(PAGE_SIZE))
         assert mem.page_count == 10
-        assert mem.size_bytes() == 10 * PAGE_SIZE
 
     def test_wrong_size_rejected(self):
         mem = MemoryDataFile(PAGE_SIZE)
@@ -77,40 +76,6 @@ class TestMemoryDataFile:
     def test_negative_page_rejected(self):
         with pytest.raises(StorageError):
             MemoryDataFile(PAGE_SIZE).read_page(-1)
-
-    def test_copy_pages(self):
-        mem = MemoryDataFile(PAGE_SIZE)
-        mem.write_page(1, bytes(formatted_bytes()))
-        pages = mem.copy_pages()
-        assert set(pages) == {1}
-
-
-class TestOnDiskDataFile(object):
-    def test_roundtrip(self, tmp_path):
-        path = str(tmp_path / "data.db")
-        disk = OnDiskDataFile(path, PAGE_SIZE)
-        data = formatted_bytes()
-        disk.write_page(4, bytes(data))
-        disk.flush()
-        assert disk.read_page(4) == data
-        assert disk.page_count == 5
-        disk.close()
-
-    def test_reopen_preserves(self, tmp_path):
-        path = str(tmp_path / "data.db")
-        disk = OnDiskDataFile(path, PAGE_SIZE)
-        disk.write_page(0, bytes(formatted_bytes(0)))
-        disk.flush()
-        disk.close()
-        again = OnDiskDataFile(path, PAGE_SIZE)
-        assert Page(again.read_page(0)).is_formatted()
-        again.close()
-
-    def test_short_read_padded(self, tmp_path):
-        path = str(tmp_path / "data.db")
-        disk = OnDiskDataFile(path, PAGE_SIZE)
-        assert bytes(disk.read_page(3)) == bytes(PAGE_SIZE)
-        disk.close()
 
 
 class TestFileManager:

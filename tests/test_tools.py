@@ -3,14 +3,8 @@
 from __future__ import annotations
 
 from repro.storage.page import HEADER_FIELDS
-from repro.tools import (
-    check_database,
-    describe_record,
-    dump_log,
-    log_statistics,
-    page_history,
-    transaction_history,
-)
+from repro.tools import check_database, describe_record, transaction_history
+from repro.wal.lsn import NULL_LSN
 from repro.wal.records import (
     CommitRecord,
     FormatPageRecord,
@@ -20,24 +14,32 @@ from repro.wal.records import (
 from tests.conftest import ITEMS_SCHEMA, fill_items
 
 
+def page_chain(db, page_id: int) -> list:
+    """The page's modification chain, newest first: its ``pageLSN``, then
+    each record's ``prevPageLSN`` (the paper's Figures 1/2)."""
+    with db.fetch_page(page_id) as guard:
+        current = guard.page.page_lsn
+    chain = []
+    while current != NULL_LSN:
+        chain.append(db.log.read(current))
+        current = chain[-1].prev_page_lsn
+    return chain
+
+
 class TestLogInspect:
     def test_describe_various(self, items_db):
         fill_items(items_db, 3)
-        lines = dump_log(items_db, limit=500)
+        lines = [describe_record(rec) for rec in items_db.log.scan(items_db.log.start_lsn)]
         assert any("Begin" in line for line in lines)
         assert any("Commit" in line and "wall=" in line for line in lines)
         assert any("InsertRow" in line and "slot=" in line for line in lines)
         assert any("CheckpointBegin" in line for line in lines)
 
-    def test_dump_limit(self, items_db):
-        fill_items(items_db, 10)
-        assert len(dump_log(items_db, limit=5)) == 5
-
     def test_page_history_newest_first(self, items_db):
         db = items_db
         fill_items(db, 3)
         leaf = db.table("items").accessor.page_ids()[0]
-        chain = page_history(db, leaf)
+        chain = page_chain(db, leaf)
         assert len(chain) >= 4  # format + 3 inserts
         lsns = [rec.lsn for rec in chain]
         assert lsns == sorted(lsns, reverse=True)
@@ -54,7 +56,7 @@ class TestLogInspect:
         fill_items(db, 100)
         reused = set(db.table("items").accessor.page_ids()) & pages_before
         assert reused
-        chain = page_history(db, sorted(reused)[0], max_records=5000)
+        chain = page_chain(db, sorted(reused)[0])
         kinds = [type(rec).__name__ for rec in chain]
         assert "PreformatPageRecord" in kinds
         # The chain continues past the preformat into the old incarnation.
@@ -82,14 +84,6 @@ class TestLogInspect:
         assert kinds[0] == "CommitRecord"
         assert kinds[-1] == "BeginRecord"
         assert "InsertRowRecord" in kinds and "UpdateRowRecord" in kinds
-
-    def test_log_statistics(self, items_db):
-        fill_items(items_db, 5)
-        stats = log_statistics(items_db)
-        assert stats["total_records"] > 10
-        assert stats["total_bytes"] > 0
-        assert stats["records"]["Commit"] >= 1
-        assert sum(stats["bytes"].values()) == stats["total_bytes"]
 
     def test_describe_preformat(self):
         rec = PreformatPageRecord(image=b"\0" * 64, page_id=9)

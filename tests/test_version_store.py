@@ -17,7 +17,7 @@ from repro import DatabaseConfig, Engine
 from repro.core.version_store import PageVersionStore
 from repro.workload import TpccScale, load_tpcc
 from repro.workload.driver import TpccDriver
-from tests.conftest import ITEMS_SCHEMA, fill_items
+from tests.conftest import ITEMS_SCHEMA, fill_items, stored_versions
 
 
 # ---------------------------------------------------------------------------
@@ -42,7 +42,7 @@ class TestStoreUnit:
         store = PageVersionStore(1 << 20)
         store.publish("db", 7, 100, 150, b"a" * 64)
         store.publish("db", 7, 100, 300, b"a" * 64)
-        assert store.versions("db", 7) == [(100, 300)]
+        assert stored_versions(store, "db", 7) == [(100, 300)]
         assert store.total_bytes() == 64  # extension stores no new bytes
 
     def test_empty_or_disabled_publish_is_dropped(self):
@@ -74,17 +74,17 @@ class TestStoreUnit:
         store.publish("db", 3, 50, 120, b"c" * 32)  # untouched
         dropped = store.invalidate_from("db", 150)
         assert dropped == 1
-        assert store.versions("db", 1) == [(100, 150)]
-        assert store.versions("db", 2) == []
-        assert store.versions("db", 3) == [(50, 120)]
+        assert stored_versions(store, "db", 1) == [(100, 150)]
+        assert stored_versions(store, "db", 2) == []
+        assert stored_versions(store, "db", 3) == [(50, 120)]
 
     def test_gc_drops_only_fully_unretained(self):
         store = PageVersionStore(1 << 20)
         store.publish("db", 1, 10, 90, b"a" * 32)  # wholly below floor
         store.publish("db", 2, 80, 120, b"b" * 32)  # straddles: kept
         assert store.gc("db", 100) == 1
-        assert store.versions("db", 1) == []
-        assert store.versions("db", 2) == [(80, 120)]
+        assert stored_versions(store, "db", 1) == []
+        assert stored_versions(store, "db", 2) == [(80, 120)]
 
     def test_purge_and_budget_accounting(self):
         store = PageVersionStore(1 << 20)
@@ -93,7 +93,7 @@ class TestStoreUnit:
         store.publish("other", 1, 10, 90, b"c" * 32)
         assert store.purge("db") == 2
         assert store.total_bytes() == 32
-        store.clear()
+        assert store.purge("other") == 1
         assert store.total_bytes() == 0
         assert store.version_count() == 0
 
@@ -354,7 +354,7 @@ def test_truncation_gc_spares_pinned_pooled_split(items_schema):
     engine.snapshot_pool.clear()
     db.enforce_retention()
     assert db.log.start_lsn > 0
-    leftover = engine.version_store.versions("vdb", 0)
+    leftover = stored_versions(engine.version_store, "vdb", 0)
     for _version_lsn, limit_lsn in leftover:
         assert limit_lsn > db.log.start_lsn
 
@@ -386,7 +386,7 @@ def test_pool_eviction_then_retention_gcs_store(items_schema):
     db.enforce_retention()
     floor = db.log.start_lsn
     for page_id in range(db.file_manager.page_count):
-        for _v, limit in engine.version_store.versions("vdb", page_id):
+        for _v, limit in stored_versions(engine.version_store, "vdb", page_id):
             assert limit > floor
 
 
@@ -407,7 +407,7 @@ def test_crash_invalidates_volatile_intervals(items_schema):
     durable = db.log.durable_lsn
     db.crash()
     for page_id in range(db.file_manager.page_count + 5):
-        for _v, limit in engine.version_store.versions("vdb", page_id):
+        for _v, limit in stored_versions(engine.version_store, "vdb", page_id):
             assert limit <= durable
     db.recover()
     engine.snapshot_pool.clear()
@@ -549,42 +549,6 @@ def test_checkpoint_chain_cache_cleared_on_crash(items_schema):
 # ---------------------------------------------------------------------------
 # Satellite: loginspect --chains
 # ---------------------------------------------------------------------------
-
-
-def test_chain_stats_counts_modifications(items_schema):
-    from repro.tools.loginspect import chain_report, chain_stats
-
-    engine, db = _items_engine()
-    fill_items(db, 20)
-    with db.transaction() as txn:
-        for i in range(20):
-            db.update(txn, "items", (i,), {"qty": 1})
-    stats = chain_stats(db)
-    assert stats["pages_scanned"] > 0
-    assert stats["total_chain_records"] > 20
-    assert 0 < stats["undo_reads"] <= stats["total_chain_records"]
-    assert sum(stats["histogram"].values()) == stats["pages_scanned"]
-    report = chain_report(db)
-    assert any("est prepare cost" in line for line in report)
-
-
-def test_chain_stats_bounded_by_split(items_schema):
-    from repro.core.split_lsn import find_split_lsn
-    from repro.tools.loginspect import chain_stats
-
-    engine, db = _items_engine()
-    clock = engine.env.clock
-    fill_items(db, 10)
-    clock.advance(5)
-    split = find_split_lsn(db, clock.now())
-    clock.advance(5)
-    with db.transaction() as txn:
-        for i in range(10):
-            db.update(txn, "items", (i,), {"qty": 2})
-    full = chain_stats(db)
-    bounded = chain_stats(db, split_lsn=split)
-    assert bounded["total_chain_records"] < full["total_chain_records"]
-    assert bounded["total_chain_records"] >= 10
 
 
 def test_loginspect_chains_cli(tmp_path, items_schema):
