@@ -8,7 +8,9 @@ The knobs here map directly onto the paper:
 * ``undo_interval_s`` — section 4.3's retention period
   (``ALTER DATABASE ... SET UNDO_INTERVAL``).
 * ``checkpoint_interval_s`` — section 6's 30-second target recovery
-  interval, which bounds as-of snapshot creation time (Figures 9/10).
+  interval, which bounds as-of snapshot creation time (Figures 9/10) for
+  the first snapshot into a stretch of log; a repeat starts at an
+  analysis seed instead (``docs/wal-format.md``).
 * Device profiles — section 6's SAS-10K and SLC-SSD media.
 """
 

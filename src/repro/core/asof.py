@@ -8,11 +8,15 @@ view of a database as of an arbitrary past point in time:
   every page with LSN ≤ SplitLSN is durable.
 * **Recovery** (section 5.2): run the analysis pass from the checkpoint
   preceding the SplitLSN up to the SplitLSN to find transactions in flight
-  at that point; the redo pass does **no page I/O** — it only re-acquires
-  those transactions' locks. Their logical undo runs lazily ("in the
-  background"): queries are admitted immediately, and a read that touches
-  a locked row drives the conflicting transaction's undo to completion
-  first.
+  at that point — or, when an earlier snapshot's analysis crossed the
+  start of the split's log block, from there, seeded with who was in
+  flight at that record (the log's analysis seeds, ``docs/wal-format.md``;
+  a stated deviation: the first snapshot after a checkpoint scans from
+  it as the paper does, a repeat scans at most one block). The redo pass
+  does **no page I/O** — it only re-acquires those transactions' locks.
+  Their logical undo runs lazily ("in the background"): queries are
+  admitted immediately, and a read that touches a locked row drives the
+  conflicting transaction's undo to completion first.
 * **Page access** (section 5.3): sparse-file hit → serve; miss → probe
   the engine's cross-snapshot
   :class:`~repro.core.version_store.PageVersionStore` for a prepared
@@ -40,7 +44,7 @@ from repro.catalog.catalog import (
 )
 from repro.core.page_undo import prepare_page_version
 from repro.core.split_lsn import analysis_base, find_split_lsn
-from repro.engine.recovery import analyze_log
+from repro.engine.recovery import AnalysisResult, analyze_log
 from repro.latch import Latch
 from repro.errors import (
     CatalogError,
@@ -159,6 +163,67 @@ class SnapshotTable:
             yield from self.accessor.scan(lo, hi)
 
 
+def snapshot_analysis(db, split: int) -> tuple[AnalysisResult, int]:
+    """Section 5.2's analysis for a snapshot at ``split``: the analysis
+    result, its ``loser_locks`` completed, and the retention pin.
+
+    The window ends at the split and starts at the later of the newest
+    checkpoint at or before it (:func:`analysis_base`) and the newest of
+    the log's analysis seeds at or before it: the transactions open
+    before that record, remembered from an earlier window that crossed
+    it. Either way the start is seeded with who was in flight there, so
+    the losers are the same. The seeds this window crosses are handed
+    back to the log, so a later split in the same stretch scans at most
+    one block.
+
+    The pin starts at the checkpoint, not at a seed: a pooled split is
+    found again through :func:`find_split_lsn`, which needs a kept
+    checkpoint at or before it.
+    """
+    log = db.log
+    base = analysis_base(db, split, log.start_lsn)
+    start, seed, cuts = log.analysis_seed(base, split)
+    analysis = analyze_log(log, start, split + 1, seed=seed)
+    log.remember_seeds(analysis.crossed, cuts)
+    return analysis, collect_loser_locks(log, analysis, start, min(base, split))
+
+
+def collect_loser_locks(log, analysis: AnalysisResult, start: int, pin: int) -> int:
+    """Complete the lock sets of losers whose chains may reach below the
+    window starting at ``start``; returns the retention pin: ``pin``,
+    deepened to the oldest LSN any walked chain reaches.
+
+    A loser's lock set is the keys of its non-SMO row records that no CLR
+    compensates, wherever the window starts. Seeded losers can chain
+    arbitrarily far back and are always walked — the keys below the
+    window join those analysis saw, and their depth is what the pin must
+    cover. A loser that began inside the window is walked only when
+    analysis saw no keyed row of it.
+    """
+    for txn_id, last_lsn in analysis.losers.items():
+        seen = analysis.loser_locks.get(txn_id)
+        if seen is not None and txn_id not in analysis.seeded:
+            continue
+        keys = []
+        cur = last_lsn
+        while cur != NULL_LSN:
+            pin = min(pin, cur)
+            rec = log.read(cur)
+            if isinstance(rec, BeginRecord):
+                break
+            if isinstance(rec, ClrRecord):
+                cur = rec.undo_next_lsn
+                continue
+            if seen is None or cur < start:
+                key_bytes = getattr(rec, "key_bytes", b"")
+                if key_bytes and not rec.is_smo:
+                    keys.append((rec.object_id, key_bytes))
+            cur = rec.prev_txn_lsn
+        if keys:
+            analysis.loser_locks[txn_id] = [*(seen or ()), *keys]
+    return pin
+
+
 class AsOfSnapshot:
     """A read-only replica of ``db`` as of a past SplitLSN."""
 
@@ -199,16 +264,11 @@ class AsOfSnapshot:
         self._pending_undo: dict[int, int] = {}
         #: Re-acquired lock sets: txn_id -> [(object_id, key_bytes), ...].
         self._pending_locks: dict[int, list] = {}
-        #: Losers whose chains may reach below the analysis window.
-        self._checkpoint_seeded: set = set()
         if analysis is not None:
             self._pending_undo = dict(analysis.losers)
             self._pending_locks = {
                 txn_id: list(keys) for txn_id, keys in analysis.loser_locks.items()
             }
-            self._checkpoint_seeded = set(analysis.checkpoint_seeded) & set(
-                self._pending_undo
-            )
 
     # ------------------------------------------------------------------
     # Creation (paper section 5.1 / 5.2)
@@ -266,52 +326,16 @@ class AsOfSnapshot:
     def recover_at(cls, db, name: str, split: int) -> "AsOfSnapshot":
         """Snapshot recovery (section 5.2) at ``split``.
 
-        Analysis from the checkpoint preceding the split, bounded at the
-        split: yields the transactions in flight at that point plus the
-        row locks the redo pass re-acquires (no page reads happen). Their
-        rollback is the same :func:`~repro.txn.undo.rollback_losers` stage
-        crash recovery and restores run, deferred until a read needs it.
+        :func:`snapshot_analysis`, bounded at the split: the transactions
+        in flight at that point plus the row locks the redo pass
+        re-acquires (no page reads happen). Their rollback is the same
+        :func:`~repro.txn.undo.rollback_losers` stage crash recovery and
+        restores run, deferred until a read needs it.
         """
-        base = analysis_base(db, split, db.log.start_lsn)
-        analysis = analyze_log(db.log, base, split + 1)
+        analysis, pin = snapshot_analysis(db, split)
         snap = cls(db, name, split, analysis=analysis)
-        snap.retention_pin_lsn = min(base, split)
-        snap._collect_missing_locks()
+        snap.retention_pin_lsn = pin
         return snap
-
-    def _collect_missing_locks(self) -> None:
-        """Walk chains of in-flight transactions whose modifications may
-        precede the analysis window: re-acquire their locks and deepen the
-        retention pin to the oldest chained LSN.
-
-        Transactions discovered *inside* the window whose locks analysis
-        already collected begin at or after the window base, so they need
-        no walk; checkpoint-seeded ones can chain arbitrarily far back and
-        are always walked (their depth is what the pin must cover).
-        """
-        pin = self.retention_pin_lsn
-        for txn_id, last_lsn in self._pending_undo.items():
-            have_locks = txn_id in self._pending_locks
-            if have_locks and txn_id not in self._checkpoint_seeded:
-                continue
-            keys = []
-            cur = last_lsn
-            while cur != NULL_LSN:
-                pin = min(pin, cur)
-                rec = self.log.read(cur)
-                if isinstance(rec, BeginRecord):
-                    break
-                if isinstance(rec, ClrRecord):
-                    cur = rec.undo_next_lsn
-                    continue
-                if not have_locks:
-                    key_bytes = getattr(rec, "key_bytes", b"")
-                    if key_bytes and not rec.is_smo:
-                        keys.append((rec.object_id, key_bytes))
-                cur = rec.prev_txn_lsn
-            if keys and not have_locks:
-                self._pending_locks[txn_id] = keys
-        self.retention_pin_lsn = pin
 
     # ------------------------------------------------------------------
     # Page access (paper section 5.3)

@@ -425,12 +425,25 @@ class Database:
 
     def rollback(self, txn: Transaction) -> None:
         self.txns.rollback(txn)
+        if txn.created_tables:
+            self._forget_created(txn)
 
     def savepoint(self, txn: Transaction, name: str) -> None:
         self.txns.savepoint(txn, name)
 
     def rollback_to(self, txn: Transaction, name: str) -> None:
         self.txns.rollback_to_savepoint(txn, name)
+        if txn.created_tables:
+            self._forget_created(txn)
+
+    def _forget_created(self, txn: Transaction) -> None:
+        """Drop the cached handles of the tables ``txn`` created: a
+        rollback may have removed them from the catalog, and a handle
+        would still serve the freed pages. A table that survives is
+        looked up again."""
+        for name, object_id in txn.created_tables:
+            self._table_cache.pop(name, None)
+            self._tree_cache.pop(object_id, None)
 
     @contextmanager
     def transaction(self):
@@ -472,7 +485,8 @@ class Database:
             with self.transaction() as auto_txn:
                 self.catalog.create_table(auto_txn, schema, kind=kind)
         else:
-            self.catalog.create_table(txn, schema, kind=kind)
+            info = self.catalog.create_table(txn, schema, kind=kind)
+            txn.created_tables += ((schema.name, info.object_id),)
         self._table_cache.pop(schema.name, None)
         return self.table(schema.name)
 

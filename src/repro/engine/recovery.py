@@ -23,6 +23,7 @@ writable database logs.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 
 from repro.engine.boot import BOOT_PAGE_ID, read_boot_record
@@ -32,6 +33,7 @@ from repro.wal.apply import PAGE_MOD_TYPES, RedoApplier
 from repro.wal.lsn import FIRST_LSN, NULL_LSN
 from repro.wal.records import (
     FLAG_SMO,
+    HEADER_SIZE,
     RECORD_CLASSES,
     AbortRecord,
     RecordType,
@@ -42,6 +44,11 @@ from repro.wal.records import (
 #: field analysis reads, and only for transactions that end up losers.
 _KEYED = frozenset(rtype for rtype, cls in RECORD_CLASSES.items() if "key_bytes" in cls.__slots__)
 _TXN_END = (RecordType.COMMIT, RecordType.ABORT)
+#: The bodies analysis may read: the starting checkpoint, losers' rows,
+#: and the LSN a CLR compensates — the first field of its body.
+_RAW = _KEYED | {RecordType.CHECKPOINT_BEGIN, RecordType.CLR}
+_CLR = int(RecordType.CLR)
+_COMPENSATED_LSN = struct.Struct("<Q")
 
 
 @dataclass
@@ -54,42 +61,68 @@ class AnalysisResult:
     dirty_pages: dict[int, int] = field(default_factory=dict)
     #: Highest transaction id observed (to re-seed the id generator).
     max_txn_id: int = 0
-    #: txn_id -> list of (object_id, key_bytes) touched by in-flight txns
-    #: (used by as-of snapshot recovery to re-acquire locks).
+    #: txn_id -> list of (object_id, key_bytes) of the non-SMO row records
+    #: in the window an in-flight txn has not compensated (used by as-of
+    #: snapshot recovery to re-acquire locks). A txn whose keyed rows in
+    #: the window were all compensated has an empty list.
     loser_locks: dict[int, list] = field(default_factory=dict)
-    #: Loser txn ids seeded from the starting checkpoint's active table —
-    #: their log chains may reach below the scan window (as-of snapshots
-    #: walk them for lock collection and retention pinning).
-    checkpoint_seeded: set = field(default_factory=set)
+    #: Loser txn ids seeded at the window's start — by the starting
+    #: checkpoint's active table or an analysis seed — whose log chains may
+    #: reach below the window (as-of snapshots walk them for lock
+    #: collection and retention pinning).
+    seeded: set = field(default_factory=set)
+    #: ``(lsn, open)`` at the first record of each log block a seeded
+    #: window reached after its first: ``open`` is ``{txn_id: last LSN}``
+    #: of the transactions open before that record — the seed a window
+    #: starting there needs (the log's analysis seeds).
+    crossed: list = field(default_factory=list)
     #: LSN the scan actually stopped at.
     end_lsn: int = NULL_LSN
 
 
-def analyze_log(log, start_lsn: int, to_lsn: int | None = None) -> AnalysisResult:
+def analyze_log(log, start_lsn: int, to_lsn: int | None = None, *, seed=None) -> AnalysisResult:
     """Scan ``[start_lsn, to_lsn)`` rebuilding transaction and page state.
+
+    The window is seeded by the checkpoint at ``start_lsn``, or by
+    ``seed`` (``{txn_id: last LSN}`` of the transactions open before
+    ``start_lsn``, an analysis seed of the log's) in its place; only a
+    seeded window notes the blocks it ``crossed``.
 
     Header-driven: transaction and page state come from header fields, so
     no record body is decoded on the way — except the starting checkpoint's
     active-transaction table, and the lock keys of losers. A keyed row
     record of a transaction still open is kept as raw bytes and dropped
     when that transaction ends; what is left at the end of the window
-    belongs to losers and is decoded then, in log order.
+    belongs to losers and is decoded then, in log order. A CLR of a
+    transaction with kept rows marks the row it compensates, its LSN read
+    in place.
     """
     result = AnalysisResult()
     losers, dirty_pages = result.losers, result.dirty_pages
     #: txn_id -> [(lsn, object_id, txn_id, raw record)], keyed non-SMO rows.
     open_rows: dict[int, list] = {}
-    for header, raw in log.scan_headers(
-        start_lsn, to_lsn, raw=_KEYED | {RecordType.CHECKPOINT_BEGIN}, stop_on_torn_tail=True
-    ):
+    compensated: set[int] = set()
+    block_size = log.block_size
+    #: The last record's block, once the window is seeded.
+    block = None
+    if seed is not None:
+        losers.update(seed)
+        result.seeded.update(seed)
+        result.max_txn_id = max(seed, default=0)
+        block = start_lsn // block_size
+    for header, raw in log.scan_headers(start_lsn, to_lsn, raw=_RAW, stop_on_torn_tail=True):
         lsn, rtype, txn_id = header.lsn, header.record_type, header.txn_id
         result.end_lsn = lsn
-        if rtype == RecordType.CHECKPOINT_BEGIN and lsn == start_lsn:
+        if rtype == RecordType.CHECKPOINT_BEGIN and lsn == start_lsn and seed is None:
             for active_id, last_lsn in decode_record(raw, 0, lsn)[0].active_txns:
                 losers[active_id] = last_lsn
-                result.checkpoint_seeded.add(active_id)
+                result.seeded.add(active_id)
                 result.max_txn_id = max(result.max_txn_id, active_id)
+            block = lsn // block_size
             continue
+        if block is not None and lsn // block_size != block:
+            block = lsn // block_size
+            result.crossed.append((lsn, dict(losers)))
         if txn_id > result.max_txn_id:
             result.max_txn_id = txn_id
         if rtype == RecordType.BEGIN:
@@ -100,13 +133,18 @@ def analyze_log(log, start_lsn: int, to_lsn: int | None = None) -> AnalysisResul
         elif rtype in PAGE_MOD_TYPES:
             if txn_id in losers:
                 losers[txn_id] = lsn
-                if rtype in _KEYED and not header.flags & FLAG_SMO:
-                    open_rows.setdefault(txn_id, []).append((lsn, header.object_id, txn_id, raw))
+                if rtype in _KEYED:
+                    if not header.flags & FLAG_SMO:
+                        open_rows.setdefault(txn_id, []).append((lsn, header.object_id, txn_id, raw))
+                elif rtype == _CLR and txn_id in open_rows:
+                    compensated.add(_COMPENSATED_LSN.unpack_from(raw, HEADER_SIZE)[0])
             dirty_pages.setdefault(header.page_id, lsn)
     for lsn, object_id, txn_id, raw in sorted(row for rows in open_rows.values() for row in rows):
         key_bytes = decode_record(raw, 0, lsn)[0].key_bytes
         if key_bytes:
-            result.loser_locks.setdefault(txn_id, []).append((object_id, key_bytes))
+            keys = result.loser_locks.setdefault(txn_id, [])
+            if lsn not in compensated:
+                keys.append((object_id, key_bytes))
     return result
 
 

@@ -33,6 +33,7 @@ class Transaction:
         "is_system",
         "began_wall",
         "savepoints",
+        "created_tables",
     )
 
     def __init__(self, txn_id: int, *, is_system: bool = False, began_wall: float = 0.0) -> None:
@@ -47,6 +48,9 @@ class Transaction:
         self.began_wall = began_wall
         #: Savepoint name -> last_lsn at the time of the savepoint.
         self.savepoints: dict[str, int] = {}
+        #: (name, object_id) of each table this transaction created: a
+        #: rollback must drop the database's cached handles to them.
+        self.created_tables: tuple = ()
 
     @property
     def is_active(self) -> bool:

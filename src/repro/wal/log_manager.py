@@ -15,7 +15,10 @@ tests produce torn histories.
 The log keeps a :class:`CommitDirectory` beside its bytes — one summary
 per log block holding a commit — so SplitLSN search reads one block
 instead of scanning forward from a checkpoint (``docs/wal-format.md``,
-"Commit directory").
+"Commit directory"). Beside it, :class:`AnalysisSeeds` remembers who was
+in flight at each block boundary snapshot analysis crossed, so a repeat
+AS OF scans at most one block instead of everything since the checkpoint
+("Analysis seeds").
 """
 
 from __future__ import annotations
@@ -131,6 +134,54 @@ class CommitDirectory:
                 self.note(lsn, _commit_wall(data, lsn - base))
 
 
+class AnalysisSeeds:
+    """Who was in flight at the log-block boundaries snapshot analysis
+    crossed: per entry, the LSN of the first record of a block and
+    ``{txn_id: last LSN}`` of the transactions open before it.
+
+    An entry is what a checkpoint's active-transaction table would say at
+    that record, so a later analysis window can start there instead of at
+    the checkpoint (:func:`repro.core.asof.snapshot_analysis`). Entries
+    are only ever derived from a checkpoint-seeded (or entry-seeded)
+    window; they are in LSN order, and the owning :class:`LogManager`
+    calls every method under its latch.
+    """
+
+    __slots__ = ("_lsns", "_open")
+
+    def __init__(self) -> None:
+        self._lsns: list[int] = []
+        self._open: list[dict] = []
+
+    def newest(self, lo: int, hi: int) -> tuple[int, dict] | None:
+        """The newest entry ``(lsn, open)`` with ``lo <= lsn <= hi``, else
+        ``None``. An entry at ``lo`` is as good as one above it: when ``lo``
+        is a log start retention cut at, it is the only table there."""
+        i = bisect_right(self._lsns, hi)
+        if i and self._lsns[i - 1] >= lo:
+            return self._lsns[i - 1], self._open[i - 1]
+        return None
+
+    def add(self, entries, floor: int) -> None:
+        """Keep each ``(lsn, open)`` at or above ``floor`` not held yet."""
+        lsns = self._lsns
+        for lsn, open_txns in entries:
+            i = bisect_left(lsns, lsn)
+            if lsn >= floor and (i == len(lsns) or lsns[i] != lsn):
+                lsns.insert(i, lsn)
+                self._open.insert(i, open_txns)
+
+    def drop_below(self, lsn: int) -> None:
+        """Forget the entries below ``lsn``."""
+        i = bisect_left(self._lsns, lsn)
+        del self._lsns[:i], self._open[:i]
+
+    def cut(self, lsn: int) -> None:
+        """Forget the entries at or past ``lsn``."""
+        i = bisect_left(self._lsns, lsn)
+        del self._lsns[i:], self._open[i:]
+
+
 class LogManager:
     """One database's write-ahead log."""
 
@@ -149,6 +200,10 @@ class LogManager:
         self._durable_end = FIRST_LSN
         self._truncated_before = FIRST_LSN
         self._commit_dir = CommitDirectory(block_size)
+        self._seeds = AnalysisSeeds()
+        #: Bumped whenever bytes are taken back (crash, discard_after,
+        #: close): seeds from an analysis that raced one are refused.
+        self._cuts = 0
         self._cache: OrderedDict[int, None] = OrderedDict()
         # Handle cached at init: append() is the engine's hottest path.
         self._append_hist = env.metrics.histogram(
@@ -196,6 +251,24 @@ class LogManager:
         """:meth:`CommitDirectory.around` for SplitLSN search."""
         with self.latch:
             return self._commit_dir.around(wall)
+
+    def analysis_seed(self, base: int, split: int) -> tuple[int, dict | None, int]:
+        """Where analysis of a window ``[base, split]`` can start:
+        ``(start, open, cuts)``, with ``start`` the newest analysis seed
+        in ``[base, split]`` and ``open`` its in-flight table, else
+        ``base`` and ``None``. ``cuts`` goes back to
+        :meth:`remember_seeds` with what that analysis crosses."""
+        with self.latch:
+            seed = self._seeds.newest(base, split)
+            start, open_txns = seed if seed is not None else (base, None)
+            return start, open_txns, self._cuts
+
+    def remember_seeds(self, entries, cuts: int) -> None:
+        """Keep the ``(lsn, open)`` seeds an analysis crossed, unless the
+        log was cut since that analysis asked :meth:`analysis_seed`."""
+        with self.latch:
+            if entries and cuts == self._cuts:
+                self._seeds.add(entries, self._truncated_before)
 
     # ------------------------------------------------------------------
     # Append / flush
@@ -466,6 +539,8 @@ class LogManager:
             self._durable_end = min(self._durable_end, lsn)
             self._cache.clear()
             self._commit_dir.cut(lsn, self._data, self._base)
+            self._seeds.cut(lsn)
+            self._cuts += 1
 
     # ------------------------------------------------------------------
     # Sequential scans (recovery, SplitLSN search, roll-forward)
@@ -562,17 +637,21 @@ class LogManager:
             del self._data[keep:]
             self._cache.clear()
             self._commit_dir.cut(self._durable_end, self._data, self._base)
+            self._seeds.cut(self._durable_end)
+            self._cuts += 1
 
     def close(self) -> None:
-        """Release the log's bytes, block cache and commit directory: its
-        database is being retired. Nothing is flushed and nothing is
-        charged; the positions stay where they were, with every LSN now
-        below the horizon."""
+        """Release the log's bytes, block cache, commit directory and
+        analysis seeds: its database is being retired. Nothing is flushed
+        and nothing is charged; the positions stay where they were, with
+        every LSN now below the horizon."""
         with self.latch:
             self._base = self._truncated_before = self.end_lsn
             self._data = bytearray()
             self._cache.clear()
             self._commit_dir = CommitDirectory(self.block_size)
+            self._seeds = AnalysisSeeds()
+            self._cuts += 1
 
     def truncate_before(self, lsn: int) -> None:
         """Drop all records with LSN < ``lsn`` (retention enforcement).
@@ -593,6 +672,7 @@ class LogManager:
             self._base = lsn
             self._truncated_before = lsn
             self._commit_dir.drop_below(lsn)
+            self._seeds.drop_below(lsn)
 
     def __repr__(self) -> str:
         return (

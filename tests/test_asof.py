@@ -191,6 +191,44 @@ class TestInFlightTransactions:
         snap = engine.create_asof_snapshot("itemsdb", "rb", t_mid)
         assert snap.get("items", (1,))[2] == 10
 
+    def test_rows_on_both_sides_of_the_checkpoint_are_locked(self, engine, items_db):
+        """A transaction open across the checkpoint the window starts at:
+        a read of a row it changed *before* the checkpoint still waits
+        for its undo, although analysis saw other rows of it."""
+        db = items_db
+        fill_items(db, 10)
+        straddler = db.begin()
+        db.update(straddler, "items", (3,), {"qty": -3})
+        db.checkpoint()
+        db.update(straddler, "items", (4,), {"qty": -4})
+        anchor = db.begin()
+        db.update(anchor, "items", (6,), {"qty": 666})
+        db.commit(anchor)
+        t_mid = mark(db)
+        db.commit(straddler)
+        snap = engine.create_asof_snapshot("itemsdb", "across", t_mid)
+        assert snap.get("items", (3,))[2] == 30
+        assert snap.get("items", (4,))[2] == 40
+
+    def test_rows_a_savepoint_rollback_compensated_are_not_locked(self, engine, items_db):
+        db = items_db
+        fill_items(db, 10)
+        straddler = db.begin()
+        db.update(straddler, "items", (3,), {"qty": -3})
+        db.savepoint(straddler, "sp")
+        db.update(straddler, "items", (4,), {"qty": -4})
+        db.rollback_to(straddler, "sp")
+        anchor = db.begin()
+        db.update(anchor, "items", (6,), {"qty": 666})
+        db.commit(anchor)
+        t_mid = mark(db)
+        db.commit(straddler)
+        snap = engine.create_asof_snapshot("itemsdb", "partial", t_mid)
+        assert snap.get("items", (4,))[2] == 40
+        assert snap.pending_undo_count == 1  # reading row 4 undid nothing
+        assert snap.get("items", (3,))[2] == 30
+        assert snap.pending_undo_count == 0
+
 
 class TestRolledBackFormat:
     """Section 4.2's undo information in CLRs, across a rolled-back format.

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import (
+    CatalogError,
     DuplicateKeyError,
     SnapshotReadOnlyError,
     TransactionError,
@@ -99,6 +100,41 @@ class TestTransactions:
         items_db.rollback(txn)
         assert stats.transactions_committed == before_commit + 1
         assert stats.transactions_aborted == before_abort + 1
+
+
+class TestRolledBackCreate:
+    """A table handle must not outlive the rollback of its ``CREATE``."""
+
+    def test_rollback_forgets_the_handle(self, db):
+        txn = db.begin()
+        object_id = db.create_table(ITEMS_SCHEMA, txn).info.object_id
+        db.insert(txn, "items", (1, "gone", 1))
+        db.rollback(txn)
+        with pytest.raises(CatalogError):
+            db.table("items")
+        assert db.tree_for_object(object_id) is None
+        db.create_table(ITEMS_SCHEMA)  # the name is free again
+        assert list(db.scan("items")) == []
+
+    def test_rollback_to_a_savepoint_before_the_create(self, db):
+        txn = db.begin()
+        db.savepoint(txn, "before")
+        db.create_table(ITEMS_SCHEMA, txn)
+        db.insert(txn, "items", (1, "gone", 1))
+        db.rollback_to(txn, "before")
+        with pytest.raises(CatalogError):
+            db.table("items")
+        db.commit(txn)
+
+    def test_rollback_to_a_savepoint_after_the_create_keeps_the_table(self, db):
+        txn = db.begin()
+        db.create_table(ITEMS_SCHEMA, txn)
+        db.savepoint(txn, "after")
+        db.insert(txn, "items", (1, "gone", 1))
+        db.rollback_to(txn, "after")
+        db.insert(txn, "items", (2, "kept", 2))
+        db.commit(txn)
+        assert list(db.scan("items")) == [(2, "kept", 2)]
 
 
 class TestIsolation:

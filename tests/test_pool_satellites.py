@@ -5,13 +5,15 @@ from __future__ import annotations
 
 import pytest
 
+from repro import DatabaseConfig
 from repro.errors import (
     RetentionExceededError,
     SnapshotReadOnlyError,
     SqlExecutionError,
 )
 
-from tests.conftest import fill_items
+from tests.conftest import ITEMS_SCHEMA, fill_items
+from tests.test_split_lsn import committed_marks
 
 
 def advance_and_checkpoint(db, seconds, steps=3):
@@ -43,6 +45,36 @@ class TestPoolAwareRetention:
         with engine.query_as_of(db.name, target) as view:
             assert sum(1 for _ in view.scan("items")) == 20
         assert engine.snapshot_pool.stats.hits == hits_before + 1
+
+    def test_a_split_started_at_a_seed_pins_its_checkpoint(self, engine):
+        """A later split's analysis leaves seeds that an earlier split in
+        the same stretch starts its window at. The earlier entry's pin must
+        still cover the checkpoint its time resolves through, so the
+        pooled reuse is served once the later entry is gone."""
+        db = engine.create_database("seedpin", DatabaseConfig(log_block_size=1024))
+        db.create_table(ITEMS_SCHEMA)
+        db.set_undo_interval(100)
+        db.checkpoint()
+        base = db.last_checkpoint_lsn
+        marks = committed_marks(db, 60, gap_s=1.0)
+        db.env.clock.advance(10)
+        later, earlier = marks[55][0], marks[45][0]
+        pool = engine.snapshot_pool
+        snaps = {}
+        for target, rows in ((later, 56), (earlier, 46)):
+            with engine.query_as_of(db.name, target) as snap:
+                assert sum(1 for _ in snap.scan("items")) == rows
+            snaps[target] = snap
+        assert db.log.analysis_seed(base, snaps[earlier].split_lsn)[0] > base
+        # Evict the least recently used entry: the later one.
+        pool.set_budget(pool.total_bytes() - snaps[later].side_file_bytes())
+        assert len(pool) == 1 and not snaps[earlier].dropped
+        advance_and_checkpoint(db, 600, steps=6)
+        db.enforce_retention()
+        hits_before = pool.stats.hits
+        with engine.query_as_of(db.name, earlier) as snap:
+            assert sum(1 for _ in snap.scan("items")) == 46
+        assert pool.stats.hits == hits_before + 1
 
     def test_creation_outside_window_still_rejected(self, engine, items_db):
         db = items_db

@@ -217,12 +217,14 @@ def reference_analyze_log(log, start_lsn, to_lsn=None) -> AnalysisResult:
     """The analysis pass as it was while it decoded every record in full:
     the oracle the header-driven :func:`analyze_log` must equal."""
     result = AnalysisResult()
+    rows: dict[int, dict] = {}  # txn_id -> {lsn: (object_id, key_bytes)}
+    compensated = set()
     for rec in log.scan(start_lsn, to_lsn, stop_on_torn_tail=True):
         result.end_lsn = rec.lsn
         if isinstance(rec, CheckpointBeginRecord) and rec.lsn == start_lsn:
             for txn_id, last_lsn in rec.active_txns:
                 result.losers[txn_id] = last_lsn
-                result.checkpoint_seeded.add(txn_id)
+                result.seeded.add(txn_id)
                 result.max_txn_id = max(result.max_txn_id, txn_id)
             continue
         if rec.txn_id:
@@ -231,16 +233,20 @@ def reference_analyze_log(log, start_lsn, to_lsn=None) -> AnalysisResult:
             result.losers[rec.txn_id] = rec.lsn
         elif isinstance(rec, (CommitRecord, AbortRecord)):
             result.losers.pop(rec.txn_id, None)
-            result.loser_locks.pop(rec.txn_id, None)
+            rows.pop(rec.txn_id, None)
         elif rec.IS_PAGE_MOD:
             if rec.txn_id in result.losers:
                 result.losers[rec.txn_id] = rec.lsn
+                if isinstance(rec, ClrRecord):
+                    compensated.add(rec.compensated_lsn)
                 key_bytes = getattr(rec, "key_bytes", b"")
                 if key_bytes and not rec.is_smo:
-                    result.loser_locks.setdefault(rec.txn_id, []).append(
-                        (rec.object_id, key_bytes)
-                    )
+                    rows.setdefault(rec.txn_id, {})[rec.lsn] = (rec.object_id, key_bytes)
             result.dirty_pages.setdefault(rec.page_id, rec.lsn)
+    for txn_id, txn_rows in rows.items():
+        result.loser_locks[txn_id] = [
+            row for lsn, row in txn_rows.items() if lsn not in compensated
+        ]
     return result
 
 
@@ -252,7 +258,7 @@ def ordered(analysis: AnalysisResult):
         list(analysis.dirty_pages.items()),
         analysis.max_txn_id,
         list(analysis.loser_locks.items()),
-        analysis.checkpoint_seeded,
+        analysis.seeded,
         analysis.end_lsn,
     )
 
@@ -317,7 +323,7 @@ class TestHeaderDrivenAnalysis:
                 expected = reference_analyze_log(log, start, end)
                 assert ordered(analyze_log(log, start, end)) == ordered(expected), (start, end)
         whole = analyze_log(log, middle)
-        assert list(whole.losers) == open_ids and whole.checkpoint_seeded == {open_ids[0]}
+        assert list(whole.losers) == open_ids and whole.seeded == {open_ids[0]}
         assert list(whole.loser_locks) == open_ids
 
     def test_equals_the_full_decode_pass_up_to_a_torn_tail(self, history):

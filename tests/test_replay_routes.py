@@ -188,7 +188,7 @@ class TestRouteAgreement:
         assert base == history.base_checkpoint
         analysis = analyze_log(log, base, splits[0] + 1)
         assert len(analysis.losers) == 2
-        assert len(analysis.checkpoint_seeded & analysis.losers.keys()) == 1
+        assert len(analysis.seeded & analysis.losers.keys()) == 1
         formatted_later = {
             rec.page_id
             for rec in log.scan(history.full.backup_lsn, splits[0])
