@@ -16,7 +16,9 @@ queries at nearby times over a TPC-C history, run four ways —
   but every page probe hits the store — undo log reads collapse.
 * **warm nearby** — the sweep shifted to *different* SplitLSNs between
   the same commits: hits wherever a page's interval brackets both
-  splits, chain walks (publishing new intervals) where it doesn't.
+  splits, chain walks (publishing new intervals) where it doesn't,
+  started from the stored version just above the split where the store
+  holds one.
 
 Unlike the figure benches this is a standalone script (CI runs it with
 ``--smoke --gate``): ``python benchmarks/bench_version_store.py
@@ -25,8 +27,9 @@ Unlike the figure benches this is a standalone script (CI runs it with
 ``bench_results/version_store_smoke.json``, which is the committed
 baseline the ``--gate`` mode enforces: the warm sweep issues no undo
 log read and is faster than the store-disabled sweep, the cold sweep's
-undo log reads stay within 20% of the baseline, and the store's hit
-rate keeps its floor.
+undo log reads stay within 20% of the baseline, the nearby sweep undoes
+no more records than the baseline, and the store's hit rate keeps its
+floor.
 """
 
 from __future__ import annotations
@@ -176,6 +179,16 @@ def _gate(fresh: dict, baseline_path: str) -> int:
             got <= allowed,
             f"baseline={base} fresh={got} allowed<={allowed}",
         )
+    # A nearby miss resumes its walk from the stored version just above
+    # its split, so it undoes no more records than the baseline did.
+    base = baseline.get("warm_nearby_undo_records_applied")
+    if base is not None:
+        got = fresh["warm_nearby_undo_records_applied"]
+        check(
+            "warm_nearby_undo_records_applied",
+            got <= base,
+            f"baseline={base} fresh={got} allowed<={base}",
+        )
     # The embedded repro.obs.metrics/v1 snapshot carries the registry's
     # own view of the store; gate on it too so the canonical schema (not
     # just the ad-hoc sweep fields) is what CI enforces.
@@ -212,8 +225,9 @@ def main(argv=None) -> int:
         "--gate",
         action="store_true",
         help="compare against the committed baseline; exit 1 when the "
-        "warm sweep reads the log, is no faster than store-disabled, or "
-        "cold undo reads / hit rate regress >20%%",
+        "warm sweep reads the log, is no faster than store-disabled, the "
+        "nearby sweep undoes more records than the baseline, or cold undo "
+        "reads / hit rate regress >20%%",
     )
     args = parser.parse_args(argv)
 

@@ -22,10 +22,11 @@ view of a database as of an arbitrary past point in time:
   :class:`~repro.core.version_store.PageVersionStore` for a prepared
   image whose validity interval covers the SplitLSN (skipping the whole
   chain walk — the cost Figure 11 shows dominating as-of reads); store
-  miss → read the current page from the primary,
-  ``PreparePageAsOf(page, SplitLSN)``, publish the result's interval to
-  the store, and cache it in the sparse file. Previous versions are
-  generated only for pages queries actually touch.
+  miss → start from the store's nearest newer image of the page, or else
+  the current page from the primary, ``PreparePageAsOf(page, SplitLSN)``,
+  publish the result's interval to the store, and cache it in the sparse
+  file. Previous versions are generated only for pages queries actually
+  touch.
 
 The snapshot exposes the same reader protocol as a live database (catalog,
 ``get``, ``scan``), because to "all the other components in the database
@@ -345,8 +346,9 @@ class AsOfSnapshot:
         """Serve a page as of the SplitLSN.
 
         Order: snapshot frame cache → sparse file → cross-snapshot
-        version store → primary + physical undo (published to the store,
-        cached back into the sparse file).
+        version store → physical undo from the store's nearest newer
+        image or the primary's page (published to the store, cached back
+        into the sparse file).
         """
         with self.latch:
             self._check_alive()
@@ -380,24 +382,39 @@ class AsOfSnapshot:
         """Materialize the page image as of the SplitLSN.
 
         Probes the engine-wide version store first — a hit is a memory
-        copy that skips the chain walk entirely. On a miss the page is
-        prepared from the primary's current image and the walk's proven
-        validity interval is published back, so the *next* snapshot whose
-        split lands inside the interval (a nearby audit read, a replica's
-        pool, a recreated pooled entry) hits.
+        copy that skips the chain walk entirely. On a miss the chain walk
+        starts from the nearest newer image of the page the store holds
+        below the ceiling (a *resume*: only the chain records between the
+        split and that image are undone), and from the primary's current
+        image when it holds none. The walk's proven validity interval is
+        published back, so the *next* snapshot whose split lands inside
+        the interval (a nearby audit read, a replica's pool, a recreated
+        pooled entry) hits.
         """
         tracer = self.env.tracer
         with tracer.span("asof.prepare_page", page=page_id) as prep_span:
             store = getattr(self.db, "version_store", None)
             store_key = getattr(self.db, "version_store_key", self.db.name)
+            # The ceiling: where the history this database's pages hold
+            # ends. On a standby it is the applied prefix (its pages trail
+            # its shipped log). On a primary it is the live log end, which
+            # bounds no resume (every version stored under a primary's key
+            # lies below it, since a crash drops those above what survived),
+            # so only a publish reads it.
+            ceiling = getattr(self.db, "publish_horizon_lsn", None)
+            found = None
             if store is not None:
                 with tracer.span("version_store.lookup", page=page_id) as probe:
-                    cached = store.lookup(store_key, page_id, self.split_lsn)
-                    probe.set(hit=cached is not None)
-                if cached is not None:
-                    return bytearray(cached)
-            with self.db.buffer.fetch(page_id) as guard:
-                data = bytearray(guard.page.data)
+                    found = store.lookup(store_key, page_id, self.split_lsn, ceiling)
+                    hit = found is not None and found[0] <= self.split_lsn
+                    probe.set(hit=hit, resumed=found is not None and not hit)
+                if hit:
+                    return bytearray(found[1])
+            if found is not None:
+                data = bytearray(found[1])
+            else:
+                with self.db.buffer.fetch(page_id) as guard:
+                    data = bytearray(guard.page.data)
             page = Page(data)
             with tracer.span("asof.chain_walk", page=page_id):
                 version = prepare_page_version(
@@ -408,12 +425,9 @@ class AsOfSnapshot:
                 if limit is None:
                     # The walk proved no modification above the split in
                     # the page's current state: the image stays valid for
-                    # every split up to the present log end (clamped to
-                    # the applied prefix on a replica, whose pages trail
-                    # its shipped log; a crash discarding the volatile
-                    # tail invalidates).
-                    horizon = getattr(self.db, "publish_horizon_lsn", None)
-                    limit = horizon if horizon is not None else self.log.end_lsn
+                    # every split up to the ceiling (a crash discarding the
+                    # volatile tail invalidates).
+                    limit = ceiling if ceiling is not None else self.log.end_lsn
                 if limit > self.split_lsn:
                     store.publish(
                         store_key, page_id, version.version_lsn, limit, bytes(data)

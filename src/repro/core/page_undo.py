@@ -1,6 +1,6 @@
 """``PreparePageAsOf`` — the paper's core primitive (section 4).
 
-Given the current content of a page and a target LSN, walk the page's
+Given the content of a page and a target LSN, walk the page's
 modification chain backwards (``pageLSN`` → each record's
 ``prevPageLSN``), applying each record's exact physical inverse, until the
 page's state is as of the target. Pages are undone independently of each
@@ -28,6 +28,12 @@ LSN after the rewind, and the first chain record above the target)
 yields the same bytes. The returned :class:`PreparedVersion` is what the
 cross-snapshot :class:`~repro.core.version_store.PageVersionStore` keys
 on, so nearby as-of reads skip the walk entirely.
+
+The page handed in need not be the current one: any image of the page
+as of its pageLSN will do, since the walk starts from that LSN. On a
+store miss the caller hands in the store's nearest newer version when
+there is one, and the walk undoes only the records between the target
+and that version.
 """
 
 from __future__ import annotations

@@ -22,6 +22,16 @@ the entire chain walk — no undo log reads, no undo CPU.
 Repeated and nearby AS OF reads (audit loops, dashboards) become fast by
 construction instead of fast by luck.
 
+A probe no interval covers still uses the store. The stored version of
+``P`` with the smallest ``version_lsn`` above ``S'`` is the page as of
+that LSN, so the miss's chain walk *resumes* from it instead of starting
+at the primary's current page, and undoes only the chain records in
+``(S', version_lsn]``. This is the per-page, start-from-the-nearest-image
+idea of Sauer & Härder's on-demand REDO, applied to undo. It relies on
+the same invariant a hit does and adds none. A prober passes the ceiling
+of the history its own pages hold, so a standby never resumes from an
+image above its applied prefix.
+
 Invalidation keeps the intervals honest:
 
 * **history rewrite** — a crash discards the volatile log tail, replica
@@ -47,9 +57,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.latch import Latch
+from repro.storage.page import HEADER_FIELDS, HEADER_SIZE, PAGE_MAGIC
 
 #: Default byte budget across all stored page versions (32 MiB).
 DEFAULT_VERSION_STORE_BUDGET_BYTES = 32 * 1024 * 1024
+
+_MAGIC, _MAGIC_AT = HEADER_FIELDS["magic"]
+_PAGE_LSN, _PAGE_LSN_AT = HEADER_FIELDS["page_lsn"]
+
+
+def _resumable(version_lsn: int, data: bytes) -> bool:
+    """Whether a chain walk can start from ``data``: a formatted page whose
+    header pageLSN is ``version_lsn``. A walk that ends on an unformatted
+    page leaves the pageLSN it found there, so that image does not say
+    where the page's chain continues."""
+    return (
+        len(data) >= HEADER_SIZE
+        and _MAGIC.unpack_from(data, _MAGIC_AT)[0] == PAGE_MAGIC
+        and _PAGE_LSN.unpack_from(data, _PAGE_LSN_AT)[0] == version_lsn
+    )
 
 
 @dataclass
@@ -60,6 +86,8 @@ class VersionStoreStats:
     hits: int = 0
     #: Lookups finding no covering interval.
     misses: int = 0
+    #: Misses handed a newer stored version to start the chain walk from.
+    resumes: int = 0
     #: Prepared images published (new or interval-extending).
     publishes: int = 0
     #: Versions dropped to get back under the byte budget.
@@ -118,21 +146,50 @@ class PageVersionStore:
     # Probe / publish
     # ------------------------------------------------------------------
 
-    def lookup(self, store_key: str, page_id: int, split_lsn: int) -> bytes | None:
-        """The prepared image of ``page_id`` valid at ``split_lsn``, or
-        ``None``. A hit is a pure memory copy: the caller skips the whole
-        chain walk (header discovery, undo reads, undo CPU)."""
+    def lookup(
+        self,
+        store_key: str,
+        page_id: int,
+        split_lsn: int,
+        ceiling_lsn: int | None = None,
+    ) -> tuple[int, bytes] | None:
+        """The stored image of ``page_id`` to serve ``split_lsn`` from, as
+        ``(version_lsn, data)``, or ``None``.
+
+        A version whose interval covers the split is a *hit*
+        (``version_lsn <= split_lsn``): a pure memory copy, the caller
+        skips the whole chain walk. Failing that, the resumable version
+        with the smallest ``version_lsn`` in ``(split_lsn, ceiling_lsn)``
+        is a *resume*: the caller walks the chain from that image, not
+        from the current page. A resume still counts as a miss, so
+        ``hit_rate`` keeps its meaning. ``ceiling_lsn=None`` bounds
+        nothing: every version stored under a primary's key lies below
+        its log end.
+        """
         if not self.enabled:
             return None
         with self.latch:
+            found = None
             for version in self._versions.get((store_key, page_id), ()):
                 if version.covers(split_lsn):
-                    self._clock += 1
-                    version.last_used = self._clock
+                    found = version
                     self.stats.hits += 1
-                    return version.data
-            self.stats.misses += 1
-            return None
+                    break
+                if (
+                    split_lsn < version.version_lsn
+                    and (ceiling_lsn is None or version.version_lsn < ceiling_lsn)
+                    and (found is None or version.version_lsn < found.version_lsn)
+                    and _resumable(version.version_lsn, version.data)
+                ):
+                    found = version
+            else:
+                self.stats.misses += 1
+                if found is None:
+                    return None
+                self.stats.resumes += 1
+            self._clock += 1
+            found.last_used = self._clock
+            return found.version_lsn, found.data
 
     def publish(
         self,
@@ -307,6 +364,7 @@ class PageVersionStore:
             "versions": self.version_count(),
             "hits": self.stats.hits,
             "misses": self.stats.misses,
+            "resumes": self.stats.resumes,
             "hit_rate": self.stats.hit_rate,
             "publishes": self.stats.publishes,
             "evictions": self.stats.evictions,

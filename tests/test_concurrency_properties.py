@@ -182,7 +182,7 @@ class TestVersionStoreSchedules:
                         key, page_id, version_lsn, version_lsn + 10, payload
                     )
                     hit = store.lookup(key, page_id, version_lsn + 5)
-                    if hit is not None and hit != payload:
+                    if hit is not None and hit[1] != payload:
                         failures.append("lookup returned a torn payload")
                     observed = store.total_bytes()
                     if observed < 0:

@@ -149,7 +149,9 @@ def test_metric_names_and_values_are_pinned():
     """Captured at 436447b (before the sheets became the only storage);
     the edits since: the five ``io.version_store_*`` mirrors gone, and
     ``io.undo_log_cache_hits`` counting each chain record once (54 → 27)
-    now that no header pass precedes the fetch."""
+    now that no header pass precedes the fetch, and the one new name
+    ``version_store.resumes`` (0 here: the topology's one AS OF read
+    finds the store empty)."""
     engine = _topology()
     golden = json.loads(GOLDEN.read_text())
     assert sorted(engine.env.metrics.names()) == golden["names"]

@@ -1,7 +1,8 @@
 """Cross-snapshot page version store: correctness and invalidation.
 
-The store's contract: a lookup hit returns bytes *identical* to what an
-uncached ``PreparePageAsOf`` chain walk would produce for that split, and
+The store's contract: a lookup hit, or a walk resumed from a newer stored
+version, gives bytes *identical* to what an uncached ``PreparePageAsOf``
+chain walk from the current page would produce for that split, and
 every event that could break that identity (history rewrite by crash or
 promotion, database name reuse, LRU eviction, log truncation past an
 unpinned interval) invalidates rather than serves.
@@ -10,11 +11,14 @@ unpinned interval) invalidates rather than serves.
 from __future__ import annotations
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from repro import DatabaseConfig, Engine
+from repro.core.asof import AsOfSnapshot
+from repro.core.split_lsn import find_split_lsn
 from repro.core.version_store import PageVersionStore
+from repro.storage.page import Page, PageType
 from repro.workload import TpccScale, load_tpcc
 from repro.workload.driver import TpccDriver
 from tests.conftest import ITEMS_SCHEMA, fill_items, stored_versions
@@ -29,14 +33,38 @@ class TestStoreUnit:
     def test_lookup_interval_semantics(self):
         store = PageVersionStore(1 << 20)
         store.publish("db", 7, 100, 200, b"x" * 64)
-        assert store.lookup("db", 7, 100) == b"x" * 64
-        assert store.lookup("db", 7, 199) == b"x" * 64
+        assert store.lookup("db", 7, 100) == (100, b"x" * 64)
+        assert store.lookup("db", 7, 199) == (100, b"x" * 64)
         assert store.lookup("db", 7, 99) is None
         assert store.lookup("db", 7, 200) is None
         assert store.lookup("db", 8, 150) is None
         assert store.lookup("other", 7, 150) is None
         assert store.stats.hits == 2
         assert store.stats.misses == 4
+
+    def test_lookup_resumes_from_nearest_newer_formatted_version(self):
+        def image(page_lsn: int) -> bytes:
+            page = Page(bytearray(256))
+            page.format(7, PageType.HEAP)
+            page.page_lsn = page_lsn
+            return bytes(page.data)
+
+        store = PageVersionStore(1 << 20)
+        store.publish("db", 7, 100, 150, image(100))
+        store.publish("db", 7, 300, 400, image(300))
+        # A walk that ended unformatted: the pageLSN is not the version's.
+        store.publish("db", 7, 200, 250, image(0))
+        store.publish("db", 7, 220, 240, bytes(256))
+        # A covering version is a hit even when a newer one could resume.
+        assert store.lookup("db", 7, 120, 1000) == (100, image(100))
+        # Smallest resumable version above the split, below the ceiling.
+        assert store.lookup("db", 7, 50, 1000) == (100, image(100))
+        assert store.lookup("db", 7, 160, 1000) == (300, image(300))
+        assert store.lookup("db", 7, 160) == (300, image(300))
+        assert store.lookup("db", 7, 160, 300) is None
+        assert store.lookup("db", 7, 400, 1000) is None
+        assert (store.stats.hits, store.stats.misses, store.stats.resumes) == (1, 5, 3)
+        assert store.stats.hit_rate == 1 / 6
 
     def test_publish_extends_same_version(self):
         store = PageVersionStore(1 << 20)
@@ -231,19 +259,10 @@ def _apply_txn(db, txn, model, ops):
             del model[key]
 
 
-@settings(
-    max_examples=20,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(_history)
-def test_store_hits_match_shadow_model(history):
-    """A store-served read equals an uncached ``PreparePageAsOf`` result:
-    run every recorded instant once (publishing), drop all snapshots, and
-    run it again — the rebuild is served from stored versions and must
-    reproduce the shadow model exactly."""
-    engine, db = _items_engine()
-    clock = engine.env.clock
+def _record_history(db, clock, history) -> tuple[dict, list[tuple[float, dict]]]:
+    """Run ``history`` (committed or rolled-back transactions, a checkpoint
+    every fifth); returns the final model and ``(instant, model)`` after
+    each transaction."""
     model: dict[int, tuple] = {}
     recorded: list[tuple[float, dict]] = []
     for index, (ops, commit) in enumerate(history):
@@ -259,6 +278,22 @@ def test_store_hits_match_shadow_model(history):
         recorded.append((clock.now(), dict(model)))
         if index % 5 == 2:
             db.checkpoint()
+    return model, recorded
+
+
+@settings(
+    max_examples=20,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(_history)
+def test_store_hits_match_shadow_model(history):
+    """A store-served read equals an uncached ``PreparePageAsOf`` result:
+    run every recorded instant once (publishing), drop all snapshots, and
+    run it again — the rebuild is served from stored versions and must
+    reproduce the shadow model exactly."""
+    engine, db = _items_engine()
+    _model, recorded = _record_history(db, engine.env.clock, history)
 
     for when, expected in recorded:
         with engine.query_as_of("vdb", when) as snap:
@@ -268,6 +303,39 @@ def test_store_hits_match_shadow_model(history):
     for when, expected in recorded:
         with engine.query_as_of("vdb", when) as snap:
             assert {r[0]: r for r in snap.scan("items")} == expected
+
+
+@settings(
+    max_examples=20,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(_history, st.data())
+def test_resumed_walks_match_shadow_model(history, data):
+    """A miss whose walk resumes from a newer stored version equals the
+    shadow model: query the recorded instants in a drawn order, so an
+    earlier instant often follows a later one whose versions the store
+    holds, with committed writes and checkpoints between the queries
+    moving the current pages past those versions; two rounds, the pool
+    dropped between them."""
+    engine, db = _items_engine()
+    clock = engine.env.clock
+    model, recorded = _record_history(db, clock, history)
+    order = data.draw(st.permutations(range(len(recorded))), label="order")
+    for _round in range(2):
+        for index in order:
+            when, expected = recorded[index]
+            with engine.query_as_of("vdb", when) as snap:
+                assert {r[0]: r for r in snap.scan("items")} == expected
+            ops = data.draw(st.lists(_txn_op, max_size=4), label="write")
+            clock.advance(10)
+            if ops:
+                with db.transaction() as txn:
+                    _apply_txn(db, txn, model, ops)
+            if data.draw(st.booleans(), label="checkpoint"):
+                db.checkpoint()
+        engine.snapshot_pool.clear()
+    event(f"resumes > 0: {engine.version_store.stats.resumes > 0}")
 
 
 def test_store_hits_match_tpcc_history():
@@ -290,6 +358,147 @@ def test_store_hits_match_tpcc_history():
     second = [driver.stock_level_as_of(engine, t) for t in targets]
     assert second == first
     assert engine.version_store.stats.hits > hits
+
+
+# ---------------------------------------------------------------------------
+# Resume: a miss walks from the nearest newer stored version
+# ---------------------------------------------------------------------------
+
+
+def _chain_records(log, page_lsn: int, floor_lsn: int) -> int:
+    """How many records of a page's chain lie in ``(floor_lsn, page_lsn]``."""
+    count = 0
+    while page_lsn > floor_lsn:
+        count += 1
+        page_lsn = log.read(page_lsn).prev_page_lsn
+    return count
+
+
+def _prepare_one_page(db, when: float, page_id: int) -> tuple[bytes, int]:
+    """A fresh snapshot's image of one page as of ``when``, and the undo
+    records preparing it applied."""
+    snap = AsOfSnapshot.create(db, "probe", when)
+    before = db.env.stats.snapshot()
+    with snap.fetch_page(page_id) as guard:
+        data = bytes(guard.page.data)
+    return data, db.env.stats.delta(before).undo_records_applied
+
+
+def _update_batch(db, batch: int) -> None:
+    """Eight committed updates spread over the five items of one leaf."""
+    for n in range(8):
+        with db.transaction() as txn:
+            db.update(txn, "items", (n % 5,), {"qty": batch * 100 + n})
+
+
+def _updated_items_history(db, clock, rounds: int) -> list[float]:
+    """Five items on one leaf, then ``rounds`` update batches; returns an
+    instant before each batch."""
+    fill_items(db, 5)
+    marks = []
+    for batch in range(rounds):
+        clock.advance(5)
+        marks.append(clock.now())
+        clock.advance(5)
+        _update_batch(db, batch)
+    return marks
+
+
+def test_resumed_walk_undoes_only_records_below_the_stored_version(items_schema):
+    """Read AS OF a later S2, then AS OF S1: the second walk starts from
+    the version the first published and undoes exactly that page's chain
+    records in ``(S1, version]`` — fewer than a walk from the current page
+    — with the bytes a store-disabled walk gives."""
+    engine, db = _items_engine()
+    store = engine.version_store
+    t1, t2 = _updated_items_history(db, engine.env.clock, 2)
+    leaf = db.table("items").info.root_page
+
+    _prepare_one_page(db, t2, leaf)
+    split1 = find_split_lsn(db, t1)
+    [(version_lsn, _limit)] = stored_versions(store, "vdb", leaf)
+    assert version_lsn > split1
+    resumes = store.stats.resumes
+    resumed, applied = _prepare_one_page(db, t1, leaf)
+    assert store.stats.resumes == resumes + 1
+    assert applied == _chain_records(db.log, version_lsn, split1)
+
+    engine.set_version_store_budget(0)
+    walked, walked_applied = _prepare_one_page(db, t1, leaf)
+    with db.fetch_page(leaf) as guard:
+        current_lsn = guard.page.page_lsn
+    assert walked_applied == _chain_records(db.log, current_lsn, split1)
+    assert applied < walked_applied
+    assert resumed == walked
+
+
+def test_resume_traced_on_the_lookup_span(items_schema):
+    engine, db = _items_engine()
+    t1, t2 = _updated_items_history(db, engine.env.clock, 2)
+    with engine.query_as_of("vdb", t2) as snap:
+        list(snap.scan("items"))
+    with engine.trace("resume") as trace:
+        with engine.query_as_of("vdb", t1) as snap:
+            assert {r[0]: r[2] for r in snap.scan("items")} == {i: i * 10 for i in range(5)}
+    probes = trace.find_all("version_store.lookup")
+    assert any(p.attrs["resumed"] and not p.attrs["hit"] for p in probes)
+
+
+def test_standby_does_not_resume_above_its_applied_prefix(items_schema):
+    """A version the primary published above a standby's applied prefix
+    describes log the standby has not applied (nor, here, received): the
+    standby walks from its own page and still answers correctly."""
+    engine, db = _items_engine()
+    clock = engine.env.clock
+    store = engine.version_store
+    fill_items(db, 5)
+    replica = engine.add_replica("vdb", "standby")
+    clock.advance(5)
+    t_past = clock.now()
+    clock.advance(5)
+    _update_batch(db, 0)
+    db.log.flush()
+    engine.replication_tick()
+    _update_batch(db, 1)
+    clock.advance(5)
+    horizon = replica.db.publish_horizon_lsn
+    with engine.snapshot_pool.lease(db, clock.now()) as snap:
+        list(snap.scan("items"))
+    leaf = db.table("items").info.root_page
+    assert any(v > horizon for v, _limit in stored_versions(store, "vdb", leaf))
+
+    resumes = store.stats.resumes
+    with replica.read_as_of(t_past) as snap:
+        assert {r[0]: r[2] for r in snap.scan("items")} == {i: i * 10 for i in range(5)}
+    assert store.stats.resumes == resumes
+
+
+def test_no_resume_from_a_version_the_crash_dropped(items_schema):
+    """A version published against the volatile log tail is dropped by the
+    crash; recovery writes other records at those LSNs, and a later miss
+    must not resume from it."""
+    engine, db = _items_engine()
+    clock = engine.env.clock
+    store = engine.version_store
+    fill_items(db, 5)
+    clock.advance(5)
+    t_past = clock.now()
+    clock.advance(5)
+    leaf = db.table("items").info.root_page
+    txn = db.begin()
+    db.update(txn, "items", (1,), {"qty": -1})
+    with db.fetch_page(leaf) as guard:
+        volatile_lsn = guard.page.page_lsn
+        image = bytes(guard.page.data)
+    assert volatile_lsn >= db.log.durable_lsn
+    store.publish("vdb", leaf, volatile_lsn, db.log.end_lsn, image)
+
+    db.crash()
+    assert stored_versions(store, "vdb", leaf) == []
+    db.recover()
+    with engine.query_as_of("vdb", t_past) as snap:
+        assert {r[0]: r[2] for r in snap.scan("items")} == {i: i * 10 for i in range(5)}
+    assert store.stats.resumes == 0
 
 
 # ---------------------------------------------------------------------------
