@@ -22,9 +22,13 @@ view of a database as of an arbitrary past point in time:
   :class:`~repro.core.version_store.PageVersionStore` for a prepared
   image whose validity interval covers the SplitLSN (skipping the whole
   chain walk — the cost Figure 11 shows dominating as-of reads); store
-  miss → start from the store's nearest newer image of the page, or else
-  the current page from the primary, ``PreparePageAsOf(page, SplitLSN)``,
-  publish the result's interval to the store, and cache it in the sparse
+  miss → prepare the page from the nearest image the store holds on
+  either side of the split, whichever its proven chain says touches
+  fewer records: roll an *older* image forward through the page's chain
+  records up to the SplitLSN (a deviation: the paper only ever rewinds),
+  or rewind a *newer* one with ``PreparePageAsOf(page, SplitLSN)``; with
+  neither, rewind the current page from the primary. Publish the
+  result's interval and chain to the store, and cache it in the sparse
   file. Previous versions are generated only for pages queries actually
   touch.
 
@@ -43,7 +47,7 @@ from repro.catalog.catalog import (
     Catalog,
     ObjectInfo,
 )
-from repro.core.page_undo import prepare_page_version
+from repro.core.page_undo import prepare_page_version, roll_page_forward
 from repro.core.split_lsn import analysis_base, find_split_lsn
 from repro.engine.recovery import AnalysisResult, analyze_log
 from repro.latch import Latch
@@ -346,9 +350,10 @@ class AsOfSnapshot:
         """Serve a page as of the SplitLSN.
 
         Order: snapshot frame cache → sparse file → cross-snapshot
-        version store → physical undo from the store's nearest newer
-        image or the primary's page (published to the store, cached back
-        into the sparse file).
+        version store → redo onto the store's older image whose chain
+        reaches past the split, or physical undo from the store's nearest
+        newer image or the primary's page (published to the store, cached
+        back into the sparse file).
         """
         with self.latch:
             self._check_alive()
@@ -382,16 +387,25 @@ class AsOfSnapshot:
         """Materialize the page image as of the SplitLSN.
 
         Probes the engine-wide version store first — a hit is a memory
-        copy that skips the chain walk entirely. On a miss the chain walk
-        starts from the nearest newer image of the page the store holds
-        below the ceiling (a *resume*: only the chain records between the
-        split and that image are undone), and from the primary's current
-        image when it holds none. The walk's proven validity interval is
-        published back, so the *next* snapshot whose split lands inside
-        the interval (a nearby audit read, a replica's pool, a recreated
-        pooled entry) hits.
+        copy that skips the chain walk entirely. A miss starts from the
+        nearest stored image of the page on either side of the split:
+
+        * an *older* version whose proven chain reaches past the split is
+          rolled forward: the chain records between it and the split are
+          redone onto it (:func:`roll_page_forward`);
+        * a *newer* version below the ceiling is walked down (a *resume*):
+          only the chain records between the split and that image are
+          undone;
+        * with neither, the walk starts from the primary's current page.
+
+        The store picks the cheaper of the first two by the records their
+        chains prove. The result's interval and chain are published back,
+        so the *next* snapshot whose split lands inside the interval (a
+        nearby audit read, a replica's pool, a recreated pooled entry)
+        hits, and one whose split lies further on rolls forward.
         """
         tracer = self.env.tracer
+        split = self.split_lsn
         with tracer.span("asof.prepare_page", page=page_id) as prep_span:
             store = getattr(self.db, "version_store", None)
             store_key = getattr(self.db, "version_store_key", self.db.name)
@@ -405,21 +419,34 @@ class AsOfSnapshot:
             found = None
             if store is not None:
                 with tracer.span("version_store.lookup", page=page_id) as probe:
-                    found = store.lookup(store_key, page_id, self.split_lsn, ceiling)
-                    hit = found is not None and found[0] <= self.split_lsn
-                    probe.set(hit=hit, resumed=found is not None and not hit)
+                    found = store.lookup(
+                        store_key, page_id, split, self.log.start_lsn, ceiling
+                    )
+                    hit = found is not None and found.version_lsn <= split and not found.redo
+                    probe.set(hit=hit, resumed=found is not None and found.version_lsn > split)
                 if hit:
-                    return bytearray(found[1])
-            if found is not None:
-                data = bytearray(found[1])
-            else:
-                with self.db.buffer.fetch(page_id) as guard:
-                    data = bytearray(guard.page.data)
-            page = Page(data)
-            with tracer.span("asof.chain_walk", page=page_id):
-                version = prepare_page_version(
-                    page, self.split_lsn, self.log, self.env
-                )
+                    return bytearray(found.data)
+            version = None
+            if found is not None and found.redo:
+                data = bytearray(found.data)
+                try:
+                    with tracer.span("asof.roll_forward", page=page_id, records=found.redo):
+                        version = roll_page_forward(
+                            Page(data), found.chain, found.redo, self.log, self.env
+                        )
+                except LogTruncatedError:
+                    # A retention truncation passed the chain's first
+                    # record after the probe. The walk down from the
+                    # current page reads nothing below the split.
+                    found = None
+            if version is None:
+                if found is not None:
+                    data = bytearray(found.data)
+                else:
+                    with self.db.buffer.fetch(page_id) as guard:
+                        data = bytearray(guard.page.data)
+                with tracer.span("asof.chain_walk", page=page_id):
+                    version = prepare_page_version(Page(data), split, self.log, self.env)
             if store is not None and version is not None:
                 limit = version.limit_lsn
                 if limit is None:
@@ -428,9 +455,17 @@ class AsOfSnapshot:
                     # every split up to the ceiling (a crash discarding the
                     # volatile tail invalidates).
                     limit = ceiling if ceiling is not None else self.log.end_lsn
-                if limit > self.split_lsn:
+                if limit > split:
+                    # A resumed walk's chain ends at the image it started
+                    # from; that version keeps its own chain for the splits
+                    # above it.
                     store.publish(
-                        store_key, page_id, version.version_lsn, limit, bytes(data)
+                        store_key,
+                        page_id,
+                        version.version_lsn,
+                        limit,
+                        bytes(data),
+                        version.chain,
                     )
                     prep_span.set(published=True)
             return data

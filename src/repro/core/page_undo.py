@@ -33,16 +33,28 @@ The page handed in need not be the current one: any image of the page
 as of its pageLSN will do, since the walk starts from that LSN. On a
 store miss the caller hands in the store's nearest newer version when
 there is one, and the walk undoes only the records between the target
-and that version.
+and that version. The walk also reports the records it undid
+(:attr:`PreparedVersion.chain`): they are every modification of the page
+between its prepared state and where the walk started.
+
+That list makes the walk runnable the other way. When the store holds an
+*older* version of the page whose chain reaches past the target,
+:func:`roll_page_forward` redoes the chain's records up to the target
+onto that image, the per-page, nearest-image REDO of Sauer & Härder that
+a restore runs from a backup image. The records go through the engine's
+one redo loop (:class:`~repro.wal.apply.RedoApplier`), fetched the way
+the walk fetches them.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from repro.config import SimEnv
 from repro.errors import MissingUndoInfoError, StorageError
 from repro.storage.page import Page
+from repro.wal.apply import RedoApplier
 from repro.wal.log_manager import LogManager
 from repro.wal.lsn import NULL_LSN, format_lsn
 from repro.wal.records import PageImageRecord
@@ -61,10 +73,16 @@ class PreparedVersion:
     Preparing the page for any SplitLSN inside
     ``[version_lsn, limit_lsn)`` produces byte-identical content, which is
     the reuse invariant the cross-snapshot version store relies on.
+
+    ``chain`` is the LSNs of the page's records the walk proved above
+    ``version_lsn``, ascending and contiguous on the page's chain, so
+    ``chain[0] == limit_lsn`` when it is not empty. Redoing them in order
+    onto the prepared image gives the page as of each of them.
     """
 
     version_lsn: int
     limit_lsn: int | None
+    chain: array
 
 
 def prepare_page_version(
@@ -93,6 +111,7 @@ def prepare_page_version(
     if current == NULL_LSN and not page.is_formatted():
         return None
     limit: int | None = None
+    undone = array("Q")
 
     if page.last_image_lsn > asof_lsn and current > asof_lsn:
         best = _earliest_image_after(page, asof_lsn, log)
@@ -101,8 +120,10 @@ def prepare_page_version(
             env.stats.undo_images_applied += 1
             # The image record sits on the chain above the target; until
             # the loop below finds an earlier boundary, it ends the
-            # interval.
+            # interval. Redoing it restores the image, so the chain the
+            # walk proves ends there.
             limit = best.lsn
+            undone.append(limit)
             current = best.prev_page_lsn
 
     while current > asof_lsn:
@@ -111,11 +132,65 @@ def prepare_page_version(
         _apply_inverse(rec, page, fetch, current)
         env.stats.undo_records_applied += 1
         limit = current
+        undone.append(limit)
         current = rec.prev_page_lsn
 
     if page.is_formatted():
         page.page_lsn = current
-    return PreparedVersion(version_lsn=current, limit_lsn=limit)
+    undone.reverse()
+    return PreparedVersion(version_lsn=current, limit_lsn=limit, chain=undone)
+
+
+def roll_page_forward(
+    page: Page,
+    chain: array,
+    count: int,
+    log: LogManager,
+    env: SimEnv,
+) -> PreparedVersion:
+    """Redo ``chain[:count]`` onto ``page`` (in place), an image of the page
+    as of the LSN just below ``chain[0]``; returns the prepared interval
+    ``[chain[count - 1], chain[count])``, which keeps the rest of the chain.
+
+    The forward twin of :func:`prepare_page_version`: each record comes
+    through :meth:`~repro.wal.log_manager.LogManager.undo_fetch` (the same
+    block-cached reads, counted as undo-path accesses) and is applied by
+    :class:`~repro.wal.apply.RedoApplier`, which charges
+    ``redo_record_cpu_s`` where the walk charges ``undo_record_cpu_s``.
+    ``count`` must leave at least one record of ``chain`` above it. Raises
+    :class:`~repro.errors.LogTruncatedError`, before touching ``page``,
+    when one of the records has left the log.
+    """
+    fetch = log.undo_fetch
+    records = [fetch(lsn) for lsn in chain[:count]]
+    env.stats.pages_prepared_asof += 1
+    env.stats.asof_records_redone += RedoApplier(_PageInHand(page, env)).apply(records)
+    return PreparedVersion(
+        version_lsn=chain[count - 1], limit_lsn=chain[count], chain=chain[count:]
+    )
+
+
+class _PageInHand:
+    """Redo target and guard for one page already in memory: every fetch
+    is that page, since a page's chain names no other."""
+
+    __slots__ = ("page", "env")
+
+    def __init__(self, page: Page, env: SimEnv) -> None:
+        self.page = page
+        self.env = env
+
+    def fetch_page(self, page_id: int, create: bool = False) -> "_PageInHand":
+        return self
+
+    def mark_dirty(self) -> None:
+        """Nothing to write back: the caller owns the page."""
+
+    def __enter__(self) -> "_PageInHand":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        return None
 
 
 def _apply_inverse(rec, page: Page, fetch, lsn: int) -> None:

@@ -22,15 +22,28 @@ the entire chain walk — no undo log reads, no undo CPU.
 Repeated and nearby AS OF reads (audit loops, dashboards) become fast by
 construction instead of fast by luck.
 
-A probe no interval covers still uses the store. The stored version of
-``P`` with the smallest ``version_lsn`` above ``S'`` is the page as of
-that LSN, so the miss's chain walk *resumes* from it instead of starting
-at the primary's current page, and undoes only the chain records in
-``(S', version_lsn]``. This is the per-page, start-from-the-nearest-image
-idea of Sauer & Härder's on-demand REDO, applied to undo. It relies on
-the same invariant a hit does and adds none. A prober passes the ceiling
-of the history its own pages hold, so a standby never resumes from an
-image above its applied prefix.
+A probe no interval covers still uses the store, from either side of
+``S'``; both are the per-page, start-from-the-nearest-image idea of
+Sauer & Härder's on-demand REDO:
+
+* **resume** — the stored version of ``P`` with the smallest
+  ``version_lsn`` above ``S'`` is the page as of that LSN, so the miss's
+  chain walk starts from it instead of from the primary's current page,
+  and undoes only the chain records in ``(S', version_lsn]``. A prober
+  passes the ceiling of the history its own pages hold, so a standby
+  never resumes from an image above its applied prefix.
+* **roll-forward** — every version also keeps the chain its walk proved:
+  the LSNs of ``P``'s records above ``version_lsn`` that the walk undid,
+  ascending. A version whose chain reaches past ``S'`` is the page as of
+  a point below ``S'`` plus a known list of that page's modifications, so
+  redoing the ones at or below ``S'`` onto it gives the page as of
+  ``S'``. Of those, the one with the fewest records to redo is taken when
+  it redoes no more records than its chain proves a resumed (or current)
+  walk would undo. Unlike a hit or a resume it reads log below ``S'``,
+  so a prober whose log starts above the chain's first record (a
+  truncated primary, a standby seeded from a backup) does not take it.
+
+Both rely on the same invariant a hit does and add none.
 
 Invalidation keeps the intervals honest:
 
@@ -54,13 +67,25 @@ Invalidation keeps the intervals honest:
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import NamedTuple
 
 from repro.latch import Latch
 from repro.storage.page import HEADER_FIELDS, HEADER_SIZE, PAGE_MAGIC
 
 #: Default byte budget across all stored page versions (32 MiB).
 DEFAULT_VERSION_STORE_BUDGET_BYTES = 32 * 1024 * 1024
+
+#: Bytes charged to the budget per chain entry (one ``array('Q')`` item).
+CHAIN_ENTRY_BYTES = 8
+
+#: The chain of a version whose walk proved nothing above it, shared.
+_NO_CHAIN = array("Q")
+
+_version_lsn = attrgetter("version_lsn")
 
 _MAGIC, _MAGIC_AT = HEADER_FIELDS["magic"]
 _PAGE_LSN, _PAGE_LSN_AT = HEADER_FIELDS["page_lsn"]
@@ -88,6 +113,8 @@ class VersionStoreStats:
     misses: int = 0
     #: Misses handed a newer stored version to start the chain walk from.
     resumes: int = 0
+    #: Misses handed an older stored version to redo its chain onto.
+    rollforwards: int = 0
     #: Prepared images published (new or interval-extending).
     publishes: int = 0
     #: Versions dropped to get back under the byte budget.
@@ -103,19 +130,37 @@ class VersionStoreStats:
         return self.hits / total if total else 0.0
 
 
+class Probe(NamedTuple):
+    """A stored version :meth:`PageVersionStore.lookup` serves a split
+    from, and how."""
+
+    version_lsn: int
+    data: bytes
+    #: The version's proven chain: its page's records above
+    #: ``version_lsn``, ascending. Never mutated in place.
+    chain: array
+    #: How many of ``chain`` a roll-forward redoes onto ``data``: 0 for a
+    #: hit (``version_lsn <= split``) or a resume (``version_lsn > split``).
+    redo: int
+
+
 class _Version:
-    """One stored page image and the split interval it serves."""
+    """One stored page image, the split interval it serves, and the chain
+    its walk proved."""
 
-    __slots__ = ("version_lsn", "limit_lsn", "data", "last_used")
+    __slots__ = ("version_lsn", "limit_lsn", "data", "chain", "last_used")
 
-    def __init__(self, version_lsn: int, limit_lsn: int, data: bytes) -> None:
+    def __init__(self, version_lsn: int, limit_lsn: int, data: bytes, chain: array) -> None:
         self.version_lsn = version_lsn
         self.limit_lsn = limit_lsn
         self.data = data
+        self.chain = chain
         self.last_used = 0
 
-    def covers(self, split_lsn: int) -> bool:
-        return self.version_lsn <= split_lsn < self.limit_lsn
+    @property
+    def size(self) -> int:
+        """Bytes charged to the store's budget."""
+        return len(self.data) + CHAIN_ENTRY_BYTES * len(self.chain)
 
 
 class PageVersionStore:
@@ -151,45 +196,76 @@ class PageVersionStore:
         store_key: str,
         page_id: int,
         split_lsn: int,
+        floor_lsn: int,
         ceiling_lsn: int | None = None,
-    ) -> tuple[int, bytes] | None:
-        """The stored image of ``page_id`` to serve ``split_lsn`` from, as
-        ``(version_lsn, data)``, or ``None``.
+    ) -> Probe | None:
+        """The stored version of ``page_id`` to serve ``split_lsn`` from,
+        or ``None``. One pass over the page's versions finds one of:
 
-        A version whose interval covers the split is a *hit*
-        (``version_lsn <= split_lsn``): a pure memory copy, the caller
-        skips the whole chain walk. Failing that, the resumable version
-        with the smallest ``version_lsn`` in ``(split_lsn, ceiling_lsn)``
-        is a *resume*: the caller walks the chain from that image, not
-        from the current page. A resume still counts as a miss, so
-        ``hit_rate`` keeps its meaning. ``ceiling_lsn=None`` bounds
-        nothing: every version stored under a primary's key lies below
-        its log end.
+        * a *hit*: a version whose interval covers the split
+          (``version_lsn <= split_lsn < limit_lsn``). A pure memory copy;
+          the caller skips the whole chain walk.
+        * a *roll-forward*: among the versions below the split whose chain
+          reaches past it (``chain[0] <= split_lsn < chain[-1]``), the one
+          with the fewest entries at or below the split. The caller redoes
+          those ``redo`` records onto its image. It is taken only if
+          ``redo`` is at most what its chain proves the alternative walk
+          would undo: the entries in ``(split_lsn, bound]``, where
+          ``bound`` is the resume candidate's ``version_lsn`` or the
+          chain's end, and below the ceiling. On a primary a roll-forward
+          therefore never touches more records than the walk it replaces.
+          It reads the prober's log below the split, which a hit or a
+          resume never does, so a chain starting below ``floor_lsn`` (the
+          first LSN the prober's log holds: a truncated primary's start,
+          a backup-seeded standby's seed) is never rolled forward.
+        * a *resume*: the resumable version with the smallest
+          ``version_lsn`` in ``(split_lsn, ceiling_lsn)``; the caller walks
+          the chain down from that image, not from the current page.
+
+        Roll-forwards and resumes still count as misses, so ``hit_rate``
+        keeps its meaning. ``ceiling_lsn=None`` bounds nothing: every
+        version stored under a primary's key lies below its log end.
         """
         if not self.enabled:
             return None
         with self.latch:
-            found = None
+            newer = older = None
+            redo = 0
             for version in self._versions.get((store_key, page_id), ()):
-                if version.covers(split_lsn):
-                    found = version
-                    self.stats.hits += 1
-                    break
-                if (
-                    split_lsn < version.version_lsn
-                    and (ceiling_lsn is None or version.version_lsn < ceiling_lsn)
-                    and (found is None or version.version_lsn < found.version_lsn)
-                    and _resumable(version.version_lsn, version.data)
+                version_lsn = version.version_lsn
+                if version_lsn <= split_lsn:
+                    if split_lsn < version.limit_lsn:
+                        self.stats.hits += 1
+                        return self._serve(version, 0)
+                    chain = version.chain
+                    if chain and floor_lsn <= chain[0] and split_lsn < chain[-1]:
+                        count = bisect_right(chain, split_lsn)
+                        if older is None or count < redo:
+                            older, redo = version, count
+                elif (
+                    (ceiling_lsn is None or version_lsn < ceiling_lsn)
+                    and (newer is None or version_lsn < newer.version_lsn)
+                    and _resumable(version_lsn, version.data)
                 ):
-                    found = version
-            else:
-                self.stats.misses += 1
-                if found is None:
-                    return None
-                self.stats.resumes += 1
-            self._clock += 1
-            found.last_used = self._clock
-            return found.version_lsn, found.data
+                    newer = version
+            self.stats.misses += 1
+            if older is not None:
+                chain = older.chain
+                bound = len(chain) if newer is None else bisect_right(chain, newer.version_lsn)
+                if ceiling_lsn is not None:
+                    bound = min(bound, bisect_left(chain, ceiling_lsn))
+                if redo <= bound - redo:
+                    self.stats.rollforwards += 1
+                    return self._serve(older, redo)
+            if newer is None:
+                return None
+            self.stats.resumes += 1
+            return self._serve(newer, 0)
+
+    def _serve(self, version: _Version, redo: int) -> Probe:
+        self._clock += 1
+        version.last_used = self._clock
+        return Probe(version.version_lsn, version.data, version.chain, redo)
 
     def publish(
         self,
@@ -198,34 +274,68 @@ class PageVersionStore:
         version_lsn: int,
         limit_lsn: int,
         data: bytes,
+        chain: array,
     ) -> None:
-        """Store a prepared image for ``[version_lsn, limit_lsn)``.
+        """Store a prepared image for ``[version_lsn, limit_lsn)``, with the
+        chain its walk proved (ascending; ``chain[0] == limit_lsn`` when
+        not empty). The store keeps ``chain`` as it is: the caller must
+        not mutate it afterwards.
 
         A version with the same ``version_lsn`` already present has its
         interval *extended* (the image is identical by construction —
-        same page state, later-proven quiescence); overlapping is
-        otherwise left alone: intervals from real chain walks never
-        disagree on content inside their overlap.
+        same page state, later-proven quiescence) and keeps the longer
+        chain: both start at the first record above ``version_lsn``, so
+        the longer contains the shorter. Overlapping is otherwise left
+        alone: intervals from real chain walks never disagree on content
+        inside their overlap.
+
+        A page's versions are kept in LSN order, and each proven chain
+        entry is stored once: a chain that runs through the next version's
+        LSN stops there and hands the records above it on to that version.
+        :meth:`lookup` decides the same: a split above that LSN rolls
+        forward from the higher version, which redoes fewer records, and
+        for a split below it the higher version, when it is the resume
+        candidate, already bounds the lower chain there.
         """
         if not self.enabled or limit_lsn <= version_lsn:
             return
         with self.latch:
             versions = self._versions.setdefault((store_key, page_id), [])
             self._clock += 1
-            for version in versions:
-                if version.version_lsn == version_lsn:
-                    version.limit_lsn = max(version.limit_lsn, limit_lsn)
-                    version.last_used = self._clock
-                    self._note_publish()
-                    return
-            version = _Version(version_lsn, limit_lsn, bytes(data))
+            at = bisect_left(versions, version_lsn, key=_version_lsn)
+            if at < len(versions) and versions[at].version_lsn == version_lsn:
+                version = versions[at]
+                version.limit_lsn = max(version.limit_lsn, limit_lsn)
+            else:
+                version = _Version(version_lsn, limit_lsn, bytes(data), _NO_CHAIN)
+                versions.insert(at, version)
+                self._bytes += version.size
             version.last_used = self._clock
-            versions.append(version)
-            self._bytes += len(version.data)
             self._note_publish()
+            if len(chain) > len(version.chain):
+                self._rechain(version, chain)
+            self._settle(versions, max(at - 1, 0))
             if self._bytes > self.stats.peak_bytes:
                 self.stats.peak_bytes = self._bytes
-            self.evict_to_budget()
+            if self._bytes > self.budget_bytes:
+                self.evict_to_budget()
+
+    def _rechain(self, version: _Version, chain: array) -> None:
+        self._bytes += CHAIN_ENTRY_BYTES * (len(chain) - len(version.chain))
+        version.chain = chain
+
+    def _settle(self, versions: list[_Version], start: int) -> None:
+        """From ``versions[start]`` up, end each chain at the next
+        version's LSN when it runs through it, and give that version the
+        records above it when they prove more than its own chain."""
+        for version, following in zip(versions[start:], versions[start + 1 :]):
+            chain = version.chain
+            cut = bisect_right(chain, following.version_lsn)
+            if 0 < cut < len(chain) and chain[cut - 1] == following.version_lsn:
+                rest = chain[cut:]
+                self._rechain(version, chain[:cut])
+                if len(rest) > len(following.chain):
+                    self._rechain(following, rest)
 
     def _note_publish(self) -> None:
         self.stats.publishes += 1
@@ -273,7 +383,7 @@ class PageVersionStore:
                     break
                 versions = self._versions[key]
                 versions.remove(version)
-                self._bytes -= len(version.data)
+                self._bytes -= version.size
                 if not versions:
                     del self._versions[key]
                 self.stats.evictions += 1
@@ -292,7 +402,7 @@ class PageVersionStore:
                 kept = []
                 for version in versions:
                     if predicate(version):
-                        self._bytes -= len(version.data)
+                        self._bytes -= version.size
                         dropped += 1
                     else:
                         kept.append(version)
@@ -307,8 +417,9 @@ class PageVersionStore:
     def invalidate_from(self, store_key: str, lsn: int) -> int:
         """History at or above ``lsn`` was rewritten (crash discarded the
         volatile tail; promotion discarded shipped records): drop versions
-        whose state no longer exists and clamp intervals that reached into
-        the rewritten range. Returns versions dropped."""
+        whose state no longer exists, clamp intervals that reached into
+        the rewritten range, and trim chains to the records below it.
+        Returns versions dropped."""
         with self.latch:
             for key, versions in self._versions.items():
                 if key[0] != store_key:
@@ -316,6 +427,10 @@ class PageVersionStore:
                 for version in versions:
                     if version.limit_lsn > lsn:
                         version.limit_lsn = lsn
+                    chain = version.chain
+                    kept = bisect_left(chain, lsn)
+                    if kept < len(chain):
+                        self._rechain(version, chain[:kept])
             return self._drop_where(
                 store_key,
                 lambda v: v.version_lsn >= lsn or v.limit_lsn <= v.version_lsn,
@@ -365,6 +480,7 @@ class PageVersionStore:
             "hits": self.stats.hits,
             "misses": self.stats.misses,
             "resumes": self.stats.resumes,
+            "rollforwards": self.stats.rollforwards,
             "hit_rate": self.stats.hit_rate,
             "publishes": self.stats.publishes,
             "evictions": self.stats.evictions,

@@ -66,6 +66,9 @@ class IoStats:
     undo_records_applied: int = 0
     #: Full page images applied to skip log regions during undo.
     undo_images_applied: int = 0
+    #: Log records redone by an AS OF roll-forward from an older stored
+    #: page version (the forward twin of ``undo_records_applied``).
+    asof_records_redone: int = 0
     #: Sequential log reads (recovery scans, log backups, roll-forward).
     log_scan_reads: int = 0
     log_scan_bytes: int = 0

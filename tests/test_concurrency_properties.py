@@ -21,6 +21,7 @@ only (RL003).
 from __future__ import annotations
 
 import threading
+from array import array
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -179,9 +180,9 @@ class TestVersionStoreSchedules:
                 key = f"history-{thread_no % 2}"
                 for page_id, version_lsn, do_gc in schedule:
                     store.publish(
-                        key, page_id, version_lsn, version_lsn + 10, payload
+                        key, page_id, version_lsn, version_lsn + 10, payload, array("Q")
                     )
-                    hit = store.lookup(key, page_id, version_lsn + 5)
+                    hit = store.lookup(key, page_id, version_lsn + 5, 0)
                     if hit is not None and hit[1] != payload:
                         failures.append("lookup returned a torn payload")
                     observed = store.total_bytes()

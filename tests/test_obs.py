@@ -149,9 +149,12 @@ def test_metric_names_and_values_are_pinned():
     """Captured at 436447b (before the sheets became the only storage);
     the edits since: the five ``io.version_store_*`` mirrors gone, and
     ``io.undo_log_cache_hits`` counting each chain record once (54 → 27)
-    now that no header pass precedes the fetch, and the one new name
-    ``version_store.resumes`` (0 here: the topology's one AS OF read
-    finds the store empty)."""
+    now that no header pass precedes the fetch, and the new names
+    ``version_store.resumes``, ``version_store.rollforwards`` and
+    ``io.asof_records_redone`` (0 here: the topology's one AS OF read
+    finds the store empty). Stored versions now carry their proven
+    chains, 8 bytes per entry: the 27 undone records add 216 to
+    ``version_store.bytes`` and ``peak_bytes`` (5120 → 5336)."""
     engine = _topology()
     golden = json.loads(GOLDEN.read_text())
     assert sorted(engine.env.metrics.names()) == golden["names"]
