@@ -47,6 +47,36 @@ _ENTRY_CHILD = struct.Struct("<IB")
 _MAX_DESCENT_RETRIES = 64
 
 
+class _KeyTop:
+    """A key component that sorts above every value a column can hold.
+
+    Keys order as Python tuples of their column values (shorter prefixes
+    first), so ``prefix`` is a ``lo`` and ``prefix + (KEY_TOP,)`` a ``hi``
+    for :meth:`BTree.scan` that together cover exactly the keys starting
+    with ``prefix``.
+    """
+
+    __slots__ = ()
+
+    def __lt__(self, other) -> bool:
+        return False
+
+    def __le__(self, other) -> bool:
+        return other is self
+
+    def __gt__(self, other) -> bool:
+        return other is not self
+
+    def __ge__(self, other) -> bool:
+        return True
+
+    def __repr__(self) -> str:
+        return "KEY_TOP"
+
+
+KEY_TOP = _KeyTop()
+
+
 def encode_entry(child_pid: int, key_bytes: bytes | None) -> bytes:
     """Interior entry payload: child pointer + separator key (None = -inf)."""
     if key_bytes is None:
@@ -160,8 +190,9 @@ class BTree:
     def scan(self, lo: tuple | None = None, hi: tuple | None = None):
         """Yield rows with ``lo <= key <= hi`` in key order.
 
-        Each leaf's bounds are found by key-only probes, so no row outside
-        the range is decoded.
+        Keys compare as tuples, so a key prefix bounds a range: see
+        :data:`KEY_TOP`. Each leaf's bounds are found by key-only probes,
+        so no row outside the range is decoded.
         """
         env = self.services.env
         decode = self.codec.decode

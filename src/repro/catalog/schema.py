@@ -90,7 +90,8 @@ class TableSchema:
     key_positions: tuple[int, ...] = field(init=False, compare=False, repr=False)
     #: ``key_of(row)``: the primary-key tuple of a full row tuple.
     key_of: Callable[[tuple], tuple] = field(init=False, compare=False, repr=False)
-    _index_by_name: dict = field(default_factory=dict, compare=False, repr=False)
+    #: ``column name -> position`` within the row tuple.
+    positions: dict[str, int] = field(init=False, compare=False, repr=False)
 
     def __init__(self, name: str, columns, key) -> None:
         object.__setattr__(self, "name", name)
@@ -98,27 +99,27 @@ class TableSchema:
         object.__setattr__(self, "key", tuple(key))
         object.__setattr__(
             self,
-            "_index_by_name",
+            "positions",
             {col.name: pos for pos, col in enumerate(self.columns)},
         )
         self._validate()
-        positions = tuple(self._index_by_name[k] for k in self.key)
-        object.__setattr__(self, "key_positions", positions)
-        object.__setattr__(self, "key_of", _key_getter(positions))
+        key_positions = tuple(self.positions[k] for k in self.key)
+        object.__setattr__(self, "key_positions", key_positions)
+        object.__setattr__(self, "key_of", _key_getter(key_positions))
 
     def _validate(self) -> None:
         if not self.name:
             raise ValueError("table name must be non-empty")
         if not self.columns:
             raise ValueError(f"table {self.name!r} needs at least one column")
-        if len(self._index_by_name) != len(self.columns):
+        if len(self.positions) != len(self.columns):
             raise ValueError(f"table {self.name!r} has duplicate column names")
         if not self.key:
             raise ValueError(f"table {self.name!r} needs a primary key")
         for key_col in self.key:
-            if key_col not in self._index_by_name:
+            if key_col not in self.positions:
                 raise ValueError(f"key column {key_col!r} not in table {self.name!r}")
-            if self.columns[self._index_by_name[key_col]].nullable:
+            if self.columns[self.positions[key_col]].nullable:
                 raise ValueError(f"key column {key_col!r} must be NOT NULL")
         if len(set(self.key)) != len(self.key):
             raise ValueError(f"table {self.name!r} repeats a key column")
@@ -143,7 +144,7 @@ class TableSchema:
         Missing nullable columns default to ``None``; missing non-nullable
         columns raise ``ValueError``.
         """
-        unknown = set(values) - set(self._index_by_name)
+        unknown = set(values) - set(self.positions)
         if unknown:
             raise ValueError(f"unknown columns for {self.name!r}: {sorted(unknown)}")
         row = []

@@ -167,7 +167,8 @@ class SnapshotPool:
                 snapshot = entry.snapshot
             if loser is not None:
                 loser.drop()
-            self._note_peak()
+            with self.latch:
+                self._note_peak(self.total_bytes())
             return snapshot
 
     def _lease_pooled(self, key: tuple[str, int], db) -> AsOfSnapshot | None:
@@ -239,11 +240,11 @@ class SnapshotPool:
                 for entry in self._entries.values()
             )
 
-    def _note_peak(self) -> None:
-        with self.latch:
-            total = self.total_bytes()
-            if total > self.stats.peak_bytes:
-                self.stats.peak_bytes = total
+    def _note_peak(self, total: int) -> None:
+        """Raise ``peak_bytes`` to ``total``, a :meth:`total_bytes` sum
+        taken under the pool latch the caller still holds."""
+        if total > self.stats.peak_bytes:
+            self.stats.peak_bytes = total
 
     def evict_to_budget(self) -> int:
         """Drop idle least-recently-used entries until the total side-file
@@ -253,9 +254,10 @@ class SnapshotPool:
         transiently exceed its budget while every entry is in use.
         """
         with self.latch:
-            self._note_peak()
+            total = self.total_bytes()
+            self._note_peak(total)
             evicted = 0
-            while self.total_bytes() > self.budget_bytes:
+            while total > self.budget_bytes:
                 idle = [
                     (entry.last_used, key)
                     for key, entry in self._entries.items()
@@ -264,6 +266,8 @@ class SnapshotPool:
                 if not idle:
                     break
                 _stamp, key = min(idle)
+                # An idle entry's side file cannot grow: no lease reads it.
+                total -= self._entries[key].snapshot.side_file_bytes()
                 self._drop_entry(key)
                 self.stats.evictions += 1
                 evicted += 1

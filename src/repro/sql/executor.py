@@ -11,13 +11,34 @@ ephemeral snapshot leased from the engine's snapshot pool for the duration
 of the statement — no snapshot DDL, naming, or cleanup involved. The
 reconcile step works inline too:
 ``INSERT INTO t SELECT * FROM t AS OF '<time>'``.
+
+**What a statement reads.** SELECT, UPDATE and DELETE share one row
+source (:func:`_matching_rows`). It scans only the key range the WHERE
+clause pins: the top-level ``AND`` conjuncts ``key_col = literal`` (either
+operand order) that cover a leading prefix of the primary key become the
+scan's ``(lo, hi)`` bounds. A literal pins its column only if the column
+accepts it (:meth:`~repro.catalog.schema.Column.check_value`), so ``NULL``,
+``'1'`` or ``1.0`` against an INT key column and ``TRUE`` anywhere but a
+BOOL column pin nothing; anything else (no such prefix, a heap table)
+scans the whole table. The full WHERE is still applied to every row read,
+so a narrowed scan only ever drops rows the clause rejects. Under AS OF,
+only the pages in that range are prepared — the paper's "prior versions
+are produced only for data that is accessed".
+
+Expressions (WHERE, projections, aggregate arguments, SET values) are
+compiled once per statement into closures over the row tuple, with
+column positions resolved at compile time (:func:`_compile`). NULL
+propagates through operators, ``AND``/``OR`` take their operands'
+truth, and an unknown column raises only when a row is evaluated.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from operator import itemgetter
 
+from repro.access.btree import KEY_TOP
 from repro.catalog.schema import TableSchema
 from repro.errors import (
     SnapshotReadOnlyError,
@@ -75,55 +96,128 @@ class Result:
         return f"Result(rowcount={self.rowcount}, message={self.message!r})"
 
 
-def _eval(expr, row: dict):
-    """Evaluate an expression against a row mapping (None-propagating)."""
+#: Binary operators other than AND/OR: NULL on either side gives NULL.
+_OPERATORS = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+}
+
+
+def _failing(message: str):
+    """An expression that raises ``message`` when a row is evaluated."""
+
+    def fail(row):
+        raise SqlExecutionError(message)
+
+    return fail
+
+
+def _compile(expr, positions: dict[str, int]):
+    """``row -> value`` for ``expr`` over a row tuple whose columns sit at
+    ``positions`` (NULL-propagating)."""
     if isinstance(expr, Literal):
-        return expr.value
+        value = expr.value
+        return lambda row: value
     if isinstance(expr, ColumnRef):
-        if expr.name not in row:
-            raise SqlExecutionError(f"unknown column {expr.name!r}")
-        return row[expr.name]
+        if expr.name not in positions:
+            return _failing(f"unknown column {expr.name!r}")
+        return itemgetter(positions[expr.name])
     if isinstance(expr, Unary):
-        value = _eval(expr.operand, row)
+        operand = _compile(expr.operand, positions)
         if expr.op == "-":
-            return None if value is None else -value
+            def negate(row):
+                value = operand(row)
+                return None if value is None else -value
+
+            return negate
         if expr.op == "NOT":
-            return None if value is None else (not value)
-        raise SqlExecutionError(f"unknown unary operator {expr.op}")
+            def invert(row):
+                value = operand(row)
+                return None if value is None else (not value)
+
+            return invert
+        return _failing(f"unknown unary operator {expr.op}")
     if isinstance(expr, IsNull):
-        value = _eval(expr.operand, row)
-        return (value is not None) if expr.negated else (value is None)
+        operand = _compile(expr.operand, positions)
+        if expr.negated:
+            return lambda row: operand(row) is not None
+        return lambda row: operand(row) is None
     if isinstance(expr, Binary):
+        left = _compile(expr.left, positions)
+        right = _compile(expr.right, positions)
         if expr.op == "AND":
-            return bool(_eval(expr.left, row)) and bool(_eval(expr.right, row))
+            return lambda row: bool(left(row)) and bool(right(row))
         if expr.op == "OR":
-            return bool(_eval(expr.left, row)) or bool(_eval(expr.right, row))
-        left = _eval(expr.left, row)
-        right = _eval(expr.right, row)
-        if left is None or right is None:
-            return None
-        if expr.op == "=":
-            return left == right
-        if expr.op == "!=":
-            return left != right
-        if expr.op == "<":
-            return left < right
-        if expr.op == "<=":
-            return left <= right
-        if expr.op == ">":
-            return left > right
-        if expr.op == ">=":
-            return left >= right
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        if expr.op == "*":
-            return left * right
-        if expr.op == "/":
-            return left / right
-        raise SqlExecutionError(f"unknown operator {expr.op}")
-    raise SqlExecutionError(f"cannot evaluate {expr!r}")
+            return lambda row: bool(left(row)) or bool(right(row))
+        op = _OPERATORS.get(expr.op)
+        if op is None:
+            return _failing(f"unknown operator {expr.op}")
+
+        def apply(row):
+            a = left(row)
+            b = right(row)
+            if a is None or b is None:
+                return None
+            return op(a, b)
+
+        return apply
+    return _failing(f"cannot evaluate {expr!r}")
+
+
+def _conjuncts(expr) -> list:
+    """The top-level ``AND`` operands of ``expr``."""
+    if isinstance(expr, Binary) and expr.op == "AND":
+        return _conjuncts(expr.left) + _conjuncts(expr.right)
+    return [expr]
+
+
+def _key_range(where, schema: TableSchema) -> tuple[tuple | None, tuple | None]:
+    """Scan bounds ``(lo, hi)`` for the leading key prefix ``where`` pins
+    by equality, or ``(None, None)`` (the whole table)."""
+    pinned: dict[str, object] = {}
+    for conjunct in _conjuncts(where):
+        if not (isinstance(conjunct, Binary) and conjunct.op == "="):
+            continue
+        column, literal = conjunct.left, conjunct.right
+        if isinstance(literal, ColumnRef):
+            column, literal = literal, column
+        if not (isinstance(column, ColumnRef) and isinstance(literal, Literal)):
+            continue
+        if column.name not in schema.key or column.name in pinned:
+            continue
+        try:
+            schema.columns[schema.positions[column.name]].check_value(literal.value)
+        except (TypeError, ValueError):
+            continue
+        pinned[column.name] = literal.value
+    prefix = []
+    for name in schema.key:
+        if name not in pinned:
+            break
+        prefix.append(pinned[name])
+    if not prefix:
+        return None, None
+    lo = tuple(prefix)
+    return lo, (lo if len(lo) == len(schema.key) else lo + (KEY_TOP,))
+
+
+def _matching_rows(reader, table: str, where) -> tuple[list, TableSchema]:
+    """The row tuples of ``table`` that ``where`` selects, in scan order,
+    reading only the key range it pins (the module docstring's rule)."""
+    schema = reader.table(table).schema
+    rows = reader.scan(table, *_key_range(where, schema))
+    if where is None:
+        return list(rows), schema
+    test = _compile(where, schema.positions)
+    return [row for row in rows if test(row)], schema
 
 
 def _expr_name(expr, alias, index) -> str:
@@ -334,23 +428,13 @@ class Session:
         # snapshot latch covers page preparation.
         guard = getattr(reader, "write_latch", None)
         if guard is None:
-            return self._filter_rows_unlocked(reader, stmt)
+            return _matching_rows(reader, stmt.table.name, stmt.where)
         with guard:
-            return self._filter_rows_unlocked(reader, stmt)
-
-    def _filter_rows_unlocked(self, reader, stmt: Select):
-        schema = self._schema_of(reader, stmt.table.name)
-        names = schema.column_names
-        out = []
-        for row in reader.scan(stmt.table.name):
-            mapping = dict(zip(names, row, strict=True))
-            if stmt.where is not None and not _eval(stmt.where, mapping):
-                continue
-            out.append(mapping)
-        return out, schema
+            return _matching_rows(reader, stmt.table.name, stmt.where)
 
     def _do_select(self, stmt: Select) -> Result:
         filtered, schema = self._select_rows(stmt)
+        positions = schema.positions
         aggregates = [
             item for item, _alias in stmt.items if isinstance(item, Aggregate)
         ]
@@ -362,47 +446,44 @@ class Session:
             values = []
             columns = []
             for index, (agg, alias) in enumerate(stmt.items):
-                values.append(self._aggregate(agg, filtered))
+                values.append(self._aggregate(agg, filtered, positions))
                 columns.append(_expr_name(agg, alias, index))
             return Result(tuple(columns), [tuple(values)], rowcount=1)
 
         if stmt.order_by:
             for col, ascending in reversed(stmt.order_by):
-                if col not in schema.column_names:
+                if col not in positions:
                     raise SqlExecutionError(f"unknown ORDER BY column {col!r}")
-                filtered.sort(key=itemgetter(col), reverse=not ascending)
+                filtered.sort(key=itemgetter(positions[col]), reverse=not ascending)
 
         columns: list[str] = []
         projections = []
         for index, (item, alias) in enumerate(stmt.items):
             if item is STAR:
                 columns.extend(schema.column_names)
-                projections.append(STAR)
+                projections.append(None)
             else:
                 columns.append(_expr_name(item, alias, index))
-                projections.append(item)
+                projections.append(_compile(item, positions))
         rows = []
-        for mapping in filtered:
+        for row in filtered:
             row_out = []
-            for item in projections:
-                if item is STAR:
-                    row_out.extend(mapping[name] for name in schema.column_names)
+            for project in projections:
+                if project is None:
+                    row_out.extend(row)
                 else:
-                    row_out.append(_eval(item, mapping))
+                    row_out.append(project(row))
             rows.append(tuple(row_out))
         if stmt.limit is not None:
             rows = rows[: stmt.limit]
         return Result(tuple(columns), rows, rowcount=len(rows))
 
     @staticmethod
-    def _aggregate(agg: Aggregate, mappings: list) -> object:
+    def _aggregate(agg: Aggregate, rows: list, positions: dict[str, int]) -> object:
         if agg.func == "COUNT" and agg.arg is None:
-            return len(mappings)
-        values = [
-            value
-            for mapping in mappings
-            if (value := _eval(agg.arg, mapping)) is not None
-        ]
+            return len(rows)
+        arg = _compile(agg.arg, positions)
+        values = [value for row in rows if (value := arg(row)) is not None]
         if agg.func == "COUNT":
             return len(values)
         if not values:
@@ -429,7 +510,7 @@ class Session:
             raw_rows = source_result.rows
         else:
             raw_rows = [
-                tuple(_eval(expr, {}) for expr in row) for row in stmt.rows
+                tuple(_compile(expr, {})(()) for expr in row) for row in stmt.rows
             ]
         columns = stmt.columns or schema.column_names
         if len(columns) != len(set(columns)):
@@ -451,25 +532,18 @@ class Session:
     def _do_update(self, stmt: Update) -> Result:
         db = self._writer_for(stmt.table)
         schema = self._schema_of(db, stmt.table.name)
-        key_cols = schema.key
+        setters = [
+            (col, _compile(expr, schema.positions)) for col, expr in stmt.assignments
+        ]
+        bad_keys = sorted({col for col, _expr in stmt.assignments} & set(schema.key))
 
         def run(txn) -> Result:
-            matched = []
-            for row in db.scan(stmt.table.name):
-                mapping = dict(zip(schema.column_names, row, strict=True))
-                if stmt.where is None or _eval(stmt.where, mapping):
-                    matched.append(mapping)
-            for mapping in matched:
-                changes = {
-                    col: _eval(expr, mapping) for col, expr in stmt.assignments
-                }
-                bad_keys = set(changes) & set(key_cols)
+            matched, _schema = _matching_rows(db, stmt.table.name, stmt.where)
+            for row in matched:
+                changes = {col: value_of(row) for col, value_of in setters}
                 if bad_keys:
-                    raise SqlExecutionError(
-                        f"cannot UPDATE key columns {sorted(bad_keys)}"
-                    )
-                key = tuple(mapping[c] for c in key_cols)
-                db.update(txn, stmt.table.name, key, changes)
+                    raise SqlExecutionError(f"cannot UPDATE key columns {bad_keys}")
+                db.update(txn, stmt.table.name, schema.key_of(row), changes)
             return Result(rowcount=len(matched), message=f"UPDATE {len(matched)}")
 
         return self._write(db, run)
@@ -479,14 +553,10 @@ class Session:
         schema = self._schema_of(db, stmt.table.name)
 
         def run(txn) -> Result:
-            keys = []
-            for row in db.scan(stmt.table.name):
-                mapping = dict(zip(schema.column_names, row, strict=True))
-                if stmt.where is None or _eval(stmt.where, mapping):
-                    keys.append(tuple(mapping[c] for c in schema.key))
-            for key in keys:
-                db.delete(txn, stmt.table.name, key)
-            return Result(rowcount=len(keys), message=f"DELETE {len(keys)}")
+            matched, _schema = _matching_rows(db, stmt.table.name, stmt.where)
+            for row in matched:
+                db.delete(txn, stmt.table.name, schema.key_of(row))
+            return Result(rowcount=len(matched), message=f"DELETE {len(matched)}")
 
         return self._write(db, run)
 

@@ -368,16 +368,15 @@ class Page:
         _SLOT.pack_into(data, slot_pos, lower)
         _SPACE.pack_into(data, _COUNT_AT, count + 1, end, dir_lo - size)
 
-    def delete_record(self, slot: int) -> bytes:
-        """Remove the record at ``slot`` and return its payload.
+    def delete_record(self, slot: int) -> None:
+        """Remove the record at ``slot``.
 
         Later slots shift down by one; the record bytes become reclaimable
         garbage.
         """
-        payload = self.record(slot)
+        count = self._check_slot(slot)
         data = self.data
         size = _SLOT.size
-        count = _COUNT.unpack_from(data, _COUNT_AT)[0]
         dir_lo = len(data) - size * count
         slot_pos = len(data) - size * (slot + 1)
         if slot < count - 1:
@@ -385,32 +384,31 @@ class Page:
         _SLOT.pack_into(data, dir_lo, 0)
         _COUNT.pack_into(data, _COUNT_AT, count - 1)
         _UPPER.pack_into(data, _UPPER_AT, dir_lo + size)
-        return payload
 
-    def update_record(self, slot: int, payload: bytes) -> bytes:
-        """Replace the record at ``slot``; returns the prior payload."""
-        old = self.record(slot)
+    def update_record(self, slot: int, payload: bytes) -> None:
+        """Replace the record at ``slot``."""
+        self._check_slot(slot)
         data = self.data
         slot_pos = len(data) - _SLOT.size * (slot + 1)
-        if len(payload) <= len(old):
-            offset = _SLOT.unpack_from(data, slot_pos)[0]
+        offset = _SLOT.unpack_from(data, slot_pos)[0]
+        old_len = _RECLEN.unpack_from(data, offset)[0]
+        if len(payload) <= old_len:
             _RECLEN.pack_into(data, offset, len(payload))
             start = offset + _RECLEN.size
             data[start : start + len(payload)] = payload
-            return old
+            return
         # Grow: relocate to fresh space (compacting first if necessary).
         extra = _RECLEN.size + len(payload)
         if extra > self.contiguous_free():
-            if len(payload) - len(old) > self.total_free():
+            if len(payload) - old_len > self.total_free():
                 raise PageFullError(
-                    f"page {self.page_id}: update needs {len(payload) - len(old)} "
+                    f"page {self.page_id}: update needs {len(payload) - old_len} "
                     f"more bytes, have {self.total_free()}"
                 )
             # Temporarily drop the old record so compaction reclaims it.
             _SLOT.pack_into(data, slot_pos, 0)
             self.compact(skip_vacant=True)
         _SLOT.pack_into(data, slot_pos, self._place(payload))
-        return old
 
     def compact(self, skip_vacant: bool = False) -> None:
         """Rewrite live records densely from the header boundary.

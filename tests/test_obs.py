@@ -154,7 +154,14 @@ def test_metric_names_and_values_are_pinned():
     ``io.asof_records_redone`` (0 here: the topology's one AS OF read
     finds the store empty). Stored versions now carry their proven
     chains, 8 bytes per entry: the 27 undone records add 216 to
-    ``version_store.bytes`` and ``peak_bytes`` (5120 → 5336)."""
+    ``version_store.bytes`` and ``peak_bytes`` (5120 → 5336). The AS OF
+    ``WHERE id = 1`` now scans only the key's range, so it reads and
+    prepares the root and that one leaf, not the table's other leaf at
+    the mark (whose walk undid 25 records): prepared
+    pages, store misses, publishes and versions 5 → 4, undone records
+    (and their cache hits) 27 → 2, side-file bytes 5120 → 4096,
+    ``version_store.bytes``/``peak_bytes`` 5336 → 4112, buffer hits
+    306 → 305."""
     engine = _topology()
     golden = json.loads(GOLDEN.read_text())
     assert sorted(engine.env.metrics.names()) == golden["names"]

@@ -116,11 +116,12 @@ class TestRecordOps:
         with pytest.raises(StorageError):
             page.insert_record(1, b"x")
 
-    def test_delete_returns_payload(self):
+    def test_delete_removes_payload(self):
         page = fresh_page()
         page.insert_record(0, b"a")
         page.insert_record(1, b"b")
-        assert page.delete_record(0) == b"a"
+        assert page.record(0) == b"a"
+        assert page.delete_record(0) is None
         assert list(page.records()) == [b"b"]
 
     def test_delete_last(self):
@@ -132,8 +133,8 @@ class TestRecordOps:
     def test_update_same_size_in_place(self):
         page = fresh_page()
         page.insert_record(0, b"aaaa")
-        old = page.update_record(0, b"bbbb")
-        assert old == b"aaaa"
+        assert page.record(0) == b"aaaa"
+        assert page.update_record(0, b"bbbb") is None
         assert page.record(0) == b"bbbb"
 
     def test_update_shrink(self):
@@ -354,7 +355,8 @@ def test_page_matches_list_model(ops):
                 model.insert(slot, payload)
         elif op == "delete" and model:
             slot = pos % len(model)
-            assert page.delete_record(slot) == model.pop(slot)
+            assert page.record(slot) == model.pop(slot)
+            page.delete_record(slot)
             reference.delete_record(slot)
         elif op == "update" and model:
             slot = pos % len(model)

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
-import pytest
+import operator
 
-from repro import Engine
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import DatabaseConfig, Engine
+from repro.config import SimEnv
 from repro.errors import (
     CatalogError,
     SnapshotReadOnlyError,
@@ -312,3 +317,274 @@ class TestErrors:
     def test_arity_mismatch(self, session):
         with pytest.raises(SqlExecutionError):
             session.execute("INSERT INTO items (id, name) VALUES (1)")
+
+
+# ---------------------------------------------------------------------------
+# Key-range narrowing: every statement equals a brute-force filter
+# ---------------------------------------------------------------------------
+
+_COLUMNS = ("a", "b", "v", "s")
+_TABLE_DDL = (
+    "CREATE {kind} {name} (a INT NOT NULL, b INT NOT NULL, v INT NULL, "
+    "s VARCHAR(40) NULL, PRIMARY KEY (a, b))"
+)
+
+
+def _audit_row(a: int, b: int) -> tuple:
+    v = None if (a + b) % 5 == 0 else a * 10 + b
+    s = None if b % 4 == 0 else "x" * (10 + b % 7)
+    return (a, b, v, s)
+
+
+class _Audit:
+    """A shop whose composite-key table ``t`` spans many 1 KiB leaves
+    and changed after ``mark``, a heap twin ``h``, and a session pinned
+    to ``mark``."""
+
+    def __init__(self) -> None:
+        self.engine = Engine(
+            SimEnv.for_tests(), config=DatabaseConfig(page_size=1024, buffer_pool_pages=64)
+        )
+        self.db = self.engine.create_database("shop")
+        self.session = self.engine.session("shop")
+        for kind, name in (("TABLE", "t"), ("HEAP TABLE", "h")):
+            self.session.execute(_TABLE_DDL.format(kind=kind, name=name))
+        rows = ", ".join(
+            _literal_sql(_audit_row(a, b)) for a in range(5) for b in range(12)
+        )
+        self.session.execute(f"INSERT INTO t VALUES {rows}")
+        self.session.execute(f"INSERT INTO h VALUES {rows}")
+        clock = self.engine.env.clock
+        self.mark = clock.now()
+        clock.advance(1.0)
+        self.session.execute("UPDATE t SET v = 7 WHERE b = 3")
+        self.session.execute("DELETE FROM t WHERE a = 2 AND b > 8")
+        self.session.execute("INSERT INTO t VALUES (9, 0, 1, 'late')")
+        clock.advance(1.0)
+        self.pinned = self.engine.session("shop")
+        self.pinned.execute(f"USE shop AS OF {self.mark!r}")
+
+
+@pytest.fixture(scope="module")
+def audit():
+    shop = _Audit()
+    yield shop
+    shop.pinned.close()
+
+
+def _sql_value(value) -> str:
+    if value is None:
+        return "NULL"
+    if isinstance(value, bool):
+        return "TRUE" if value else "FALSE"
+    if isinstance(value, str):
+        return "'" + value.replace("'", "''") + "'"
+    return repr(value)  # a negative number parses as unary minus
+
+
+def _literal_sql(row: tuple) -> str:
+    return "(" + ", ".join(_sql_value(value) for value in row) + ")"
+
+
+_OPS = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+_ints = st.integers(-1, 13)
+#: Literals an INT column may meet: matching, NULL, and ones no INT
+#: equals or that do not pin a key column ('1', 1.0, TRUE).
+_int_literals = st.one_of(
+    _ints, _ints, st.none(), _ints.map(str), _ints.map(float), st.booleans()
+)
+_str_literals = st.one_of(
+    st.text("xy", min_size=9, max_size=17), st.none(), _ints
+)
+
+
+@st.composite
+def _comparison(draw, columns=("a", "b", "v", "s"), ops=tuple(_OPS)):
+    column = draw(st.sampled_from(columns))
+    op = draw(st.sampled_from(ops))
+    if column == "s":
+        # An ordering between a string and a number is a TypeError on
+        # both sides of the equation; compare strings with strings.
+        literal = draw(_str_literals if op in ("=", "!=") else st.text("xy", max_size=17))
+    elif op in ("=", "!="):
+        literal = draw(_int_literals)
+    else:
+        literal = draw(st.one_of(_ints, st.none(), _ints.map(float), st.booleans()))
+    return ("cmp", column, op, literal, draw(st.booleans()))
+
+
+_leaves = st.one_of(
+    _comparison(),
+    st.tuples(st.just("null"), st.sampled_from(_COLUMNS), st.booleans()),
+    st.tuples(
+        st.just("cols"),
+        st.sampled_from(("a", "b", "v")),
+        st.sampled_from(tuple(_OPS)),
+        st.sampled_from(("a", "b", "v")),
+    ),
+)
+_trees = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(
+        st.tuples(st.just("and"), inner, inner),
+        st.tuples(st.just("or"), inner, inner),
+        st.tuples(st.just("not"), inner),
+    ),
+    max_leaves=6,
+)
+#: Key equalities ANDed on top (so most statements pin a prefix), then a
+#: random tree: the pins may repeat a column with another value, or carry
+#: a literal the column does not accept.
+_pins = st.lists(_comparison(columns=("a", "b"), ops=("=",)), max_size=3)
+
+
+@st.composite
+def _wheres(draw):
+    where = draw(st.one_of(st.none(), _trees))
+    for pin in draw(_pins):
+        where = pin if where is None else ("and", pin, where)
+    return where
+
+
+def _where_sql(node) -> str:
+    kind = node[0]
+    if kind == "cmp":
+        _kind, column, op, literal, flipped = node
+        left, right = column, _sql_value(literal)
+        if flipped:
+            left, right = right, left
+        return f"({left} {op} {right})"
+    if kind == "cols":
+        return f"({node[1]} {node[2]} {node[3]})"
+    if kind == "null":
+        return f"({node[1]} IS {'NOT ' if node[2] else ''}NULL)"
+    if kind == "not":
+        return f"(NOT {_where_sql(node[1])})"
+    return f"({_where_sql(node[1])} {kind.upper()} {_where_sql(node[2])})"
+
+
+def _holds(node, row: dict):
+    """SQL's value of ``node`` for ``row``: NULL propagates through a
+    comparison and NOT; AND and OR take their operands' truth."""
+    kind = node[0]
+    if kind in ("cmp", "cols"):
+        if kind == "cmp":
+            _kind, column, op, literal, flipped = node
+            left, right = row[column], literal
+            if flipped:
+                left, right = right, left
+        else:
+            left, op, right = row[node[1]], node[2], row[node[3]]
+        return None if left is None or right is None else _OPS[op](left, right)
+    if kind == "null":
+        return (row[node[1]] is not None) if node[2] else (row[node[1]] is None)
+    if kind == "not":
+        value = _holds(node[1], row)
+        return None if value is None else not value
+    if kind == "and":
+        return bool(_holds(node[1], row)) and bool(_holds(node[2], row))
+    return bool(_holds(node[1], row)) or bool(_holds(node[2], row))
+
+
+def _brute(reader, table: str, where) -> list:
+    rows = list(reader.scan(table))
+    if where is None:
+        return rows
+    return [row for row in rows if _holds(where, dict(zip(_COLUMNS, row, strict=True)))]
+
+
+def _aggregates(rows: list) -> tuple:
+    vs = [row[2] for row in rows if row[2] is not None]
+    ss = [row[3] for row in rows if row[3] is not None]
+    return (
+        len(rows),
+        len(vs),
+        sum(vs) if vs else None,
+        min((row[1] for row in rows), default=None),
+        max(ss) if ss else None,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(where=_wheres())
+def test_where_equals_a_brute_force_filter(audit, where):
+    """SELECT, aggregate, UPDATE and DELETE against the live table, its
+    heap twin, an inline AS OF and a pinned session return what a Python
+    filter over the whole scan returns, whatever key range the WHERE pins."""
+    clause = "" if where is None else f" WHERE {_where_sql(where)}"
+    aggregate = "SELECT COUNT(*), COUNT(v), SUM(v), MIN(b), MAX(s) FROM "
+    session, db = audit.session, audit.db
+    with audit.engine.query_as_of("shop", audit.mark) as then:
+        targets = [
+            (session, "t", db, "t"),
+            (session, "h", db, "h"),
+            (session, f"t AS OF {audit.mark!r}", then, "t"),
+            (audit.pinned, "t", then, "t"),
+        ]
+        for runner, source, reader, table in targets:
+            expected = _brute(reader, table, where)
+            assert runner.execute(f"SELECT * FROM {source}{clause}").rows == expected
+            assert runner.execute(f"{aggregate}{source}{clause}").rows == [
+                _aggregates(expected)
+            ]
+
+    before = list(db.scan("t"))
+    matched = _brute(db, "t", where)
+    session.execute("BEGIN")
+    try:
+        assert session.execute(f"UPDATE t SET v = b + 100{clause}").rowcount == len(matched)
+        hit = set(matched)
+        assert list(db.scan("t")) == [
+            (a, b, b + 100, s) if (a, b, v, s) in hit else (a, b, v, s)
+            for a, b, v, s in before
+        ]
+    finally:
+        session.execute("ROLLBACK")
+    session.execute("BEGIN")
+    try:
+        assert session.execute(f"DELETE FROM t{clause}").rowcount == len(matched)
+        assert list(db.scan("t")) == [row for row in before if row not in hit]
+    finally:
+        session.execute("ROLLBACK")
+    assert list(db.scan("t")) == before
+
+
+def test_asof_point_query_prepares_only_its_leaf():
+    """An AS OF read whose WHERE pins the whole key prepares the one leaf
+    holding it: the full scan after it, on the same pinned snapshot,
+    still finds every other leaf unprepared."""
+    engine = Engine(
+        SimEnv.for_tests(), config=DatabaseConfig(page_size=1024, buffer_pool_pages=64)
+    )
+    db = engine.create_database("shop")
+    session = engine.session("shop")
+    session.execute(
+        "CREATE TABLE t (id INT NOT NULL, qty INT NOT NULL, pad VARCHAR(64) NOT NULL, "
+        "PRIMARY KEY (id))"
+    )
+    rows = ", ".join(f"({i}, {i}, '{'p' * 40}')" for i in range(200))
+    session.execute(f"INSERT INTO t VALUES {rows}")
+    mark = engine.env.clock.now()
+    engine.env.clock.advance(1.0)
+    session.execute("UPDATE t SET qty = qty + 1")
+    tree = db.table("t").accessor
+    leaves = 0
+    for pid in tree.page_ids():
+        with tree.services.fetch(pid) as guard:
+            leaves += guard.page.level == 0
+    assert leaves > 5
+
+    stats = engine.env.stats
+    with engine.session("shop") as pinned:
+        pinned.execute(f"USE shop AS OF {mark!r}")
+        assert pinned.execute("SELECT qty FROM t WHERE id = 1").rows == [(1,)]
+        before = stats.pages_prepared_asof
+        assert pinned.execute("SELECT COUNT(*) FROM t").scalar() == 200
+        assert stats.pages_prepared_asof - before == leaves - 1
