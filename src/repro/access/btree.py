@@ -143,22 +143,25 @@ class BTree:
     def _descend(self, key: tuple | None, *, to_level: int = 0):
         """Walk from the root toward ``to_level``.
 
-        ``key=None`` follows the leftmost edge. Returns
-        ``(page_id, path)`` where path is ``[(page_id, child_slot), ...]``
-        for the interior pages traversed.
+        ``key=None`` follows the leftmost edge. Returns ``(guard, path)``:
+        the page reached, *still pinned* (the caller releases it with
+        ``with guard:``), and ``[(page_id, child_slot), ...]`` for the
+        interior pages traversed. Every other page is unpinned before the
+        walk moves on, or before an error leaves it.
         """
         fetch = self.services.fetch
         pid = self.root_page_id
         path: list[tuple[int, int]] = []
         while True:
-            with fetch(pid) as guard:
-                page = guard.page
+            guard = fetch(pid)
+            page = guard.page
+            if page.level <= to_level and page.is_formatted():
+                return guard, path
+            with guard:
                 if not page.is_formatted():
                     raise StorageError(
                         f"btree {self.object_id}: page {pid} unformatted"
                     )
-                if page.level <= to_level:
-                    return pid, path
                 if page.slot_count == 0:
                     raise StorageError(
                         f"btree {self.object_id}: empty interior page {pid}"
@@ -180,8 +183,8 @@ class BTree:
     def get(self, key: tuple) -> tuple | None:
         """Point lookup; returns the decoded row or None."""
         self.services.env.charge_cpu(self.services.env.cost.query_row_cpu_s)
-        leaf_pid, _path = self._descend(key)
-        with self.services.fetch(leaf_pid) as guard:
+        guard, _path = self._descend(key)
+        with guard:
             slot, found = self._find_slot(guard.page, key)
             if not found:
                 return None
@@ -196,10 +199,10 @@ class BTree:
         """
         env = self.services.env
         decode = self.codec.decode
-        pid, _path = self._descend(lo)
+        guard, _path = self._descend(lo)
         start = lo  # only the first leaf can hold keys below ``lo``
-        while pid != NULL_PAGE:
-            with self.services.fetch(pid) as guard:
+        while True:
+            with guard:
                 page = guard.page
                 pid = page.next_page
                 first = 0 if start is None else self._find_slot(page, start)[0]
@@ -214,6 +217,9 @@ class BTree:
             for row in rows:
                 env.charge_cpu(env.cost.query_row_cpu_s)
                 yield row
+            if pid == NULL_PAGE:
+                return
+            guard = self.services.fetch(pid)
 
     def count(self) -> int:
         """Number of rows (full scan)."""
@@ -247,8 +253,8 @@ class BTree:
     def delete(self, txn, key: tuple) -> tuple:
         """Delete by key; returns the removed row."""
         self.services.env.charge_cpu(self.services.env.cost.dml_cpu_s)
-        leaf_pid, _path = self._descend(key)
-        with self.services.fetch(leaf_pid) as guard:
+        guard, _path = self._descend(key)
+        with guard:
             page = guard.page
             slot, found = self._find_slot(page, key)
             if not found:
@@ -260,7 +266,7 @@ class BTree:
                 slot=slot,
                 row=payload,
                 key_bytes=self.key_codec.encode(key),
-                page_id=leaf_pid,
+                page_id=guard.page_id,
                 object_id=self.object_id,
             )
             self.services.modifier.apply(txn, guard, rec)
@@ -297,8 +303,8 @@ class BTree:
         self.services.env.charge_cpu(self.services.env.cost.dml_cpu_s)
         key_bytes = self.key_codec.encode(key)
         for _attempt in range(_MAX_DESCENT_RETRIES):
-            leaf_pid, path = self._descend(key)
-            with self.services.fetch(leaf_pid) as guard:
+            guard, path = self._descend(key)
+            with guard:
                 page = guard.page
                 slot, found = self._find_slot(page, key)
                 if found:
@@ -310,7 +316,7 @@ class BTree:
                         slot=slot,
                         row=row_bytes,
                         key_bytes=key_bytes,
-                        page_id=leaf_pid,
+                        page_id=guard.page_id,
                         object_id=self.object_id,
                     )
                     self.services.modifier.apply(txn, guard, self._wrap(rec, clr_for))
@@ -320,15 +326,22 @@ class BTree:
                         f"{self.schema.name}: row of {len(row_bytes)} bytes "
                         f"exceeds page capacity"
                     )
-            self._split(leaf_pid, path)
+            self._split(guard.page_id, path)
         raise StorageError(f"{self.schema.name}: insert did not converge")
 
-    def _update_bytes(self, txn, key: tuple, new_bytes: bytes, clr_for) -> bytes:
+    def _update_bytes(self, txn, key: tuple, new, clr_for) -> bytes:
+        """Rewrite the row at ``key`` in place (splitting its leaf until the
+        new image fits); returns the old row bytes.
+
+        ``new`` is the new row's bytes, or a function from the old row's
+        bytes to them, called once, while the leaf holding the old row is
+        pinned; whatever it raises leaves the tree and the log untouched.
+        """
         self.services.env.charge_cpu(self.services.env.cost.dml_cpu_s)
         key_bytes = self.key_codec.encode(key)
         for _attempt in range(_MAX_DESCENT_RETRIES):
-            leaf_pid, path = self._descend(key)
-            with self.services.fetch(leaf_pid) as guard:
+            guard, path = self._descend(key)
+            with guard:
                 page = guard.page
                 slot, found = self._find_slot(page, key)
                 if not found:
@@ -336,19 +349,21 @@ class BTree:
                         f"{self.schema.name}: no row with key {key!r}"
                     )
                 old_bytes = page.record(slot)
-                growth = len(new_bytes) - len(old_bytes)
+                if callable(new):
+                    new = new(old_bytes)  # a split moves the row byte-exact
+                growth = len(new) - len(old_bytes)
                 if growth <= 0 or page.total_free() >= growth:
                     rec = UpdateRowRecord(
                         slot=slot,
                         old=old_bytes,
-                        new=new_bytes,
+                        new=new,
                         key_bytes=key_bytes,
-                        page_id=leaf_pid,
+                        page_id=guard.page_id,
                         object_id=self.object_id,
                     )
                     self.services.modifier.apply(txn, guard, self._wrap(rec, clr_for))
                     return old_bytes
-            self._split(leaf_pid, path)
+            self._split(guard.page_id, path)
         raise StorageError(f"{self.schema.name}: update did not converge")
 
     # ------------------------------------------------------------------
@@ -358,9 +373,9 @@ class BTree:
     def undo_insert(self, txn, rec: InsertRowRecord) -> None:
         """Compensate an insert: locate by key and delete."""
         key = self.key_codec.decode(rec.key_bytes)
-        leaf_pid, _path = self._descend(key)
         ext = self.services.modifier.extensions
-        with self.services.fetch(leaf_pid) as guard:
+        guard, _path = self._descend(key)
+        with guard:
             slot, found = self._find_slot(guard.page, key)
             if not found:
                 raise KeyNotFoundError(
@@ -371,7 +386,7 @@ class BTree:
                 slot=slot,
                 row=payload if ext.clr_undo_info else None,
                 key_bytes=rec.key_bytes,
-                page_id=leaf_pid,
+                page_id=guard.page_id,
                 object_id=self.object_id,
             )
             self.services.modifier.apply(txn, guard, self._wrap(comp, rec))
@@ -393,8 +408,8 @@ class BTree:
         key_bytes = rec.key_bytes
         ext = self.services.modifier.extensions
         for _attempt in range(_MAX_DESCENT_RETRIES):
-            leaf_pid, path = self._descend(key)
-            with self.services.fetch(leaf_pid) as guard:
+            guard, path = self._descend(key)
+            with guard:
                 page = guard.page
                 slot, found = self._find_slot(page, key)
                 if not found:
@@ -409,12 +424,12 @@ class BTree:
                         new=rec.old,
                         old=rec.new if ext.clr_undo_info else None,
                         key_bytes=key_bytes,
-                        page_id=leaf_pid,
+                        page_id=guard.page_id,
                         object_id=self.object_id,
                     )
                     self.services.modifier.apply(txn, guard, self._wrap(comp, rec))
                     return
-            self._split(leaf_pid, path)
+            self._split(guard.page_id, path)
         raise StorageError(f"{self.schema.name}: undo-update did not converge")
 
     # ------------------------------------------------------------------
@@ -556,8 +571,8 @@ class BTree:
         sep_key = self.key_codec.decode(sep_kb)
         entry = encode_entry(child_pid, sep_kb)
         for _attempt in range(_MAX_DESCENT_RETRIES):
-            pid, _path = self._descend(sep_key, to_level=level)
-            with self.services.fetch(pid) as guard:
+            guard, _path = self._descend(sep_key, to_level=level)
+            with guard:
                 page = guard.page
                 if page.level != level:
                     raise StorageError(
@@ -569,16 +584,16 @@ class BTree:
                     rec = InsertRowRecord(
                         slot=slot,
                         row=entry,
-                        page_id=pid,
+                        page_id=guard.page_id,
                         object_id=self.object_id,
                         flags=FLAG_SMO,
                     )
                     self.services.modifier.apply(txn, guard, rec)
                     return
-            if pid == self.root_page_id:
+            if guard.page_id == self.root_page_id:
                 self._split_root(txn)
             else:
-                self._split_nonroot(txn, pid)
+                self._split_nonroot(txn, guard.page_id)
         raise StorageError(f"btree {self.object_id}: separator post did not converge")
 
     def _split_root(self, txn) -> None:

@@ -57,7 +57,7 @@ from repro.errors import (
     RetentionExceededError,
     SnapshotError,
 )
-from repro.storage.buffer import Frame
+from repro.storage.buffer import Frame, FrameGuard
 from repro.storage.page import Page
 from repro.storage.sparsefile import SparseFile
 from repro.txn.undo import rollback_losers
@@ -90,40 +90,19 @@ class SnapshotAllocator:
         """Virtual pages are throwaway; nothing to do."""
 
 
-class _SnapshotGuard:
+class _SnapshotGuard(FrameGuard):
     """Pin guard that writes dirty snapshot pages through to the sparse
     file on release (paper section 5.3's write-back of undone pages)."""
 
-    __slots__ = ("_snap", "frame")
+    __slots__ = ()
 
-    def __init__(self, snap: "AsOfSnapshot", frame: Frame) -> None:
-        self._snap = snap
-        self.frame = frame
-        with snap.latch:
-            frame.pin_count += 1
-
-    @property
-    def page(self) -> Page:
-        return self.frame.page
-
-    @property
-    def page_id(self) -> int:
-        return self.frame.page_id
-
-    def mark_dirty(self) -> None:
-        self.frame.mark_dirty()
-
-    def __enter__(self) -> "_SnapshotGuard":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        with self._snap.latch:
-            self.frame.pin_count -= 1
-            if self.frame.dirty:
-                self._snap.sparse.write(
-                    self.frame.page_id, bytes(self.frame.page.data)
-                )
-                self.frame.dirty = False
+    def unpin(self) -> None:
+        with self._source.latch:
+            frame = self.frame
+            frame.unpin()
+            if frame.dirty:
+                self._source.sparse.write(frame.page_id, bytes(frame.page.data))
+                frame.dirty = False
 
 
 class SnapshotTable:
@@ -359,6 +338,7 @@ class AsOfSnapshot:
             self._check_alive()
             frame = self._frames.get(page_id)
             if frame is not None:
+                frame.pin_count += 1
                 return _SnapshotGuard(self, frame)
             if page_id in self.sparse:
                 data = self.sparse.read(page_id)
@@ -368,16 +348,13 @@ class AsOfSnapshot:
                 data = self._prepare_page(page_id)
                 self.sparse.write(page_id, bytes(data))
             frame = Frame(Page(data), page_id)
+            frame.pin_count = 1
             self._frames[page_id] = frame
             # Keep the frame cache bounded; sparse is the durable tier.
             if len(self._frames) > 256:
                 for pid in list(self._frames):
                     candidate = self._frames[pid]
-                    if (
-                        candidate.pin_count == 0
-                        and not candidate.dirty
-                        and pid != page_id
-                    ):
+                    if candidate.pin_count == 0 and not candidate.dirty:
                         del self._frames[pid]
                     if len(self._frames) <= 128:
                         break

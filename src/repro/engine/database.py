@@ -28,6 +28,7 @@ from repro.errors import (
     CatalogError,
     DatabaseUnavailableError,
     SnapshotReadOnlyError,
+    StorageError,
 )
 from repro.storage.allocation import AllocationManager
 from repro.storage.buffer import BufferPool
@@ -101,15 +102,25 @@ class Table:
             raise CatalogError(f"heap {self.name!r} does not support update")
         key = tuple(key)
         self.db.locks.acquire(txn, self._lock_key(key), LockMode.EXCLUSIVE, self.db.env.stats)
-        current = self.accessor.get(key)
-        if current is None:
-            from repro.errors import KeyNotFoundError
+        schema, tree = self.schema, self.accessor
+        new_row = None
 
-            raise KeyNotFoundError(f"{self.name}: no row with key {key!r}")
-        merged = dict(self.schema.row_as_dict(current))
-        merged.update(changes)
-        new_row = self.schema.row_from_dict(merged)
-        self.accessor.update(txn, key, new_row)
+        def rewrite(old_bytes: bytes) -> bytes:
+            nonlocal new_row
+            row = list(tree.codec.decode(old_bytes))
+            for name, value in changes.items():
+                if name not in schema.positions:
+                    unknown = sorted(set(changes) - set(schema.positions))
+                    raise ValueError(f"unknown columns for {schema.name!r}: {unknown}")
+                row[schema.positions[name]] = value
+            new_row = tuple(row)
+            if schema.key_of(new_row) != key:
+                raise StorageError(f"{schema.name}: update must preserve the key")
+            return tree.codec.encode(new_row)
+
+        # The sim clock prices an UPDATE as a point read plus the rewrite.
+        self.db.env.charge_cpu(self.db.env.cost.query_row_cpu_s)
+        tree._update_bytes(txn, key, rewrite, clr_for=None)
         return new_row
 
     def delete(self, txn: Transaction, key: tuple) -> tuple:

@@ -38,6 +38,15 @@ class Frame:
     def mark_dirty(self) -> None:
         self.dirty = True
 
+    def unpin(self) -> None:
+        """Drop one pin; the caller holds the latch of the source that
+        pinned the frame."""
+        if self.pin_count <= 0:
+            raise BufferPoolError(
+                f"frame {self.page_id} unpinned more times than pinned"
+            )
+        self.pin_count -= 1
+
     def __repr__(self) -> str:
         return (
             f"Frame(page={self.page_id}, dirty={self.dirty}, "
@@ -46,15 +55,18 @@ class Frame:
 
 
 class FrameGuard:
-    """Context manager pinning a frame for the duration of a block."""
+    """One pin on a frame, released when the ``with`` block ends.
 
-    __slots__ = ("_pool", "frame")
+    The page source (a :class:`BufferPool`, or an AS OF snapshot) pins the
+    frame under its own latch, in the acquisition that found it, before
+    it hands out the guard; :meth:`unpin` takes that latch once more.
+    """
 
-    def __init__(self, pool: "BufferPool", frame: Frame) -> None:
-        self._pool = pool
+    __slots__ = ("_source", "frame")
+
+    def __init__(self, source, frame: Frame) -> None:
+        self._source = source
         self.frame = frame
-        with pool.latch:
-            frame.pin_count += 1
 
     @property
     def page(self) -> Page:
@@ -74,12 +86,8 @@ class FrameGuard:
         self.unpin()
 
     def unpin(self) -> None:
-        with self._pool.latch:
-            if self.frame.pin_count <= 0:
-                raise BufferPoolError(
-                    f"frame {self.frame.page_id} unpinned more times than pinned"
-                )
-            self.frame.pin_count -= 1
+        with self._source.latch:
+            self.frame.unpin()
 
 
 class BufferPool:
@@ -122,6 +130,7 @@ class BufferPool:
             if frame is not None:
                 self._frames.move_to_end(page_id)
                 self.stats.buffer_hits += 1
+                frame.pin_count += 1
                 return FrameGuard(self, frame)
             self.stats.buffer_misses += 1
             self._make_room()
@@ -130,6 +139,7 @@ class BufferPool:
             else:
                 data = self.file_manager.read_page(page_id)
             frame = Frame(Page(data), page_id)
+            frame.pin_count = 1
             self._frames[page_id] = frame
             return FrameGuard(self, frame)
 

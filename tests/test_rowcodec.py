@@ -430,3 +430,63 @@ def test_equal_schemas_share_one_compiled_plan():
         KeyCodec((ColumnType.INT, ColumnType.STR)).decode.__code__
         is KeyCodec([ColumnType.INT, ColumnType.STR]).decode.__code__
     )
+
+
+def reference_check_value(col: Column, value) -> None:
+    """The per-column check ``check_row`` ran once per value before it
+    was compiled per schema."""
+    if value is None:
+        if not col.nullable:
+            raise ValueError(f"column {col.name!r} is NOT NULL")
+        return
+    expected = {ColumnType.INT: int, ColumnType.FLOAT: float, ColumnType.STR: str,
+                ColumnType.BYTES: bytes, ColumnType.BOOL: bool}[col.ctype]
+    if col.ctype is ColumnType.INT and isinstance(value, bool):
+        raise TypeError(f"column {col.name!r}: bool given for INT")
+    if col.ctype is ColumnType.FLOAT and isinstance(value, int) and not isinstance(value, bool):
+        return
+    if not isinstance(value, expected):
+        raise TypeError(
+            f"column {col.name!r} expects {expected.__name__}, got {type(value).__name__}"
+        )
+    if col.ctype is ColumnType.STR and len(value.encode("utf-8")) > col.max_len:
+        raise ValueError(f"column {col.name!r}: string exceeds max_len {col.max_len}")
+    if col.ctype is ColumnType.BYTES and len(value) > col.max_len:
+        raise ValueError(f"column {col.name!r}: bytes exceed max_len {col.max_len}")
+    if col.ctype is ColumnType.INT and not -(2**63) <= value < 2**63:
+        raise ValueError(f"column {col.name!r}: integer out of 64-bit range")
+
+
+def _outcome(check, *args):
+    try:
+        check(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+#: Any value of any column type, in range or not, plus a few strangers.
+_ANY_VALUE = st.one_of(
+    st.none(), st.booleans(), st.integers(-(2**64), 2**64), st.floats(allow_nan=False),
+    st.text(max_size=_MAX_LEN + 2), st.binary(max_size=_MAX_LEN + 2), st.just(bytearray(b"x")),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(schemas_and_rows(), st.data())
+def test_compiled_check_row_matches_the_per_column_checks(case, data):
+    """Same verdict, exception type and message as checking each value
+    with the per-column reference in order, arity first."""
+    schema, _rows = case
+    row = tuple(data.draw(_ANY_VALUE) for _ in range(len(schema.columns)))
+    expected = None
+    for col, value in zip(schema.columns, row, strict=True):
+        expected = _outcome(reference_check_value, col, value)
+        if expected is not None:
+            break
+    assert _outcome(schema.check_row, row) == expected
+    for col, value in zip(schema.columns, row, strict=True):
+        assert _outcome(col.check_value, value) == _outcome(reference_check_value, col, value)
+    assert _outcome(schema.check_row, row[:-1]) == (
+        ValueError, f"table 'm' expects {len(row)} values, got {len(row) - 1}"
+    )
