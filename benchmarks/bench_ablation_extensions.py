@@ -8,7 +8,7 @@ copy-on-write snapshots versus on-demand as-of logging.
 
 from __future__ import annotations
 
-from repro.bench import ReportTable, save_results
+from repro.bench import ReportTable
 from repro.bench.harness import make_perf_env
 from repro.config import DatabaseConfig
 from repro.engine.engine import Engine
@@ -135,8 +135,8 @@ def run_ablation() -> dict:
     return outcomes
 
 
-def test_ablation_extensions(benchmark, show):
-    outcomes = benchmark.pedantic(run_ablation, rounds=1, iterations=1)
+def test_ablation_extensions(bench):
+    outcomes = run_ablation()
 
     table = ReportTable(
         "Ablation: the section 4.2 extensions",
@@ -144,10 +144,10 @@ def test_ablation_extensions(benchmark, show):
     )
     for label, data in outcomes.items():
         table.add(label, data["result"])
-    show(table)
-    save_results(
+    bench.report(
         "ablation_extensions",
         {k: {kk: vv for kk, vv in v.items() if kk != "ok"} for k, v in outcomes.items()},
+        table,
     )
 
     # Preformat is what makes dropped-table recovery survive page reuse.

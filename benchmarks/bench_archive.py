@@ -13,38 +13,21 @@ Under a running TPC-C workload with continuous log archiving active
   the same restore still works from the archive alone (the pooled as-of
   path provably cannot reach the time anymore).
 
-Standalone script (CI runs it with ``--smoke``)::
-
-    python benchmarks/bench_archive.py [--smoke]
-
 Raw numbers land in ``bench_results/archive.json``
 (``archive_smoke.json`` under ``--smoke``).
 """
 
 from __future__ import annotations
 
-import argparse
-import os
-import sys
-
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
-
-from repro.archive.restore import plan_restore  # noqa: E402
-from repro.bench import ReportTable, attach_metrics, save_results  # noqa: E402
-from repro.bench.harness import BENCH_SCALE, build_tpcc, make_perf_env  # noqa: E402
-from repro.errors import RetentionExceededError  # noqa: E402
-from repro.sim.device import SAS_10K, SLC_SSD  # noqa: E402
-from repro.workload import TpccScale, stock_level  # noqa: E402
-
-SMOKE_SCALE = TpccScale(
-    warehouses=1,
-    districts_per_warehouse=2,
-    customers_per_district=8,
-    items=40,
-)
+from repro.archive.restore import plan_restore
+from repro.bench import ReportTable, attach_metrics
+from repro.bench.harness import BENCH_SCALE, SMOKE_SCALE, build_tpcc, make_perf_env
+from repro.errors import RetentionExceededError
+from repro.sim.device import SAS_10K, SLC_SSD
+from repro.workload import stock_level
 
 
-def run_archive_bench(smoke: bool = False) -> dict:
+def run_archive_bench(smoke: bool) -> dict:
     scale = SMOKE_SCALE if smoke else BENCH_SCALE
     rounds = 2 if smoke else 4
     txns_per_round = 60 if smoke else 300
@@ -141,15 +124,8 @@ def run_archive_bench(smoke: bool = False) -> dict:
     return attach_metrics(payload, env)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="small scale / short run (the CI tier-2 configuration)",
-    )
-    args = parser.parse_args(argv)
-    result = run_archive_bench(smoke=args.smoke)
+def test_archive(bench):
+    result = run_archive_bench(smoke=bench.smoke)
 
     table = ReportTable(
         "Archive tier: incremental backups and chain restores",
@@ -164,9 +140,7 @@ def main(argv=None) -> int:
             f"{point['restore_s']:.3f}s (replay {point['replay_bytes']}B)",
         )
     table.add("past-horizon restore (s)", f"{result['past_horizon_restore_s']:.3f}")
-    table.show()
-    path = save_results("archive_smoke" if args.smoke else "archive", result)
-    print(f"\nresults saved to {path}")
+    bench.report("archive", result, table)
 
     # The subsystem's contract, enforced even in smoke mode.
     assert result["incremental_to_full_ratio"] < 1.0, (
@@ -176,8 +150,3 @@ def main(argv=None) -> int:
     assert result["pool_raises_past_horizon"], (
         "retention did not close — the past-horizon claim was not exercised"
     )
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

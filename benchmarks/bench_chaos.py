@@ -13,33 +13,22 @@ promote a survivor. The run's contract, enforced even in smoke mode:
 * the whole run — fault schedule, alert timeline, failover decision —
   is byte-identical across two same-seed executions.
 
-Standalone script (CI runs it with ``--smoke``):
-``python benchmarks/bench_chaos.py [--smoke]``. Raw numbers land in
-``bench_results/chaos.json`` (``chaos_smoke.json`` under ``--smoke``).
+Raw numbers land in ``bench_results/chaos.json`` (``chaos_smoke.json``
+under ``--smoke``).
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-import os
-import sys
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+from repro.bench import ReportTable, attach_metrics
+from repro.bench.harness import BENCH_SCALE, SMOKE_SCALE, build_tpcc, make_perf_env
+from repro.chaos import FaultRule
+from repro.sim.device import SLC_SSD
+from repro.tools.checkdb import check_database
 
-from repro.bench import ReportTable, attach_metrics, save_results  # noqa: E402
-from repro.bench.harness import BENCH_SCALE, build_tpcc, make_perf_env  # noqa: E402
-from repro.chaos import FaultRule  # noqa: E402
-from repro.sim.device import SLC_SSD  # noqa: E402
-from repro.tools.checkdb import check_database  # noqa: E402
-from repro.workload import TpccScale  # noqa: E402
-
-SMOKE_SCALE = TpccScale(
-    warehouses=1,
-    districts_per_warehouse=2,
-    customers_per_district=8,
-    items=40,
-)
+#: The fault schedule's seed (and the workload's).
+SEED = 11
 
 #: Tables whose row counts prove no committed write was lost.
 AUDIT_TABLES = ("orders", "order_line", "history", "new_order")
@@ -49,20 +38,20 @@ def _row_counts(db, tables=AUDIT_TABLES) -> dict[str, int]:
     return {t: sum(1 for _ in db.scan(t)) for t in tables}
 
 
-def run_chaos_scenario(smoke: bool, seed: int) -> tuple[dict, str]:
+def run_chaos_scenario(smoke: bool) -> tuple[dict, str]:
     """One full chaos run; returns (payload, deterministic timeline)."""
     scale = SMOKE_SCALE if smoke else BENCH_SCALE
     rounds = 4 if smoke else 10
     txns_per_round = 15 if smoke else 50
 
     env = make_perf_env(SLC_SSD)
-    engine, db, driver = build_tpcc(env, scale, seed=seed)
+    engine, db, driver = build_tpcc(env, scale, seed=SEED)
     engine.add_replica(db.name, "sa")
     sb = engine.add_replica(db.name, "sb")
     engine.enable_read_offload()
     engine.enable_auto_failover(confirm_s=2.0)
     chaos = engine.enable_chaos(
-        seed=seed,
+        seed=SEED,
         rules=[
             FaultRule(
                 point="repl.ship.send", kind="transient",
@@ -120,7 +109,7 @@ def run_chaos_scenario(smoke: bool, seed: int) -> tuple[dict, str]:
     )
     payload = {
         "smoke": smoke,
-        "seed": seed,
+        "seed": SEED,
         "committed_txns": committed,
         "tpm": committed * 60.0 / sim_seconds if sim_seconds else 0.0,
         "send_errors": send_errors,
@@ -141,25 +130,11 @@ def run_chaos_scenario(smoke: bool, seed: int) -> tuple[dict, str]:
     return attach_metrics(payload, env), timeline
 
 
-def run_chaos_bench(smoke: bool = False, seed: int = 11) -> dict:
-    payload, timeline = run_chaos_scenario(smoke, seed)
+def test_chaos(bench):
+    result, timeline = run_chaos_scenario(bench.smoke)
     # The CI diff contract, in-process: an identical seed replays the
     # identical fault schedule, alert timeline, and failover decision.
-    _, timeline2 = run_chaos_scenario(smoke, seed)
-    payload["deterministic"] = timeline == timeline2
-    return payload
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="small scale / short run (the CI tier-2 configuration)",
-    )
-    parser.add_argument("--seed", type=int, default=11)
-    args = parser.parse_args(argv)
-    result = run_chaos_bench(smoke=args.smoke, seed=args.seed)
+    result["deterministic"] = timeline == run_chaos_scenario(bench.smoke)[1]
 
     table = ReportTable(
         "Chaos: TPC-C under faults, primary crash, auto-failover",
@@ -174,17 +149,10 @@ def main(argv=None) -> int:
     table.add("checkdb on survivor", "OK" if result["checkdb_ok"] else "FAILED")
     table.add("offload routed to", result["offload_routed"])
     table.add("deterministic replay", result["deterministic"])
-    table.show()
-    path = save_results("chaos_smoke" if args.smoke else "chaos", result)
-    print(f"\nresults saved to {path}")
+    bench.report("chaos", result, table)
 
     assert result["promoted"], "no failover happened"
     assert result["checkdb_ok"], "promoted survivor failed checkdb"
     assert result["rows_lost"] == 0, "committed writes lost across the crash"
     assert result["survivor_repointed"], "surviving standby not re-pointed"
     assert result["deterministic"], "same seed diverged between runs"
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

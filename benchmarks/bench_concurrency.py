@@ -16,27 +16,20 @@ concurrent sessions (``engine.run_sessions``) and reports:
   bench fails hard if the storm corrupts the database — same contract
   as ``tests/test_concurrency.py``, at bench scale).
 
-Standalone script (CI runs it with ``--smoke``):
-``python benchmarks/bench_concurrency.py [--smoke]``.
 Raw numbers land in ``bench_results/concurrency.json``
 (``concurrency_smoke.json`` under ``--smoke``).
 """
 
 from __future__ import annotations
 
-import argparse
-import os
-import sys
 import threading
 import time
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
-
-from repro.bench import ReportTable, attach_metrics, save_results  # noqa: E402
-from repro.bench.harness import build_tpcc, make_perf_env  # noqa: E402
-from repro.sim.device import SLC_SSD  # noqa: E402
-from repro.tools.checkdb import check_database  # noqa: E402
-from repro.workload import TpccDriver, TpccScale  # noqa: E402
+from repro.bench import ReportTable, attach_metrics
+from repro.bench.harness import build_tpcc, make_perf_env
+from repro.sim.device import SLC_SSD
+from repro.tools.checkdb import check_database
+from repro.workload import TpccDriver, TpccScale
 
 SCALE = TpccScale(
     warehouses=2,
@@ -75,7 +68,7 @@ def _writer_task(db, barrier, txns, seed):
     return run
 
 
-def run_scaling(worker_counts, txns_total, smoke) -> list[dict]:
+def run_scaling(worker_counts, txns_total) -> list[dict]:
     """One fresh engine per worker count; same total work each time."""
     rows = []
     for workers in worker_counts:
@@ -111,7 +104,7 @@ def run_scaling(worker_counts, txns_total, smoke) -> list[dict]:
     return rows
 
 
-def run_mixed_storm(workers, txns, smoke):
+def run_mixed_storm(workers, txns):
     """Writers + current readers + AS OF sweeps, then a full checkdb.
     Returns ``(payload_row, env)`` so the caller can attach the storm's
     simulated I/O metrics."""
@@ -172,14 +165,14 @@ def run_mixed_storm(workers, txns, smoke):
     }
 
 
-def run_concurrency_bench(smoke: bool = False) -> dict:
+def run_concurrency_bench(smoke: bool) -> dict:
     worker_counts = [1, 4] if smoke else [1, 2, 4, 8]
     txns_total = 80 if smoke else 400
     storm_workers = 4 if smoke else 8
     storm_txns = 15 if smoke else 40
 
-    scaling = run_scaling(worker_counts, txns_total, smoke)
-    storm_env, storm = run_mixed_storm(storm_workers, storm_txns, smoke)
+    scaling = run_scaling(worker_counts, txns_total)
+    storm_env, storm = run_mixed_storm(storm_workers, storm_txns)
 
     base = scaling[0]["committed_per_s"] or 1.0
     payload = {
@@ -200,15 +193,8 @@ def run_concurrency_bench(smoke: bool = False) -> dict:
     return attach_metrics(payload, storm_env)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="small scale / short run (the CI tier-2 configuration)",
-    )
-    args = parser.parse_args(argv)
-    result = run_concurrency_bench(smoke=args.smoke)
+def test_concurrency(bench):
+    result = run_concurrency_bench(smoke=bench.smoke)
 
     table = ReportTable(
         "Concurrent sessions: throughput scaling and latch contention",
@@ -223,34 +209,29 @@ def main(argv=None) -> int:
             f"{speedup:.2f}x",
             f"{row['write_latch_contention']:.3f}",
         )
-    table.show()
-
     storm = result["mixed_storm"]
     contended = sorted(
-        (
-            (stats["contentions"], name)
-            for name, stats in storm["latches"].items()
-        ),
+        ((stats["contentions"], name) for name, stats in storm["latches"].items()),
         reverse=True,
     )
-    print(
-        f"\nmixed storm: {storm['sessions']} sessions "
-        f"({storm['writers']}w/{storm['readers']}r/{storm['asof_sweeps']}asof), "
-        f"{storm['committed']} committed in {storm['real_seconds']:.2f}s, "
-        f"checkdb={'ok' if storm['checkdb_ok'] else 'CORRUPT'}"
+    storm_table = ReportTable(
+        "Mixed storm: writers, readers and AS OF sweeps, then checkdb",
+        ["metric", "value"],
     )
-    print("hottest latches (contentions): " + ", ".join(
-        f"{name}={count}" for count, name in contended[:3]
-    ))
-    path = save_results("concurrency_smoke" if args.smoke else "concurrency", result)
-    print(f"results saved to {path}")
+    storm_table.add(
+        "sessions (writers/readers/asof)",
+        f"{storm['sessions']} ({storm['writers']}/{storm['readers']}/{storm['asof_sweeps']})",
+    )
+    storm_table.add("committed", storm["committed"])
+    storm_table.add("real seconds", storm["real_seconds"])
+    storm_table.add("checkdb", "ok" if storm["checkdb_ok"] else "CORRUPT")
+    storm_table.add(
+        "hottest latches (contentions)",
+        ", ".join(f"{name}={count}" for count, name in contended[:3]),
+    )
+    bench.report("concurrency", result, table, storm_table)
 
     # Integrity is the contract even at bench scale; scaling is reported,
     # not asserted (GIL).
     assert storm["checkdb_ok"], "mixed storm corrupted the database"
     assert storm["pool_leaked_leases"] == 0, "storm leaked pooled leases"
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -12,19 +12,12 @@ proportional slice of modifications to the touched pages' chains.
 
 from __future__ import annotations
 
-from repro.bench import ReportTable, save_results
+from repro.bench import ReportTable
 from repro.bench.harness import time_travel_results
 
 
-def run_fig11():
-    return {
-        "ssd": time_travel_results("ssd"),
-        "sas": time_travel_results("sas"),
-    }
-
-
-def test_fig11_undo_ios(benchmark, show):
-    results = benchmark.pedantic(run_fig11, rounds=1, iterations=1)
+def test_fig11_undo_ios(bench):
+    results = {media: time_travel_results(media) for media in ("ssd", "sas")}
 
     table = ReportTable(
         "Figure 11: undo log I/Os per as-of query",
@@ -39,8 +32,7 @@ def test_fig11_undo_ios(benchmark, show):
             sas_points[distance].undo_ios,
             ssd_points[distance].undo_records,
         )
-    show(table)
-    save_results(
+    bench.report(
         "fig11_undo_ios",
         {
             profile: {
@@ -55,6 +47,7 @@ def test_fig11_undo_ios(benchmark, show):
             }
             for profile, result in results.items()
         },
+        table,
     )
 
     for result in results.values():

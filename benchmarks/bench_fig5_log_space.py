@@ -12,16 +12,12 @@ page images.
 
 from __future__ import annotations
 
-from repro.bench import ReportTable, save_results
+from repro.bench import ReportTable
 from repro.bench.harness import logging_sweep_results
 
 
-def run_fig5() -> list:
-    return logging_sweep_results()
-
-
-def test_fig5_log_space(benchmark, show):
-    points = benchmark.pedantic(run_fig5, rounds=1, iterations=1)
+def test_fig5_log_space(bench):
+    points = logging_sweep_results()
 
     table = ReportTable(
         "Figure 5: log space vs full-page-image interval N",
@@ -36,8 +32,7 @@ def test_fig5_log_space(benchmark, show):
             point.image_bytes / 1e6,
             point.log_records,
         )
-    show(table)
-    save_results(
+    bench.report(
         "fig5_log_space",
         {
             point.label: {
@@ -47,6 +42,7 @@ def test_fig5_log_space(benchmark, show):
             }
             for point in points
         },
+        table,
     )
 
     by_label = {point.label: point for point in points}

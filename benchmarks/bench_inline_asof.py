@@ -18,7 +18,7 @@ All timings are simulated seconds from the shared device/cost models.
 
 from __future__ import annotations
 
-from repro.bench import ReportTable, attach_metrics, save_results
+from repro.bench import ReportTable, attach_metrics
 from repro.bench.harness import BENCH_SCALE, build_tpcc, make_perf_env
 from repro.sim.device import SLC_SSD
 from repro.workload.tpcc_txns import stock_level
@@ -76,8 +76,8 @@ def run_inline_asof():
     return attach_metrics(payload, env)
 
 
-def test_inline_asof_cold_vs_warm(benchmark, show):
-    result = benchmark.pedantic(run_inline_asof, rounds=1, iterations=1)
+def test_inline_asof_cold_vs_warm(bench):
+    result = run_inline_asof()
 
     table = ReportTable(
         "Inline AS OF: cold pool miss vs named DDL vs warm pooled reuse",
@@ -88,8 +88,7 @@ def test_inline_asof_cold_vs_warm(benchmark, show):
     table.add("named DDL query", result["named_query_s"])
     table.add("named DDL total", result["named_total_s"])
     table.add("warm pooled (hit)", result["warm_pooled_s"])
-    show(table)
-    save_results("inline_asof", result)
+    bench.report("inline_asof", result, table)
 
     # The warm read hit the pool and created no new side file.
     assert result["pool_misses"] == 1

@@ -12,34 +12,19 @@ Measures, under a running TPC-C workload with the replication pump active:
   from the standby's snapshot pool vs the primary's, plus result
   equality between the two.
 
-Unlike the figure benches this is a standalone script (CI runs it with
-``--smoke``): ``python benchmarks/bench_replication.py [--smoke]``.
 Raw numbers land in ``bench_results/replication.json``
 (``replication_smoke.json`` under ``--smoke``).
 """
 
 from __future__ import annotations
 
-import argparse
-import os
-import sys
-
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
-
-from repro.bench import ReportTable, attach_metrics, save_results  # noqa: E402
-from repro.bench.harness import BENCH_SCALE, build_tpcc, make_perf_env  # noqa: E402
-from repro.sim.device import SLC_SSD  # noqa: E402
-from repro.workload import TpccScale, stock_level  # noqa: E402
-
-SMOKE_SCALE = TpccScale(
-    warehouses=1,
-    districts_per_warehouse=2,
-    customers_per_district=8,
-    items=40,
-)
+from repro.bench import ReportTable, attach_metrics
+from repro.bench.harness import BENCH_SCALE, SMOKE_SCALE, build_tpcc, make_perf_env
+from repro.sim.device import SLC_SSD
+from repro.workload import stock_level
 
 
-def run_replication_bench(smoke: bool = False) -> dict:
+def run_replication_bench(smoke: bool) -> dict:
     scale = SMOKE_SCALE if smoke else BENCH_SCALE
     warmup_txns = 60 if smoke else 300
     sample_rounds = 6 if smoke else 12
@@ -124,15 +109,8 @@ def run_replication_bench(smoke: bool = False) -> dict:
     return attach_metrics(payload, env)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="small scale / short run (the CI tier-2 configuration)",
-    )
-    args = parser.parse_args(argv)
-    result = run_replication_bench(smoke=args.smoke)
+def test_replication(bench):
+    result = run_replication_bench(smoke=bench.smoke)
 
     table = ReportTable(
         "Log-shipping replication: lag and offloaded AS OF reads",
@@ -147,16 +125,9 @@ def main(argv=None) -> int:
     table.add("bulk catch-up (MB/s)", result["catchup_mb_per_s"])
     table.add("monitor samples", result["monitor_samples"])
     table.add("health", result["health"])
-    table.show()
-    path = save_results("replication_smoke" if args.smoke else "replication", result)
-    print(f"\nresults saved to {path}")
+    bench.report("replication", result, table)
 
     # The subsystem's contract, enforced even in smoke mode.
     assert result["results_match"], "standby AS OF result diverged from primary"
     assert result["final_lag_bytes"] == 0, "replica failed to catch up"
     assert result["max_lag_bytes"] < 1 << 20, "lag unbounded under load"
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -11,7 +11,7 @@ writes share the devices with the OLTP stream.
 
 from __future__ import annotations
 
-from repro.bench import ReportTable, save_results
+from repro.bench import ReportTable
 from repro.bench.harness import BENCH_SCALE, build_tpcc, make_perf_env
 from repro.sim.device import SLC_SSD
 from repro.workload.tpcc_txns import stock_level
@@ -66,8 +66,8 @@ def run_sec63() -> dict:
     }
 
 
-def test_sec63_concurrent(benchmark, show):
-    result = benchmark.pedantic(run_sec63, rounds=1, iterations=1)
+def test_sec63_concurrent(bench):
+    result = run_sec63()
 
     drop = 1 - result["concurrent_tpm"] / result["baseline_tpm"]
     table = ReportTable(
@@ -79,8 +79,7 @@ def test_sec63_concurrent(benchmark, show):
     table.add("throughput drop", f"{drop * 100:.1f}%", "33%")
     table.add("snapshot create avg s", result["create_avg_s"], "~20 s")
     table.add("as-of stock-level avg s", result["query_avg_s"], "~30 s")
-    show(table)
-    save_results("sec63_concurrent", result)
+    bench.report("sec63_concurrent", result, table)
 
     # The shape: a clearly visible throughput cost, not a collapse.
     assert result["concurrent_tpm"] < result["baseline_tpm"]

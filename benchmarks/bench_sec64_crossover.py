@@ -11,7 +11,7 @@ total crosses the (flat) restore cost.
 from __future__ import annotations
 
 from repro.backup import restore_point_in_time, take_full_backup
-from repro.bench import ReportTable, save_results
+from repro.bench import ReportTable
 from repro.bench.harness import BENCH_SCALE, build_tpcc, make_perf_env
 from repro.sim.device import SLC_SSD
 from repro.workload.tpcc_txns import stock_level
@@ -75,8 +75,8 @@ def run_sec64() -> dict:
     return {"rows": rows}
 
 
-def test_sec64_crossover(benchmark, show):
-    result = benchmark.pedantic(run_sec64, rounds=1, iterations=1)
+def test_sec64_crossover(bench):
+    result = run_sec64()
 
     table = ReportTable(
         "Section 6.4: as-of vs restore as the accessed fraction grows",
@@ -85,8 +85,7 @@ def test_sec64_crossover(benchmark, show):
     for row in result["rows"]:
         winner = "as-of" if row["asof_s"] < row["restore_s"] else "restore"
         table.add(row["scope"], row["asof_s"], row["restore_s"], winner)
-    show(table)
-    save_results("sec64_crossover", result)
+    bench.report("sec64_crossover", result, table)
 
     rows = result["rows"]
     # Narrow access: as-of wins decisively.

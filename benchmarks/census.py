@@ -4,9 +4,10 @@
 
 Each entry point runs in its own subprocess under a ``sys.settrace`` /
 ``threading.settrace`` tracer: perflab's five workloads in-process at
-``scale="tiny"``, the twelve figure benches, the five ``--smoke`` benches,
-the ``examples/``, every mode of the ``obs``, ``chaos``, ``loginspect`` and
-``reprolint`` CLIs, and tier-1 last. The tracer records the lines it sees
+``scale="tiny"``, every bench in one ``pytest --smoke`` run (the five with
+a small scale at it, the twelve figures in full), the ``examples/``, every
+mode of the ``obs``, ``chaos``, ``loginspect`` and ``reprolint`` CLIs, and
+tier-1 last. The tracer records the lines it sees
 and, at each call, which defaulted parameters got a non-default value.
 ``bench_results/census.json`` gets per-file line counts, every function
 production never enters (``tier1`` when tier-1 does, else ``nothing``), and
@@ -31,7 +32,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src" / "repro")
-FIGURES = ("bench_fig*.py", "bench_sec6*.py", "bench_inline_asof.py", "bench_ablation_extensions.py")
 CLIS = ("obs", "obs --json --trace", "obs --trace --like io.*", "obs --watch --history --alerts",
         "obs --history --json", "chaos", "chaos --json", "reprolint src/ tests/ --gate")
 LOGINSPECT = ("", "--chains", "--lint-log", "--metrics", "--db shop --limit 5")
@@ -176,11 +176,8 @@ def entry_points():
     """``(class, kind, *argv)`` of every traced run, relative to the tree: production first, tier-1 last."""
     pytest = ("pytest", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0")  # one run, one set of examples
     yield from (("production", "workload", w["name"]) for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"])
-    figures = sorted(f"benchmarks/{f.name}" for pattern in FIGURES for f in (ROOT / "benchmarks").glob(pattern))
-    yield "production", "module", *pytest, "--benchmark-disable", *figures
-    for bench in sorted((ROOT / "benchmarks").glob("bench_*.py")):
-        if "--smoke" in bench.read_text():
-            yield "production", "script", f"benchmarks/{bench.name}", "--smoke"
+    benches = sorted(f"benchmarks/{f.name}" for f in (ROOT / "benchmarks").glob("bench_*.py"))
+    yield "production", "module", *pytest, "--smoke", *benches
     yield from (("production", "script", f"examples/{f.name}") for f in sorted((ROOT / "examples").glob("*.py")))
     yield from (("production", "module", f"repro.tools.{cli.split()[0]}", *cli.split()[1:]) for cli in CLIS)
     yield "production", "loginspect"

@@ -34,6 +34,14 @@ BENCH_SCALE = TpccScale(
     items=150,
 )
 
+#: The ``--smoke`` scale of the benches that have one (seconds, for CI).
+SMOKE_SCALE = TpccScale(
+    warehouses=1,
+    districts_per_warehouse=2,
+    customers_per_district=8,
+    items=40,
+)
+
 #: Cold pages inflating the database for the restore baseline
 #: (the paper's 40 GB database, scaled).
 FILLER_PAGES = 24000

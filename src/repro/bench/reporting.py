@@ -68,11 +68,15 @@ def attach_metrics(payload: dict, env) -> dict:
     return payload
 
 
+def results_path(name: str) -> str:
+    """Where the result ``name`` is saved: ``bench_results/<name>.json``."""
+    return os.path.join(os.path.abspath(RESULTS_DIR), f"{name}.json")
+
+
 def save_results(name: str, payload: dict) -> str:
     """Persist a bench's raw numbers as JSON; returns the path."""
-    directory = os.path.abspath(RESULTS_DIR)
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, f"{name}.json")
+    path = results_path(name)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
     return path

@@ -204,6 +204,22 @@ class Catalog:
             )
         return ObjectInfo(object_id, schema.name, kind, root_pid)
 
+    def accessor(self, info: ObjectInfo, schema: TableSchema) -> BTree | Heap:
+        """The table's heap or B-tree over this catalog's pages."""
+        if info.is_heap:
+            return Heap(
+                object_id=info.object_id,
+                first_page_id=info.root_page,
+                schema=schema,
+                services=self.services,
+            )
+        return BTree(
+            object_id=info.object_id,
+            root_page_id=info.root_page,
+            schema=schema,
+            services=self.services,
+        )
+
     def drop_table(self, txn, name: str) -> ObjectInfo:
         """Drop a table: delete its metadata and deallocate its pages.
 
@@ -216,22 +232,7 @@ class Catalog:
         info = self.require(name)
         if info.kind == KIND_SYSTEM:
             raise CatalogError(f"cannot drop system table {name!r}")
-        schema = self.load_schema(info)
-        if info.is_heap:
-            accessor = Heap(
-                object_id=info.object_id,
-                first_page_id=info.root_page,
-                schema=schema,
-                services=self.services,
-            )
-        else:
-            accessor = BTree(
-                object_id=info.object_id,
-                root_page_id=info.root_page,
-                schema=schema,
-                services=self.services,
-            )
-        pages = accessor.page_ids()
+        pages = self.accessor(info, self.load_schema(info)).page_ids()
         self.sys_objects.delete(txn, (info.object_id,))
         lo = (info.object_id, -(2**62))
         hi = (info.object_id, 2**62)

@@ -40,7 +40,6 @@ engine" a snapshot is just a read-only database (section 2.2).
 from __future__ import annotations
 
 from repro.access.btree import BTree, BTreeServices
-from repro.access.heap import Heap
 from repro.catalog.catalog import (
     SYS_COLUMNS_ID,
     SYS_OBJECTS_ID,
@@ -112,20 +111,7 @@ class SnapshotTable:
         self.snap = snap
         self.info = info
         self.schema = schema
-        if info.is_heap:
-            self.accessor = Heap(
-                object_id=info.object_id,
-                first_page_id=info.root_page,
-                schema=schema,
-                services=snap.services,
-            )
-        else:
-            self.accessor = BTree(
-                object_id=info.object_id,
-                root_page_id=info.root_page,
-                schema=schema,
-                services=snap.services,
-            )
+        self.accessor = snap.catalog.accessor(info, schema)
 
     @property
     def name(self) -> str:
@@ -513,13 +499,7 @@ class AsOfSnapshot:
             info = self.catalog.get_by_id(object_id)
             if info is None or info.is_heap:
                 return None
-            schema = self.catalog.load_schema(info)
-            tree = BTree(
-                object_id=object_id,
-                root_page_id=info.root_page,
-                schema=schema,
-                services=self.services,
-            )
+            tree = self.catalog.accessor(info, self.catalog.load_schema(info))
             self._tree_cache[object_id] = tree
             return tree
 

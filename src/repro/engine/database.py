@@ -13,7 +13,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 from repro.access.btree import BTree, BTreeServices
-from repro.access.heap import Heap
 from repro.catalog.catalog import (
     KIND_HEAP,
     KIND_TABLE,
@@ -50,20 +49,7 @@ class Table:
         self.db = db
         self.info = info
         self.schema = schema
-        if info.is_heap:
-            self.accessor = Heap(
-                object_id=info.object_id,
-                first_page_id=info.root_page,
-                schema=schema,
-                services=db.services,
-            )
-        else:
-            self.accessor = BTree(
-                object_id=info.object_id,
-                root_page_id=info.root_page,
-                schema=schema,
-                services=db.services,
-            )
+        self.accessor = db.catalog.accessor(info, schema)
 
     @property
     def name(self) -> str:
@@ -404,13 +390,7 @@ class Database:
         info = self.catalog.get_by_id(object_id)
         if info is None or info.is_heap:
             return None
-        schema = self.catalog.load_schema(info)
-        tree = BTree(
-            object_id=object_id,
-            root_page_id=info.root_page,
-            schema=schema,
-            services=self.services,
-        )
+        tree = self.catalog.accessor(info, self.catalog.load_schema(info))
         self._tree_cache[object_id] = tree
         return tree
 
