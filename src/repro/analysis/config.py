@@ -79,6 +79,12 @@ SHARED_STATE_REGISTRY: tuple[dict, ...] = (
         "latch": True,
         "mutators": ("note", "cut", "drop_below"),
     },
+    {
+        "attr": "_seeds",
+        "owners": ("repro/wal/log_manager.py",),
+        "latch": True,
+        "mutators": ("add", "cut", "drop_below"),
+    },
     # Lock-manager table and declared waits (one per database).
     {"attr": "_table", "owners": ("repro/txn/locks.py",), "latch": True},
     {"attr": "_waits", "owners": ("repro/txn/locks.py",), "latch": True},

@@ -9,10 +9,11 @@ view of a database as of an arbitrary past point in time:
 * **Recovery** (section 5.2): run the analysis pass from the checkpoint
   preceding the SplitLSN up to the SplitLSN to find transactions in flight
   at that point — or, when an earlier snapshot's analysis crossed the
-  start of the split's log block, from there, seeded with who was in
-  flight at that record (the log's analysis seeds, ``docs/wal-format.md``;
-  a stated deviation: the first snapshot after a checkpoint scans from
-  it as the paper does, a repeat scans at most one block). The redo pass
+  start of the split's log block or reached an earlier split in it, from
+  there, seeded with who was in flight at that record (the log's
+  analysis seeds, ``docs/wal-format.md``; a stated deviation: the first
+  snapshot after a checkpoint scans from it as the paper does, a repeat
+  scans at most one block). The redo pass
   does **no page I/O** — it only re-acquires those transactions' locks.
   Their logical undo runs lazily ("in the background"): queries are
   admitted immediately, and a read that touches a locked row drives the
@@ -141,10 +142,11 @@ def snapshot_analysis(db, split: int) -> tuple[AnalysisResult, int]:
     checkpoint at or before it (:func:`analysis_base`) and the newest of
     the log's analysis seeds at or before it: the transactions open
     before that record, remembered from an earlier window that crossed
-    it. Either way the start is seeded with who was in flight there, so
-    the losers are the same. The seeds this window crosses are handed
-    back to the log, so a later split in the same stretch scans at most
-    one block.
+    or ended at it. Either way the start is seeded with who was in flight
+    there, so the losers are the same. The seeds this window crosses,
+    and the one just past its split, are handed back to the log, so a
+    later split in the same stretch scans at most one block, and only
+    the records past the newest split before it.
 
     The pin starts at the checkpoint, not at a seed: a pooled split is
     found again through :func:`find_split_lsn`, which needs a kept

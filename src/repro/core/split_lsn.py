@@ -8,10 +8,11 @@ snapshot recovery's logical undo removes.
 Section 5.1 narrows the log region with the backward chain of checkpoint
 records (which carry wall-clock stamps), then scans forward reading every
 commit record from there. This module narrows by checkpoint the same way
-and then reads **one log block**: the one the log's commit directory
-(:class:`repro.wal.log_manager.CommitDirectory`) names as the first whose
-commits reach past *t*. The answer is the forward scan's for every *t*
-(``docs/wal-format.md``, "Commit directory"); the scan itself is left
+and then reads **no log block**: the log's commit directory
+(:class:`repro.wal.log_manager.CommitDirectory`) bisects its running
+maximum of commit walls for the first commit stamped after *t*, and the
+split is the commit before it. The answer is the forward scan's for every
+*t* (``docs/wal-format.md``, "Commit directory"); the scan itself is left
 only for the one case the directory cannot decide.
 """
 
@@ -21,7 +22,7 @@ from repro.errors import RetentionExceededError
 from repro.wal.lsn import NULL_LSN
 from repro.wal.records import CheckpointBeginRecord, RecordType
 
-#: Split search reads commit records only; the scan still checks (and is
+#: The forward scan reads commit records only; it still checks (and is
 #: charged for) every record it passes over.
 _COMMITS = (RecordType.COMMIT,)
 
@@ -114,20 +115,13 @@ def find_split_lsn(db, target_wall: float) -> int:
                 f"as-of time {target_wall:.3f}s precedes the retained log"
             )
 
-    # The commit directory names the block holding the first commit
-    # stamped after the target (commits [first, last]); every commit in
-    # an earlier block is at or before it. Unless that first later commit
-    # lies below the base (walls out of LSN order), the block decides.
-    before, first, last = db.log.commits_around(target_wall)
-    split = max(base_lsn, before)
-    if first == NULL_LSN:
+    # The commit directory knows the first commit stamped after the
+    # target; unless it lies below the base (walls out of LSN order, or a
+    # maximum inherited from a truncated commit), the split is the commit
+    # just before it.
+    split = db.log.commit_split(target_wall, base_lsn)
+    if split is not None:
         return split
-    start = max(base_lsn, first)
-    if start <= last:
-        for rec in db.log.scan(start, last + 1, types=_COMMITS):
-            if rec.wall_clock > target_wall:
-                return split
-            split = rec.lsn
 
     # Undecided: scan forward from the base for the last commit at or
     # before the target, as section 5.1 does.

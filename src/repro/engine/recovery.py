@@ -72,8 +72,9 @@ class AnalysisResult:
     #: collection and retention pinning).
     seeded: set = field(default_factory=set)
     #: ``(lsn, open)`` at the first record of each log block a seeded
-    #: window reached after its first: ``open`` is ``{txn_id: last LSN}``
-    #: of the transactions open before that record — the seed a window
+    #: window reached after its first, and just past its last record when
+    #: the scan reached ``to_lsn - 1``: ``open`` is ``{txn_id: last LSN}``
+    #: of the transactions open before that LSN — the seed a window
     #: starting there needs (the log's analysis seeds).
     crossed: list = field(default_factory=list)
     #: LSN the scan actually stopped at.
@@ -86,7 +87,8 @@ def analyze_log(log, start_lsn: int, to_lsn: int | None = None, *, seed=None) ->
     The window is seeded by the checkpoint at ``start_lsn``, or by
     ``seed`` (``{txn_id: last LSN}`` of the transactions open before
     ``start_lsn``, an analysis seed of the log's) in its place; only a
-    seeded window notes the blocks it ``crossed``.
+    seeded window notes the blocks it ``crossed``, and the end of a
+    window whose last record is the one at ``to_lsn - 1``.
 
     Header-driven: transaction and page state come from header fields, so
     no record body is decoded on the way — except the starting checkpoint's
@@ -139,6 +141,8 @@ def analyze_log(log, start_lsn: int, to_lsn: int | None = None, *, seed=None) ->
                 elif rtype == _CLR and txn_id in open_rows:
                     compensated.add(_COMPENSATED_LSN.unpack_from(raw, HEADER_SIZE)[0])
             dirty_pages.setdefault(header.page_id, lsn)
+    if block is not None and to_lsn is not None and result.end_lsn == to_lsn - 1:
+        result.crossed.append((result.end_lsn + header.total, dict(losers)))
     for lsn, object_id, txn_id, raw in sorted(row for rows in open_rows.values() for row in rows):
         key_bytes = decode_record(raw, 0, lsn)[0].key_bytes
         if key_bytes:

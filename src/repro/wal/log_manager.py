@@ -12,20 +12,22 @@ Durability model: appended records sit in a volatile tail until
 :meth:`crash` discards the volatile tail, which is how the crash-recovery
 tests produce torn histories.
 
-The log keeps a :class:`CommitDirectory` beside its bytes — one summary
-per log block holding a commit — so SplitLSN search reads one block
-instead of scanning forward from a checkpoint (``docs/wal-format.md``,
+The log keeps a :class:`CommitDirectory` beside its bytes — one entry per
+commit — so SplitLSN search is a bisection that reads no log block
+instead of a scan forward from a checkpoint (``docs/wal-format.md``,
 "Commit directory"). Beside it, :class:`AnalysisSeeds` remembers who was
-in flight at each block boundary snapshot analysis crossed, so a repeat
-AS OF scans at most one block instead of everything since the checkpoint
-("Analysis seeds").
+in flight at each block boundary snapshot analysis crossed and just past
+each split it reached, so a repeat AS OF scans at most one block instead
+of everything since the checkpoint ("Analysis seeds").
 """
 
 from __future__ import annotations
 
 import struct
+from array import array
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
+from math import inf
 
 from repro.config import SimEnv
 from repro.errors import LogRecordDecodeError, LogTruncatedError, WalError
@@ -60,83 +62,75 @@ def _commit_wall(data, offset: int) -> float:
 
 
 class CommitDirectory:
-    """One entry per log block that holds a commit record: the first and
-    last commit LSN in the block and the running maximum of commit wall
-    clocks up to and including it (the block is ``first // block_size``).
+    """One entry per commit record, in LSN order: its LSN and the running
+    maximum of commit wall clocks up to and including it.
 
-    The running maximum never decreases, so the first block whose
-    maximum exceeds a time *t* is a bisect away, and every commit in an
-    earlier block is at or before *t* — whatever order the walls were
-    stamped in. :func:`repro.core.split_lsn.find_split_lsn` turns that
-    into one block read. Entries are in LSN order; the owning
-    :class:`LogManager` calls every method under its latch.
+    The running maximum never decreases, so the first commit whose
+    maximum exceeds a time *t* is a bisect away, and every commit before
+    it is at or before *t* — whatever order the walls were stamped in.
+    :func:`repro.core.split_lsn.find_split_lsn` turns that into a split
+    without reading the log. The owning :class:`LogManager` calls every
+    method under its latch.
     """
 
-    __slots__ = ("block_size", "_firsts", "_lasts", "_walls")
+    __slots__ = ("_lsns", "_walls", "_n", "_dropped")
 
-    def __init__(self, block_size: int) -> None:
-        self.block_size = block_size
-        self._firsts: list[int] = []
-        self._lasts: list[int] = []
-        self._walls: list[float] = []
+    def __init__(self) -> None:
+        # Entries fill ``[0, _n)``; full arrays grow by half, so a long log
+        # moves them about ten times, not at every 6 % of growth (each
+        # move leaves the old buffer behind as a heap hole).
+        self._lsns = array("q")
+        self._walls = array("d")
+        self._n = 0
+        #: The running maximum of the commits truncation took away: the
+        #: first entry kept may have inherited it.
+        self._dropped = -inf
 
     @property
     def last(self) -> int:
         """The newest commit's LSN, ``NULL_LSN`` when there is none."""
-        return self._lasts[-1] if self._lasts else NULL_LSN
+        return self._lsns[self._n - 1] if self._n else NULL_LSN
 
     def note(self, lsn: int, wall: float) -> None:
         """Record a commit at ``lsn``, newer than every one noted so far."""
-        lasts, walls = self._lasts, self._walls
-        if lasts and lasts[-1] // self.block_size == lsn // self.block_size:
-            lasts[-1] = lsn
-            walls[-1] = max(walls[-1], wall)
-        else:
-            self._firsts.append(lsn)
-            lasts.append(lsn)
-            walls.append(max(walls[-1], wall) if walls else wall)
+        n, lsns, walls = self._n, self._lsns, self._walls
+        if n == len(lsns):
+            zeros = bytes(8 * max(n // 2, 64))
+            lsns.frombytes(zeros)
+            walls.frombytes(zeros)
+        lsns[n] = lsn
+        walls[n] = wall if not n or wall > walls[n - 1] else walls[n - 1]
+        self._n = n + 1
 
-    def around(self, wall: float) -> tuple[int, int, int]:
-        """``(before, first, last)``: the last commit of the blocks whose
-        running maximum is at or before ``wall``, and the commit range of
-        the first block whose maximum exceeds it (``NULL_LSN`` for each
-        that does not exist)."""
-        i = bisect_right(self._walls, wall)
-        before = self._lasts[i - 1] if i else NULL_LSN
-        if i == len(self._walls):
-            return before, NULL_LSN, NULL_LSN
-        return before, self._firsts[i], self._lasts[i]
+    def split(self, wall: float, base: int) -> int | None:
+        """The last commit at or past ``base`` that precedes the first
+        commit stamped after ``wall``, else ``base``; ``None`` when that
+        first later commit lies below ``base`` or its maximum may be a
+        truncated commit's, which only a forward scan from ``base``
+        decides."""
+        lsns, walls, n = self._lsns, self._walls, self._n
+        i = bisect_right(walls, wall, 0, n)
+        if i < n and (lsns[i] < base or walls[i] <= self._dropped):
+            return None
+        return max(base, lsns[i - 1]) if i else base
 
     def drop_below(self, lsn: int) -> None:
-        """Forget the blocks whose commits all lie below ``lsn``."""
-        i = bisect_left(self._lasts, lsn)
-        del self._firsts[:i], self._lasts[:i], self._walls[:i]
+        """Forget the commits below ``lsn``."""
+        i = bisect_left(self._lsns, lsn, 0, self._n)
+        if i:
+            self._dropped = self._walls[i - 1]
+            del self._lsns[:i], self._walls[:i]
+            self._n -= i
 
-    def cut(self, lsn: int, data, base: int) -> None:
-        """Forget commits at or past ``lsn``, where the log now ends.
-
-        ``data`` is the log's kept bytes, ``data[0]`` at LSN ``base``. A
-        block the cut falls inside is summarized again from the commits
-        it keeps, read in place from its first commit (or the log start,
-        if that was truncated) to the end of ``data``.
-        """
-        i = bisect_left(self._lasts, lsn)
-        if i == len(self._lasts):
-            return
-        first = self._firsts[i]
-        del self._firsts[i:], self._lasts[i:], self._walls[i:]
-        if first >= lsn:
-            return
-        for lsn, _total, record_type in walk_boundaries(
-            data, max(first, base) - base, base_lsn=base
-        ):
-            if record_type == _COMMIT_TYPE:
-                self.note(lsn, _commit_wall(data, lsn - base))
+    def cut(self, lsn: int) -> None:
+        """Forget the commits at or past ``lsn``, where the log now ends."""
+        self._n = bisect_left(self._lsns, lsn, 0, self._n)
 
 
 class AnalysisSeeds:
     """Who was in flight at the log-block boundaries snapshot analysis
-    crossed: per entry, the LSN of the first record of a block and
+    crossed and just past the splits it reached: per entry, the LSN of
+    the first record of a block (or the one after a split) and
     ``{txn_id: last LSN}`` of the transactions open before it.
 
     An entry is what a checkpoint's active-transaction table would say at
@@ -199,7 +193,7 @@ class LogManager:
         self._base = 0  # LSN of _data[0]
         self._durable_end = FIRST_LSN
         self._truncated_before = FIRST_LSN
-        self._commit_dir = CommitDirectory(block_size)
+        self._commit_dir = CommitDirectory()
         self._seeds = AnalysisSeeds()
         #: Bumped whenever bytes are taken back (crash, discard_after,
         #: close): seeds from an analysis that raced one are refused.
@@ -247,10 +241,10 @@ class LogManager:
         with self.latch:
             return self._commit_dir.last
 
-    def commits_around(self, wall: float) -> tuple[int, int, int]:
-        """:meth:`CommitDirectory.around` for SplitLSN search."""
+    def commit_split(self, wall: float, base: int) -> int | None:
+        """:meth:`CommitDirectory.split` for SplitLSN search."""
         with self.latch:
-            return self._commit_dir.around(wall)
+            return self._commit_dir.split(wall, base)
 
     def analysis_seed(self, base: int, split: int) -> tuple[int, dict | None, int]:
         """Where analysis of a window ``[base, split]`` can start:
@@ -538,7 +532,7 @@ class LogManager:
             del self._data[lsn - self._base :]
             self._durable_end = min(self._durable_end, lsn)
             self._cache.clear()
-            self._commit_dir.cut(lsn, self._data, self._base)
+            self._commit_dir.cut(lsn)
             self._seeds.cut(lsn)
             self._cuts += 1
 
@@ -636,7 +630,7 @@ class LogManager:
             keep = self._durable_end - self._base
             del self._data[keep:]
             self._cache.clear()
-            self._commit_dir.cut(self._durable_end, self._data, self._base)
+            self._commit_dir.cut(self._durable_end)
             self._seeds.cut(self._durable_end)
             self._cuts += 1
 
@@ -649,7 +643,7 @@ class LogManager:
             self._base = self._truncated_before = self.end_lsn
             self._data = bytearray()
             self._cache.clear()
-            self._commit_dir = CommitDirectory(self.block_size)
+            self._commit_dir = CommitDirectory()
             self._seeds = AnalysisSeeds()
             self._cuts += 1
 

@@ -399,3 +399,68 @@ def test_repeat_snapshot_reads_one_analysis_block(engine):
         reads.append(db.env.stats.log_scan_reads - before)
     assert reads[0] == first // block - base // block + 1
     assert reads[1] <= 1
+
+
+class _OneBlock(_History):
+    """A history whose log block holds every record the tests below write."""
+
+    BLOCK = 4096
+
+
+def _one_block_history(log_start: int = FIRST_LSN, checkpoint: bool = True) -> _OneBlock:
+    """A checkpoint (unless not wanted), then two transactions writing a
+    row each in turn, the first of them left open."""
+    history = _OneBlock(log_start)
+    if checkpoint:
+        history.run(0, ("checkpoint", 0))
+    history.run(1, ("begin", 0))
+    history.run(2, ("begin", 0))
+    for step, key in enumerate((b"a", b"b", b"c", b"d", b"ee", b"ff"), start=3):
+        history.txn_step(step, "row", (step % 2, key, False, 20))
+    history.txn_step(9, "commit", 1)
+    history.txn_step(10, "row", (0, b"g", False, 20))
+    return history
+
+
+def test_a_second_split_in_the_block_analyses_only_the_records_past_the_first():
+    """A window that reached its split leaves a seed just past it: a later
+    split in the same block starts there, not at the checkpoint, and finds
+    what the window from the checkpoint finds."""
+    history = _one_block_history()
+    log, splits = history.log, history.boundaries()
+    assert splits[-1] // _OneBlock.BLOCK == splits[0] // _OneBlock.BLOCK
+    first, second = splits[3], splits[-2]
+    memo_seeded(history.db, first)
+    base = analysis_base(history.db, second, log.start_lsn)
+    assert base == splits[0]
+    assert log.analysis_seed(base, second)[0] == splits[4]  # the record after the first split
+    assert outcome(memo_seeded, history.db, second) == outcome(checkpoint_seeded, history.db, second)
+    assert log.analysis_seed(base, splits[-1])[0] == splits[-1]
+    assert outcome(memo_seeded, history.db, splits[-1]) == history.in_flight(splits[-1], log.start_lsn)
+
+
+def test_a_window_cut_short_by_a_torn_tail_leaves_no_end_seed():
+    history = _one_block_history()
+    log, splits = history.log, history.boundaries()
+    split = splits[-1]
+    whole = analyze_log(log, splits[0], split + 1)
+    assert [lsn for lsn, _open in whole.crossed] == [log.end_lsn]
+    log._data[log.end_lsn - log._base - 1] ^= 1  # the split record fails its CRC
+    torn = analyze_log(log, splits[0], split + 1)
+    assert torn.end_lsn == splits[-2]
+    assert torn.crossed == []
+    snapshot_analysis(history.db, split)
+    assert not log._seeds._lsns
+
+
+def test_a_window_at_the_bare_floor_of_an_opened_log_leaves_no_end_seed():
+    """No checkpoint and no seed: the window knows nobody in flight before
+    the floor, so what it ends with is no checkpoint's table."""
+    history = _one_block_history(log_start=300, checkpoint=False)
+    log, splits = history.log, history.boundaries()
+    assert splits[0] == log.start_lsn == 300
+    for split in splits:
+        assert analysis_base(history.db, split, log.start_lsn) == 300
+        assert analyze_log(log, 300, split + 1).crossed == []
+        snapshot_analysis(history.db, split)
+    assert not log._seeds._lsns

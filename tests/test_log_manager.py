@@ -13,7 +13,7 @@ from repro.config import SimEnv
 from repro.errors import LogRecordDecodeError, LogTruncatedError, WalError
 from repro.sim.device import SAS_10K, SLC_SSD
 from repro.wal.log_manager import CommitDirectory, LogManager
-from repro.wal.lsn import FIRST_LSN
+from repro.wal.lsn import FIRST_LSN, NULL_LSN
 from repro.wal.records import (
     HEADER_SIZE,
     BeginRecord,
@@ -225,6 +225,59 @@ class TestCrashTruncate:
         for idx in range(10, 20):
             assert log.read(lsns[idx]).slot == idx
 
+    def test_truncating_every_commit_leaves_a_directory_that_grows_again(self):
+        """Truncation past every commit of a full directory empties its
+        arrays; the next commit must still find room."""
+        log, _env = make_log()
+        for txn in range(1, 65):
+            log.append(CommitRecord(wall_clock=float(txn), txn_id=txn))
+        log.flush()
+        log.truncate_before(log.end_lsn)
+        assert log.last_commit_lsn == NULL_LSN
+        lsn = log.append(CommitRecord(wall_clock=100.0, txn_id=65))
+        assert log.last_commit_lsn == lsn
+        assert log.commit_split(70.0, log.start_lsn) == log.start_lsn
+        assert log.commit_split(170.0, log.start_lsn) == lsn
+
+    def test_crash_and_discard_at_every_record_keep_the_directory_of_the_kept_commits(self):
+        """``CommitDirectory.cut`` deletes the entries past the cut and
+        keeps the rest as they were: after a crash or ``discard_after`` at
+        any record, the directory equals one noted afresh from the
+        commits below the cut."""
+
+        def build(flush_before: int) -> LogManager:
+            # 40 begin/commit pairs in 512-byte blocks, walls out of LSN
+            # order so that the running max is what an entry must get right.
+            log, _env = make_log(block_size=512)
+            for index in range(80):
+                if index == flush_before:
+                    log.flush()
+                txn = index // 2 + 1
+                if index % 2:
+                    log.append(CommitRecord(wall_clock=float(txn * 7 % 13), txn_id=txn))
+                else:
+                    log.append(BeginRecord(txn_id=txn))
+            return log
+
+        records = list(build(80).scan(FIRST_LSN))
+        commits = [(rec.lsn, rec.wall_clock) for rec in records if isinstance(rec, CommitRecord)]
+        for index, rec in enumerate(records):
+            expected = CommitDirectory()
+            for lsn, wall in commits:
+                if lsn < rec.lsn:
+                    expected.note(lsn, wall)
+            crashed = build(index)  # durable up to this record
+            crashed.crash()
+            discarded = build(80)
+            discarded.discard_after(rec.lsn)
+            for log in (crashed, discarded):
+                assert log.end_lsn == rec.lsn
+                kept, fresh = log._commit_dir, expected
+                assert (kept._lsns[:kept._n], kept._walls[:kept._n]) == (
+                    fresh._lsns[:fresh._n], fresh._walls[:fresh._n]
+                ), (index, log is crashed)
+                assert log.last_commit_lsn == expected.last
+
 
 @pytest.fixture(scope="module")
 def tpcc_log():
@@ -307,50 +360,6 @@ class TestStreamWalk:
                 same(offsets[i] + skew, offsets[i + 4])
         assert endings.keys() == {None, "truncated header", "truncated record"}
         assert endings.total() > 12000
-
-    def test_crash_and_discard_inside_a_commit_block_resummarize_it(self):
-        """``CommitDirectory.cut`` walks the kept part of a block with
-        commits on both sides of the cut: the directory left equals one
-        noted afresh from the commits below the cut."""
-
-        def build(flush_before: int) -> LogManager:
-            # 40 begin/commit pairs, walls out of LSN order so that the
-            # running max is what an entry must get right.
-            log, _env = make_log(block_size=512)
-            for index in range(80):
-                if index == flush_before:
-                    log.flush()
-                txn = index // 2 + 1
-                if index % 2:
-                    log.append(CommitRecord(wall_clock=float(txn * 7 % 13), txn_id=txn))
-                else:
-                    log.append(BeginRecord(txn_id=txn))
-            return log
-
-        records = list(build(80).scan(FIRST_LSN))
-        commits = [(rec.lsn, rec.wall_clock) for rec in records if isinstance(rec, CommitRecord)]
-        cuts = 0
-        for index, rec in enumerate(records):
-            block = [lsn for lsn, _wall in commits if lsn // 512 == rec.lsn // 512]
-            if not (block and block[0] < rec.lsn <= block[-1]):
-                continue  # commits on both sides of the cut, in its block
-            expected = CommitDirectory(512)
-            for lsn, wall in commits:
-                if lsn < rec.lsn:
-                    expected.note(lsn, wall)
-            crashed = build(index)  # durable up to this record
-            crashed.crash()
-            discarded = build(80)
-            discarded.discard_after(rec.lsn)
-            for log in (crashed, discarded):
-                assert log.end_lsn == rec.lsn
-                directory = log._commit_dir
-                assert (directory._firsts, directory._lasts, directory._walls) == (
-                    expected._firsts, expected._lasts, expected._walls
-                ), (index, log is crashed)
-                assert log.last_commit_lsn == expected.last
-            cuts += 1
-        assert cuts >= 10
 
     def test_record_aligned_end_agrees_with_the_boundary_oracle(self, tpcc_log):
         log, boundaries = tpcc_log

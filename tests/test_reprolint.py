@@ -273,6 +273,20 @@ class TestSharedStateDiscipline:
         )
         assert check(guarded, "src/repro/wal/log_manager.py", {"RL005"}) == []
 
+    def test_analysis_seeds_mutator_needs_the_guard(self):
+        # So do the analysis seeds': every snapshot window now adds some.
+        bare = "def remember_seeds(self, entries, cuts):\n    self._seeds.add(entries, 0)\n"
+        findings = check(bare, "src/repro/wal/log_manager.py", {"RL005"})
+        assert rules_of(findings) == ["RL005"]
+        assert "self._seeds" in findings[0].message
+        guarded = (
+            "def remember_seeds(self, entries, cuts):\n"
+            "    with self.latch:\n"
+            "        self._seeds.add(entries, 0)\n"
+            "    return self._seeds.newest(0, 1)\n"
+        )
+        assert check(guarded, "src/repro/wal/log_manager.py", {"RL005"}) == []
+
     def test_engine_catalog_mutation_outside_latch_flagged(self):
         # The engine catalog is strict: a retire path that forgets the
         # latch (the old ``_locked`` twin bodies) is a finding even in

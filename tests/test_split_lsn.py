@@ -218,7 +218,7 @@ class TestRetention:
 def forward_scan_split(db, target_wall):
     """Section 5.1 for a past time as it was implemented before the commit
     directory: checkpoint narrowing, then every commit from the base
-    forward. Kept as the oracle for the directory's one-block answer."""
+    forward. Kept as the oracle for the commit directory's answer."""
     base_lsn = NULL_LSN
     oldest_seen = None
     for lsn, wall, _prev in checkpoint_chain(db):
@@ -382,10 +382,10 @@ def test_directory_split_equals_forward_scan(ops, log_start, frames, standby_fro
     assert_directory_matches_scan(standby.db, ckpt_walls)
 
 
-def test_split_reads_one_log_block_after_a_checkpoint(engine):
-    """The commit directory names the block: resolving a split several
-    blocks past the checkpoint costs at most one sequential block read
-    (the forward scan read every block from the checkpoint to the split)."""
+def test_split_reads_no_log_block_after_a_checkpoint(engine):
+    """The commit directory decides: resolving a split several blocks
+    past the checkpoint reads no log block (the forward scan read every
+    block from the checkpoint to the split)."""
     db = engine.create_database("costdb", DatabaseConfig(log_block_size=1024))
     db.create_table(ITEMS_SCHEMA)
     db.checkpoint()
@@ -395,10 +395,11 @@ def test_split_reads_one_log_block_after_a_checkpoint(engine):
     target = marks[50][0] + 0.5
     expected = forward_scan_split(db, target)
     assert expected // block - db.last_checkpoint_lsn // block >= 8
+    assert db.log.durable_lsn > expected
     db.log._cache.clear()
     reads = db.env.stats.log_scan_reads
     assert find_split_lsn(db, target) == expected
-    assert db.env.stats.log_scan_reads - reads <= 1
+    assert db.env.stats.log_scan_reads - reads == 0
 
 
 def test_first_later_commit_below_the_base_is_left_to_the_scan():
@@ -415,5 +416,27 @@ def test_first_later_commit_below_the_base_is_left_to_the_scan():
     history.env.clock.advance(100)
     commits = {rec.wall_clock: rec.lsn for rec in history.log.scan(FIRST_LSN)
                if rec.TYPE == RecordType.COMMIT}
+    assert find_split_lsn(history.db, 20.0) == commits[12.0]
+    assert forward_scan_split(history.db, 20.0) == commits[12.0]
+
+
+def test_a_maximum_inherited_from_a_truncated_commit_is_left_to_the_scan():
+    """Truncation drops a commit stamped after the target but keeps the
+    running maximum it raised: every kept commit then looks later than
+    the target, yet the answer lies past the base — only the forward scan
+    can say where."""
+    history = _History(FIRST_LSN)
+    history.checkpoint(0.0)
+    history.run(("commit", 50.0))  # stamped late, appended early
+    history.checkpoint(10.0)  # the base for t = 20, and the new log start
+    for wall in (11.0, 12.0, 60.0):
+        history.run(("row", 250))
+        history.run(("commit", wall))
+    history.run(("truncate", 1))
+    assert history.log.start_lsn == history.checkpoints[0]
+    history.env.clock.advance(100)
+    commits = {rec.wall_clock: rec.lsn for rec in history.log.scan(history.log.start_lsn)
+               if rec.TYPE == RecordType.COMMIT}
+    assert history.log.commit_split(20.0, history.log.start_lsn) is None
     assert find_split_lsn(history.db, 20.0) == commits[12.0]
     assert forward_scan_split(history.db, 20.0) == commits[12.0]
