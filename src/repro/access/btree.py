@@ -25,6 +25,8 @@ snapshots.
 from __future__ import annotations
 
 import struct
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from repro.catalog.schema import TableSchema
@@ -133,12 +135,31 @@ class BTree:
     # Descent
     # ------------------------------------------------------------------
 
+    def _separators(self, page: Page) -> list:
+        """``[keys, children]`` of an interior page: the decoded separator
+        keys of entries ``[1, count)`` and the child page ids of every
+        entry, in slot order (entry 0 is -inf whatever key it stores).
+
+        Built from the page bytes on the first descent after a mutator
+        cleared ``page.separators``, then reused. Current reads do not
+        hold ``db.write_latch``, so a build may overlap a mutation: it
+        publishes into an empty list it installed first, and a mutator
+        finishing meanwhile replaces that list with ``None``, so an index
+        decoded from bytes in flux is used by its own probe only.
+        """
+        index = page.separators
+        if index:
+            return index
+        index = page.separators = []
+        payloads = page.records()
+        child_at, decode, head = _ENTRY_CHILD.unpack_from, self.key_codec.decode, _ENTRY_CHILD.size
+        keys = [decode(payload, head) for payload in payloads[1:]]
+        index += (keys, array("I", [child_at(payload)[0] for payload in payloads]))
+        return index
+
     def _child_index(self, page: Page, key: tuple) -> int:
         """Index of the interior entry whose subtree covers ``key``."""
-        # Entry 0 is the -inf sentinel; separator keys are decoded in place,
-        # past each entry's child pointer.
-        slot, found = page.search(key, self.key_codec.decode, 1, _ENTRY_CHILD.size)
-        return slot if found else slot - 1
+        return bisect_right(self._separators(page)[0], key)
 
     def _descend(self, key: tuple | None, *, to_level: int = 0):
         """Walk from the root toward ``to_level``.
@@ -147,7 +168,8 @@ class BTree:
         the page reached, *still pinned* (the caller releases it with
         ``with guard:``), and ``[(page_id, child_slot), ...]`` for the
         interior pages traversed. Every other page is unpinned before the
-        walk moves on, or before an error leaves it.
+        walk moves on, or before an error leaves it. Each interior page
+        is probed through its separator index: no key is decoded.
         """
         fetch = self.services.fetch
         pid = self.root_page_id
@@ -155,21 +177,29 @@ class BTree:
         while True:
             guard = fetch(pid)
             page = guard.page
-            if page.level <= to_level and page.is_formatted():
+            # A page holding an index is an interior page that had entries
+            # when it was built: no mutator has formatted or emptied it since.
+            index = page.separators
+            if index:
+                if to_level and page.level <= to_level:
+                    return guard, path
+            elif page.level <= to_level and page.is_formatted():
                 return guard, path
             with guard:
-                if not page.is_formatted():
-                    raise StorageError(
-                        f"btree {self.object_id}: page {pid} unformatted"
-                    )
-                if page.slot_count == 0:
-                    raise StorageError(
-                        f"btree {self.object_id}: empty interior page {pid}"
-                    )
-                slot = 0 if key is None else self._child_index(page, key)
-                child, _kb = decode_entry(page.record(slot))
+                if not index:
+                    if not page.is_formatted():
+                        raise StorageError(
+                            f"btree {self.object_id}: page {pid} unformatted"
+                        )
+                    if page.slot_count == 0:
+                        raise StorageError(
+                            f"btree {self.object_id}: empty interior page {pid}"
+                        )
+                    index = self._separators(page)
+                keys, children = index
+                slot = 0 if key is None else bisect_right(keys, key)
             path.append((pid, slot))
-            pid = child
+            pid = children[slot]
 
     def _find_slot(self, page: Page, key: tuple) -> tuple[int, bool]:
         """(insertion slot, exact-match?) within a leaf page; only keys are
@@ -579,7 +609,8 @@ class BTree:
                         f"btree {self.object_id}: descent reached level "
                         f"{page.level}, wanted {level}"
                     )
-                slot = self._child_index(page, sep_key) + 1
+                keys, children = self._separators(page)
+                slot = bisect_right(keys, sep_key) + 1
                 if page.has_room_for(len(entry)):
                     rec = InsertRowRecord(
                         slot=slot,
@@ -589,6 +620,11 @@ class BTree:
                         flags=FLAG_SMO,
                     )
                     self.services.modifier.apply(txn, guard, rec)
+                    # The insert cleared the index; patch a copy of the one
+                    # it was placed by (a reader may still hold that one).
+                    children = array("I", children)
+                    children.insert(slot, child_pid)
+                    page.separators = [[*keys[: slot - 1], sep_key, *keys[slot - 1 :]], children]
                     return
             if guard.page_id == self.root_page_id:
                 self._split_root(txn)

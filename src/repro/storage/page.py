@@ -107,14 +107,21 @@ class Page:
     The constructor wraps existing bytes without validation; use
     :meth:`format` to initialize a fresh page and :meth:`is_formatted` to
     probe whether bytes hold a real page.
+
+    ``separators`` is a B-tree interior page's decoded separator index,
+    owned by ``access/btree.py`` (``None`` until a descent builds it).
+    Every mutator that changes a slot's payload or the slot count
+    (``format``, ``deformat`` and ``restore`` included) resets it to
+    ``None`` once the page bytes are final.
     """
 
-    __slots__ = ("data",)
+    __slots__ = ("data", "separators")
 
     def __init__(self, data: bytearray) -> None:
         if not isinstance(data, bytearray):
             data = bytearray(data)
         self.data = data
+        self.separators = None
 
     # ------------------------------------------------------------------
     # Header accessors
@@ -188,6 +195,7 @@ class Page:
             0,
             b"\0" * 4,
         )
+        self.separators = None
 
     def deformat(self) -> None:
         """Return the page to the unformatted (all-zero) state.
@@ -196,6 +204,7 @@ class Page:
         allocation the page held nothing.
         """
         self.data[:] = bytes(len(self.data))
+        self.separators = None
 
     def is_formatted(self) -> bool:
         return _MAGIC.unpack_from(self.data, _MAGIC_AT)[0] == PAGE_MAGIC
@@ -211,6 +220,7 @@ class Page:
                 f"image size {len(image)} != page size {len(self.data)}"
             )
         self.data[:] = image
+        self.separators = None
 
     # ------------------------------------------------------------------
     # Slot directory
@@ -293,23 +303,23 @@ class Page:
             for offset in offsets[start:stop]
         ]
 
-    def search(self, key, key_at, lo: int = 0, skip: int = 0) -> tuple[int, bool]:
-        """Binary search of slots ``[lo, slot_count)`` for ``key``.
+    def search(self, key, key_at) -> tuple[int, bool]:
+        """Binary search of every slot for ``key``.
 
-        The caller keeps those slots in key order; ``key_at(data, start,
-        end)`` decodes a payload's key in place, ``skip`` bytes into the
-        payload, so no record is copied out. Returns ``(slot, True)`` on
-        a match, else ``(insertion slot, False)``.
+        The caller keeps the slots in key order; ``key_at(data, start,
+        end)`` decodes a payload's key in place, so no record is copied
+        out. Returns ``(slot, True)`` on a match, else ``(insertion slot,
+        False)``.
         """
         data = self.data
         slot_at, length_at = _SLOT.unpack_from, _RECLEN.unpack_from
         last = len(data) - _SLOT.size
-        hi = _COUNT.unpack_from(data, _COUNT_AT)[0]
+        lo, hi = 0, _COUNT.unpack_from(data, _COUNT_AT)[0]
         while lo < hi:
             mid = (lo + hi) // 2
             offset = slot_at(data, last - _SLOT.size * mid)[0]
             start = offset + _RECLEN.size
-            mid_key = key_at(data, start + skip, start + length_at(data, offset)[0])
+            mid_key = key_at(data, start, start + length_at(data, offset)[0])
             if mid_key < key:
                 lo = mid + 1
             elif mid_key > key:
@@ -367,6 +377,7 @@ class Page:
             data[dir_lo - size : slot_pos] = data[dir_lo : slot_pos + size]
         _SLOT.pack_into(data, slot_pos, lower)
         _SPACE.pack_into(data, _COUNT_AT, count + 1, end, dir_lo - size)
+        self.separators = None
 
     def delete_record(self, slot: int) -> None:
         """Remove the record at ``slot``.
@@ -384,6 +395,7 @@ class Page:
         _SLOT.pack_into(data, dir_lo, 0)
         _COUNT.pack_into(data, _COUNT_AT, count - 1)
         _UPPER.pack_into(data, _UPPER_AT, dir_lo + size)
+        self.separators = None
 
     def update_record(self, slot: int, payload: bytes) -> None:
         """Replace the record at ``slot``."""
@@ -396,6 +408,7 @@ class Page:
             _RECLEN.pack_into(data, offset, len(payload))
             start = offset + _RECLEN.size
             data[start : start + len(payload)] = payload
+            self.separators = None
             return
         # Grow: relocate to fresh space (compacting first if necessary).
         extra = _RECLEN.size + len(payload)
@@ -409,6 +422,7 @@ class Page:
             _SLOT.pack_into(data, slot_pos, 0)
             self.compact(skip_vacant=True)
         _SLOT.pack_into(data, slot_pos, self._place(payload))
+        self.separators = None
 
     def compact(self, skip_vacant: bool = False) -> None:
         """Rewrite live records densely from the header boundary.

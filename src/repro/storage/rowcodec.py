@@ -148,10 +148,11 @@ def _encoder(columns, bitmap_len: int, checks: list[str], scope: dict) -> tuple[
     return "values", body
 
 
-def _compile(params: str, functions: dict[str, tuple[str, list[str]]], scope: dict):
+def _compile(label: str, params: str, functions: dict[str, tuple[str, list[str]]], scope: dict):
     """``bind(<params>)`` -> the generated ``functions`` (name -> signature
     and body), closed over what they name in error messages. Compiled under
-    this file's name, so a profile attributes the generated code to the codec."""
+    the code filename ``rowcodec.py:<label>``, so a profile attributes the
+    code to the codec and keys each plan's functions apart."""
     source = "\n".join([
         f"def bind({params}):",
         *(
@@ -162,8 +163,13 @@ def _compile(params: str, functions: dict[str, tuple[str, list[str]]], scope: di
         f"    return {', '.join(functions)}",
     ])
     scope.update(struct=struct, StorageError=StorageError)
-    exec(compile(source, __file__, "exec"), scope)
+    exec(compile(source, f"{__file__}:<{label}>", "exec"), scope)
     return scope["bind"]
+
+
+def _shape(columns) -> str:
+    """``int,str?,...``: the column types of a plan, ``?`` marking a nullable one."""
+    return ",".join(ctype.value + "?" * nullable for ctype, nullable in columns)
 
 
 @functools.cache
@@ -173,7 +179,8 @@ def _row_plan(columns: tuple, key_positions: tuple):
     the B-trees an as-of snapshot opens per statement reuse the plan."""
     scope: dict = {}
     bitmap_len = (len(columns) + 7) // 8
-    return _compile("what, check_row", {
+    label = f"row {_shape(columns)} key {','.join(map(str, key_positions))}"
+    return _compile(label, "what, check_row", {
         "decode": _decoder(columns, tuple(range(len(columns))), bitmap_len, scope),
         "decode_key": _decoder(columns, key_positions, bitmap_len, scope),
         "encode": _encoder(columns, bitmap_len, ["check_row(values)"], scope),
@@ -192,7 +199,7 @@ def _key_plan(ctypes: tuple):
         "if None in values:",
         "    raise StorageError('key values cannot be NULL')",
     ]
-    return _compile("what", {
+    return _compile(f"key {_shape(columns)}", "what", {
         "decode": _decoder(columns, tuple(range(count)), 0, scope),
         "encode": _encoder(columns, 0, checks, scope),
     }, scope)

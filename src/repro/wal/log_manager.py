@@ -275,7 +275,7 @@ class LogManager:
         the paper identifies as the throughput-sensitive term).
         """
         with self.latch:
-            record.lsn = self.end_lsn
+            record.lsn = self._end()
             blob = record.serialize()
             self._data += blob
             self._append_hist.observe(len(blob))

@@ -345,11 +345,13 @@ def decode_record(data, offset: int, lsn: int = NULL_LSN) -> tuple[LogRecord, in
     return out[0], end
 
 
-def _compile_codec(fields) -> dict:
+def _compile_codec(label: str, fields) -> dict:
     """``__init__``, ``_encode_body`` and ``_decode_body`` for a body of
     ``fields``, as straight-line code over ``struct`` plans: each run of
     fixed-width fields, with the prefix of the variable-length field that
-    ends it, is one precompiled ``Struct`` call."""
+    ends it, is one precompiled ``Struct`` call. Compiled under the code
+    filename ``records.py:<label>``, so a profile attributes the code to
+    the codec and keys each record class's functions apart."""
     scope = {"_U32": _U32, "_PAIR": _PAIR, "_nested": _nested, "decode_record": decode_record}
     init = [f"self.lsn = {NULL_LSN}", *(f"self.{name} = {name}" for name in _HEADER_FIELDS)]
     pack, unpack = ["parts = []"], []
@@ -394,8 +396,7 @@ def _compile_codec(fields) -> dict:
         + "\ndef _encode_body(self):\n    " + "\n    ".join(pack)
         + "\n@staticmethod\ndef _decode_body(view, pos):\n    " + "\n    ".join(unpack)
     )
-    # Under this file's name, so a profile attributes the generated code to the codec.
-    exec(compile(source, __file__, "exec"), scope)
+    exec(compile(source, f"{__file__}:<{label}>", "exec"), scope)
     return {name: scope[name] for name in ("__init__", "_encode_body", "_decode_body")}
 
 
@@ -407,7 +408,7 @@ class _RecordType(type):
     def __new__(mcls, name, bases, namespace):
         fields = namespace.get("FIELDS", ())
         namespace.setdefault("__slots__", tuple(field[0] for field in fields))
-        namespace.update(_compile_codec(fields))
+        namespace.update(_compile_codec(name, fields))
         cls = super().__new__(mcls, name, bases, namespace)
         if "TYPE" in namespace:
             _REGISTRY[int(cls.TYPE)] = cls

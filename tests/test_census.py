@@ -74,3 +74,36 @@ def test_census_classifies_a_planted_module(tmp_path, monkeypatch):
     assert counts == {"production": sum(counts.values()) - 2, "tier1": 1, "nothing": 1}
     assert doc["lines"] == counts
     assert doc["functions"] == {"tier1": 1, "nothing": 1}
+
+
+GENERATED = '''\
+def never():
+    return 0
+
+
+def make():
+    scope = {}
+    exec(compile("def gen(x, knob=1):\\n    return x + knob\\n", __file__ + ":<Gen>", "exec"), scope)
+    return scope["gen"]
+'''
+
+
+def test_census_keeps_generated_code_apart(tmp_path, monkeypatch):
+    """Code compiled under a suffixed filename (``mod.py:<Gen>``, as the
+    record and row codecs are) is no line of ``mod.py``: the generated
+    ``return`` on its line 2 does not mark ``never``'s line 2 as run, and
+    the generated function's parameters are keyed by that name."""
+    census = load(monkeypatch, "census", os.path.join(ROOT, "benchmarks", "census.py"))
+    root = tmp_path / "plant"
+    root.mkdir()
+    (root / "mod.py").write_text(GENERATED)
+
+    with census.Tracer(str(root)) as production:
+        plant = load(monkeypatch, "census_generated", str(root / "mod.py"))
+        assert plant.make()(1) == 2
+    doc = census.classify(str(root), [production.result()], [])
+
+    assert sorted(production.result()["lines"][str(root / "mod.py")]) == [1, 5, 6, 7, 8]
+    assert doc["files"]["plant/mod.py"] == {"production": 5, "tier1": 0, "nothing": 1}
+    assert doc["never_entered_by_production"] == {"plant/mod.py:1 never": "nothing"}
+    assert doc["default_only_in_production"] == {"plant/mod.py:<Gen>:gen(knob)": "nothing"}

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.catalog.schema import Column, ColumnType, TableSchema
 from repro.errors import StorageError
+from repro.storage import rowcodec
 from repro.storage.rowcodec import KeyCodec, RowCodec
 
 
@@ -490,3 +491,17 @@ def test_compiled_check_row_matches_the_per_column_checks(case, data):
     assert _outcome(schema.check_row, row[:-1]) == (
         ValueError, f"table 'm' expects {len(row)} values, got {len(row) - 1}"
     )
+
+
+def test_each_plan_compiles_under_its_own_code_filename():
+    """cProfile keys a function by ``(filename, line, name)``: plans of two
+    shapes must not share a key, or a profile keeps only one of them."""
+    one = RowCodec(make_schema())
+    other = RowCodec(TableSchema("t", make_schema().columns, key=("i", "b")))
+    keys = set()
+    for codec in (one, other, KeyCodec((ColumnType.INT,)), KeyCodec((ColumnType.STR,))):
+        for function in (codec.decode, codec.encode):
+            code = function.__code__
+            assert code.co_filename.startswith(rowcodec.__file__ + ":<")
+            keys.add((code.co_filename, code.co_firstlineno, code.co_name))
+    assert len(keys) == 8

@@ -937,3 +937,16 @@ def test_docs_tabulate_every_spec():
         )
         for cls in RECORD_CLASSES
     }
+
+
+def test_each_record_class_compiles_under_its_own_code_filename():
+    """cProfile keys a function by ``(filename, line, name)``: every record
+    type's generated constructor and codec has a key of its own, under
+    ``records.py:<ClassName>``."""
+    keys = set()
+    for cls in records.RECORD_CLASSES.values():
+        for name in ("__init__", "_encode_body", "_decode_body"):
+            code = getattr(cls, name).__code__
+            assert code.co_filename == f"{records.__file__}:<{cls.__name__}>"
+            keys.add((code.co_filename, code.co_firstlineno, code.co_name))
+    assert len(keys) == 3 * len(records.RECORD_CLASSES)
