@@ -9,9 +9,9 @@ The pooled inline path changes the economics of the paper's as-of query:
 * **named DDL** — ``CREATE DATABASE ... AS SNAPSHOT OF ... AS OF`` plus
   the query plus ``DROP``: the seed's only way to time-travel.
 * **warm pooled** — a second inline read at the same point reuses the
-  pooled snapshot: no checkpoint, no analysis scan, no new side file, and
-  every page the first query prepared is already in the sparse file — so
-  its cost collapses to roughly the query's CPU plus sparse reads.
+  pooled snapshot: no checkpoint, no analysis scan, and every page the
+  first query prepared is already in its frames (a pooled snapshot keeps
+  no side file) — so its cost collapses to roughly the query's CPU.
 
 All timings are simulated seconds from the shared device/cost models.
 """

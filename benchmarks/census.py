@@ -13,6 +13,9 @@ and, at each call, which defaulted parameters got a non-default value.
 production never enters (``tier1`` when tier-1 does, else ``nothing``), and
 every defaulted parameter of a production function that production only
 passes at its default (``tier1`` when tier-1 sets it, else ``nothing``).
+Code compiled under a suffixed filename (``records.py:<InsertRowRecord>``)
+is listed under that name, but counted as its module's: the codecs'
+per-class copies of one generated function count once.
 About 20 minutes on two cores; ``docs/analysis.md`` keeps the ledger.
 """
 
@@ -22,6 +25,7 @@ import contextlib
 import glob
 import json
 import os
+import re
 import runpy
 import shutil
 import subprocess
@@ -115,6 +119,11 @@ def _codes(path: str):
         stack.extend(const for const in code.co_consts if hasattr(const, "co_lines"))
 
 
+def _fold(key: tuple) -> tuple:
+    """A parameter key of generated code (``mod.py:<Label>``) as ``mod.py``'s."""
+    return (re.sub(r":<[^<>]*>$", "", key[0]), *key[1:])
+
+
 def classify(root: str, production: list[dict], tier1: list[dict]) -> dict:
     """The census of every module under ``root``, from ``Tracer.result()`` documents."""
     runs = [{"lines": {(path, line) for doc in docs for path, lines in doc["lines"].items() for line in lines},
@@ -133,8 +142,11 @@ def classify(root: str, production: list[dict], tier1: list[dict]) -> dict:
                 functions[f"{path[base:]}:{key[2]} {key[1]}"] = "tier1" if key in runs[1]["entered"] else "nothing"
     params = {f"{key[0][base:]}:{key[1]}({key[2]})": "tier1" if key in runs[1]["set"] else "nothing"
               for key in known - runs[0]["set"]}
+    folded_set = [{_fold(key) for key in run["set"]} for run in runs]
+    folded = {_fold(key): "tier1" if _fold(key) in folded_set[1] else "nothing"
+              for key in known if _fold(key) not in folded_set[0]}
     count = {kind: {cls: list(found.values()).count(cls) for cls in ("tier1", "nothing")}
-             for kind, found in (("functions", functions), ("default_only", params))}
+             for kind, found in (("functions", functions), ("default_only", folded))}
     return {"lines": {cls: sum(c[cls] for c in files.values()) for cls in ("production", "tier1", "nothing")},
             **count, "files": files, "never_entered_by_production": dict(sorted(functions.items())),
             "default_only_in_production": dict(sorted(params.items()))}

@@ -12,8 +12,9 @@ inline::
     SELECT * FROM accounts AS OF '2012-03-22 17:26:25'
 
 Repeated queries at the same instant share one pooled ephemeral snapshot
-(one sparse side file, pages prepared once), concurrent sessions refcount
-it, and the pool evicts least-recently-used snapshots under a byte budget.
+(its frames share the version store's copy of each page, prepared once),
+concurrent sessions refcount it, and the pool evicts least-recently-used
+snapshots under a byte budget.
 This example walks an "oops" recovery end to end in SQL: accidental
 deletes, inline historical reads to find the good state, and the
 reconcile ``INSERT ... SELECT ... AS OF`` — all without a single
@@ -70,7 +71,7 @@ def main() -> None:
         print(f"  as-of id={account_id}: {row[0]} {row[1]:.2f}")
     stats = engine.snapshot_pool.stats
     print(f"pool: {stats.misses} snapshot created, {stats.hits} reuses, "
-          f"{engine.snapshot_pool.total_bytes()} side-file bytes")
+          f"{engine.snapshot_pool.total_bytes()} bytes of frames")
     assert stats.misses == 1, "every query shared one pooled snapshot"
 
     # Reconcile: pull the lost rows back from the past, inline.

@@ -4,7 +4,8 @@ An :class:`AsOfSnapshot` presents a transactionally consistent, read-only
 view of a database as of an arbitrary past point in time:
 
 * **Creation** (section 5.1): translate the wall-clock time to the
-  SplitLSN, create the sparse side file, and checkpoint the primary so
+  SplitLSN, create the sparse side file (a named snapshot's; a pooled
+  one keeps none), and checkpoint the primary so
   every page with LSN ≤ SplitLSN is durable.
 * **Recovery** (section 5.2): run the analysis pass from the checkpoint
   preceding the SplitLSN up to the SplitLSN to find transactions in flight
@@ -18,8 +19,8 @@ view of a database as of an arbitrary past point in time:
   Their logical undo runs lazily ("in the background"): queries are
   admitted immediately, and a read that touches a locked row drives the
   conflicting transaction's undo to completion first.
-* **Page access** (section 5.3): sparse-file hit → serve; miss → probe
-  the engine's cross-snapshot
+* **Page access** (section 5.3): frame or sparse-file hit → serve; miss
+  → probe the engine's cross-snapshot
   :class:`~repro.core.version_store.PageVersionStore` for a prepared
   image whose validity interval covers the SplitLSN (skipping the whole
   chain walk — the cost Figure 11 shows dominating as-of reads); store
@@ -29,9 +30,18 @@ view of a database as of an arbitrary past point in time:
   records up to the SplitLSN (a deviation: the paper only ever rewinds),
   or rewind a *newer* one with ``PreparePageAsOf(page, SplitLSN)``; with
   neither, rewind the current page from the primary. Publish the
-  result's interval and chain to the store, and cache it in the sparse
-  file. Previous versions are generated only for pages queries actually
-  touch.
+  result's interval and chain to the store. Previous versions are
+  generated only for pages queries actually touch.
+
+  The store's image is the one copy of a clean page: the snapshot's
+  frame wraps that same ``bytes`` object in a read-only page, and a
+  named snapshot's sparse file (the paper's write-through cache) holds
+  that object as well. A pooled snapshot (:mod:`repro.core.snapshot_pool`) keeps no
+  side file — a deviation: the paper caches every prepared page in one,
+  but here nothing ever read it back — so its frames are its only tier
+  and are never trimmed. Only a snapshot with losers pending at its split
+  frames private, writable copies: the pages section 5.2's logical undo
+  writes.
 
 The snapshot exposes the same reader protocol as a live database (catalog,
 ``get``, ``scan``), because to "all the other components in the database
@@ -58,7 +68,7 @@ from repro.errors import (
     SnapshotError,
 )
 from repro.storage.buffer import Frame, FrameGuard
-from repro.storage.page import Page
+from repro.storage.page import Page, ReadOnlyPage
 from repro.storage.sparsefile import SparseFile
 from repro.txn.undo import rollback_losers
 from repro.wal.apply import UnloggedModifier
@@ -92,7 +102,8 @@ class SnapshotAllocator:
 
 class _SnapshotGuard(FrameGuard):
     """Pin guard that writes dirty snapshot pages through to the sparse
-    file on release (paper section 5.3's write-back of undone pages)."""
+    file on release (paper section 5.3's write-back of undone pages). A
+    snapshot without a side file keeps them in its frames."""
 
     __slots__ = ()
 
@@ -100,8 +111,9 @@ class _SnapshotGuard(FrameGuard):
         with self._source.latch:
             frame = self.frame
             frame.unpin()
-            if frame.dirty:
-                self._source.sparse.write(frame.page_id, bytes(frame.page.data))
+            sparse = self._source.sparse
+            if frame.dirty and sparse is not None:
+                sparse.write(frame.page_id, bytes(frame.page.data))
                 frame.dirty = False
 
 
@@ -199,7 +211,9 @@ def collect_loser_locks(log, analysis: AnalysisResult, start: int, pin: int) -> 
 class AsOfSnapshot:
     """A read-only replica of ``db`` as of a past SplitLSN."""
 
-    def __init__(self, db, name: str, split_lsn: int, *, analysis=None) -> None:
+    def __init__(
+        self, db, name: str, split_lsn: int, *, analysis=None, side_file: bool = True
+    ) -> None:
         self.db = db
         self.name = name
         self.split_lsn = split_lsn
@@ -209,8 +223,12 @@ class AsOfSnapshot:
         self.latch = Latch(f"asof:{name}")
         self.env = db.env
         self.log = db.log
-        self.sparse = SparseFile(
-            db.config.page_size, db.env.data_device, db.env.stats
+        #: The paper's sparse side file, or ``None`` for a pooled snapshot:
+        #: its frames are then the one tier, and nothing trims them.
+        self.sparse = (
+            SparseFile(db.config.page_size, db.env.data_device, db.env.stats)
+            if side_file
+            else None
         )
         self.modifier = UnloggedModifier(db.env)
         self.alloc = SnapshotAllocator()
@@ -266,7 +284,9 @@ class AsOfSnapshot:
         return cls.create_at_split(db, name, split)
 
     @classmethod
-    def create_at_split(cls, db, name: str, split: int) -> "AsOfSnapshot":
+    def create_at_split(
+        cls, db, name: str, split: int, *, side_file: bool = True
+    ) -> "AsOfSnapshot":
         """Create an as-of snapshot at an already-resolved SplitLSN.
 
         The wall-clock retention check can pass while the checkpoint chain
@@ -285,7 +305,7 @@ class AsOfSnapshot:
             # stream's LSN space.
             if not db.read_only:
                 db.checkpoint()
-            snap = cls.recover_at(db, name, split)
+            snap = cls.recover_at(db, name, split, side_file=side_file)
         except LogTruncatedError as err:
             raise RetentionExceededError(
                 f"snapshot at split {split:#x} needs log below the "
@@ -295,7 +315,9 @@ class AsOfSnapshot:
         return snap
 
     @classmethod
-    def recover_at(cls, db, name: str, split: int) -> "AsOfSnapshot":
+    def recover_at(
+        cls, db, name: str, split: int, *, side_file: bool = True
+    ) -> "AsOfSnapshot":
         """Snapshot recovery (section 5.2) at ``split``.
 
         :func:`snapshot_analysis`, bounded at the split: the transactions
@@ -305,7 +327,7 @@ class AsOfSnapshot:
         restores run, deferred until a read needs it.
         """
         analysis, pin = snapshot_analysis(db, split)
-        snap = cls(db, name, split, analysis=analysis)
+        snap = cls(db, name, split, analysis=analysis, side_file=side_file)
         snap.retention_pin_lsn = pin
         return snap
 
@@ -320,7 +342,13 @@ class AsOfSnapshot:
         version store → redo onto the store's older image whose chain
         reaches past the split, or physical undo from the store's nearest
         newer image or the primary's page (published to the store, cached
-        back into the sparse file).
+        back into the sparse file when the snapshot has one).
+
+        The frame wraps the prepared image itself, the same ``bytes``
+        object the store keeps, in a :class:`ReadOnlyPage`. Only while
+        losers are pending does a frame get a private ``bytearray``: those
+        are the pages section 5.2's logical undo writes. Pending undo only
+        ever shrinks, so a page framed read-only is never written.
         """
         with self.latch:
             self._check_alive()
@@ -328,18 +356,24 @@ class AsOfSnapshot:
             if frame is not None:
                 frame.pin_count += 1
                 return _SnapshotGuard(self, frame)
-            if page_id in self.sparse:
-                data = self.sparse.read(page_id)
+            sparse = self.sparse
+            if sparse is not None and page_id in sparse:
+                page = Page(sparse.read(page_id))
             elif create or page_id >= _VIRTUAL_PAGE_BASE:
-                data = bytearray(self.db.config.page_size)
+                page = Page(bytearray(self.db.config.page_size))
             else:
-                data = self._prepare_page(page_id)
-                self.sparse.write(page_id, bytes(data))
-            frame = Frame(Page(data), page_id)
+                image = self._prepare_page(page_id)
+                if sparse is not None:
+                    sparse.write(page_id, image)
+                if self._pending_undo:
+                    page = Page(bytearray(image))
+                else:
+                    page = ReadOnlyPage(image)
+            frame = Frame(page, page_id)
             frame.pin_count = 1
             self._frames[page_id] = frame
             # Keep the frame cache bounded; sparse is the durable tier.
-            if len(self._frames) > 256:
+            if sparse is not None and len(self._frames) > 256:
                 for pid in list(self._frames):
                     candidate = self._frames[pid]
                     if candidate.pin_count == 0 and not candidate.dirty:
@@ -348,11 +382,12 @@ class AsOfSnapshot:
                         break
             return _SnapshotGuard(self, frame)
 
-    def _prepare_page(self, page_id: int) -> bytearray:
-        """Materialize the page image as of the SplitLSN.
+    def _prepare_page(self, page_id: int) -> bytes:
+        """Materialize the page image as of the SplitLSN, as one ``bytes``
+        object: the store's own when it holds the version.
 
-        Probes the engine-wide version store first — a hit is a memory
-        copy that skips the chain walk entirely. A miss starts from the
+        Probes the engine-wide version store first — a hit hands back the
+        stored image, uncopied, and skips the chain walk entirely. A miss starts from the
         nearest stored image of the page on either side of the split:
 
         * an *older* version whose proven chain reaches past the split is
@@ -390,7 +425,7 @@ class AsOfSnapshot:
                     hit = found is not None and found.version_lsn <= split and not found.redo
                     probe.set(hit=hit, resumed=found is not None and found.version_lsn > split)
                 if hit:
-                    return bytearray(found.data)
+                    return found.data
             version = None
             if found is not None and found.redo:
                 data = bytearray(found.data)
@@ -412,6 +447,7 @@ class AsOfSnapshot:
                         data = bytearray(guard.page.data)
                 with tracer.span("asof.chain_walk", page=page_id):
                     version = prepare_page_version(Page(data), split, self.log, self.env)
+            image = bytes(data)
             if store is not None and version is not None:
                 limit = version.limit_lsn
                 if limit is None:
@@ -424,16 +460,16 @@ class AsOfSnapshot:
                     # A resumed walk's chain ends at the image it started
                     # from; that version keeps its own chain for the splits
                     # above it.
-                    store.publish(
+                    image = store.publish(
                         store_key,
                         page_id,
                         version.version_lsn,
                         limit,
-                        bytes(data),
+                        image,
                         version.chain,
                     )
                     prep_span.set(published=True)
-            return data
+            return image
 
     # ------------------------------------------------------------------
     # Background logical undo (paper section 5.2)
@@ -550,8 +586,15 @@ class AsOfSnapshot:
     # ------------------------------------------------------------------
 
     def side_file_bytes(self) -> int:
-        """Sparse-file space consumed (the paper's space-efficiency metric)."""
+        """Sparse-file space consumed (the paper's space-efficiency metric).
+
+        A snapshot without a side file reports what its frames would have
+        taken there, page size × frames: the charge a snapshot pool's byte
+        budget makes.
+        """
         with self.latch:
+            if self.sparse is None:
+                return len(self._frames) * self.db.config.page_size
             return self.sparse.bytes_used()
 
     def drop(self) -> None:
@@ -561,11 +604,16 @@ class AsOfSnapshot:
             self._frames.clear()
             self._table_cache.clear()
             self._tree_cache.clear()
-            self.sparse.clear()
+            if self.sparse is not None:
+                self.sparse.clear()
 
     def __repr__(self) -> str:
+        if self.sparse is None:
+            tier = f"frames={len(self._frames)}"
+        else:
+            tier = f"sparse_pages={self.sparse.page_count}"
         return (
             f"AsOfSnapshot({self.name!r} of {self.db.name!r}, "
-            f"split={self.split_lsn:#x}, sparse_pages={self.sparse.page_count}, "
+            f"split={self.split_lsn:#x}, {tier}, "
             f"pending_undo={len(self._pending_undo)})"
         )

@@ -11,14 +11,22 @@ comes from making the recovery path cheap and ordinary). The
   SplitLSN first, so two queries phrased differently but landing on the
   same commit boundary share one snapshot.
 * **Reuse** — entries are keyed ``(database, split_lsn)``; an acquire that
-  hits skips snapshot creation entirely (no checkpoint, no analysis scan,
-  no new side file) and benefits from every page the earlier queries
-  already prepared.
+  hits skips snapshot creation entirely (no checkpoint, no analysis scan)
+  and reads every page an earlier lease of the entry touched straight
+  from its frames: a frame lookup, not even a version-store probe.
+* **One copy per page** — a pooled snapshot keeps no sparse side file
+  (section 5.3's cache of prepared pages). Its frames wrap the version
+  store's immutable image of each page in a read-only
+  :class:`~repro.storage.page.ReadOnlyPage`, so a page prepared once is
+  held once, however many entries read it. Only a snapshot with
+  transactions in flight at its split keeps private copies: those are
+  the pages its background undo writes. Nothing trims a pooled entry's
+  frames, not even a released lease: the frames are its one tier.
 * **Refcounting** — concurrent sessions lease the same entry; an entry is
   only evictable once every lease is released.
-* **Eviction** — the pool tracks total sparse side-file bytes across its
-  entries and drops least-recently-used idle entries once the configured
-  byte budget is exceeded.
+* **Eviction** — the pool charges each entry page size × frames (what
+  its side file would have held) and drops least-recently-used idle
+  entries once the total exceeds the configured byte budget.
 
 The pool is owned by the :class:`~repro.engine.engine.Engine`; users reach
 it through ``engine.query_as_of(db, t)`` or inline SQL
@@ -45,7 +53,7 @@ from repro.core.asof import AsOfSnapshot
 from repro.errors import RetentionExceededError, SnapshotError
 from repro.latch import Latch
 
-#: Default side-file byte budget across all pooled snapshots (64 MiB).
+#: Default byte budget across all pooled snapshots' frames (64 MiB).
 DEFAULT_POOL_BUDGET_BYTES = 64 * 1024 * 1024
 
 
@@ -61,7 +69,7 @@ class PoolStats:
     evictions: int = 0
     #: Leases returned (every acquire is eventually released).
     releases: int = 0
-    #: High-water mark of total pooled side-file bytes.
+    #: High-water mark of :meth:`SnapshotPool.total_bytes`.
     peak_bytes: int = 0
 
 
@@ -81,8 +89,8 @@ class SnapshotPool:
     """Refcounted LRU pool of ephemeral :class:`AsOfSnapshot` instances.
 
     Keyed by ``(database name, split_lsn)``: all wall-clock times that
-    resolve to the same SplitLSN share one snapshot, one sparse side file
-    and one set of already-prepared pages.
+    resolve to the same SplitLSN share one snapshot and one set of
+    already-framed pages.
     """
 
     def __init__(self, budget_bytes: int = DEFAULT_POOL_BUDGET_BYTES) -> None:
@@ -146,7 +154,7 @@ class SnapshotPool:
             # the database→pool latch order stays acyclic.
             with tracer.span("asof.create_at_split", split=split):
                 built = AsOfSnapshot.create_at_split(
-                    db, f"~pool:{db.name}@{split:#x}", split
+                    db, f"~pool:{db.name}@{split:#x}", split, side_file=False
                 )
             loser = None
             with self.latch:
@@ -229,10 +237,12 @@ class SnapshotPool:
     # ------------------------------------------------------------------
 
     def total_bytes(self) -> int:
-        """Sparse side-file bytes across all pooled snapshots.
+        """Page size × frames, summed over all pooled snapshots
+        (:meth:`AsOfSnapshot.side_file_bytes` of a snapshot without a
+        side file).
 
-        Recomputed on demand: side files grow lazily as queries touch
-        pages, so a cached sum would go stale.
+        Recomputed on demand: frames grow lazily as queries touch pages,
+        so a cached sum would go stale.
         """
         with self.latch:
             return sum(
@@ -247,7 +257,7 @@ class SnapshotPool:
             self.stats.peak_bytes = total
 
     def evict_to_budget(self) -> int:
-        """Drop idle least-recently-used entries until the total side-file
+        """Drop idle least-recently-used entries until the total frame
         footprint fits the budget; returns how many were evicted.
 
         Entries with live leases are never evicted — the pool may
@@ -266,7 +276,7 @@ class SnapshotPool:
                 if not idle:
                     break
                 _stamp, key = min(idle)
-                # An idle entry's side file cannot grow: no lease reads it.
+                # An idle entry's frames cannot grow: no lease reads it.
                 total -= self._entries[key].snapshot.side_file_bytes()
                 self._drop_entry(key)
                 self.stats.evictions += 1

@@ -275,11 +275,14 @@ class PageVersionStore:
         limit_lsn: int,
         data: bytes,
         chain: array,
-    ) -> None:
+    ) -> bytes:
         """Store a prepared image for ``[version_lsn, limit_lsn)``, with the
         chain its walk proved (ascending; ``chain[0] == limit_lsn`` when
-        not empty). The store keeps ``chain`` as it is: the caller must
-        not mutate it afterwards.
+        not empty). The store keeps ``data`` (immutable ``bytes``) and
+        ``chain`` as they are: the caller must not mutate the chain
+        afterwards. Returns the image the store now holds for
+        ``version_lsn`` (``data`` itself unless a version was already
+        there), so a caller can share it instead of keeping a copy.
 
         A version with the same ``version_lsn`` already present has its
         interval *extended* (the image is identical by construction —
@@ -298,7 +301,7 @@ class PageVersionStore:
         candidate, already bounds the lower chain there.
         """
         if not self.enabled or limit_lsn <= version_lsn:
-            return
+            return data
         with self.latch:
             versions = self._versions.setdefault((store_key, page_id), [])
             self._clock += 1
@@ -307,6 +310,7 @@ class PageVersionStore:
                 version = versions[at]
                 version.limit_lsn = max(version.limit_lsn, limit_lsn)
             else:
+                # ``bytes(data)`` is ``data`` itself when it is bytes.
                 version = _Version(version_lsn, limit_lsn, bytes(data), _NO_CHAIN)
                 versions.insert(at, version)
                 self._bytes += version.size
@@ -319,6 +323,7 @@ class PageVersionStore:
                 self.stats.peak_bytes = self._bytes
             if self._bytes > self.budget_bytes:
                 self.evict_to_budget()
+            return version.data
 
     def _rechain(self, version: _Version, chain: array) -> None:
         self._bytes += CHAIN_ENTRY_BYTES * (len(chain) - len(version.chain))

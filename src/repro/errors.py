@@ -16,6 +16,10 @@ class StorageError(ReproError):
     """A problem in the page/file layer (bad page id, out-of-range I/O)."""
 
 
+class ReadOnlyPageError(StorageError):
+    """A mutator was called on a page over a shared, immutable image."""
+
+
 class PageCorruptionError(StorageError):
     """A page failed its checksum or structural validation on read."""
 

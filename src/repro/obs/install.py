@@ -32,7 +32,9 @@ def install_pool_metrics(registry, prefix: str, pool) -> None:
     """A :class:`~repro.core.snapshot_pool.SnapshotPool` under ``prefix``
     (``pool.engine`` for the engine pool, ``pool.<replica>`` per standby)."""
     registry.sheet(prefix, pool.stats)
-    registry.gauge(f"{prefix}.bytes", pool.total_bytes, "pooled side-file bytes")
+    registry.gauge(
+        f"{prefix}.bytes", pool.total_bytes, "page size x frames held by pooled snapshots"
+    )
     registry.gauge(f"{prefix}.budget_bytes", lambda: pool.budget_bytes)
     registry.gauge(f"{prefix}.entries", lambda: len(pool))
     registry.gauge(f"{prefix}.leases", pool.active_leases)

@@ -27,9 +27,7 @@ from repro.storage.page import Page
 class RegularSnapshot(AsOfSnapshot):
     """Copy-on-write snapshot as of its creation instant."""
 
-    def __init__(self, db, name: str, split_lsn: int, *, analysis=None) -> None:
-        super().__init__(db, name, split_lsn, analysis=analysis)
-        self._hook_installed = False
+    _hook_installed = False
 
     @classmethod
     def create_now(cls, db, name: str) -> "RegularSnapshot":

@@ -26,7 +26,7 @@ import enum
 import functools
 import struct
 
-from repro.errors import PageFullError, StorageError
+from repro.errors import PageFullError, ReadOnlyPageError, StorageError
 
 #: Slot directory entry: u16 record offset (0 = vacant, offsets are always
 #: >= HEADER_SIZE for live records).
@@ -477,6 +477,49 @@ class Page:
             f"lsn={self.page_lsn}, slots={self.slot_count}, "
             f"obj={self.object_id}, level={self.level})"
         )
+
+
+class ReadOnlyPage(Page):
+    """A page over an immutable ``bytes`` image that many readers share
+    (an AS OF snapshot's frame over the version store's copy of a page).
+
+    Every reader of :class:`Page` works unchanged. Every mutator — the
+    settable header fields included — raises :class:`ReadOnlyPageError`
+    before touching anything; a write that bypasses them fails on the
+    ``bytes`` itself. ``separators`` stays writable: it caches a decode of
+    the bytes, private to this ``Page`` object.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, data: bytes) -> None:
+        if type(data) is not bytes:
+            raise TypeError(f"a read-only page wraps bytes, not {type(data).__name__}")
+        self.data = data
+        self.separators = None
+
+
+def _refuse(name: str):
+    """A stand-in for mutator ``name`` that raises instead of writing."""
+
+    def refuse(self, *_args, **_kwargs):
+        raise ReadOnlyPageError(
+            f"page {self.page_id} is a shared read-only image: {name} would write it"
+        )
+
+    refuse.__name__ = name
+    return refuse
+
+
+for _name in (
+    "format", "deformat", "restore", "_place", "insert_record",
+    "delete_record", "update_record", "compact", "set_body_bit",
+):
+    setattr(ReadOnlyPage, _name, _refuse(_name))
+for _name, _attr in list(vars(Page).items()):
+    if isinstance(_attr, property) and _attr.fset is not None:
+        _refused = property(_attr.fget, _refuse(f"setting {_name}"), doc=_attr.__doc__)
+        setattr(ReadOnlyPage, _name, _refused)
 
 
 def alloc_bitmap_geometry(page_size: int) -> int:

@@ -307,7 +307,7 @@ class LogManager:
         durable). Charges one sequential write for the flushed bytes.
         """
         with self.latch:
-            end = self.end_lsn
+            end = self._end()
             if up_to_lsn is not None and up_to_lsn < self._durable_end:
                 return
             if self._durable_end >= end:
@@ -450,10 +450,11 @@ class LogManager:
         chain is read from the log, not from pages.
         """
         with self.latch:
-            if start_lsn != self.end_lsn:
+            end = self._end()
+            if start_lsn != end:
                 raise WalError(
                     f"ingest at {format_lsn(start_lsn)} does not continue the "
-                    f"log (end is {format_lsn(self.end_lsn)})"
+                    f"log (end is {format_lsn(end)})"
                 )
             if not data:
                 return NULL_LSN
@@ -472,7 +473,7 @@ class LogManager:
                 elif record_type == _CHECKPOINT_BEGIN_TYPE:
                     last_checkpoint = lsn
             self._data += data
-            self._durable_end = self.end_lsn
+            self._durable_end = self._end()
             for lsn in commits:
                 self._commit_dir.note(lsn, _commit_wall(data, lsn - start_lsn))
             self.env.log_device.write_seq_async(len(data))

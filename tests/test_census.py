@@ -107,3 +107,41 @@ def test_census_keeps_generated_code_apart(tmp_path, monkeypatch):
     assert doc["files"]["plant/mod.py"] == {"production": 5, "tier1": 0, "nothing": 1}
     assert doc["never_entered_by_production"] == {"plant/mod.py:1 never": "nothing"}
     assert doc["default_only_in_production"] == {"plant/mod.py:<Gen>:gen(knob)": "nothing"}
+
+
+TWO_LABELS = '''\
+def make(label):
+    scope = {}
+    # Distinct bodies, as each record class's fields differ (equal code
+    # objects would share one key: code equality ignores the filename).
+    source = "def gen(x, knob=1, spare=0):\\n    tag = %r\\n    return x + knob + spare\\n" % label
+    exec(compile(source, __file__ + ":<" + label + ">", "exec"), scope)
+    return scope["gen"]
+'''
+
+
+def test_census_counts_generated_copies_once(tmp_path, monkeypatch):
+    """One generated function compiled per label (``mod.py:<A>``,
+    ``mod.py:<B>``, as the record codecs compile one ``__init__`` per
+    class) is listed per label but counted once, as ``mod.py``'s: a
+    parameter production sets under any label is not default-only."""
+    census = load(monkeypatch, "census", os.path.join(ROOT, "benchmarks", "census.py"))
+    root = tmp_path / "plant"
+    root.mkdir()
+    (root / "mod.py").write_text(TWO_LABELS)
+
+    with census.Tracer(str(root)) as production:
+        plant = load(monkeypatch, "census_labels", str(root / "mod.py"))
+        gen_a, gen_b = plant.make("A"), plant.make("B")
+        assert gen_a(1, knob=2) == 3 and gen_b(1) == 2
+    with census.Tracer(str(root)) as tier1:
+        assert gen_b(1, spare=1) == 3
+    doc = census.classify(str(root), [production.result()], [tier1.result()])
+
+    assert doc["default_only_in_production"] == {
+        "plant/mod.py:<A>:gen(spare)": "nothing",
+        "plant/mod.py:<B>:gen(knob)": "nothing",
+        "plant/mod.py:<B>:gen(spare)": "tier1",
+    }
+    # knob is set under <A>; spare is set by tier-1 under <B>.
+    assert doc["default_only"] == {"tier1": 1, "nothing": 0}

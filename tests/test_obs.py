@@ -165,7 +165,11 @@ def test_metric_names_and_values_are_pinned():
     instead of the caller fetching it again, and a table UPDATE rewrites
     its row under one descent instead of a read and a write: buffer hits
     305 → 198, misses unchanged (only the latch acquisitions behind the
-    hits fell as well, and they are not in this snapshot)."""
+    hits fell as well, and they are not in this snapshot). A pooled
+    snapshot keeps no sparse side file (its frames share the version
+    store's images), so the pooled read's four page writes are gone:
+    ``io.sparse_writes`` 4 → 0 and ``io.sparse_bytes`` 4096 → 0 (the
+    named snapshot reads nothing)."""
     engine = _topology()
     golden = json.loads(GOLDEN.read_text())
     assert sorted(engine.env.metrics.names()) == golden["names"]
