@@ -46,8 +46,8 @@ class RuleConfig:
 SHARED_STATE_REGISTRY: tuple[dict, ...] = (
     # Retention pins: pooled splits, shipper cursors, archiver cursors.
     {"attr": "retention_pins", "owners": ("repro/engine/database.py",)},
-    # Database metadata caches (boot record, table/tree handles,
-    # memoized checkpoint chain) — replicas and restores must go through
+    # Database metadata caches (boot record, table/tree handles):
+    # replicas and restores must go through
     # Database.invalidate_caches()/reload_boot().
     {"attr": "_boot_cache", "owners": ("repro/engine/database.py",)},
     # (as-of snapshots carry their own table/tree caches, same names.)
@@ -59,7 +59,6 @@ SHARED_STATE_REGISTRY: tuple[dict, ...] = (
         "attr": "_tree_cache",
         "owners": ("repro/engine/database.py", "repro/core/asof.py"),
     },
-    {"attr": "_ckpt_chain_cache", "owners": ("repro/engine/database.py",)},
     # Allocation-map search hints (soft state, but still shared).
     {"attr": "_hints", "owners": ("repro/storage/allocation.py",)},
     # Buffer pool frames; as-of snapshots carry their own frame cache.
@@ -68,23 +67,20 @@ SHARED_STATE_REGISTRY: tuple[dict, ...] = (
         "owners": ("repro/storage/buffer.py", "repro/core/asof.py"),
         "latch": True,
     },
-    # The log tail: bytes, durable boundary, truncation point, commit
-    # directory.
+    # The log tail: bytes, durable boundary, truncation point,
+    # directories.
     {"attr": "_data", "owners": ("repro/wal/log_manager.py",), "latch": True},
     {"attr": "_durable_end", "owners": ("repro/wal/log_manager.py",), "latch": True},
     {"attr": "_truncated_before", "owners": ("repro/wal/log_manager.py",), "latch": True},
-    {
-        "attr": "_commit_dir",
-        "owners": ("repro/wal/log_manager.py",),
-        "latch": True,
-        "mutators": ("note", "cut", "drop_below"),
-    },
-    {
-        "attr": "_seeds",
-        "owners": ("repro/wal/log_manager.py",),
-        "latch": True,
-        "mutators": ("add", "cut", "drop_below"),
-    },
+    *(
+        {
+            "attr": attr,
+            "owners": ("repro/wal/log_manager.py",),
+            "latch": True,
+            "mutators": ("note", "add", "cut", "drop_below"),
+        }
+        for attr in ("_commit_dir", "_ckpt_dir", "_seeds")
+    ),
     # Lock-manager table and declared waits (one per database).
     {"attr": "_table", "owners": ("repro/txn/locks.py",), "latch": True},
     {"attr": "_waits", "owners": ("repro/txn/locks.py",), "latch": True},
@@ -227,7 +223,7 @@ TRUNCATION_RAISING_LOG_METHODS: frozenset[str] = frozenset(
     {"read", "undo_fetch", "scan", "read_bytes"}
 )
 TRUNCATION_RAISING_HELPERS: frozenset[str] = frozenset(
-    {"find_split_lsn", "resolve_split", "create_at_split", "checkpoint_chain"}
+    {"find_split_lsn", "resolve_split", "create_at_split"}
 )
 TRUNCATION_HANDLERS: frozenset[str] = frozenset(
     {"LogTruncatedError", "WalError", "ReproError", "Exception", "BaseException"}

@@ -148,7 +148,7 @@ def restore_from_archive(
         config,
         engine.env,
         store.read_backup_pages(plan.chain),
-        view,
+        view.log,
         plan.roll_from_lsn,
         plan.split_lsn,
     )

@@ -27,7 +27,7 @@ from repro.replication.stream import LogFrame
 from repro.sim import hostio
 from repro.sim.device import DeviceProfile, SimDevice
 from repro.wal.log_manager import LogManager
-from repro.wal.lsn import NULL_LSN, format_lsn
+from repro.wal.lsn import format_lsn
 
 
 @dataclass(frozen=True)
@@ -47,8 +47,7 @@ class _ArchivedLogView:
     Extended incrementally: each refresh ingests only segments archived
     since the last one, so repeated split searches and restores do not
     re-read the whole archive. The view doubles as the ``db``-shaped
-    object SplitLSN search and checkpoint-chain walks expect (``env``,
-    ``log``, ``last_checkpoint_lsn``).
+    object SplitLSN search expects (``env``, ``log``).
     """
 
     def __init__(self, store: "ArchiveStore", db_name: str) -> None:
@@ -56,7 +55,6 @@ class _ArchivedLogView:
         self.db_name = db_name
         self.env = store.env
         self.log: LogManager | None = None
-        self.last_checkpoint_lsn = NULL_LSN
         self._next_segment = 0
 
     def refresh(self) -> "_ArchivedLogView":
@@ -82,9 +80,7 @@ class _ArchivedLogView:
             for segment in segments[self._next_segment:]:
                 self._store._charge_read(len(segment.blob))
                 frame = LogFrame.decode(segment.blob)
-                ckpt = self.log.ingest(frame.start_lsn, frame.payload)
-                if ckpt != NULL_LSN and ckpt > self.last_checkpoint_lsn:
-                    self.last_checkpoint_lsn = ckpt
+                self.log.ingest(frame.start_lsn, frame.payload)
             self._next_segment = len(segments)
             return self
 

@@ -46,25 +46,23 @@ class _RestoreUndoContext:
 
 
 def restore_at_split(
-    name: str, config, env, pages: dict[int, bytes], source, roll_from: int, split: int
+    name: str, config, env, pages: dict[int, bytes], log, roll_from: int, split: int
 ) -> Database:
-    """Materialize ``source``'s history at ``split`` from backup ``pages``.
+    """Materialize the history in ``log`` at ``split`` from backup ``pages``.
 
-    ``source`` is database-shaped (``log``, ``last_checkpoint_lsn``): the
-    live source database, or the archive's log view. ``pages`` must be
-    consistent with ``roll_from``, and the log must cover
-    ``[roll_from, split]``. Returns a read-only, unregistered database
+    ``log`` is the live source database's, or the archive's log view's.
+    ``pages`` must be consistent with ``roll_from``, and the log must
+    cover ``[roll_from, split]``. Returns a read-only, unregistered database
     with no history of its own: its log starts past the split, so a
     point-in-time read against the copy is refused with
     :class:`~repro.errors.RetentionExceededError`.
     """
-    log = source.log
     restored = Database(name, config, env, bootstrap=False)
     restored.adopt_backup(pages, log.record_aligned_end(split, 1))
     # Narrowed to what redo applies: every record in the range is still
     # checked and charged, only the others are not built.
     RedoApplier(restored).apply(log.scan(roll_from, split + 1, types=PAGE_MOD_TYPES))
-    base = analysis_base(source, split, max(roll_from, log.start_lsn))
+    base = analysis_base(log, split, max(roll_from, log.start_lsn))
     analysis = analyze_log(log, base, split + 1)
     rollback_losers(_RestoreUndoContext(restored, log), analysis.losers)
     restored.buffer.flush_all()
@@ -103,7 +101,7 @@ def restore_point_in_time(
         source_db.config,
         engine.env,
         backup.pages,
-        source_db,
+        log,
         backup.backup_lsn,
         split,
     )

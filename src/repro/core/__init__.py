@@ -26,7 +26,7 @@ from repro.core.asof import AsOfSnapshot
 from repro.core.page_undo import PreparedVersion, prepare_page_version
 from repro.core.retention import enforce_retention, retention_horizon
 from repro.core.snapshot_pool import PoolStats, SnapshotPool
-from repro.core.split_lsn import checkpoint_chain, find_split_lsn
+from repro.core.split_lsn import find_split_lsn
 from repro.core.txn_undo import undo_transaction
 from repro.core.version_store import PageVersionStore, VersionStoreStats
 
@@ -34,7 +34,6 @@ __all__ = [
     "prepare_page_version",
     "PreparedVersion",
     "find_split_lsn",
-    "checkpoint_chain",
     "AsOfSnapshot",
     "SnapshotPool",
     "PoolStats",

@@ -165,7 +165,7 @@ def snapshot_analysis(db, split: int) -> tuple[AnalysisResult, int]:
     checkpoint at or before it.
     """
     log = db.log
-    base = analysis_base(db, split, log.start_lsn)
+    base = analysis_base(log, split, log.start_lsn)
     start, seed, cuts = log.analysis_seed(base, split)
     analysis = analyze_log(log, start, split + 1, seed=seed)
     log.remember_seeds(analysis.crossed, cuts)
@@ -289,12 +289,12 @@ class AsOfSnapshot:
     ) -> "AsOfSnapshot":
         """Create an as-of snapshot at an already-resolved SplitLSN.
 
-        The wall-clock retention check can pass while the checkpoint chain
-        or the analysis window still crosses the retention horizon (e.g.
-        the log was truncated more aggressively than the undo interval
-        implies, or an in-flight transaction's chain reaches below the
-        horizon) — surface that as :class:`RetentionExceededError` rather
-        than leaking the storage-level :class:`LogTruncatedError`.
+        The wall-clock retention check can pass while the analysis window
+        still crosses the retention horizon (e.g. the log was truncated
+        more aggressively than the undo interval implies, or an in-flight
+        transaction's chain reaches below the horizon): surface that as
+        :class:`RetentionExceededError` rather than leaking the
+        storage-level :class:`LogTruncatedError`.
         """
         try:
             # Make every page with LSN <= split durable in the primary

@@ -11,7 +11,6 @@ last completed checkpoint.
 
 from __future__ import annotations
 
-from repro.core.split_lsn import checkpoint_chain
 from repro.wal.lsn import NULL_LSN
 
 
@@ -33,14 +32,10 @@ def enforce_retention(db) -> int:
     truncated out from under it. A detached subscriber releases its pin
     and truncation resumes.
     """
-    horizon_wall = retention_horizon(db)
-    keep_lsn = NULL_LSN
-    for lsn, wall, _prev in checkpoint_chain(db):
-        if wall <= horizon_wall:
-            keep_lsn = lsn
-            break
-    if keep_lsn == NULL_LSN:
+    kept = db.log.checkpoint_stamped(retention_horizon(db))
+    if kept is None:
         return db.log.start_lsn
+    keep_lsn = kept[0]
     for txn in db.txns.active_transactions():
         if txn.first_lsn != NULL_LSN:
             keep_lsn = min(keep_lsn, txn.first_lsn)
@@ -52,15 +47,10 @@ def enforce_retention(db) -> int:
     if keep_lsn > db.log.start_lsn:
         db.log.flush()
         db.log.truncate_before(keep_lsn)
-        # Truncation moved the reachability floor: drop memoized
-        # checkpoint entries and stored page versions whose whole
-        # interval fell below it (versions serving a still-pooled split
-        # end above the floor — the entry's pin kept keep_lsn at or
-        # below the split — so they survive).
-        cache = getattr(db, "_ckpt_chain_cache", None)
-        if cache:
-            for lsn in [lsn for lsn in cache if lsn < keep_lsn]:
-                del cache[lsn]
+        # Truncation moved the reachability floor: drop stored page
+        # versions whose whole interval fell below it (versions serving a
+        # still-pooled split end above the floor — the entry's pin kept
+        # keep_lsn at or below the split — so they survive).
         store = getattr(db, "version_store", None)
         if store is not None:
             store.gc(db.version_store_key, db.log.start_lsn)

@@ -1,8 +1,7 @@
 """The boot page (page 0): durable engine metadata.
 
-Holds the last checkpoint LSN (recovery's starting point and the anchor of
-the backward checkpoint chain that SplitLSN search walks) and the
-retention period (section 4.3's ``UNDO_INTERVAL``). The boot record is an
+Holds the last checkpoint LSN (where recovery starts) and the retention
+period (section 4.3's ``UNDO_INTERVAL``). The boot record is an
 ordinary slotted-page record updated through logged page modifications, so
 even engine settings are as-of recoverable.
 """

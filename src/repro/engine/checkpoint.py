@@ -2,10 +2,11 @@
 
 A checkpoint here flushes all dirty pages (SQL Server style), so redo
 never reaches behind the latest checkpoint. Checkpoint-begin records carry
-the simulated wall-clock time and a back-pointer to the previous
-checkpoint — the chain SplitLSN search narrows by (section 5.1) — and the
-active-transaction table that as-of snapshot recovery's analysis pass
-starts from (section 5.2).
+the simulated wall-clock time — SplitLSN search narrows by it (section
+5.1), finding the record in the log's checkpoint directory — a
+back-pointer to the previous checkpoint, which no engine path reads, and
+the active-transaction table that as-of snapshot recovery's analysis
+pass starts from (section 5.2).
 
 :class:`Checkpointer` adds cadence: the paper's evaluation uses a
 30-second target recovery interval, which is what bounds as-of snapshot

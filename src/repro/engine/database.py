@@ -220,9 +220,6 @@ class Database:
         #: Upper bound for open-ended published intervals; replicas set
         #: it to their applied LSN (their pages trail the shipped log).
         self.publish_horizon_lsn: int | None = None
-        #: Memoized checkpoint back-chain entries (lsn -> (wall, prev)),
-        #: consumed by :func:`repro.core.split_lsn.checkpoint_chain`.
-        self._ckpt_chain_cache: dict[int, tuple[float, int]] = {}
         if not bootstrap:
             # A shell for log-shipping replication: state materializes by
             # replaying the primary's log from its very first record (the
@@ -552,7 +549,6 @@ class Database:
         self._boot_cache = None
         self._table_cache = {}
         self._tree_cache = {}
-        self._ckpt_chain_cache = {}
 
     def add_retention_pin(self, pin) -> None:
         """Register a retention pin: a callable returning an LSN the log

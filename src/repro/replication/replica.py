@@ -38,7 +38,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.catalog.catalog import SYS_COLUMNS_ID, SYS_OBJECTS_ID
-from repro.core.snapshot_pool import DEFAULT_POOL_BUDGET_BYTES, SnapshotPool
+from repro.core.snapshot_pool import SnapshotPool
 from repro.core.split_lsn import analysis_base, find_split_lsn
 from repro.engine.boot import BOOT_PAGE_ID
 from repro.engine.database import Database
@@ -78,7 +78,6 @@ class Replica:
         name: str,
         *,
         apply_delay_s: float = 0.0,
-        snapshot_pool_budget: int = DEFAULT_POOL_BUDGET_BYTES,
         config=None,
     ) -> None:
         if apply_delay_s < 0:
@@ -97,7 +96,7 @@ class Replica:
         # bounded by the log itself, not the primary's retention window.
         self.db.retention_override_s = float("inf")
         #: Pooled ephemeral snapshots over the replica's own log/state.
-        self.snapshot_pool = SnapshotPool(snapshot_pool_budget)
+        self.snapshot_pool = SnapshotPool()
         self.stats = ReplicaStats()
         self._applier = RedoApplier(self.db, parallel_slots=APPLY_SLOTS)
         #: Next LSN to apply (exclusive end of the applied prefix).
@@ -107,10 +106,6 @@ class Replica:
         self.applied_commit_lsn = NULL_LSN
         #: Received frames awaiting their apply-delay: (ship_wall, end_lsn).
         self._delay_queue: deque[tuple[float, int]] = deque()
-        #: Newest shipped checkpoint — the SplitLSN search anchor, valid
-        #: even before any page state has been applied (the checkpoint
-        #: chain lives in the log, which the standby already holds).
-        self._newest_ckpt_lsn = NULL_LSN
         self.dropped = False
         #: Consecutive faulted apply attempts (set by the engine's tick;
         #: read offload routes away from a faulted standby).
@@ -131,8 +126,9 @@ class Replica:
         — impossible once the primary has truncated — the standby starts
         from a restored backup chain: its pages are laid down, its log is
         rebased to start at ``seed_lsn`` (the chain's last checkpoint
-        LSN), and shipping resumes from there. Must run before any frame
-        has been received.
+        LSN), and shipping resumes from there: the first frame lands that
+        checkpoint's record, the SplitLSN search anchor. Must run before
+        any frame has been received.
         """
         if self.applied_lsn != FIRST_LSN or self.stats.frames_received:
             raise ReplicationError(
@@ -142,10 +138,6 @@ class Replica:
         self.db.adopt_backup(pages, seed_lsn)
         self.applied_lsn = seed_lsn
         self.db.publish_horizon_lsn = seed_lsn
-        # The backup's boot page names the checkpoint the chain is
-        # consistent with — the SplitLSN search anchor until newer
-        # checkpoints arrive through the stream.
-        self._newest_ckpt_lsn = self.db.last_checkpoint_lsn
 
     # ------------------------------------------------------------------
     # Receive (the shipper calls this)
@@ -184,12 +176,7 @@ class Replica:
                 f"{format_lsn(frame.start_lsn)}",
                 resume_lsn=self.received_lsn,
             )
-        ckpt = self.db.log.ingest(frame.start_lsn, frame.payload)
-        if ckpt != NULL_LSN and ckpt > self._newest_ckpt_lsn:
-            self._newest_ckpt_lsn = ckpt
-            self.db.last_checkpoint_lsn = max(
-                self.db.last_checkpoint_lsn, ckpt
-            )
+        self.db.log.ingest(frame.start_lsn, frame.payload)
         self._delay_queue.append((frame.ship_wall, frame.end_lsn))
         self.stats.frames_received += 1
         self.stats.bytes_received += len(frame.payload)
@@ -287,11 +274,6 @@ class Replica:
                 boot_ready = guard.page.is_formatted()
             if boot_ready:
                 self.db.reload_boot()
-                # The boot page trails the received log; keep the newest
-                # shipped checkpoint as the SplitLSN search anchor.
-                self.db.last_checkpoint_lsn = max(
-                    self.db.last_checkpoint_lsn, self._newest_ckpt_lsn
-                )
         if applied:
             self.stats.records_applied += applied
             self.stats.apply_batches += 1
@@ -403,11 +385,7 @@ class Replica:
             self.db.version_store.purge(self.db.name)
             self.db.version_store_key = self.db.name
         self.db.publish_horizon_lsn = None
-        # The receive-time checkpoint anchor may point into the discarded
-        # tail; the boot page of the applied state is the truth now.
-        self.db.invalidate_caches()
-        self.db.reload_boot()
-        base = analysis_base(self.db, to_lsn, self.db.log.start_lsn)
+        base = analysis_base(self.db.log, to_lsn, self.db.log.start_lsn)
         analysis = analyze_log(self.db.log, base)
         undo_pass(self.db, analysis)
         self.db.txns.adopt_txn_id_floor(analysis.max_txn_id)

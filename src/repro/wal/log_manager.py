@@ -15,7 +15,10 @@ tests produce torn histories.
 The log keeps a :class:`CommitDirectory` beside its bytes — one entry per
 commit — so SplitLSN search is a bisection that reads no log block
 instead of a scan forward from a checkpoint (``docs/wal-format.md``,
-"Commit directory"). Beside it, :class:`AnalysisSeeds` remembers who was
+"Commit directory"). A :class:`CheckpointDirectory` does the same for
+checkpoint-begin records, so finding the checkpoint that narrows a
+search or seeds an analysis walks no back-chain ("Checkpoint
+directory"). Beside them, :class:`AnalysisSeeds` remembers who was
 in flight at each block boundary snapshot analysis crossed and just past
 each split it reached, so a repeat AS OF scans at most one block instead
 of everything since the checkpoint ("Analysis seeds").
@@ -37,6 +40,7 @@ from repro.wal.lsn import FIRST_LSN, NULL_LSN, format_lsn
 from repro.wal.records import (
     HEADER_SIZE,
     LOG_HEADER_MAGIC,
+    CheckpointBeginRecord,
     ClrRecord,
     CommitRecord,
     LogRecord,
@@ -51,13 +55,15 @@ from repro.wal.records import (
 #: Wire discriminators for ingest's boundary walk of a frame.
 _COMMIT_TYPE = int(RecordType.COMMIT)
 _CHECKPOINT_BEGIN_TYPE = int(RecordType.CHECKPOINT_BEGIN)
-#: A commit's body is its wall clock alone: read in place, never decoded.
+#: A commit's body is its wall clock alone, and a checkpoint-begin's
+#: starts with it: read in place, never decoded.
 _WALL = struct.Struct("<d")
 _COMMIT_SIZE = HEADER_SIZE + _WALL.size
 
 
-def _commit_wall(data, offset: int) -> float:
-    """Wall clock of the commit record at ``offset`` in ``data``."""
+def _wall_at(data, offset: int) -> float:
+    """Wall clock of the commit or checkpoint-begin record at ``offset``
+    in ``data``."""
     return _WALL.unpack_from(data, offset + HEADER_SIZE)[0]
 
 
@@ -127,6 +133,61 @@ class CommitDirectory:
         self._n = bisect_left(self._lsns, lsn, 0, self._n)
 
 
+class CheckpointDirectory:
+    """One entry per checkpoint-begin record, in LSN order: its LSN, its
+    wall clock, and the least wall clock of it and every entry after it.
+
+    That suffix minimum never decreases, so the newest checkpoint (by
+    LSN) stamped at or before a time *t* is a bisect away, whatever order
+    the walls were stamped in: it is the last entry whose minimum is at
+    or before *t*, as no later entry's wall is. The owning
+    :class:`LogManager` calls every method under its latch.
+    """
+
+    __slots__ = ("lsns", "walls", "_least")
+
+    def __init__(self) -> None:
+        self.lsns: list[int] = []
+        self.walls: list[float] = []
+        self._least: list[float] = []
+
+    def note(self, lsn: int, wall: float) -> None:
+        """Record a checkpoint at ``lsn``, newer than every one noted so far."""
+        self.lsns.append(lsn)
+        self.walls.append(wall)
+        self._least.append(wall)
+        i = len(self.lsns) - 1
+        while i and self._least[i - 1] > wall:
+            i -= 1
+            self._least[i] = wall
+
+    def _entry(self, i: int) -> tuple[int, float] | None:
+        """``(lsn, wall)`` of the entry before index ``i``, else ``None``."""
+        return (self.lsns[i - 1], self.walls[i - 1]) if i else None
+
+    def stamped(self, wall: float) -> tuple[int, float] | None:
+        """The newest checkpoint stamped at or before ``wall``."""
+        return self._entry(bisect_right(self._least, wall))
+
+    def before(self, lsn: int) -> tuple[int, float] | None:
+        """The newest checkpoint at or before ``lsn``."""
+        return self._entry(bisect_right(self.lsns, lsn))
+
+    def drop_below(self, lsn: int) -> None:
+        """Forget the checkpoints below ``lsn``."""
+        i = bisect_left(self.lsns, lsn)
+        del self.lsns[:i], self.walls[:i], self._least[:i]
+
+    def cut(self, lsn: int) -> None:
+        """Forget the checkpoints at or past ``lsn``. Those kept are noted
+        afresh: the minima the cut ones lowered are raised again."""
+        i = bisect_left(self.lsns, lsn)
+        lsns, walls = self.lsns[:i], self.walls[:i]
+        self.lsns, self.walls, self._least = [], [], []
+        for entry in zip(lsns, walls, strict=True):
+            self.note(*entry)
+
+
 class AnalysisSeeds:
     """Who was in flight at the log-block boundaries snapshot analysis
     crossed and just past the splits it reached: per entry, the LSN of
@@ -194,6 +255,7 @@ class LogManager:
         self._durable_end = FIRST_LSN
         self._truncated_before = FIRST_LSN
         self._commit_dir = CommitDirectory()
+        self._ckpt_dir = CheckpointDirectory()
         self._seeds = AnalysisSeeds()
         #: Bumped whenever bytes are taken back (crash, discard_after,
         #: close): seeds from an analysis that raced one are refused.
@@ -246,6 +308,18 @@ class LogManager:
         with self.latch:
             return self._commit_dir.split(wall, base)
 
+    def checkpoint_before(self, lsn: int) -> tuple[int, float] | None:
+        """``(lsn, wall)`` of the newest checkpoint-begin record at or
+        before ``lsn``, else ``None``."""
+        with self.latch:
+            return self._ckpt_dir.before(lsn)
+
+    def checkpoint_stamped(self, wall: float) -> tuple[int, float] | None:
+        """``(lsn, wall)`` of the newest checkpoint-begin record, by LSN,
+        stamped at or before ``wall``, else ``None``."""
+        with self.latch:
+            return self._ckpt_dir.stamped(wall)
+
     def analysis_seed(self, base: int, split: int) -> tuple[int, dict | None, int]:
         """Where analysis of a window ``[base, split]`` can start:
         ``(start, open, cuts)``, with ``start`` the newest analysis seed
@@ -281,6 +355,8 @@ class LogManager:
             self._append_hist.observe(len(blob))
             if isinstance(record, CommitRecord):
                 self._commit_dir.note(record.lsn, record.wall_clock)
+            elif isinstance(record, CheckpointBeginRecord):
+                self._ckpt_dir.note(record.lsn, record.wall_clock)
             stats = self.env.stats
             stats.log_records += 1
             if isinstance(record, PreformatPageRecord):
@@ -434,20 +510,16 @@ class LogManager:
                 end = next_lsn
             return end
 
-    def ingest(self, start_lsn: int, data: bytes) -> int:
+    def ingest(self, start_lsn: int, data: bytes) -> None:
         """Land shipped log bytes on a standby's log (durable immediately).
 
         ``start_lsn`` must equal :attr:`end_lsn` — shipped frames arrive in
         order with no gaps (the shipper resumes from the standby's cursor).
         The bytes are validated to decode as whole records, their commits
-        enter the commit directory (each wall clock read in place, no body
-        decoded), and one sequential log write is charged (the standby
-        lands the stream the same way the primary flushed it).
-
-        Returns the LSN of the newest checkpoint-begin record in the
-        frame (``NULL_LSN`` if none): a standby needs a checkpoint-chain
-        anchor for SplitLSN search *before* any page state exists, and the
-        chain is read from the log, not from pages.
+        and checkpoint-begins enter the directories (each wall clock read
+        in place, no body decoded), and one sequential log write is
+        charged (the standby lands the stream the same way the primary
+        flushed it).
         """
         with self.latch:
             end = self._end()
@@ -457,11 +529,10 @@ class LogManager:
                     f"log (end is {format_lsn(end)})"
                 )
             if not data:
-                return NULL_LSN
+                return
             # Boundary walk: reject torn frames (LogRecordDecodeError)
             # before mutating any state.
-            commits = []
-            last_checkpoint = NULL_LSN
+            commits, checkpoints = [], []
             for lsn, total, record_type in walk_boundaries(data, base_lsn=start_lsn):
                 if record_type == _COMMIT_TYPE:
                     if total != _COMMIT_SIZE:
@@ -471,15 +542,20 @@ class LogManager:
                         )
                     commits.append(lsn)
                 elif record_type == _CHECKPOINT_BEGIN_TYPE:
-                    last_checkpoint = lsn
+                    if total < _COMMIT_SIZE:
+                        raise LogRecordDecodeError(
+                            f"checkpoint at {format_lsn(lsn)} is {total} bytes"
+                        )
+                    checkpoints.append(lsn)
             self._data += data
             self._durable_end = self._end()
             for lsn in commits:
-                self._commit_dir.note(lsn, _commit_wall(data, lsn - start_lsn))
+                self._commit_dir.note(lsn, _wall_at(data, lsn - start_lsn))
+            for lsn in checkpoints:
+                self._ckpt_dir.note(lsn, _wall_at(data, lsn - start_lsn))
             self.env.log_device.write_seq_async(len(data))
             self.env.stats.log_flushes += 1
             self.env.stats.log_write_bytes += len(data)
-            return last_checkpoint
 
     def open_at(self, base_lsn: int) -> None:
         """Rebase a pristine, empty log so its next record lands at
@@ -534,6 +610,7 @@ class LogManager:
             self._durable_end = min(self._durable_end, lsn)
             self._cache.clear()
             self._commit_dir.cut(lsn)
+            self._ckpt_dir.cut(lsn)
             self._seeds.cut(lsn)
             self._cuts += 1
 
@@ -632,12 +709,13 @@ class LogManager:
             del self._data[keep:]
             self._cache.clear()
             self._commit_dir.cut(self._durable_end)
+            self._ckpt_dir.cut(self._durable_end)
             self._seeds.cut(self._durable_end)
             self._cuts += 1
 
     def close(self) -> None:
-        """Release the log's bytes, block cache, commit directory and
-        analysis seeds: its database is being retired. Nothing is flushed
+        """Release the log's bytes, block cache, directories and analysis
+        seeds: its database is being retired. Nothing is flushed
         and nothing is charged; the positions stay where they were, with
         every LSN now below the horizon."""
         with self.latch:
@@ -645,6 +723,7 @@ class LogManager:
             self._data = bytearray()
             self._cache.clear()
             self._commit_dir = CommitDirectory()
+            self._ckpt_dir = CheckpointDirectory()
             self._seeds = AnalysisSeeds()
             self._cuts += 1
 
@@ -667,6 +746,7 @@ class LogManager:
             self._base = lsn
             self._truncated_before = lsn
             self._commit_dir.drop_below(lsn)
+            self._ckpt_dir.drop_below(lsn)
             self._seeds.drop_below(lsn)
 
     def __repr__(self) -> str:

@@ -492,9 +492,10 @@ class AbortRecord(LogRecord):
 
 
 class CheckpointBeginRecord(LogRecord):
-    """Checkpoint start: wall clock, back-pointer to the previous
-    checkpoint (navigated by SplitLSN search), and the active-transaction
-    table (consumed by as-of snapshot recovery's analysis pass)."""
+    """Checkpoint start: wall clock (SplitLSN search narrows by it),
+    back-pointer to the previous checkpoint (written, read by no engine
+    path), and the active-transaction table (consumed by as-of snapshot
+    recovery's analysis pass)."""
 
     TYPE = RecordType.CHECKPOINT_BEGIN
     FIELDS = (

@@ -13,6 +13,7 @@ from repro import (
     TableSchema,
 )
 from repro.errors import SnapshotReadOnlyError
+from repro.wal.records import RecordType
 
 
 @pytest.fixture
@@ -123,3 +124,11 @@ def stored_versions(store, store_key: str, page_id: int) -> list[tuple[int, int]
     """``(version_lsn, limit_lsn)`` intervals a version store holds for a page."""
     with store.latch:
         return [(v.version_lsn, v.limit_lsn) for v in store._versions.get((store_key, page_id), ())]
+
+
+def scanned_checkpoints(log) -> list[tuple[int, float, int]]:
+    """``(lsn, wall, prev)`` of every checkpoint-begin record in the
+    retained log, newest first: the oracle for the log's checkpoint
+    directory, read the slow way."""
+    found = log.scan(log.start_lsn, types=(RecordType.CHECKPOINT_BEGIN,))
+    return [(rec.lsn, rec.wall_clock, rec.prev_checkpoint_lsn) for rec in found][::-1]

@@ -36,7 +36,7 @@ from tests.test_split_lsn import committed_marks
 def checkpoint_seeded(db, split: int):
     """Section 5.2's window as it was before analysis seeds: from the
     newest checkpoint at or before the split."""
-    base = analysis_base(db, split, db.log.start_lsn)
+    base = analysis_base(db.log, split, db.log.start_lsn)
     analysis = analyze_log(db.log, base, split + 1)
     collect_loser_locks(db.log, analysis, base, min(base, split))
     return analysis
@@ -83,7 +83,7 @@ def _advance(open_txns: dict, rec) -> None:
 
 class _History:
     """Up to three interleaved transactions over a db-shaped log (``env``,
-    ``log``, ``last_checkpoint_lsn``), written record by record: rows with
+    ``log``), written record by record: rows with
     and without keys (some flagged SMO), allocations, partial rollbacks
     that log CLRs, commits, aborts, and checkpoints carrying the true
     active table."""
@@ -95,7 +95,8 @@ class _History:
         self.log = LogManager(self.env, block_size=self.BLOCK, cache_blocks=2)
         if log_start != FIRST_LSN:
             self.log.open_at(log_start)
-        self.db = SimpleNamespace(env=self.env, log=self.log, last_checkpoint_lsn=NULL_LSN)
+        self.db = SimpleNamespace(env=self.env, log=self.log)
+        self.last_checkpoint = NULL_LSN
         self.records: list = []  # every record the log still holds a byte of, or held
         self.open: dict[int, _Txn] = {}
         self.next_id = 1
@@ -105,7 +106,7 @@ class _History:
     def _track(self, rec) -> None:
         _advance(self.open, rec)
         if isinstance(rec, CheckpointBeginRecord):
-            self.db.last_checkpoint_lsn = rec.lsn
+            self.last_checkpoint = rec.lsn
 
     def in_flight(self, split: int, floor: int):
         """The model's :func:`outcome` at ``split``: who the records up to
@@ -137,7 +138,7 @@ class _History:
     def cut(self) -> None:
         """Replay the model over the records the log kept."""
         self.records = [rec for rec in self.records if rec.lsn < self.log.end_lsn]
-        self.open, self.db.last_checkpoint_lsn = {}, NULL_LSN
+        self.open, self.last_checkpoint = {}, NULL_LSN
         for rec in self.records:
             self._track(rec)
 
@@ -174,7 +175,7 @@ class _History:
         elif kind == "checkpoint":
             active = tuple((txn_id, txn.last) for txn_id, txn in self.open.items())
             self.append(CheckpointBeginRecord(
-                wall_clock=float(step), prev_checkpoint_lsn=self.db.last_checkpoint_lsn,
+                wall_clock=float(step), prev_checkpoint_lsn=self.last_checkpoint,
                 active_txns=active,
             ))
         elif kind == "flush":
@@ -233,7 +234,7 @@ def reference(db, split: int, model: _History):
     bare floor then knows nobody in flight there, and a seed at or above
     the floor must find what the model says instead."""
     floor = db.log.start_lsn
-    if analysis_base(db, split, None) is None and any(floor <= lsn <= split for lsn in db.log._seeds._lsns):
+    if analysis_base(db.log, split, None) is None and any(floor <= lsn <= split for lsn in db.log._seeds._lsns):
         event("a window with no checkpoint started at a seed")
         if floor in db.log._seeds._lsns:
             event("a window with no checkpoint started at a seed at the floor")
@@ -247,7 +248,7 @@ def assert_seeds_match_checkpoint(db, splits, rng: random.Random, model: _Histor
     splits = list(splits)
     rng.shuffle(splits)
     for split in splits:
-        base = analysis_base(db, split, db.log.start_lsn)
+        base = analysis_base(db.log, split, db.log.start_lsn)
         if db.log.analysis_seed(base, split)[0] != base:
             event("a window started at a seed")
         want = reference(db, split, model)
@@ -307,7 +308,7 @@ def test_seeded_window_equals_checkpoint_window(ops, log_start, frames, standby_
             split = primary.pick(arg[0], log.end_lsn)
             if split >= log.end_lsn:
                 continue
-            base = analysis_base(primary.db, split, log.start_lsn)
+            base = analysis_base(log, split, log.start_lsn)
             start, seed_open, cuts = log.analysis_seed(base, split)
             crossed = analyze_log(log, start, split + 1, seed=seed_open).crossed
             if arg[1] % 2:
@@ -332,7 +333,6 @@ def test_seeded_window_equals_checkpoint_window(ops, log_start, frames, standby_
     start = primary.pick(standby_from, source.durable_lsn)
     standby = SimpleNamespace(
         env=primary.env, log=LogManager(primary.env, block_size=_History.BLOCK, cache_blocks=2),
-        last_checkpoint_lsn=NULL_LSN,
     )
     if start != FIRST_LSN:
         standby.log.open_at(start)
@@ -340,9 +340,7 @@ def test_seeded_window_equals_checkpoint_window(ops, log_start, frames, standby_
     position, sizes = start, iter(frames * 1000)
     while position < source.durable_lsn:
         end = source.record_aligned_end(position, next(sizes))
-        ckpt = standby.log.ingest(position, source.read_bytes(position, end))
-        if ckpt != NULL_LSN:
-            standby.last_checkpoint_lsn = ckpt
+        standby.log.ingest(position, source.read_bytes(position, end))
         held += [lsn for lsn in primary.boundaries() if position <= lsn < end]
         position = end
         assert_seeds_match_checkpoint(standby, rng.sample(held, min(len(held), 3)), rng, primary)
@@ -350,11 +348,6 @@ def test_seeded_window_equals_checkpoint_window(ops, log_start, frames, standby_
     cut = (held + [standby.log.end_lsn])[promote_at % (len(held) + 1)]
     standby.log.discard_after(cut)  # promotion to a point in time
     held = [lsn for lsn in held if lsn < cut]
-    standby.last_checkpoint_lsn = max(
-        (rec.lsn for rec in primary.records
-         if isinstance(rec, CheckpointBeginRecord) and start <= rec.lsn < cut),
-        default=NULL_LSN,
-    )
     assert_seeds_match_checkpoint(standby, held, rng, primary)
 
 
@@ -372,7 +365,7 @@ def test_a_loser_begun_before_the_seed_keeps_its_locks_from_both_sides():
     memo_seeded(history.db, splits[-1])  # crosses every block
     starts = set()
     for split in splits[2:]:
-        base = analysis_base(history.db, split, history.log.start_lsn)
+        base = analysis_base(history.log, split, history.log.start_lsn)
         starts.add(history.log.analysis_seed(base, split)[0])
         assert outcome(memo_seeded, history.db, split) == outcome(checkpoint_seeded, history.db, split)
     assert len(starts) >= 3
@@ -431,7 +424,7 @@ def test_a_second_split_in_the_block_analyses_only_the_records_past_the_first():
     assert splits[-1] // _OneBlock.BLOCK == splits[0] // _OneBlock.BLOCK
     first, second = splits[3], splits[-2]
     memo_seeded(history.db, first)
-    base = analysis_base(history.db, second, log.start_lsn)
+    base = analysis_base(log, second, log.start_lsn)
     assert base == splits[0]
     assert log.analysis_seed(base, second)[0] == splits[4]  # the record after the first split
     assert outcome(memo_seeded, history.db, second) == outcome(checkpoint_seeded, history.db, second)
@@ -460,7 +453,7 @@ def test_a_window_at_the_bare_floor_of_an_opened_log_leaves_no_end_seed():
     log, splits = history.log, history.boundaries()
     assert splits[0] == log.start_lsn == 300
     for split in splits:
-        assert analysis_base(history.db, split, log.start_lsn) == 300
+        assert analysis_base(log, split, log.start_lsn) == 300
         assert analyze_log(log, 300, split + 1).crossed == []
         snapshot_analysis(history.db, split)
     assert not log._seeds._lsns

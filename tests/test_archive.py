@@ -509,6 +509,29 @@ class TestSeedReplicaFromBackup:
         assert list(replica.scan("items")) == list(db.scan("items"))
         assert check_database(replica.db).ok
 
+    def test_seeded_replica_reads_as_of_before_the_next_checkpoint(self, engine, items_db):
+        """The standby's SplitLSN anchor is the seed checkpoint's record,
+        landed by the first shipped frame: a time between it and the next
+        shipped checkpoint reads as it does on the primary."""
+        db = items_db
+        self._truncated_primary(engine, db)
+        seed = engine.backup_database("itemsdb").backup_lsn
+        db.env.clock.advance(1)
+        with db.transaction() as txn:
+            db.update(txn, "items", (1,), {"qty": 2000})
+        db.env.clock.advance(1)
+        mark = db.env.clock.now()
+        db.env.clock.advance(1)
+        with db.transaction() as txn:
+            db.update(txn, "items", (1,), {"qty": 3000})
+        db.checkpoint()
+        replica = engine.add_replica("itemsdb", "standby", seed_from_backup=True)
+        assert replica.db.log.start_lsn == seed
+        assert replica.db.log.checkpoint_stamped(mark)[0] == seed < db.last_checkpoint_lsn
+        with replica.read_as_of(mark) as snap, engine.query_as_of("itemsdb", mark) as primary:
+            assert snap.get("items", (1,))[2] == 2000
+            assert list(snap.scan("items")) == list(primary.scan("items"))
+
     def test_seed_requires_an_archived_backup(self, engine, items_db):
         fill_items(items_db, 5)
         with pytest.raises(ReplicationError, match="backup_database"):

@@ -139,14 +139,14 @@ class TestTypedRollForward:
                 db.checkpoint()
         db.log.flush()
         split = find_split_lsn(db, db.env.clock.now())
-        assert analysis_base(db, split, backup.backup_lsn) > backup.backup_lsn
+        assert analysis_base(db.log, split, backup.backup_lsn) > backup.backup_lsn
         return db, backup, split
 
     def _restore(self, db, backup, split, name):
         db.log._cache.clear()
         before = db.env.stats.snapshot()
         restored = restore_at_split(
-            name, db.config, db.env, backup.pages, db, backup.backup_lsn, split
+            name, db.config, db.env, backup.pages, db.log, backup.backup_lsn, split
         )
         spent = db.env.stats.delta(before)
         return restored, (spent.log_scan_reads, spent.log_scan_bytes)
@@ -177,7 +177,7 @@ class TestTypedRollForward:
     @pytest.mark.parametrize("record_type", [RecordType.BEGIN, RecordType.COMMIT])
     def test_a_flipped_byte_the_typed_scan_does_not_build_fails_it(self, engine, record_type):
         db, backup, split = self._source(engine)
-        checkpoint = analysis_base(db, split, backup.backup_lsn)
+        checkpoint = analysis_base(db.log, split, backup.backup_lsn)
         victim = next(
             rec.lsn
             for rec in db.log.scan(backup.backup_lsn, checkpoint, types=(record_type,))

@@ -226,9 +226,9 @@ class TestBootPage:
     def test_checkpoint_chain_links(self, db):
         first = db.checkpoint()
         second = db.checkpoint()
-        from repro.core.split_lsn import checkpoint_chain
+        from tests.conftest import scanned_checkpoints
 
-        chain = list(checkpoint_chain(db))
+        chain = scanned_checkpoints(db.log)
         assert chain[0][0] == second
         assert chain[0][2] == first
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import collections
 import random
+import struct
 import threading
 import zlib
 
@@ -17,6 +18,7 @@ from repro.wal.lsn import FIRST_LSN, NULL_LSN
 from repro.wal.records import (
     HEADER_SIZE,
     BeginRecord,
+    CheckpointBeginRecord,
     ClrRecord,
     CommitRecord,
     DeleteRowRecord,
@@ -406,6 +408,26 @@ class TestStreamWalk:
         commits = [h.lsn for h in walk_headers(data, base_lsn=start)
                    if h.record_type == CommitRecord.TYPE]
         assert standby.last_commit_lsn == commits[-1]
+
+    @pytest.mark.parametrize(
+        "record, total",
+        [
+            (CommitRecord(wall_clock=1.0), HEADER_SIZE + 16),  # a commit is a header and a wall
+            (CheckpointBeginRecord(wall_clock=1.0), HEADER_SIZE + 4),  # no room for the wall
+        ],
+    )
+    def test_ingest_rejects_a_walled_record_of_the_wrong_size(self, record, total):
+        """A commit or checkpoint-begin whose wall clock ingest cannot read
+        in place is refused before the log or its directories change."""
+        blob = bytearray((record.serialize() + bytes(total))[:total])
+        struct.pack_into("<I", blob, 0, total)
+        standby, env = make_log()
+        pristine = (repr(standby), standby.checkpoint_before(standby.end_lsn), env.stats.snapshot())
+        with pytest.raises(LogRecordDecodeError, match=f"is {total} bytes"):
+            standby.ingest(standby.end_lsn, bytes(blob))
+        after = (repr(standby), standby.checkpoint_before(standby.end_lsn), env.stats.snapshot())
+        assert after == pristine
+
 
 
 def walked(walk, data, start, base):

@@ -14,7 +14,7 @@ import pytest
 from repro import Column, ColumnType, DatabaseConfig, Engine, SimEnv, TableSchema
 from repro.backup import restore_point_in_time, take_full_backup
 from repro.config import LoggingExtensions
-from repro.core.split_lsn import analysis_base, checkpoint_chain, find_split_lsn
+from repro.core.split_lsn import analysis_base, find_split_lsn
 from repro.engine.database import Database
 from repro.engine.recovery import analyze_log, redo_pass
 from repro.errors import CatalogError, ReproError, RetentionExceededError
@@ -25,7 +25,6 @@ from repro.wal.apply import REDO_BATCH_RECORDS, PageModifier, RedoApplier
 from repro.wal.log_manager import LogManager
 from repro.wal.lsn import FIRST_LSN
 from repro.wal.records import (
-    CheckpointBeginRecord,
     ClrRecord,
     DeformatPageRecord,
     DeleteRowRecord,
@@ -35,7 +34,7 @@ from repro.wal.records import (
     PreformatPageRecord,
     UpdateRowRecord,
 )
-from tests.conftest import ITEMS_SCHEMA, fill_items
+from tests.conftest import ITEMS_SCHEMA, fill_items, scanned_checkpoints
 
 SMALL_PAGES = DatabaseConfig(page_size=1024, buffer_pool_pages=64)
 TABLES = ("items", "parts", "notes")
@@ -184,7 +183,7 @@ class TestRouteAgreement:
         db, log = history.db, history.db.log
         splits = [find_split_lsn(db, wall) for wall in history.marks]
         assert all(split > history.base_checkpoint for split in splits)
-        base = analysis_base(db, splits[0], log.start_lsn)
+        base = analysis_base(log, splits[0], log.start_lsn)
         assert base == history.base_checkpoint
         analysis = analyze_log(log, base, splits[0] + 1)
         assert len(analysis.losers) == 2
@@ -499,36 +498,30 @@ class TestAnalysisBase:
 
     def _oracle(self, log, split: int, floor: int) -> int:
         """Brute force: scan everything retained for checkpoint records."""
-        at_or_before = [
-            rec.lsn
-            for rec in log.scan(log.start_lsn)
-            if isinstance(rec, CheckpointBeginRecord) and rec.lsn <= split
-        ]
-        return max(at_or_before, default=floor)
+        return next((lsn for lsn, _wall, _prev in scanned_checkpoints(log) if lsn <= split), floor)
 
-    def _check_every_split(self, db, log) -> set[int]:
+    def _check_every_split(self, log) -> set[int]:
         floor = log.start_lsn
         bases = set()
         for rec in log.scan(log.start_lsn):
-            base = analysis_base(db, rec.lsn, floor)
+            base = analysis_base(log, rec.lsn, floor)
             assert base == self._oracle(log, rec.lsn, floor), hex(rec.lsn)
             bases.add(base)
         return bases
 
     def test_matches_oracle_at_every_split(self, items_db):
         log = self._five_checkpoints(items_db)
-        bases = self._check_every_split(items_db, log)
+        bases = self._check_every_split(log)
         # bootstrap's checkpoint + our five, and the floor before any.
         assert len(bases) >= 6
 
     def test_matches_oracle_on_a_truncated_log(self, items_db):
         log = self._five_checkpoints(items_db)
-        chain = [lsn for lsn, _wall, _prev in checkpoint_chain(items_db)]
+        chain = [lsn for lsn, _wall, _prev in scanned_checkpoints(log)]
         log.truncate_before(chain[2])
-        items_db.invalidate_caches()
-        bases = self._check_every_split(items_db, log)
+        bases = self._check_every_split(log)
         assert min(bases) == chain[2] == log.start_lsn
-        assert analysis_base(items_db, chain[2] - 1, 7) == 7  # nothing covers it
+        assert analysis_base(log, chain[2] - 1, 7) == 7  # nothing covers it
 
 
 # ----------------------------------------------------------------------

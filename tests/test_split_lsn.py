@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from repro import DatabaseConfig
 from repro.config import SimEnv
 from repro.core.retention import enforce_retention, retention_horizon
-from repro.core.split_lsn import checkpoint_chain, find_split_lsn
+from repro.core.split_lsn import analysis_base, find_split_lsn
 from repro.errors import RetentionExceededError
 from repro.wal.log_manager import LogManager
 from repro.wal.lsn import FIRST_LSN, NULL_LSN
@@ -21,7 +21,7 @@ from repro.wal.records import (
     InsertRowRecord,
     RecordType,
 )
-from tests.conftest import ITEMS_SCHEMA, fill_items
+from tests.conftest import ITEMS_SCHEMA, fill_items, scanned_checkpoints
 
 
 def committed_marks(db, count, gap_s=10.0, start=0):
@@ -130,8 +130,10 @@ class TestSplitSearch:
     def test_checkpoint_chain_order(self, items_db):
         db = items_db
         lsns = [db.checkpoint() for _ in range(3)]
-        chain = [lsn for lsn, _wall, _prev in checkpoint_chain(db)]
+        chain = [lsn for lsn, _wall, _prev in scanned_checkpoints(db.log)]
         assert chain[: len(lsns)] == list(reversed(lsns))
+        assert db.log.checkpoint_before(db.log.end_lsn)[0] == lsns[-1]
+        assert db.log.checkpoint_stamped(db.env.clock.now())[0] == lsns[-1]
 
     def test_target_before_history_raises(self, items_db):
         db = items_db
@@ -216,12 +218,13 @@ class TestRetention:
 
 
 def forward_scan_split(db, target_wall):
-    """Section 5.1 for a past time as it was implemented before the commit
-    directory: checkpoint narrowing, then every commit from the base
-    forward. Kept as the oracle for the commit directory's answer."""
+    """Section 5.1 for a past time as it was implemented before the
+    directories: checkpoint narrowing, newest first, then every commit
+    from the base forward. Kept as the oracle for the directories'
+    answer."""
     base_lsn = NULL_LSN
     oldest_seen = None
-    for lsn, wall, _prev in checkpoint_chain(db):
+    for lsn, wall, _prev in scanned_checkpoints(db.log):
         oldest_seen = (lsn, wall)
         if wall <= target_wall:
             base_lsn = lsn
@@ -254,9 +257,9 @@ def outcome(search, db, target_wall):
 
 
 class _History:
-    """A db-shaped log (``env``, ``log``, ``last_checkpoint_lsn``, as the
-    archive's log view is) driven by hand, tracking the record boundaries
-    and checkpoints that survive each step."""
+    """A db-shaped log (``env``, ``log``, as the archive's log view is)
+    driven by hand, tracking the record boundaries and checkpoints that
+    survive each step."""
 
     BLOCK = 256
 
@@ -265,7 +268,7 @@ class _History:
         self.log = LogManager(self.env, block_size=self.BLOCK, cache_blocks=2)
         if log_start != FIRST_LSN:
             self.log.open_at(log_start)
-        self.db = SimpleNamespace(env=self.env, log=self.log, last_checkpoint_lsn=NULL_LSN)
+        self.db = SimpleNamespace(env=self.env, log=self.log)
         self.lsns: list[int] = []
         self.checkpoints: list[int] = []
 
@@ -273,17 +276,15 @@ class _History:
         self.lsns.append(self.log.append(record))
         if isinstance(record, CheckpointBeginRecord):
             self.checkpoints.append(record.lsn)
-            self.db.last_checkpoint_lsn = record.lsn
 
     def checkpoint(self, wall: float) -> None:
-        prev = self.db.last_checkpoint_lsn
+        prev = self.checkpoints[-1] if self.checkpoints else NULL_LSN
         self.append(CheckpointBeginRecord(wall_clock=wall, prev_checkpoint_lsn=prev))
 
     def kept(self, lo: int, hi: int) -> None:
         """Only records in ``[lo, hi)`` remain."""
         self.lsns = [lsn for lsn in self.lsns if lo <= lsn < hi]
         self.checkpoints = [lsn for lsn in self.checkpoints if lo <= lsn < hi]
-        self.db.last_checkpoint_lsn = self.checkpoints[-1] if self.checkpoints else NULL_LSN
 
     def pick(self, index: int, limit: int) -> int:
         """A surviving record boundary at or below ``limit``, or ``limit``."""
@@ -313,6 +314,21 @@ class _History:
             if anchors:
                 log.truncate_before(anchors[arg % len(anchors)])
                 self.kept(log.start_lsn, log.end_lsn)
+
+
+def assert_checkpoints_match_scan(log) -> None:
+    """The log's checkpoint directory holds the checkpoints a scan of the
+    retained log finds, and answers each lookup as a newest-first walk
+    of them does, whatever order their walls are in."""
+    scanned = [(lsn, wall) for lsn, wall, _prev in scanned_checkpoints(log)]
+    with log.latch:
+        held = list(zip(log._ckpt_dir.lsns, log._ckpt_dir.walls, strict=True))
+    assert held == scanned[::-1]
+    for lsn, wall in scanned:
+        for t in (wall - 0.5, wall, wall + 0.5):
+            assert log.checkpoint_stamped(t) == next((c for c in scanned if c[1] <= t), None), t
+        for at in (lsn - 1, lsn):
+            assert log.checkpoint_before(at) == next((c for c in scanned if c[0] <= at), None)
 
 
 def assert_directory_matches_scan(db, extra_walls) -> None:
@@ -359,7 +375,8 @@ def test_directory_split_equals_forward_scan(ops, log_start, frames, standby_fro
         if kind in ("commit", "checkpoint"):
             arg = float(step + arg)
         primary.run((kind, arg))
-    ckpt_walls = [wall for _lsn, wall, _prev in checkpoint_chain(primary.db)]
+        assert_checkpoints_match_scan(primary.log)
+    ckpt_walls = [wall for _lsn, wall, _prev in scanned_checkpoints(primary.log)]
     assert_directory_matches_scan(primary.db, ckpt_walls)
 
     # A standby of the durable log: opened mid-history, fed frames of
@@ -371,14 +388,14 @@ def test_directory_split_equals_forward_scan(ops, log_start, frames, standby_fro
     position, sizes = start, iter(frames * 1000)
     while position < source.durable_lsn:
         end = source.record_aligned_end(position, next(sizes))
-        ckpt = standby.log.ingest(position, source.read_bytes(position, end))
+        standby.log.ingest(position, source.read_bytes(position, end))
         standby.lsns += [lsn for lsn in primary.lsns if position <= lsn < end]
-        if ckpt != NULL_LSN:
-            standby.checkpoints += [c for c in primary.checkpoints if position <= c < end]
-            standby.db.last_checkpoint_lsn = ckpt
+        standby.checkpoints += [c for c in primary.checkpoints if position <= c < end]
         position = end
+        assert_checkpoints_match_scan(standby.log)
     assert_directory_matches_scan(standby.db, ckpt_walls)
     standby.run(("discard", promote_at))  # promotion to a point in time
+    assert_checkpoints_match_scan(standby.log)
     assert_directory_matches_scan(standby.db, ckpt_walls)
 
 
@@ -400,6 +417,46 @@ def test_split_reads_no_log_block_after_a_checkpoint(engine):
     reads = db.env.stats.log_scan_reads
     assert find_split_lsn(db, target) == expected
     assert db.env.stats.log_scan_reads - reads == 0
+
+
+def test_checkpoint_lookups_read_no_log_block(engine, monkeypatch):
+    """Split search, analysis bases and retention find their checkpoint in
+    the log's directory: with every block cold, none is touched."""
+    db = engine.create_database("ckptdb", DatabaseConfig(log_block_size=1024))
+    db.create_table(ITEMS_SCHEMA)
+    marks = []
+    for generation in range(5):
+        marks += committed_marks(db, 4, gap_s=1.0, start=generation * 4)
+        db.checkpoint()
+    db.env.clock.advance(10)
+    db.log._cache.clear()
+    touched = []
+    monkeypatch.setattr(db.log, "_touch_block", lambda lsn, **kw: touched.append(lsn))
+    splits = [find_split_lsn(db, wall) for wall, _key in marks]
+    bases = {analysis_base(db.log, split, db.log.start_lsn) for split in splits}
+    db.set_undo_interval(db.env.clock.now() - marks[10][0])
+    enforce_retention(db)
+    assert touched == []
+    chain = [lsn for lsn, _wall, _prev in scanned_checkpoints(db.log)]
+    assert bases >= set(chain)
+    assert db.log.start_lsn == db.log.checkpoint_stamped(marks[10][0])[0] == chain[-1]
+
+
+def test_a_crash_drops_a_volatile_checkpoint(items_db):
+    """A checkpoint-begin record the crash took back leaves the directory
+    with it; recovery's own checkpoint then joins the durable ones."""
+    db, log = items_db, items_db.log
+    fill_items(db, 5)
+    durable = db.checkpoint()
+    wall = db.env.clock.now()
+    volatile = log.append(CheckpointBeginRecord(wall_clock=wall, prev_checkpoint_lsn=durable))
+    assert log.checkpoint_before(log.end_lsn)[0] == volatile
+    db.crash()
+    assert log.checkpoint_before(log.end_lsn)[0] == durable
+    assert_checkpoints_match_scan(log)
+    db.recover()
+    assert log.checkpoint_before(log.end_lsn)[0] == db.last_checkpoint_lsn > durable
+    assert_checkpoints_match_scan(log)
 
 
 def test_first_later_commit_below_the_base_is_left_to_the_scan():

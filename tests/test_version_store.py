@@ -983,60 +983,6 @@ def test_promotion_diverges_store_key(items_schema):
 
 
 # ---------------------------------------------------------------------------
-# Satellite: memoized checkpoint chain
-# ---------------------------------------------------------------------------
-
-
-def test_checkpoint_chain_memoized(items_schema):
-    from repro.core.split_lsn import checkpoint_chain
-
-    engine, db = _items_engine()
-    clock = engine.env.clock
-    fill_items(db, 5)
-    for _ in range(5):
-        clock.advance(10)
-        with db.transaction() as txn:
-            db.update(txn, "items", (1,), {"qty": 1})
-        db.checkpoint()
-    first = list(checkpoint_chain(db))
-    assert len(first) >= 5
-    # The second walk is served from the per-database cache: no log reads.
-    log = db.log
-    real_read = log.read
-    reads = []
-
-    def counting_read(lsn, **kw):
-        reads.append(lsn)
-        return real_read(lsn, **kw)
-
-    log.read = counting_read
-    try:
-        assert list(checkpoint_chain(db)) == first
-        assert reads == []
-        # A new checkpoint only prepends; old entries stay cached.
-        db.checkpoint()
-        chain = list(checkpoint_chain(db))
-        assert chain[1:] == first
-        assert len(reads) == 1
-    finally:
-        log.read = real_read
-
-
-def test_checkpoint_chain_cache_cleared_on_crash(items_schema):
-    from repro.core.split_lsn import checkpoint_chain
-
-    engine, db = _items_engine()
-    fill_items(db, 5)
-    db.checkpoint()
-    list(checkpoint_chain(db))
-    assert db._ckpt_chain_cache
-    db.crash()
-    assert not db._ckpt_chain_cache
-    db.recover()
-    assert list(checkpoint_chain(db))
-
-
-# ---------------------------------------------------------------------------
 # Satellite: loginspect --chains
 # ---------------------------------------------------------------------------
 
