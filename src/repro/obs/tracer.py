@@ -24,21 +24,24 @@ from __future__ import annotations
 import threading
 
 from repro.latch import Latch
+from repro.sim.iostats import COUNTER_NAMES
 
 
 class Span:
     """One node of a finished (or in-flight) span tree."""
 
-    __slots__ = ("name", "attrs", "start_s", "end_s", "children", "io", "_io_before")
+    __slots__ = ("name", "attrs", "start_s", "end_s", "children", "_io_before", "_io_after")
 
-    def __init__(self, name: str, attrs: dict, start_s: float, io_before) -> None:
+    def __init__(self, name: str, attrs: dict, start_s: float, io_before: tuple) -> None:
         self.name = name
         self.attrs = dict(attrs)
         self.start_s = start_s
         self.end_s = start_s
         self.children: list[Span] = []
-        self.io: dict[str, int] = {}
+        #: ``IoStats.counters()`` at open and at the first seal; the deltas
+        #: are only built when something reads :attr:`io`.
         self._io_before = io_before
+        self._io_after: tuple | None = None
 
     # Instrumentation points annotate the current span mid-flight:
     # ``with tracer.span("pool.acquire") as span: ... span.set(hit=True)``.
@@ -48,6 +51,18 @@ class Span:
     @property
     def elapsed_s(self) -> float:
         return self.end_s - self.start_s
+
+    @property
+    def io(self) -> dict[str, int]:
+        """Non-zero counter deltas over the span; empty until it is sealed."""
+        after = self._io_after
+        if after is None:
+            return {}
+        return {
+            name: now - then
+            for name, then, now in zip(COUNTER_NAMES, self._io_before, after)
+            if now != then
+        }
 
     def find(self, name: str) -> "Span | None":
         """First span named ``name`` in this subtree (depth-first)."""
@@ -70,8 +85,9 @@ class Span:
         parts = [self.name]
         parts.extend(f"{key}={value}" for key, value in self.attrs.items())
         parts.append(f"sim={self.elapsed_s * 1000.0:.3f}ms")
-        if self.io:
-            deltas = " ".join(f"{k}=+{v}" for k, v in sorted(self.io.items()))
+        io = self.io
+        if io:
+            deltas = " ".join(f"{k}=+{v}" for k, v in sorted(io.items()))
             parts.append(f"io[{deltas}]")
         lines = ["  " * indent + " ".join(parts)]
         for child in self.children:
@@ -177,7 +193,7 @@ class Tracer:
         with self.latch:
             if ident in self._span_stack:
                 raise ValueError("a trace is already active on this thread")
-            root = Span(name, {}, self._clock.now(), self._stats.snapshot())
+            root = Span(name, {}, self._clock.now(), self._stats.counters())
             self._span_stack[ident] = [root]
         return Trace(name)
 
@@ -197,7 +213,7 @@ class Tracer:
 
     def _open(self, name: str, attrs: dict) -> Span:
         stack = self._stack()
-        span = Span(name, attrs, self._clock.now(), self._stats.snapshot())
+        span = Span(name, attrs, self._clock.now(), self._stats.counters())
         stack[-1].children.append(span)
         stack.append(span)
         return span
@@ -210,7 +226,5 @@ class Tracer:
 
     def _seal(self, span: Span) -> None:
         span.end_s = self._clock.now()
-        if span._io_before is not None:
-            spent = self._stats.delta(span._io_before)
-            span.io = {k: v for k, v in spent.as_dict().items() if v}
-            span._io_before = None
+        if span._io_after is None:  # the first seal fixes the span's I/O
+            span._io_after = self._stats.counters()

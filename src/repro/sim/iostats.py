@@ -16,7 +16,7 @@ environment — pool, version store, shipper, replica, archiver — with it.
 Concurrency: individual ``+=`` bumps from different sessions are benign
 under the GIL for *reporting* counters (a lost increment skews a report,
 never corrupts engine state), but multi-counter **views** must not tear
-mid-operation — so :meth:`snapshot`, :meth:`delta`, :meth:`as_dict` and
+mid-operation — so :meth:`counters`, :meth:`snapshot`, :meth:`delta` and
 :meth:`reset` serialize on an internal leaf lock (``_lock``; nothing is
 called while holding it, so it can never participate in a latch-order
 cycle).
@@ -117,16 +117,16 @@ class IoStats:
         with self._lock:
             return IoStats(*_read_counters(self))
 
+    def counters(self) -> tuple[int, ...]:
+        """Every counter's current value, in ``COUNTER_NAMES`` order."""
+        with self._lock:
+            return _read_counters(self)
+
     def delta(self, since: "IoStats") -> "IoStats":
         """Counter-wise difference ``self - since``."""
         with self._lock:
             now = _read_counters(self)
         return IoStats(*map(operator.sub, now, _read_counters(since)))
-
-    def as_dict(self) -> dict:
-        """All counters as a plain dict."""
-        with self._lock:
-            return dict(zip(COUNTER_NAMES, _read_counters(self), strict=True))
 
     def reset(self) -> None:
         """Zero every counter of this sheet in place."""
@@ -136,7 +136,7 @@ class IoStats:
 
 
 #: The counter names in field order, read once: the slow log's auto-trace
-#: takes a snapshot, a delta and a dict at every span of every statement.
+#: reads every counter at the open and the seal of each span.
 COUNTER_NAMES: tuple[str, ...] = tuple(spec.name for spec in fields(IoStats))
 #: ``stats -> tuple`` of every counter in ``COUNTER_NAMES`` order, in one call.
 _read_counters = operator.attrgetter(*COUNTER_NAMES)

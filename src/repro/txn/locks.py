@@ -9,9 +9,16 @@ inside the lock manager; instead:
   transaction drives that transaction's background undo to completion,
   modeling the paper's "redo pass reacquires the locks" behavior);
 * otherwise the request raises — :class:`DeadlockError` when the wait-for
-  graph (networkx) would acquire a cycle, :class:`LockConflictError`
-  otherwise, and the caller (a test interleaving transactions, or the
-  engine aborting a victim) decides what to do.
+  graph would contain a cycle reachable from the requester,
+  :class:`LockConflictError` otherwise, and the caller (a test
+  interleaving transactions, or the engine aborting a victim) decides
+  what to do.
+
+The wait-for graph has an edge from each declared waiter to every other
+holder of the key it waits on, plus one from the requester to each of its
+blockers. It holds a handful of transactions and is built only on the
+conflict path, so the cycle check is a plain depth-first search over a
+dict; the module imports nothing outside the standard library.
 
 ``self.latch`` serializes the lock table and wait map across sessions.
 It is deliberately *released* around the resolver callback: the resolver
@@ -23,8 +30,6 @@ lock-manager latch across it would invert that order.
 from __future__ import annotations
 
 import enum
-
-import networkx as nx
 
 from repro.errors import DeadlockError, LockError
 from repro.latch import Latch
@@ -78,21 +83,34 @@ class LockManager:
         return blockers
 
     def _would_deadlock(self, txn_id: int, blockers) -> bool:
-        graph = nx.DiGraph()
+        """Whether a cycle is reachable from ``txn_id`` once it waits on
+        ``blockers`` — ``networkx.find_cycle(graph, source=txn_id)``'s
+        semantics: the cycle need not pass through the requester."""
+        graph: dict[int, set[int]] = {}
         for waiter, (key, _mode) in self._waits.items():
             entry = self._table.get(key)
-            if entry is None:
-                continue
-            for holder in entry.holders:
-                if holder != waiter:
-                    graph.add_edge(waiter, holder)
-        for blocker in blockers:
-            graph.add_edge(txn_id, blocker)
-        try:
-            nx.find_cycle(graph, source=txn_id)
-        except nx.NetworkXNoCycle:
-            return False
-        return True
+            if entry is not None:
+                graph.setdefault(waiter, set()).update(entry.holders)
+        graph.setdefault(txn_id, set()).update(blockers)
+        on_path = {txn_id}
+        done: set[int] = set()
+        stack = [(txn_id, iter(graph[txn_id]))]
+        while stack:
+            node, edges = stack[-1]
+            for succ in edges:
+                # succ == node: a waiter upgrading a lock it holds is no edge.
+                if succ == node or succ in done:
+                    continue
+                if succ in on_path:
+                    return True
+                on_path.add(succ)
+                stack.append((succ, iter(graph.get(succ, ()))))
+                break
+            else:
+                stack.pop()
+                on_path.discard(node)
+                done.add(node)
+        return False
 
     # ------------------------------------------------------------------
 

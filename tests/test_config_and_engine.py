@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
 
@@ -206,3 +211,29 @@ class TestDeviceProfilesInEngine:
         fill_items(other, 5)
         # One stats sheet: commits from both databases accumulate.
         assert engine.env.stats.transactions_committed >= 2
+
+
+def test_the_engine_imports_only_the_standard_library():
+    """``import repro`` and its SQL, workload and obs-tool entry points load
+    no third-party module: the package declares no dependencies. Modules
+    the interpreter loaded before the first ``repro`` import (``site``
+    hooks, ``__main__``) are not the engine's."""
+    probe = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import repro, repro.sql, repro.workload, repro.tools.obs\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    loaded = json.loads(out)
+    foreign = [
+        name
+        for name in loaded
+        if name.split(".")[0] != "repro" and name.split(".")[0] not in sys.stdlib_module_names
+    ]
+    assert "repro.txn.locks" in loaded
+    assert foreign == []

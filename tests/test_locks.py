@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import DeadlockError
 from repro.sim.iostats import IoStats
-from repro.txn.locks import LockConflictError, LockManager, LockMode
+from repro.txn.locks import LockConflictError, LockManager, LockMode, _Entry
 from repro.txn.transaction import Transaction
 
 
@@ -125,6 +127,107 @@ class TestDeadlock:
         # And no stale wait edge produces a phantom deadlock.
         locks.release_all(t2)
         locks.acquire(t1, ("a",), LockMode.EXCLUSIVE)
+
+    def test_grant_withdraws_the_grantees_wait(self):
+        """t2 waits on K (held by t3), t3 on L (held by t4); t4 commits and
+        t2 is granted L. The grant withdraws t2's wait, so t3 -> t2 is the
+        only edge left and a third transaction's request on L is a plain
+        conflict, not a deadlock."""
+        locks = LockManager()
+        stats = IoStats()
+        t1, t2, t3, t4 = txn(1), txn(2), txn(3), txn(4)
+        locks.acquire(t3, ("K",), LockMode.EXCLUSIVE)
+        locks.acquire(t4, ("L",), LockMode.EXCLUSIVE)
+        with pytest.raises(LockConflictError):
+            locks.acquire(t2, ("K",), LockMode.EXCLUSIVE)
+        with pytest.raises(LockConflictError):
+            locks.acquire(t3, ("L",), LockMode.EXCLUSIVE)
+        locks.release_all(t4)
+        locks.acquire(t2, ("L",), LockMode.EXCLUSIVE)
+        with pytest.raises(LockConflictError) as info:
+            locks.acquire(t1, ("L",), LockMode.EXCLUSIVE, stats)
+        assert not isinstance(info.value, DeadlockError)
+        assert info.value.holders == {2} and stats.deadlocks == 0
+
+    def test_cycle_reachable_from_but_not_through_the_requester(self):
+        """The wait-for graph holds t2 -> t3 -> t2 before t1 asks for a key
+        t2 holds. No path leads back to t1, yet t1 would wait behind a
+        cycle forever: the check reports a deadlock (``find_cycle`` from
+        the requester), where a path-back-to-me search would not."""
+        locks = LockManager()
+        stats = IoStats()
+        t1, t2, t3 = txn(1), txn(2), txn(3)
+        locks.acquire(t3, ("K",), LockMode.EXCLUSIVE)
+        locks.acquire(t2, ("L",), LockMode.EXCLUSIVE)
+        # Acquire checks every wait it declares, so it never builds a cycle
+        # itself; plant the two waits directly.
+        locks._waits[2] = (("K",), LockMode.EXCLUSIVE)
+        locks._waits[3] = (("L",), LockMode.EXCLUSIVE)
+        with pytest.raises(DeadlockError):
+            locks.acquire(t1, ("L",), LockMode.SHARED, stats)
+        assert stats.deadlocks == 1 and 1 not in locks._waits
+
+
+def _reaches_a_cycle(edges: dict[int, set[int]], source: int) -> bool:
+    """Brute-force oracle: some node reachable from ``source`` (itself
+    included) reaches itself along one or more edges."""
+    reach = {node: set(succ) for node, succ in edges.items()}
+    changed = True
+    while changed:
+        changed = False
+        for succ in reach.values():
+            grown = set().union(succ, *(reach.get(s, ()) for s in succ))
+            if grown != succ:
+                succ |= grown
+                changed = True
+    return any(node in reach.get(node, ()) for node in {source} | reach[source])
+
+
+_TXNS = st.integers(1, 6)
+_KEYS = st.sampled_from([("a",), ("b",), ("c",), ("d",)])
+_MODES = st.sampled_from(list(LockMode))
+
+
+@st.composite
+def lock_states(draw):
+    """A lock table (one X holder or any number of S holders per key),
+    declared waits, and one request on a held key."""
+    table = {}
+    for key in sorted(draw(st.sets(_KEYS, min_size=1, max_size=4))):
+        if draw(st.booleans()):
+            table[key] = {draw(_TXNS): LockMode.EXCLUSIVE}
+        else:
+            table[key] = dict.fromkeys(draw(st.sets(_TXNS, min_size=1)), LockMode.SHARED)
+    waits = draw(st.dictionaries(_TXNS, st.tuples(_KEYS, _MODES), max_size=6))
+    return table, waits, (draw(_TXNS), draw(st.sampled_from(sorted(table))), draw(_MODES))
+
+
+# t2 <-> t3 wait on each other's keys; t1 asks for the key t2 holds.
+_CYCLE_OFF_THE_REQUESTER = (
+    {("a",): {2: LockMode.EXCLUSIVE}, ("b",): {3: LockMode.EXCLUSIVE}},
+    {2: (("b",), LockMode.EXCLUSIVE), 3: (("a",), LockMode.EXCLUSIVE)},
+    (1, ("a",), LockMode.SHARED),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lock_states())
+@example(_CYCLE_OFF_THE_REQUESTER)
+def test_would_deadlock_matches_the_reachable_cycle_oracle(state):
+    table, waits, (requester, key, mode) = state
+    locks = LockManager()
+    for held_key, holders in table.items():
+        locks._table[held_key] = _Entry()
+        locks._table[held_key].holders.update(holders)
+    locks._waits.update(waits)
+    blockers = locks._conflicts(locks._table[key], requester, mode)
+    assume(blockers)  # acquire asks only on a conflict
+    edges: dict[int, set[int]] = {}
+    for waiter, (wait_key, _mode) in waits.items():
+        holders = table.get(wait_key, {})
+        edges.setdefault(waiter, set()).update(h for h in holders if h != waiter)
+    edges.setdefault(requester, set()).update(blockers)
+    assert locks._would_deadlock(requester, blockers) == _reaches_a_cycle(edges, requester)
 
 
 class TestResolver:

@@ -338,6 +338,28 @@ def test_span_nesting_and_sim_timing(items_schema):
     assert cold.root.elapsed_s > 0  # priced env: sim time advanced
 
 
+def test_span_io_is_fixed_by_its_first_seal():
+    """A span's I/O is the counter movement between its open and its first
+    seal: empty while in flight, unchanged by later work or a second
+    seal, and inclusive of its children."""
+    env = SimEnv()
+    tracer, stats = env.tracer, env.stats
+    trace = tracer.begin("root")
+    with tracer.span("outer") as outer:
+        stats.page_reads += 2
+        with tracer.span("inner") as inner:
+            stats.page_reads += 1
+            stats.log_flushes += 1
+            assert inner.io == {}
+        assert inner.io == {"page_reads": 1, "log_flushes": 1}
+    stats.page_writes += 5
+    tracer._close(outer)  # a stray second seal moves end_s, never io
+    tracer.finish(trace)
+    assert outer.io == {"page_reads": 3, "log_flushes": 1}
+    assert trace.root.io == {"page_reads": 3, "log_flushes": 1, "page_writes": 5}
+    assert trace.render()[2].endswith("io[log_flushes=+1 page_reads=+1]")
+
+
 def test_trace_is_exclusive_and_cheap_when_inactive(items_schema):
     engine, db = _traced_engine()
     with engine.trace("outer"):
