@@ -401,7 +401,7 @@ class AsOfSnapshot:
         The store picks the cheaper of the first two by the records their
         chains prove. The result's interval and chain are published back,
         so the *next* snapshot whose split lands inside the interval (a
-        nearby audit read, a replica's pool, a recreated pooled entry)
+        nearby audit read, a lease over a standby, a recreated pooled entry)
         hits, and one whose split lies further on rolls forward.
         """
         tracer = self.env.tracer

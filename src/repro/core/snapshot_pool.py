@@ -10,10 +10,12 @@ comes from making the recovery path cheap and ordinary). The
 * **Resolution** — the requested wall-clock time is translated to a
   SplitLSN first, so two queries phrased differently but landing on the
   same commit boundary share one snapshot.
-* **Reuse** — entries are keyed ``(database, split_lsn)``; an acquire that
-  hits skips snapshot creation entirely (no checkpoint, no analysis scan)
-  and reads every page an earlier lease of the entry touched straight
-  from its frames: a frame lookup, not even a version-store probe.
+* **Reuse** — entries are keyed ``(database, split_lsn)``, where the
+  database is a primary or a standby (their names share one namespace);
+  an acquire that hits skips snapshot creation entirely (no checkpoint,
+  no analysis scan) and reads every page an earlier lease of the entry
+  touched straight from its frames: a frame lookup, not even a
+  version-store probe.
 * **One copy per page** — a pooled snapshot keeps no sparse side file
   (section 5.3's cache of prepared pages). Its frames wrap the version
   store's immutable image of each page in a read-only
@@ -28,8 +30,9 @@ comes from making the recovery path cheap and ordinary). The
   its side file would have held) and drops least-recently-used idle
   entries once the total exceeds the configured byte budget.
 
-The pool is owned by the :class:`~repro.engine.engine.Engine`; users reach
-it through ``engine.query_as_of(db, t)`` or inline SQL
+The engine owns the one pool (:class:`~repro.engine.engine.Engine`), and
+its budget bounds every AS OF lease, over a primary or a standby; users
+reach it through ``engine.query_as_of(db, t)`` or inline SQL
 (``SELECT ... FROM t AS OF '...'``). Named-snapshot DDL still works and
 bypasses the pool — those snapshots have user-controlled lifetimes.
 
@@ -331,8 +334,9 @@ class SnapshotPool:
     # ------------------------------------------------------------------
 
     def purge_database(self, db_name: str) -> int:
-        """Drop every pooled snapshot of ``db_name`` (the database is
-        being dropped); returns how many entries were purged.
+        """Drop every pooled snapshot of ``db_name`` (the database or
+        standby is leaving, or a promotion cut its timeline); returns how
+        many entries were purged.
 
         Entries with live leases are dropped too — the database is going
         away — but their outstanding releases remain balanced: in-flight

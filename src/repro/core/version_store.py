@@ -9,9 +9,10 @@ byte-identical images from the same chain records. This module is the
 multi-version fix (the Postgres/HANA/Hekaton version-store insight applied
 to the paper's log-only design): one engine-owned, byte-budgeted
 :class:`PageVersionStore` shared by **all** of a database's snapshots —
-the engine pool, named snapshots, and every replica's pool (a replica's
-shipped log is byte-identical to the primary's, so its prepared pages are
-too, and both sides publish under the primary's key).
+the engine pool's entries over the primary and over its standbys, and
+named snapshots (a standby's shipped log is byte-identical to the
+primary's, so its prepared pages are too, and both sides publish under
+the primary's key).
 
 The key is the validity *interval* the chain walk itself proves
 (:class:`~repro.core.page_undo.PreparedVersion`): when a snapshot at

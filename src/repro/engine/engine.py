@@ -49,18 +49,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
 READ_OFFLOAD_MAX_LAG_BYTES = 1 << 20
 
 
-class _ArchiveLeases:
-    """Lease-shaped no-op pool for archive-backed as-of readers.
-
-    The archive fallback serves whole restored database copies cached by
-    the engine, not pooled snapshots — releasing the "lease" is a no-op,
-    the engine's small per-database cache owns the copies' lifetime.
-    """
-
-    def release(self, snapshot) -> None:
-        return
-
-
 class Engine:
     """Top-level entry point: owns databases and their snapshots.
 
@@ -102,7 +90,8 @@ class Engine:
             if version_store_budget is not None
             else DEFAULT_VERSION_STORE_BUDGET_BYTES
         )
-        #: Ephemeral snapshots backing inline ``AS OF`` reads.
+        #: Ephemeral snapshots backing every ``AS OF`` lease: a
+        #: primary's under the database name, a standby's under its own.
         self.snapshot_pool: "SnapshotPool" = SnapshotPool(
             snapshot_pool_budget
             if snapshot_pool_budget is not None
@@ -119,7 +108,6 @@ class Engine:
         #: Archive-backed as-of readers: db name -> [(split_lsn, copy)],
         #: LRU-bounded (the ``query_as_of`` past-retention fallback).
         self._archive_reads: dict[str, list] = {}
-        self._archive_leases = _ArchiveLeases()
         #: Route read-only SQL SELECTs to caught-up replicas when enabled.
         self.read_offload = False
         #: Continuous monitoring (see :mod:`repro.obs.monitor`): ``None``
@@ -429,6 +417,7 @@ class Engine:
     def drop_replica(self, name: str) -> None:
         with self.latch:
             self._retire_replica(name).drop()
+            self.snapshot_pool.purge_database(name)
 
     def _retire_replica(self, name: str) -> "Replica":
         """The one way a standby leaves the engine — ``DROP`` or
@@ -462,7 +451,7 @@ class Engine:
             # Promote first: if it refuses (unreachable point,
             # already-applied guard), the replica stays subscribed and
             # keeps following.
-            db = replica.promote(up_to_wall)
+            db = replica.promote(up_to_wall, self.snapshot_pool)
             self._retire_replica(name)
             return self.register_database(db)
 
@@ -515,19 +504,23 @@ class Engine:
         """
         if not self.read_offload:
             return None
+        return self._most_applied_replica(
+            db_name,
+            lambda replica: replica.apply_delay_s <= 0
+            and replica.lag_bytes() <= READ_OFFLOAD_MAX_LAG_BYTES,
+        )
+
+    def _most_applied_replica(self, db_name: str, eligible) -> "Replica | None":
+        """The standby of ``db_name`` with the highest ``applied_lsn``
+        among those ``eligible(replica)`` accepts, or ``None``. A faulted
+        standby and one with no applied commit never qualify."""
         from repro.wal.lsn import NULL_LSN
 
         best = None
         for replica in self.replicas_of(db_name):
-            if replica.apply_delay_s > 0:
-                continue
-            if replica.is_faulted():
+            if replica.is_faulted() or replica.applied_commit_lsn == NULL_LSN:
                 continue  # degrade: route around a standby stuck in apply
-            if replica.applied_commit_lsn == NULL_LSN:
-                continue
-            if replica.lag_bytes() > READ_OFFLOAD_MAX_LAG_BYTES:
-                continue
-            if best is None or replica.applied_lsn > best.applied_lsn:
+            if eligible(replica) and (best is None or replica.applied_lsn > best.applied_lsn):
                 best = replica
         return best
 
@@ -870,7 +863,8 @@ class Engine:
         return RetentionExceededError(
             f"{err}; options past the retention horizon: {archive_part}"
             f" or a delayed-apply replica (engine.add_replica({db_name!r}, "
-            f"apply_delay_s=...), then read_as_of/promote within its window)"
+            f"apply_delay_s=...), then query_as_of(replica=...)/promote within "
+            f"its window)"
         )
 
     def _archive_fallback_reader(self, db_name: str, wall: float, err):
@@ -926,62 +920,53 @@ class Engine:
     # Inline point-in-time reads (pooled ephemeral snapshots)
     # ------------------------------------------------------------------
 
-    def _route_as_of(self, db_name: str, wall: float) -> "Replica | None":
-        """A replica that can serve ``wall`` without advancing its apply
-        cursor (delayed replicas keep their safety window intact).
-
-        Coverage needs the replica to have applied every commit at or
-        before ``wall``: guaranteed when its last applied commit is
-        strictly newer, or when it is fully caught up with the primary's
-        durable log (commits *at* ``wall`` may tie on the timestamp).
-        """
-        from repro.wal.lsn import NULL_LSN
-
-        best = None
-        for replica in self.replicas_of(db_name):
-            if replica.is_faulted():
-                continue  # degrade: route around a standby stuck in apply
-            if replica.applied_commit_lsn == NULL_LSN:
-                continue
-            if replica.applied_wall <= wall and replica.lag_bytes() > 0:
-                continue
-            if best is None or replica.applied_lsn > best.applied_lsn:
-                best = replica
-        return best
-
     def pin_as_of(self, db_name: str, as_of):
-        """Acquire a pooled as-of lease; returns ``(pool, snapshot)``.
+        """Lease a read-only view of ``db_name`` as of ``as_of``; returns
+        the reader.
 
-        Prefers a caught-up standby's pool (read scale-out: the primary's
-        media never sees the snapshot's page preparation); falls back to
-        the engine pool over the primary. When the requested time lies
-        past the retention horizon and the database is archived, the
-        lease is an archive-backed read-only copy instead (released as a
-        no-op — the engine caches those copies). Callers must release the
-        snapshot back to the returned pool (``USE ... AS OF`` sessions
-        hold the lease across statements; :meth:`query_as_of` scopes it).
+        The lease comes from :attr:`snapshot_pool`, over a caught-up
+        standby when one exists (read scale-out: the primary's media
+        never sees the snapshot's page preparation), else over the
+        primary. When the requested time lies past the retention horizon
+        and the database is archived, the reader is an archive-backed
+        read-only copy instead. Hand every reader back to
+        :meth:`unpin_as_of` (``USE ... AS OF`` sessions hold the lease
+        across statements; :meth:`query_as_of` scopes it).
         """
         wall = self.resolve_as_of(as_of)
         tracer = self.env.tracer
         started = self.env.clock.now()
         with tracer.span("asof.pin", db=db_name) as span:
             try:
-                replica = self._route_as_of(db_name, wall)
+                # A standby serves ``wall`` without advancing its apply
+                # cursor (a delayed one keeps its safety window) once it
+                # has applied every commit at or before ``wall``: its last
+                # applied commit is strictly newer, or it is fully caught
+                # up (commits *at* ``wall`` may tie on the timestamp).
+                replica = self._most_applied_replica(
+                    db_name,
+                    lambda replica: replica.applied_wall > wall or replica.lag_bytes() == 0,
+                )
                 if replica is not None:
                     span.set(route=replica.name)
-                    return replica.snapshot_pool, replica.snapshot_pool.acquire(
-                        replica.db, wall
-                    )
-                db = self.database(db_name)
-                span.set(route="primary")
-                return self.snapshot_pool, self.snapshot_pool.acquire(db, wall)
+                    db = replica.db
+                else:
+                    db = self.database(db_name)
+                    span.set(route="primary")
+                return self.snapshot_pool.acquire(db, wall)
             except RetentionExceededError as err:
                 span.set(route="archive")
                 with tracer.span("asof.archive_fallback", db=db_name):
-                    reader = self._archive_fallback_reader(db_name, wall, err)
-                return self._archive_leases, reader
+                    return self._archive_fallback_reader(db_name, wall, err)
             finally:
                 self._pin_sim_s.observe(self.env.clock.now() - started)
+
+    def unpin_as_of(self, reader) -> None:
+        """Return a reader :meth:`pin_as_of` handed out. An archive-backed
+        copy needs nothing: the engine's small per-database cache owns
+        it."""
+        if not isinstance(reader, Database):
+            self.snapshot_pool.release(reader)
 
     @contextmanager
     def query_as_of(
@@ -989,11 +974,12 @@ class Engine:
     ) -> Iterator["AsOfSnapshot"]:
         """Lease a read-only view of ``db_name`` as of ``as_of``.
 
-        No DDL, no naming, no manual drop: the view comes from a
-        :class:`~repro.core.snapshot_pool.SnapshotPool`, so repeated
-        queries at the same point in time share one snapshot and its
-        already-prepared pages. When a caught-up standby exists the lease
-        comes from *its* pool, offloading the point-in-time read entirely.
+        No DDL, no naming, no manual drop: the view comes from the
+        engine's :class:`~repro.core.snapshot_pool.SnapshotPool`, so
+        repeated queries at the same point in time share one snapshot and
+        its already-prepared pages. When a caught-up standby exists the
+        lease is over the standby's state, offloading the point-in-time
+        read entirely.
         A time past the retention horizon is served from an archive-backed
         restored copy when the database is archived (the yielded reader is
         then a read-only :class:`~repro.engine.database.Database`).
@@ -1014,14 +1000,16 @@ class Engine:
                     f"replica {replica!r} replicates "
                     f"{rep.primary.name!r}, not {db_name!r}"
                 )
-            with rep.read_as_of(self.resolve_as_of(as_of)) as snapshot:
+            wall = self.resolve_as_of(as_of)
+            rep.ensure_applied_through(wall)
+            with self.snapshot_pool.lease(rep.db, wall) as snapshot:
                 yield snapshot
             return
-        pool, snapshot = self.pin_as_of(db_name, as_of)
+        reader = self.pin_as_of(db_name, as_of)
         try:
-            yield snapshot
+            yield reader
         finally:
-            pool.release(snapshot)
+            self.unpin_as_of(reader)
 
     def version_store_stats(self) -> dict:
         """The cross-snapshot version store's counters, as a plain dict

@@ -41,11 +41,10 @@ class SchedulerTimeout(RuntimeError):
 class SessionScheduler:
     """Runs batches of callables on ``workers`` threads."""
 
-    def __init__(self, workers: int, name: str = "session") -> None:
+    def __init__(self, workers: int) -> None:
         if workers < 1:
             raise ValueError(f"need at least one worker, got {workers}")
         self.workers = workers
-        self.name = name
 
     def run(self, tasks, timeout_s: float = DEFAULT_TIMEOUT_S) -> list:
         """Run every task; return their results in task order.
@@ -75,9 +74,7 @@ class SessionScheduler:
                     failures[idx] = exc
 
         threads = [
-            threading.Thread(
-                target=worker, name=f"{self.name}-{i}", daemon=True
-            )
+            threading.Thread(target=worker, name=f"session-{i}", daemon=True)
             for i in range(min(self.workers, len(tasks)))
         ]
         for thread in threads:

@@ -373,10 +373,10 @@ def builtin_rules(cfg) -> list[AlertRule]:
         ),
         AlertRule(
             name="pool.occupancy",
-            metric="pool.*.occupancy",
+            metric="pool.engine.occupancy",
             threshold=cfg.pool_occupancy,
             severity="warning",
-            subsystem="buffer_pool",
-            doc="buffer pool is nearly full",
+            subsystem="snapshot_pool",
+            doc="AS OF snapshot pool is nearly at its byte budget",
         ),
     ]

@@ -28,9 +28,10 @@ def forget(engine, *prefixes: str) -> None:
             engine.monitor.remove_prefix(prefix)
 
 
-def install_pool_metrics(registry, prefix: str, pool) -> None:
-    """A :class:`~repro.core.snapshot_pool.SnapshotPool` under ``prefix``
-    (``pool.engine`` for the engine pool, ``pool.<replica>`` per standby)."""
+def install_pool_metrics(registry, pool) -> None:
+    """The engine's :class:`~repro.core.snapshot_pool.SnapshotPool`
+    (``pool.engine.*``): every AS OF lease, a primary's or a standby's."""
+    prefix = "pool.engine"
     registry.sheet(prefix, pool.stats)
     registry.gauge(
         f"{prefix}.bytes", pool.total_bytes, "page size x frames held by pooled snapshots"
@@ -78,7 +79,7 @@ def install_version_store_metrics(registry, store) -> None:
 def install_engine_metrics(engine) -> None:
     """Engine-owned shared structures: the snapshot pool and the store."""
     registry = engine.env.metrics
-    install_pool_metrics(registry, "pool.engine", engine.snapshot_pool)
+    install_pool_metrics(registry, engine.snapshot_pool)
     install_version_store_metrics(registry, engine.version_store)
     registry.gauge(
         "repl.subscriptions",
@@ -131,8 +132,7 @@ def forget_database_metrics(engine, name: str) -> None:
 
 
 def install_replica_metrics(engine, replica) -> None:
-    """Per-standby apply/lag instruments (``replica.<name>.*``) and its
-    own snapshot pool (``pool.<name>.*``)."""
+    """Per-standby apply/lag instruments (``replica.<name>.*``)."""
     registry = engine.env.metrics
     prefix = f"replica.{replica.name}"
     registry.sheet(prefix, replica.stats)
@@ -163,13 +163,12 @@ def install_replica_metrics(engine, replica) -> None:
         lambda: replica.consecutive_apply_errors,
         "consecutive faulted apply attempts (routing skips a faulted standby)",
     )
-    install_pool_metrics(registry, f"pool.{replica.name}", replica.snapshot_pool)
 
 
 def forget_replica_metrics(engine, name: str) -> None:
     """A standby's own instruments and its ship subscription's (the
     shipper unregistered those on detach; their recorded series go here)."""
-    forget(engine, f"replica.{name}.", f"pool.{name}.", f"repl.ship.{name}.")
+    forget(engine, f"replica.{name}.", f"repl.ship.{name}.")
 
 
 def install_shipper_metrics(engine, shipper) -> None:

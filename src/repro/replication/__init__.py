@@ -14,10 +14,11 @@ shipped to standbys that absorb current and point-in-time reads.
 * :class:`~repro.replication.replica.Replica` — standby side: a full
   :class:`~repro.engine.database.Database` shell kept warm by continuous
   redo apply (the :class:`~repro.wal.apply.RedoApplier` shared with crash
-  recovery), serving current reads, pooled ``AS OF`` reads from its own
-  :class:`~repro.core.snapshot_pool.SnapshotPool`, and — with a configured
-  ``apply_delay_s`` — acting as a delayed-apply safety net for application
-  error recovery beyond the primary's retention window.
+  recovery), serving current reads, pooled ``AS OF`` reads leased from
+  the engine's :class:`~repro.core.snapshot_pool.SnapshotPool` under the
+  standby's name, and — with a configured ``apply_delay_s`` — acting as
+  a delayed-apply safety net for application error recovery beyond the
+  primary's retention window.
 """
 
 from repro.replication.replica import Replica, ReplicaStats

@@ -15,14 +15,15 @@ The replica serves three kinds of reads:
 * **current** — the reader protocol (``get``/``scan``/``table``) against
   the applied state; eventually consistent with the primary, bounded by
   the shipping/apply lag.
-* **point in time** — ``AS OF`` leases from the replica's own
-  :class:`~repro.core.snapshot_pool.SnapshotPool` over the replica's own
-  shipped log; the primary is not involved at all. Because the shipped
-  log is byte-identical to the primary's, prepared page images are too:
-  replica snapshots probe and publish the engine's shared
-  :class:`~repro.core.version_store.PageVersionStore` under the
-  *primary's* key, so a chain walk paid on either side is reusable by
-  every pool.
+* **point in time** — ``AS OF`` leases over the replica's own shipped
+  log, taken from the engine's one
+  :class:`~repro.core.snapshot_pool.SnapshotPool` under the standby's
+  name (``Engine.pin_as_of`` routes there, ``Engine.query_as_of(...,
+  replica=)`` forces it); the primary is not involved at all. Because
+  the shipped log is byte-identical to the primary's, prepared page
+  images are too: standby snapshots probe and publish the engine's
+  shared :class:`~repro.core.version_store.PageVersionStore` under the
+  *primary's* key, so a chain walk paid on either side serves both.
 * **delayed** — with ``apply_delay_s`` set, received frames are held in a
   staging queue and applied only once they are older than the delay. The
   window between applied and received state is an application-error
@@ -34,11 +35,9 @@ The replica serves three kinds of reads:
 from __future__ import annotations
 
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.catalog.catalog import SYS_COLUMNS_ID, SYS_OBJECTS_ID
-from repro.core.snapshot_pool import SnapshotPool
 from repro.core.split_lsn import analysis_base, find_split_lsn
 from repro.engine.boot import BOOT_PAGE_ID
 from repro.engine.database import Database
@@ -95,8 +94,6 @@ class Replica:
         # The replica never truncates its shipped log; reachability is
         # bounded by the log itself, not the primary's retention window.
         self.db.retention_override_s = float("inf")
-        #: Pooled ephemeral snapshots over the replica's own log/state.
-        self.snapshot_pool = SnapshotPool()
         self.stats = ReplicaStats()
         self._applier = RedoApplier(self.db, parallel_slots=APPLY_SLOTS)
         #: Next LSN to apply (exclusive end of the applied prefix).
@@ -297,21 +294,6 @@ class Replica:
     # Reads
     # ------------------------------------------------------------------
 
-    @contextmanager
-    def read_as_of(self, as_of_wall: float):
-        """Lease a pooled point-in-time view from this replica's pool.
-
-        Applies forward if the requested time is past the replica's
-        applied position (the delayed-recovery path); times already
-        covered are served without touching the apply cursor.
-        """
-        self.ensure_applied_through(as_of_wall)
-        snapshot = self.snapshot_pool.acquire(self.db, as_of_wall)
-        try:
-            yield snapshot
-        finally:
-            self.snapshot_pool.release(snapshot)
-
     # Reader protocol passthrough: a replica quacks like a read-only
     # database, so drivers and the SQL layer can target it directly.
 
@@ -340,7 +322,7 @@ class Replica:
     # Promotion (the delayed-apply error-recovery endgame)
     # ------------------------------------------------------------------
 
-    def promote(self, up_to_wall: float | None = None) -> Database:
+    def promote(self, up_to_wall: float | None, pool) -> Database:
         """Turn this standby into a writable database; returns it.
 
         With ``up_to_wall`` the timeline stops at that point's SplitLSN —
@@ -353,6 +335,9 @@ class Replica:
         Transactions in flight at the promotion point are rolled back with
         the same logical-undo machinery crash recovery uses; the replica
         object itself is retired (``dropped``), the database lives on.
+        Once the timeline is cut, ``pool`` (the engine's
+        :class:`~repro.core.snapshot_pool.SnapshotPool`) drops this
+        standby's entries: they were built over the shipped timeline.
         """
         self._check_alive()
         if up_to_wall is None:
@@ -364,7 +349,7 @@ class Replica:
             # Redo only moves forward: pages already reflect records past
             # the requested point, and discarding their log would leave
             # page LSNs dangling beyond the log end. Rewinding is the
-            # as-of machinery's job (read_as_of), not promotion's.
+            # as-of machinery's job (Engine.query_as_of), not promotion's.
             raise ReplicationError(
                 f"replica {self.name!r} already applied through "
                 f"{format_lsn(self.applied_lsn)}; cannot promote back to "
@@ -372,7 +357,7 @@ class Replica:
             )
         self._apply_range(to_lsn)
         self.db.log.discard_after(to_lsn)
-        self.snapshot_pool.clear()
+        pool.purge_database(self.name)
         self.dropped = True
         self.db.read_only = False
         self.db.retention_override_s = None
@@ -399,10 +384,9 @@ class Replica:
             raise ReplicationError(f"replica {self.name!r} was dropped")
 
     def drop(self) -> None:
-        """Discard the standby: its pooled snapshots, its staged frames
-        and everything its database holds in memory."""
+        """Discard the standby: its staged frames and everything its
+        database holds in memory."""
         self.dropped = True
-        self.snapshot_pool.clear()
         self._delay_queue.clear()
         self.db.close()
 

@@ -244,9 +244,8 @@ class Session:
         self.engine = engine
         self.current = database
         self.txn = None
-        #: Pinned pooled snapshot and the pool owning its lease.
+        #: The reader ``USE ... AS OF`` pinned (``Engine.pin_as_of``).
         self._pinned = None
-        self._pinned_pool = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -275,9 +274,8 @@ class Session:
 
     def _unpin(self) -> None:
         if self._pinned is not None:
-            self._pinned_pool.release(self._pinned)
+            self.engine.unpin_as_of(self._pinned)
             self._pinned = None
-            self._pinned_pool = None
 
     # ------------------------------------------------------------------
     # Target resolution
@@ -692,9 +690,7 @@ class Session:
         self.current = stmt.name
         if stmt.as_of is None:
             return Result(message=f"USE {stmt.name}")
-        self._pinned_pool, self._pinned = self.engine.pin_as_of(
-            stmt.name, stmt.as_of
-        )
+        self._pinned = self.engine.pin_as_of(stmt.name, stmt.as_of)
         return Result(message=f"USE {stmt.name} AS OF {stmt.as_of}")
 
     def _do_show(self, stmt: Show) -> Result:

@@ -528,7 +528,10 @@ class TestSeedReplicaFromBackup:
         replica = engine.add_replica("itemsdb", "standby", seed_from_backup=True)
         assert replica.db.log.start_lsn == seed
         assert replica.db.log.checkpoint_stamped(mark)[0] == seed < db.last_checkpoint_lsn
-        with replica.read_as_of(mark) as snap, engine.query_as_of("itemsdb", mark) as primary:
+        with (
+            engine.query_as_of("itemsdb", mark, replica="standby") as snap,
+            engine.query_as_of("itemsdb", mark) as primary,
+        ):
             assert snap.get("items", (1,))[2] == 2000
             assert list(snap.scan("items")) == list(primary.scan("items"))
 

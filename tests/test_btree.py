@@ -71,10 +71,11 @@ class TestCrud:
 
         with items_db.transaction() as txn:
             items_db.insert(txn, "items", (1, "one", 10))
-        tree = tree_of(items_db)
         with pytest.raises(StorageError):
             with items_db.transaction() as txn:
-                tree.update(txn, (1,), (2, "one", 10))
+                items_db.update(txn, "items", (1,), {"id": 2})
+        assert items_db.get("items", (1,)) == (1, "one", 10)
+        assert items_db.get("items", (2,)) is None
 
     def test_dict_row_insert(self, items_db):
         with items_db.transaction() as txn:

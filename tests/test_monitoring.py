@@ -296,6 +296,30 @@ class TestHealth:
         assert doc["subsystems"]["s1"]["verdict"] == DEGRADED
         assert doc["subsystems"]["s2"]["verdict"] == CRITICAL
 
+    def test_a_full_snapshot_pool_degrades_snapshot_pool_not_buffer_pool(self):
+        """``pool.occupancy`` is the AS OF pool's bytes over its budget:
+        its verdict is filed under ``snapshot_pool``."""
+        engine = Engine(
+            snapshot_pool_budget=1024,
+            monitor_config=MonitorConfig(sample_interval_s=0.01, pool_occupancy=0.5),
+        )
+        engine.create_database("shop")
+        engine.sql("CREATE TABLE items (id INT NOT NULL, PRIMARY KEY (id))", "shop")
+        engine.sql("INSERT INTO items VALUES (1)", "shop")
+        engine.start_monitor()
+        assert engine.health()["subsystems"]["snapshot_pool"]["verdict"] == OK
+        mark = engine.env.clock.now()
+        engine.env.clock.advance(1.0)
+        with engine.query_as_of("shop", mark) as view:
+            assert view.get("items", (1,)) == (1,)
+            engine.env.clock.advance(0.01)
+            engine.monitor_tick()
+            doc = engine.health()
+        assert "buffer_pool" not in doc["subsystems"]
+        [alert] = doc["subsystems"]["snapshot_pool"]["alerts"]
+        assert alert["rule"] == "pool.occupancy" and alert["metric"] == "pool.engine.occupancy"
+        assert doc["subsystems"]["snapshot_pool"]["verdict"] == DEGRADED
+
 
 # ---------------------------------------------------------------------------
 # Engine integration: the induced replica-lag scenario

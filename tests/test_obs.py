@@ -169,7 +169,10 @@ def test_metric_names_and_values_are_pinned():
     snapshot keeps no sparse side file (its frames share the version
     store's images), so the pooled read's four page writes are gone:
     ``io.sparse_writes`` 4 → 0 and ``io.sparse_bytes`` 4096 → 0 (the
-    named snapshot reads nothing)."""
+    named snapshot reads nothing). A standby leases from the engine's
+    pool, so the eleven ``pool.standby.*`` instruments are gone and
+    their values land in ``pool.engine.*`` (misses, releases and entries
+    0 → 1, bytes and peak bytes 0 → 4096)."""
     engine = _topology()
     golden = json.loads(GOLDEN.read_text())
     assert sorted(engine.env.metrics.names()) == golden["names"]
@@ -184,7 +187,6 @@ SHEETS = {
     "pool.engine": (lambda e: e.snapshot_pool, "engine"),
     "version_store": (lambda e: e.version_store, "engine"),
     "replica.standby": (lambda e: e.replicas["standby"], "standby"),
-    "pool.standby": (lambda e: e.replicas["standby"].snapshot_pool, "standby"),
     "shipper.shop": (lambda e: e.shipper_for("shop"), "shop"),
     "archive.shop": (lambda e: e.archives["shop"], "shop"),
 }
@@ -229,7 +231,7 @@ def test_one_reset_clears_every_counter():
     engine = _topology()
     sheets = [owner_of(engine).stats for owner_of, _scope in SHEETS.values()]
     busy = [sheet for sheet in sheets if any(getattr(sheet, f.name) for f in fields(sheet))]
-    assert len(busy) >= 5  # all but the idle engine pool (the standby served the read)
+    assert len(busy) == len(sheets)  # the engine pool served the standby's read
     engine.env.metrics.reset()
     snap = engine.metrics_snapshot()
     assert not any(snap["counters"].values())

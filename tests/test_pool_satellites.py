@@ -12,7 +12,7 @@ from repro.errors import (
     SqlExecutionError,
 )
 
-from tests.conftest import ITEMS_SCHEMA, fill_items
+from tests.conftest import ITEMS_SCHEMA, fill_items, pool_entries
 from tests.test_split_lsn import committed_marks
 
 
@@ -175,11 +175,11 @@ class TestUndoDrain:
         engine.add_replica(db.name, "standby")
         with engine.query_as_of(db.name, engine.env.clock.now()) as view:
             assert sum(1 for _ in view.scan("items")) == 6
-            # Served by the standby's pool, whose snapshots run the same
+            # Served over the standby, whose snapshots run the same
             # background undo: nothing pending, a no-op.
             assert view.run_background_undo() == 0
-        standby_pool = engine.replicas["standby"].snapshot_pool
-        assert standby_pool.stats.misses == 1
+        assert engine.snapshot_pool.stats.misses == 1
+        assert [entry[0] for entry in pool_entries(engine.snapshot_pool)] == ["standby"]
 
 
 class TestUseAsOfSessions:

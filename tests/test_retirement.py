@@ -160,8 +160,7 @@ def route_drop_database(engine):
     mark = engine.env.clock.now()
     engine.env.clock.advance(1.0)
     write(engine, "doomed", 10, start=40)
-    pool, lease = engine.pin_as_of("doomed", mark)
-    assert pool is engine.snapshot_pool
+    lease = engine.pin_as_of("doomed", mark)
     assert lease.get("items", (35,)) == (35, 35)  # publishes page versions
     engine.create_asof_snapshot("doomed", "doomed_snap", mark)
     standby = engine.add_replica("doomed", "doomed_standby", seed_from_backup=True)
@@ -182,8 +181,8 @@ def route_drop_database(engine):
     # the next read, and its release still balances.
     with pytest.raises(SnapshotError):
         lease.get("items", (2,))
-    pool.release(lease)
-    assert pool.active_leases() == 0
+    engine.unpin_as_of(lease)
+    assert engine.snapshot_pool.active_leases() == 0
     # A session that resolved the name just before the DROP landed must
     # not restore a fallback copy nobody could retire any more.
     with pytest.raises(CatalogError):
@@ -227,15 +226,15 @@ def route_failover(engine):
     assert spare.get("items", (64,)) == (64, 64)
     assert alerting(engine) == []
     # The survivors' instruments: a database, its shipper and archiver,
-    # a standby with its pool and subscription — and not the promoted
-    # standby's replica-role ones.
+    # a standby with its subscription — and not the promoted standby's
+    # replica-role ones.
     names = engine.env.metrics.names()
     for prefix in ("log.heir.", "shipper.heir.", "archive.heir.", "replica.spare.",
-                   "pool.spare.", "repl.ship.spare.", "repl.ship.~archive:heir."):
+                   "repl.ship.spare.", "repl.ship.~archive:heir."):
         assert any(name.startswith(prefix) for name in names), prefix
     return Left(
         before,
-        ("doomed", "replica.heir.", "pool.heir.", "repl.ship.heir."),
+        ("doomed", "replica.heir.", "repl.ship.heir."),
         {
             "databases": ["heir"],
             "replicas": ["spare"],
@@ -247,8 +246,8 @@ def route_failover(engine):
 
 
 def _lagging_standby(engine, name: str):
-    """A standby of ``shop`` whose lag alert is firing and whose own pool
-    holds an entry."""
+    """A standby of ``shop`` whose lag alert is firing and which holds an
+    entry in the engine's pool."""
     engine.shipper_for("shop")  # outlives its subscribers: part of "before"
     settle(engine)
     before = footprint(engine)
@@ -256,9 +255,9 @@ def _lagging_standby(engine, name: str):
     settle(engine)
     mark = engine.env.clock.now()
     engine.env.clock.advance(1.0)
-    with engine.query_as_of("shop", mark):  # served from the standby's pool
+    with engine.query_as_of("shop", mark):  # served over the standby
         pass
-    assert len(standby.snapshot_pool) == 1
+    assert [entry[0] for entry in pool_entries(engine.snapshot_pool)] == [name]
     write(engine, "shop", 150)
     assert f"replica.{name}.apply_lag_bytes" in alerting(engine)
     assert engine.monitor_history(f"replica.{name}.*")
@@ -273,7 +272,7 @@ def route_drop_replica(engine):
     assert alerting(engine) == ["retention.shop.pin_lag_bytes"]
     settle(engine)
     assert alerting(engine) == []
-    assert standby.dropped and len(standby.snapshot_pool) == 0
+    assert standby.dropped and pool_entries(engine.snapshot_pool) == []
     return Left(before, ("doomed",), {}, (standby.db,))
 
 
@@ -287,7 +286,8 @@ def route_promote_replica(engine):
     assert alerting(engine) == ["retention.shop.pin_lag_bytes"]  # as above
     assert engine.databases["doomed_heir"] is promoted is standby.db
     assert not promoted.closed and promoted.get("items", (149,)) == (149, 149)
-    for role in ("replica.doomed_heir.", "pool.doomed_heir.", "repl.ship.doomed_heir."):
+    assert pool_entries(engine.snapshot_pool) == []
+    for role in ("replica.doomed_heir.", "repl.ship.doomed_heir."):
         assert traces_of(engine, role) == []
     assert engine.env.metrics.names("log.doomed_heir.*")
     engine.drop_database("doomed_heir")

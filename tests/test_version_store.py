@@ -680,7 +680,7 @@ def test_standby_rolls_forward_from_a_primary_version(items_schema):
 
     before = engine.env.stats.snapshot()
     rollforwards = store.stats.rollforwards
-    with replica.read_as_of(t2) as snap:
+    with engine.query_as_of(db.name, t2, replica=replica.name) as snap:
         assert {r[0]: r[2] for r in snap.scan("items")} == {
             n % 5: 100 * (n // 8) + n for n in range(3, 8)
         }
@@ -718,7 +718,7 @@ def test_backup_seeded_standby_does_not_roll_forward_from_log_it_lacks(items_sch
     [chain] = [v.chain for v in store._versions[("vdb", leaf)]]
     assert chain[0] < replica.db.log.start_lsn <= find_split_lsn(db, marks[1])
     rollforwards = store.stats.rollforwards
-    with replica.read_as_of(marks[1]) as snap:
+    with engine.query_as_of(db.name, marks[1], replica=replica.name) as snap:
         assert {r[0]: r[2] for r in snap.scan("items")} == {
             n % 5: 100 + n for n in range(3, 8)
         }
@@ -749,7 +749,7 @@ def test_standby_does_not_resume_above_its_applied_prefix(items_schema):
     assert any(v > horizon for v, _limit in stored_versions(store, "vdb", leaf))
 
     resumes = store.stats.resumes
-    with replica.read_as_of(t_past) as snap:
+    with engine.query_as_of(db.name, t_past, replica=replica.name) as snap:
         assert {r[0]: r[2] for r in snap.scan("items")} == {i: i * 10 for i in range(5)}
     assert store.stats.resumes == resumes
 
@@ -933,8 +933,8 @@ def test_name_reuse_purges_store(items_schema):
 
 
 def test_replica_pool_shares_primary_store(items_schema):
-    """A chain walk paid on the primary serves the replica's pool (and
-    vice versa): both publish under the primary's key."""
+    """A chain walk paid on the primary serves a lease over the standby
+    (and vice versa): both publish under the primary's key."""
     engine, db = _items_engine()
     clock = engine.env.clock
     fill_items(db, 20)
@@ -948,11 +948,11 @@ def test_replica_pool_shares_primary_store(items_schema):
     db.log.flush()
     engine.replication_tick()
 
-    # Prepare on the primary's pool: publishes under "vdb".
+    # Prepare over the primary: publishes under "vdb".
     with engine.snapshot_pool.lease(db, t_past) as snap:
         primary_rows = list(snap.scan("items"))
     hits = engine.version_store.stats.hits
-    with replica.read_as_of(t_past) as snap:
+    with engine.query_as_of(db.name, t_past, replica=replica.name) as snap:
         replica_rows = list(snap.scan("items"))
     assert replica_rows == primary_rows
     assert engine.version_store.stats.hits > hits
