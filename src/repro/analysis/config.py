@@ -77,9 +77,9 @@ SHARED_STATE_REGISTRY: tuple[dict, ...] = (
             "attr": attr,
             "owners": ("repro/wal/log_manager.py",),
             "latch": True,
-            "mutators": ("note", "add", "cut", "drop_below"),
+            "mutators": ("note", "cut", "drop_below"),
         }
-        for attr in ("_commit_dir", "_ckpt_dir", "_seeds")
+        for attr in ("_commit_dir", "_ckpt_dir", "_txn_dir")
     ),
     # Lock-manager table and declared waits (one per database).
     {"attr": "_table", "owners": ("repro/txn/locks.py",), "latch": True},

@@ -8,9 +8,10 @@ The knobs here map directly onto the paper:
 * ``undo_interval_s`` — section 4.3's retention period
   (``ALTER DATABASE ... SET UNDO_INTERVAL``).
 * ``checkpoint_interval_s`` — section 6's 30-second target recovery
-  interval, which bounds as-of snapshot creation time (Figures 9/10) for
-  the first snapshot into a stretch of log; a repeat starts at an
-  analysis seed instead (``docs/wal-format.md``).
+  interval, which bounds crash recovery's analysis window. As-of
+  snapshot creation (Figures 9/10) scans no log from a checkpoint: the
+  log's transaction directory says who was in flight at the split, and
+  analysis reads from the oldest of them's BEGIN (``docs/wal-format.md``).
 * Device profiles — section 6's SAS-10K and SLC-SSD media.
 """
 

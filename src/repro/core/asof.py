@@ -7,14 +7,12 @@ view of a database as of an arbitrary past point in time:
   SplitLSN, create the sparse side file (a named snapshot's; a pooled
   one keeps none), and checkpoint the primary so
   every page with LSN ≤ SplitLSN is durable.
-* **Recovery** (section 5.2): run the analysis pass from the checkpoint
-  preceding the SplitLSN up to the SplitLSN to find transactions in flight
-  at that point — or, when an earlier snapshot's analysis crossed the
-  start of the split's log block or reached an earlier split in it, from
-  there, seeded with who was in flight at that record (the log's
-  analysis seeds, ``docs/wal-format.md``; a stated deviation: the first
-  snapshot after a checkpoint scans from it as the paper does, a repeat
-  scans at most one block). The redo pass
+* **Recovery** (section 5.2): find the transactions in flight at the
+  SplitLSN. A stated deviation: the paper runs the analysis pass from
+  the checkpoint preceding the SplitLSN; here the log's transaction
+  directory (``docs/wal-format.md``) answers who was in flight without
+  reading the log, and analysis runs only when somebody was, from the
+  oldest such transaction's BEGIN up to the SplitLSN. The redo pass
   does **no page I/O** — it only re-acquires those transactions' locks.
   Their logical undo runs lazily ("in the background"): queries are
   admitted immediately, and a read that touches a locked row drives the
@@ -72,8 +70,6 @@ from repro.storage.page import Page, ReadOnlyPage
 from repro.storage.sparsefile import SparseFile
 from repro.txn.undo import rollback_losers
 from repro.wal.apply import UnloggedModifier
-from repro.wal.lsn import NULL_LSN
-from repro.wal.records import BeginRecord, ClrRecord
 
 #: Virtual page ids (snapshot-only splits during undo) start here.
 _VIRTUAL_PAGE_BASE = 1 << 28
@@ -148,64 +144,25 @@ class SnapshotTable:
 
 def snapshot_analysis(db, split: int) -> tuple[AnalysisResult, int]:
     """Section 5.2's analysis for a snapshot at ``split``: the analysis
-    result, its ``loser_locks`` completed, and the retention pin.
+    result and the retention pin.
 
-    The window ends at the split and starts at the later of the newest
-    checkpoint at or before it (:func:`analysis_base`) and the newest of
-    the log's analysis seeds at or before it: the transactions open
-    before that record, remembered from an earlier window that crossed
-    or ended at it. Either way the start is seeded with who was in flight
-    there, so the losers are the same. The seeds this window crosses,
-    and the one just past its split, are handed back to the log, so a
-    later split in the same stretch scans at most one block, and only
-    the records past the newest split before it.
+    The log's transaction directory says who was in flight at the split.
+    With nobody, no log is read. Otherwise the window runs from the
+    oldest loser's BEGIN to the split, so it holds every record of every
+    loser and their lock sets come out whole; a loser begun below the
+    retained log raises :class:`LogTruncatedError`.
 
-    The pin starts at the checkpoint, not at a seed: a pooled split is
-    found again through :func:`find_split_lsn`, which needs a kept
-    checkpoint at or before it.
+    The pin covers that BEGIN and the newest checkpoint at or before the
+    split: a pooled split is found again through :func:`find_split_lsn`,
+    which needs a kept checkpoint at or before it.
     """
     log = db.log
-    base = analysis_base(log, split, log.start_lsn)
-    start, seed, cuts = log.analysis_seed(base, split)
-    analysis = analyze_log(log, start, split + 1, seed=seed)
-    log.remember_seeds(analysis.crossed, cuts)
-    return analysis, collect_loser_locks(log, analysis, start, min(base, split))
-
-
-def collect_loser_locks(log, analysis: AnalysisResult, start: int, pin: int) -> int:
-    """Complete the lock sets of losers whose chains may reach below the
-    window starting at ``start``; returns the retention pin: ``pin``,
-    deepened to the oldest LSN any walked chain reaches.
-
-    A loser's lock set is the keys of its non-SMO row records that no CLR
-    compensates, wherever the window starts. Seeded losers can chain
-    arbitrarily far back and are always walked — the keys below the
-    window join those analysis saw, and their depth is what the pin must
-    cover. A loser that began inside the window is walked only when
-    analysis saw no keyed row of it.
-    """
-    for txn_id, last_lsn in analysis.losers.items():
-        seen = analysis.loser_locks.get(txn_id)
-        if seen is not None and txn_id not in analysis.seeded:
-            continue
-        keys = []
-        cur = last_lsn
-        while cur != NULL_LSN:
-            pin = min(pin, cur)
-            rec = log.read(cur)
-            if isinstance(rec, BeginRecord):
-                break
-            if isinstance(rec, ClrRecord):
-                cur = rec.undo_next_lsn
-                continue
-            if seen is None or cur < start:
-                key_bytes = getattr(rec, "key_bytes", b"")
-                if key_bytes and not rec.is_smo:
-                    keys.append((rec.object_id, key_bytes))
-            cur = rec.prev_txn_lsn
-        if keys:
-            analysis.loser_locks[txn_id] = [*(seen or ()), *keys]
-    return pin
+    pin = min(analysis_base(log, split, log.start_lsn), split)
+    begins = log.in_flight(split)
+    if not begins:
+        return AnalysisResult(), pin
+    start = min(begins.values())
+    return analyze_log(log, start, split + 1), min(pin, start)
 
 
 class AsOfSnapshot:

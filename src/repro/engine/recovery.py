@@ -13,8 +13,10 @@ Standard three-pass recovery over the durable log tail:
 
 Each pass is one of the three stages every route to "the database at a
 SplitLSN" composes (``docs/recovery.md``): :func:`analyze_log` is the
-analysis all of them run (restores, replica promotion and the as-of
-snapshot recovery of paper section 5.2 bound it at the split),
+analysis all of them run (restores and replica promotion bound it at
+the split; the as-of snapshot recovery of paper section 5.2 runs it
+only when the log's transaction directory names a transaction in
+flight at the split, from the oldest one's BEGIN),
 :func:`redo_pass` is :class:`~repro.wal.apply.RedoApplier` behind the
 dirty-page-table gate, and :func:`undo_pass` is
 :func:`~repro.txn.undo.rollback_losers` plus the abort records only a
@@ -66,29 +68,15 @@ class AnalysisResult:
     #: snapshot recovery to re-acquire locks). A txn whose keyed rows in
     #: the window were all compensated has an empty list.
     loser_locks: dict[int, list] = field(default_factory=dict)
-    #: Loser txn ids seeded at the window's start — by the starting
-    #: checkpoint's active table or an analysis seed — whose log chains may
-    #: reach below the window (as-of snapshots walk them for lock
-    #: collection and retention pinning).
-    seeded: set = field(default_factory=set)
-    #: ``(lsn, open)`` at the first record of each log block a seeded
-    #: window reached after its first, and just past its last record when
-    #: the scan reached ``to_lsn - 1``: ``open`` is ``{txn_id: last LSN}``
-    #: of the transactions open before that LSN — the seed a window
-    #: starting there needs (the log's analysis seeds).
-    crossed: list = field(default_factory=list)
     #: LSN the scan actually stopped at.
     end_lsn: int = NULL_LSN
 
 
-def analyze_log(log, start_lsn: int, to_lsn: int | None = None, *, seed=None) -> AnalysisResult:
+def analyze_log(log, start_lsn: int, to_lsn: int | None = None) -> AnalysisResult:
     """Scan ``[start_lsn, to_lsn)`` rebuilding transaction and page state.
 
-    The window is seeded by the checkpoint at ``start_lsn``, or by
-    ``seed`` (``{txn_id: last LSN}`` of the transactions open before
-    ``start_lsn``, an analysis seed of the log's) in its place; only a
-    seeded window notes the blocks it ``crossed``, and the end of a
-    window whose last record is the one at ``to_lsn - 1``.
+    The window is seeded by the checkpoint at ``start_lsn``, if one is
+    there: its active table names the transactions open before it.
 
     Header-driven: transaction and page state come from header fields, so
     no record body is decoded on the way — except the starting checkpoint's
@@ -104,27 +92,14 @@ def analyze_log(log, start_lsn: int, to_lsn: int | None = None, *, seed=None) ->
     #: txn_id -> [(lsn, object_id, txn_id, raw record)], keyed non-SMO rows.
     open_rows: dict[int, list] = {}
     compensated: set[int] = set()
-    block_size = log.block_size
-    #: The last record's block, once the window is seeded.
-    block = None
-    if seed is not None:
-        losers.update(seed)
-        result.seeded.update(seed)
-        result.max_txn_id = max(seed, default=0)
-        block = start_lsn // block_size
     for header, raw in log.scan_headers(start_lsn, to_lsn, raw=_RAW, stop_on_torn_tail=True):
         lsn, rtype, txn_id = header.lsn, header.record_type, header.txn_id
         result.end_lsn = lsn
-        if rtype == RecordType.CHECKPOINT_BEGIN and lsn == start_lsn and seed is None:
+        if rtype == RecordType.CHECKPOINT_BEGIN and lsn == start_lsn:
             for active_id, last_lsn in decode_record(raw, 0, lsn)[0].active_txns:
                 losers[active_id] = last_lsn
-                result.seeded.add(active_id)
                 result.max_txn_id = max(result.max_txn_id, active_id)
-            block = lsn // block_size
             continue
-        if block is not None and lsn // block_size != block:
-            block = lsn // block_size
-            result.crossed.append((lsn, dict(losers)))
         if txn_id > result.max_txn_id:
             result.max_txn_id = txn_id
         if rtype == RecordType.BEGIN:
@@ -141,8 +116,6 @@ def analyze_log(log, start_lsn: int, to_lsn: int | None = None, *, seed=None) ->
                 elif rtype == _CLR and txn_id in open_rows:
                     compensated.add(_COMPENSATED_LSN.unpack_from(raw, HEADER_SIZE)[0])
             dirty_pages.setdefault(header.page_id, lsn)
-    if block is not None and to_lsn is not None and result.end_lsn == to_lsn - 1:
-        result.crossed.append((result.end_lsn + header.total, dict(losers)))
     for lsn, object_id, txn_id, raw in sorted(row for rows in open_rows.values() for row in rows):
         key_bytes = decode_record(raw, 0, lsn)[0].key_bytes
         if key_bytes:

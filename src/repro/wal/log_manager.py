@@ -18,10 +18,9 @@ instead of a scan forward from a checkpoint (``docs/wal-format.md``,
 "Commit directory"). A :class:`CheckpointDirectory` does the same for
 checkpoint-begin records, so finding the checkpoint that narrows a
 search or seeds an analysis walks no back-chain ("Checkpoint
-directory"). Beside them, :class:`AnalysisSeeds` remembers who was
-in flight at each block boundary snapshot analysis crossed and just past
-each split it reached, so a repeat AS OF scans at most one block instead
-of everything since the checkpoint ("Analysis seeds").
+directory"). A :class:`TransactionDirectory` notes each transaction's
+BEGIN and end, so who was in flight at an AS OF split is a lookup
+that reads no log ("Transaction directory").
 """
 
 from __future__ import annotations
@@ -39,6 +38,7 @@ from repro.obs.registry import DEFAULT_BYTES_BUCKETS
 from repro.wal.lsn import FIRST_LSN, NULL_LSN, format_lsn
 from repro.wal.records import (
     HEADER_SIZE,
+    HEADER_TXN_ID,
     LOG_HEADER_MAGIC,
     CheckpointBeginRecord,
     ClrRecord,
@@ -52,11 +52,14 @@ from repro.wal.records import (
     walk_boundaries,
 )
 
-#: Wire discriminators for ingest's boundary walk of a frame.
+#: Wire discriminators: ingest's boundary walk reads them, and the
+#: transaction directory is noted by them.
+_BEGIN_TYPE = int(RecordType.BEGIN)
 _COMMIT_TYPE = int(RecordType.COMMIT)
+_TXN_TYPES = frozenset(map(int, (RecordType.BEGIN, RecordType.COMMIT, RecordType.ABORT)))
 _CHECKPOINT_BEGIN_TYPE = int(RecordType.CHECKPOINT_BEGIN)
 #: A commit's body is its wall clock alone, and a checkpoint-begin's
-#: starts with it: read in place, never decoded.
+#: starts with it: read in place (a commit's body is never decoded).
 _WALL = struct.Struct("<d")
 _COMMIT_SIZE = HEADER_SIZE + _WALL.size
 
@@ -188,53 +191,75 @@ class CheckpointDirectory:
             self.note(*entry)
 
 
-class AnalysisSeeds:
-    """Who was in flight at the log-block boundaries snapshot analysis
-    crossed and just past the splits it reached: per entry, the LSN of
-    the first record of a block (or the one after a split) and
-    ``{txn_id: last LSN}`` of the transactions open before it.
+class TransactionDirectory:
+    """One entry per transaction: the LSN of its BEGIN and, once it ends,
+    of its COMMIT or ABORT.
 
-    An entry is what a checkpoint's active-transaction table would say at
-    that record, so a later analysis window can start there instead of at
-    the checkpoint (:func:`repro.core.asof.snapshot_analysis`). Entries
-    are only ever derived from a checkpoint-seeded (or entry-seeded)
-    window; they are in LSN order, and the owning :class:`LogManager`
+    A transaction whose BEGIN the log never held — one a checkpoint
+    names as active, or whose end arrives first — is noted as begun below
+    the log (``NULL_LSN``). Open entries sit in a dict by txn id; ended
+    ones in end order, beside the least begin of each and every entry
+    after it (or less, where a cut took back the entry that lowered it).
+    That minimum never decreases, so the ended transactions in flight at
+    a split lie between two bisects: past the first end after the split,
+    and before the first minimum past it. The owning :class:`LogManager`
     calls every method under its latch.
     """
 
-    __slots__ = ("_lsns", "_open")
+    __slots__ = ("_open", "_ids", "_begins", "_ends", "_least", "_n")
 
     def __init__(self) -> None:
-        self._lsns: list[int] = []
-        self._open: list[dict] = []
+        self._open: dict[int, int] = {}
+        # Ended entries fill ``[0, _n)`` and grow by half, as the commit
+        # directory's do.
+        self._ids = array("q")
+        self._begins = array("q")
+        self._ends = array("q")
+        self._least = array("q")
+        self._n = 0
 
-    def newest(self, lo: int, hi: int) -> tuple[int, dict] | None:
-        """The newest entry ``(lsn, open)`` with ``lo <= lsn <= hi``, else
-        ``None``. An entry at ``lo`` is as good as one above it: when ``lo``
-        is a log start retention cut at, it is the only table there."""
-        i = bisect_right(self._lsns, hi)
-        if i and self._lsns[i - 1] >= lo:
-            return self._lsns[i - 1], self._open[i - 1]
-        return None
+    def note(self, record_type: int, txn_id: int, lsn: int) -> None:
+        """A BEGIN of ``txn_id`` at ``lsn`` (``NULL_LSN``: one begun below
+        the log), else its COMMIT or ABORT, later than every end so far."""
+        if record_type == _BEGIN_TYPE:
+            self._open.setdefault(txn_id, lsn)
+            return
+        begin = self._open.pop(txn_id, NULL_LSN)
+        n, least = self._n, self._least
+        if n == len(least):
+            zeros = bytes(8 * max(n // 2, 64))
+            for column in (self._ids, self._begins, self._ends, least):
+                column.frombytes(zeros)
+        self._ids[n], self._begins[n], self._ends[n], least[n] = txn_id, begin, lsn, begin
+        self._n = n + 1
+        while n and least[n - 1] > begin:
+            n -= 1
+            least[n] = begin
 
-    def add(self, entries, floor: int) -> None:
-        """Keep each ``(lsn, open)`` at or above ``floor`` not held yet."""
-        lsns = self._lsns
-        for lsn, open_txns in entries:
-            i = bisect_left(lsns, lsn)
-            if lsn >= floor and (i == len(lsns) or lsns[i] != lsn):
-                lsns.insert(i, lsn)
-                self._open.insert(i, open_txns)
+    def in_flight(self, split: int) -> dict[int, int]:
+        """``{txn_id: BEGIN LSN}`` of the transactions begun at or before
+        ``split`` and not ended by it."""
+        n, begins = self._n, self._begins
+        i = bisect_right(self._ends, split, 0, n)
+        j = bisect_right(self._least, split, i, n)
+        found = {self._ids[k]: begins[k] for k in range(i, j) if begins[k] <= split}
+        found.update((txn_id, lsn) for txn_id, lsn in self._open.items() if lsn <= split)
+        return found
 
     def drop_below(self, lsn: int) -> None:
-        """Forget the entries below ``lsn``."""
-        i = bisect_left(self._lsns, lsn)
-        del self._lsns[:i], self._open[:i]
+        """Forget the transactions that ended below ``lsn``."""
+        i = bisect_left(self._ends, lsn, 0, self._n)
+        for column in (self._ids, self._begins, self._ends, self._least):
+            del column[:i]
+        self._n -= i
 
     def cut(self, lsn: int) -> None:
-        """Forget the entries at or past ``lsn``."""
-        i = bisect_left(self._lsns, lsn)
-        del self._lsns[i:], self._open[i:]
+        """Where the log now ends at ``lsn``: reopen the transactions that
+        ended at or past it, and forget those that began there."""
+        n = bisect_left(self._ends, lsn, 0, self._n)
+        reopened = zip(self._ids[n : self._n], self._begins[n : self._n], strict=True)
+        self._open = {txn: begin for txn, begin in (*self._open.items(), *reopened) if begin < lsn}
+        self._n = n
 
 
 class LogManager:
@@ -256,10 +281,7 @@ class LogManager:
         self._truncated_before = FIRST_LSN
         self._commit_dir = CommitDirectory()
         self._ckpt_dir = CheckpointDirectory()
-        self._seeds = AnalysisSeeds()
-        #: Bumped whenever bytes are taken back (crash, discard_after,
-        #: close): seeds from an analysis that raced one are refused.
-        self._cuts = 0
+        self._txn_dir = TransactionDirectory()
         self._cache: OrderedDict[int, None] = OrderedDict()
         # Handle cached at init: append() is the engine's hottest path.
         self._append_hist = env.metrics.histogram(
@@ -320,23 +342,12 @@ class LogManager:
         with self.latch:
             return self._ckpt_dir.stamped(wall)
 
-    def analysis_seed(self, base: int, split: int) -> tuple[int, dict | None, int]:
-        """Where analysis of a window ``[base, split]`` can start:
-        ``(start, open, cuts)``, with ``start`` the newest analysis seed
-        in ``[base, split]`` and ``open`` its in-flight table, else
-        ``base`` and ``None``. ``cuts`` goes back to
-        :meth:`remember_seeds` with what that analysis crosses."""
+    def in_flight(self, split: int) -> dict[int, int]:
+        """:meth:`TransactionDirectory.in_flight`: ``{txn_id: BEGIN LSN}``
+        of the transactions in flight at ``split``, ``NULL_LSN`` for one
+        begun below the log."""
         with self.latch:
-            seed = self._seeds.newest(base, split)
-            start, open_txns = seed if seed is not None else (base, None)
-            return start, open_txns, self._cuts
-
-    def remember_seeds(self, entries, cuts: int) -> None:
-        """Keep the ``(lsn, open)`` seeds an analysis crossed, unless the
-        log was cut since that analysis asked :meth:`analysis_seed`."""
-        with self.latch:
-            if entries and cuts == self._cuts:
-                self._seeds.add(entries, self._truncated_before)
+            return self._txn_dir.in_flight(split)
 
     # ------------------------------------------------------------------
     # Append / flush
@@ -357,6 +368,10 @@ class LogManager:
                 self._commit_dir.note(record.lsn, record.wall_clock)
             elif isinstance(record, CheckpointBeginRecord):
                 self._ckpt_dir.note(record.lsn, record.wall_clock)
+                for txn_id, _last in record.active_txns:
+                    self._txn_dir.note(_BEGIN_TYPE, txn_id, NULL_LSN)
+            if record.TYPE in _TXN_TYPES:
+                self._txn_dir.note(record.TYPE, record.txn_id, record.lsn)
             stats = self.env.stats
             stats.log_records += 1
             if isinstance(record, PreformatPageRecord):
@@ -515,11 +530,12 @@ class LogManager:
 
         ``start_lsn`` must equal :attr:`end_lsn` — shipped frames arrive in
         order with no gaps (the shipper resumes from the standby's cursor).
-        The bytes are validated to decode as whole records, their commits
-        and checkpoint-begins enter the directories (each wall clock read
-        in place, no body decoded), and one sequential log write is
-        charged (the standby lands the stream the same way the primary
-        flushed it).
+        The bytes are validated to decode as whole records, their commits,
+        checkpoint-begins, begins and aborts enter the directories (wall
+        clocks and txn ids read in place; a checkpoint-begin's body is
+        the one decoded, for its active table), and one sequential log
+        write is charged (the standby lands the stream the same way the
+        primary flushed it).
         """
         with self.latch:
             end = self._end()
@@ -532,7 +548,7 @@ class LogManager:
                 return
             # Boundary walk: reject torn frames (LogRecordDecodeError)
             # before mutating any state.
-            commits, checkpoints = [], []
+            commits, checkpoints, txns = [], [], []
             for lsn, total, record_type in walk_boundaries(data, base_lsn=start_lsn):
                 if record_type == _COMMIT_TYPE:
                     if total != _COMMIT_SIZE:
@@ -547,12 +563,19 @@ class LogManager:
                             f"checkpoint at {format_lsn(lsn)} is {total} bytes"
                         )
                     checkpoints.append(lsn)
+                    active = decode_record(data, lsn - start_lsn, lsn)[0].active_txns
+                    txns += [(_BEGIN_TYPE, txn_id, NULL_LSN) for txn_id, _last in active]
+                if record_type in _TXN_TYPES:
+                    txn_id = HEADER_TXN_ID.unpack_from(data, lsn - start_lsn)[0]
+                    txns.append((record_type, txn_id, lsn))
             self._data += data
             self._durable_end = self._end()
             for lsn in commits:
                 self._commit_dir.note(lsn, _wall_at(data, lsn - start_lsn))
             for lsn in checkpoints:
                 self._ckpt_dir.note(lsn, _wall_at(data, lsn - start_lsn))
+            for entry in txns:
+                self._txn_dir.note(*entry)
             self.env.log_device.write_seq_async(len(data))
             self.env.stats.log_flushes += 1
             self.env.stats.log_write_bytes += len(data)
@@ -611,8 +634,7 @@ class LogManager:
             self._cache.clear()
             self._commit_dir.cut(lsn)
             self._ckpt_dir.cut(lsn)
-            self._seeds.cut(lsn)
-            self._cuts += 1
+            self._txn_dir.cut(lsn)
 
     # ------------------------------------------------------------------
     # Sequential scans (recovery, SplitLSN search, roll-forward)
@@ -710,12 +732,11 @@ class LogManager:
             self._cache.clear()
             self._commit_dir.cut(self._durable_end)
             self._ckpt_dir.cut(self._durable_end)
-            self._seeds.cut(self._durable_end)
-            self._cuts += 1
+            self._txn_dir.cut(self._durable_end)
 
     def close(self) -> None:
-        """Release the log's bytes, block cache, directories and analysis
-        seeds: its database is being retired. Nothing is flushed
+        """Release the log's bytes, block cache and directories: its
+        database is being retired. Nothing is flushed
         and nothing is charged; the positions stay where they were, with
         every LSN now below the horizon."""
         with self.latch:
@@ -724,8 +745,7 @@ class LogManager:
             self._cache.clear()
             self._commit_dir = CommitDirectory()
             self._ckpt_dir = CheckpointDirectory()
-            self._seeds = AnalysisSeeds()
-            self._cuts += 1
+            self._txn_dir = TransactionDirectory()
 
     def truncate_before(self, lsn: int) -> None:
         """Drop all records with LSN < ``lsn`` (retention enforcement).
@@ -747,7 +767,7 @@ class LogManager:
             self._truncated_before = lsn
             self._commit_dir.drop_below(lsn)
             self._ckpt_dir.drop_below(lsn)
-            self._seeds.drop_below(lsn)
+            self._txn_dir.drop_below(lsn)
 
     def __repr__(self) -> str:
         return (

@@ -63,6 +63,9 @@ _CRC_OFFSET = HEADER_SIZE - 4
 _ZERO_CRC = b"\0\0\0\0"
 #: The head of :data:`_HEADER`: all a boundary walk reads of a record.
 _FRAMING = struct.Struct("<IB")
+#: The ``txn_id`` of :data:`_HEADER`, past the framing and ``flags``:
+#: what ingest reads in place for the log's transaction directory.
+HEADER_TXN_ID = struct.Struct(f"<{_FRAMING.size + 1}xQ")
 #: Header fields a record object carries, in wire order (``lsn`` is not on
 #: the wire: it is the record's offset). All default to 0, the two LSNs'
 #: ``NULL_LSN``.

@@ -46,11 +46,11 @@ class TestPoolAwareRetention:
             assert sum(1 for _ in view.scan("items")) == 20
         assert engine.snapshot_pool.stats.hits == hits_before + 1
 
-    def test_a_split_started_at_a_seed_pins_its_checkpoint(self, engine):
-        """A later split's analysis leaves seeds that an earlier split in
-        the same stretch starts its window at. The earlier entry's pin must
-        still cover the checkpoint its time resolves through, so the
-        pooled reuse is served once the later entry is gone."""
+    def test_a_no_loser_split_pins_its_checkpoint(self, engine):
+        """A split with nobody in flight reads no log, yet its entry's pin
+        must still cover the checkpoint its time resolves through, so the
+        pooled reuse is served after retention runs, once the later
+        entry is gone."""
         db = engine.create_database("seedpin", DatabaseConfig(log_block_size=1024))
         db.create_table(ITEMS_SCHEMA)
         db.set_undo_interval(100)
@@ -65,7 +65,9 @@ class TestPoolAwareRetention:
             with engine.query_as_of(db.name, target) as snap:
                 assert sum(1 for _ in snap.scan("items")) == rows
             snaps[target] = snap
-        assert db.log.analysis_seed(base, snaps[earlier].split_lsn)[0] > base
+        for snap in snaps.values():
+            assert not db.log.in_flight(snap.split_lsn)
+            assert snap.retention_pin_lsn == base
         # Evict the least recently used entry: the later one.
         pool.set_budget(pool.total_bytes() - snaps[later].side_file_bytes())
         assert len(pool) == 1 and not snaps[earlier].dropped

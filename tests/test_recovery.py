@@ -224,7 +224,6 @@ def reference_analyze_log(log, start_lsn, to_lsn=None) -> AnalysisResult:
         if isinstance(rec, CheckpointBeginRecord) and rec.lsn == start_lsn:
             for txn_id, last_lsn in rec.active_txns:
                 result.losers[txn_id] = last_lsn
-                result.seeded.add(txn_id)
                 result.max_txn_id = max(result.max_txn_id, txn_id)
             continue
         if rec.txn_id:
@@ -258,7 +257,6 @@ def ordered(analysis: AnalysisResult):
         list(analysis.dirty_pages.items()),
         analysis.max_txn_id,
         list(analysis.loser_locks.items()),
-        analysis.seeded,
         analysis.end_lsn,
     )
 
@@ -323,7 +321,8 @@ class TestHeaderDrivenAnalysis:
                 expected = reference_analyze_log(log, start, end)
                 assert ordered(analyze_log(log, start, end)) == ordered(expected), (start, end)
         whole = analyze_log(log, middle)
-        assert list(whole.losers) == open_ids and whole.seeded == {open_ids[0]}
+        assert list(whole.losers) == open_ids
+        assert [txn_id for txn_id, _last in log.read(middle).active_txns] == open_ids[:1]
         assert list(whole.loser_locks) == open_ids
 
     def test_equals_the_full_decode_pass_up_to_a_torn_tail(self, history):

@@ -273,17 +273,17 @@ class TestSharedStateDiscipline:
         )
         assert check(guarded, "src/repro/wal/log_manager.py", {"RL005"}) == []
 
-    def test_analysis_seeds_mutator_needs_the_guard(self):
-        # So do the analysis seeds': every snapshot window now adds some.
-        bare = "def remember_seeds(self, entries, cuts):\n    self._seeds.add(entries, 0)\n"
+    def test_txn_directory_mutator_needs_the_guard(self):
+        # So do the transaction directory's: every BEGIN and end notes one.
+        bare = "def append(self, txn_id, lsn):\n    self._txn_dir.note(txn_id, begin=lsn)\n"
         findings = check(bare, "src/repro/wal/log_manager.py", {"RL005"})
         assert rules_of(findings) == ["RL005"]
-        assert "self._seeds" in findings[0].message
+        assert "self._txn_dir" in findings[0].message
         guarded = (
-            "def remember_seeds(self, entries, cuts):\n"
+            "def append(self, txn_id, lsn):\n"
             "    with self.latch:\n"
-            "        self._seeds.add(entries, 0)\n"
-            "    return self._seeds.newest(0, 1)\n"
+            "        self._txn_dir.note(txn_id, begin=lsn)\n"
+            "    return self._txn_dir.in_flight(lsn)\n"
         )
         assert check(guarded, "src/repro/wal/log_manager.py", {"RL005"}) == []
 
