@@ -81,6 +81,10 @@ SHARED_STATE_REGISTRY: tuple[dict, ...] = (
         }
         for attr in ("_commit_dir", "_ckpt_dir", "_txn_dir")
     ),
+    # The active-transaction table: entered and left with the BEGIN,
+    # COMMIT or ABORT append, and read with the checkpoint-begin append,
+    # under the log latch.
+    {"attr": "_active", "owners": ("repro/txn/manager.py",), "latch": True},
     # Lock-manager table and declared waits (one per database).
     {"attr": "_table", "owners": ("repro/txn/locks.py",), "latch": True},
     {"attr": "_waits", "owners": ("repro/txn/locks.py",), "latch": True},

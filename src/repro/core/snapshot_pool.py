@@ -39,11 +39,11 @@ bypasses the pool — those snapshots have user-controlled lifetimes.
 Concurrency: ``self.latch`` serializes the entry map, orphan map, stats
 and LRU clock (reprolint RL005 enforces the guard on every mutation).
 Snapshot *creation* deliberately happens outside the latch: it
-checkpoints the primary (taking the database write latch) and scans the
-log, so holding the pool latch across it would both invert the
-database→pool latch order and stall every concurrent lease behind one
-build. Racing creators for the same split are reconciled under the
-latch — the loser adopts the winner's entry and drops its own build.
+checkpoints the primary (taking its log and buffer latches) and may scan
+the log, so holding the pool latch across it would stall every
+concurrent lease behind one build. Racing creators for the same split
+are reconciled under the latch — the loser adopts the winner's entry and
+drops its own build.
 """
 
 from __future__ import annotations
@@ -152,9 +152,8 @@ class SnapshotPool:
             if snapshot is not None:
                 return snapshot
             # Miss: build outside the latch. Creation checkpoints the
-            # primary (database write latch) and runs the analysis scan;
-            # concurrent leases of other entries proceed meanwhile, and
-            # the database→pool latch order stays acyclic.
+            # primary and may run an analysis scan; concurrent leases of
+            # other entries proceed meanwhile.
             with tracer.span("asof.create_at_split", split=split):
                 built = AsOfSnapshot.create_at_split(
                     db, f"~pool:{db.name}@{split:#x}", split, side_file=False

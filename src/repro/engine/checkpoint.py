@@ -20,12 +20,17 @@ from repro.wal.records import CheckpointBeginRecord, CheckpointEndRecord
 
 def take_checkpoint(db) -> int:
     """Checkpoint ``db``; returns the checkpoint-begin LSN."""
-    begin = CheckpointBeginRecord(
-        wall_clock=db.env.clock.now(),
-        prev_checkpoint_lsn=db.last_checkpoint_lsn,
-        active_txns=db.txns.active_table(),
-    )
-    begin_lsn = db.log.append(begin)
+    # The active table and the checkpoint-begin are one step under the
+    # log latch, which every BEGIN, COMMIT and ABORT takes to enter or
+    # leave the table: a transaction the record names has not ended below
+    # it, and one it leaves out has no BEGIN below it while still open.
+    with db.log.latch:
+        begin = CheckpointBeginRecord(
+            wall_clock=db.env.clock.now(),
+            prev_checkpoint_lsn=db.last_checkpoint_lsn,
+            active_txns=db.txns.active_table(),
+        )
+        begin_lsn = db.log.append(begin)
     db.log.append(CheckpointEndRecord(begin_lsn=begin_lsn))
     db.update_boot(last_checkpoint_lsn=begin_lsn)
     db.log.flush()

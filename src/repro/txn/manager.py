@@ -39,9 +39,14 @@ class TransactionManager:
         )
         self._next_txn_id += 1
         rec = BeginRecord(txn_id=txn.txn_id)
-        txn.last_lsn = self.log.append(rec)
+        # Entering and leaving the active table is one step with the
+        # BEGIN, COMMIT or ABORT under the log latch, as reading it for a
+        # checkpoint is with the checkpoint-begin: a checkpoint names
+        # exactly the transactions open at its LSN.
+        with self.log.latch:
+            txn.last_lsn = self.log.append(rec)
+            self._active[txn.txn_id] = txn
         txn.first_lsn = txn.last_lsn
-        self._active[txn.txn_id] = txn
         return txn
 
     def commit(self, txn: Transaction) -> None:
@@ -58,14 +63,15 @@ class TransactionManager:
             txn_id=txn.txn_id,
             prev_txn_lsn=txn.last_lsn,
         )
-        txn.last_lsn = self.log.append(rec)
+        with self.log.latch:
+            txn.last_lsn = self.log.append(rec)
+            self._active.pop(txn.txn_id, None)
         if not txn.is_system:
             self.log.flush()
             self.env.charge_cpu(self.env.cost.txn_overhead_cpu_s)
             self.env.stats.transactions_committed += 1
         txn.state = TxnState.COMMITTED
         self.locks.release_all(txn)
-        self._active.pop(txn.txn_id, None)
 
     def rollback(self, txn: Transaction) -> None:
         """Logically undo everything the transaction did, then log ABORT."""
@@ -76,10 +82,11 @@ class TransactionManager:
 
         LogicalUndo(self.undo_context).rollback_chain(txn, txn.last_lsn)
         rec = AbortRecord(txn_id=txn.txn_id, prev_txn_lsn=txn.last_lsn)
-        txn.last_lsn = self.log.append(rec)
+        with self.log.latch:
+            txn.last_lsn = self.log.append(rec)
+            self._active.pop(txn.txn_id, None)
         txn.state = TxnState.ABORTED
         self.locks.release_all(txn)
-        self._active.pop(txn.txn_id, None)
         if not txn.is_system:
             self.env.stats.transactions_aborted += 1
 
@@ -125,7 +132,9 @@ class TransactionManager:
         return list(self._active.values())
 
     def active_table(self) -> tuple:
-        """(txn_id, last_lsn) pairs for the checkpoint record."""
+        """(txn_id, last_lsn) pairs for the checkpoint record; read under
+        the log latch, with the checkpoint-begin appended before it is
+        released."""
         return tuple(
             (txn.txn_id, txn.last_lsn) for txn in self._active.values()
         )

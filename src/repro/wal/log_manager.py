@@ -197,13 +197,16 @@ class TransactionDirectory:
 
     A transaction whose BEGIN the log never held — one a checkpoint
     names as active, or whose end arrives first — is noted as begun below
-    the log (``NULL_LSN``). Open entries sit in a dict by txn id; ended
-    ones in end order, beside the least begin of each and every entry
-    after it (or less, where a cut took back the entry that lowered it).
-    That minimum never decreases, so the ended transactions in flight at
-    a split lie between two bisects: past the first end after the split,
-    and before the first minimum past it. The owning :class:`LogManager`
-    calls every method under its latch.
+    the log (``NULL_LSN``). A checkpoint names only transactions open at
+    its LSN (:func:`~repro.engine.checkpoint.take_checkpoint` reads the
+    table and appends the record under the log latch, which every BEGIN,
+    COMMIT and ABORT takes too), so a named one whose BEGIN the log holds
+    is already open here and the note changes nothing. Open entries sit
+    in a dict by txn id; ended ones in end order, beside the least begin
+    of each and every entry after it. That minimum never decreases, so
+    the ended transactions in flight at a split lie between two bisects:
+    past the first end after the split, and before the first minimum past
+    it. The owning :class:`LogManager` calls every method under its latch.
     """
 
     __slots__ = ("_open", "_ids", "_begins", "_ends", "_least", "_n")
@@ -257,9 +260,18 @@ class TransactionDirectory:
         """Where the log now ends at ``lsn``: reopen the transactions that
         ended at or past it, and forget those that began there."""
         n = bisect_left(self._ends, lsn, 0, self._n)
-        reopened = zip(self._ids[n : self._n], self._begins[n : self._n], strict=True)
+        begins, least = self._begins, self._least
+        reopened = zip(self._ids[n : self._n], begins[n : self._n], strict=True)
         self._open = {txn: begin for txn, begin in (*self._open.items(), *reopened) if begin < lsn}
         self._n = n
+        # Raise the minima the entries taken back lowered, back to the
+        # first one that did not change: those before it did not either.
+        low = None
+        for k in range(n - 1, -1, -1):
+            low = begins[k] if low is None else min(low, begins[k])
+            if least[k] == low:
+                break
+            least[k] = low
 
 
 class LogManager:

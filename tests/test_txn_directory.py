@@ -7,8 +7,11 @@ from __future__ import annotations
 
 import os
 import random
+import threading
+from itertools import accumulate
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +21,7 @@ from repro.core.asof import AsOfSnapshot, snapshot_analysis
 from repro.core.split_lsn import analysis_base, find_split_lsn
 from repro.engine.recovery import analyze_log
 from repro.errors import LogTruncatedError
-from repro.wal.log_manager import LogManager
+from repro.wal.log_manager import LogManager, TransactionDirectory
 from repro.wal.lsn import FIRST_LSN, NULL_LSN
 from repro.wal.records import (
     FLAG_SMO,
@@ -312,6 +315,15 @@ def expected_in_flight(model: _History, split: int, opened: int, known) -> tuple
     return want, unknown
 
 
+def assert_minima_exact(log) -> None:
+    """Each ended entry's minimum is the least begin of it and every entry
+    after it: a cut raises the minima the entries it took back lowered, so
+    the second bisect of ``in_flight`` keeps narrowing."""
+    directory = log._txn_dir
+    begins = directory._begins[: directory._n]
+    assert list(directory._least[: directory._n]) == list(accumulate(reversed(begins), min))[::-1]
+
+
 def assert_directory_matches_checkpoint(db, splits, rng: random.Random, model: _History,
                                         opened: int, known=None) -> None:
     """Every split, in a random order, analysed from the directory and
@@ -320,6 +332,7 @@ def assert_directory_matches_checkpoint(db, splits, rng: random.Random, model: _
     splits = list(splits)
     rng.shuffle(splits)
     log = db.log
+    assert_minima_exact(log)
     for split in splits:
         want_in_flight, unknown = expected_in_flight(model, split, opened, known)
         assert log.in_flight(split) == want_in_flight, split
@@ -427,6 +440,7 @@ def test_in_flight_equals_the_model_after_every_frame_and_discard(ops, frames, s
     primary = _write(ops, FIRST_LSN)
 
     def check(log, splits, opened: int, known) -> None:
+        assert_minima_exact(log)
         for split in splits:
             want, unknown = expected_in_flight(primary, split, opened, known)
             assert log.in_flight(split) == want, split
@@ -495,3 +509,91 @@ def test_a_split_with_no_loser_reads_no_analysis_block(engine):
         snap = AsOfSnapshot.recover_at(db, name, split)
         assert db.env.stats.log_scan_reads == before
         assert snap.retention_pin_lsn == base
+
+
+
+def test_a_cut_raises_the_minima_the_entries_it_took_back_lowered():
+    """Transaction 2 ends first, then transaction 1, begun before it,
+    lowers 2's minimum to 1's BEGIN. A cut between the two ends takes 1
+    back and raises 2's minimum to its own BEGIN again."""
+    directory = TransactionDirectory()
+    for record_type, txn_id, lsn in ((BeginRecord, 1, 100), (BeginRecord, 2, 200),
+                                     (CommitRecord, 2, 300), (CommitRecord, 1, 400)):
+        directory.note(record_type.TYPE, txn_id, lsn)
+    assert list(directory._least[: directory._n]) == [100, 100]
+    directory.cut(350)
+    assert_minima_exact(SimpleNamespace(_txn_dir=directory))
+    assert directory.in_flight(350) == {1: 100}
+
+
+def _race(monkeypatch, owner, name, when, racer) -> threading.Thread:
+    """Wrap ``owner.name`` so that, the first time it returns for
+    arguments ``when`` accepts, ``racer`` starts on another thread and is
+    given 0.2 s to finish before the caller goes on."""
+    call = getattr(owner, name)
+    thread = threading.Thread(target=racer)
+
+    def paused(*args):
+        result = call(*args)
+        if thread.ident is None and when(*args):
+            thread.start()
+            thread.join(timeout=0.2)
+        return result
+
+    monkeypatch.setattr(owner, name, paused)
+    return thread
+
+
+_STEP_RECORDS = {"begin": BeginRecord, "commit": CommitRecord, "rollback": AbortRecord}
+
+
+@pytest.mark.parametrize("first", ["checkpoint", "step"])
+@pytest.mark.parametrize("step", ["begin", "commit", "rollback"])
+def test_a_checkpoint_names_exactly_the_transactions_open_at_it(items_db, monkeypatch, step, first):
+    """A BEGIN, COMMIT or ABORT racing a checkpoint, from either side: the
+    checkpoint has read its active table and not yet appended its record,
+    or the step has appended its record and not yet entered or left the
+    table. The record names the transaction exactly when it is open at
+    the record's LSN. A named transaction already ended would be reopened
+    by the directory as begun below the log, in flight at every later
+    split, and every AS OF would then need log below the log's start; an
+    open one left out would escape crash recovery's analysis, get no
+    ABORT, and stay in flight for good."""
+    db = items_db
+    txns, checkpoints = [], []
+    if step != "begin":
+        txns.append(db.begin())
+        db.insert(txns[0], "items", (1, "raced", 1))
+
+    def run_step():
+        if step == "begin":
+            txns.append(db.begin())
+        else:
+            getattr(db, step)(txns[0])
+
+    def run_checkpoint():
+        checkpoints.append(db.checkpoint())
+
+    if first == "checkpoint":
+        racer = _race(monkeypatch, db.txns, "active_table", lambda: True, run_step)
+        run_checkpoint()
+    else:
+        record_type = _STEP_RECORDS[step]
+        racer = _race(monkeypatch, db.log, "append", lambda rec: isinstance(rec, record_type), run_checkpoint)
+        run_step()
+    racer.join()
+    monkeypatch.undo()
+    (txn,) = txns
+    record = db.log.read(checkpoints[0])
+    named = [txn_id for txn_id, _last in record.active_txns] == [txn.txn_id]
+    assert named == (txn.first_lsn < record.lsn and (txn.is_active or txn.last_lsn > record.lsn))
+    if step == "begin":
+        db.log.flush()
+        db.crash()
+        db.recover()
+    assert db.log.in_flight(db.log.end_lsn) == {}
+    db.env.clock.advance(1.0)
+    with db.transaction() as later:
+        db.insert(later, "items", (2, "later", 2))
+    analysis, _pin = snapshot_analysis(db, db.log.last_commit_lsn)
+    assert analysis.losers == {}
