@@ -4,8 +4,9 @@ vs warm pooled reuse.
 The pooled inline path changes the economics of the paper's as-of query:
 
 * **cold inline** — first ``AS OF`` read at a point: pool miss, pays
-  snapshot creation (checkpoint + bounded analysis) plus the query's lazy
-  page preparation, exactly like the DDL path.
+  snapshot creation (a records-only checkpoint — forced begin and end
+  records, no page flush — + bounded analysis) plus the query's lazy
+  page preparation.
 * **named DDL** — ``CREATE DATABASE ... AS SNAPSHOT OF ... AS OF`` plus
   the query plus ``DROP``: the seed's only way to time-travel.
 * **warm pooled** — a second inline read at the same point reuses the
@@ -50,7 +51,8 @@ def run_inline_asof():
     warm_new_bytes = engine.snapshot_pool.total_bytes() - bytes_before_warm
 
     # The seed's ceremony: named snapshot DDL, query, drop. Keep the
-    # primary busy first so creation (which checkpoints) finds a
+    # primary busy first so creation (which takes section 5.1's sharp
+    # checkpoint, flushing every dirty page) finds a
     # realistically dirty buffer pool, as it would in production.
     driver.run_for(15.0)
     t2 = env.clock.now()
@@ -99,8 +101,7 @@ def test_inline_asof_cold_vs_warm(bench):
     # skipped entirely, and so is the lazy page preparation.
     assert result["warm_pooled_s"] < 0.5 * result["named_create_s"]
     assert result["warm_pooled_s"] < result["cold_inline_s"]
-    # Cold inline ~ named create + query: same machinery, no ceremony.
-    # The margin absorbs a protocol asymmetry: the cold read checkpoints
-    # a pool dirtied by the whole workload run, while the named create
-    # checkpoints only the 15 s of churn since that checkpoint.
+    # Cold inline ~ named create + query: same machinery, no ceremony,
+    # and no page flush (the named create flushes the 15 s of churn
+    # before it).
     assert result["cold_inline_s"] < 2.5 * result["named_total_s"] + 1e-6

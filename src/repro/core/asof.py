@@ -6,7 +6,12 @@ view of a database as of an arbitrary past point in time:
 * **Creation** (section 5.1): translate the wall-clock time to the
   SplitLSN, create the sparse side file (a named snapshot's; a pooled
   one keeps none), and checkpoint the primary so
-  every page with LSN ≤ SplitLSN is durable.
+  every page with LSN ≤ SplitLSN is durable. A stated deviation for a
+  pooled snapshot: it reads no data-file page (it rewinds the primary's
+  buffered one), so its checkpoint is records-only
+  (:mod:`repro.engine.checkpoint`): the forced begin and end, an anchor
+  and analysis base for later splits, with no page flush and no
+  boot-page move. Named snapshot DDL keeps the sharp one.
 * **Recovery** (section 5.2): find the transactions in flight at the
   SplitLSN. A stated deviation: the paper runs the analysis pass from
   the checkpoint preceding the SplitLSN; here the log's transaction
@@ -254,14 +259,17 @@ class AsOfSnapshot:
         storage-level :class:`LogTruncatedError`.
         """
         try:
-            # Make every page with LSN <= split durable in the primary
-            # files. A read-only target (a replication standby) cannot —
-            # and need not — checkpoint: its pages are only ever written
-            # by redo apply, so its buffered state already covers the
-            # split, and appending to its log would corrupt the shipped
-            # stream's LSN space.
+            # A named snapshot (``side_file``) takes section 5.1's sharp
+            # checkpoint: every page with LSN <= split durable in the
+            # primary files. A pooled one never reads those files — it
+            # rewinds the primary's buffered page — so it writes only the
+            # forced checkpoint records, an anchor for later splits. A
+            # read-only target (a replication standby) writes neither:
+            # its pages are only ever written by redo apply, so its
+            # buffered state already covers the split, and appending to
+            # its log would corrupt the shipped stream's LSN space.
             if not db.read_only:
-                db.checkpoint()
+                db.checkpoint(sharp=side_file)
             snap = cls.recover_at(db, name, split, side_file=side_file)
         except LogTruncatedError as err:
             raise RetentionExceededError(

@@ -12,9 +12,9 @@ comes from making the recovery path cheap and ordinary). The
   same commit boundary share one snapshot.
 * **Reuse** — entries are keyed ``(database, split_lsn)``, where the
   database is a primary or a standby (their names share one namespace);
-  an acquire that hits skips snapshot creation entirely (no checkpoint,
-  no analysis scan) and reads every page an earlier lease of the entry
-  touched straight from its frames: a frame lookup, not even a
+  an acquire that hits skips snapshot creation entirely (no checkpoint
+  records, no analysis scan) and reads every page an earlier lease of
+  the entry touched straight from its frames: a frame lookup, not even a
   version-store probe.
 * **One copy per page** — a pooled snapshot keeps no sparse side file
   (section 5.3's cache of prepared pages). Its frames wrap the version
@@ -38,10 +38,11 @@ bypasses the pool — those snapshots have user-controlled lifetimes.
 
 Concurrency: ``self.latch`` serializes the entry map, orphan map, stats
 and LRU clock (reprolint RL005 enforces the guard on every mutation).
-Snapshot *creation* deliberately happens outside the latch: it
-checkpoints the primary (taking its log and buffer latches) and may scan
-the log, so holding the pool latch across it would stall every
-concurrent lease behind one build. Racing creators for the same split
+Snapshot *creation* deliberately happens outside the latch: it writes
+a records-only checkpoint of the primary (forced begin and end records,
+no page flush; it takes the log latch) and may scan the log, so holding
+the pool latch across it would stall every concurrent lease behind one
+build. Racing creators for the same split
 are reconciled under the latch — the loser adopts the winner's entry and
 drops its own build.
 """
@@ -151,9 +152,9 @@ class SnapshotPool:
             pool_span.set(split=split, hit=snapshot is not None)
             if snapshot is not None:
                 return snapshot
-            # Miss: build outside the latch. Creation checkpoints the
-            # primary and may run an analysis scan; concurrent leases of
-            # other entries proceed meanwhile.
+            # Miss: build outside the latch. Creation forces checkpoint
+            # records on a primary and may run an analysis scan;
+            # concurrent leases of other entries proceed meanwhile.
             with tracer.span("asof.create_at_split", split=split):
                 built = AsOfSnapshot.create_at_split(
                     db, f"~pool:{db.name}@{split:#x}", split, side_file=False

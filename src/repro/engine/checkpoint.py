@@ -1,12 +1,24 @@
 """Checkpoints: bounded recovery and the wall-clock anchors of time travel.
 
-A checkpoint here flushes all dirty pages (SQL Server style), so redo
-never reaches behind the latest checkpoint. Checkpoint-begin records carry
-the simulated wall-clock time — SplitLSN search narrows by it (section
-5.1), finding the record in the log's checkpoint directory — a
-back-pointer to the previous checkpoint, which no engine path reads, and
-the active-transaction table that as-of snapshot recovery's analysis
-pass starts from (section 5.2).
+A checkpoint-begin record carries the simulated wall-clock time — SplitLSN
+search narrows by it (section 5.1), finding the record in the log's
+checkpoint directory — a back-pointer to the previous sharp checkpoint,
+which no engine path reads, and the active-transaction table that a
+recovery's analysis pass starts from (section 5.2). A checkpoint comes in
+two strengths:
+
+* **Sharp** (:func:`take_checkpoint`'s default, SQL Server style): the
+  records, the boot page's ``last_checkpoint_lsn`` moved to them, and
+  every dirty page flushed, so crash recovery's redo never reaches behind
+  it. ``CHECKPOINT``, the periodic :class:`Checkpointer`, backups,
+  recovery, regular snapshots and named as-of snapshot DDL take this one.
+* **Records only** (``sharp=False``): the begin and end records, forced,
+  and nothing else. A pooled as-of snapshot writes one when it is
+  built: it never reads the data file, so a flush buys it nothing, but the
+  forced records are a split anchor and an analysis base for later
+  snapshots. The boot page does not move, so crash recovery still starts
+  at the last sharp checkpoint; the log's checkpoint directory lists both
+  kinds, and never as a redo start.
 
 :class:`Checkpointer` adds cadence: the paper's evaluation uses a
 30-second target recovery interval, which is what bounds as-of snapshot
@@ -18,8 +30,15 @@ from __future__ import annotations
 from repro.wal.records import CheckpointBeginRecord, CheckpointEndRecord
 
 
-def take_checkpoint(db) -> int:
-    """Checkpoint ``db``; returns the checkpoint-begin LSN."""
+def take_checkpoint(db, *, sharp: bool = True) -> int:
+    """Checkpoint ``db``, sharp or records only; returns the
+    checkpoint-begin LSN.
+
+    A records-only checkpoint flushes no page and leaves the boot page
+    naming the last sharp one, so it is never a redo start: it is a split
+    anchor and an analysis base only. Its records are forced all the
+    same, so the anchor outlives a crash.
+    """
     # The active table and the checkpoint-begin are one step under the
     # log latch, which every BEGIN, COMMIT and ABORT takes to enter or
     # leave the table: a transaction the record names has not ended below
@@ -32,11 +51,13 @@ def take_checkpoint(db) -> int:
         )
         begin_lsn = db.log.append(begin)
     db.log.append(CheckpointEndRecord(begin_lsn=begin_lsn))
-    db.update_boot(last_checkpoint_lsn=begin_lsn)
+    if sharp:
+        db.update_boot(last_checkpoint_lsn=begin_lsn)
     db.log.flush()
-    db.buffer.flush_all()
-    db.last_checkpoint_lsn = begin_lsn
-    db.env.stats.checkpoints_taken += 1
+    if sharp:
+        db.buffer.flush_all()
+        db.last_checkpoint_lsn = begin_lsn
+        db.env.stats.checkpoints_taken += 1
     return begin_lsn
 
 

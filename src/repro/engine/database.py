@@ -521,11 +521,12 @@ class Database:
     # Checkpoints, retention, crash/recovery
     # ------------------------------------------------------------------
 
-    def checkpoint(self) -> int:
-        """Take a checkpoint; returns the checkpoint-begin LSN."""
+    def checkpoint(self, *, sharp: bool = True) -> int:
+        """Take a checkpoint, sharp unless ``sharp=False`` (records only:
+        :mod:`repro.engine.checkpoint`); returns the checkpoint-begin LSN."""
         from repro.engine.checkpoint import take_checkpoint
 
-        return take_checkpoint(self)
+        return take_checkpoint(self, sharp=sharp)
 
     def set_undo_interval(self, seconds: float) -> None:
         """``ALTER DATABASE ... SET UNDO_INTERVAL`` (section 4.3)."""

@@ -99,6 +99,7 @@ class IoStats:
     # Engine activity.
     transactions_committed: int = 0
     transactions_aborted: int = 0
+    #: Sharp checkpoints only: each one flushes the buffer pool.
     checkpoints_taken: int = 0
     pages_prepared_asof: int = 0
     buffer_evictions: int = 0

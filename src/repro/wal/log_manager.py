@@ -198,10 +198,10 @@ class TransactionDirectory:
     A transaction whose BEGIN the log never held — one a checkpoint
     names as active, or whose end arrives first — is noted as begun below
     the log (``NULL_LSN``). A checkpoint names only transactions open at
-    its LSN (:func:`~repro.engine.checkpoint.take_checkpoint` reads the
-    table and appends the record under the log latch, which every BEGIN,
-    COMMIT and ABORT takes too), so a named one whose BEGIN the log holds
-    is already open here and the note changes nothing. Open entries sit
+    its LSN (:mod:`~repro.engine.checkpoint`, sharp or records-only,
+    reads the table and appends the record under the log latch, which
+    every BEGIN, COMMIT and ABORT takes too), so a named one whose BEGIN
+    the log holds is already open here and the note changes nothing. Open entries sit
     in a dict by txn id; ended ones in end order, beside the least begin
     of each and every entry after it. That minimum never decreases, so
     the ended transactions in flight at a split lie between two bisects:

@@ -219,6 +219,111 @@ class TestRouteAgreement:
 
 
 # ----------------------------------------------------------------------
+# The same routes over a records-only analysis base
+# ----------------------------------------------------------------------
+
+
+class RecordsOnlyHistory:
+    """Backups early; then one loser, and a pooled AS OF read while it is
+    open: the read's build writes a records-only checkpoint naming it. A
+    mark follows, after B-tree splits and more commits, so the newest
+    checkpoint at or before the mark's split — its analysis base — is
+    that records-only one. ``at_mark`` is the committed state there."""
+
+    def __init__(self, **engine_args) -> None:
+        self.engine = Engine(SimEnv.for_tests(), **engine_args)
+        db = self.db = self.engine.create_database("src", SMALL_PAGES)
+        clock = db.env.clock
+        db.create_table(_like_items("items"))
+        db.create_table(_like_items("parts"))
+        db.create_table(_like_items("notes"), heap=True)
+        self.rows: dict[str, dict] = {table: {} for table in TABLES}
+        self._fill("items", 0, 40)
+        self._fill("parts", 0, 20)
+        self._fill("notes", 0, 10)
+        clock.advance(10)
+        self.full = take_full_backup(db)
+        self.engine.backup_database("src")
+        clock.advance(10)
+        early = clock.now()
+        self._fill("parts", 20, 30)
+
+        loser = db.begin()
+        db.update(loser, "items", (1,), {"qty": -1})
+        db.insert(loser, "notes", (100, "loser", 0))
+        clock.advance(1)
+        with self.engine.query_as_of("src", early):
+            pass
+        self.anchor = scanned_checkpoints(db.log)[0][0]
+        clock.advance(1)
+        self._fill("items", 40, 300)  # splits; pages formatted after the backups
+        db.update(loser, "parts", (3,), {"qty": -3})
+        with db.transaction() as txn:
+            for i in range(40, 80):
+                db.delete(txn, "items", (i,))
+                del self.rows["items"][i]
+        with db.transaction() as txn:
+            db.update(txn, "parts", (10,), {"qty": 0})
+        self.rows["parts"][10] = (10, "parts-10", 0)
+        self.mark = clock.now()
+        self.at_mark = {table: sorted(rows.values()) for table, rows in self.rows.items()}
+        clock.advance(5)
+        db.commit(loser)
+        self._fill("items", 300, 340)
+        clock.advance(5)
+        self.loser = loser.txn_id
+
+    def _fill(self, table: str, lo: int, hi: int) -> None:
+        _fill(self.db, table, lo, hi)
+        self.rows[table].update((i, (i, f"{table}-{i}", i * 10)) for i in range(lo, hi))
+
+    # -- the routes: the pooled read's rows, or a reader, at the mark -----
+
+    def pooled_asof(self):
+        with self.engine.query_as_of("src", self.mark) as snap:
+            return {table: sorted(snap.scan(table)) for table in TABLES}
+
+    def backup_restore(self):
+        return restore_point_in_time(self.engine, self.full, self.db, self.mark, "pitr")
+
+    def archive_restore(self):
+        return self.engine.restore_from_archive("src", self.mark)
+
+    def delayed_replica(self):
+        standby = self.engine.add_replica("src", apply_delay_s=1e9)
+        return self.engine.promote_replica(standby.name, up_to=self.mark)
+
+
+@pytest.fixture(scope="module")
+def records_only() -> RecordsOnlyHistory:
+    return RecordsOnlyHistory()
+
+
+class TestRecordsOnlyBase:
+    def test_the_split_is_analysed_from_a_records_only_checkpoint(self, records_only):
+        db, log = records_only.db, records_only.db.log
+        split = find_split_lsn(db, records_only.mark)
+        assert analysis_base(log, split, log.start_lsn) == records_only.anchor
+        assert db.last_checkpoint_lsn < records_only.anchor  # not the boot page's
+        assert db.boot_record().last_checkpoint_lsn == db.last_checkpoint_lsn
+        named = {txn_id for txn_id, _last in log.read(records_only.anchor).active_txns}
+        assert named == {records_only.loser}
+        assert log.in_flight(split).keys() == {records_only.loser}
+
+    @pytest.mark.parametrize("store", [True, False], ids=["store", "no_store"])
+    def test_pooled_asof_matches_the_model(self, records_only, store):
+        history = records_only if store else RecordsOnlyHistory(version_store_budget=0)
+        assert history.pooled_asof() == records_only.at_mark
+
+    @pytest.mark.parametrize("route", ["backup_restore", "archive_restore", "delayed_replica"])
+    def test_restore_route_matches_the_model(self, records_only, route):
+        reader = getattr(records_only, route)()
+        assert {table: sorted(reader.scan(table)) for table in TABLES} == records_only.at_mark
+        report = check_database(reader)
+        assert report.ok, report.problems
+
+
+# ----------------------------------------------------------------------
 # The restored copy's contract (both restore routes)
 # ----------------------------------------------------------------------
 

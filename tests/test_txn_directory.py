@@ -122,11 +122,12 @@ def _named(rec) -> list[int]:
 
 
 class _History:
-    """Up to three interleaved transactions over a db-shaped log (``env``,
+    """Up to four interleaved transactions over a db-shaped log (``env``,
     ``log``), written record by record: rows with
     and without keys (some flagged SMO), allocations, partial rollbacks
     that log CLRs, commits, aborts, and checkpoints carrying the true
-    active table."""
+    active table — sharp ones, and the forced records-only ones a pooled
+    AS OF build writes."""
 
     BLOCK = 256
 
@@ -215,15 +216,17 @@ class _History:
         log = self.log
         kind, arg = op
         if kind == "begin":
-            if len(self.open) < 3:
+            if len(self.open) < 4:
                 self.append(BeginRecord(txn_id=self.next_id))
                 self.next_id += 1
-        elif kind == "checkpoint":
+        elif kind in ("checkpoint", "records_only"):
             active = tuple((txn_id, txn.last) for txn_id, txn in self.open.items())
             self.append(CheckpointBeginRecord(
                 wall_clock=float(step), prev_checkpoint_lsn=self.last_checkpoint,
                 active_txns=active,
             ))
+            if kind == "records_only":  # a pooled AS OF build's: forced
+                log.flush()
         elif kind == "flush":
             log.flush()
         elif kind == "crash":
@@ -246,7 +249,7 @@ class _History:
             if anchors:
                 log.truncate_before(anchors[arg % len(anchors)])
         else:
-            self.txn_step(step, kind, arg)
+            self.txn_step(step, kind, _args(kind, arg))
 
     def txn_step(self, step: int, kind: str, arg) -> None:
         txn_id, txn = self._txn(arg if isinstance(arg, int) else arg[0])
@@ -357,27 +360,36 @@ def assert_directory_matches_checkpoint(db, splits, rng: random.Random, model: _
             event("losers at a split")
 
 
-_ROW_KEYS = st.sampled_from([b"", b"a", b"b", b"c", b"d", b"ee", b"ff"])
-_SMO = st.sampled_from([False, False, False, True])
-_ROW = st.tuples(st.just("row"), st.tuples(st.integers(0, 2), _ROW_KEYS, _SMO, st.integers(0, 90)))
+_ROW_KEYS = (b"", b"a", b"b", b"c", b"d", b"ee", b"ff")
+#: Each op is a kind, drawn by these weights, and one integer its step
+#: derives every argument from (:func:`_args`): two draws per op keep
+#: generation cheap enough for long histories.
+_WEIGHTS = {
+    "begin": 8, "row": 12, "alloc": 4, "rollback_to": 4, "commit": 2, "abort": 2,
+    "checkpoint": 4, "flush": 3, "crash": 1, "discard": 1, "truncate": 3,
+    "query": 2, "asof": 2,
+}
 _OPS = st.lists(
-    st.one_of(
-        st.tuples(st.just("begin"), st.just(0)),
-        st.tuples(st.just("begin"), st.just(0)),
-        _ROW,
-        _ROW,
-        _ROW,
-        st.tuples(st.just("alloc"), st.integers(0, 2)),
-        st.tuples(st.just("rollback_to"), st.tuples(st.integers(0, 2), st.integers(1, 3))),
-        st.tuples(st.sampled_from(["commit", "abort"]), st.integers(0, 2)),
-        st.tuples(st.just("checkpoint"), st.just(0)),
-        st.tuples(st.sampled_from(["flush", "crash"]), st.just(0)),
-        st.tuples(st.sampled_from(["discard", "truncate"]), st.integers(0, 1000)),
-        st.tuples(st.just("query"), st.integers(0, 1000)),
+    st.tuples(
+        st.sampled_from([kind for kind, weight in _WEIGHTS.items() for _ in range(weight)]),
+        st.integers(0, 1000),
     ),
-    min_size=20,
-    max_size=120,
+    min_size=25,
+    max_size=140,
 )
+
+
+def _args(kind: str, n: int):
+    """A step's arguments from its op's integer: which open transaction,
+    and for a row its key, SMO flag and size, for a partial rollback how
+    many records it compensates."""
+    if kind == "row":
+        return n % 4, _ROW_KEYS[n // 4 % 7], n // 28 % 4 == 3, n * 37 % 91
+    if kind == "rollback_to":
+        return n % 4, 1 + n // 4 % 3
+    return n
+
+
 _STANDBY = {
     "frames": st.lists(st.integers(1, 700), min_size=1, max_size=6),
     "standby_from": st.integers(0, 1000),
@@ -387,14 +399,16 @@ _STANDBY = {
 
 def _write(ops, log_start: int, check=None) -> _History:
     """The primary history of ``ops`` after a first checkpoint; ``check``
-    runs at each query step."""
+    runs at each query step, and at each pooled AS OF read, which then
+    writes its records-only checkpoint."""
     primary = _History(log_start)
     primary.run(0, ("checkpoint", 0))
     for step, (kind, arg) in enumerate(ops, start=1):
-        if kind == "query":
-            if check is not None:
-                check(primary, arg)
-        else:
+        if kind in ("query", "asof") and check is not None:
+            check(primary, arg)
+        if kind == "asof":
+            primary.run(step, ("records_only", 0))
+        elif kind != "query":
             primary.run(step, (kind, arg))
     primary.log.flush()
     return primary
