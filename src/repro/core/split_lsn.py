@@ -8,28 +8,23 @@ snapshot recovery's logical undo removes.
 Section 5.1 narrows the log region with the backward chain of checkpoint
 records (which carry wall-clock stamps), then scans forward reading every
 commit record from there. This module deviates on both steps and reads
-**no log block**. It narrows by the log's checkpoint directory
-(:class:`repro.wal.log_manager.CheckpointDirectory`), which holds every
-checkpoint-begin record in the log, not only those the back-chain links:
-a checkpoint whose boot-page update a crash lost is never on the chain,
-but its active-transaction table is as good a seed as any. Then the
-log's commit directory (:class:`repro.wal.log_manager.CommitDirectory`)
-bisects its running maximum of commit walls for the first commit stamped
-after *t*, and the split is the commit before it. The answer is the
-forward scan's for every *t* (``docs/wal-format.md``, "Commit directory"
-and "Checkpoint directory"); the scan itself is left only for the one
-case the commit directory cannot decide.
+**no log block**. The log stamps every commit and checkpoint-begin record
+as it assigns the LSN, so walls are in LSN order, and it keeps a wall
+directory of each kind (:class:`repro.wal.log_manager.WallDirectory`). It
+narrows by the checkpoint directory, which holds every checkpoint-begin
+record in the log, not only those the back-chain links: a checkpoint
+whose boot-page update a crash lost is never on the chain, but its
+active-transaction table is as good a seed as any. Then the commit
+directory bisects for the newest commit stamped at or before *t*, and the
+split is that commit, or the base checkpoint when it lies below it: the
+forward scan's answer for every *t* (``docs/wal-format.md``, "Wall
+directories").
 """
 
 from __future__ import annotations
 
 from repro.errors import RetentionExceededError
 from repro.wal.lsn import NULL_LSN
-from repro.wal.records import RecordType
-
-#: The forward scan reads commit records only; it still checks (and is
-#: charged for) every record it passes over.
-_COMMITS = (RecordType.COMMIT,)
 
 
 def analysis_base(log, split: int, floor: int) -> int:
@@ -71,21 +66,7 @@ def find_split_lsn(db, target_wall: float) -> int:
         raise RetentionExceededError(
             f"as-of time {target_wall:.3f}s precedes the retained log{suffix}"
         )
-    base_lsn = base[0]
-
-    # The commit directory knows the first commit stamped after the
-    # target; unless it lies below the base (walls out of LSN order, or a
-    # maximum inherited from a truncated commit), the split is the commit
-    # just before it.
-    split = log.commit_split(target_wall, base_lsn)
-    if split is not None:
-        return split
-
-    # Undecided: scan forward from the base for the last commit at or
-    # before the target, as section 5.1 does.
-    split = base_lsn
-    for rec in log.scan(base_lsn, types=_COMMITS):
-        if rec.wall_clock > target_wall:
-            break
-        split = rec.lsn
-    return split
+    # Every commit past the base stamped at or before the target lies at
+    # or before the newest such commit: that one is the split, unless it
+    # lies below the base.
+    return log.commit_split(target_wall, base[0])

@@ -1,11 +1,12 @@
 """Checkpoints: bounded recovery and the wall-clock anchors of time travel.
 
-A checkpoint-begin record carries the simulated wall-clock time — SplitLSN
-search narrows by it (section 5.1), finding the record in the log's
-checkpoint directory — a back-pointer to the previous sharp checkpoint,
-which no engine path reads, and the active-transaction table that a
-recovery's analysis pass starts from (section 5.2). A checkpoint comes in
-two strengths:
+A checkpoint-begin record carries the simulated wall-clock time, which
+the log stamps as it assigns the LSN, so checkpoint walls are in LSN
+order — SplitLSN search narrows by it (section 5.1), finding the record
+in the log's checkpoint directory — a back-pointer to the previous sharp
+checkpoint, which no engine path reads, and the active-transaction table
+that a recovery's analysis pass starts from (section 5.2). A checkpoint
+comes in two strengths:
 
 * **Sharp** (:func:`take_checkpoint`'s default, SQL Server style): the
   records, the boot page's ``last_checkpoint_lsn`` moved to them, and
@@ -45,7 +46,6 @@ def take_checkpoint(db, *, sharp: bool = True) -> int:
     # it, and one it leaves out has no BEGIN below it while still open.
     with db.log.latch:
         begin = CheckpointBeginRecord(
-            wall_clock=db.env.clock.now(),
             prev_checkpoint_lsn=db.last_checkpoint_lsn,
             active_txns=db.txns.active_table(),
         )

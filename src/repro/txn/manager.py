@@ -50,19 +50,16 @@ class TransactionManager:
         return txn
 
     def commit(self, txn: Transaction) -> None:
-        """Commit: log the commit record (stamped with the simulated wall
-        clock for SplitLSN search), force the log, release locks.
+        """Commit: log the commit record (the log stamps it with the
+        simulated wall clock as it assigns the LSN, for SplitLSN search),
+        force the log, release locks.
 
         System transactions skip the log force — their durability rides on
         the WAL rule like any other record, and an unforced system commit
         that loses a crash race is simply rolled back by recovery.
         """
         txn.require_active()
-        rec = CommitRecord(
-            wall_clock=self.env.clock.now(),
-            txn_id=txn.txn_id,
-            prev_txn_lsn=txn.last_lsn,
-        )
+        rec = CommitRecord(txn_id=txn.txn_id, prev_txn_lsn=txn.last_lsn)
         with self.log.latch:
             txn.last_lsn = self.log.append(rec)
             self._active.pop(txn.txn_id, None)

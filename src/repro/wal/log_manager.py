@@ -12,13 +12,12 @@ Durability model: appended records sit in a volatile tail until
 :meth:`crash` discards the volatile tail, which is how the crash-recovery
 tests produce torn histories.
 
-The log keeps a :class:`CommitDirectory` beside its bytes — one entry per
-commit — so SplitLSN search is a bisection that reads no log block
-instead of a scan forward from a checkpoint (``docs/wal-format.md``,
-"Commit directory"). A :class:`CheckpointDirectory` does the same for
-checkpoint-begin records, so finding the checkpoint that narrows a
-search or seeds an analysis walks no back-chain ("Checkpoint
-directory"). A :class:`TransactionDirectory` notes each transaction's
+The log stamps each commit and checkpoint-begin record with the
+simulated wall clock as it assigns the LSN, so walls are in LSN order,
+and keeps a :class:`WallDirectory` of each kind beside its bytes: SplitLSN
+search is two bisections that read no log block instead of a back-chain
+walk and a scan forward from a checkpoint (``docs/wal-format.md``, "Wall
+directories"). A :class:`TransactionDirectory` notes each transaction's
 BEGIN and end, so who was in flight at an AS OF split is a lookup
 that reads no log ("Transaction directory").
 """
@@ -40,7 +39,6 @@ from repro.wal.records import (
     HEADER_SIZE,
     HEADER_TXN_ID,
     LOG_HEADER_MAGIC,
-    CheckpointBeginRecord,
     ClrRecord,
     CommitRecord,
     LogRecord,
@@ -58,137 +56,77 @@ _BEGIN_TYPE = int(RecordType.BEGIN)
 _COMMIT_TYPE = int(RecordType.COMMIT)
 _TXN_TYPES = frozenset(map(int, (RecordType.BEGIN, RecordType.COMMIT, RecordType.ABORT)))
 _CHECKPOINT_BEGIN_TYPE = int(RecordType.CHECKPOINT_BEGIN)
+#: The records :meth:`LogManager.append` stamps with the wall clock.
+_STAMPED_TYPES = frozenset((_COMMIT_TYPE, _CHECKPOINT_BEGIN_TYPE))
 #: A commit's body is its wall clock alone, and a checkpoint-begin's
-#: starts with it: read in place (a commit's body is never decoded).
+#: starts with it: ingest reads it in place (a commit's body is never
+#: decoded).
 _WALL = struct.Struct("<d")
 _COMMIT_SIZE = HEADER_SIZE + _WALL.size
 
 
-def _wall_at(data, offset: int) -> float:
-    """Wall clock of the commit or checkpoint-begin record at ``offset``
-    in ``data``."""
-    return _WALL.unpack_from(data, offset + HEADER_SIZE)[0]
+class WallDirectory:
+    """One entry per commit record, or per checkpoint-begin record, in LSN
+    order: its LSN and its wall clock.
 
-
-class CommitDirectory:
-    """One entry per commit record, in LSN order: its LSN and the running
-    maximum of commit wall clocks up to and including it.
-
-    The running maximum never decreases, so the first commit whose
-    maximum exceeds a time *t* is a bisect away, and every commit before
-    it is at or before *t* — whatever order the walls were stamped in.
-    :func:`repro.core.split_lsn.find_split_lsn` turns that into a split
-    without reading the log. The owning :class:`LogManager` calls every
-    method under its latch.
+    :meth:`LogManager.append` stamps both kinds from the simulated clock
+    under the log latch as it assigns the LSN, and the clock never runs
+    backwards, so walls are non-decreasing in LSN order;
+    :meth:`LogManager.ingest` rejects shipped bytes that break it. The
+    newest entry stamped at or before a time, like the newest at or
+    before an LSN, is then a bisect away. The owning :class:`LogManager`
+    calls every method under its latch.
     """
 
-    __slots__ = ("_lsns", "_walls", "_n", "_dropped")
+    __slots__ = ("lsns", "walls", "n")
 
     def __init__(self) -> None:
-        # Entries fill ``[0, _n)``; full arrays grow by half, so a long log
+        # Entries fill ``[0, n)``; full arrays grow by half, so a long log
         # moves them about ten times, not at every 6 % of growth (each
         # move leaves the old buffer behind as a heap hole).
-        self._lsns = array("q")
-        self._walls = array("d")
-        self._n = 0
-        #: The running maximum of the commits truncation took away: the
-        #: first entry kept may have inherited it.
-        self._dropped = -inf
+        self.lsns = array("q")
+        self.walls = array("d")
+        self.n = 0
 
     @property
-    def last(self) -> int:
-        """The newest commit's LSN, ``NULL_LSN`` when there is none."""
-        return self._lsns[self._n - 1] if self._n else NULL_LSN
+    def last(self) -> tuple[int, float] | None:
+        """``(lsn, wall)`` of the newest entry, else ``None``."""
+        n = self.n
+        return (self.lsns[n - 1], self.walls[n - 1]) if n else None
 
     def note(self, lsn: int, wall: float) -> None:
-        """Record a commit at ``lsn``, newer than every one noted so far."""
-        n, lsns, walls = self._n, self._lsns, self._walls
+        """Record an entry at ``lsn``, newer than every one noted so far
+        and stamped no earlier."""
+        n, lsns, walls = self.n, self.lsns, self.walls
         if n == len(lsns):
             zeros = bytes(8 * max(n // 2, 64))
             lsns.frombytes(zeros)
             walls.frombytes(zeros)
         lsns[n] = lsn
-        walls[n] = wall if not n or wall > walls[n - 1] else walls[n - 1]
-        self._n = n + 1
-
-    def split(self, wall: float, base: int) -> int | None:
-        """The last commit at or past ``base`` that precedes the first
-        commit stamped after ``wall``, else ``base``; ``None`` when that
-        first later commit lies below ``base`` or its maximum may be a
-        truncated commit's, which only a forward scan from ``base``
-        decides."""
-        lsns, walls, n = self._lsns, self._walls, self._n
-        i = bisect_right(walls, wall, 0, n)
-        if i < n and (lsns[i] < base or walls[i] <= self._dropped):
-            return None
-        return max(base, lsns[i - 1]) if i else base
-
-    def drop_below(self, lsn: int) -> None:
-        """Forget the commits below ``lsn``."""
-        i = bisect_left(self._lsns, lsn, 0, self._n)
-        if i:
-            self._dropped = self._walls[i - 1]
-            del self._lsns[:i], self._walls[:i]
-            self._n -= i
-
-    def cut(self, lsn: int) -> None:
-        """Forget the commits at or past ``lsn``, where the log now ends."""
-        self._n = bisect_left(self._lsns, lsn, 0, self._n)
-
-
-class CheckpointDirectory:
-    """One entry per checkpoint-begin record, in LSN order: its LSN, its
-    wall clock, and the least wall clock of it and every entry after it.
-
-    That suffix minimum never decreases, so the newest checkpoint (by
-    LSN) stamped at or before a time *t* is a bisect away, whatever order
-    the walls were stamped in: it is the last entry whose minimum is at
-    or before *t*, as no later entry's wall is. The owning
-    :class:`LogManager` calls every method under its latch.
-    """
-
-    __slots__ = ("lsns", "walls", "_least")
-
-    def __init__(self) -> None:
-        self.lsns: list[int] = []
-        self.walls: list[float] = []
-        self._least: list[float] = []
-
-    def note(self, lsn: int, wall: float) -> None:
-        """Record a checkpoint at ``lsn``, newer than every one noted so far."""
-        self.lsns.append(lsn)
-        self.walls.append(wall)
-        self._least.append(wall)
-        i = len(self.lsns) - 1
-        while i and self._least[i - 1] > wall:
-            i -= 1
-            self._least[i] = wall
-
-    def _entry(self, i: int) -> tuple[int, float] | None:
-        """``(lsn, wall)`` of the entry before index ``i``, else ``None``."""
-        return (self.lsns[i - 1], self.walls[i - 1]) if i else None
+        walls[n] = wall
+        self.n = n + 1
 
     def stamped(self, wall: float) -> tuple[int, float] | None:
-        """The newest checkpoint stamped at or before ``wall``."""
-        return self._entry(bisect_right(self._least, wall))
+        """``(lsn, wall)`` of the newest entry stamped at or before
+        ``wall``, else ``None``."""
+        i = bisect_right(self.walls, wall, 0, self.n)
+        return (self.lsns[i - 1], self.walls[i - 1]) if i else None
 
     def before(self, lsn: int) -> tuple[int, float] | None:
-        """The newest checkpoint at or before ``lsn``."""
-        return self._entry(bisect_right(self.lsns, lsn))
+        """``(lsn, wall)`` of the newest entry at or before ``lsn``, else
+        ``None``."""
+        i = bisect_right(self.lsns, lsn, 0, self.n)
+        return (self.lsns[i - 1], self.walls[i - 1]) if i else None
 
     def drop_below(self, lsn: int) -> None:
-        """Forget the checkpoints below ``lsn``."""
-        i = bisect_left(self.lsns, lsn)
-        del self.lsns[:i], self.walls[:i], self._least[:i]
+        """Forget the entries below ``lsn``."""
+        i = bisect_left(self.lsns, lsn, 0, self.n)
+        del self.lsns[:i], self.walls[:i]
+        self.n -= i
 
     def cut(self, lsn: int) -> None:
-        """Forget the checkpoints at or past ``lsn``. Those kept are noted
-        afresh: the minima the cut ones lowered are raised again."""
-        i = bisect_left(self.lsns, lsn)
-        lsns, walls = self.lsns[:i], self.walls[:i]
-        self.lsns, self.walls, self._least = [], [], []
-        for entry in zip(lsns, walls, strict=True):
-            self.note(*entry)
+        """Forget the entries at or past ``lsn``, where the log now ends."""
+        self.n = bisect_left(self.lsns, lsn, 0, self.n)
 
 
 class TransactionDirectory:
@@ -213,7 +151,7 @@ class TransactionDirectory:
 
     def __init__(self) -> None:
         self._open: dict[int, int] = {}
-        # Ended entries fill ``[0, _n)`` and grow by half, as the commit
+        # Ended entries fill ``[0, _n)`` and grow by half, as a wall
         # directory's do.
         self._ids = array("q")
         self._begins = array("q")
@@ -291,8 +229,8 @@ class LogManager:
         self._base = 0  # LSN of _data[0]
         self._durable_end = FIRST_LSN
         self._truncated_before = FIRST_LSN
-        self._commit_dir = CommitDirectory()
-        self._ckpt_dir = CheckpointDirectory()
+        self._commit_dir = WallDirectory()
+        self._ckpt_dir = WallDirectory()
         self._txn_dir = TransactionDirectory()
         self._cache: OrderedDict[int, None] = OrderedDict()
         # Handle cached at init: append() is the engine's hottest path.
@@ -335,12 +273,16 @@ class LogManager:
         """LSN of the newest commit record in the log, ``NULL_LSN`` when
         it holds none."""
         with self.latch:
-            return self._commit_dir.last
+            last = self._commit_dir.last
+        return NULL_LSN if last is None else last[0]
 
-    def commit_split(self, wall: float, base: int) -> int | None:
-        """:meth:`CommitDirectory.split` for SplitLSN search."""
+    def commit_split(self, wall: float, base: int) -> int:
+        """The newest commit stamped at or before ``wall``, or ``base``
+        when that lies below it: walls are in LSN order, so the commits
+        past ``base`` stamped by ``wall`` all lie at or below it."""
         with self.latch:
-            return self._commit_dir.split(wall, base)
+            newest = self._commit_dir.stamped(wall)
+        return base if newest is None else max(base, newest[0])
 
     def checkpoint_before(self, lsn: int) -> tuple[int, float] | None:
         """``(lsn, wall)`` of the newest checkpoint-begin record at or
@@ -349,8 +291,8 @@ class LogManager:
             return self._ckpt_dir.before(lsn)
 
     def checkpoint_stamped(self, wall: float) -> tuple[int, float] | None:
-        """``(lsn, wall)`` of the newest checkpoint-begin record, by LSN,
-        stamped at or before ``wall``, else ``None``."""
+        """``(lsn, wall)`` of the newest checkpoint-begin record stamped
+        at or before ``wall``, else ``None``."""
         with self.latch:
             return self._ckpt_dir.stamped(wall)
 
@@ -368,20 +310,27 @@ class LogManager:
     def append(self, record: LogRecord) -> int:
         """Serialize ``record``, assign its LSN, and buffer it.
 
-        Charges the per-record CPU cost (the log-manager synchronization
-        the paper identifies as the throughput-sensitive term).
+        A commit or checkpoint-begin record is stamped with the simulated
+        wall clock here, under the latch with its LSN: the clock never runs
+        backwards, so walls are non-decreasing in LSN order. Charges the
+        per-record CPU cost (the log-manager synchronization the paper
+        identifies as the throughput-sensitive term).
         """
         with self.latch:
             record.lsn = self._end()
+            stamped = record.TYPE in _STAMPED_TYPES
+            if stamped:
+                record.wall_clock = self.env.clock.now()
             blob = record.serialize()
             self._data += blob
             self._append_hist.observe(len(blob))
-            if isinstance(record, CommitRecord):
-                self._commit_dir.note(record.lsn, record.wall_clock)
-            elif isinstance(record, CheckpointBeginRecord):
-                self._ckpt_dir.note(record.lsn, record.wall_clock)
-                for txn_id, _last in record.active_txns:
-                    self._txn_dir.note(_BEGIN_TYPE, txn_id, NULL_LSN)
+            if stamped:
+                if isinstance(record, CommitRecord):
+                    self._commit_dir.note(record.lsn, record.wall_clock)
+                else:
+                    self._ckpt_dir.note(record.lsn, record.wall_clock)
+                    for txn_id, _last in record.active_txns:
+                        self._txn_dir.note(_BEGIN_TYPE, txn_id, NULL_LSN)
             if record.TYPE in _TXN_TYPES:
                 self._txn_dir.note(record.TYPE, record.txn_id, record.lsn)
             stats = self.env.stats
@@ -542,12 +491,14 @@ class LogManager:
 
         ``start_lsn`` must equal :attr:`end_lsn` — shipped frames arrive in
         order with no gaps (the shipper resumes from the standby's cursor).
-        The bytes are validated to decode as whole records, their commits,
+        The bytes are validated to decode as whole records, each commit
+        and checkpoint-begin stamped no earlier than the one of its kind
+        before it (:meth:`append`'s order), and their commits,
         checkpoint-begins, begins and aborts enter the directories (wall
         clocks and txn ids read in place; a checkpoint-begin's body is
-        the one decoded, for its active table), and one sequential log
-        write is charged (the standby lands the stream the same way the
-        primary flushed it).
+        the one decoded, for its active table). One sequential log write
+        is charged (the standby lands the stream the same way the primary
+        flushed it).
         """
         with self.latch:
             end = self._end()
@@ -558,8 +509,11 @@ class LogManager:
                 )
             if not data:
                 return
-            # Boundary walk: reject torn frames (LogRecordDecodeError)
-            # before mutating any state.
+            # Boundary walk: reject torn frames and walls out of order
+            # (LogRecordDecodeError) before mutating any state.
+            commit_dir, ckpt_dir = self._commit_dir, self._ckpt_dir
+            commit_wall = commit_dir.walls[commit_dir.n - 1] if commit_dir.n else -inf
+            ckpt_wall = ckpt_dir.walls[ckpt_dir.n - 1] if ckpt_dir.n else -inf
             commits, checkpoints, txns = [], [], []
             for lsn, total, record_type in walk_boundaries(data, base_lsn=start_lsn):
                 if record_type == _COMMIT_TYPE:
@@ -568,13 +522,27 @@ class LogManager:
                             f"commit at {format_lsn(lsn)} is {total} "
                             f"bytes, not {_COMMIT_SIZE}"
                         )
-                    commits.append(lsn)
+                    wall = _WALL.unpack_from(data, lsn - start_lsn + HEADER_SIZE)[0]
+                    if wall < commit_wall:
+                        raise LogRecordDecodeError(
+                            f"commit at {format_lsn(lsn)} is stamped {wall!r}, "
+                            f"before the commit preceding it ({commit_wall!r})"
+                        )
+                    commits.append((lsn, wall))
+                    commit_wall = wall
                 elif record_type == _CHECKPOINT_BEGIN_TYPE:
                     if total < _COMMIT_SIZE:
                         raise LogRecordDecodeError(
                             f"checkpoint at {format_lsn(lsn)} is {total} bytes"
                         )
-                    checkpoints.append(lsn)
+                    wall = _WALL.unpack_from(data, lsn - start_lsn + HEADER_SIZE)[0]
+                    if wall < ckpt_wall:
+                        raise LogRecordDecodeError(
+                            f"checkpoint at {format_lsn(lsn)} is stamped {wall!r}, "
+                            f"before the checkpoint preceding it ({ckpt_wall!r})"
+                        )
+                    checkpoints.append((lsn, wall))
+                    ckpt_wall = wall
                     active = decode_record(data, lsn - start_lsn, lsn)[0].active_txns
                     txns += [(_BEGIN_TYPE, txn_id, NULL_LSN) for txn_id, _last in active]
                 if record_type in _TXN_TYPES:
@@ -582,10 +550,10 @@ class LogManager:
                     txns.append((record_type, txn_id, lsn))
             self._data += data
             self._durable_end = self._end()
-            for lsn in commits:
-                self._commit_dir.note(lsn, _wall_at(data, lsn - start_lsn))
-            for lsn in checkpoints:
-                self._ckpt_dir.note(lsn, _wall_at(data, lsn - start_lsn))
+            for entry in commits:
+                commit_dir.note(*entry)
+            for entry in checkpoints:
+                ckpt_dir.note(*entry)
             for entry in txns:
                 self._txn_dir.note(*entry)
             self.env.log_device.write_seq_async(len(data))
@@ -755,8 +723,8 @@ class LogManager:
             self._base = self._truncated_before = self.end_lsn
             self._data = bytearray()
             self._cache.clear()
-            self._commit_dir = CommitDirectory()
-            self._ckpt_dir = CheckpointDirectory()
+            self._commit_dir = WallDirectory()
+            self._ckpt_dir = WallDirectory()
             self._txn_dir = TransactionDirectory()
 
     def truncate_before(self, lsn: int) -> None:

@@ -482,7 +482,7 @@ class BeginRecord(LogRecord):
 
 class CommitRecord(LogRecord):
     """Transaction commit; carries the wall-clock time used by SplitLSN
-    search (section 5.1)."""
+    search (section 5.1), stamped by the log on append."""
 
     TYPE = RecordType.COMMIT
     FIELDS = (("wall_clock", F64, 0.0),)
@@ -495,10 +495,10 @@ class AbortRecord(LogRecord):
 
 
 class CheckpointBeginRecord(LogRecord):
-    """Checkpoint start: wall clock (SplitLSN search narrows by it),
-    back-pointer to the previous checkpoint (written, read by no engine
-    path), and the active-transaction table (consumed by as-of snapshot
-    recovery's analysis pass)."""
+    """Checkpoint start: wall clock (SplitLSN search narrows by it; the
+    log stamps it on append), back-pointer to the previous checkpoint
+    (written, read by no engine path), and the active-transaction table
+    (consumed by as-of snapshot recovery's analysis pass)."""
 
     TYPE = RecordType.CHECKPOINT_BEGIN
     FIELDS = (

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro import (
@@ -14,6 +16,13 @@ from repro import (
 )
 from repro.errors import SnapshotReadOnlyError
 from repro.wal.records import RecordType
+
+
+#: Examples per run of the hypothesis machines that check the log's
+#: directories against a scan (``tests/test_split_lsn.py``,
+#: ``tests/test_txn_directory.py``): 200, or 3 000 under
+#: ``REPRO_HYPOTHESIS_PROFILE=long`` (CI's tests job has a step for it).
+MACHINE_EXAMPLES = 3000 if os.environ.get("REPRO_HYPOTHESIS_PROFILE") == "long" else 200
 
 
 @pytest.fixture

@@ -4,9 +4,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro import TableSchema
+from repro import Column, ColumnType, DatabaseConfig, TableSchema
+from repro.core.asof import _VIRTUAL_PAGE_BASE, SnapshotAllocator
 from repro.errors import CatalogError, MissingUndoInfoError, RetentionExceededError, SnapshotError
+from repro.tools.checkdb import check_database
 from tests.conftest import ITEMS_SCHEMA, fill_items
+
+PADDED_SCHEMA = TableSchema(
+    "padded",
+    (Column("id", ColumnType.INT), Column("pad", ColumnType.STR, max_len=200)),
+    key=("id",),
+)
 
 
 def mark(db) -> float:
@@ -228,6 +236,46 @@ class TestInFlightTransactions:
         assert snap.pending_undo_count == 1  # reading row 4 undid nothing
         assert snap.get("items", (3,))[2] == 30
         assert snap.pending_undo_count == 0
+
+    @pytest.mark.parametrize("pooled", [True, False])
+    def test_undo_that_overflows_a_leaf_splits_it_on_the_snapshot(self, engine, monkeypatch, pooled):
+        """Section 5.2's undo re-inserts the row a loser deleted into a
+        leaf that committed rows filled meanwhile: the leaf splits on the
+        snapshot alone, into virtual pages the primary never allocated."""
+        db = engine.create_database("splitdb", DatabaseConfig(page_size=1024))
+        db.create_table(PADDED_SCHEMA)
+        wide = [(key, "x" * 150) for key in (10, 20, 30, 40)]
+        narrow = [(key, "s" * 10) for key in range(50, 64)]
+        with db.transaction() as txn:
+            for row in wide:
+                db.insert(txn, "padded", row)
+        loser = db.begin()
+        db.delete(loser, "padded", (10,))
+        for row in narrow:
+            with db.transaction() as txn:
+                db.insert(txn, "padded", row)
+        with db.buffer.fetch(db.table("padded").accessor.root_page_id) as guard:
+            # Still one leaf, with no room left for the deleted row.
+            assert guard.page.slot_count == 17 and guard.page.total_free() < 150
+        t_after = mark(db)
+
+        allocated = []
+        allocate = SnapshotAllocator.allocate
+
+        def spy(allocator, txn, hint=None):
+            allocated.append(allocate(allocator, txn, hint)[0])
+            return allocated[-1], False
+
+        monkeypatch.setattr(SnapshotAllocator, "allocate", spy)
+        if pooled:
+            with engine.query_as_of("splitdb", t_after) as snap:
+                rows = list(snap.scan("padded"))
+        else:
+            rows = list(engine.create_asof_snapshot("splitdb", "named", t_after).scan("padded"))
+        assert rows == wide + narrow
+        assert len(allocated) == 2 and min(allocated) >= _VIRTUAL_PAGE_BASE
+        assert check_database(db).ok
+        db.rollback(loser)
 
 
 class TestRolledBackFormat:

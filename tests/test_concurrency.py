@@ -24,10 +24,14 @@ import threading
 import pytest
 
 from repro.config import DatabaseConfig, SimEnv
+from repro.core.split_lsn import find_split_lsn
 from repro.engine.engine import Engine
 from repro.engine.scheduler import SchedulerTimeout, SessionScheduler
 from repro.tools.checkdb import check_database
+from repro.wal.records import RecordType
 from repro.workload import TpccDriver, TpccScale, load_tpcc
+from tests.test_split_lsn import assert_walls_in_lsn_order, forward_scan_split
+from tests.test_split_lsn import outcome as split_or_error
 
 #: Small enough to storm quickly, large enough that writers collide on
 #: real pages (two warehouses -> shared stock/district b-trees).
@@ -62,13 +66,14 @@ def make_mixed_tasks(engine, db, *, writers, readers, asof_sweeps, txns):
     """
     total = writers + readers + asof_sweeps + 1
     barrier = threading.Barrier(total)
-    t0 = engine.env.clock.now()
     results: dict[str, list] = {"writer": [], "reader": [], "asof": []}
     tally = threading.Lock()
 
     def writer_task(seed):
         def run():
-            driver = TpccDriver(db, STRESS_SCALE, seed=seed)
+            # Think time moves the shared clock between commits, so
+            # concurrent commits race for the log with walls apart.
+            driver = TpccDriver(db, STRESS_SCALE, seed=seed, think_time_s=0.001)
             barrier.wait(STORM_TIMEOUT_S)
             outcome = driver.run_transactions(txns)
             with tally:
@@ -98,7 +103,11 @@ def make_mixed_tasks(engine, db, *, writers, readers, asof_sweeps, txns):
             barrier.wait(STORM_TIMEOUT_S)
             total_stock = 0
             for _ in range(max(2, txns // 4)):
-                total_stock += driver.stock_level_as_of(engine, t0)
+                # "Now" moves with the writers' think time: each sweep
+                # splits at the log's tip, with writers in flight as
+                # losers and, on a pool miss, a fresh snapshot.
+                now = engine.env.clock.now()
+                total_stock += driver.stock_level_as_of(engine, now)
             with tally:
                 results["asof"].append(total_stock)
             return total_stock
@@ -158,6 +167,18 @@ class TestMixedStorm:
             tasks, workers=max(workers, len(tasks)), timeout_s=STORM_TIMEOUT_S
         )
         assert_storm_clean(engine, db, results, writers=writers)
+        # The log stamps each wall with its LSN: in order whatever the
+        # interleaving, so the directories answer every commit's time as
+        # section 5.1's forward scan does.
+        assert_walls_in_lsn_order(db.log)
+        commits = db.log.scan(db.log.start_lsn, types=(RecordType.COMMIT,))
+        walls = sorted({rec.wall_clock for rec in commits})
+        assert len(walls) > writers
+        db.env.clock.advance(1.0)  # every wall in the past
+        for wall in walls:
+            assert split_or_error(find_split_lsn, db, wall) == split_or_error(
+                forward_scan_split, db, wall
+            ), wall
 
     def test_storm_with_concurrent_pool_pressure(self):
         """AS OF sweeps under a tiny pool budget force eviction races:

@@ -13,7 +13,7 @@ import pytest
 from repro.config import SimEnv
 from repro.errors import LogRecordDecodeError, LogTruncatedError, WalError
 from repro.sim.device import SAS_10K, SLC_SSD
-from repro.wal.log_manager import CommitDirectory, LogManager
+from repro.wal.log_manager import LogManager, WallDirectory
 from repro.wal.lsn import FIRST_LSN, NULL_LSN
 from repro.wal.records import (
     HEADER_SIZE,
@@ -167,7 +167,7 @@ class TestScan:
     def test_scan_charges_sequentially(self):
         log, env = make_log(log_profile=SAS_10K, block_size=512, cache_blocks=64)
         for i in range(50):
-            log.append(CommitRecord(wall_clock=float(i), txn_id=i))
+            log.append(CommitRecord(txn_id=i))
         log.flush()
         list(log.scan(FIRST_LSN))
         assert env.stats.log_scan_reads > 0
@@ -230,33 +230,36 @@ class TestCrashTruncate:
     def test_truncating_every_commit_leaves_a_directory_that_grows_again(self):
         """Truncation past every commit of a full directory empties its
         arrays; the next commit must still find room."""
-        log, _env = make_log()
+        log, env = make_log()
         for txn in range(1, 65):
-            log.append(CommitRecord(wall_clock=float(txn), txn_id=txn))
+            env.clock.advance(1.0)
+            log.append(CommitRecord(txn_id=txn))
         log.flush()
         log.truncate_before(log.end_lsn)
         assert log.last_commit_lsn == NULL_LSN
-        lsn = log.append(CommitRecord(wall_clock=100.0, txn_id=65))
+        env.clock.advance(36.0)  # stamped 100.0
+        lsn = log.append(CommitRecord(txn_id=65))
         assert log.last_commit_lsn == lsn
         assert log.commit_split(70.0, log.start_lsn) == log.start_lsn
         assert log.commit_split(170.0, log.start_lsn) == lsn
 
     def test_crash_and_discard_at_every_record_keep_the_directory_of_the_kept_commits(self):
-        """``CommitDirectory.cut`` deletes the entries past the cut and
-        keeps the rest as they were: after a crash or ``discard_after`` at
-        any record, the directory equals one noted afresh from the
-        commits below the cut."""
+        """``WallDirectory.cut`` deletes the entries past the cut and keeps
+        the rest as they were: after a crash or ``discard_after`` at any
+        record, the directory equals one noted afresh from the commits
+        below the cut."""
 
         def build(flush_before: int) -> LogManager:
-            # 40 begin/commit pairs in 512-byte blocks, walls out of LSN
-            # order so that the running max is what an entry must get right.
-            log, _env = make_log(block_size=512)
+            # 40 begin/commit pairs in 512-byte blocks; the clock moves 0,
+            # 1 or 2 seconds before each commit, so walls tie too.
+            log, env = make_log(block_size=512)
             for index in range(80):
                 if index == flush_before:
                     log.flush()
                 txn = index // 2 + 1
                 if index % 2:
-                    log.append(CommitRecord(wall_clock=float(txn * 7 % 13), txn_id=txn))
+                    env.clock.advance(txn * 7 % 3)
+                    log.append(CommitRecord(txn_id=txn))
                 else:
                     log.append(BeginRecord(txn_id=txn))
             return log
@@ -264,7 +267,7 @@ class TestCrashTruncate:
         records = list(build(80).scan(FIRST_LSN))
         commits = [(rec.lsn, rec.wall_clock) for rec in records if isinstance(rec, CommitRecord)]
         for index, rec in enumerate(records):
-            expected = CommitDirectory()
+            expected = WallDirectory()
             for lsn, wall in commits:
                 if lsn < rec.lsn:
                     expected.note(lsn, wall)
@@ -275,10 +278,10 @@ class TestCrashTruncate:
             for log in (crashed, discarded):
                 assert log.end_lsn == rec.lsn
                 kept, fresh = log._commit_dir, expected
-                assert (kept._lsns[:kept._n], kept._walls[:kept._n]) == (
-                    fresh._lsns[:fresh._n], fresh._walls[:fresh._n]
+                assert (kept.lsns[:kept.n], kept.walls[:kept.n]) == (
+                    fresh.lsns[:fresh.n], fresh.walls[:fresh.n]
                 ), (index, log is crashed)
-                assert log.last_commit_lsn == expected.last
+                assert log.last_commit_lsn == (fresh.last or (NULL_LSN,))[0]
 
 
 @pytest.fixture(scope="module")
@@ -428,6 +431,42 @@ class TestStreamWalk:
         after = (repr(standby), standby.checkpoint_before(standby.end_lsn), env.stats.snapshot())
         assert after == pristine
 
+    @pytest.mark.parametrize("kind", [CommitRecord, CheckpointBeginRecord])
+    def test_ingest_rejects_a_frame_stamped_before_the_last_wall_of_its_kind(self, kind):
+        """Walls are in LSN order on every log: a frame holding a commit
+        (or checkpoint-begin) stamped before the one of its kind ahead of
+        it — in the frame, or the standby's last — is refused whole,
+        before the log or its directories change. A tie is in order."""
+        standby, env = make_log()
+        standby.ingest(standby.end_lsn, stamped_frame(kind, standby.end_lsn, [5.0]))
+
+        def state():
+            return (repr(standby), standby.last_commit_lsn,
+                    standby.checkpoint_before(standby.end_lsn), env.stats.snapshot())
+
+        pristine = state()
+        for walls in ([7.0, 6.0], [4.0, 8.0]):
+            with pytest.raises(LogRecordDecodeError, match=f"stamped {min(walls)}, before"):
+                standby.ingest(standby.end_lsn, stamped_frame(kind, standby.end_lsn, walls))
+            assert state() == pristine
+        standby.ingest(standby.end_lsn, stamped_frame(kind, standby.end_lsn, [5.0, 5.0]))
+        directory = standby._commit_dir if kind is CommitRecord else standby._ckpt_dir
+        assert list(directory.walls[: directory.n]) == [5.0, 5.0, 5.0]
+
+
+def stamped_frame(kind, start: int, walls) -> bytes:
+    """Log bytes from ``start`` on: a BEGIN and a ``kind`` record per wall,
+    the record stamped with that wall by a log whose clock reads it."""
+    data = b""
+    for wall in walls:
+        log, env = make_log()
+        log.open_at(start + len(data))
+        env.clock.advance(wall)
+        log.append(BeginRecord(txn_id=1))
+        log.append(kind(txn_id=1))
+        data += log.read_bytes(log.start_lsn, log.end_lsn)
+    return data
+
 
 
 def walked(walk, data, start, base):
@@ -512,7 +551,7 @@ def rebased_log(tpcc_log):
     log.truncate_before(boundaries[len(boundaries) // 3])
     log.append(BeginRecord(txn_id=10**6))  # volatile from here
     log.append(InsertRowRecord(slot=1, row=b"tail", key_bytes=b"t", txn_id=10**6, page_id=9))
-    log.append(CommitRecord(wall_clock=1.0, txn_id=10**6))
+    log.append(CommitRecord(txn_id=10**6))
     lsns = [rec.lsn for rec in reference_scan(log, log.start_lsn)]
     assert log.start_lsn % log.block_size and log.durable_lsn == lsns[-3]
     return log, env, lsns

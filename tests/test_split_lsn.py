@@ -21,7 +21,7 @@ from repro.wal.records import (
     InsertRowRecord,
     RecordType,
 )
-from tests.conftest import ITEMS_SCHEMA, fill_items, scanned_checkpoints
+from tests.conftest import ITEMS_SCHEMA, MACHINE_EXAMPLES, fill_items, scanned_checkpoints
 
 
 def committed_marks(db, count, gap_s=10.0, start=0):
@@ -95,7 +95,7 @@ class TestSplitSearch:
         durable = db.log.last_commit_lsn
         # A commit stuck in the volatile tail (never flushed), as a torn
         # group commit would leave it.
-        db.log.append(CommitRecord(wall_clock=db.env.clock.now(), txn_id=999))
+        db.log.append(CommitRecord(txn_id=999))
         assert db.log.last_commit_lsn > durable
         db.log.crash()
         assert db.log.last_commit_lsn == durable
@@ -259,12 +259,14 @@ def outcome(search, db, target_wall):
 class _History:
     """A db-shaped log (``env``, ``log``, as the archive's log view is)
     driven by hand, tracking the record boundaries and checkpoints that
-    survive each step."""
+    survive each step. A standby's shares its primary's ``env``, as
+    ``Engine.add_replica``'s does, so its clock never reads earlier than
+    a wall it ingested."""
 
     BLOCK = 256
 
-    def __init__(self, log_start: int) -> None:
-        self.env = SimEnv.for_tests()
+    def __init__(self, log_start: int, env: SimEnv | None = None) -> None:
+        self.env = SimEnv.for_tests() if env is None else env
         self.log = LogManager(self.env, block_size=self.BLOCK, cache_blocks=2)
         if log_start != FIRST_LSN:
             self.log.open_at(log_start)
@@ -277,9 +279,9 @@ class _History:
         if isinstance(record, CheckpointBeginRecord):
             self.checkpoints.append(record.lsn)
 
-    def checkpoint(self, wall: float) -> None:
+    def checkpoint(self) -> None:
         prev = self.checkpoints[-1] if self.checkpoints else NULL_LSN
-        self.append(CheckpointBeginRecord(wall_clock=wall, prev_checkpoint_lsn=prev))
+        self.append(CheckpointBeginRecord(prev_checkpoint_lsn=prev))
 
     def kept(self, lo: int, hi: int) -> None:
         """Only records in ``[lo, hi)`` remain."""
@@ -294,12 +296,14 @@ class _History:
     def run(self, op) -> None:
         log = self.log
         kind, arg = op
+        if kind in ("commit", "checkpoint"):  # the log stamps it, ``arg`` seconds on
+            self.env.clock.advance(arg)
         if kind == "commit":
-            self.append(CommitRecord(wall_clock=arg, txn_id=1))
+            self.append(CommitRecord(txn_id=1))
         elif kind == "row":
             self.append(InsertRowRecord(row=bytes(arg), key_bytes=b"k", page_id=3))
         elif kind == "checkpoint":
-            self.checkpoint(arg)
+            self.checkpoint()
         elif kind == "flush":
             log.flush()
         elif kind == "crash":
@@ -316,13 +320,22 @@ class _History:
                 self.kept(log.start_lsn, log.end_lsn)
 
 
+def assert_walls_in_lsn_order(log) -> None:
+    """The commit and checkpoint-begin walls a scan of the retained log
+    finds never decrease in LSN order."""
+    stamped = (RecordType.COMMIT, RecordType.CHECKPOINT_BEGIN)
+    walls = [rec.wall_clock for rec in log.scan(log.start_lsn, types=stamped)]
+    assert walls == sorted(walls)
+
+
 def assert_checkpoints_match_scan(log) -> None:
     """The log's checkpoint directory holds the checkpoints a scan of the
     retained log finds, and answers each lookup as a newest-first walk
-    of them does, whatever order their walls are in."""
+    of them does."""
     scanned = [(lsn, wall) for lsn, wall, _prev in scanned_checkpoints(log)]
     with log.latch:
-        held = list(zip(log._ckpt_dir.lsns, log._ckpt_dir.walls, strict=True))
+        directory = log._ckpt_dir
+        held = list(zip(directory.lsns[: directory.n], directory.walls[: directory.n], strict=True))
     assert held == scanned[::-1]
     for lsn, wall in scanned:
         for t in (wall - 0.5, wall, wall + 0.5):
@@ -335,7 +348,8 @@ def assert_directory_matches_scan(db, extra_walls) -> None:
     """Every sampled time resolves (or fails) as the forward scan does,
     and the directory's tail is the log's last commit."""
     log = db.log
-    db.env.clock.advance(10_000 - db.env.clock.now())  # every sample is in the past
+    assert_walls_in_lsn_order(log)
+    db.env.clock.advance(1.5)  # every sample is in the past
     commits = list(log.scan(log.start_lsn, types=(RecordType.COMMIT,)))
     assert log.last_commit_lsn == (commits[-1].lsn if commits else NULL_LSN)
     walls = sorted({rec.wall_clock for rec in commits} | set(extra_walls))
@@ -345,14 +359,17 @@ def assert_directory_matches_scan(db, extra_walls) -> None:
         assert outcome(find_split_lsn, db, t) == outcome(forward_scan_split, db, t), t
 
 
-#: Walls drift upward with the step, up to 24 steps behind it or 4 ahead:
-#: often out of LSN order (TxnManager.commit stamps before the latch).
+#: The clock moves 0 to 3 seconds before each commit or checkpoint: a
+#: zero step stamps a tie.
+_WRITES = st.one_of(
+    st.tuples(st.just("commit"), st.integers(0, 3)),
+    st.tuples(st.just("commit"), st.integers(0, 3)),
+    st.tuples(st.just("row"), st.integers(0, 160)),
+    st.tuples(st.just("checkpoint"), st.integers(0, 3)),
+)
 _OPS = st.lists(
     st.one_of(
-        st.tuples(st.just("commit"), st.integers(-24, 4)),
-        st.tuples(st.just("commit"), st.integers(-24, 4)),
-        st.tuples(st.just("row"), st.integers(0, 160)),
-        st.tuples(st.just("checkpoint"), st.integers(-12, 0)),
+        _WRITES,
         st.tuples(st.sampled_from(["flush", "crash"]), st.just(0)),
         st.tuples(st.sampled_from(["discard", "truncate"]), st.integers(0, 1000)),
     ),
@@ -360,31 +377,31 @@ _OPS = st.lists(
 )
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=MACHINE_EXAMPLES, deadline=None)
 @given(
     ops=_OPS,
     log_start=st.sampled_from([FIRST_LSN, FIRST_LSN + 1, 300, 777]),
     frames=st.lists(st.integers(1, 700), min_size=1, max_size=8),
     standby_from=st.integers(0, 1000),
     promote_at=st.integers(0, 1000),
+    after=st.lists(_WRITES, max_size=12),
 )
-def test_directory_split_equals_forward_scan(ops, log_start, frames, standby_from, promote_at):
+def test_directory_split_equals_forward_scan(ops, log_start, frames, standby_from, promote_at, after):
     primary = _History(log_start)
-    primary.checkpoint(-10.0)  # an anchor for the narrowing, until truncated away
-    for step, (kind, arg) in enumerate(ops):
-        if kind in ("commit", "checkpoint"):
-            arg = float(step + arg)
-        primary.run((kind, arg))
+    primary.checkpoint()  # an anchor for the narrowing, until truncated away
+    for op in ops:
+        primary.run(op)
         assert_checkpoints_match_scan(primary.log)
     ckpt_walls = [wall for _lsn, wall, _prev in scanned_checkpoints(primary.log)]
     assert_directory_matches_scan(primary.db, ckpt_walls)
 
-    # A standby of the durable log: opened mid-history, fed frames of
-    # random size that split blocks (and a block's commits) between them.
+    # A standby of the durable log on the primary's clock: opened
+    # mid-history, fed frames of random size that split blocks (and a
+    # block's commits) between them.
     primary.log.flush()
     source = primary.log
     start = primary.pick(standby_from, source.durable_lsn)
-    standby = _History(start)
+    standby = _History(start, primary.env)
     position, sizes = start, iter(frames * 1000)
     while position < source.durable_lsn:
         end = source.record_aligned_end(position, next(sizes))
@@ -394,8 +411,13 @@ def test_directory_split_equals_forward_scan(ops, log_start, frames, standby_fro
         position = end
         assert_checkpoints_match_scan(standby.log)
     assert_directory_matches_scan(standby.db, ckpt_walls)
-    standby.run(("discard", promote_at))  # promotion to a point in time
+    # Promoted to a point in time, it writes on from there.
+    standby.run(("discard", promote_at))
     assert_checkpoints_match_scan(standby.log)
+    for op in after:
+        standby.run(op)
+    assert_checkpoints_match_scan(standby.log)
+    ckpt_walls += [wall for _lsn, wall, _prev in scanned_checkpoints(standby.log)]
     assert_directory_matches_scan(standby.db, ckpt_walls)
 
 
@@ -448,8 +470,7 @@ def test_a_crash_drops_a_volatile_checkpoint(items_db):
     db, log = items_db, items_db.log
     fill_items(db, 5)
     durable = db.checkpoint()
-    wall = db.env.clock.now()
-    volatile = log.append(CheckpointBeginRecord(wall_clock=wall, prev_checkpoint_lsn=durable))
+    volatile = log.append(CheckpointBeginRecord(prev_checkpoint_lsn=durable))
     assert log.checkpoint_before(log.end_lsn)[0] == volatile
     db.crash()
     assert log.checkpoint_before(log.end_lsn)[0] == durable
@@ -457,43 +478,3 @@ def test_a_crash_drops_a_volatile_checkpoint(items_db):
     db.recover()
     assert log.checkpoint_before(log.end_lsn)[0] == db.last_checkpoint_lsn > durable
     assert_checkpoints_match_scan(log)
-
-
-def test_first_later_commit_below_the_base_is_left_to_the_scan():
-    """A commit appended before the base checkpoint but stamped after the
-    target: the directory's block holds it, yet the answer lies blocks
-    further on, past the base — only the forward scan can say where."""
-    history = _History(FIRST_LSN)
-    history.checkpoint(0.0)
-    history.run(("commit", 50.0))  # stamped late, appended early
-    history.checkpoint(10.0)  # the base for t = 20
-    for wall in (11.0, 12.0, 60.0):
-        history.run(("row", 250))  # each commit in a block of its own
-        history.run(("commit", wall))
-    history.env.clock.advance(100)
-    commits = {rec.wall_clock: rec.lsn for rec in history.log.scan(FIRST_LSN)
-               if rec.TYPE == RecordType.COMMIT}
-    assert find_split_lsn(history.db, 20.0) == commits[12.0]
-    assert forward_scan_split(history.db, 20.0) == commits[12.0]
-
-
-def test_a_maximum_inherited_from_a_truncated_commit_is_left_to_the_scan():
-    """Truncation drops a commit stamped after the target but keeps the
-    running maximum it raised: every kept commit then looks later than
-    the target, yet the answer lies past the base — only the forward scan
-    can say where."""
-    history = _History(FIRST_LSN)
-    history.checkpoint(0.0)
-    history.run(("commit", 50.0))  # stamped late, appended early
-    history.checkpoint(10.0)  # the base for t = 20, and the new log start
-    for wall in (11.0, 12.0, 60.0):
-        history.run(("row", 250))
-        history.run(("commit", wall))
-    history.run(("truncate", 1))
-    assert history.log.start_lsn == history.checkpoints[0]
-    history.env.clock.advance(100)
-    commits = {rec.wall_clock: rec.lsn for rec in history.log.scan(history.log.start_lsn)
-               if rec.TYPE == RecordType.COMMIT}
-    assert history.log.commit_split(20.0, history.log.start_lsn) is None
-    assert find_split_lsn(history.db, 20.0) == commits[12.0]
-    assert forward_scan_split(history.db, 20.0) == commits[12.0]

@@ -5,7 +5,6 @@ finds; a split with nobody in flight reads no log."""
 
 from __future__ import annotations
 
-import os
 import random
 import threading
 from itertools import accumulate
@@ -34,12 +33,8 @@ from repro.wal.records import (
     DeleteRowRecord,
     InsertRowRecord,
 )
-from tests.conftest import ITEMS_SCHEMA
+from tests.conftest import ITEMS_SCHEMA, MACHINE_EXAMPLES
 from tests.test_split_lsn import committed_marks
-
-#: ``REPRO_HYPOTHESIS_PROFILE=long`` runs the two machines below at 3 000
-#: examples each instead of 200 (CI's tests job has a step for it).
-_EXAMPLES = 3000 if os.environ.get("REPRO_HYPOTHESIS_PROFILE") == "long" else 200
 
 
 def collect_loser_locks(log, analysis, pin: int) -> int:
@@ -212,7 +207,7 @@ class _History:
                 prev_txn_lsn=txn.last, page_id=3, object_id=object_id,
             ))
 
-    def run(self, step: int, op) -> None:
+    def run(self, op) -> None:
         log = self.log
         kind, arg = op
         if kind == "begin":
@@ -222,8 +217,7 @@ class _History:
         elif kind in ("checkpoint", "records_only"):
             active = tuple((txn_id, txn.last) for txn_id, txn in self.open.items())
             self.append(CheckpointBeginRecord(
-                wall_clock=float(step), prev_checkpoint_lsn=self.last_checkpoint,
-                active_txns=active,
+                prev_checkpoint_lsn=self.last_checkpoint, active_txns=active,
             ))
             if kind == "records_only":  # a pooled AS OF build's: forced
                 log.flush()
@@ -249,9 +243,9 @@ class _History:
             if anchors:
                 log.truncate_before(anchors[arg % len(anchors)])
         else:
-            self.txn_step(step, kind, _args(kind, arg))
+            self.txn_step(kind, _args(kind, arg))
 
-    def txn_step(self, step: int, kind: str, arg) -> None:
+    def txn_step(self, kind: str, arg) -> None:
         txn_id, txn = self._txn(arg if isinstance(arg, int) else arg[0])
         if txn is None:
             return
@@ -268,7 +262,7 @@ class _History:
         elif kind == "rollback_to":
             self.rollback(txn_id, txn, arg[1])
         elif kind == "commit":
-            self.append(CommitRecord(wall_clock=float(step), txn_id=txn_id, prev_txn_lsn=txn.last))
+            self.append(CommitRecord(txn_id=txn_id, prev_txn_lsn=txn.last))
         elif kind == "abort":
             self.rollback(txn_id, txn, len(txn.live))
             self.append(AbortRecord(txn_id=txn_id, prev_txn_lsn=txn.last))
@@ -402,14 +396,14 @@ def _write(ops, log_start: int, check=None) -> _History:
     runs at each query step, and at each pooled AS OF read, which then
     writes its records-only checkpoint."""
     primary = _History(log_start)
-    primary.run(0, ("checkpoint", 0))
-    for step, (kind, arg) in enumerate(ops, start=1):
+    primary.run(("checkpoint", 0))
+    for kind, arg in ops:
         if kind in ("query", "asof") and check is not None:
             check(primary, arg)
         if kind == "asof":
-            primary.run(step, ("records_only", 0))
+            primary.run(("records_only", 0))
         elif kind != "query":
-            primary.run(step, (kind, arg))
+            primary.run((kind, arg))
     primary.log.flush()
     return primary
 
@@ -418,7 +412,7 @@ def _standby_of(primary: _History, standby_from: int) -> _Standby:
     return _Standby(primary, primary.pick(standby_from, primary.log.durable_lsn))
 
 
-@settings(max_examples=_EXAMPLES, deadline=None)
+@settings(max_examples=MACHINE_EXAMPLES, deadline=None)
 @given(ops=_OPS, log_start=st.sampled_from([FIRST_LSN, 300]), seed=st.integers(0, 2**32 - 1), **_STANDBY)
 def test_directory_window_equals_checkpoint_window(ops, log_start, frames, standby_from, promote_at, seed):
     rng = random.Random(seed)
@@ -444,7 +438,7 @@ def test_directory_window_equals_checkpoint_window(ops, log_start, frames, stand
     assert_directory_matches_checkpoint(standby, standby.held, rng, primary, standby.start, standby.known)
 
 
-@settings(max_examples=_EXAMPLES, deadline=None)
+@settings(max_examples=MACHINE_EXAMPLES, deadline=None)
 @given(ops=_OPS, **_STANDBY)
 def test_in_flight_equals_the_model_after_every_frame_and_discard(ops, frames, standby_from, promote_at):
     """The directory at every split a log holds: the primary's after its
@@ -485,15 +479,15 @@ def test_a_loser_begun_before_the_checkpoint_keeps_its_locks_from_both_sides():
     lock set is what the checkpoint window plus the chain walk find, and
     the pin is its BEGIN."""
     history = _History(FIRST_LSN)
-    history.run(0, ("checkpoint", 0))
-    history.run(1, ("begin", 0))
+    history.run(("checkpoint", 0))
+    history.run(("begin", 0))
     begin = history.records[-1].lsn
     for key in (b"a", b"b", b"c"):
-        history.txn_step(2, "row", (0, key, False, 90))
-    history.run(3, ("checkpoint", 0))
+        history.txn_step("row", (0, key, False, 90))
+    history.run(("checkpoint", 0))
     checkpoint = history.records[-1].lsn
     for key in (b"d", b"ee", b"ff"):
-        history.txn_step(4, "row", (0, key, False, 90))
+        history.txn_step("row", (0, key, False, 90))
     assert checkpoint // _History.BLOCK - begin // _History.BLOCK >= 1
     split = history.records[-1].lsn
     losers, locks, pin = outcome(snapshot_analysis, history.db, split)
