@@ -6,10 +6,12 @@ Design points that matter to the paper's mechanism:
   pushing its content down into two fresh children), so catalog rows never
   need updating mid-transaction and every historical version of the tree
   is reachable from the same root page.
-* **Row moves are logged as inserts followed by deletes** (section 4.2
-  item 3). The delete half carries the row image only when the
-  ``smo_delete_undo_info`` extension is on; otherwise undo derives it from
-  the paired insert via ``pair_lsn`` at the cost of an extra log read.
+* **A row move is logged as an insert followed by a delete** (section 4.2
+  item 3), one record for each page: the rows arrive on one page and
+  leave the other. The delete carries the rows only when the
+  ``smo_delete_undo_info`` extension is on; otherwise undo derives them
+  from the paired insert via ``pair_lsn`` at the cost of an extra log
+  read.
 * **Structure modifications run as system transactions**: they commit
   immediately, independent of the user transaction that triggered them,
   and if they lose at a crash they are undone physically (slot-exact) —
@@ -37,7 +39,9 @@ from repro.wal.records import (
     FLAG_SMO,
     ClrRecord,
     DeleteRowRecord,
+    DeleteRowsRecord,
     InsertRowRecord,
+    InsertRowsRecord,
     SetLinksRecord,
     UpdateRowRecord,
 )
@@ -506,39 +510,35 @@ class BTree:
 
     def _move_rows(self, txn, src_guard, dst_guard, start_slot: int) -> None:
         """Move slots [start_slot, count) from src to dst, verbatim, logged
-        as SMO inserts followed by SMO deletes (paper section 4.2 item 3).
+        as one SMO insert of the rows on dst followed by one SMO delete of
+        them on src (paper section 4.2 item 3).
 
-        Moves are byte-exact so a delete lacking the row image (extension
-        off) can derive it from its paired insert via ``pair_lsn``. For
+        Moves are byte-exact so a delete lacking the rows (extension off)
+        can derive them from its paired insert via ``pair_lsn``. For
         interior pages the first moved entry keeps its separator key: entry
         0 of an interior node is treated as -inf by the descent regardless
         of its stored key, so no re-encoding is needed.
         """
         src = src_guard.page
-        dst = dst_guard.page
-        ext = self.services.modifier.extensions
-        payloads = [src.record(s) for s in range(start_slot, src.slot_count)]
-        insert_lsns = []
-        for offset, payload in enumerate(payloads):
-            rec = InsertRowRecord(
-                slot=offset,
-                row=payload,
-                page_id=dst.page_id,
-                object_id=self.object_id,
-                flags=FLAG_SMO,
-            )
-            insert_lsns.append(self.services.modifier.apply(txn, dst_guard, rec))
-        for offset in range(len(payloads) - 1, -1, -1):
-            slot = start_slot + offset
-            rec = DeleteRowRecord(
-                slot=slot,
-                row=payloads[offset] if ext.smo_delete_undo_info else None,
-                pair_lsn=insert_lsns[offset],
-                page_id=src.page_id,
-                object_id=self.object_id,
-                flags=FLAG_SMO,
-            )
-            self.services.modifier.apply(txn, src_guard, rec)
+        modifier = self.services.modifier
+        rows = tuple(src.records(start_slot))
+        insert = InsertRowsRecord(
+            slot=0,
+            rows=rows,
+            page_id=dst_guard.page.page_id,
+            object_id=self.object_id,
+            flags=FLAG_SMO,
+        )
+        delete = DeleteRowsRecord(
+            slot=start_slot,
+            count=len(rows),
+            rows=rows if modifier.extensions.smo_delete_undo_info else (),
+            pair_lsn=modifier.apply(txn, dst_guard, insert),
+            page_id=src.page_id,
+            object_id=self.object_id,
+            flags=FLAG_SMO,
+        )
+        modifier.apply(txn, src_guard, delete)
 
     def _split_nonroot(self, txn, full_pid: int) -> None:
         fetch = self.services.fetch

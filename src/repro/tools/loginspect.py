@@ -28,7 +28,9 @@ from repro.wal.records import (
     ClrRecord,
     CommitRecord,
     DeleteRowRecord,
+    DeleteRowsRecord,
     InsertRowRecord,
+    InsertRowsRecord,
     LogRecord,
     PageImageRecord,
     PreformatPageRecord,
@@ -60,6 +62,13 @@ def describe_record(rec: LogRecord) -> str:
     elif isinstance(rec, DeleteRowRecord):
         parts.append(f"slot={rec.slot}")
         parts.append("row=inline" if rec.row is not None else f"pair={format_lsn(rec.pair_lsn)}")
+    elif isinstance(rec, InsertRowsRecord):
+        parts.append(f"slot={rec.slot}")
+        parts.append(f"rows={len(rec.rows)}")
+    elif isinstance(rec, DeleteRowsRecord):
+        parts.append(f"slot={rec.slot}")
+        parts.append(f"rows={rec.count}")
+        parts.append("inline" if rec.rows else f"pair={format_lsn(rec.pair_lsn)}")
     elif isinstance(rec, UpdateRowRecord):
         parts.append(f"slot={rec.slot}")
         parts.append(f"new={len(rec.new)}B")

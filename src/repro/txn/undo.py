@@ -40,8 +40,10 @@ from repro.wal.records import (
     DeallocPageRecord,
     DeformatPageRecord,
     DeleteRowRecord,
+    DeleteRowsRecord,
     FormatPageRecord,
     InsertRowRecord,
+    InsertRowsRecord,
     LogRecord,
     PageImageRecord,
     PreformatPageRecord,
@@ -105,6 +107,8 @@ class LogicalUndo:
                 self._undo_heap_insert(txn, rec)
             else:
                 self._undo_logical_row(txn, rec)
+        elif isinstance(rec, (InsertRowsRecord, DeleteRowsRecord)):
+            self._undo_row_move(txn, rec)
         elif isinstance(rec, SetLinksRecord):
             comp = SetLinksRecord(
                 old_prev=rec.new_prev,
@@ -205,6 +209,30 @@ class LogicalUndo:
                 new=rec.old,
                 old=rec.new if ext.clr_undo_info else None,
                 key_bytes=rec.key_bytes,
+                page_id=rec.page_id,
+                object_id=rec.object_id,
+                flags=rec.flags,
+            )
+        self._apply_clr(txn, rec, comp, rec.page_id)
+
+    def _undo_row_move(self, txn, rec) -> None:
+        """Slot-exact inverse of one half of a B-tree row move (always an
+        SMO): the rows it inserted are deleted, the rows it deleted are
+        inserted back."""
+        if isinstance(rec, InsertRowsRecord):
+            comp = DeleteRowsRecord(
+                slot=rec.slot,
+                count=len(rec.rows),
+                rows=rec.rows if self.ctx.modifier.extensions.clr_undo_info else (),
+                pair_lsn=rec.lsn,
+                page_id=rec.page_id,
+                object_id=rec.object_id,
+                flags=rec.flags,
+            )
+        else:
+            comp = InsertRowsRecord(
+                slot=rec.slot,
+                rows=rec.resolve_rows(self.ctx.log.undo_fetch),
                 page_id=rec.page_id,
                 object_id=rec.object_id,
                 flags=rec.flags,

@@ -22,8 +22,10 @@ from repro.wal.records import (
     CommitRecord,
     DeallocPageRecord,
     DeleteRowRecord,
+    DeleteRowsRecord,
     FormatPageRecord,
     InsertRowRecord,
+    InsertRowsRecord,
     LogRecord,
     PageImageRecord,
     PreformatPageRecord,
@@ -53,6 +55,8 @@ __all__ = [
     "PageImageRecord",
     "InsertRowRecord",
     "DeleteRowRecord",
+    "InsertRowsRecord",
+    "DeleteRowsRecord",
     "UpdateRowRecord",
     "SetLinksRecord",
     "AllocPageRecord",

@@ -186,6 +186,8 @@ class RecordType(enum.IntEnum):
     DEALLOC_PAGE = 14
     DEFORMAT_PAGE = 15
     CLR = 16
+    INSERT_ROWS = 17
+    DELETE_ROWS = 18
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +201,7 @@ class RecordType(enum.IntEnum):
 
 #: Fixed-width wire kinds are their little-endian ``struct`` codes.
 U8, U16, U32, U64, F64, BOOL = "B", "H", "I", "Q", "d", "?"
+_U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _PAIR = struct.Struct("<QQ")
 
@@ -245,6 +248,13 @@ PAIRS = _VarKind(
     read=("{f} = tuple(_PAIR.iter_unpack(view[pos : pos + 16 * n]))", "pos += 16 * n"),
     store="tuple({f})",
 )
+#: u16 count, then that many (u16 length, payload) pairs.
+ROWS = _VarKind(
+    prefix="H",
+    emit="parts += [_U16.pack(len(row)) + row for row in {f}]",
+    read=("{f}, pos = _read_rows(view, pos, n)",),
+    store="tuple({f})",
+)
 #: A :data:`BLOB` holding a whole serialized record (own header, own CRC,
 #: verified again on decode). Never optional.
 RECORD = BLOB._replace(
@@ -252,6 +262,18 @@ RECORD = BLOB._replace(
     bind="self.{f}.serialize()",
     store="_nested({f})",
 )
+
+
+def _read_rows(view, pos: int, n: int) -> tuple:
+    """:data:`ROWS`' payload: ``n`` length-prefixed rows from ``pos``;
+    returns them and the position past the last."""
+    rows = []
+    for _ in range(n):
+        (size,) = _U16.unpack_from(view, pos)
+        pos += 2
+        rows.append(bytes(view[pos : pos + size]))
+        pos += size
+    return tuple(rows), pos
 
 
 def _nested(value):
@@ -355,7 +377,14 @@ def _compile_codec(label: str, fields) -> dict:
     ends it, is one precompiled ``Struct`` call. Compiled under the code
     filename ``records.py:<label>``, so a profile attributes the code to
     the codec and keys each record class's functions apart."""
-    scope = {"_U32": _U32, "_PAIR": _PAIR, "_nested": _nested, "decode_record": decode_record}
+    scope = {
+        "_U16": _U16,
+        "_U32": _U32,
+        "_PAIR": _PAIR,
+        "_read_rows": _read_rows,
+        "_nested": _nested,
+        "decode_record": decode_record,
+    }
     init = [f"self.lsn = {NULL_LSN}", *(f"self.{name} = {name}" for name in _HEADER_FIELDS)]
     pack, unpack = ["parts = []"], []
     fmt, run = "<", []
@@ -659,11 +688,12 @@ class DeleteRowRecord(LogRecord):
     """Row (or index entry) deleted from a slot.
 
     Ordinary deletes always carry the row image (classic ARIES needs it
-    for rollback). Structure-modification deletes (the delete half of a
-    B-tree row move) are redo-only in the baseline; with the section 4.2
-    extension (``smo_delete_undo_info``) they carry the row too, otherwise
-    undo derives it from the paired insert via ``pair_lsn`` at the cost of
-    an extra log read.
+    for rollback). A delete without one names the insert to derive it
+    from through ``pair_lsn``, at the cost of an extra log read: the
+    engine writes one only inside a CLR (the compensation of a rolled-back
+    structure-modification insert), while undo still reads the per-row
+    structure-modification deletes that B-tree row moves wrote before
+    :class:`DeleteRowsRecord`.
     """
 
     TYPE = RecordType.DELETE_ROW
@@ -694,6 +724,84 @@ class DeleteRowRecord(LogRecord):
 
     def physical_undo(self, page: Page, fetch=None) -> None:
         page.insert_record(self.slot, self.resolve_row(fetch))
+
+
+def _insert_rows(page: Page, slot: int, rows) -> None:
+    """Insert ``rows`` at consecutive slots from ``slot``, in order."""
+    for at, row in enumerate(rows, slot):
+        page.insert_record(at, row)
+
+
+def _delete_rows(page: Page, slot: int, count: int) -> None:
+    """Delete ``count`` rows from consecutive slots from ``slot``, the
+    highest first: the inverse of :func:`_insert_rows`, slot for slot."""
+    for at in range(slot + count - 1, slot - 1, -1):
+        page.delete_record(at)
+
+
+class InsertRowsRecord(LogRecord):
+    """Rows inserted at consecutive slots from ``slot``, in order: the
+    insert half of a B-tree row move (section 4.2 item 3), one record for
+    the page the rows move to.
+
+    Its inverse deletes them from the highest slot down, as undoing one
+    insert per row in reverse order would.
+    """
+
+    TYPE = RecordType.INSERT_ROWS
+    IS_PAGE_MOD = True
+    UNDOABLE_IN_ROLLBACK = True
+    FIELDS = (
+        ("slot", U16, 0),
+        ("rows", ROWS, ()),
+    )
+
+    def redo(self, page: Page) -> None:
+        _insert_rows(page, self.slot, self.rows)
+
+    def physical_undo(self, page: Page, fetch=None) -> None:
+        _delete_rows(page, self.slot, len(self.rows))
+
+
+class DeleteRowsRecord(LogRecord):
+    """``count`` rows deleted from consecutive slots from ``slot``, the
+    highest first: the delete half of a B-tree row move, one record for
+    the page the rows leave.
+
+    With the section 4.2 extension (``smo_delete_undo_info``) it carries
+    the rows; otherwise ``rows`` is empty and undo derives them from the
+    paired :class:`InsertRowsRecord` via ``pair_lsn``, at the cost of an
+    extra log read.
+    """
+
+    TYPE = RecordType.DELETE_ROWS
+    IS_PAGE_MOD = True
+    UNDOABLE_IN_ROLLBACK = True
+    FIELDS = (
+        ("slot", U16, 0),
+        ("count", U16, 0),
+        ("rows", ROWS, ()),
+        ("pair_lsn", U64, NULL_LSN),
+    )
+
+    def redo(self, page: Page) -> None:
+        _delete_rows(page, self.slot, self.count)
+
+    def resolve_rows(self, fetch=None) -> tuple:
+        """The deleted payloads: embedded, or derived from the paired insert."""
+        if len(self.rows) == self.count:
+            return self.rows
+        if self.pair_lsn != NULL_LSN and fetch is not None:
+            paired = fetch(self.pair_lsn)
+            if isinstance(paired, InsertRowsRecord) and len(paired.rows) == self.count:
+                return paired.rows
+        raise MissingUndoInfoError(
+            f"row-move delete at lsn {format_lsn(self.lsn)} carries no rows "
+            f"and they cannot be derived (pair_lsn={format_lsn(self.pair_lsn)})"
+        )
+
+    def physical_undo(self, page: Page, fetch=None) -> None:
+        _insert_rows(page, self.slot, self.resolve_rows(fetch))
 
 
 class UpdateRowRecord(LogRecord):
@@ -901,7 +1009,10 @@ class ClrRecord(LogRecord):
             original = self._fetch_compensated(fetch)
             original.redo(page)
         else:
-            # Allocation, links, format compensations are self-inverting.
+            # Allocation, links and format compensations are self-inverting;
+            # a row-move compensation is undone as its own record is (a
+            # rowless delete derives its rows from the compensated insert,
+            # which its ``pair_lsn`` names).
             comp.physical_undo(page, fetch)
 
     def __repr__(self) -> str:

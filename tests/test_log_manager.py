@@ -297,7 +297,7 @@ def tpcc_log():
         "tpcc", DatabaseConfig(page_size=1024, buffer_pool_pages=64)
     )
     load_tpcc(db, scale)
-    TpccDriver(db, scale, seed=3).run_transactions(40)
+    TpccDriver(db, scale, seed=3).run_transactions(60)
     log = db.log
     log.append(BeginRecord(txn_id=10**6))  # unflushed tail
     data = log.read_bytes(log.start_lsn, log.end_lsn)
@@ -548,7 +548,13 @@ def rebased_log(tpcc_log):
         log.append(ClrRecord(compensated_lsn=start, comp=comp, txn_id=99, page_id=7))
         log.append(PageImageRecord(image=bytes([slot]) * 1200, page_id=7))  # skips a block
     log.flush()
-    log.truncate_before(boundaries[len(boundaries) // 3])
+    # Cut at a record whose successor starts in the same block, so a scan
+    # can be suspended mid-block.
+    third = len(boundaries) // 3
+    log.truncate_before(next(
+        lsn for lsn, after in zip(boundaries[third:], boundaries[third + 1 :])
+        if lsn // log.block_size == after // log.block_size
+    ))
     log.append(BeginRecord(txn_id=10**6))  # volatile from here
     log.append(InsertRowRecord(slot=1, row=b"tail", key_bytes=b"t", txn_id=10**6, page_id=9))
     log.append(CommitRecord(txn_id=10**6))

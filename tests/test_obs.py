@@ -172,7 +172,17 @@ def test_metric_names_and_values_are_pinned():
     named snapshot reads nothing). A standby leases from the engine's
     pool, so the eleven ``pool.standby.*`` instruments are gone and
     their values land in ``pool.engine.*`` (misses, releases and entries
-    0 → 1, bytes and peak bytes 0 → 4096)."""
+    0 → 1, bytes and peak bytes 0 → 4096). A split logs its row move as
+    one insert and one delete record, not one of each per row, so the
+    loads' splits write fewer, larger records: ``io.log_records`` 283 →
+    163 (``log.append_bytes`` count alike; its 256-byte bucket 233 → 105,
+    its 1024-byte one 0 → 8), ``io.log_write_bytes`` 46 765 → 33 629,
+    the log's retained bytes 23 537 → 16 969 (the histogram's sum) and
+    its end and durable LSNs 23 545 → 16 977, the archived, received and
+    applied LSNs 23 236 → 16 668, bytes archived and received 23 228 →
+    16 660, archive writes 30 492 → 23 924, bytes shipped 46 456 →
+    33 320, the standby's records applied 254 → 134 and its peak apply
+    backlog 13 784 → 10 500."""
     engine = _topology()
     golden = json.loads(GOLDEN.read_text())
     assert sorted(engine.env.metrics.names()) == golden["names"]

@@ -329,7 +329,8 @@ class TestHeaderDrivenAnalysis:
         db, middle, _open_ids = history
         log = db.log
         victim = list(log.scan(middle))[-25]
-        log._data[victim.lsn - log._base + 50] ^= 0x01  # rots a body byte
+        # Rots the victim's last byte, which lies inside it whatever its size.
+        log._data[victim.lsn - log._base + len(victim.serialize()) - 1] ^= 0x01
         expected = reference_analyze_log(log, middle)
         assert expected.end_lsn < victim.lsn
         assert ordered(analyze_log(log, middle)) == ordered(expected)

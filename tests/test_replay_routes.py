@@ -410,6 +410,11 @@ def _leaf_history(db) -> tuple[int, list]:
     followed it, in LSN order."""
     db.create_table(ITEMS_SCHEMA)
     fill_items(db, 400)
+    # A split moves rows in one record; updating the newest rows, which
+    # sit on the last page formatted, lengthens that page's history.
+    with db.transaction() as txn:
+        for i in range(390, 400):
+            db.update(txn, "items", (i,), {"qty": -i})
     records = [rec for rec in db.log.scan(db.log.start_lsn) if rec.IS_PAGE_MOD]
     page_id = next(
         rec.page_id for rec in reversed(records) if isinstance(rec, FormatPageRecord)

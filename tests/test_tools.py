@@ -4,11 +4,14 @@ from __future__ import annotations
 
 from repro.storage.page import HEADER_FIELDS
 from repro.tools import check_database, describe_record, transaction_history
-from repro.wal.lsn import NULL_LSN
+from repro.wal.lsn import NULL_LSN, format_lsn
 from repro.wal.records import (
+    FLAG_SMO,
     CommitRecord,
+    DeleteRowsRecord,
     FormatPageRecord,
     InsertRowRecord,
+    InsertRowsRecord,
     PreformatPageRecord,
 )
 from tests.conftest import ITEMS_SCHEMA, fill_items
@@ -84,6 +87,19 @@ class TestLogInspect:
         assert kinds[0] == "CommitRecord"
         assert kinds[-1] == "BeginRecord"
         assert "InsertRowRecord" in kinds and "UpdateRowRecord" in kinds
+
+    def test_describe_row_moves(self):
+        rows = (b"a", b"bc", b"")
+        insert = InsertRowsRecord(slot=0, rows=rows, page_id=6, flags=FLAG_SMO)
+        inline = DeleteRowsRecord(slot=4, count=3, rows=rows, pair_lsn=0x40, page_id=5, flags=FLAG_SMO)
+        paired = DeleteRowsRecord(slot=4, count=3, pair_lsn=0x40, page_id=5, flags=FLAG_SMO)
+        for rec in (insert, inline, paired):
+            rec.lsn = 0x80
+        assert describe_record(insert).endswith("InsertRows page=6 prev_page=NULL slot=0 rows=3 SMO")
+        text = describe_record(inline)
+        assert "DeleteRows page=5" in text and "slot=4 rows=3 inline SMO" in text
+        text = describe_record(paired)
+        assert f"slot=4 rows=3 pair={format_lsn(0x40)} SMO" in text
 
     def test_describe_preformat(self):
         rec = PreformatPageRecord(image=b"\0" * 64, page_id=9)

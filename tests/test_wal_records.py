@@ -23,6 +23,7 @@ from repro.wal.records import (
     OPT_BLOB,
     PAIRS,
     RECORD,
+    ROWS,
     U8,
     U16,
     U32,
@@ -37,8 +38,10 @@ from repro.wal.records import (
     DeallocPageRecord,
     DeformatPageRecord,
     DeleteRowRecord,
+    DeleteRowsRecord,
     FormatPageRecord,
     InsertRowRecord,
+    InsertRowsRecord,
     LogRecord,
     PageImageRecord,
     PreformatPageRecord,
@@ -434,8 +437,9 @@ class TestClrSemantics:
 # ---------------------------------------------------------------------------
 # Golden wire bytes: ``serialize().hex()`` of every record type as emitted
 # by the hand-written codec this file's specs replaced (captured at commit
-# 27b2071, before the rewrite). The format is frozen: a codec change that
-# moves one byte of these is a log-format change, not a refactor.
+# 27b2071, before the rewrite); the two row-move types, which came later,
+# as first written. The format is frozen: a codec change that moves one
+# byte of these is a log-format change, not a refactor.
 # ---------------------------------------------------------------------------
 
 GOLDEN = [
@@ -583,6 +587,51 @@ GOLDEN = [
         DeformatPageRecord(page_type=4, index_id=1, level=2, page_id=5, object_id=10),
         "2e0000000f00000000000000000000000000000000000500000000000000000000000a00"
         "000019e8b0d304010002",
+    ),
+    (
+        InsertRowsRecord(
+            slot=0,
+            rows=(b"left", b"", b"right"),
+            page_id=6,
+            txn_id=3,
+            prev_txn_lsn=10,
+            prev_page_lsn=12,
+            object_id=10,
+            flags=FLAG_SMO,
+        ),
+        "3d000000110103000000000000000a00000000000000060000000c000000000000000a00"
+        "000004fcec7b0000030004006c656674000005007269676874",
+    ),
+    (
+        DeleteRowsRecord(
+            slot=7,
+            count=3,
+            rows=(b"left", b"", b"right"),
+            pair_lsn=77,
+            page_id=5,
+            txn_id=3,
+            prev_txn_lsn=77,
+            prev_page_lsn=14,
+            object_id=10,
+            flags=FLAG_SMO,
+        ),
+        "47000000120103000000000000004d00000000000000050000000e000000000000000a00"
+        "0000698b453107000300030004006c6566740000050072696768744d00000000000000",
+    ),
+    (
+        DeleteRowsRecord(
+            slot=7,
+            count=3,
+            pair_lsn=77,
+            page_id=5,
+            txn_id=3,
+            prev_txn_lsn=77,
+            prev_page_lsn=14,
+            object_id=10,
+            flags=FLAG_SMO,
+        ),
+        "38000000120103000000000000004d00000000000000050000000e000000000000000a00"
+        "0000258396600700030000004d00000000000000",
     ),
     (
         ClrRecord(
@@ -745,6 +794,44 @@ GOLDEN = [
         "000000000000000000000000010000000000000000000000000000002bcc1b9509000000"
         "01",
     ),
+    (
+        ClrRecord(
+            compensated_lsn=10,
+            undo_next_lsn=6,
+            comp=InsertRowsRecord(
+                slot=7, rows=(b"back", b"again"), page_id=5, object_id=10, flags=FLAG_SMO
+            ),
+            page_id=5,
+            txn_id=3,
+            prev_txn_lsn=10,
+            prev_page_lsn=10,
+            object_id=10,
+            flags=FLAG_SMO,
+        ),
+        "79000000100103000000000000000a00000000000000050000000a000000000000000a00"
+        "000041f8404d0a0000000000000006000000000000003b0000003b000000110100000000"
+        "0000000000000000000000000500000000000000000000000a0000005830284a07000200"
+        "04006261636b0500616761696e",
+    ),
+    (
+        ClrRecord(
+            compensated_lsn=10,
+            undo_next_lsn=6,
+            comp=DeleteRowsRecord(
+                slot=0, count=2, pair_lsn=10, page_id=6, object_id=10, flags=FLAG_SMO
+            ),
+            page_id=6,
+            txn_id=3,
+            prev_txn_lsn=10,
+            prev_page_lsn=10,
+            object_id=10,
+            flags=FLAG_SMO,
+        ),
+        "76000000100103000000000000000a00000000000000060000000a000000000000000a00"
+        "000063a438560a0000000000000006000000000000003800000038000000120100000000"
+        "0000000000000000000000000600000000000000000000000a000000dd29383b00000200"
+        "00000a00000000000000",
+    ),
 ]
 
 HEADER_FIELDS = ("lsn", "flags", "txn_id", "prev_txn_lsn", "page_id", "prev_page_lsn", "object_id")
@@ -780,10 +867,13 @@ class TestGoldenBytes:
         assert comps == {
             DeleteRowRecord, InsertRowRecord, UpdateRowRecord, SetLinksRecord,
             PageImageRecord, DeformatPageRecord, DeallocPageRecord, AllocPageRecord,
+            InsertRowsRecord, DeleteRowsRecord,
         }
         for kind in (DeleteRowRecord, UpdateRowRecord):  # optional blobs both ways
             blobs = [getattr(rec, kind.FIELDS[1][0]) for rec, _ in GOLDEN if type(rec) is kind]
             assert None in blobs and any(blob is not None for blob in blobs)
+        moved = [rec.rows for rec, _ in GOLDEN if type(rec) is DeleteRowsRecord]
+        assert () in moved and any(moved)  # row-move deletes with rows and without
 
     @pytest.mark.parametrize("rec, hexed", GOLDEN, ids=lambda v: type(v).__name__)
     def test_same_bytes_and_same_fields(self, rec, hexed):
@@ -883,6 +973,7 @@ KIND_STRATEGIES = {
     BLOB: st.binary(max_size=100),
     OPT_BLOB: st.none() | st.binary(max_size=100),
     PAIRS: st.lists(st.tuples(U64S, U64S), max_size=5).map(tuple),
+    ROWS: st.lists(st.binary(max_size=40), max_size=5).map(tuple),
 }
 HEADER_STRATEGIES = {
     "flags": KIND_STRATEGIES[U8],
@@ -928,7 +1019,7 @@ def test_docs_tabulate_every_spec():
         number, name = re.match(r"(\d+) · `(\w+)`\n", section).groups()
         rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \| `(.*)` \|$", section.split("\n## ")[0], re.M)
         documented[name] = (int(number), rows)
-    kinds = "U8 U16 U32 U64 F64 BOOL BLOB OPT_BLOB PAIRS RECORD".split()
+    kinds = "U8 U16 U32 U64 F64 BOOL BLOB OPT_BLOB PAIRS ROWS RECORD".split()
     kind_names = {getattr(records, name): name for name in kinds}
     assert documented == {
         cls.__name__: (
