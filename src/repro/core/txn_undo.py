@@ -33,7 +33,6 @@ from repro.wal.records import (
     DeleteRowRecord,
     FormatPageRecord,
     InsertRowRecord,
-    RecordType,
     UpdateRowRecord,
 )
 
@@ -63,33 +62,29 @@ class TxnUndoReport:
         )
 
 
-def _find_transaction(db, txn_id: int):
-    """Locate the transaction's chain head and commit status in the log."""
-    last_lsn = NULL_LSN
-    committed = False
-    aborted = False
-    for header, _raw in db.log.scan_headers(db.log.start_lsn, stop_on_torn_tail=True):
-        if header.txn_id != txn_id:
-            continue
-        if header.record_type == RecordType.COMMIT:
-            committed = True
-        elif header.record_type == RecordType.ABORT:
-            aborted = True
-        last_lsn = header.lsn
-    return last_lsn, committed, aborted
+def _find_transaction(db, txn_id: int) -> CommitRecord:
+    """The transaction's COMMIT: the log's transaction directory names its
+    end record, the one record read."""
+    span = db.log.transaction_span(txn_id)
+    if span is None:
+        raise TransactionError(f"transaction {txn_id} not found in the log")
+    if span[1] is None:
+        raise TransactionError(f"transaction {txn_id} is not committed; use rollback")
+    end = db.log.read(span[1])
+    if not isinstance(end, CommitRecord):
+        raise TransactionError(f"transaction {txn_id} already rolled back")
+    return end
 
 
 def _collect_row_changes(db, txn_id: int, last_lsn: int):
-    """The transaction's undoable records, newest first."""
+    """The transaction's undoable records, newest first, from ``last_lsn``
+    (its COMMIT's ``prev_txn_lsn``)."""
     records = []
     cur = last_lsn
     while cur != NULL_LSN:
         rec = db.log.read(cur)
         if isinstance(rec, BeginRecord):
             break
-        if isinstance(rec, (CommitRecord,)):
-            cur = rec.prev_txn_lsn
-            continue
         if isinstance(rec, ClrRecord):
             cur = rec.undo_next_lsn
             continue
@@ -120,16 +115,8 @@ def undo_transaction(db, txn_id: int, *, conflict_policy: str = "abort") -> TxnU
     """
     if conflict_policy not in ("abort", "force", "skip"):
         raise ValueError(f"unknown conflict policy {conflict_policy!r}")
-    last_lsn, committed, aborted = _find_transaction(db, txn_id)
-    if last_lsn == NULL_LSN:
-        raise TransactionError(f"transaction {txn_id} not found in the log")
-    if aborted:
-        raise TransactionError(f"transaction {txn_id} already rolled back")
-    if not committed:
-        raise TransactionError(
-            f"transaction {txn_id} is not committed; use rollback"
-        )
-    records = _collect_row_changes(db, txn_id, last_lsn)
+    commit = _find_transaction(db, txn_id)
+    records = _collect_row_changes(db, txn_id, commit.prev_txn_lsn)
 
     report = TxnUndoReport(txn_id=txn_id)
     txn = db.begin()
@@ -210,8 +197,6 @@ def _undo_heap_row(db, txn, rec, policy, report) -> bool:
         return not _conflict(
             report, policy, f"heap op at {rec.lsn:#x} is not an insert"
         )
-    from repro.wal.records import UpdateRowRecord as _Update
-
     with db.fetch_page(rec.page_id) as guard:
         page = guard.page
         if rec.slot >= page.slot_count:
@@ -226,7 +211,7 @@ def _undo_heap_row(db, txn, rec, policy, report) -> bool:
                 report, policy, f"heap slot {rec.slot} modified since"
             ):
                 return False
-        comp = _Update(
+        comp = UpdateRowRecord(
             slot=rec.slot,
             old=current,
             new=b"",

@@ -21,6 +21,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 
+from repro.errors import TransactionError
 from repro.wal.lsn import NULL_LSN, format_lsn
 from repro.wal.records import (
     BeginRecord,
@@ -86,13 +87,20 @@ def describe_record(rec: LogRecord) -> str:
 
 
 def transaction_history(db, txn_id: int, *, max_records: int = 1000) -> list[LogRecord]:
-    """A transaction's records, newest first (rollbacks included)."""
-    last = NULL_LSN
-    for header, _raw in db.log.scan_headers(db.log.start_lsn, stop_on_torn_tail=True):
-        if header.txn_id == txn_id:
-            last = header.lsn
+    """A transaction's records, newest first (rollbacks included), from
+    its COMMIT or ABORT, or from its newest record while it is open here:
+    the log's transaction directory finds the head and only the chain is
+    read. An id the log does not hold has none. A transaction in flight on
+    a standby has no owner there to name its newest record: its history
+    ends on the primary."""
+    span = db.log.transaction_span(txn_id)
+    if span is None:
+        return []
+    owners = {txn.txn_id: txn.last_lsn for txn in db.txns.active_transactions()}
+    current = owners.get(txn_id) if span[1] is None else span[1]
+    if current is None:
+        raise TransactionError(f"transaction {txn_id} in flight: its history ends on the primary")
     chain = []
-    current = last
     while current != NULL_LSN and len(chain) < max_records:
         rec = db.log.read(current)
         chain.append(rec)

@@ -18,8 +18,9 @@ and keeps a :class:`WallDirectory` of each kind beside its bytes: SplitLSN
 search is two bisections that read no log block instead of a back-chain
 walk and a scan forward from a checkpoint (``docs/wal-format.md``, "Wall
 directories"). A :class:`TransactionDirectory` notes each transaction's
-BEGIN and end, so who was in flight at an AS OF split is a lookup
-that reads no log ("Transaction directory").
+BEGIN and end, so who was in flight at an AS OF split, and where a
+named transaction's chain ends, are lookups that read no log
+("Transaction directory").
 """
 
 from __future__ import annotations
@@ -187,6 +188,19 @@ class TransactionDirectory:
         found.update((txn_id, lsn) for txn_id, lsn in self._open.items() if lsn <= split)
         return found
 
+    def span(self, txn_id: int) -> tuple[int, int | None] | None:
+        """``(begin, end)`` of ``txn_id``, ``end`` ``None`` while it is
+        open; ``None`` when no entry holds it. An id is in at most one
+        ended entry: :meth:`cut` takes an ended entry back, reopened or
+        forgotten, before its transaction can end again."""
+        if txn_id in self._open:
+            return self._open[txn_id], None
+        try:
+            k = self._ids.index(txn_id, 0, self._n)
+        except ValueError:
+            return None
+        return self._begins[k], self._ends[k]
+
     def drop_below(self, lsn: int) -> None:
         """Forget the transactions that ended below ``lsn``."""
         i = bisect_left(self._ends, lsn, 0, self._n)
@@ -302,6 +316,14 @@ class LogManager:
         begun below the log."""
         with self.latch:
             return self._txn_dir.in_flight(split)
+
+    def transaction_span(self, txn_id: int) -> tuple[int, int | None] | None:
+        """:meth:`TransactionDirectory.span`: ``(BEGIN LSN, COMMIT or
+        ABORT LSN)`` of ``txn_id``, ``NULL_LSN`` for one begun below the
+        log and ``None`` for an end not logged yet; ``None`` for an id the
+        log never held, cut away or trimmed. Reads no log."""
+        with self.latch:
+            return self._txn_dir.span(txn_id)
 
     # ------------------------------------------------------------------
     # Append / flush

@@ -15,6 +15,7 @@ from repro.core.txn_undo import (
     undo_transaction,
 )
 from repro.errors import CatalogError, RetentionExceededError, TransactionError
+from repro.tools import transaction_history
 from repro.wal.records import InsertRowRecord
 from tests.conftest import fill_items
 
@@ -246,7 +247,7 @@ class TestTransactionUndo:
 
     def test_rejects_unknown(self, items_db, monkeypatch):
         fill_items(items_db, 3)
-        # Looking a transaction up reads headers: no row body is decoded.
+        # Looking a transaction up reads no record: no row body is decoded.
         monkeypatch.setattr(InsertRowRecord, "_decode_body", None)
         with pytest.raises(TransactionError):
             undo_transaction(items_db, 999999)
@@ -259,6 +260,57 @@ class TestTransactionUndo:
         db.rollback(txn)
         with pytest.raises(TransactionError):
             undo_transaction(db, txn.txn_id)
+
+    def test_finds_a_transaction_near_the_tip_without_a_scan(self, items_db, monkeypatch):
+        """Over a log of several 64 KiB blocks, history and undo of a
+        transaction near the tip read no log block sequentially: the log's
+        transaction directory names its end record, and that record and
+        its chain are the only records either reads."""
+        db = items_db
+        fill_items(db, 5)
+        for start in range(100, 3100, 100):
+            fill_items(db, 100, start)
+        txn_id = self._committed_txn(db)
+        fill_items(db, 5, start=5000)
+        db.log.flush()
+        assert db.log.end_lsn // db.log.block_size >= 4
+        chain = [header.lsn for header, _raw in db.log.scan_headers(db.log.start_lsn)
+                 if header.txn_id == txn_id][::-1]
+        db.log._cache.clear()
+        reads = []
+        read = db.log.read
+
+        def counting(lsn, **kwargs):
+            reads.append(lsn)
+            return read(lsn, **kwargs)
+
+        monkeypatch.setattr(db.log, "read", counting)
+        stats = db.env.stats
+        scanned = (stats.log_scan_reads, stats.log_scan_bytes)
+        assert [rec.lsn for rec in transaction_history(db, txn_id)] == reads == chain
+        reads.clear()
+        assert undo_transaction(db, txn_id).undone == 3
+        assert reads == chain
+        assert (stats.log_scan_reads, stats.log_scan_bytes) == scanned
+
+    def test_history_of_a_transaction_in_flight(self, engine, items_db):
+        """Open on its own database, a transaction's history starts at its
+        newest record. A standby holds its records but not its owner: there
+        the history ends on the primary."""
+        db = items_db
+        fill_items(db, 3)
+        txn = db.begin()
+        db.insert(txn, "items", (70, "open", 7))
+        db.update(txn, "items", (1,), {"qty": 1})
+        db.log.flush()
+        standby = engine.add_replica("itemsdb", "standby")
+        chain = transaction_history(db, txn.txn_id)
+        assert chain[0].lsn == txn.last_lsn and len(chain) == 3
+        assert type(chain[-1]).__name__ == "BeginRecord"
+        assert standby.db.log.transaction_span(txn.txn_id) == (txn.first_lsn, None)
+        with pytest.raises(TransactionError, match="ends on the primary"):
+            transaction_history(standby.db, txn.txn_id)
+        db.rollback(txn)
 
     def test_rejects_ddl(self, items_db, wide_schema):
         db = items_db

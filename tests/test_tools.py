@@ -81,7 +81,7 @@ class TestLogInspect:
 
         monkeypatch.setattr(InsertRowRecord, "_decode_body", staticmethod(counting))
         chain = transaction_history(db, txn.txn_id)
-        # Finding the chain's head reads headers; only the chain is decoded.
+        # Finding the chain's head reads no log; only the chain is decoded.
         assert len(inserts) == sum(isinstance(rec, InsertRowRecord) for rec in chain) == 1
         kinds = [type(rec).__name__ for rec in chain]
         assert kinds[0] == "CommitRecord"

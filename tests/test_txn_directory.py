@@ -312,6 +312,42 @@ def expected_in_flight(model: _History, split: int, opened: int, known) -> tuple
     return want, unknown
 
 
+def expected_spans(model: _History, log, opened: int, known) -> dict:
+    """What ``transaction_span`` must say of every id ``model`` handed out,
+    and of 0 and the next one, which no record names, on a log first
+    opened at ``opened`` (``known`` as in :func:`expected_in_flight`): an
+    ended id its begin and end, an open one its begin and no end, and one
+    cut, trimmed, ended below ``opened`` or never seen nothing. A begin
+    below ``opened`` reads ``NULL_LSN``."""
+    begins, ends = {}, {}
+    for rec in model.records:
+        if rec.lsn >= log.end_lsn:
+            break
+        if isinstance(rec, BeginRecord):
+            begins[rec.txn_id] = rec.lsn
+        elif isinstance(rec, (CommitRecord, AbortRecord)):
+            ends[rec.txn_id] = rec.lsn
+    want = {}
+    for txn_id in range(model.next_id + 1):
+        begin, end = begins.get(txn_id), ends.get(txn_id)
+        if begin is None or (end is not None and end < max(opened, log.start_lsn)):
+            want[txn_id] = None
+        elif begin >= opened:
+            want[txn_id] = (begin, end)
+        else:
+            want[txn_id] = (NULL_LSN, end) if known is None or txn_id in known else None
+    return want
+
+
+def assert_spans(model: _History, log, opened: int, known) -> None:
+    want = expected_spans(model, log, opened, known)
+    assert {txn_id: log.transaction_span(txn_id) for txn_id in want} == want
+    if any(span is not None and span[1] is None for span in want.values()):
+        event("an open transaction's span")
+    if any(span is None for span in list(want.values())[1:-1]):
+        event("a transaction's span cut, trimmed or unknown")
+
+
 def assert_minima_exact(log) -> None:
     """Each ended entry's minimum is the least begin of it and every entry
     after it: a cut raises the minima the entries it took back lowered, so
@@ -391,10 +427,11 @@ _STANDBY = {
 }
 
 
-def _write(ops, log_start: int, check=None) -> _History:
+def _write(ops, log_start: int, check=None, after=None) -> _History:
     """The primary history of ``ops`` after a first checkpoint; ``check``
     runs at each query step, and at each pooled AS OF read, which then
-    writes its records-only checkpoint."""
+    writes its records-only checkpoint; ``after(primary, kind)`` after
+    every other step."""
     primary = _History(log_start)
     primary.run(("checkpoint", 0))
     for kind, arg in ops:
@@ -404,6 +441,8 @@ def _write(ops, log_start: int, check=None) -> _History:
             primary.run(("records_only", 0))
         elif kind != "query":
             primary.run((kind, arg))
+            if after is not None:
+                after(primary, kind)
     primary.log.flush()
     return primary
 
@@ -444,11 +483,18 @@ def test_in_flight_equals_the_model_after_every_frame_and_discard(ops, frames, s
     """The directory at every split a log holds: the primary's after its
     whole history, a standby's after each frame it ingests, and fully
     fed copies of that standby after ``discard_after`` at its start and
-    at up to four held splits."""
-    primary = _write(ops, FIRST_LSN)
+    at up to four held splits. Every transaction's span, there and on
+    the primary after each crash and truncation."""
+
+    def after(primary: _History, kind: str) -> None:
+        if kind in ("crash", "truncate"):
+            assert_spans(primary, primary.log, FIRST_LSN, None)
+
+    primary = _write(ops, FIRST_LSN, after=after)
 
     def check(log, splits, opened: int, known) -> None:
         assert_minima_exact(log)
+        assert_spans(primary, log, opened, known)
         for split in splits:
             want, unknown = expected_in_flight(primary, split, opened, known)
             assert log.in_flight(split) == want, split
