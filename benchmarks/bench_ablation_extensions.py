@@ -81,11 +81,12 @@ def run_ablation() -> dict:
             outcomes[label] = {"result": f"failed: {type(exc).__name__}", "ok": False}
         outcomes[label]["preformat_bytes"] = db.env.stats.preformat_bytes
 
-    # --- CLR undo info / SMO delete undo info --------------------------
+    # --- CLR undo info --------------------------------------------------
+    # (Section 4.2's undo info in structure-modification deletes is no
+    # variant: a split's delete names its insert, which holds the rows.)
     for label, kwargs in (
-        ("clr+smo info on", {}),
+        ("clr info on", {}),
         ("clr info off", {"clr_undo_info": False}),
-        ("smo info off", {"smo_delete_undo_info": False}),
     ):
         config = DatabaseConfig().with_extensions(**kwargs)
         engine, db, driver = _fresh(config)
@@ -156,13 +157,12 @@ def test_ablation_extensions(bench):
     assert outcomes["preformat on"]["preformat_bytes"] > 0
 
     # Without embedded undo info the as-of query still works (derivation
-    # from the compensated/paired record) but fetches more log records.
+    # from the compensated record) but fetches more log records.
     assert outcomes["clr info off"]["ok"]
-    assert outcomes["smo info off"]["ok"]
-    base_fetches = outcomes["clr+smo info on"]["undo_fetches"]
-    assert outcomes["smo info off"]["undo_fetches"] >= base_fetches
-    # And embedding the info costs log bytes, which the leaner configs save.
-    assert outcomes["smo info off"]["log_bytes"] <= outcomes["clr+smo info on"]["log_bytes"]
+    base_fetches = outcomes["clr info on"]["undo_fetches"]
+    assert outcomes["clr info off"]["undo_fetches"] >= base_fetches
+    # And embedding the info costs log bytes, which the leaner config saves.
+    assert outcomes["clr info off"]["log_bytes"] <= outcomes["clr info on"]["log_bytes"]
 
     # The proactive COW snapshot pays for pages nobody asked about; the
     # on-demand as-of side file stays proportional to the query.

@@ -8,10 +8,10 @@ Design points that matter to the paper's mechanism:
   is reachable from the same root page.
 * **A row move is logged as an insert followed by a delete** (section 4.2
   item 3), one record for each page: the rows arrive on one page and
-  leave the other. The delete carries the rows only when the
-  ``smo_delete_undo_info`` extension is on; otherwise undo derives them
-  from the paired insert via ``pair_lsn`` at the cost of an extra log
-  read.
+  leave the other. Only the insert carries the rows: the delete names it
+  through ``pair_lsn``, and undo derives the rows from it at the cost of
+  one extra log read. Section 4.2 has the delete carry them as well; that
+  logged every moved row twice to save almost no log reads.
 * **Structure modifications run as system transactions**: they commit
   immediately, independent of the user transaction that triggered them,
   and if they lose at a crash they are undone physically (slot-exact) —
@@ -513,8 +513,8 @@ class BTree:
         as one SMO insert of the rows on dst followed by one SMO delete of
         them on src (paper section 4.2 item 3).
 
-        Moves are byte-exact so a delete lacking the rows (extension off)
-        can derive them from its paired insert via ``pair_lsn``. For
+        Moves are byte-exact so the delete, which carries no rows, can
+        derive them from its paired insert via ``pair_lsn``. For
         interior pages the first moved entry keeps its separator key: entry
         0 of an interior node is treated as -inf by the descent regardless
         of its stored key, so no re-encoding is needed.
@@ -532,7 +532,6 @@ class BTree:
         delete = DeleteRowsRecord(
             slot=start_slot,
             count=len(rows),
-            rows=rows if modifier.extensions.smo_delete_undo_info else (),
             pair_lsn=modifier.apply(txn, dst_guard, insert),
             page_id=src.page_id,
             object_id=self.object_id,

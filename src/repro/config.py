@@ -3,8 +3,10 @@
 The knobs here map directly onto the paper:
 
 * :class:`LoggingExtensions` — section 4.2's log enhancements (preformat
-  records, undo info in CLRs and in structure-modification deletes) plus
-  section 6.1's optional full page images every Nth page modification.
+  records, undo info in CLRs) plus section 6.1's optional full page
+  images every Nth page modification. Section 4.2's third, undo info in
+  structure-modification deletes, is no option: a B-tree row move's
+  delete names its insert, which holds the rows (``access/btree.py``).
 * ``undo_interval_s`` — section 4.3's retention period
   (``ALTER DATABASE ... SET UNDO_INTERVAL``).
 * ``checkpoint_interval_s`` — section 6's 30-second target recovery
@@ -31,9 +33,10 @@ class LoggingExtensions:
     """Switches for the transaction-log extensions of paper section 4.2.
 
     With ``enabled=False`` the engine logs exactly what classic ARIES
-    needs for crash recovery — and page-oriented undo then fails whenever
-    it crosses a CLR or a structure-modification delete, which is the
-    ablation the benchmarks demonstrate.
+    needs for crash recovery — and page-oriented undo then fetches the
+    compensated record behind every CLR it crosses, and cannot rewind a
+    re-allocated page past its re-format, which is the ablation the
+    benchmarks demonstrate.
     """
 
     #: Master switch for the as-of logging extensions.
@@ -42,8 +45,6 @@ class LoggingExtensions:
     preformat_on_realloc: bool = True
     #: Compensation log records carry undo information (section 4.2 item 2).
     clr_undo_info: bool = True
-    #: B-tree split/merge row moves carry undo info in deletes (item 3).
-    smo_delete_undo_info: bool = True
     #: Log a full page image after every Nth modification of a page
     #: (section 6.1); 0 disables periodic images.
     page_image_interval: int = 0
@@ -56,7 +57,6 @@ class LoggingExtensions:
             enabled=False,
             preformat_on_realloc=False,
             clr_undo_info=False,
-            smo_delete_undo_info=False,
             page_image_interval=0,
         )
 

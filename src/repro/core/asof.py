@@ -86,7 +86,8 @@ class SnapshotAllocator:
     Background logical undo occasionally has to *re-insert* a row whose
     page filled up with other committed data before the SplitLSN; the
     resulting split lives only in the sparse file, so page ids are virtual
-    and never ever-allocated.
+    and never ever-allocated. Nothing frees one: only a dropped table's
+    pages are deallocated, and a snapshot's catalog is never written.
     """
 
     def __init__(self) -> None:
@@ -96,9 +97,6 @@ class SnapshotAllocator:
         pid = self._next
         self._next += 1
         return pid, False
-
-    def deallocate(self, txn, page_id: int) -> None:
-        """Virtual pages are throwaway; nothing to do."""
 
 
 class _SnapshotGuard(FrameGuard):

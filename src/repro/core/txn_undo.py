@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import ReproError, TransactionError
+from repro.errors import ReproError, RetentionExceededError, TransactionError
 from repro.wal.lsn import NULL_LSN
 from repro.wal.records import (
     AllocPageRecord,
@@ -64,10 +64,14 @@ class TxnUndoReport:
 
 def _find_transaction(db, txn_id: int) -> CommitRecord:
     """The transaction's COMMIT: the log's transaction directory names its
-    end record, the one record read."""
+    end record, the one record read. A transaction whose BEGIN retention
+    truncated cannot be walked back: that is told from the span, as AS OF
+    tells it, before any record is read."""
     span = db.log.transaction_span(txn_id)
     if span is None:
         raise TransactionError(f"transaction {txn_id} not found in the log")
+    if span[0] < db.log.start_lsn:  # NULL_LSN too: begun below the log
+        raise RetentionExceededError(f"transaction {txn_id} began below the retention horizon")
     if span[1] is None:
         raise TransactionError(f"transaction {txn_id} is not committed; use rollback")
     end = db.log.read(span[1])

@@ -58,11 +58,14 @@ class LogRecordDecodeError(WalError):
 
 
 class MissingUndoInfoError(WalError):
-    """A log record on the undo path carries no undo information.
+    """A log record on the undo path carries no undo information, and it
+    cannot be derived.
 
-    This happens only when the paper's logging extensions (undo info in
-    CLRs and in structure-modification deletes) are disabled — it is the
-    precise failure mode the extensions of section 4.2 exist to prevent.
+    A CLR logged without ``clr_undo_info`` and a B-tree row move's delete
+    derive theirs from the record they compensate or pair with, so this
+    happens when that record cannot be fetched, or when a page chain
+    breaks (a re-allocation logged without its preformat image) — the
+    failure modes the extensions of section 4.2 exist to prevent.
     """
 
 

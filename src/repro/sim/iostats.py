@@ -80,7 +80,6 @@ class IoStats:
     page_image_records: int = 0
     page_image_bytes: int = 0
     clr_undo_bytes: int = 0
-    smo_delete_undo_bytes: int = 0
 
     # Snapshot side-file traffic.
     sparse_reads: int = 0

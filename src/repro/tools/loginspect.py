@@ -21,7 +21,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 
-from repro.errors import TransactionError
+from repro.errors import RetentionExceededError, TransactionError
 from repro.wal.lsn import NULL_LSN, format_lsn
 from repro.wal.records import (
     BeginRecord,
@@ -92,10 +92,13 @@ def transaction_history(db, txn_id: int, *, max_records: int = 1000) -> list[Log
     the log's transaction directory finds the head and only the chain is
     read. An id the log does not hold has none. A transaction in flight on
     a standby has no owner there to name its newest record: its history
-    ends on the primary."""
+    ends on the primary. One whose BEGIN retention truncated raises
+    :class:`RetentionExceededError` before any record is read."""
     span = db.log.transaction_span(txn_id)
     if span is None:
         return []
+    if span[0] < db.log.start_lsn:  # NULL_LSN too: begun below the log
+        raise RetentionExceededError(f"transaction {txn_id} began below the retention horizon")
     owners = {txn.txn_id: txn.last_lsn for txn in db.txns.active_transactions()}
     current = owners.get(txn_id) if span[1] is None else span[1]
     if current is None:

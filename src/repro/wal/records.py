@@ -10,10 +10,11 @@ LSN before this modification — forming the per-page back-chain that
   page, used by page-oriented undo while walking the chain in reverse.
   ``fetch`` is a callable ``lsn -> LogRecord`` used to *derive* undo
   information that the paper's section 4.2 extensions would have embedded:
-  a structure-modification delete without a row image derives it from its
-  paired insert; a CLR without undo info derives it from the record it
-  compensates. Derivation costs extra log reads — the trade-off the paper
-  calls out when it "chooses simplicity over optimizing the size".
+  a B-tree row move's delete, which never carries its rows, derives them
+  from its paired insert; a CLR without undo info derives it from the
+  record it compensates. Derivation costs extra log reads — the trade-off
+  the paper calls out when it "chooses simplicity over optimizing the
+  size".
 
 Transaction rollback does **not** use ``physical_undo`` for ordinary row
 operations; it performs *logical* undo (re-locating the row by key) because
@@ -768,10 +769,18 @@ class DeleteRowsRecord(LogRecord):
     highest first: the delete half of a B-tree row move, one record for
     the page the rows leave.
 
-    With the section 4.2 extension (``smo_delete_undo_info``) it carries
-    the rows; otherwise ``rows`` is empty and undo derives them from the
-    paired :class:`InsertRowsRecord` via ``pair_lsn``, at the cost of an
-    extra log read.
+    A row move's delete carries no rows: ``pair_lsn`` names the paired
+    :class:`InsertRowsRecord`, and undo derives the rows from it at the
+    cost of an extra log read. Only a CLR's compensation of a rolled-back
+    move's insert fills ``rows``, and only with ``clr_undo_info``.
+
+    Retention never strands a delete whose insert was truncated. Take a
+    split *S* with the delete above *S* and the insert below the log's
+    start: the move's system transaction began before its insert, below
+    the start, and commits after its delete, above *S*, so it is in
+    flight at *S*. :func:`~repro.core.asof.snapshot_analysis` reads from
+    that BEGIN and fails before any page is walked; the snapshot raises
+    :class:`~repro.errors.RetentionExceededError`.
     """
 
     TYPE = RecordType.DELETE_ROWS
@@ -942,6 +951,10 @@ class ClrRecord(LogRecord):
       compensated record — the derivation the paper deems possible but
       rejects for simplicity; it costs an extra (potentially stalling)
       log read, which the ablation benchmark measures.
+
+    A B-tree row move's own delete takes the second way whatever the
+    setting (:class:`DeleteRowsRecord`): its rows are in the paired
+    insert, and logging them twice saved almost no log reads.
     """
 
     TYPE = RecordType.CLR

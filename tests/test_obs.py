@@ -182,7 +182,16 @@ def test_metric_names_and_values_are_pinned():
     applied LSNs 23 236 → 16 668, bytes archived and received 23 228 →
     16 660, archive writes 30 492 → 23 924, bytes shipped 46 456 →
     33 320, the standby's records applied 254 → 134 and its peak apply
-    backlog 13 784 → 10 500."""
+    backlog 13 784 → 10 500. A split's delete no longer carries the rows
+    its paired insert holds, so the loads' four row-move deletes shrink
+    below 64 bytes: ``log.append_bytes``' 64-byte bucket 49 → 53 and its
+    1024-byte one 8 → 4, its sum and the log's retained bytes 16 969 →
+    15 187, the end and durable LSNs 16 977 → 15 195,
+    ``io.log_write_bytes`` 33 629 → 30 065, the archived, received and
+    applied LSNs 16 668 → 14 886, bytes archived and received 16 660 →
+    14 878, archive writes 23 924 → 22 142, bytes shipped 33 320 → 29 756
+    and the standby's peak apply backlog 10 500 → 9 614; and the counter
+    ``io.smo_delete_undo_bytes`` is gone (nothing ever added to it)."""
     engine = _topology()
     golden = json.loads(GOLDEN.read_text())
     assert sorted(engine.env.metrics.names()) == golden["names"]

@@ -211,11 +211,10 @@ class TestFailureModes:
         del mark
 
     def test_smo_delete_without_extension_derives_from_pair(self):
-        """Extension off: undo still works via pair_lsn derivation, at the
-        cost of extra log reads (the paper's rejected alternative)."""
-        config = DatabaseConfig(page_size=1024, buffer_pool_pages=64).with_extensions(
-            smo_delete_undo_info=False
-        )
+        """A split's delete carries no rows (section 4.2's SMO-delete undo
+        info is not logged): undo derives them from the paired insert via
+        pair_lsn, at the cost of extra log reads."""
+        config = DatabaseConfig(page_size=1024, buffer_pool_pages=64)
         engine = Engine(config=config)
         db = engine.create_database("noext")
         db.create_table(ITEMS_SCHEMA)

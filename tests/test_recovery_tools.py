@@ -293,6 +293,27 @@ class TestTransactionUndo:
         assert reads == chain
         assert (stats.log_scan_reads, stats.log_scan_bytes) == scanned
 
+    def test_a_transaction_begun_below_the_retention_horizon(self, items_db, monkeypatch):
+        """Retention cuts between a committed transaction's two inserts:
+        its history and its undo raise RetentionExceededError, as AS OF
+        does, and read no record to tell."""
+        db = items_db
+        fill_items(db, 3)
+        txn = db.begin()
+        db.insert(txn, "items", (80, "first", 8))
+        db.log.flush()
+        db.insert(txn, "items", (81, "second", 8))
+        cut = txn.last_lsn
+        db.commit(txn)
+        db.log.truncate_before(cut)
+        begin, end = db.log.transaction_span(txn.txn_id)
+        assert begin < db.log.start_lsn < end
+        monkeypatch.setattr(db.log, "read", None)
+        with pytest.raises(RetentionExceededError, match="retention horizon"):
+            transaction_history(db, txn.txn_id)
+        with pytest.raises(RetentionExceededError, match="retention horizon"):
+            undo_transaction(db, txn.txn_id)
+
     def test_history_of_a_transaction_in_flight(self, engine, items_db):
         """Open on its own database, a transaction's history starts at its
         newest record. A standby holds its records but not its owner: there

@@ -185,7 +185,7 @@ def test_a_clr_around_either_record_is_undone_through_it(inline):
 # ---------------------------------------------------------------------------
 
 ROOMY = DatabaseConfig(page_size=1024, buffer_pool_pages=2048)
-NO_UNDO_INFO = ROOMY.with_extensions(smo_delete_undo_info=False, clr_undo_info=False)
+NO_UNDO_INFO = ROOMY.with_extensions(clr_undo_info=False)
 KEYS = random.Random(45).sample(range(0, 20000, 2), 600)
 
 
@@ -217,6 +217,22 @@ def split_records(config, count: int) -> list:
     before = db.log.end_lsn
     insert_keys(db, KEYS[count : count + 1])
     return [rec for rec in db.log.scan(before) if rec.is_smo]
+
+
+def test_a_split_logs_its_moved_rows_once():
+    """Over a load that splits pages, every row-move delete is rowless and
+    names, through ``pair_lsn``, the insert of its own system transaction
+    that holds the rows it moved."""
+    _engine, db = new_db(ROOMY)
+    insert_keys(db, KEYS)
+    logged = {rec.lsn: rec for rec in db.log.scan(db.log.start_lsn)}
+    deletes = [rec for rec in logged.values() if isinstance(rec, DeleteRowsRecord)]
+    assert len(deletes) >= 10
+    for delete in deletes:
+        assert delete.rows == () and delete.count > 0
+        insert = logged[delete.pair_lsn]
+        assert isinstance(insert, InsertRowsRecord)
+        assert insert.txn_id == delete.txn_id and len(insert.rows) == delete.count
 
 
 @pytest.mark.parametrize("config", [ROOMY, NO_UNDO_INFO], ids=["undo info", "pair fetch"])
@@ -265,15 +281,15 @@ def test_a_split_undone_at_any_record_leaves_every_row(root, config):
 @given(
     first=st.integers(1, 10),
     sizes=st.lists(st.integers(20, 120), min_size=1, max_size=3),
-    inline=st.booleans(),
+    clr_info=st.booleans(),
     seed=st.integers(0, 2**16),
 )
-def test_as_of_before_and_after_splits_equals_the_reference(first, sizes, inline, seed):
+def test_as_of_before_and_after_splits_equals_the_reference(first, sizes, clr_info, seed):
     """A first batch too small to split the root, then batches of inserts,
     updates and deletes that split pages; an AS OF read at the mark after
     each batch equals the table the test kept."""
     rng = random.Random(seed)
-    engine, db = new_db(ROOMY if inline else NO_UNDO_INFO)
+    engine, db = new_db(ROOMY if clr_info else NO_UNDO_INFO)
     reference: dict = {}
     marks, heights = [], []
     for size in (first, *sizes):
