@@ -43,7 +43,7 @@ from repro.wal.records import (
     InsertRowRecord,
     InsertRowsRecord,
     SetLinksRecord,
-    UpdateRowRecord,
+    UpdateBytesRecord,
 )
 
 _ENTRY_CHILD = struct.Struct("<IB")
@@ -316,7 +316,7 @@ class BTree:
                 f"{self.schema.name}: update must preserve the key"
             )
         new_bytes = self.codec.encode(new_row)
-        old_bytes = self._update_bytes(txn, key, new_bytes, clr_for=None)
+        old_bytes = self._update_bytes(txn, key, new_bytes)
         return self.codec.decode(old_bytes)
 
     # -- shared write plumbing (also drives CLR-mode undo writes) -------
@@ -363,9 +363,10 @@ class BTree:
             self._split(guard.page_id, path)
         raise StorageError(f"{self.schema.name}: insert did not converge")
 
-    def _update_bytes(self, txn, key: tuple, new, clr_for) -> bytes:
+    def _update_bytes(self, txn, key: tuple, new) -> bytes:
         """Rewrite the row at ``key`` in place (splitting its leaf until the
-        new image fits); returns the old row bytes.
+        new image fits), logging the bytes that changed; returns the old
+        row bytes.
 
         ``new`` is the new row's bytes, or a function from the old row's
         bytes to them, called once, while the leaf holding the old row is
@@ -387,15 +388,15 @@ class BTree:
                     new = new(old_bytes)  # a split moves the row byte-exact
                 growth = len(new) - len(old_bytes)
                 if growth <= 0 or page.total_free() >= growth:
-                    rec = UpdateRowRecord(
-                        slot=slot,
-                        old=old_bytes,
-                        new=new,
+                    rec = UpdateBytesRecord.between(
+                        slot,
+                        old_bytes,
+                        new,
                         key_bytes=key_bytes,
                         page_id=guard.page_id,
                         object_id=self.object_id,
                     )
-                    self.services.modifier.apply(txn, guard, self._wrap(rec, clr_for))
+                    self.services.modifier.apply(txn, guard, rec)
                     return old_bytes
             self._split(guard.page_id, path)
         raise StorageError(f"{self.schema.name}: update did not converge")
@@ -432,15 +433,16 @@ class BTree:
         key = self.key_codec.decode(rec.key_bytes)
         self._insert_bytes(txn, row_bytes, key, clr_for=rec)
 
-    def undo_update(self, txn, rec: UpdateRowRecord) -> None:
-        """Compensate an update: restore the before-image (may split)."""
-        if rec.old is None:
-            raise KeyNotFoundError(
-                f"{self.schema.name}: undo-update lacks a before-image"
-            )
+    def undo_update(self, txn, rec: UpdateBytesRecord) -> None:
+        """Compensate an update: splice its before-span back (may split).
+
+        Strict 2PL leaves the row found by key holding ``rec``'s
+        after-image, so the compensation (:meth:`UpdateBytesRecord.inverse`)
+        mirrors ``rec``'s offset and spans, wherever the row now lies.
+        """
         key = self.key_codec.decode(rec.key_bytes)
-        key_bytes = rec.key_bytes
         ext = self.services.modifier.extensions
+        growth = len(rec.old) - len(rec.new)
         for _attempt in range(_MAX_DESCENT_RETRIES):
             guard, path = self._descend(key)
             with guard:
@@ -450,14 +452,10 @@ class BTree:
                     raise KeyNotFoundError(
                         f"{self.schema.name}: undo-update cannot find {key!r}"
                     )
-                current = page.record(slot)
-                growth = len(rec.old) - len(current)
                 if growth <= 0 or page.total_free() >= growth:
-                    comp = UpdateRowRecord(
-                        slot=slot,
-                        new=rec.old,
-                        old=rec.new if ext.clr_undo_info else None,
-                        key_bytes=key_bytes,
+                    comp = rec.inverse(
+                        slot,
+                        with_old=ext.clr_undo_info,
                         page_id=guard.page_id,
                         object_id=self.object_id,
                     )

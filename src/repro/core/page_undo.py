@@ -90,6 +90,8 @@ def prepare_page_version(
     asof_lsn: int,
     log: LogManager,
     env: SimEnv,
+    *,
+    fetch=None,
 ) -> PreparedVersion | None:
     """Rewind ``page`` (in place) to ``asof_lsn`` and report the validity
     interval: the paper's ``PreparePageAsOf(page, asOfLSN)``.
@@ -103,10 +105,11 @@ def prepare_page_version(
     :class:`~repro.errors.LogTruncatedError` when the chain leaves the
     retention window and :class:`~repro.errors.MissingUndoInfoError` when
     a record on the path cannot be inverted (extensions disabled and
-    derivation impossible).
+    derivation impossible). ``fetch`` (``lsn -> LogRecord``, by default
+    ``log.undo_fetch``) lets a caller serve records it already holds.
     """
     env.stats.pages_prepared_asof += 1
-    fetch = log.undo_fetch
+    fetch = fetch or log.undo_fetch
     current = page.page_lsn
     if current == NULL_LSN and not page.is_formatted():
         return None

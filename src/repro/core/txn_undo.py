@@ -22,7 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.page_undo import prepare_page_version
 from repro.errors import ReproError, RetentionExceededError, TransactionError
+from repro.storage.page import Page
 from repro.wal.lsn import NULL_LSN
 from repro.wal.records import (
     AllocPageRecord,
@@ -33,6 +35,7 @@ from repro.wal.records import (
     DeleteRowRecord,
     FormatPageRecord,
     InsertRowRecord,
+    UpdateBytesRecord,
     UpdateRowRecord,
 )
 
@@ -97,7 +100,9 @@ def _collect_row_changes(db, txn_id: int, last_lsn: int):
                 f"transaction {txn_id} contains DDL/allocation at "
                 f"{rec.lsn:#x}; use an as-of snapshot instead"
             )
-        if isinstance(rec, (InsertRowRecord, DeleteRowRecord, UpdateRowRecord)):
+        if isinstance(rec, UpdateRowRecord):  # an older log's update
+            rec = rec.as_span()
+        if isinstance(rec, (InsertRowRecord, DeleteRowRecord, UpdateBytesRecord)):
             records.append(rec)
         cur = rec.prev_txn_lsn
     return records
@@ -109,10 +114,19 @@ def undo_transaction(db, txn_id: int, *, conflict_policy: str = "abort") -> TxnU
     ``conflict_policy``:
 
     * ``"abort"`` — raise :class:`TransactionUndoConflict` (rolling back
-      any partial compensation) when a row no longer holds the value the
+      any partial compensation) when a row no longer holds what the
       target transaction left;
-    * ``"force"`` — compensate anyway, last-writer-wins;
+    * ``"force"`` — compensate anyway, the undo's values winning;
     * ``"skip"`` — leave conflicting rows alone, report them.
+
+    An update is logged as the bytes it changed, not the whole row, so
+    the undo reads the row as the transaction left it off the record's
+    page, rewound to the record's LSN by ``PreparePageAsOf``, and decides
+    by column: the row conflicts when a column the transaction changed no
+    longer holds the value it wrote. The undo puts back only those
+    columns, to the values they held before it (``"force"`` too, over a
+    conflict), so a later write to another column of the row is no
+    conflict and survives the undo.
 
     The compensation runs as a regular new transaction (fully logged, so
     it is itself undoable and visible to as-of snapshots).
@@ -121,6 +135,8 @@ def undo_transaction(db, txn_id: int, *, conflict_policy: str = "abort") -> TxnU
         raise ValueError(f"unknown conflict policy {conflict_policy!r}")
     commit = _find_transaction(db, txn_id)
     records = _collect_row_changes(db, txn_id, commit.prev_txn_lsn)
+
+    left = _rows_as_left(db, records)
 
     report = TxnUndoReport(txn_id=txn_id)
     txn = db.begin()
@@ -133,7 +149,7 @@ def undo_transaction(db, txn_id: int, *, conflict_policy: str = "abort") -> TxnU
             if rec.is_heap:
                 self_undone = _undo_heap_row(db, txn, rec, conflict_policy, report)
             else:
-                self_undone = _undo_tree_row(db, txn, rec, conflict_policy, report)
+                self_undone = _undo_tree_row(db, txn, rec, left, conflict_policy, report)
             report.undone += int(self_undone)
     except BaseException:
         db.rollback(txn)
@@ -150,7 +166,7 @@ def _conflict(report, policy, description) -> bool:
     return policy == "skip"
 
 
-def _undo_tree_row(db, txn, rec, policy, report) -> bool:
+def _undo_tree_row(db, txn, rec, left, policy, report) -> bool:
     tree = db.tree_for_object(rec.object_id)
     if tree is None:
         return not _conflict(
@@ -182,17 +198,45 @@ def _undo_tree_row(db, txn, rec, policy, report) -> bool:
         tree._insert_bytes(txn, rec.row, key, clr_for=None)
         return True
 
-    # UpdateRowRecord
-    expected = tree.codec.decode(rec.new)
+    # UpdateBytesRecord: it holds only the bytes it changed, so the row as
+    # it left them comes off its page; the columns it changed conflict when
+    # a later writer changed them again, and only they are put back.
     if current is None:
         _conflict(report, policy, f"{handle_name}{key!r}: row deleted since")
         return False
-    if current != expected and _conflict(
+    row = left[rec.lsn]
+    after, before = tree.codec.decode(row), tree.codec.decode(rec.before(row))
+    changed = [i for i, (then, was) in enumerate(zip(after, before)) if then != was]
+    if any(current[i] != after[i] for i in changed) and _conflict(
         report, policy, f"{handle_name}{key!r}: modified since (have {current!r})"
     ):
         return False
-    tree._update_bytes(txn, key, rec.old, clr_for=None)
+    restored = list(current)
+    for i in changed:
+        restored[i] = before[i]
+    tree._update_bytes(txn, key, tree.codec.encode(tuple(restored)))
     return True
+
+
+def _rows_as_left(db, records) -> dict[int, bytes]:
+    """Each tree row update's row as it left it, by LSN: its page, before
+    the compensation writes, rewound to its LSN by ``PreparePageAsOf``
+    (section 4), wherever the row has moved since. The transaction's own
+    records come from ``records``, so the log is read only for another
+    writer's records on the page."""
+    own = {rec.lsn: rec for rec in records}
+
+    def fetch(lsn):
+        return own.get(lsn) or db.log.undo_fetch(lsn)
+
+    left = {}
+    for rec in records:
+        if isinstance(rec, UpdateBytesRecord) and not (rec.is_smo or rec.is_heap):
+            with db.fetch_page(rec.page_id) as guard:
+                page = Page(bytearray(guard.page.data))
+            prepare_page_version(page, rec.lsn, db.log, db.env, fetch=fetch)
+            left[rec.lsn] = page.record(rec.slot)
+    return left
 
 
 def _undo_heap_row(db, txn, rec, policy, report) -> bool:
@@ -215,12 +259,8 @@ def _undo_heap_row(db, txn, rec, policy, report) -> bool:
                 report, policy, f"heap slot {rec.slot} modified since"
             ):
                 return False
-        comp = UpdateRowRecord(
-            slot=rec.slot,
-            old=current,
-            new=b"",
-            page_id=rec.page_id,
-            object_id=rec.object_id,
+        comp = UpdateBytesRecord.between(
+            rec.slot, current, b"", page_id=rec.page_id, object_id=rec.object_id
         )
         db.modifier.apply(txn, guard, comp)
     return True

@@ -39,7 +39,7 @@ from repro.txn.transaction import Transaction
 from repro.wal.apply import PageModifier
 from repro.wal.log_manager import LogManager
 from repro.wal.lsn import FIRST_LSN, NULL_LSN
-from repro.wal.records import InsertRowRecord, UpdateRowRecord
+from repro.wal.records import InsertRowRecord, UpdateBytesRecord
 
 
 class Table:
@@ -106,7 +106,7 @@ class Table:
 
         # The sim clock prices an UPDATE as a point read plus the rewrite.
         self.db.env.charge_cpu(self.db.env.cost.query_row_cpu_s)
-        tree._update_bytes(txn, key, rewrite, clr_for=None)
+        tree._update_bytes(txn, key, rewrite)
         return new_row
 
     def delete(self, txn: Transaction, key: tuple) -> tuple:
@@ -354,12 +354,8 @@ class Database:
             with self.fetch_page(BOOT_PAGE_ID) as guard:
                 old = read_boot_record(guard.page)
                 new = old.with_changes(**changes)
-                rec = UpdateRowRecord(
-                    slot=BOOT_SLOT,
-                    old=old.pack(),
-                    new=new.pack(),
-                    page_id=BOOT_PAGE_ID,
-                    object_id=0,
+                rec = UpdateBytesRecord.between(
+                    BOOT_SLOT, old.pack(), new.pack(), page_id=BOOT_PAGE_ID, object_id=0
                 )
                 self.modifier.apply(txn, guard, rec)
                 self._boot_cache = new

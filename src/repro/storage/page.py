@@ -424,6 +424,36 @@ class Page:
         _SLOT.pack_into(data, slot_pos, self._place(payload))
         self.separators = None
 
+    def splice_record(self, slot: int, offset: int, span: bytes, length: int) -> None:
+        """Write ``span`` at byte ``offset`` of the record at ``slot`` so
+        that the record ends ``length`` bytes long: its bytes before
+        ``offset`` and its last ``length - offset - len(span)`` bytes stay.
+
+        In place when the length does not change; otherwise
+        :meth:`update_record` of the spliced payload. Either way the page
+        holds the bytes :meth:`update_record` of the whole new payload
+        leaves.
+        """
+        data = self.data
+        if not 0 <= slot < _COUNT.unpack_from(data, _COUNT_AT)[0]:
+            self._check_slot(slot)  # raises, naming the slot
+        at = _SLOT.unpack_from(data, len(data) - _SLOT.size * (slot + 1))[0]
+        have = _RECLEN.unpack_from(data, at)[0]
+        keep = length - offset - len(span)
+        if keep < 0 or offset + keep > have:
+            raise StorageError(
+                f"page {self.page_id}: {len(span)}-byte splice at {offset} cannot "
+                f"make the {have}-byte record at slot {slot} {length} bytes long"
+            )
+        start = at + _RECLEN.size
+        if have == length:
+            data[start + offset : start + offset + len(span)] = span
+            self.separators = None
+            return
+        tail = start + have
+        spliced = bytes(data[start : start + offset]) + span + bytes(data[tail - keep : tail])
+        self.update_record(slot, spliced)
+
     def compact(self, skip_vacant: bool = False) -> None:
         """Rewrite live records densely from the header boundary.
 
@@ -513,7 +543,7 @@ def _refuse(name: str):
 
 for _name in (
     "format", "deformat", "restore", "_place", "insert_record",
-    "delete_record", "update_record", "compact", "set_body_bit",
+    "delete_record", "update_record", "splice_record", "compact", "set_body_bit",
 ):
     setattr(ReadOnlyPage, _name, _refuse(_name))
 for _name, _attr in list(vars(Page).items()):

@@ -10,10 +10,15 @@ one encoded frame, :func:`dump_archive` walks a store or a directory of
 
     python -m repro.tools.loginspect --archive <file-or-dir> [--limit N]
     python -m repro.tools.loginspect --archive <file-or-dir> --chains
+    python -m repro.tools.loginspect --archive <file-or-dir> --mix [--per N]
 
 ``--chains`` answers the capacity question behind Figure 11 over the
 archived window: how long are the per-page modification chains an as-of
 read landing at the window's start would undo?
+
+``--mix`` (:func:`record_mix`, also over a live log's LSN range) says what
+the log's bytes are made of: records and bytes per record type, read off
+the headers alone.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import os
 from collections import Counter
 
 from repro.errors import RetentionExceededError, TransactionError
+from repro.wal.log_manager import LogManager
 from repro.wal.lsn import NULL_LSN, format_lsn
 from repro.wal.records import (
     BeginRecord,
@@ -35,6 +41,8 @@ from repro.wal.records import (
     LogRecord,
     PageImageRecord,
     PreformatPageRecord,
+    RecordType,
+    UpdateBytesRecord,
     UpdateRowRecord,
     decode_record,
     walk_headers,
@@ -70,6 +78,12 @@ def describe_record(rec: LogRecord) -> str:
         parts.append(f"slot={rec.slot}")
         parts.append(f"rows={rec.count}")
         parts.append("inline" if rec.rows else f"pair={format_lsn(rec.pair_lsn)}")
+    elif isinstance(rec, UpdateBytesRecord):
+        parts.append(f"slot={rec.slot}")
+        parts.append(f"off={rec.offset}")
+        parts.append(f"old={'-' if rec.old is None else len(rec.old)}B")
+        parts.append(f"new={len(rec.new)}B")
+        parts.append(f"len={rec.length}")
     elif isinstance(rec, UpdateRowRecord):
         parts.append(f"slot={rec.slot}")
         parts.append(f"new={len(rec.new)}B")
@@ -111,6 +125,51 @@ def transaction_history(db, txn_id: int, *, max_records: int = 1000) -> list[Log
             break
         current = rec.prev_txn_lsn
     return chain
+
+
+def record_mix(source, start: int | None = None, stop: int | None = None, *, db_name=None) -> dict:
+    """Records and bytes per record type: ``{RecordType: [records, bytes]}``.
+
+    ``source`` is a :class:`~repro.wal.log_manager.LogManager`, read over
+    ``[start, stop)`` (default: all it holds; ``stop`` a record boundary),
+    or an archive as :func:`dump_archive` takes it. Only headers are read
+    (:func:`walk_headers`: ``total`` and ``record_type``), so the byte sums
+    add up to the range's length.
+    """
+    if isinstance(source, LogManager):
+        lo = source.start_lsn if start is None else start
+        hi = source.end_lsn if stop is None else stop
+        streams = [(lo, source.read_bytes(lo, hi))]
+    else:
+        from repro.replication.stream import LogFrame
+
+        frames = [LogFrame.decode(blob) for _l, _d, blob in _collect_segments(source, db_name)]
+        streams = [(frame.start_lsn, frame.payload) for frame in frames]
+    mix: dict = {}
+    for base, data in streams:
+        for header in walk_headers(data, base_lsn=base):
+            counts = mix.setdefault(RecordType(header.record_type), [0, 0])
+            counts[0] += 1
+            counts[1] += header.total
+    return mix
+
+
+def mix_report(mix: dict, per: int | None = None) -> list[str]:
+    """:func:`record_mix` as a table, the most bytes first; with ``per``
+    (operations, say) records and bytes are also shown per one of them."""
+    total_records = sum(records for records, _nbytes in mix.values())
+    total_bytes = sum(nbytes for _records, nbytes in mix.values())
+    rows = [(rtype.name, *counts) for rtype, counts in mix.items()]
+    rows.sort(key=lambda row: (-row[2], row[0]))
+    rows.append(("total", total_records, total_bytes))
+    header = f"{'type':<18}{'records':>10}{'bytes':>12}{'share':>8}"
+    lines = [header + (f"{'rec/op':>10}{'B/op':>10}" if per else "")]
+    for name, records, nbytes in rows:
+        line = f"{name:<18}{records:>10}{nbytes:>12}{nbytes / max(total_bytes, 1):>8.1%}"
+        if per:
+            line += f"{records / per:>10.2f}{nbytes / per:>10.1f}"
+        lines.append(line)
+    return lines
 
 
 _CHAIN_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128)
@@ -385,6 +444,20 @@ def main(argv=None) -> int:
         "of a record dump (estimates as-of prepare cost)",
     )
     parser.add_argument(
+        "--mix",
+        action="store_true",
+        help="records and bytes per record type instead of a record dump "
+        "(headers only)",
+    )
+    parser.add_argument(
+        "--per",
+        type=int,
+        default=None,
+        metavar="N",
+        help="with --mix, also show records and bytes per one of N "
+        "operations",
+    )
+    parser.add_argument(
         "--lint-log",
         action="store_true",
         help="integrity check instead of a dump: segments must decode "
@@ -411,7 +484,9 @@ def main(argv=None) -> int:
         noun = "finding" if len(findings) == 1 else "findings"
         print(f"loginspect --lint-log: {len(findings)} {noun}")
         return 1 if findings else 0
-    if args.chains:
+    if args.mix:
+        lines = mix_report(record_mix(args.archive, db_name=args.db), args.per)
+    elif args.chains:
         lines = archive_chain_report(args.archive, args.db)
     else:
         lines = dump_archive(args.archive, args.db, limit=args.limit)

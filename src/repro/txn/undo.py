@@ -48,6 +48,7 @@ from repro.wal.records import (
     PageImageRecord,
     PreformatPageRecord,
     SetLinksRecord,
+    UpdateBytesRecord,
     UpdateRowRecord,
 )
 
@@ -100,7 +101,9 @@ class LogicalUndo:
     def undo_record(self, txn: Transaction, rec: LogRecord) -> None:
         """Compensate one log record."""
         self.ctx.env.charge_cpu(self.ctx.env.cost.undo_record_cpu_s)
-        if isinstance(rec, (InsertRowRecord, DeleteRowRecord, UpdateRowRecord)):
+        if isinstance(rec, UpdateRowRecord):  # an older log's update
+            rec = rec.as_span()
+        if isinstance(rec, (InsertRowRecord, DeleteRowRecord, UpdateBytesRecord)):
             if rec.is_smo or rec.object_id == 0:
                 self._undo_physical_row(txn, rec)
             elif rec.is_heap and isinstance(rec, InsertRowRecord):
@@ -199,16 +202,10 @@ class LogicalUndo:
                 object_id=rec.object_id,
                 flags=rec.flags,
             )
-        else:  # UpdateRowRecord
-            if rec.old is None:
-                raise RecoveryError(
-                    f"update at lsn {rec.lsn:#x} has no before-image"
-                )
-            comp = UpdateRowRecord(
-                slot=rec.slot,
-                new=rec.old,
-                old=rec.new if ext.clr_undo_info else None,
-                key_bytes=rec.key_bytes,
+        else:  # UpdateBytesRecord
+            comp = rec.inverse(
+                rec.slot,
+                with_old=ext.clr_undo_info,
                 page_id=rec.page_id,
                 object_id=rec.object_id,
                 flags=rec.flags,
@@ -242,10 +239,11 @@ class LogicalUndo:
     def _undo_heap_insert(self, txn, rec: InsertRowRecord) -> None:
         """Tombstone the heap slot (heap slots are stable, never shifted)."""
         ext = self.ctx.modifier.extensions
-        comp = UpdateRowRecord(
-            slot=rec.slot,
-            new=b"",
-            old=rec.row if ext.clr_undo_info else None,
+        comp = UpdateBytesRecord.between(
+            rec.slot,
+            rec.row,
+            b"",
+            with_old=ext.clr_undo_info,
             key_bytes=rec.key_bytes,
             page_id=rec.page_id,
             object_id=rec.object_id,

@@ -32,6 +32,7 @@ from repro.wal.records import (
     RecordHeader,
     RecordType,
     SetLinksRecord,
+    UpdateBytesRecord,
     UpdateRowRecord,
     decode_record,
     decode_span,
@@ -58,6 +59,7 @@ __all__ = [
     "InsertRowsRecord",
     "DeleteRowsRecord",
     "UpdateRowRecord",
+    "UpdateBytesRecord",
     "SetLinksRecord",
     "AllocPageRecord",
     "DeallocPageRecord",

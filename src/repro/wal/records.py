@@ -22,6 +22,12 @@ other transactions may have shifted slots or structure modifications may
 have moved rows to other pages. Rollback lives in
 :mod:`repro.txn.manager`; the per-record payloads here (``key_bytes``,
 ``row``) are what it consumes.
+
+A row update is logged as the bytes that changed,
+:class:`UpdateBytesRecord` (type 19). :class:`UpdateRowRecord` (type 11),
+which carries the whole row twice, is written by nothing since type 19;
+it stays decodable and replayable for older logs and the golden fixtures
+until a format epoch (ROADMAP item 8) drops it.
 """
 
 from __future__ import annotations
@@ -189,6 +195,7 @@ class RecordType(enum.IntEnum):
     CLR = 16
     INSERT_ROWS = 17
     DELETE_ROWS = 18
+    UPDATE_BYTES = 19
 
 
 # ---------------------------------------------------------------------------
@@ -814,7 +821,14 @@ class DeleteRowsRecord(LogRecord):
 
 
 class UpdateRowRecord(LogRecord):
-    """Row payload replaced in place (same slot, new bytes)."""
+    """Row payload replaced in place (same slot, new bytes), the whole row
+    before and after.
+
+    Written by nothing since :class:`UpdateBytesRecord`; it stays
+    decodable, redoable and physically undoable so older logs (and the
+    golden fixtures) replay, until a format epoch drops the type. Logical
+    undo and selective undo take one as :meth:`as_span`.
+    """
 
     TYPE = RecordType.UPDATE_ROW
     IS_PAGE_MOD = True
@@ -826,6 +840,16 @@ class UpdateRowRecord(LogRecord):
         ("key_bytes", BLOB, b""),
     )
 
+    def as_span(self) -> UpdateBytesRecord:
+        """The same update as an :class:`UpdateBytesRecord` at the same LSN
+        with the same header, so one undo path serves both types."""
+        span = UpdateBytesRecord.between(
+            self.slot, self.old, self.new, key_bytes=self.key_bytes,
+            **dict(zip(_HEADER_FIELDS, _header_values(self))),
+        )
+        span.lsn = self.lsn
+        return span
+
     def redo(self, page: Page) -> None:
         page.update_record(self.slot, self.new)
 
@@ -835,6 +859,105 @@ class UpdateRowRecord(LogRecord):
                 f"update at lsn {format_lsn(self.lsn)} carries no before-image"
             )
         page.update_record(self.slot, self.old)
+
+
+class UpdateBytesRecord(LogRecord):
+    """A row rewritten in place by the bytes that changed: the span ``new``
+    replaces the span ``old`` at byte ``offset`` of the record at
+    ``slot``, which is ``length`` bytes long afterwards.
+
+    :meth:`between` is the one way the engine builds one: it strips the
+    bytes the two rows share at either end, so an update that keeps the
+    row's length, one that changes it and a heap tombstone (the new row
+    ``b""``) are all this record. Redo splices ``new`` in; physical undo
+    splices ``old`` back (:meth:`~repro.storage.page.Page.splice_record`),
+    in place when the length does not change. Either leaves the page
+    bytes an :class:`UpdateRowRecord` of the whole rows would.
+
+    ``length`` lets redo cut the right number of bytes when ``old`` is
+    absent: a CLR's compensation carries ``old`` only with
+    ``clr_undo_info``, and without it
+    :meth:`ClrRecord.physical_undo` takes the span from the compensated
+    record. Logical undo needs only the spans too: under strict 2PL the
+    row it finds by key still holds this record's after-image
+    (:meth:`before`).
+    """
+
+    TYPE = RecordType.UPDATE_BYTES
+    IS_PAGE_MOD = True
+    UNDOABLE_IN_ROLLBACK = True
+    FIELDS = (
+        ("slot", U16, 0),
+        ("offset", U16, 0),
+        ("length", U16, 0),
+        ("old", OPT_BLOB, None),
+        ("new", BLOB, b""),
+        ("key_bytes", BLOB, b""),
+    )
+
+    @classmethod
+    def between(
+        cls, slot: int, old_row: bytes, new_row: bytes, *, with_old: bool = True, **fields
+    ) -> UpdateBytesRecord:
+        """The record that rewrites ``old_row`` at ``slot`` as ``new_row``,
+        carrying its before-span ``with_old``; ``fields`` are the rest
+        (``key_bytes`` and header fields).
+
+        The spans are what is left once the bytes the rows share at either
+        end are stripped, found at C speed: the rows read as integers and
+        XORed, a set bit marks a byte that differs. Rows of one length (the
+        common case) take one XOR, little-endian, whose lowest and highest
+        set bits lie in the first and the last byte that differ. Otherwise
+        the shorter row's length is split between a shared prefix, found by
+        a big-endian XOR of the leading bytes, and a shared suffix, found
+        by a little-endian XOR of the trailing bytes the prefix left.
+        """
+        size, old_size = len(new_row), len(old_row)
+        if size == old_size:
+            diff = int.from_bytes(old_row, "little") ^ int.from_bytes(new_row, "little")
+            start = ((diff & -diff).bit_length() - 1) >> 3 if diff else 0
+            stop = old_stop = (diff.bit_length() + 7) >> 3
+        else:
+            short = min(size, old_size)
+            diff = int.from_bytes(old_row[:short], "big") ^ int.from_bytes(new_row[:short], "big")
+            start = short - ((diff.bit_length() + 7) >> 3)
+            rest = short - start
+            diff = int.from_bytes(old_row[old_size - rest :], "little") ^ int.from_bytes(
+                new_row[size - rest :], "little"
+            )
+            suffix = rest - ((diff.bit_length() + 7) >> 3)
+            stop, old_stop = size - suffix, old_size - suffix
+        old = old_row[start:old_stop] if with_old else None
+        return cls(slot, start, size, old, new_row[start:stop], **fields)
+
+    def inverse(self, slot: int, *, with_old: bool, **fields) -> UpdateBytesRecord:
+        """The compensation that puts this record's ``old`` back at
+        ``slot``: the same offset, the spans swapped, ``old`` (this
+        record's ``new``) carried only ``with_old``."""
+        return UpdateBytesRecord(
+            slot=slot,
+            offset=self.offset,
+            length=self.length - len(self.new) + len(self.old),
+            old=self.new if with_old else None,
+            new=self.old,
+            key_bytes=self.key_bytes,
+            **fields,
+        )
+
+    def before(self, after: bytes) -> bytes:
+        """The row before this update, from ``after``, the row after it."""
+        return after[: self.offset] + self.old + after[self.offset + len(self.new) :]
+
+    def redo(self, page: Page) -> None:
+        page.splice_record(self.slot, self.offset, self.new, self.length)
+
+    def physical_undo(self, page: Page, fetch=None) -> None:
+        old = self.old
+        if old is None:
+            raise MissingUndoInfoError(
+                f"update at lsn {format_lsn(self.lsn)} carries no before-span"
+            )
+        page.splice_record(self.slot, self.offset, old, self.length - len(self.new) + len(old))
 
 
 class SetLinksRecord(LogRecord):
@@ -996,6 +1119,25 @@ class ClrRecord(LogRecord):
         elif isinstance(comp, InsertRowRecord):
             # Invert a compensating insert (which undid a delete).
             page.delete_record(comp.slot)
+        elif isinstance(comp, UpdateBytesRecord):
+            # Invert a compensating update: put back the span the page held
+            # before the compensation, the original update's ``new`` (or,
+            # for a heap-insert tombstone, the inserted row).
+            old = comp.old
+            if old is None:
+                original = self._fetch_compensated(fetch)
+                if isinstance(original, UpdateRowRecord):  # an older log's update
+                    original = original.as_span()
+                if isinstance(original, UpdateBytesRecord):
+                    old = original.new
+                elif isinstance(original, InsertRowRecord):
+                    old = original.row
+                else:
+                    raise MissingUndoInfoError(
+                        f"CLR at {format_lsn(self.lsn)}: compensated record "
+                        f"is {type(original).__name__}, cannot derive span"
+                    )
+            page.splice_record(comp.slot, comp.offset, old, comp.length - len(comp.new) + len(old))
         elif isinstance(comp, UpdateRowRecord):
             # Invert a compensating update: restore the value the page held
             # before the compensation, i.e. the original update's after-image.

@@ -570,7 +570,7 @@ class TestBlockScan:
     TYPE_SETS = (
         (RecordType.COMMIT,),
         (RecordType.CLR, RecordType.PAGE_IMAGE),
-        (RecordType.INSERT_ROW, RecordType.DELETE_ROW, RecordType.UPDATE_ROW),
+        (RecordType.INSERT_ROW, RecordType.DELETE_ROW, RecordType.UPDATE_BYTES),
         (RecordType.CHECKPOINT_BEGIN, RecordType.BEGIN, RecordType.ABORT),
         (),
     )
@@ -631,7 +631,7 @@ class TestBlockScan:
         block = log.block_size
         victim = next(
             rec for i, rec in enumerate(records) if i > 200
-            and rec.TYPE == RecordType.UPDATE_ROW
+            and rec.TYPE == RecordType.UPDATE_BYTES
             and any(  # a commit earlier in the victim's own block
                 r.TYPE == RecordType.COMMIT and r.lsn // block == rec.lsn // block
                 for r in records[i - 5 : i]

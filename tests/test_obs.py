@@ -191,7 +191,17 @@ def test_metric_names_and_values_are_pinned():
     applied LSNs 16 668 → 14 886, bytes archived and received 16 660 →
     14 878, archive writes 23 924 → 22 142, bytes shipped 33 320 → 29 756
     and the standby's peak apply backlog 10 500 → 9 614; and the counter
-    ``io.smo_delete_undo_bytes`` is gone (nothing ever added to it)."""
+    ``io.smo_delete_undo_bytes`` is gone (nothing ever added to it). An
+    update logs the bytes it changed, not the whole row twice, so the
+    topology's three boot-record updates shrink from 105 to 65 bytes
+    each: the log's retained bytes 15 187 → 15 067 (the histogram's sum),
+    its end and durable LSNs 15 195 → 15 075, ``io.log_write_bytes``
+    30 065 → 29 865, the archived, received and applied LSNs 14 886 →
+    14 806, bytes archived and received 14 878 → 14 798, archive writes
+    22 142 → 22 062, bytes shipped 29 756 → 29 596, the standby's peak
+    apply backlog 9 614 → 9 534, and the five lag gauges (the archive
+    cursor's, the standby's apply and receive lags, the retention pin's
+    and the shipper's maximum) 309 → 269."""
     engine = _topology()
     golden = json.loads(GOLDEN.read_text())
     assert sorted(engine.env.metrics.names()) == golden["names"]

@@ -14,7 +14,7 @@ from repro.wal.records import (
     CommitRecord,
     DeleteRowRecord,
     InsertRowRecord,
-    UpdateRowRecord,
+    UpdateBytesRecord,
 )
 from tests.conftest import ITEMS_SCHEMA, fill_items
 
@@ -349,5 +349,5 @@ class TestHeaderDrivenAnalysis:
         assert decoded.count(CheckpointBeginRecord) == 1
         assert rows <= len(decoded) - 1 < len(list(db.log.scan_headers(middle))) // 2
         assert {cls for cls in decoded if not issubclass(cls, CheckpointBeginRecord)} <= {
-            InsertRowRecord, UpdateRowRecord, DeleteRowRecord
+            InsertRowRecord, UpdateBytesRecord, DeleteRowRecord
         }

@@ -236,6 +236,86 @@ class TestTransactionUndo:
         assert report.undone == 3
         assert db.get("items", (1,))[2] == 10       # forced back
 
+    # An update is logged as the bytes it changed: the undo reads the row
+    # as the transaction left it and decides by column. A column the
+    # transaction changed conflicts when a later write changed it again,
+    # whichever of its bytes that write changed; only those columns are put
+    # back.
+
+    def test_a_later_write_to_another_column_does_not_conflict(self, items_db):
+        db = items_db
+        fill_items(db, 5)
+        txn_id = self._committed_txn(db)  # item 1's qty 10 -> 111
+        with db.transaction() as txn:
+            db.update(txn, "items", (1,), {"name": "ITEM-1"})  # same length
+        report = undo_transaction(db, txn_id)
+        assert report.undone == 3 and report.conflicts == []
+        assert db.get("items", (1,)) == (1, "ITEM-1", 10)  # the later write survives
+
+    def test_a_later_write_to_the_same_column_conflicts(self, items_db):
+        db = items_db
+        fill_items(db, 5)
+        with db.transaction() as txn:
+            db.update(txn, "items", (3,), {"name": "third"})
+        txn_id = txn.txn_id
+        with db.transaction() as txn:
+            db.update(txn, "items", (3,), {"name": "thirx"})  # one byte of the span
+        with pytest.raises(TransactionUndoConflict):
+            undo_transaction(db, txn_id)
+        report = undo_transaction(db, txn_id, conflict_policy="skip")
+        assert len(report.conflicts) == 1 and db.get("items", (3,))[1] == "thirx"
+
+    @pytest.mark.parametrize(
+        "column, first, then, later",
+        [("qty", 10, 11, 267), ("name", "abc", "abd", "xbd")],
+        ids=["int", "str"],
+    )
+    def test_a_later_write_outside_the_bytes_written_conflicts(
+        self, items_db, column, first, then, later
+    ):
+        """The transaction changes one byte of the column (10 -> 11 is
+        0x0A -> 0x0B); a later write changes only the column's other
+        bytes (267 is 0x010B), so the byte written still reads as written.
+        Splicing the old byte back would leave 266 (or "xbc"), a value no
+        one wrote."""
+        db = items_db
+        fill_items(db, 5)
+        with db.transaction() as txn:
+            db.update(txn, "items", (4,), {column: first})
+        with db.transaction() as txn:
+            db.update(txn, "items", (4,), {column: then})
+        txn_id = txn.txn_id
+        with db.transaction() as txn:
+            db.update(txn, "items", (4,), {column: later})
+        with pytest.raises(TransactionUndoConflict):
+            undo_transaction(db, txn_id)
+        assert db.get("items", (4,))[("id", "name", "qty").index(column)] == later
+        undo_transaction(db, txn_id, conflict_policy="force")
+        assert db.get("items", (4,))[("id", "name", "qty").index(column)] == first
+
+    def test_a_later_change_of_another_columns_length_does_not_conflict(self, items_db):
+        db = items_db
+        fill_items(db, 5)
+        txn_id = self._committed_txn(db)
+        with db.transaction() as txn:
+            db.update(txn, "items", (1,), {"name": "a longer name"})  # shifts qty
+        report = undo_transaction(db, txn_id)
+        assert report.undone == 3 and report.conflicts == []
+        assert db.get("items", (1,)) == (1, "a longer name", 10)
+
+    def test_force_restores_the_columns_the_transaction_changed(self, items_db):
+        """Over a row a later writer reshaped and wrote the same column of,
+        ``force`` puts that column back and keeps the later writer's other
+        column."""
+        db = items_db
+        fill_items(db, 5)
+        txn_id = self._committed_txn(db)
+        with db.transaction() as txn:
+            db.update(txn, "items", (1,), {"name": "a longer name", "qty": 777})
+        report = undo_transaction(db, txn_id, conflict_policy="force")
+        assert report.undone == 3 and len(report.conflicts) == 1
+        assert db.get("items", (1,)) == (1, "a longer name", 10)
+
     def test_rejects_uncommitted(self, items_db):
         db = items_db
         fill_items(db, 3)

@@ -62,6 +62,7 @@ MUTATIONS = {
     "insert_record": lambda page: page.insert_record(0, b"new"),
     "delete_record": lambda page: page.delete_record(0),
     "update_record": lambda page: page.update_record(0, b"changed"),
+    "splice_record": lambda page: page.splice_record(0, 1, b"L", 5),
     "compact": lambda page: page.compact(),
     "set_body_bit": lambda page: page.set_body_bit(3, True),
 }

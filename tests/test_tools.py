@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from repro.storage.page import HEADER_FIELDS
 from repro.tools import check_database, describe_record, transaction_history
+from repro.tools.loginspect import main as loginspect_main
+from repro.tools.loginspect import mix_report, record_mix
 from repro.wal.lsn import NULL_LSN, format_lsn
 from repro.wal.records import (
     FLAG_SMO,
@@ -13,7 +15,10 @@ from repro.wal.records import (
     InsertRowRecord,
     InsertRowsRecord,
     PreformatPageRecord,
+    RecordType,
+    UpdateBytesRecord,
 )
+from repro.workload import TpccDriver, TpccScale, load_tpcc
 from tests.conftest import ITEMS_SCHEMA, fill_items
 
 
@@ -86,7 +91,7 @@ class TestLogInspect:
         kinds = [type(rec).__name__ for rec in chain]
         assert kinds[0] == "CommitRecord"
         assert kinds[-1] == "BeginRecord"
-        assert "InsertRowRecord" in kinds and "UpdateRowRecord" in kinds
+        assert "InsertRowRecord" in kinds and "UpdateBytesRecord" in kinds
 
     def test_describe_row_moves(self):
         rows = (b"a", b"bc", b"")
@@ -106,6 +111,52 @@ class TestLogInspect:
         rec.lsn = 100
         text = describe_record(rec)
         assert "Preformat" in text and "image=64B" in text
+
+
+    def test_describe_span_update(self):
+        rec = UpdateBytesRecord.between(4, b"abcdef", b"abXYZf", key_bytes=b"k", page_id=5)
+        line = describe_record(rec)
+        for part in ("UpdateBytes", "slot=4", "off=2", "old=3B", "new=3B", "len=6"):
+            assert part in line
+        without = UpdateBytesRecord.between(4, b"row", b"", with_old=False, page_id=5)
+        assert "old=-B" in describe_record(without)
+
+
+class TestRecordMix:
+    """``record_mix`` / ``--mix``: records and bytes per type, headers only."""
+
+    def test_a_tpcc_range_adds_up_to_its_length(self, engine):
+        db = engine.create_database("tpcc")
+        scale = TpccScale(
+            warehouses=1, districts_per_warehouse=2, customers_per_district=10, items=50
+        )
+        load_tpcc(db, scale)
+        start = db.log.end_lsn
+        TpccDriver(db, scale, seed=4).run_transactions(40)
+        mix = record_mix(db.log, start, db.log.end_lsn)
+        assert sum(nbytes for _records, nbytes in mix.values()) == db.log.end_lsn - start
+        assert mix[RecordType.UPDATE_BYTES][0] > 0 and RecordType.UPDATE_ROW not in mix
+        assert sum(nbytes for _r, nbytes in record_mix(db.log).values()) == (
+            db.log.end_lsn - db.log.start_lsn
+        )
+        lines = mix_report(mix, per=40)
+        total = next(line for line in lines if line.startswith("total")).split()
+        records = sum(count for count, _nbytes in mix.values())
+        assert total[1:4] == [str(records), str(db.log.end_lsn - start), "100.0%"]
+        assert float(total[5]) == round((db.log.end_lsn - start) / 40, 1)
+
+    def test_cli_over_an_archive(self, engine, items_db, tmp_path, capsys):
+        directory = str(tmp_path / "segments")
+        engine.enable_archiving("itemsdb", directory=directory)
+        fill_items(items_db, 20)
+        items_db.log.flush()
+        engine.archives["itemsdb"].poll()
+        assert loginspect_main(["--archive", directory, "--mix"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = {line.split()[0]: line.split()[1:] for line in lines[1:]}
+        assert int(rows["INSERT_ROW"][0]) >= 20
+        mix = record_mix(directory)
+        assert int(rows["total"][1]) == sum(nbytes for _r, nbytes in mix.values())
 
 
 class TestCheckDb:

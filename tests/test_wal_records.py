@@ -47,6 +47,7 @@ from repro.wal.records import (
     PreformatPageRecord,
     RecordType,
     SetLinksRecord,
+    UpdateBytesRecord,
     UpdateRowRecord,
     decode_record,
     decode_span,
@@ -552,6 +553,30 @@ GOLDEN = [
         "000080a56ec4020000010000007800000000",
     ),
     (
+        UpdateBytesRecord(
+            slot=2,
+            offset=7,
+            length=12,
+            old=b'bef',
+            new=b'after',
+            key_bytes=b'k',
+            page_id=5,
+            txn_id=2,
+            prev_txn_lsn=8,
+            prev_page_lsn=50,
+            object_id=10,
+        ),
+        "460000001300020000000000000008000000000000000500000032000000000000000a00"
+        "000022ed6ca6020007000c000103000000626566050000006166746572010000006b",
+    ),
+    (
+        UpdateBytesRecord(
+            slot=2, offset=0, length=0, old=None, new=b'', page_id=5, flags=FLAG_HEAP
+        ),
+        "390000001302000000000000000000000000000000000500000000000000000000000000"
+        "00006d3f74cd020000000000000000000000000000",
+    ),
+    (
         SetLinksRecord(
             old_prev=1,
             old_next=2,
@@ -717,6 +742,24 @@ GOLDEN = [
         ClrRecord(
             compensated_lsn=10,
             undo_next_lsn=6,
+            comp=UpdateBytesRecord(
+                slot=4, offset=7, length=10, old=b'after', new=b'bef', key_bytes=b'k', page_id=5
+            ),
+            page_id=5,
+            txn_id=3,
+            prev_txn_lsn=10,
+            prev_page_lsn=10,
+            object_id=10,
+        ),
+        "84000000100003000000000000000a00000000000000050000000a000000000000000a00"
+        "00008572f72c0a0000000000000006000000000000004600000046000000130000000000"
+        "000000000000000000000000050000000000000000000000000000003330d11704000700"
+        "0a000105000000616674657203000000626566010000006b",
+    ),
+    (
+        ClrRecord(
+            compensated_lsn=10,
+            undo_next_lsn=6,
             comp=SetLinksRecord(
                 old_prev=3, old_next=4, new_prev=1, new_next=2, page_id=5, flags=FLAG_SMO
             ),
@@ -867,10 +910,11 @@ class TestGoldenBytes:
         assert comps == {
             DeleteRowRecord, InsertRowRecord, UpdateRowRecord, SetLinksRecord,
             PageImageRecord, DeformatPageRecord, DeallocPageRecord, AllocPageRecord,
-            InsertRowsRecord, DeleteRowsRecord,
+            InsertRowsRecord, DeleteRowsRecord, UpdateBytesRecord,
         }
-        for kind in (DeleteRowRecord, UpdateRowRecord):  # optional blobs both ways
-            blobs = [getattr(rec, kind.FIELDS[1][0]) for rec, _ in GOLDEN if type(rec) is kind]
+        optional = ((DeleteRowRecord, "row"), (UpdateRowRecord, "old"), (UpdateBytesRecord, "old"))
+        for kind, name in optional:  # optional blobs both ways
+            blobs = [getattr(rec, name) for rec, _ in GOLDEN if type(rec) is kind]
             assert None in blobs and any(blob is not None for blob in blobs)
         moved = [rec.rows for rec, _ in GOLDEN if type(rec) is DeleteRowsRecord]
         assert () in moved and any(moved)  # row-move deletes with rows and without
