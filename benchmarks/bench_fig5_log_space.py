@@ -48,7 +48,8 @@ def test_fig5_log_space(bench):
     by_label = {point.label: point for point in points}
     base = by_label["baseline (no as-of logging)"]
     no_images = by_label["extensions, no images"]
-    # Extensions cost extra log even without images (CLR/SMO payloads).
+    # Extensions cost extra log even without images (preformat images of
+    # re-allocated pages; a run that re-allocates none logs the same).
     assert no_images.log_bytes >= base.log_bytes
     # Log space grows monotonically as N shrinks.
     ordered = [point for point in points if point.label.startswith("extensions, N=")]

@@ -408,7 +408,6 @@ class BTree:
     def undo_insert(self, txn, rec: InsertRowRecord) -> None:
         """Compensate an insert: locate by key and delete."""
         key = self.key_codec.decode(rec.key_bytes)
-        ext = self.services.modifier.extensions
         guard, _path = self._descend(key)
         with guard:
             slot, found = self._find_slot(guard.page, key)
@@ -419,7 +418,7 @@ class BTree:
             payload = guard.page.record(slot)
             comp = DeleteRowRecord(
                 slot=slot,
-                row=payload if ext.clr_undo_info else None,
+                row=payload,
                 key_bytes=rec.key_bytes,
                 page_id=guard.page_id,
                 object_id=self.object_id,
@@ -428,10 +427,8 @@ class BTree:
 
     def undo_delete(self, txn, rec: DeleteRowRecord) -> None:
         """Compensate a delete: re-insert the logged row (may split)."""
-        row_bytes = rec.resolve_row(self.services.modifier.log.undo_fetch
-                                    if self.services.modifier.logged else None)
         key = self.key_codec.decode(rec.key_bytes)
-        self._insert_bytes(txn, row_bytes, key, clr_for=rec)
+        self._insert_bytes(txn, rec.row, key, clr_for=rec)
 
     def undo_update(self, txn, rec: UpdateBytesRecord) -> None:
         """Compensate an update: splice its before-span back (may split).
@@ -441,7 +438,6 @@ class BTree:
         mirrors ``rec``'s offset and spans, wherever the row now lies.
         """
         key = self.key_codec.decode(rec.key_bytes)
-        ext = self.services.modifier.extensions
         growth = len(rec.old) - len(rec.new)
         for _attempt in range(_MAX_DESCENT_RETRIES):
             guard, path = self._descend(key)
@@ -455,7 +451,6 @@ class BTree:
                 if growth <= 0 or page.total_free() >= growth:
                     comp = rec.inverse(
                         slot,
-                        with_old=ext.clr_undo_info,
                         page_id=guard.page_id,
                         object_id=self.object_id,
                     )

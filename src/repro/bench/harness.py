@@ -222,8 +222,9 @@ def run_logging_sweep(
     transactions: int = 1200,
     scale: TpccScale = BENCH_SCALE,
 ) -> list[LoggingSweepPoint]:
-    """The Figures 5/6 sweep: baseline (extensions off) plus the as-of
-    logging extensions at several full-page-image intervals N.
+    """The Figures 5/6 sweep: baseline (no preformat records, no page
+    images) plus the as-of logging extensions at several full-page-image
+    intervals N.
 
     Each configuration runs the same transaction count on identical seeds;
     log volume is measured over the workload window only (load excluded)
@@ -238,7 +239,7 @@ def run_logging_sweep(
         variants.append((label, interval))
     for label, interval in variants:
         if interval is None:
-            config = DatabaseConfig().with_extensions(enabled=False)
+            config = DatabaseConfig().with_extensions(preformat_on_realloc=False)
         else:
             config = DatabaseConfig().with_extensions(page_image_interval=interval)
         env = make_perf_env(SLC_SSD)

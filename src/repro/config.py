@@ -2,11 +2,11 @@
 
 The knobs here map directly onto the paper:
 
-* :class:`LoggingExtensions` — section 4.2's log enhancements (preformat
-  records, undo info in CLRs) plus section 6.1's optional full page
-  images every Nth page modification. Section 4.2's third, undo info in
-  structure-modification deletes, is no option: a B-tree row move's
-  delete names its insert, which holds the rows (``access/btree.py``).
+* :class:`LoggingExtensions` — section 4.2's preformat records plus
+  section 6.1's optional full page images every Nth page modification.
+  Section 4.2's other two are no option: a CLR always carries its undo
+  information, and a B-tree row move's delete names its insert, which
+  holds the rows (``access/btree.py``).
 * ``undo_interval_s`` — section 4.3's retention period
   (``ALTER DATABASE ... SET UNDO_INTERVAL``).
 * ``checkpoint_interval_s`` — section 6's 30-second target recovery
@@ -32,33 +32,18 @@ from repro.sim.iostats import IoStats
 class LoggingExtensions:
     """Switches for the transaction-log extensions of paper section 4.2.
 
-    With ``enabled=False`` the engine logs exactly what classic ARIES
-    needs for crash recovery — and page-oriented undo then fetches the
-    compensated record behind every CLR it crosses, and cannot rewind a
-    re-allocated page past its re-format, which is the ablation the
-    benchmarks demonstrate.
+    Section 4.2's undo information in CLRs is no switch: every
+    compensation carries its own inverse. With ``preformat_on_realloc``
+    off the engine logs what classic ARIES needs plus that, and
+    page-oriented undo cannot rewind a re-allocated page past its
+    re-format, which is the ablation the benchmarks demonstrate.
     """
 
-    #: Master switch for the as-of logging extensions.
-    enabled: bool = True
     #: Log a preformat record (prior page image) when a page is re-allocated.
     preformat_on_realloc: bool = True
-    #: Compensation log records carry undo information (section 4.2 item 2).
-    clr_undo_info: bool = True
     #: Log a full page image after every Nth modification of a page
     #: (section 6.1); 0 disables periodic images.
     page_image_interval: int = 0
-
-    def effective(self) -> "LoggingExtensions":
-        """The extension set with the master switch folded in."""
-        if self.enabled:
-            return self
-        return LoggingExtensions(
-            enabled=False,
-            preformat_on_realloc=False,
-            clr_undo_info=False,
-            page_image_interval=0,
-        )
 
 
 @dataclass(frozen=True)

@@ -104,8 +104,8 @@ def prepare_page_version(
     LSN of that compensation, and is walked back through it. Raises
     :class:`~repro.errors.LogTruncatedError` when the chain leaves the
     retention window and :class:`~repro.errors.MissingUndoInfoError` when
-    a record on the path cannot be inverted (extensions disabled and
-    derivation impossible). ``fetch`` (``lsn -> LogRecord``, by default
+    a record on the path cannot be inverted (a re-allocation logged
+    without its preformat image). ``fetch`` (``lsn -> LogRecord``, by default
     ``log.undo_fetch``) lets a caller serve records it already holds.
     """
     env.stats.pages_prepared_asof += 1

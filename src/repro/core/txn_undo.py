@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.page_undo import prepare_page_version
-from repro.errors import ReproError, RetentionExceededError, TransactionError
+from repro.errors import ReproError, TransactionError
 from repro.storage.page import Page
 from repro.wal.lsn import NULL_LSN
 from repro.wal.records import (
@@ -36,7 +36,6 @@ from repro.wal.records import (
     FormatPageRecord,
     InsertRowRecord,
     UpdateBytesRecord,
-    UpdateRowRecord,
 )
 
 
@@ -68,13 +67,11 @@ class TxnUndoReport:
 def _find_transaction(db, txn_id: int) -> CommitRecord:
     """The transaction's COMMIT: the log's transaction directory names its
     end record, the one record read. A transaction whose BEGIN retention
-    truncated cannot be walked back: that is told from the span, as AS OF
-    tells it, before any record is read."""
-    span = db.log.transaction_span(txn_id)
+    truncated cannot be walked back: that is told from the directory, as
+    AS OF tells it, before any record is read."""
+    span = db.log.retained_span(txn_id)
     if span is None:
         raise TransactionError(f"transaction {txn_id} not found in the log")
-    if span[0] < db.log.start_lsn:  # NULL_LSN too: begun below the log
-        raise RetentionExceededError(f"transaction {txn_id} began below the retention horizon")
     if span[1] is None:
         raise TransactionError(f"transaction {txn_id} is not committed; use rollback")
     end = db.log.read(span[1])
@@ -100,8 +97,6 @@ def _collect_row_changes(db, txn_id: int, last_lsn: int):
                 f"transaction {txn_id} contains DDL/allocation at "
                 f"{rec.lsn:#x}; use an as-of snapshot instead"
             )
-        if isinstance(rec, UpdateRowRecord):  # an older log's update
-            rec = rec.as_span()
         if isinstance(rec, (InsertRowRecord, DeleteRowRecord, UpdateBytesRecord)):
             records.append(rec)
         cur = rec.prev_txn_lsn

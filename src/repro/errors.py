@@ -61,11 +61,13 @@ class MissingUndoInfoError(WalError):
     """A log record on the undo path carries no undo information, and it
     cannot be derived.
 
-    A CLR logged without ``clr_undo_info`` and a B-tree row move's delete
-    derive theirs from the record they compensate or pair with, so this
-    happens when that record cannot be fetched, or when a page chain
-    breaks (a re-allocation logged without its preformat image) — the
-    failure modes the extensions of section 4.2 exist to prevent.
+    Every record the engine writes carries its own inverse but a B-tree
+    row move's delete and a CLR that restored a page image, which read
+    the record they pair with or compensate: this happens when that
+    record cannot be fetched, when a decoded record lacks the payload it
+    should carry, or when a page chain breaks (a re-allocation logged
+    without its preformat image) — the failure modes the extensions of
+    section 4.2 exist to prevent.
     """
 
 

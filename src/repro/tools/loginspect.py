@@ -26,7 +26,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 
-from repro.errors import RetentionExceededError, TransactionError
+from repro.errors import TransactionError
 from repro.wal.log_manager import LogManager
 from repro.wal.lsn import NULL_LSN, format_lsn
 from repro.wal.records import (
@@ -43,7 +43,6 @@ from repro.wal.records import (
     PreformatPageRecord,
     RecordType,
     UpdateBytesRecord,
-    UpdateRowRecord,
     decode_record,
     walk_headers,
 )
@@ -84,9 +83,6 @@ def describe_record(rec: LogRecord) -> str:
         parts.append(f"old={'-' if rec.old is None else len(rec.old)}B")
         parts.append(f"new={len(rec.new)}B")
         parts.append(f"len={rec.length}")
-    elif isinstance(rec, UpdateRowRecord):
-        parts.append(f"slot={rec.slot}")
-        parts.append(f"new={len(rec.new)}B")
     elif isinstance(rec, ClrRecord):
         parts.append(f"compensates={format_lsn(rec.compensated_lsn)}")
         parts.append(f"undo_next={format_lsn(rec.undo_next_lsn)}")
@@ -104,15 +100,14 @@ def transaction_history(db, txn_id: int, *, max_records: int = 1000) -> list[Log
     """A transaction's records, newest first (rollbacks included), from
     its COMMIT or ABORT, or from its newest record while it is open here:
     the log's transaction directory finds the head and only the chain is
-    read. An id the log does not hold has none. A transaction in flight on
+    read. An id the log never held has none. A transaction in flight on
     a standby has no owner there to name its newest record: its history
-    ends on the primary. One whose BEGIN retention truncated raises
-    :class:`RetentionExceededError` before any record is read."""
-    span = db.log.transaction_span(txn_id)
+    ends on the primary. One whose BEGIN retention truncated, its end
+    too or not, raises :class:`RetentionExceededError` before any record
+    is read."""
+    span = db.log.retained_span(txn_id)
     if span is None:
         return []
-    if span[0] < db.log.start_lsn:  # NULL_LSN too: begun below the log
-        raise RetentionExceededError(f"transaction {txn_id} began below the retention horizon")
     owners = {txn.txn_id: txn.last_lsn for txn in db.txns.active_transactions()}
     current = owners.get(txn_id) if span[1] is None else span[1]
     if current is None:

@@ -32,19 +32,20 @@ class TransactionManager:
     def begin(self, *, system: bool = False) -> Transaction:
         """Start a transaction (system transactions wrap SMOs and
         housekeeping; they commit immediately after their work)."""
-        txn = Transaction(
-            self._next_txn_id,
-            is_system=system,
-            began_wall=self.env.clock.now(),
-        )
-        self._next_txn_id += 1
-        rec = BeginRecord(txn_id=txn.txn_id)
         # Entering and leaving the active table is one step with the
         # BEGIN, COMMIT or ABORT under the log latch, as reading it for a
         # checkpoint is with the checkpoint-begin: a checkpoint names
-        # exactly the transactions open at its LSN.
+        # exactly the transactions open at its LSN. The id is handed out
+        # in the same step, so ids follow BEGIN-LSN order: the log's
+        # transaction directory tells an id retention dropped by it.
         with self.log.latch:
-            txn.last_lsn = self.log.append(rec)
+            txn = Transaction(
+                self._next_txn_id,
+                is_system=system,
+                began_wall=self.env.clock.now(),
+            )
+            self._next_txn_id += 1
+            txn.last_lsn = self.log.append(BeginRecord(txn_id=txn.txn_id))
             self._active[txn.txn_id] = txn
         txn.first_lsn = txn.last_lsn
         return txn

@@ -15,9 +15,8 @@ record. Three undo disciplines, chosen per record:
   payload is simply replaced by an empty marker.
 
 Every compensation is a :class:`ClrRecord` whose nested ``comp`` record
-embeds undo information when the paper's ``clr_undo_info`` extension is
-enabled (section 4.2), keeping the page chain physically undoable through
-the rollback.
+embeds its own undo information (section 4.2), keeping the page chain
+physically undoable through the rollback.
 
 The same machinery runs against an as-of snapshot (with an unlogged
 modifier and snapshot-backed trees) to implement section 5.2's background
@@ -49,7 +48,6 @@ from repro.wal.records import (
     PreformatPageRecord,
     SetLinksRecord,
     UpdateBytesRecord,
-    UpdateRowRecord,
 )
 
 
@@ -101,8 +99,6 @@ class LogicalUndo:
     def undo_record(self, txn: Transaction, rec: LogRecord) -> None:
         """Compensate one log record."""
         self.ctx.env.charge_cpu(self.ctx.env.cost.undo_record_cpu_s)
-        if isinstance(rec, UpdateRowRecord):  # an older log's update
-            rec = rec.as_span()
         if isinstance(rec, (InsertRowRecord, DeleteRowRecord, UpdateBytesRecord)):
             if rec.is_smo or rec.object_id == 0:
                 self._undo_physical_row(txn, rec)
@@ -181,11 +177,10 @@ class LogicalUndo:
 
     def _undo_physical_row(self, txn, rec) -> None:
         """Slot-exact inverse on the original page (SMO / boot records)."""
-        ext = self.ctx.modifier.extensions
         if isinstance(rec, InsertRowRecord):
             comp = DeleteRowRecord(
                 slot=rec.slot,
-                row=rec.row if ext.clr_undo_info else None,
+                row=rec.row,
                 key_bytes=rec.key_bytes,
                 pair_lsn=rec.lsn,
                 page_id=rec.page_id,
@@ -193,10 +188,9 @@ class LogicalUndo:
                 flags=rec.flags,
             )
         elif isinstance(rec, DeleteRowRecord):
-            row = rec.resolve_row(self.ctx.log.undo_fetch)
             comp = InsertRowRecord(
                 slot=rec.slot,
-                row=row,
+                row=rec.row,
                 key_bytes=rec.key_bytes,
                 page_id=rec.page_id,
                 object_id=rec.object_id,
@@ -205,7 +199,6 @@ class LogicalUndo:
         else:  # UpdateBytesRecord
             comp = rec.inverse(
                 rec.slot,
-                with_old=ext.clr_undo_info,
                 page_id=rec.page_id,
                 object_id=rec.object_id,
                 flags=rec.flags,
@@ -220,7 +213,7 @@ class LogicalUndo:
             comp = DeleteRowsRecord(
                 slot=rec.slot,
                 count=len(rec.rows),
-                rows=rec.rows if self.ctx.modifier.extensions.clr_undo_info else (),
+                rows=rec.rows,
                 pair_lsn=rec.lsn,
                 page_id=rec.page_id,
                 object_id=rec.object_id,
@@ -238,12 +231,10 @@ class LogicalUndo:
 
     def _undo_heap_insert(self, txn, rec: InsertRowRecord) -> None:
         """Tombstone the heap slot (heap slots are stable, never shifted)."""
-        ext = self.ctx.modifier.extensions
         comp = UpdateBytesRecord.between(
             rec.slot,
             rec.row,
             b"",
-            with_old=ext.clr_undo_info,
             key_bytes=rec.key_bytes,
             page_id=rec.page_id,
             object_id=rec.object_id,

@@ -4,8 +4,9 @@ The transaction log is the substrate of the paper's whole mechanism: every
 page modification is a log record carrying ``prev_page_lsn``, so each
 page's history is an independently walkable back-chain. This package also
 implements the section 4.2 log extensions — preformat records at
-re-allocation, undo information in CLRs and in structure-modification
-deletes, and periodic full page images (section 6.1).
+re-allocation and undo information in every CLR (a row move's delete
+names its insert, which holds the rows) — and periodic full page images
+(section 6.1).
 """
 
 from repro.wal.apply import PageModifier
@@ -33,7 +34,6 @@ from repro.wal.records import (
     RecordType,
     SetLinksRecord,
     UpdateBytesRecord,
-    UpdateRowRecord,
     decode_record,
     decode_span,
     unpack_header,
@@ -58,7 +58,6 @@ __all__ = [
     "DeleteRowRecord",
     "InsertRowsRecord",
     "DeleteRowsRecord",
-    "UpdateRowRecord",
     "UpdateBytesRecord",
     "SetLinksRecord",
     "AllocPageRecord",

@@ -69,17 +69,13 @@ class PageModifier:
         env: SimEnv,
     ) -> None:
         self.log = log
-        self.extensions = extensions.effective()
+        self.extensions = extensions
         self.env = env
         #: Copy-on-write hooks ``hook(page)`` invoked before the first
         #: modification of a page, used by *regular* database snapshots to
         #: push pre-images to their sparse files (paper section 2.2).
         #: As-of snapshots register no hook — they undo on demand instead.
         self.cow_hooks: list = []
-
-    @property
-    def logged(self) -> bool:
-        return True
 
     def _run_cow_hooks(self, page: Page) -> None:
         for hook in self.cow_hooks:
@@ -297,11 +293,6 @@ class UnloggedModifier:
 
     def __init__(self, env: SimEnv) -> None:
         self.env = env
-        self.extensions = LoggingExtensions()
-
-    @property
-    def logged(self) -> bool:
-        return False
 
     def apply(self, txn, frame, record: LogRecord, *, chain_prev: int | None = None) -> int:
         record.redo(frame.page)

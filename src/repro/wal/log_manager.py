@@ -32,7 +32,12 @@ from collections import OrderedDict
 from math import inf
 
 from repro.config import SimEnv
-from repro.errors import LogRecordDecodeError, LogTruncatedError, WalError
+from repro.errors import (
+    LogRecordDecodeError,
+    LogTruncatedError,
+    RetentionExceededError,
+    WalError,
+)
 from repro.latch import Latch
 from repro.obs.registry import DEFAULT_BYTES_BUCKETS
 from repro.wal.lsn import FIRST_LSN, NULL_LSN, format_lsn
@@ -148,7 +153,7 @@ class TransactionDirectory:
     it. The owning :class:`LogManager` calls every method under its latch.
     """
 
-    __slots__ = ("_open", "_ids", "_begins", "_ends", "_least", "_n")
+    __slots__ = ("_open", "_ids", "_begins", "_ends", "_least", "_n", "dropped")
 
     def __init__(self) -> None:
         self._open: dict[int, int] = {}
@@ -159,6 +164,8 @@ class TransactionDirectory:
         self._ends = array("q")
         self._least = array("q")
         self._n = 0
+        #: The highest id :meth:`drop_below` forgot, 0 before it forgets one.
+        self.dropped = 0
 
     def note(self, record_type: int, txn_id: int, lsn: int) -> None:
         """A BEGIN of ``txn_id`` at ``lsn`` (``NULL_LSN``: one begun below
@@ -204,6 +211,8 @@ class TransactionDirectory:
     def drop_below(self, lsn: int) -> None:
         """Forget the transactions that ended below ``lsn``."""
         i = bisect_left(self._ends, lsn, 0, self._n)
+        if i:
+            self.dropped = max(self.dropped, max(self._ids[:i]))
         for column in (self._ids, self._begins, self._ends, self._least):
             del column[:i]
         self._n -= i
@@ -324,6 +333,23 @@ class LogManager:
         log never held, cut away or trimmed. Reads no log."""
         with self.latch:
             return self._txn_dir.span(txn_id)
+
+    def retained_span(self, txn_id: int) -> tuple[int, int | None] | None:
+        """:meth:`transaction_span` for a reader that walks the
+        transaction's chain back to its BEGIN: raises
+        :class:`RetentionExceededError` when retention truncated that BEGIN
+        or dropped the transaction whole, and returns ``None`` for an id
+        the log never held. Ids follow BEGIN-LSN order, so an id no entry
+        holds at or below the highest one retention dropped is one it
+        dropped. Reads no log."""
+        with self.latch:
+            span = self._txn_dir.span(txn_id)
+            dropped = span is None and txn_id <= self._txn_dir.dropped
+        if dropped or (span is not None and span[0] < self._truncated_before):
+            raise RetentionExceededError(
+                f"transaction {txn_id} began below the retention horizon"
+            )
+        return span
 
     # ------------------------------------------------------------------
     # Append / flush

@@ -8,13 +8,11 @@ LSN before this modification — forming the per-page back-chain that
   roll-forward). Physiological: a logical operation on an identified page.
 * ``physical_undo(page, fetch)`` — exactly invert the modification on the
   page, used by page-oriented undo while walking the chain in reverse.
-  ``fetch`` is a callable ``lsn -> LogRecord`` used to *derive* undo
-  information that the paper's section 4.2 extensions would have embedded:
-  a B-tree row move's delete, which never carries its rows, derives them
-  from its paired insert; a CLR without undo info derives it from the
-  record it compensates. Derivation costs extra log reads — the trade-off
-  the paper calls out when it "chooses simplicity over optimizing the
-  size".
+  Every record carries what its inverse needs but two: a B-tree row
+  move's delete, which derives its rows from its paired insert, and a
+  CLR that restored a page image, which redoes the format it
+  compensated. ``fetch`` is the callable ``lsn -> LogRecord`` they read
+  that other record with, one more log read each.
 
 Transaction rollback does **not** use ``physical_undo`` for ordinary row
 operations; it performs *logical* undo (re-locating the row by key) because
@@ -24,10 +22,9 @@ have moved rows to other pages. Rollback lives in
 ``row``) are what it consumes.
 
 A row update is logged as the bytes that changed,
-:class:`UpdateBytesRecord` (type 19). :class:`UpdateRowRecord` (type 11),
-which carries the whole row twice, is written by nothing since type 19;
-it stays decodable and replayable for older logs and the golden fixtures
-until a format epoch (ROADMAP item 8) drops it.
+:class:`UpdateBytesRecord` (type 19). Type 11, the whole-row update it
+replaced, is retired and never reused: a stream that holds one fails to
+decode as an unknown record type.
 """
 
 from __future__ import annotations
@@ -187,7 +184,7 @@ class RecordType(enum.IntEnum):
     PAGE_IMAGE = 8
     INSERT_ROW = 9
     DELETE_ROW = 10
-    UPDATE_ROW = 11
+    # 11, the whole-row update, is retired and never reused.
     SET_LINKS = 12
     ALLOC_PAGE = 13
     DEALLOC_PAGE = 14
@@ -695,13 +692,10 @@ class InsertRowRecord(LogRecord):
 class DeleteRowRecord(LogRecord):
     """Row (or index entry) deleted from a slot.
 
-    Ordinary deletes always carry the row image (classic ARIES needs it
-    for rollback). A delete without one names the insert to derive it
-    from through ``pair_lsn``, at the cost of an extra log read: the
-    engine writes one only inside a CLR (the compensation of a rolled-back
-    structure-modification insert), while undo still reads the per-row
-    structure-modification deletes that B-tree row moves wrote before
-    :class:`DeleteRowsRecord`.
+    The engine always writes the row image, which is the inverse (classic
+    ARIES needs it for rollback). ``pair_lsn``, which a compensation may
+    still fill, and ``row``'s presence byte are read by no redo or undo
+    path: a delete without its row cannot be undone.
     """
 
     TYPE = RecordType.DELETE_ROW
@@ -717,21 +711,12 @@ class DeleteRowRecord(LogRecord):
     def redo(self, page: Page) -> None:
         page.delete_record(self.slot)
 
-    def resolve_row(self, fetch=None) -> bytes:
-        """The deleted payload: embedded, or derived from the paired insert."""
-        if self.row is not None:
-            return self.row
-        if self.pair_lsn != NULL_LSN and fetch is not None:
-            paired = fetch(self.pair_lsn)
-            if isinstance(paired, InsertRowRecord):
-                return paired.row
-        raise MissingUndoInfoError(
-            f"delete at lsn {format_lsn(self.lsn)} carries no row image "
-            f"and it cannot be derived (pair_lsn={format_lsn(self.pair_lsn)})"
-        )
-
     def physical_undo(self, page: Page, fetch=None) -> None:
-        page.insert_record(self.slot, self.resolve_row(fetch))
+        if self.row is None:
+            raise MissingUndoInfoError(
+                f"delete at lsn {format_lsn(self.lsn)} carries no row image"
+            )
+        page.insert_record(self.slot, self.row)
 
 
 def _insert_rows(page: Page, slot: int, rows) -> None:
@@ -779,7 +764,7 @@ class DeleteRowsRecord(LogRecord):
     A row move's delete carries no rows: ``pair_lsn`` names the paired
     :class:`InsertRowsRecord`, and undo derives the rows from it at the
     cost of an extra log read. Only a CLR's compensation of a rolled-back
-    move's insert fills ``rows``, and only with ``clr_undo_info``.
+    move's insert fills ``rows``, so the CLR inverts without a read.
 
     Retention never strands a delete whose insert was truncated. Take a
     split *S* with the delete above *S* and the insert below the log's
@@ -820,47 +805,6 @@ class DeleteRowsRecord(LogRecord):
         _insert_rows(page, self.slot, self.resolve_rows(fetch))
 
 
-class UpdateRowRecord(LogRecord):
-    """Row payload replaced in place (same slot, new bytes), the whole row
-    before and after.
-
-    Written by nothing since :class:`UpdateBytesRecord`; it stays
-    decodable, redoable and physically undoable so older logs (and the
-    golden fixtures) replay, until a format epoch drops the type. Logical
-    undo and selective undo take one as :meth:`as_span`.
-    """
-
-    TYPE = RecordType.UPDATE_ROW
-    IS_PAGE_MOD = True
-    UNDOABLE_IN_ROLLBACK = True
-    FIELDS = (
-        ("slot", U16, 0),
-        ("old", OPT_BLOB, None),
-        ("new", BLOB, b""),
-        ("key_bytes", BLOB, b""),
-    )
-
-    def as_span(self) -> UpdateBytesRecord:
-        """The same update as an :class:`UpdateBytesRecord` at the same LSN
-        with the same header, so one undo path serves both types."""
-        span = UpdateBytesRecord.between(
-            self.slot, self.old, self.new, key_bytes=self.key_bytes,
-            **dict(zip(_HEADER_FIELDS, _header_values(self))),
-        )
-        span.lsn = self.lsn
-        return span
-
-    def redo(self, page: Page) -> None:
-        page.update_record(self.slot, self.new)
-
-    def physical_undo(self, page: Page, fetch=None) -> None:
-        if self.old is None:
-            raise MissingUndoInfoError(
-                f"update at lsn {format_lsn(self.lsn)} carries no before-image"
-            )
-        page.update_record(self.slot, self.old)
-
-
 class UpdateBytesRecord(LogRecord):
     """A row rewritten in place by the bytes that changed: the span ``new``
     replaces the span ``old`` at byte ``offset`` of the record at
@@ -872,15 +816,12 @@ class UpdateBytesRecord(LogRecord):
     ``b""``) are all this record. Redo splices ``new`` in; physical undo
     splices ``old`` back (:meth:`~repro.storage.page.Page.splice_record`),
     in place when the length does not change. Either leaves the page
-    bytes an :class:`UpdateRowRecord` of the whole rows would.
-
-    ``length`` lets redo cut the right number of bytes when ``old`` is
-    absent: a CLR's compensation carries ``old`` only with
-    ``clr_undo_info``, and without it
-    :meth:`ClrRecord.physical_undo` takes the span from the compensated
-    record. Logical undo needs only the spans too: under strict 2PL the
-    row it finds by key still holds this record's after-image
-    (:meth:`before`).
+    bytes :meth:`~repro.storage.page.Page.update_record` of the whole
+    rows would. The engine always writes ``old``, so ``old``'s presence
+    byte and ``length`` are redundant: redo could take the length from
+    the record and the two spans. Logical undo needs only the spans too:
+    under strict 2PL the row it finds by key still holds this record's
+    after-image (:meth:`before`).
     """
 
     TYPE = RecordType.UPDATE_BYTES
@@ -896,12 +837,9 @@ class UpdateBytesRecord(LogRecord):
     )
 
     @classmethod
-    def between(
-        cls, slot: int, old_row: bytes, new_row: bytes, *, with_old: bool = True, **fields
-    ) -> UpdateBytesRecord:
-        """The record that rewrites ``old_row`` at ``slot`` as ``new_row``,
-        carrying its before-span ``with_old``; ``fields`` are the rest
-        (``key_bytes`` and header fields).
+    def between(cls, slot: int, old_row: bytes, new_row: bytes, **fields) -> UpdateBytesRecord:
+        """The record that rewrites ``old_row`` at ``slot`` as ``new_row``;
+        ``fields`` are the rest (``key_bytes`` and header fields).
 
         The spans are what is left once the bytes the rows share at either
         end are stripped, found at C speed: the rows read as integers and
@@ -927,18 +865,16 @@ class UpdateBytesRecord(LogRecord):
             )
             suffix = rest - ((diff.bit_length() + 7) >> 3)
             stop, old_stop = size - suffix, old_size - suffix
-        old = old_row[start:old_stop] if with_old else None
-        return cls(slot, start, size, old, new_row[start:stop], **fields)
+        return cls(slot, start, size, old_row[start:old_stop], new_row[start:stop], **fields)
 
-    def inverse(self, slot: int, *, with_old: bool, **fields) -> UpdateBytesRecord:
+    def inverse(self, slot: int, **fields) -> UpdateBytesRecord:
         """The compensation that puts this record's ``old`` back at
-        ``slot``: the same offset, the spans swapped, ``old`` (this
-        record's ``new``) carried only ``with_old``."""
+        ``slot``: the same offset, the spans swapped."""
         return UpdateBytesRecord(
             slot=slot,
             offset=self.offset,
             length=self.length - len(self.new) + len(self.old),
-            old=self.new if with_old else None,
+            old=self.new,
             new=self.old,
             key_bytes=self.key_bytes,
             **fields,
@@ -1066,18 +1002,13 @@ class ClrRecord(LogRecord):
     ``comp`` is the nested operation the compensation performs (its redo).
     Classic ARIES CLRs are redo-only; the paper's section 4.2 extension
     makes them undoable so page-oriented undo can walk *through* a
-    rollback. Here that works in two ways:
-
-    * with ``clr_undo_info`` the nested ``comp`` record embeds the data
-      needed to invert it (e.g. the row a compensating delete removed);
-    * without it, :meth:`physical_undo` derives that data by fetching the
-      compensated record — the derivation the paper deems possible but
-      rejects for simplicity; it costs an extra (potentially stalling)
-      log read, which the ablation benchmark measures.
-
-    A B-tree row move's own delete takes the second way whatever the
-    setting (:class:`DeleteRowsRecord`): its rows are in the paired
-    insert, and logging them twice saved almost no log reads.
+    rollback: ``comp`` carries the data that inverts it (the row a
+    compensating delete removed, the span a compensating update
+    replaced), and :meth:`physical_undo` is ``comp``'s own. Deriving that
+    data from the compensated record instead is the option the paper
+    rejects "for simplicity". One compensation still reads the
+    compensated record: a restored page image, whose inverse is the
+    format it compensated.
     """
 
     TYPE = RecordType.CLR
@@ -1102,72 +1033,13 @@ class ClrRecord(LogRecord):
 
     def physical_undo(self, page: Page, fetch=None) -> None:
         comp = self.comp
-        if isinstance(comp, DeleteRowRecord):
-            # Invert a compensating delete (which undid an insert): put the
-            # row back. Derive it from the compensated insert if absent.
-            if comp.row is not None:
-                row = comp.row
-            else:
-                original = self._fetch_compensated(fetch)
-                if not isinstance(original, InsertRowRecord):
-                    raise MissingUndoInfoError(
-                        f"CLR at {format_lsn(self.lsn)}: compensated record "
-                        f"is {type(original).__name__}, cannot derive row"
-                    )
-                row = original.row
-            page.insert_record(comp.slot, row)
-        elif isinstance(comp, InsertRowRecord):
-            # Invert a compensating insert (which undid a delete).
-            page.delete_record(comp.slot)
-        elif isinstance(comp, UpdateBytesRecord):
-            # Invert a compensating update: put back the span the page held
-            # before the compensation, the original update's ``new`` (or,
-            # for a heap-insert tombstone, the inserted row).
-            old = comp.old
-            if old is None:
-                original = self._fetch_compensated(fetch)
-                if isinstance(original, UpdateRowRecord):  # an older log's update
-                    original = original.as_span()
-                if isinstance(original, UpdateBytesRecord):
-                    old = original.new
-                elif isinstance(original, InsertRowRecord):
-                    old = original.row
-                else:
-                    raise MissingUndoInfoError(
-                        f"CLR at {format_lsn(self.lsn)}: compensated record "
-                        f"is {type(original).__name__}, cannot derive span"
-                    )
-            page.splice_record(comp.slot, comp.offset, old, comp.length - len(comp.new) + len(old))
-        elif isinstance(comp, UpdateRowRecord):
-            # Invert a compensating update: restore the value the page held
-            # before the compensation, i.e. the original update's after-image.
-            if comp.old is not None:
-                value = comp.old
-            else:
-                original = self._fetch_compensated(fetch)
-                if isinstance(original, UpdateRowRecord):
-                    value = original.new
-                elif isinstance(original, InsertRowRecord):
-                    # Heap-insert rollback tombstones the slot with an
-                    # update; the pre-tombstone value is the inserted row.
-                    value = original.row
-                else:
-                    raise MissingUndoInfoError(
-                        f"CLR at {format_lsn(self.lsn)}: compensated record "
-                        f"is {type(original).__name__}, cannot derive value"
-                    )
-            page.update_record(comp.slot, value)
-        elif isinstance(comp, PageImageRecord):
+        if isinstance(comp, PageImageRecord):
             # Compensation restored a pre-format image (root-split
             # rollback). Its inverse is the formatted-empty state the
             # compensated format record produces.
             original = self._fetch_compensated(fetch)
             original.redo(page)
         else:
-            # Allocation, links and format compensations are self-inverting;
-            # a row-move compensation is undone as its own record is (a
-            # rowless delete derives its rows from the compensated insert,
-            # which its ``pair_lsn`` names).
             comp.physical_undo(page, fetch)
 
     def __repr__(self) -> str:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -50,12 +51,13 @@ class TestConfig:
         assert derived.extensions.page_image_interval == 8
         assert derived.page_size == base.page_size
 
-    def test_effective_master_switch(self):
-        ext = LoggingExtensions(enabled=False, page_image_interval=8)
-        eff = ext.effective()
-        assert eff.page_image_interval == 0
-        assert not eff.preformat_on_realloc
-        assert not eff.clr_undo_info
+    def test_logging_extensions_are_two_switches(self):
+        """A CLR always carries its undo information: what is left to
+        switch is the preformat record and the periodic page image."""
+        assert [f.name for f in fields(LoggingExtensions)] == [
+            "preformat_on_realloc", "page_image_interval",
+        ]
+        assert LoggingExtensions() == LoggingExtensions(True, 0)
 
     def test_cost_model_free(self):
         free = CostModel.free()

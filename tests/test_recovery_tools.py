@@ -394,6 +394,29 @@ class TestTransactionUndo:
         with pytest.raises(RetentionExceededError, match="retention horizon"):
             undo_transaction(db, txn.txn_id)
 
+    def test_a_transaction_retention_dropped_whole(self, items_db, monkeypatch):
+        """Retention cuts past a committed transaction's COMMIT too: its
+        history and its undo still raise RetentionExceededError, read no
+        record to tell, and an id never begun is still not found."""
+        db = items_db
+        fill_items(db, 3)
+        txn_id = self._committed_txn(db)
+        fill_items(db, 2, start=10)
+        db.log.flush()
+        db.log.truncate_before(db.log.durable_lsn)
+        assert db.log.transaction_span(txn_id) is None
+        monkeypatch.setattr(db.log, "read", None)
+        with pytest.raises(RetentionExceededError, match="retention horizon"):
+            transaction_history(db, txn_id)
+        with pytest.raises(RetentionExceededError, match="retention horizon"):
+            undo_transaction(db, txn_id)
+        with db.transaction() as later:
+            pass
+        never = later.txn_id + 1
+        assert transaction_history(db, never) == []
+        with pytest.raises(TransactionError, match="not found"):
+            undo_transaction(db, never)
+
     def test_history_of_a_transaction_in_flight(self, engine, items_db):
         """Open on its own database, a transaction's history starts at its
         newest record. A standby holds its records but not its owner: there

@@ -32,7 +32,7 @@ from repro.wal.records import (
     InsertRowRecord,
     PageImageRecord,
     PreformatPageRecord,
-    UpdateRowRecord,
+    UpdateBytesRecord,
 )
 from tests.conftest import ITEMS_SCHEMA, fill_items, scanned_checkpoints
 
@@ -520,7 +520,10 @@ def _gate_history() -> list:
         for i in range(count):
             row = f"{tag}-{i}".encode() * 4
             modifier.apply(None, frames[pid], InsertRowRecord(slot=i // 2, row=row, page_id=pid))
-        modifier.apply(None, frames[pid], UpdateRowRecord(slot=1, new=tag.encode() * 30, page_id=pid))
+        update = UpdateBytesRecord.between(
+            1, frames[pid].page.record(1), tag.encode() * 30, page_id=pid
+        )
+        modifier.apply(None, frames[pid], update)
         modifier.apply(None, frames[pid], DeleteRowRecord(slot=0, page_id=pid))
 
     first = modifier.format_page(None, frames[3], PageType.HEAP, object_id=7)

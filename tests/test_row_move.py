@@ -185,13 +185,12 @@ def test_a_clr_around_either_record_is_undone_through_it(inline):
 # ---------------------------------------------------------------------------
 
 ROOMY = DatabaseConfig(page_size=1024, buffer_pool_pages=2048)
-NO_UNDO_INFO = ROOMY.with_extensions(clr_undo_info=False)
 KEYS = random.Random(45).sample(range(0, 20000, 2), 600)
 
 
-def new_db(config):
+def new_db():
     engine = Engine(SimEnv.for_tests())
-    db = engine.create_database("moves", config)
+    db = engine.create_database("moves", ROOMY)
     db.create_table(ITEMS_SCHEMA)
     return engine, db
 
@@ -200,7 +199,7 @@ def new_db(config):
 def split_point(root: bool) -> int:
     """How many of :data:`KEYS` go in before the one whose insert splits
     the root (``root``) or a page below it."""
-    _engine, db = new_db(ROOMY)
+    _engine, db = new_db()
     tree = tree_of(db)
     for count, key in enumerate(KEYS):
         pages, levels = len(tree.page_ids()), height(tree)
@@ -210,9 +209,9 @@ def split_point(root: bool) -> int:
     raise AssertionError("no such split")
 
 
-def split_records(config, count: int) -> list:
+def split_records(count: int) -> list:
     """The SMO records the insert after ``count`` keys writes."""
-    _engine, db = new_db(config)
+    _engine, db = new_db()
     insert_keys(db, KEYS[:count])
     before = db.log.end_lsn
     insert_keys(db, KEYS[count : count + 1])
@@ -223,7 +222,7 @@ def test_a_split_logs_its_moved_rows_once():
     """Over a load that splits pages, every row-move delete is rowless and
     names, through ``pair_lsn``, the insert of its own system transaction
     that holds the rows it moved."""
-    _engine, db = new_db(ROOMY)
+    _engine, db = new_db()
     insert_keys(db, KEYS)
     logged = {rec.lsn: rec for rec in db.log.scan(db.log.start_lsn)}
     deletes = [rec for rec in logged.values() if isinstance(rec, DeleteRowsRecord)]
@@ -235,22 +234,21 @@ def test_a_split_logs_its_moved_rows_once():
         assert insert.txn_id == delete.txn_id and len(insert.rows) == delete.count
 
 
-@pytest.mark.parametrize("config", [ROOMY, NO_UNDO_INFO], ids=["undo info", "pair fetch"])
 @pytest.mark.parametrize("root", [True, False], ids=["root split", "non-root split"])
-def test_a_split_undone_at_any_record_leaves_every_row(root, config):
+def test_a_split_undone_at_any_record_leaves_every_row(root):
     """The split fails at each of its SMO records in turn; its system
     transaction is rolled back, or the log is flushed there and the
     database crashes and recovers. Either way ``checkdb`` is clean, every
     row before the split is there, and the insert then goes in."""
     count = split_point(root)
-    smo = split_records(config, count)
+    smo = split_records(count)
     kinds = [type(rec) for rec in smo]
     assert kinds.count(InsertRowsRecord) == kinds.count(DeleteRowsRecord) == 1 + root
     expected = sorted(KEYS[:count])
     checked = 0
     for nth in range(1, len(smo) + 1):
         for crash in (False, True):
-            _engine, db = new_db(config)
+            _engine, db = new_db()
             insert_keys(db, KEYS[:count])
             fail_at_smo(db, nth, before_raise=db.log.flush if crash else None)
             txn = db.begin()
@@ -266,10 +264,10 @@ def test_a_split_undone_at_any_record_leaves_every_row(root, config):
             assert [row[0] for row in db.scan("items")] == expected, (nth, crash)
             for clr in db.log.scan(db.log.start_lsn):
                 if isinstance(clr, ClrRecord) and isinstance(clr.comp, DeleteRowsRecord):
-                    # A chain walk through the CLR can get the rows back.
+                    # A chain walk through the CLR gets the rows back from
+                    # the CLR alone.
                     moved = db.log.read(clr.compensated_lsn).rows
-                    assert clr.comp.resolve_rows(db.log.read) == moved
-                    assert clr.comp.rows == (moved if config is ROOMY else ())
+                    assert clr.comp.rows == clr.comp.resolve_rows() == moved
                     checked += 1
             insert_keys(db, KEYS[count : count + 1])
             assert check_database(db).ok
@@ -281,15 +279,14 @@ def test_a_split_undone_at_any_record_leaves_every_row(root, config):
 @given(
     first=st.integers(1, 10),
     sizes=st.lists(st.integers(20, 120), min_size=1, max_size=3),
-    clr_info=st.booleans(),
     seed=st.integers(0, 2**16),
 )
-def test_as_of_before_and_after_splits_equals_the_reference(first, sizes, clr_info, seed):
+def test_as_of_before_and_after_splits_equals_the_reference(first, sizes, seed):
     """A first batch too small to split the root, then batches of inserts,
     updates and deletes that split pages; an AS OF read at the mark after
     each batch equals the table the test kept."""
     rng = random.Random(seed)
-    engine, db = new_db(ROOMY if clr_info else NO_UNDO_INFO)
+    engine, db = new_db()
     reference: dict = {}
     marks, heights = [], []
     for size in (first, *sizes):

@@ -48,7 +48,6 @@ from repro.wal.records import (
     RecordType,
     SetLinksRecord,
     UpdateBytesRecord,
-    UpdateRowRecord,
     decode_record,
     decode_span,
     walk_headers,
@@ -150,12 +149,13 @@ class TestSerialization:
 
     def test_update(self):
         rec = roundtrip(
-            UpdateRowRecord(slot=2, old=b"before", new=b"after", key_bytes=b"k", page_id=5)
+            UpdateBytesRecord.between(2, b"before", b"after", key_bytes=b"k", page_id=5)
         )
-        assert (rec.old, rec.new) == (b"before", b"after")
+        assert (rec.offset, rec.length, rec.old, rec.new) == (0, 5, b"before", b"after")
 
     def test_update_without_old(self):
-        assert roundtrip(UpdateRowRecord(slot=2, old=None, new=b"x", page_id=5)).old is None
+        rec = UpdateBytesRecord(slot=2, offset=1, length=3, old=None, new=b"x", page_id=5)
+        assert roundtrip(rec).old is None
 
     def test_set_links(self):
         rec = roundtrip(
@@ -230,27 +230,19 @@ class TestRedoUndo:
         rec.physical_undo(page)
         assert page.record(0) == b"bye"
 
-    def test_delete_undo_derives_from_pair(self):
+    def test_delete_undo_without_info_raises(self):
+        """A delete without its row is not undone from its pair either."""
         page = tree_page()
         insert = InsertRowRecord(slot=0, row=b"moved", page_id=6)
-        insert.lsn = 500
-        store = {500: insert}
-        page.insert_record(0, b"moved")
         rec = DeleteRowRecord(slot=0, row=None, pair_lsn=500, page_id=5, flags=FLAG_SMO)
-        rec.redo(page)
-        rec.physical_undo(page, fetch=store.__getitem__)
-        assert page.record(0) == b"moved"
-
-    def test_delete_undo_without_info_raises(self):
-        page = tree_page()
-        rec = DeleteRowRecord(slot=0, row=None, page_id=5)
-        with pytest.raises(MissingUndoInfoError):
-            rec.physical_undo(page)
+        for fetch in (None, {500: insert}.__getitem__):
+            with pytest.raises(MissingUndoInfoError):
+                rec.physical_undo(page, fetch)
 
     def test_update_redo_undo(self):
         page = tree_page()
         page.insert_record(0, b"old")
-        rec = UpdateRowRecord(slot=0, old=b"old", new=b"new!", page_id=5)
+        rec = UpdateBytesRecord.between(0, b"old", b"new!", page_id=5)
         rec.redo(page)
         assert page.record(0) == b"new!"
         rec.physical_undo(page)
@@ -259,7 +251,7 @@ class TestRedoUndo:
     def test_update_undo_without_old_raises(self):
         page = tree_page()
         page.insert_record(0, b"x")
-        rec = UpdateRowRecord(slot=0, old=None, new=b"x", page_id=5)
+        rec = UpdateBytesRecord(slot=0, offset=0, length=1, old=None, new=b"x", page_id=5)
         with pytest.raises(MissingUndoInfoError):
             rec.physical_undo(page)
 
@@ -344,95 +336,6 @@ class TestRedoUndo:
         page.format(1, PageType.ALLOC_MAP)
         with pytest.raises(WalError):
             AllocPageRecord(target_page=1, page_id=1).redo(page)
-
-
-class TestClrSemantics:
-    def test_clr_redo_applies_comp(self):
-        page = tree_page()
-        page.insert_record(0, b"victim")
-        clr = ClrRecord(
-            compensated_lsn=10,
-            undo_next_lsn=0,
-            comp=DeleteRowRecord(slot=0, row=b"victim", page_id=5),
-            page_id=5,
-        )
-        clr.redo(page)
-        assert page.slot_count == 0
-
-    def test_clr_for_insert_undo_with_info(self):
-        page = tree_page()
-        clr = ClrRecord(
-            compensated_lsn=10,
-            undo_next_lsn=0,
-            comp=DeleteRowRecord(slot=0, row=b"victim", page_id=5),
-            page_id=5,
-        )
-        clr.physical_undo(page)
-        assert page.record(0) == b"victim"
-
-    def test_clr_for_insert_undo_derives(self):
-        page = tree_page()
-        original = InsertRowRecord(slot=0, row=b"victim", page_id=5)
-        original.lsn = 10
-        clr = ClrRecord(
-            compensated_lsn=10,
-            undo_next_lsn=0,
-            comp=DeleteRowRecord(slot=0, row=None, page_id=5),
-            page_id=5,
-        )
-        clr.physical_undo(page, fetch={10: original}.__getitem__)
-        assert page.record(0) == b"victim"
-
-    def test_clr_for_insert_undo_without_fetch_raises(self):
-        page = tree_page()
-        clr = ClrRecord(
-            compensated_lsn=10,
-            undo_next_lsn=0,
-            comp=DeleteRowRecord(slot=0, row=None, page_id=5),
-            page_id=5,
-        )
-        with pytest.raises(MissingUndoInfoError):
-            clr.physical_undo(page)
-
-    def test_clr_for_delete_undo(self):
-        page = tree_page()
-        page.insert_record(0, b"back")
-        clr = ClrRecord(
-            compensated_lsn=10,
-            undo_next_lsn=0,
-            comp=InsertRowRecord(slot=0, row=b"back", page_id=5),
-            page_id=5,
-        )
-        clr.physical_undo(page)
-        assert page.slot_count == 0
-
-    def test_clr_for_update_undo_derives_from_update(self):
-        page = tree_page()
-        page.insert_record(0, b"older")
-        original = UpdateRowRecord(slot=0, old=b"older", new=b"newer", page_id=5)
-        original.lsn = 10
-        clr = ClrRecord(
-            compensated_lsn=10,
-            undo_next_lsn=0,
-            comp=UpdateRowRecord(slot=0, old=None, new=b"older", page_id=5),
-            page_id=5,
-        )
-        clr.physical_undo(page, fetch={10: original}.__getitem__)
-        assert page.record(0) == b"newer"
-
-    def test_clr_for_heap_tombstone_derives_from_insert(self):
-        page = tree_page()
-        page.insert_record(0, b"")
-        original = InsertRowRecord(slot=0, row=b"heaprow", page_id=5, flags=FLAG_HEAP)
-        original.lsn = 10
-        clr = ClrRecord(
-            compensated_lsn=10,
-            undo_next_lsn=0,
-            comp=UpdateRowRecord(slot=0, old=None, new=b"", page_id=5),
-            page_id=5,
-        )
-        clr.physical_undo(page, fetch={10: original}.__getitem__)
-        assert page.record(0) == b"heaprow"
 
 
 # ---------------------------------------------------------------------------
@@ -534,23 +437,6 @@ GOLDEN = [
         DeleteRowRecord(slot=1, row=None, pair_lsn=11, page_id=5, flags=FLAG_SMO),
         "390000000a01000000000000000000000000000000000500000000000000000000000000"
         "00008a6e8685010000000000000b00000000000000",
-    ),
-    (
-        UpdateRowRecord(
-            slot=2,
-            old=b'before',
-            new=b'after',
-            key_bytes=b'k',
-            page_id=5,
-            txn_id=2,
-        ),
-        "450000000b00020000000000000000000000000000000500000000000000000000000000"
-        "00001d258d41020001060000006265666f7265050000006166746572010000006b",
-    ),
-    (
-        UpdateRowRecord(slot=2, old=None, new=b'x', page_id=5, flags=FLAG_HEAP),
-        "360000000b02000000000000000000000000000000000500000000000000000000000000"
-        "000080a56ec4020000010000007800000000",
     ),
     (
         UpdateBytesRecord(
@@ -710,38 +596,6 @@ GOLDEN = [
         ClrRecord(
             compensated_lsn=10,
             undo_next_lsn=6,
-            comp=UpdateRowRecord(slot=4, old=b'newer', new=b'older', key_bytes=b'k', page_id=5),
-            page_id=5,
-            txn_id=3,
-            prev_txn_lsn=10,
-            prev_page_lsn=10,
-            object_id=10,
-        ),
-        "82000000100003000000000000000a00000000000000050000000a000000000000000a00"
-        "00007c3dd6e10a00000000000000060000000000000044000000440000000b0000000000"
-        "00000000000000000000000005000000000000000000000000000000822c589804000105"
-        "0000006e65776572050000006f6c646572010000006b",
-    ),
-    (
-        ClrRecord(
-            compensated_lsn=10,
-            undo_next_lsn=6,
-            comp=UpdateRowRecord(slot=4, old=None, new=b'', page_id=5, flags=FLAG_HEAP),
-            page_id=5,
-            txn_id=3,
-            prev_txn_lsn=10,
-            prev_page_lsn=10,
-            object_id=10,
-        ),
-        "73000000100003000000000000000a00000000000000050000000a000000000000000a00"
-        "000028e41c630a00000000000000060000000000000035000000350000000b0200000000"
-        "00000000000000000000000005000000000000000000000000000000b2da780904000000"
-        "00000000000000",
-    ),
-    (
-        ClrRecord(
-            compensated_lsn=10,
-            undo_next_lsn=6,
             comp=UpdateBytesRecord(
                 slot=4, offset=7, length=10, old=b'after', new=b'bef', key_bytes=b'k', page_id=5
             ),
@@ -875,7 +729,183 @@ GOLDEN = [
         "0000000000000000000000000600000000000000000000000a000000dd29383b00000200"
         "00000a00000000000000",
     ),
+    (
+        ClrRecord(
+            compensated_lsn=10,
+            undo_next_lsn=6,
+            comp=DeleteRowsRecord(
+                slot=0,
+                count=2,
+                rows=(b"left", b"right"),
+                pair_lsn=10,
+                page_id=6,
+                object_id=10,
+                flags=FLAG_SMO,
+            ),
+            page_id=6,
+            txn_id=3,
+            prev_txn_lsn=10,
+            prev_page_lsn=10,
+            object_id=10,
+            flags=FLAG_SMO,
+        ),
+        "83000000100103000000000000000a00000000000000060000000a000000000000000a00"
+        "000014b423670a0000000000000006000000000000004500000045000000120100000000"
+        "0000000000000000000000000600000000000000000000000a000000e61e684e00000200"
+        "020004006c656674050072696768740a00000000000000",
+    ),
+    (
+        ClrRecord(
+            compensated_lsn=10,
+            undo_next_lsn=6,
+            comp=UpdateBytesRecord(
+                slot=4, offset=0, length=0, old=b'heaprow', new=b'', page_id=5, object_id=10,
+                flags=FLAG_HEAP,
+            ),
+            page_id=5,
+            txn_id=3,
+            prev_txn_lsn=10,
+            prev_page_lsn=10,
+            object_id=10,
+            flags=FLAG_HEAP,
+        ),
+        "82000000100203000000000000000a00000000000000050000000a000000000000000a00"
+        "000058ec695e0a0000000000000006000000000000004400000044000000130200000000"
+        "0000000000000000000000000500000000000000000000000a0000002528958104000000"
+        "0000010700000068656170726f770000000000000000",
+    ),
 ]
+GOLDEN_CLRS = [(rec, hexed) for rec, hexed in GOLDEN if isinstance(rec, ClrRecord)]
+
+
+#: Compensations that write rows: their inverse gives the rows back, not
+#: where in the page their bytes lay.
+ROW_COMPS = (
+    InsertRowRecord, DeleteRowRecord, InsertRowsRecord, DeleteRowsRecord, UpdateBytesRecord
+)
+
+
+def carries_its_inverse(comp) -> bool:
+    """Whether ``comp`` holds the payload its physical undo puts back."""
+    if isinstance(comp, DeleteRowsRecord):
+        return len(comp.rows) == comp.count
+    return getattr(comp, "row", b"") is not None and getattr(comp, "old", b"") is not None
+
+
+def clr_scene(clr):
+    """A page ``clr``'s compensation applies to, and the ``fetch`` its
+    physical undo gets: none, but for a restored page image, whose undo
+    redoes the format it compensated (the image itself becomes a whole
+    page's)."""
+    comp = clr.comp
+    page = tree_page(comp.page_id)
+    if isinstance(comp, PageImageRecord):
+        prior = tree_page(comp.page_id)
+        prior.insert_record(0, b"prior incarnation")
+        comp.image = prior.clone_bytes()
+        fmt = FormatPageRecord(page_type=int(PageType.BTREE), page_id=comp.page_id, object_id=10)
+        return page, {clr.compensated_lsn: fmt}.__getitem__
+    if isinstance(comp, (AllocPageRecord, DeallocPageRecord)):
+        page.format(comp.page_id, PageType.ALLOC_MAP)
+        AllocPageRecord(target_page=comp.target_page, page_id=comp.page_id).redo(page)
+        if isinstance(comp, AllocPageRecord):  # freed, once allocated
+            DeallocPageRecord(target_page=comp.target_page, page_id=comp.page_id).redo(page)
+    elif isinstance(comp, DeformatPageRecord):
+        page.format(comp.page_id, PageType(comp.page_type), object_id=comp.object_id,
+                    index_id=comp.index_id, level=comp.level)
+    elif isinstance(comp, SetLinksRecord):
+        page.prev_page, page.next_page = comp.old_prev, comp.old_next
+    else:  # a row compensation: rows in every slot before it, its own in place
+        rows = [b"row %d" % at for at in range(comp.slot)]
+        if isinstance(comp, DeleteRowRecord):
+            rows.append(comp.row)
+        elif isinstance(comp, DeleteRowsRecord):
+            rows.extend(comp.rows)
+        elif isinstance(comp, UpdateBytesRecord):
+            size = comp.length - len(comp.new) + len(comp.old)
+            rows.append(comp.old.rjust(comp.offset + len(comp.old), b".").ljust(size, b"."))
+        for at, row in enumerate(rows):
+            page.insert_record(at, row)
+    return page, None
+
+class TestClrSemantics:
+    def test_clr_redo_applies_comp(self):
+        page = tree_page()
+        page.insert_record(0, b"victim")
+        clr = ClrRecord(
+            compensated_lsn=10,
+            undo_next_lsn=0,
+            comp=DeleteRowRecord(slot=0, row=b"victim", page_id=5),
+            page_id=5,
+        )
+        clr.redo(page)
+        assert page.slot_count == 0
+
+    def test_clr_for_insert_undo_with_info(self):
+        page = tree_page()
+        clr = ClrRecord(
+            compensated_lsn=10,
+            undo_next_lsn=0,
+            comp=DeleteRowRecord(slot=0, row=b"victim", page_id=5),
+            page_id=5,
+        )
+        clr.physical_undo(page)
+        assert page.record(0) == b"victim"
+
+    def test_clr_for_insert_undo_without_fetch_raises(self):
+        """A decoded compensation that lacks the payload it should carry is
+        refused, whatever its type, even when the compensated record could
+        have supplied it."""
+        page = tree_page()
+        page.insert_record(0, b"ab")
+        original = InsertRowRecord(slot=0, row=b"victim", page_id=5)
+        for comp in (
+            DeleteRowRecord(slot=0, row=None, page_id=5),
+            UpdateBytesRecord(slot=0, offset=1, length=2, old=None, new=b"b", page_id=5),
+            DeleteRowsRecord(slot=0, count=1, pair_lsn=10, page_id=5, flags=FLAG_SMO),
+        ):
+            clr = roundtrip(ClrRecord(compensated_lsn=10, undo_next_lsn=0, comp=comp, page_id=5))
+            with pytest.raises(MissingUndoInfoError):
+                clr.physical_undo(page)
+            if not isinstance(comp, DeleteRowsRecord):  # a row move's delete reads its pair
+                with pytest.raises(MissingUndoInfoError):
+                    clr.physical_undo(page, fetch={10: original}.__getitem__)
+        assert page.records() == [b"ab"]
+
+    def test_clr_for_delete_undo(self):
+        page = tree_page()
+        page.insert_record(0, b"back")
+        clr = ClrRecord(
+            compensated_lsn=10,
+            undo_next_lsn=0,
+            comp=InsertRowRecord(slot=0, row=b"back", page_id=5),
+            page_id=5,
+        )
+        clr.physical_undo(page)
+        assert page.slot_count == 0
+
+    @pytest.mark.parametrize(
+        "hexed", [h for rec, h in GOLDEN_CLRS if carries_its_inverse(rec.comp)],
+        ids=lambda h: type(decode_record(bytes.fromhex(h), 0)[0].comp).__name__,
+    )
+    def test_redo_then_undo_restores_the_page(self, hexed):
+        """Every compensation the engine writes, as a reader of the log
+        gets it back: redo, then physical undo without log access, gives
+        the page back: its rows and links, and every byte of a page whose
+        rows did not move (a slot's bytes may come back elsewhere in a
+        page). A restored page image alone reads the format it
+        compensated."""
+        clr, _end = decode_record(bytes.fromhex(hexed), 0)
+        page, fetch = clr_scene(clr)
+        before = Page(bytearray(page.data))
+        clr.redo(page)
+        assert page.clone_bytes() != before.clone_bytes()
+        clr.physical_undo(page, fetch)
+        assert page.records() == before.records()
+        assert (page.prev_page, page.next_page) == (before.prev_page, before.next_page)
+        if not isinstance(clr.comp, ROW_COMPS):
+            assert page.clone_bytes() == before.clone_bytes()
+
 
 HEADER_FIELDS = ("lsn", "flags", "txn_id", "prev_txn_lsn", "page_id", "prev_page_lsn", "object_id")
 
@@ -908,11 +938,11 @@ class TestGoldenBytes:
         assert {rec.TYPE for rec, _ in GOLDEN} == set(RecordType)
         comps = {type(rec.comp) for rec, _ in GOLDEN if isinstance(rec, ClrRecord)}
         assert comps == {
-            DeleteRowRecord, InsertRowRecord, UpdateRowRecord, SetLinksRecord,
+            DeleteRowRecord, InsertRowRecord, SetLinksRecord,
             PageImageRecord, DeformatPageRecord, DeallocPageRecord, AllocPageRecord,
             InsertRowsRecord, DeleteRowsRecord, UpdateBytesRecord,
         }
-        optional = ((DeleteRowRecord, "row"), (UpdateRowRecord, "old"), (UpdateBytesRecord, "old"))
+        optional = ((DeleteRowRecord, "row"), (UpdateBytesRecord, "old"))
         for kind, name in optional:  # optional blobs both ways
             blobs = [getattr(rec, name) for rec, _ in GOLDEN if type(rec) is kind]
             assert None in blobs and any(blob is not None for blob in blobs)
