@@ -1,7 +1,9 @@
 """Ablation — what each section 4.2 log extension buys.
 
 Not a paper figure, but the paper's design discussion quantified: the
-preformat extension is toggled off to show what breaks, plus the section
+preformat extension is toggled off to show what breaks and what it costs
+in log bytes on a drop-and-reuse history (Figures 5/6's TPC-C run
+re-allocates no page, so it never fires there), plus the section
 7.1 comparison of proactive copy-on-write snapshots versus on-demand
 as-of logging. Section 4.2's other two extensions are no variant: a CLR
 always carries its undo information (deriving it instead saved 0.2 % of

@@ -6,9 +6,9 @@ Under a running TPC-C workload with continuous log archiving active
 * **incremental vs full size** — pages copied by each chained incremental
   against the full baseline (the churn/size asymmetry incrementals buy);
 * **restore time vs chain length** — materializing one archived time per
-  backup era, so successive restores lay down longer chains with shorter
-  log replays; the planner's choice (chain members vs replay bytes) is
-  recorded per point;
+  backup era, so successive restores lay down longer chains (the newest
+  at or below each target) with shorter log replays; chain members and
+  replay bytes are recorded per point;
 * **past-horizon restore** — after retention truncates the primary's log,
   the same restore still works from the archive alone (the pooled as-of
   path provably cannot reach the time anymore).
@@ -75,7 +75,6 @@ def run_archive_bench(smoke: bool) -> dict:
                 "backup_bytes": plan.backup_bytes,
                 "replay_bytes": plan.replay_bytes,
                 "restore_s": restore_s,
-                "estimated_s": plan.estimated_s,
             }
         )
         engine.drop_database(restored.name)

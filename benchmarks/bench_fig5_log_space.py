@@ -1,9 +1,13 @@
 """Figure 5 — space overhead of the additional logging.
 
 Paper series: transaction log space for the baseline and for the as-of
-extensions at several full-page-image frequencies N. Expected shape: the
-extensions cost some extra log; smaller N (more frequent images) costs
-substantially more; the baseline is the smallest.
+extensions at several full-page-image frequencies N. Expected shape:
+smaller N (more frequent images) costs substantially more; the baseline
+is the smallest. The baseline here is the extensions with no page
+images: the extensions' one other cost, preformat records on page
+re-allocation, never fires in this TPC-C run (it re-allocates no page),
+so a run without it logs the same bytes. That cost is measured on a
+drop-and-reuse history in ``bench_ablation_extensions.py``.
 
 Paper reference points (100 GB-class log at 800 warehouses): additional
 logging "does increase the transaction log space usage", dominated by the
@@ -46,11 +50,7 @@ def test_fig5_log_space(bench):
     )
 
     by_label = {point.label: point for point in points}
-    base = by_label["baseline (no as-of logging)"]
-    no_images = by_label["extensions, no images"]
-    # Extensions cost extra log even without images (preformat images of
-    # re-allocated pages; a run that re-allocates none logs the same).
-    assert no_images.log_bytes >= base.log_bytes
+    base = by_label["extensions, no images"]
     # Log space grows monotonically as N shrinks.
     ordered = [point for point in points if point.label.startswith("extensions, N=")]
     sizes = [point.log_bytes for point in ordered]

@@ -5,6 +5,9 @@ Figure 5. Expected shape: "the additional logging has little impact to
 the transaction throughput" — throughput stays within a narrow band of
 the baseline even while Figure 5's space grows, because throughput tracks
 the number of log records (log-manager synchronization), not their size.
+The baseline is the extensions with no page images, as in Figure 5
+(``bench_fig5_log_space.py`` says why; the preformat extension's cost is
+measured in ``bench_ablation_extensions.py``).
 """
 
 from __future__ import annotations
@@ -60,7 +63,6 @@ def test_fig6_throughput(bench):
     # deployment would choose them.
     for point in points:
         if point.label in (
-            "baseline (no as-of logging)",
             "extensions, no images",
             "extensions, N=16",
             "extensions, N=8",

@@ -94,12 +94,12 @@ SHARED_STATE_REGISTRY: tuple[dict, ...] = (
     {"attr": "_versions", "owners": ("repro/core/version_store.py",), "latch": True},
     # Shipper subscriptions.
     {"attr": "_subs", "owners": ("repro/replication/shipper.py",)},
-    # The archive store's segment/backup/log-view maps and each view's
-    # segment cursor: filled by the archiver, read from session threads.
+    # The archive store's segment/backup/log maps and its read cursor:
+    # filled by the archiver, read from session threads.
     {"attr": "_segments", "owners": ("repro/archive/store.py",), "latch": True},
     {"attr": "_backups", "owners": ("repro/archive/store.py",), "latch": True},
-    {"attr": "_log_views", "owners": ("repro/archive/store.py",), "latch": True},
-    {"attr": "_next_segment", "owners": ("repro/archive/store.py",), "latch": True},
+    {"attr": "_logs", "owners": ("repro/archive/store.py",), "latch": True},
+    {"attr": "_read_cursor", "owners": ("repro/archive/store.py",), "latch": True},
     # Observability: the metrics instrument and sheet tables and the
     # tracer's span stack — engine code holds instrument handles, its
     # own stats sheets and Span objects, it never mutates the tables

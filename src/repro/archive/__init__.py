@@ -6,8 +6,8 @@ all that's left, and its cost scales with the whole database. This
 package makes that workflow cheap, continuous and engine-owned:
 
 * :class:`~repro.archive.store.ArchiveStore` — cold-tier store for
-  archived log segments and backup chains, priced through its own sim
-  device.
+  the archived log (held once, as one log per database) and backup
+  chains, priced through its own sim device.
 * :class:`~repro.archive.archiver.LogArchiver` — tails the primary via
   the log shipper's framed stream and archives record-aligned segments
   *before* retention truncates them (the subscription cursor doubles as a
@@ -15,9 +15,9 @@ package makes that workflow cheap, continuous and engine-owned:
 * :class:`~repro.archive.backup.IncrementalBackup` /
   :func:`~repro.archive.backup.take_incremental_backup` — page backups
   copying only pages modified since the chain's previous member.
-* :mod:`~repro.archive.restore` — a planner that picks the cheapest
-  chain (full + incrementals + archived log replay) to materialize any
-  archived time, and the restore that runs it.
+* :mod:`~repro.archive.restore` — a planner that takes the newest
+  chain at or below the target (full + incrementals + archived log
+  replay) to materialize any archived time, and the restore that runs it.
 
 Reaching any archived time also lifts two other limits: ``query_as_of``
 falls back to an archive-backed copy when the pool's split crosses the

@@ -86,8 +86,7 @@ class LogArchiver:
                 f"{format_lsn(log.end_lsn)}: this is a different "
                 f"incarnation of the database; start a fresh store"
             )
-        last = self.store.segments(self.db.name)[-1]
-        frame = LogFrame.decode(last.blob)
+        frame = self.store.frame(self.store.segments(self.db.name)[-1])
         lo = max(log.start_lsn, frame.start_lsn)
         hi = min(frame.end_lsn, log.end_lsn)
         if lo >= hi:
@@ -148,7 +147,7 @@ class LogArchiver:
             if chaos is not None:
                 chaos.hit("archive.receive", target=self.name)
             try:
-                self.store.put_segment(self.db.name, blob)
+                self.store.put_segment(self.db.name, frame)
             except FaultInjectedError:
                 self.stats.receive_errors += 1
                 raise

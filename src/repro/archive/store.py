@@ -1,12 +1,16 @@
 """The archive store: cold tier for log segments and backup chains.
 
 An :class:`ArchiveStore` owns everything the engine needs to materialize
-a database state *older than the primary's retained log*: record-aligned
-archived log segments (the shipper's frame format, CRC and all) and page
-backups chained full → incremental → incremental. It is priced through
-the sim device model like every other medium in the system — archive
-media is typically the cheapest, slowest tier, so the store carries its
-own :class:`~repro.sim.device.SimDevice` (defaulting to the log device's
+a database state *older than the primary's retained log*: the archived
+log and page backups chained full → incremental → incremental. Each
+database's archived log is held once, in one in-memory
+:class:`~repro.wal.log_manager.LogManager` that every shipped frame is
+ingested into as it lands; the segment index keeps only each frame's
+extent, and a frame is rebuilt from the log when a standby or a tool
+asks for it. The store is priced through the sim device model like every
+other medium in the system — archive media is typically the cheapest,
+slowest tier, so the store carries its own
+:class:`~repro.sim.device.SimDevice` (defaulting to the log device's
 profile) and every segment or backup read/write charges it.
 
 Segments can optionally be persisted to a real directory (one ``.seg``
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 from repro.config import SimEnv
 from repro.errors import ArchiveError, BackupError, FaultInjectedError
 from repro.latch import Latch
-from repro.replication.stream import LogFrame
+from repro.replication.stream import FRAME_HEADER_SIZE, LogFrame
 from repro.sim import hostio
 from repro.sim.device import DeviceProfile, SimDevice
 from repro.wal.log_manager import LogManager
@@ -32,57 +36,18 @@ from repro.wal.lsn import format_lsn
 
 @dataclass(frozen=True)
 class ArchivedSegment:
-    """One archived log segment: the encoded frame plus its extent."""
+    """One archived log segment's extent; its bytes live in the store's
+    log for the database."""
 
     db_name: str
     start_lsn: int
     end_lsn: int
     ship_wall: float
-    blob: bytes
 
-
-class _ArchivedLogView:
-    """Lazily materialized :class:`LogManager` over archived segments.
-
-    Extended incrementally: each refresh ingests only segments archived
-    since the last one, so repeated split searches and restores do not
-    re-read the whole archive. The view doubles as the ``db``-shaped
-    object SplitLSN search expects (``env``, ``log``).
-    """
-
-    def __init__(self, store: "ArchiveStore", db_name: str) -> None:
-        self._store = store
-        self.db_name = db_name
-        self.env = store.env
-        self.log: LogManager | None = None
-        self._next_segment = 0
-
-    def refresh(self) -> "_ArchivedLogView":
-        # Session threads reach this through past-retention reads: the
-        # ``log is None`` test, the segment cursor and the ingests are
-        # one step under the store latch, or two first readers both
-        # ingest segment 0.
-        with self._store.latch:
-            segments = self._store.segments(self.db_name)
-            if not segments:
-                raise ArchiveError(
-                    f"no archived log segments for {self.db_name!r}"
-                )
-            if self.log is None:
-                # The scratch copy lives in memory: the only real media
-                # cost of materializing the view is the archive read
-                # (charged per segment below), so the LogManager runs on
-                # a free-device env sharing the real clock — ingest/scan
-                # must not bill phantom primary log-device traffic into
-                # the shared stats.
-                self.log = LogManager(SimEnv(clock=self.env.clock))
-                self.log.open_at(segments[0].start_lsn)
-            for segment in segments[self._next_segment:]:
-                self._store._charge_read(len(segment.blob))
-                frame = LogFrame.decode(segment.blob)
-                self.log.ingest(frame.start_lsn, frame.payload)
-            self._next_segment = len(segments)
-            return self
+    @property
+    def frame_bytes(self) -> int:
+        """Size of the encoded frame the segment was archived from."""
+        return FRAME_HEADER_SIZE + self.end_lsn - self.start_lsn
 
 
 class ArchiveStore:
@@ -105,13 +70,16 @@ class ArchiveStore:
         self.directory = directory
         if directory is not None:
             hostio.ensure_directory(directory)
-        #: Guards the three maps below and every log view's cursor: the
-        #: archiver fills them from whoever pumps replication while
-        #: session threads read past retention (``docs/concurrency.md``).
+        #: Guards the maps below: the archiver fills them from whoever
+        #: pumps replication while session threads read past retention
+        #: (``docs/concurrency.md``).
         self.latch = Latch("archive_store")
         self._segments: dict[str, list[ArchivedSegment]] = {}
         self._backups: dict[str, list] = {}
-        self._log_views: dict[str, _ArchivedLogView] = {}
+        #: Each database's archived log, the one copy of its bytes.
+        self._logs: dict[str, LogManager] = {}
+        #: How many of a database's segments a reader has been charged for.
+        self._read_cursor: dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Device accounting
@@ -129,16 +97,17 @@ class ArchiveStore:
     # Log segments
     # ------------------------------------------------------------------
 
-    def put_segment(self, db_name: str, blob: bytes) -> ArchivedSegment:
-        """Durably archive one encoded log frame.
+    def put_segment(self, db_name: str, frame: LogFrame) -> ArchivedSegment:
+        """Durably archive one decoded log frame.
 
         Frames must arrive in order with no gaps — the archiver's cursor
         only advances once the segment is durably stored, so a gap here
-        means two archivers (or a cursor rewind) raced on one store.
+        means two archivers (or a cursor rewind) raced on one store. The
+        payload lands in the database's archived log, which refuses one
+        that is not whole records.
         """
-        frame = LogFrame.decode(blob)
-        # Continuity check and append are one step: the index never shows
-        # a gap or a segment twice.
+        # Continuity check, ingest and append are one step: the index
+        # never shows a gap or a segment twice, and never leads the log.
         with self.latch:
             segments = self._segments.setdefault(db_name, [])
             if segments and frame.start_lsn != segments[-1].end_lsn:
@@ -148,33 +117,42 @@ class ArchiveStore:
                     f"{format_lsn(segments[-1].end_lsn)}; refusing to leave a gap"
                 )
             segment = ArchivedSegment(
-                db_name=db_name,
-                start_lsn=frame.start_lsn,
-                end_lsn=frame.end_lsn,
-                ship_wall=frame.ship_wall,
-                blob=bytes(blob),
+                db_name, frame.start_lsn, frame.end_lsn, frame.ship_wall
             )
-            path = None
+            path = blob = None
             if self.directory is not None:
                 path = os.path.join(
                     self.directory,
                     f"{db_name}-{frame.start_lsn:016x}-{frame.end_lsn:016x}.seg",
                 )
+                blob = frame.encode()
             chaos = getattr(self.env, "chaos", None)
             if chaos is not None:
                 try:
                     chaos.hit("archive.flush", target=db_name)
                 except FaultInjectedError:
                     # A crash mid-flush leaves at most a torn partial file on
-                    # the medium; the in-memory index never sees the segment
-                    # (the append below is the atomicity point), so the
-                    # archive stays gap-free and the retried flush simply
-                    # overwrites the torn artifact with the full frame.
+                    # the medium; neither the log nor the index sees the
+                    # segment (the ingest and append below are the atomicity
+                    # point), so the archive stays gap-free and the retried
+                    # flush simply overwrites the torn artifact.
                     if path is not None:
                         self._charge_write(len(blob) // 2)
                         hostio.write_blob(path, blob[: max(1, len(blob) // 2)])
                     raise
-            self._charge_write(len(blob))
+            self._charge_write(segment.frame_bytes)
+            log = self._logs.get(db_name)
+            if log is None:
+                # The copy lives in memory: the archive device is charged
+                # above and on reads, so the log runs on a free-device env
+                # sharing the real clock — its ingests and scans must not
+                # bill phantom primary log-device traffic into the shared
+                # stats.
+                log = LogManager(SimEnv(clock=self.env.clock))
+                log.open_at(frame.start_lsn)
+            log.ingest(frame.start_lsn, frame.payload)
+            self._logs[db_name] = log
+            self._read_cursor.setdefault(db_name, 0)
             if path is not None:
                 hostio.write_blob(path, blob)
             segments.append(segment)
@@ -195,12 +173,21 @@ class ArchiveStore:
             return None
         return segments[0].start_lsn, segments[-1].end_lsn
 
+    def frame(self, segment: ArchivedSegment, from_lsn: int | None = None) -> LogFrame:
+        """The frame ``segment`` was archived from, rebuilt from the log
+        (uncharged); from ``from_lsn`` on when that record boundary lies
+        inside it."""
+        start = segment.start_lsn if from_lsn is None else max(from_lsn, segment.start_lsn)
+        payload = self._logs[segment.db_name].read_bytes(start, segment.end_lsn)
+        return LogFrame(start, payload, segment.ship_wall)
+
     def frames_from(self, db_name: str, from_lsn: int):
         """Yield encoded frames covering ``[from_lsn, coverage end)``.
 
         ``from_lsn`` must be a record boundary; a segment straddling it is
         sliced (and re-framed) so the first yielded frame starts exactly
-        there — the shape a standby's ``receive`` path expects.
+        there — the shape a standby's ``receive`` path expects. Each
+        segment touched is charged at its full frame size.
         """
         coverage = self.coverage(db_name)
         if coverage is None:
@@ -214,25 +201,23 @@ class ArchiveStore:
         for segment in self._segments[db_name]:
             if segment.end_lsn <= from_lsn:
                 continue
-            self._charge_read(len(segment.blob))
-            if segment.start_lsn >= from_lsn:
-                yield segment.blob
-                continue
-            frame = LogFrame.decode(segment.blob)
-            offset = from_lsn - frame.start_lsn
-            yield LogFrame(
-                from_lsn, frame.payload[offset:], frame.ship_wall
-            ).encode()
+            self._charge_read(segment.frame_bytes)
+            yield self.frame(segment, from_lsn).encode()
 
-    def log_view(self, db_name: str) -> _ArchivedLogView:
-        """The materialized archived log for ``db_name`` (cached and
-        extended incrementally as new segments land)."""
+    def log(self, db_name: str) -> LogManager:
+        """The archived log of ``db_name``; the archive device is charged
+        for each segment the first time a reader reads it."""
+        # Session threads reach this through past-retention reads: the
+        # cursor test and advance are one step under the latch, or two
+        # first readers both pay for segment 0.
         with self.latch:
-            view = self._log_views.get(db_name)
-            if view is None:
-                view = _ArchivedLogView(self, db_name)
-                self._log_views[db_name] = view
-            return view.refresh()
+            segments = self._segments.get(db_name)
+            if not segments:
+                raise ArchiveError(f"no archived log segments for {db_name!r}")
+            for segment in segments[self._read_cursor[db_name]:]:
+                self._charge_read(segment.frame_bytes)
+                self._read_cursor[db_name] += 1
+            return self._logs[db_name]
 
     # ------------------------------------------------------------------
     # Backups
@@ -274,41 +259,26 @@ class ArchiveStore:
     def backups(self, db_name: str) -> list:
         return list(self._backups.get(db_name, ()))
 
-    def chains(self, db_name: str, up_to_lsn: int | None = None) -> list[list]:
-        """Every restorable backup chain, as ``[full, inc, inc, ...]``.
+    def newest_chain(self, db_name: str, up_to_lsn: int | None = None) -> list:
+        """The chain ending at the newest backup whose ``backup_lsn`` does
+        not exceed ``up_to_lsn`` (any, without it), as ``[full, inc, inc,
+        ...]``; ``[]`` if there is none.
 
-        A chain starts at a full backup and extends through incrementals
-        whose ``base_lsn`` links match; with ``up_to_lsn`` the chain is
-        cut at the last member whose ``backup_lsn`` does not exceed it
-        (the restore target's SplitLSN).
+        Follows ``base_lsn`` links back from that backup: each names the
+        ``backup_lsn`` of the member it was taken against, which
+        :meth:`put_backup` made sure is archived and older.
         """
-        backups = self._backups.get(db_name, ())
-        chains: list[list] = []
-        for backup in backups:
-            if getattr(backup, "base_lsn", None) is None:
-                if up_to_lsn is not None and backup.backup_lsn > up_to_lsn:
-                    continue
-                chains.append([backup])
-        for chain in chains:
-            extended = True
-            while extended:
-                extended = False
-                for backup in backups:
-                    if getattr(backup, "base_lsn", None) != chain[-1].backup_lsn:
-                        continue
-                    if up_to_lsn is not None and backup.backup_lsn > up_to_lsn:
-                        continue
-                    chain.append(backup)
-                    extended = True
-                    break
-        return chains
-
-    def newest_chain(self, db_name: str) -> list:
-        """The chain ending at the newest backup (``[]`` if none)."""
-        chains = self.chains(db_name)
-        if not chains:
+        eligible = [
+            b for b in self._backups.get(db_name, ())
+            if up_to_lsn is None or b.backup_lsn <= up_to_lsn
+        ]
+        if not eligible:
             return []
-        return max(chains, key=lambda chain: chain[-1].backup_lsn)
+        by_lsn = {b.backup_lsn: b for b in eligible}
+        chain = [eligible[-1]]
+        while getattr(chain[-1], "base_lsn", None) is not None:
+            chain.append(by_lsn[chain[-1].base_lsn])
+        return chain[::-1]
 
     def read_backup_pages(self, chain: list) -> dict[int, bytes]:
         """Merged page set of a chain, oldest layer first (reads charged)."""

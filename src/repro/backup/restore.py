@@ -50,7 +50,7 @@ def restore_at_split(
 ) -> Database:
     """Materialize the history in ``log`` at ``split`` from backup ``pages``.
 
-    ``log`` is the live source database's, or the archive's log view's.
+    ``log`` is the live source database's, or the archive's.
     ``pages`` must be consistent with ``roll_from``, and the log must
     cover ``[roll_from, split]``. Returns a read-only, unregistered database
     with no history of its own: its log starts past the split, so a
@@ -58,7 +58,7 @@ def restore_at_split(
     :class:`~repro.errors.RetentionExceededError`.
     """
     restored = Database(name, config, env, bootstrap=False)
-    restored.adopt_backup(pages, log.record_aligned_end(split, 1))
+    restored.adopt_backup(pages, log.record_aligned_end(split, 1), log)
     # Narrowed to what redo applies: every record in the range is still
     # checked and charged, only the others are not built.
     RedoApplier(restored).apply(log.scan(roll_from, split + 1, types=PAGE_MOD_TYPES))

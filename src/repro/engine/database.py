@@ -326,19 +326,23 @@ class Database:
         self._boot_cache = boot
         self.last_checkpoint_lsn = boot.last_checkpoint_lsn
 
-    def adopt_backup(self, pages: dict[int, bytes], log_start_lsn: int) -> None:
+    def adopt_backup(
+        self, pages: dict[int, bytes], log_start_lsn: int, source_log
+    ) -> None:
         """Start a ``bootstrap=False`` shell from backup pages.
 
         The pages are laid down as the data file and the (still pristine)
         log is rebased so its first record lands at ``log_start_lsn``:
-        everything below lives in the pages, or in the source's log, never
+        everything below lives in the pages, or in ``source_log``, never
         here — so whatever this shell logs next (a restore's compensation
         records, a standby's shipped stream) continues the source
         history's LSN space instead of restarting at ``FIRST_LSN`` beneath
-        the pageLSNs already on the pages.
+        the pageLSNs already on the pages. The transactions the source
+        began below that LSN read as past this log's retention, not as
+        never logged.
         """
         self.file_manager.write_sequential(pages)
-        self.log.open_at(log_start_lsn)
+        self.log.open_at(log_start_lsn, source_log.last_txn_below(log_start_lsn))
         self.invalidate_caches()
         self.reload_boot()
 

@@ -132,7 +132,7 @@ class Replica:
                 f"replica {self.name!r} already has shipped state; seed "
                 f"before attaching it to a shipper"
             )
-        self.db.adopt_backup(pages, seed_lsn)
+        self.db.adopt_backup(pages, seed_lsn, self.primary.log)
         self.applied_lsn = seed_lsn
         self.db.publish_horizon_lsn = seed_lsn
 

@@ -225,7 +225,9 @@ def _collect_segments(source, db_name: str | None) -> list[tuple[str, str, bytes
     else:
         names = [db_name] if db_name is not None else source.database_names()
         for name in names:
-            out.extend((name, name, seg.blob) for seg in source.segments(name))
+            out.extend(
+                (name, name, source.frame(seg).encode()) for seg in source.segments(name)
+            )
     return out
 
 

@@ -208,6 +208,12 @@ class TransactionDirectory:
             return None
         return self._begins[k], self._ends[k]
 
+    def last_begun_below(self, lsn: int) -> int:
+        """The highest id of a transaction begun below ``lsn``, those
+        :meth:`drop_below` forgot included; 0 when there is none."""
+        ended = max(self._ids[: bisect_left(self._ends, lsn, 0, self._n)], default=0)
+        return max(self.dropped, ended, *self.in_flight(lsn - 1))
+
     def drop_below(self, lsn: int) -> None:
         """Forget the transactions that ended below ``lsn``."""
         i = bisect_left(self._ends, lsn, 0, self._n)
@@ -333,6 +339,12 @@ class LogManager:
         log never held, cut away or trimmed. Reads no log."""
         with self.latch:
             return self._txn_dir.span(txn_id)
+
+    def last_txn_below(self, lsn: int) -> int:
+        """:meth:`TransactionDirectory.last_begun_below`: the highest id
+        of a transaction begun below ``lsn``. Reads no log."""
+        with self.latch:
+            return self._txn_dir.last_begun_below(lsn)
 
     def retained_span(self, txn_id: int) -> tuple[int, int | None] | None:
         """:meth:`transaction_span` for a reader that walks the
@@ -608,7 +620,7 @@ class LogManager:
             self.env.stats.log_flushes += 1
             self.env.stats.log_write_bytes += len(data)
 
-    def open_at(self, base_lsn: int) -> None:
+    def open_at(self, base_lsn: int, last_txn_id: int = 0) -> None:
         """Rebase a pristine, empty log so its next record lands at
         ``base_lsn``.
 
@@ -616,8 +628,11 @@ class LogManager:
         standby seeded from a backup chain — starts mid-history: the first
         byte it will ever hold is the record at the seed LSN, and
         everything below that LSN lives in the backup pages (or the
-        archive). Only a freshly constructed log (no appended records, no
-        prior rebase) may be rebased; anything else would orphan LSNs.
+        archive). ``last_txn_id`` is the highest transaction id the
+        history began below ``base_lsn``: :meth:`retained_span` reads
+        every id up to it as one retention dropped. Only a freshly
+        constructed log (no appended records, no prior rebase) may be
+        rebased; anything else would orphan LSNs.
         """
         with self.latch:
             if base_lsn < FIRST_LSN:
@@ -639,6 +654,7 @@ class LogManager:
             self._base = base_lsn
             self._durable_end = base_lsn
             self._truncated_before = base_lsn
+            self._txn_dir.dropped = last_txn_id
 
     def discard_after(self, lsn: int) -> None:
         """Throw away all records with LSN >= ``lsn`` (standby promotion).

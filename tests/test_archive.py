@@ -4,9 +4,11 @@ surface (BACKUP DATABASE / RESTORE DATABASE ... AS OF)."""
 
 from __future__ import annotations
 
+import itertools
 import os
 import sys
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -14,6 +16,7 @@ from repro.archive import (
     ArchiveStore,
     IncrementalBackup,
     plan_restore,
+    restore_from_archive,
     take_incremental_backup,
 )
 from repro.backup import take_full_backup
@@ -22,14 +25,17 @@ from repro.engine.engine import Engine
 from repro.errors import (
     ArchiveError,
     BackupError,
+    LogRecordDecodeError,
     ReplicationError,
     RetentionExceededError,
 )
 from repro.replication.stream import LogFrame
-from repro.sim.device import SLC_SSD
+from repro.sim.device import SAS_10K, SLC_SSD
 from repro.tools import check_database, dump_archive, dump_archived_segment
 from repro.tools.loginspect import main as loginspect_main
+from repro.wal.log_manager import LogManager
 from repro.wal.lsn import FIRST_LSN
+from repro.wal.records import BeginRecord
 from tests.conftest import ITEMS_SCHEMA, assert_refuses_writes, fill_items
 
 
@@ -42,21 +48,72 @@ def expire_retention(db, window_s: float = 10.0) -> None:
     db.enforce_retention()
 
 
+def record_frames(*counts: int) -> list[LogFrame]:
+    """Back-to-back frames of real serialized records from ``FIRST_LSN``:
+    one frame per count, holding that many BEGIN records."""
+    log = LogManager(SimEnv.for_tests())
+    frames = []
+    for count in counts:
+        start = log.end_lsn
+        for txn_id in range(count):
+            log.append(BeginRecord(txn_id=txn_id + 1))
+        frames.append(LogFrame(start, log.read_bytes(start, log.end_lsn), float(len(frames))))
+    return frames
+
+
 class TestArchiveStore:
     def test_segments_must_be_contiguous(self, env):
         store = ArchiveStore(env)
-        store.put_segment("db", LogFrame(8, b"x" * 16, 0.0).encode())
+        first, _skipped, third = record_frames(2, 1, 2)
+        store.put_segment("db", first)
         with pytest.raises(ArchiveError, match="gap"):
-            store.put_segment("db", LogFrame(100, b"y" * 16, 0.0).encode())
+            store.put_segment("db", third)
+        assert store.coverage("db") == (first.start_lsn, first.end_lsn)
 
     def test_coverage_and_charging(self, env):
         store = ArchiveStore(env)
         assert store.coverage("db") is None
-        store.put_segment("db", LogFrame(8, b"x" * 16, 0.0).encode())
-        store.put_segment("db", LogFrame(24, b"y" * 8, 1.0).encode())
-        assert store.coverage("db") == (8, 32)
+        first, second = record_frames(2, 1)
+        store.put_segment("db", first)
+        store.put_segment("db", second)
+        assert store.coverage("db") == (FIRST_LSN, second.end_lsn)
         assert env.stats.archive_segments_written == 2
-        assert env.stats.archive_write_bytes > 24
+        assert env.stats.archive_write_bytes == len(first.encode()) + len(second.encode())
+        # Each segment is read once, at its frame size, however often
+        # the log is asked for; a frame is rebuilt byte for byte.
+        assert store.log("db").end_lsn == second.end_lsn
+        assert store.log("db") is store.log("db")
+        assert env.stats.archive_read_bytes == env.stats.archive_write_bytes
+        assert [store.frame(seg) for seg in store.segments("db")] == [first, second]
+
+    def test_a_frame_of_partial_records_is_refused(self, env):
+        store = ArchiveStore(env)
+        first, second = record_frames(2, 2)
+        store.put_segment("db", first)
+        torn = LogFrame(second.start_lsn, second.payload[:-1], second.ship_wall)
+        with pytest.raises(LogRecordDecodeError):
+            store.put_segment("db", torn)
+        assert store.coverage("db") == (first.start_lsn, first.end_lsn)
+        assert len(store.segments("db")) == 1
+        store.put_segment("db", second)  # the whole frame still lands
+        assert store.coverage("db") == (first.start_lsn, second.end_lsn)
+
+    def test_newest_chain_follows_base_links(self, env, items_db):
+        """An incremental chained onto an older full than the newest one:
+        the chain ending at it skips the newer full."""
+        store = ArchiveStore(env)
+        fill_items(items_db, 10)
+        older = take_full_backup(items_db)
+        fill_items(items_db, 5, start=10)
+        newer = take_full_backup(items_db)
+        fill_items(items_db, 5, start=20)
+        inc = take_incremental_backup(items_db, older)
+        for backup in (older, newer, inc):
+            store.put_backup(backup)
+        assert store.newest_chain("itemsdb") == [older, inc]
+        assert store.newest_chain("itemsdb", up_to_lsn=inc.backup_lsn - 1) == [newer]
+        assert store.newest_chain("itemsdb", up_to_lsn=newer.backup_lsn - 1) == [older]
+        assert store.newest_chain("itemsdb", up_to_lsn=older.backup_lsn - 1) == []
 
     def test_incremental_backup_must_chain(self, env, items_db):
         store = ArchiveStore(env)
@@ -115,9 +172,12 @@ class TestArchiveStore:
 
     def test_directory_persistence(self, env, tmp_path):
         store = ArchiveStore(env, directory=str(tmp_path / "arch"))
-        store.put_segment("db", LogFrame(8, b"x" * 16, 0.0).encode())
+        (frame,) = record_frames(3)
+        store.put_segment("db", frame)
         names = os.listdir(tmp_path / "arch")
         assert len(names) == 1 and names[0].endswith(".seg")
+        with open(tmp_path / "arch" / names[0], "rb") as fh:
+            assert LogFrame.decode(fh.read()) == frame
 
 
 class TestLogArchiver:
@@ -371,8 +431,8 @@ class TestRestoreFromArchive:
 
 
 class TestRestorePlanner:
-    def _archived_scenario(self, heavy_churn: int):
-        env = SimEnv(SLC_SSD, SLC_SSD, CostModel())
+    def _archived_scenario(self, heavy_churn: int, profile=SLC_SSD):
+        env = SimEnv(profile, profile, CostModel())
         engine = Engine(env)
         db = engine.create_database("perfdb")
         from tests.conftest import ITEMS_SCHEMA
@@ -404,15 +464,29 @@ class TestRestorePlanner:
         assert len(plan.chain) == 2  # full + incremental beats log replay
         assert plan.replay_bytes < 100_000
 
-    def test_light_churn_makes_the_full_alone_win(self):
-        engine, store, target = self._archived_scenario(heavy_churn=1)
+    @pytest.mark.parametrize("profile", [SLC_SSD, SAS_10K], ids=lambda p: p.name)
+    @pytest.mark.parametrize("churn", [1, 200, 5000])
+    def test_the_whole_chain_restores_no_slower(self, churn, profile):
+        """However little the log past the full backup holds, laying the
+        incremental down too costs no more sim time than replaying it."""
+        engine, store, target = self._archived_scenario(churn, profile)
         plan = plan_restore(store, "perfdb", target)
-        assert len(plan.chain) == 1  # replaying a tiny log beats copying
+        assert plan.chain == store.newest_chain("perfdb") and len(plan.chain) == 2
+
+        def restore_s(chain: list) -> float:
+            start = engine.env.clock.now()
+            restore_from_archive(
+                engine, store, "perfdb", target, f"copy{len(chain)}",
+                plan=replace(plan, chain=chain, roll_from_lsn=chain[-1].backup_lsn),
+            )
+            return engine.env.clock.now() - start
+
+        alone = restore_s(plan.chain[:1])
+        assert restore_s(plan.chain) <= alone
 
     def test_planner_estimates_are_consistent(self):
         engine, store, target = self._archived_scenario(heavy_churn=200)
         plan = plan_restore(store, "perfdb", target)
-        assert plan.estimated_s > 0
         assert plan.split_lsn >= plan.roll_from_lsn
         restored = engine.restore_from_archive("perfdb", target)
         assert restored.get("items", (0,))[2] == -1
@@ -649,8 +723,9 @@ class TestLoginspectArchive:
         from repro.tools.loginspect import _segment_file_matches
 
         store = ArchiveStore(env, directory=str(tmp_path))
-        store.put_segment("shop", LogFrame(8, b"x" * 16, 0.0).encode())
-        store.put_segment("shop-eu", LogFrame(8, b"y" * 16, 0.0).encode())
+        (frame,) = record_frames(2)
+        store.put_segment("shop", frame)
+        store.put_segment("shop-eu", frame)
         names = sorted(os.listdir(tmp_path))
         assert len(names) == 2
         matched = [n for n in names if _segment_file_matches(n, "shop")]
@@ -713,12 +788,14 @@ class TestLoginspectArchive:
         assert len(lines) <= 13  # limit + segment headers + ellipsis
 
 
-def test_fresh_log_view_under_racing_first_readers(engine):
-    """Session threads whose past-retention reads are the first to touch
-    a database's archived log view: unlatched, two of them ingest segment
-    0 twice (``WalError: ingest at 0x8 does not continue the log``) or
-    ship one pending range to the archiver twice. Five fresh views per
-    run, and a busy thread for the preemptions a quiet host rarely gives."""
+def test_archive_log_under_racing_first_readers(engine, monkeypatch):
+    """Session threads whose past-retention reads are the first to read
+    a database's archived log: unlatched, two of them pay the archive
+    read for one segment twice, or ship one pending range to the
+    archiver twice. Five fresh archives per run, a busy thread for the
+    preemptions a quiet host rarely gives, and a first charge that waits
+    (boundedly) until a second reader has called ``store.log``, so the
+    two meet mid-charge."""
     marks = {}
     for name in "abcde":
         db = engine.create_database(name)
@@ -729,6 +806,23 @@ def test_fresh_log_view_under_racing_first_readers(engine):
         db.env.clock.advance(10)
         fill_items(db, 30, start=30)
         expire_retention(db)  # leaves checkpoints the archiver has yet to receive
+    for store in {id(a.store): a.store for a in engine.archives.values()}.values():
+        second, readers = threading.Event(), itertools.count()
+
+        def log(name: str, read=store.log, second=second, readers=readers):
+            if next(readers) == 1:
+                second.set()
+            return read(name)
+
+        def charge_read(nbytes: int, charge=store._charge_read, second=second) -> None:
+            # A second reader may be held behind the latch in an archive
+            # flush instead: then go on after the wait.
+            second.wait(1.0)
+            second.set()
+            charge(nbytes)
+
+        monkeypatch.setattr(store, "log", log)
+        monkeypatch.setattr(store, "_charge_read", charge_read)
     stop = threading.Event()
 
     def hog() -> None:
@@ -752,6 +846,11 @@ def test_fresh_log_view_under_racing_first_readers(engine):
         busy.join(timeout=10.0)
         sys.setswitchinterval(interval)
     assert not busy.is_alive()
+    expected = 0
     for name in marks:
         store = engine.archives[name].store
-        assert store.log_view(name).log.end_lsn == store.coverage(name)[1]
+        assert store.log(name).end_lsn == store.coverage(name)[1]
+        # Each segment once, and the one backup the one restore laid down.
+        expected += sum(seg.frame_bytes for seg in store.segments(name))
+        expected += sum(b.size_bytes for b in store.backups(name))
+    assert engine.env.stats.archive_read_bytes == expected

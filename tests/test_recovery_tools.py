@@ -417,6 +417,43 @@ class TestTransactionUndo:
         with pytest.raises(TransactionError, match="not found"):
             undo_transaction(db, never)
 
+    @pytest.mark.parametrize("route", ["archive restore", "seeded standby"])
+    def test_a_log_opened_mid_history_knows_what_began_below_it(
+        self, engine, items_db, route
+    ):
+        """A restored copy's or a backup-seeded standby's log starts past
+        transactions its source committed: their history and undo raise
+        RetentionExceededError there, as on a primary that truncated them,
+        and an id never assigned is still not found."""
+        db = items_db
+        ids = []
+        for i in range(5):
+            with db.transaction() as txn:
+                db.insert(txn, "items", (i, f"i{i}", i))
+            ids.append(txn.txn_id)
+        engine.backup_database("itemsdb")
+        mark = engine.env.clock.now()
+        engine.env.clock.advance(1.0)
+        for i in range(5, 10):
+            with db.transaction() as txn:
+                db.insert(txn, "items", (i, f"i{i}", i))
+        if route == "archive restore":
+            copy = engine.restore_from_archive("itemsdb", mark)
+        else:
+            copy = engine.add_replica("itemsdb", "standby", seed_from_backup=True).db
+        for txn_id in ids:
+            with pytest.raises(RetentionExceededError, match="retention horizon"):
+                copy.log.retained_span(txn_id)
+            with pytest.raises(RetentionExceededError, match="retention horizon"):
+                transaction_history(copy, txn_id)
+            with pytest.raises(RetentionExceededError, match="retention horizon"):
+                undo_transaction(copy, txn_id)
+        never = txn.txn_id + 100
+        assert copy.log.retained_span(never) is None
+        assert transaction_history(copy, never) == []
+        with pytest.raises(TransactionError, match="not found"):
+            undo_transaction(copy, never)
+
     def test_history_of_a_transaction_in_flight(self, engine, items_db):
         """Open on its own database, a transaction's history starts at its
         newest record. A standby holds its records but not its owner: there
