@@ -147,7 +147,7 @@ class LogArchiver:
             if chaos is not None:
                 chaos.hit("archive.receive", target=self.name)
             try:
-                self.store.put_segment(self.db.name, frame)
+                self.store.put_segment(self.db.name, frame, self.db.log)
             except FaultInjectedError:
                 self.stats.receive_errors += 1
                 raise

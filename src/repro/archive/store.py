@@ -97,14 +97,17 @@ class ArchiveStore:
     # Log segments
     # ------------------------------------------------------------------
 
-    def put_segment(self, db_name: str, frame: LogFrame) -> ArchivedSegment:
+    def put_segment(self, db_name: str, frame: LogFrame, source_log=None) -> ArchivedSegment:
         """Durably archive one decoded log frame.
 
         Frames must arrive in order with no gaps — the archiver's cursor
         only advances once the segment is durably stored, so a gap here
         means two archivers (or a cursor rewind) raced on one store. The
         payload lands in the database's archived log, which refuses one
-        that is not whole records.
+        that is not whole records. ``source_log`` is the log the frame
+        was shipped from: at the first frame, the archived log learns from
+        it which transactions began below the archive, so it reads them
+        as past retention, as the source does, not as never logged.
         """
         # Continuity check, ingest and append are one step: the index
         # never shows a gap or a segment twice, and never leads the log.
@@ -149,7 +152,8 @@ class ArchiveStore:
                 # bill phantom primary log-device traffic into the shared
                 # stats.
                 log = LogManager(SimEnv(clock=self.env.clock))
-                log.open_at(frame.start_lsn)
+                below = 0 if source_log is None else source_log.last_txn_below(frame.start_lsn)
+                log.open_at(frame.start_lsn, below)
             log.ingest(frame.start_lsn, frame.payload)
             self._logs[db_name] = log
             self._read_cursor.setdefault(db_name, 0)

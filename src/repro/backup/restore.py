@@ -13,16 +13,18 @@ needed — emerges from the same accounting as the as-of numbers.
 archive tier's restore planner (:mod:`repro.archive.restore`): the two
 differ only in where the pages and the log come from. Its three stages —
 redo, analysis window, loser rollback — are the ones crash recovery,
-replica promotion and as-of snapshot recovery run (``docs/recovery.md``);
-nothing here replays or rolls back on its own.
+replica promotion and as-of snapshot recovery run (``docs/recovery.md``),
+and its analysis window follows the rule AS OF's does: read only when
+the log's transaction directory finds someone in flight at the split.
+Nothing here replays or rolls back on its own.
 """
 
 from __future__ import annotations
 
 from repro.backup.backup import FullBackup
-from repro.core.split_lsn import analysis_base, find_split_lsn
+from repro.core.split_lsn import find_split_lsn
 from repro.engine.database import Database
-from repro.engine.recovery import analyze_log
+from repro.engine.recovery import analyze_in_flight
 from repro.errors import BackupError
 from repro.txn.undo import rollback_losers
 from repro.wal.apply import PAGE_MOD_TYPES, RedoApplier
@@ -52,7 +54,8 @@ def restore_at_split(
 
     ``log`` is the live source database's, or the archive's.
     ``pages`` must be consistent with ``roll_from``, and the log must
-    cover ``[roll_from, split]``. Returns a read-only, unregistered database
+    cover ``[roll_from, split]`` and the BEGIN of every transaction in
+    flight at the split. Returns a read-only, unregistered database
     with no history of its own: its log starts past the split, so a
     point-in-time read against the copy is refused with
     :class:`~repro.errors.RetentionExceededError`.
@@ -62,9 +65,12 @@ def restore_at_split(
     # Narrowed to what redo applies: every record in the range is still
     # checked and charged, only the others are not built.
     RedoApplier(restored).apply(log.scan(roll_from, split + 1, types=PAGE_MOD_TYPES))
-    base = analysis_base(log, split, max(roll_from, log.start_lsn))
-    analysis = analyze_log(log, base, split + 1)
-    rollback_losers(_RestoreUndoContext(restored, log), analysis.losers)
+    # The directory rule AS OF applies: with nobody in flight at the
+    # split there is nothing to roll back, and no window is read (redo
+    # has already checked every record in it).
+    analysis, _start = analyze_in_flight(log, split)
+    if analysis.losers:
+        rollback_losers(_RestoreUndoContext(restored, log), analysis.losers)
     restored.buffer.flush_all()
     restored.read_only = True
     return restored

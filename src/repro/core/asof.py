@@ -62,7 +62,7 @@ from repro.catalog.catalog import (
 )
 from repro.core.page_undo import prepare_page_version, roll_page_forward
 from repro.core.split_lsn import analysis_base, find_split_lsn
-from repro.engine.recovery import AnalysisResult, analyze_log
+from repro.engine.recovery import AnalysisResult, analyze_in_flight
 from repro.latch import Latch
 from repro.errors import (
     CatalogError,
@@ -149,11 +149,11 @@ def snapshot_analysis(db, split: int) -> tuple[AnalysisResult, int]:
     """Section 5.2's analysis for a snapshot at ``split``: the analysis
     result and the retention pin.
 
-    The log's transaction directory says who was in flight at the split.
-    With nobody, no log is read. Otherwise the window runs from the
-    oldest loser's BEGIN to the split, so it holds every record of every
-    loser and their lock sets come out whole; a loser begun below the
-    retained log raises :class:`LogTruncatedError`.
+    :func:`~repro.engine.recovery.analyze_in_flight`'s directory rule:
+    with nobody in flight at the split, no log is read; otherwise the
+    window runs from the oldest loser's BEGIN, so the losers' lock sets
+    come out whole, and a loser begun below the retained log raises
+    :class:`LogTruncatedError`.
 
     The pin covers that BEGIN and the newest checkpoint at or before the
     split: a pooled split is found again through :func:`find_split_lsn`,
@@ -161,11 +161,8 @@ def snapshot_analysis(db, split: int) -> tuple[AnalysisResult, int]:
     """
     log = db.log
     pin = min(analysis_base(log, split, log.start_lsn), split)
-    begins = log.in_flight(split)
-    if not begins:
-        return AnalysisResult(), pin
-    start = min(begins.values())
-    return analyze_log(log, start, split + 1), min(pin, start)
+    analysis, start = analyze_in_flight(log, split)
+    return analysis, min(pin, start)
 
 
 class AsOfSnapshot:

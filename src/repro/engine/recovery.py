@@ -125,6 +125,23 @@ def analyze_log(log, start_lsn: int, to_lsn: int | None = None) -> AnalysisResul
     return result
 
 
+def analyze_in_flight(log, split: int) -> tuple[AnalysisResult, int]:
+    """The analysis of a recovery to ``split`` that only rolls back: the
+    result and where its window starts.
+
+    The log's transaction directory says who was in flight at the split.
+    With nobody, no log is read and the window is empty (it starts past
+    the split). Otherwise it runs from the oldest loser's BEGIN to the
+    split, so it holds every record of every loser; a loser begun below
+    the retained log raises :class:`~repro.errors.LogTruncatedError`.
+    """
+    begins = log.in_flight(split)
+    if not begins:
+        return AnalysisResult(), split + 1
+    start = min(begins.values())
+    return analyze_log(log, start, split + 1), start
+
+
 def redo_pass(db, analysis: AnalysisResult) -> int:
     """Repeat history; returns the number of records replayed.
 
@@ -140,8 +157,10 @@ def redo_pass(db, analysis: AnalysisResult) -> int:
         first_lsn = analysis.dirty_pages.get(rec.page_id)
         return first_lsn is not None and rec.lsn >= first_lsn
 
+    # Narrowed to what redo applies, as on every route: every record in
+    # the range is still checked, only the others are not built.
     return RedoApplier(db).apply(
-        db.log.scan(redo_start, stop_on_torn_tail=True), gate=gate
+        db.log.scan(redo_start, types=PAGE_MOD_TYPES, stop_on_torn_tail=True), gate=gate
     )
 
 

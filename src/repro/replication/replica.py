@@ -44,9 +44,8 @@ from repro.engine.database import Database
 from repro.engine.recovery import analyze_log, undo_pass
 from repro.errors import ReplicationError, ReplicationFaultError
 from repro.replication.stream import LogFrame
-from repro.wal.apply import RedoApplier
+from repro.wal.apply import PAGE_MOD_TYPES, RedoApplier
 from repro.wal.lsn import FIRST_LSN, NULL_LSN, format_lsn
-from repro.wal.records import CommitRecord
 
 #: Redo partitions a standby's apply is costed across (the
 #: :class:`~repro.wal.apply.RedoApplier` multicore model).
@@ -242,17 +241,15 @@ class Replica:
 
     def _apply_range_traced(self, to_lsn: int) -> int:
         touched_meta = False
-        state = {"wall": self.applied_wall, "commit": self.applied_commit_lsn}
+        log = self.db.log
 
         def records():
+            # Narrowed to what redo applies: every record in the range is
+            # still checked and charged, only the others are not built.
             nonlocal touched_meta
-            for rec in self.db.log.scan(self.applied_lsn, to_lsn):
-                if rec.IS_PAGE_MOD:
-                    if rec.page_id == BOOT_PAGE_ID or rec.object_id in _META_OBJECTS:
-                        touched_meta = True
-                elif type(rec) is CommitRecord:
-                    state["wall"] = rec.wall_clock
-                    state["commit"] = rec.lsn
+            for rec in log.scan(self.applied_lsn, to_lsn, types=PAGE_MOD_TYPES):
+                if rec.page_id == BOOT_PAGE_ID or rec.object_id in _META_OBJECTS:
+                    touched_meta = True
                 yield rec
 
         applied = self._applier.apply(records())
@@ -261,8 +258,11 @@ class Replica:
         # page intervals; they are only proven up to the applied prefix
         # (received-but-unapplied records can touch any page).
         self.db.publish_horizon_lsn = to_lsn
-        self.applied_wall = state["wall"]
-        self.applied_commit_lsn = state["commit"]
+        # The commit directory ``ingest`` filled holds every commit's wall:
+        # the newest one applied is the newest below the new prefix end.
+        last_commit = log.commit_before(to_lsn - 1)
+        if last_commit is not None:
+            self.applied_commit_lsn, self.applied_wall = last_commit
         while self._delay_queue and self._delay_queue[0][1] <= self.applied_lsn:
             self._delay_queue.popleft()
         if touched_meta:

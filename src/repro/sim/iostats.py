@@ -89,6 +89,9 @@ class IoStats:
     # Backup/restore traffic.
     backup_read_bytes: int = 0
     backup_write_bytes: int = 0
+    #: Pages a restore (or a backup-seeded standby) lays down from a
+    #: backup chain into its new data file.
+    restore_write_bytes: int = 0
 
     # Archive-tier traffic (continuous log archiving + backup chains).
     archive_write_bytes: int = 0

@@ -118,7 +118,8 @@ class FileManager:
         return pages
 
     def write_sequential(self, pages: dict[int, bytes]) -> None:
-        """Stream-write many pages (restore), priced as sequential I/O."""
+        """Stream-write many pages (a restore's lay-down), priced as
+        sequential I/O and booked as restore writes."""
         total = 0
         for page_id, data in pages.items():
             out = bytearray(data)
@@ -127,4 +128,4 @@ class FileManager:
             total += self.page_size
         if total:
             self.device.write_seq(total)
-            self.stats.backup_write_bytes += total
+            self.stats.restore_write_bytes += total

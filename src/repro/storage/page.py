@@ -379,6 +379,102 @@ class Page:
         _SPACE.pack_into(data, _COUNT_AT, count + 1, end, dir_lo - size)
         self.separators = None
 
+    def insert_records(self, slot: int, payloads) -> None:
+        """Insert ``payloads`` at consecutive slots from ``slot``, in order.
+
+        The page ends with exactly the bytes :meth:`insert_record` of each
+        payload at ``slot``, ``slot + 1``, … leaves, and raises what that
+        loop raises, after the inserts it would have made. The loop
+        compacts at the first payload the contiguous gap cannot hold, and
+        from then on the gap is the whole free space, so it compacts at
+        most once; each side of that point is one payload write and one
+        directory shift here.
+        """
+        if not payloads:
+            return
+        data = self.data
+        count, lower, upper = _SPACE.unpack_from(data, _COUNT_AT)
+        if not 0 <= slot <= count:
+            self._check_slot(slot, insert=True)  # raises, naming the slot
+        # The first payload past the contiguous gap is where the loop
+        # compacts; the first past the whole free space is where it raises.
+        overhead = _RECLEN.size + _SLOT.size
+        gap = upper - lower
+        free = None
+        fits = compact_at = len(payloads)
+        needed = 0
+        for i, payload in enumerate(payloads):
+            needed += overhead + len(payload)
+            if free is None and needed > gap:
+                compact_at, free = i, self.total_free()
+            if free is not None and needed > free:
+                fits = i
+                break
+        if compact_at < fits:
+            self._insert_run(slot, payloads[:compact_at])
+            self.compact()
+            self._insert_run(slot + compact_at, payloads[compact_at:fits])
+        else:
+            self._insert_run(slot, payloads[:fits])
+        if fits < len(payloads):
+            raise PageFullError(
+                f"page {self.page_id}: need {overhead + len(payloads[fits])} "
+                f"bytes, have {self.total_free()}"
+            )
+
+    def _insert_run(self, slot: int, payloads) -> None:
+        """Frame ``payloads`` at ``free_lower`` in one write and open their
+        slots from ``slot`` in one directory shift; the caller has made
+        sure they fit the contiguous gap."""
+        if not payloads:
+            return
+        data = self.data
+        count, lower, _upper = _SPACE.unpack_from(data, _COUNT_AT)
+        offsets = []
+        at = lower
+        for payload in payloads:
+            offsets.append(at)
+            at += _RECLEN.size + len(payload)
+        data[lower:at] = b"".join(
+            [_RECLEN.pack(len(payload)) + payload for payload in payloads]
+        )
+        n = len(offsets)
+        shift = _SLOT.size * n
+        dir_lo = len(data) - _SLOT.size * count
+        slot_end = len(data) - _SLOT.size * slot
+        data[dir_lo - shift : slot_end - shift] = data[dir_lo:slot_end]
+        offsets.reverse()
+        _directory(n).pack_into(data, slot_end - shift, *offsets)
+        _SPACE.pack_into(data, _COUNT_AT, count + n, at, dir_lo - shift)
+        self.separators = None
+
+    def delete_records(self, slot: int, count: int) -> None:
+        """Remove the ``count`` records at consecutive slots from ``slot``.
+
+        The page ends with exactly the bytes :meth:`delete_record` of each
+        slot, the highest first, leaves — later slots shift down by
+        ``count`` and the vacated directory entries read zero — in one
+        directory shift; a range past the last slot raises what that
+        loop's first delete raises, before any change (so does a negative
+        ``slot``, which no log record holds).
+        """
+        if count <= 0:
+            return
+        data = self.data
+        total = _COUNT.unpack_from(data, _COUNT_AT)[0]
+        if slot + count > total:
+            self._check_slot(slot + count - 1)  # raises, naming the slot
+        if slot < 0:
+            self._check_slot(slot)  # raises
+        shift = _SLOT.size * count
+        dir_lo = len(data) - _SLOT.size * total
+        slot_end = len(data) - _SLOT.size * slot
+        data[dir_lo + shift : slot_end] = data[dir_lo : slot_end - shift]
+        data[dir_lo : dir_lo + shift] = bytes(shift)
+        _COUNT.pack_into(data, _COUNT_AT, total - count)
+        _UPPER.pack_into(data, _UPPER_AT, dir_lo + shift)
+        self.separators = None
+
     def delete_record(self, slot: int) -> None:
         """Remove the record at ``slot``.
 
@@ -542,8 +638,9 @@ def _refuse(name: str):
 
 
 for _name in (
-    "format", "deformat", "restore", "_place", "insert_record",
-    "delete_record", "update_record", "splice_record", "compact", "set_body_bit",
+    "format", "deformat", "restore", "_place", "insert_record", "insert_records",
+    "_insert_run", "delete_record", "delete_records", "update_record", "splice_record",
+    "compact", "set_body_bit",
 ):
     setattr(ReadOnlyPage, _name, _refuse(_name))
 for _name, _attr in list(vars(Page).items()):

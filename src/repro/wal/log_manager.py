@@ -313,6 +313,12 @@ class LogManager:
             newest = self._commit_dir.stamped(wall)
         return base if newest is None else max(base, newest[0])
 
+    def commit_before(self, lsn: int) -> tuple[int, float] | None:
+        """``(lsn, wall)`` of the newest commit record at or before
+        ``lsn``, else ``None``."""
+        with self.latch:
+            return self._commit_dir.before(lsn)
+
     def checkpoint_before(self, lsn: int) -> tuple[int, float] | None:
         """``(lsn, wall)`` of the newest checkpoint-begin record at or
         before ``lsn``, else ``None``."""

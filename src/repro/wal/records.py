@@ -719,19 +719,6 @@ class DeleteRowRecord(LogRecord):
         page.insert_record(self.slot, self.row)
 
 
-def _insert_rows(page: Page, slot: int, rows) -> None:
-    """Insert ``rows`` at consecutive slots from ``slot``, in order."""
-    for at, row in enumerate(rows, slot):
-        page.insert_record(at, row)
-
-
-def _delete_rows(page: Page, slot: int, count: int) -> None:
-    """Delete ``count`` rows from consecutive slots from ``slot``, the
-    highest first: the inverse of :func:`_insert_rows`, slot for slot."""
-    for at in range(slot + count - 1, slot - 1, -1):
-        page.delete_record(at)
-
-
 class InsertRowsRecord(LogRecord):
     """Rows inserted at consecutive slots from ``slot``, in order: the
     insert half of a B-tree row move (section 4.2 item 3), one record for
@@ -750,10 +737,10 @@ class InsertRowsRecord(LogRecord):
     )
 
     def redo(self, page: Page) -> None:
-        _insert_rows(page, self.slot, self.rows)
+        page.insert_records(self.slot, self.rows)
 
     def physical_undo(self, page: Page, fetch=None) -> None:
-        _delete_rows(page, self.slot, len(self.rows))
+        page.delete_records(self.slot, len(self.rows))
 
 
 class DeleteRowsRecord(LogRecord):
@@ -786,7 +773,7 @@ class DeleteRowsRecord(LogRecord):
     )
 
     def redo(self, page: Page) -> None:
-        _delete_rows(page, self.slot, self.count)
+        page.delete_records(self.slot, self.count)
 
     def resolve_rows(self, fetch=None) -> tuple:
         """The deleted payloads: embedded, or derived from the paired insert."""
@@ -802,7 +789,7 @@ class DeleteRowsRecord(LogRecord):
         )
 
     def physical_undo(self, page: Page, fetch=None) -> None:
-        _insert_rows(page, self.slot, self.resolve_rows(fetch))
+        page.insert_records(self.slot, self.resolve_rows(fetch))
 
 
 class UpdateBytesRecord(LogRecord):

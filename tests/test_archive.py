@@ -191,6 +191,34 @@ class TestLogArchiver:
         assert start == FIRST_LSN
         assert end == items_db.log.durable_lsn
 
+    def test_a_late_archive_reads_dropped_transactions_as_past_retention(
+        self, engine, items_db
+    ):
+        """Archiving enabled after the primary truncated: the archived
+        log starts mid-history, and a transaction retention dropped from
+        the primary reads as past retention there too, not as never
+        logged."""
+        db = items_db
+        with db.transaction() as txn:
+            db.insert(txn, "items", (1, "item-1", 10))
+        dropped = txn.txn_id
+        fill_items(db, 30, start=2)
+        db.log.flush()
+        expire_retention(db)
+        assert db.log.start_lsn > FIRST_LSN
+        assert db.log.transaction_span(dropped) is None
+        with pytest.raises(RetentionExceededError):
+            db.log.retained_span(dropped)
+        archiver = engine.enable_archiving("itemsdb")
+        archiver.poll()
+        archived = archiver.store.log("itemsdb")
+        assert archived.start_lsn == db.log.start_lsn
+        with pytest.raises(RetentionExceededError):
+            archived.retained_span(dropped)
+        assert archived.last_txn_below(archived.start_lsn) == db.log.last_txn_below(
+            db.log.start_lsn
+        )
+
     def test_unarchived_log_is_pinned_until_archived(self, engine, items_db):
         db = items_db
         archiver = engine.enable_archiving("itemsdb")

@@ -201,7 +201,9 @@ def test_metric_names_and_values_are_pinned():
     22 142 → 22 062, bytes shipped 29 756 → 29 596, the standby's peak
     apply backlog 9 614 → 9 534, and the five lag gauges (the archive
     cursor's, the standby's apply and receive lags, the retention pin's
-    and the shipper's maximum) 309 → 269."""
+    and the shipper's maximum) 309 → 269. A restore's page lay-down is
+    booked under its own counter, not as a backup write: the new name
+    ``io.restore_write_bytes`` (0 here: the topology restores nothing)."""
     engine = _topology()
     golden = json.loads(GOLDEN.read_text())
     assert sorted(engine.env.metrics.names()) == golden["names"]

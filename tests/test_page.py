@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import re
 import struct
 from pathlib import Path
@@ -384,6 +385,111 @@ def test_clone_restore_roundtrip(payloads):
     page.insert_record(0, b"junk") if page.has_room_for(4) else None
     page.restore(image)
     assert list(page.records()) == survived
+
+
+# ---------------------------------------------------------------------------
+# Bulk row operations: ``insert_records`` / ``delete_records`` against the
+# per-row loop they replace (the oracle kept here), byte for byte, error
+# for error.
+# ---------------------------------------------------------------------------
+
+BULK_SIZE = 256
+
+
+def loop_insert(page: Page, slot: int, payloads) -> None:
+    for at, payload in enumerate(payloads, slot):
+        page.insert_record(at, payload)
+
+
+def loop_delete(page: Page, slot: int, count: int) -> None:
+    for at in range(slot + count - 1, slot - 1, -1):
+        page.delete_record(at)
+
+
+def outcome(operation, page: Page, *args):
+    """``(page bytes, (error type, message) or None)`` after ``operation``."""
+    try:
+        operation(page, *args)
+    except StorageError as exc:
+        return bytes(page.data), (type(exc), str(exc))
+    return bytes(page.data), None
+
+
+def history_page(rows, limit, dropped) -> Page:
+    """A small page filled with ``rows``, round and round, for ``limit``
+    inserts or until the next does not fit; then with the slots
+    ``dropped`` names deleted: their bytes are the garbage that makes a
+    later insert compact."""
+    page = Page(bytearray(BULK_SIZE))
+    page.format(3, PageType.BTREE)
+    for row in itertools.islice(itertools.cycle(rows), limit):
+        if not page.has_room_for(len(row)):
+            break
+        page.insert_record(page.slot_count, row)
+    for pos in dropped:
+        if page.slot_count:
+            page.delete_record(pos % page.slot_count)
+    return page
+
+
+_history = st.tuples(
+    st.lists(st.binary(min_size=1, max_size=40), min_size=1, max_size=6),
+    st.integers(min_value=0, max_value=40),
+    st.lists(st.integers(min_value=0, max_value=20), max_size=6),
+)
+_new_rows = st.lists(st.binary(min_size=0, max_size=30), min_size=1, max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_history, st.integers(min_value=0, max_value=40), _new_rows)
+def test_insert_records_matches_the_per_row_loop(history, pos, new):
+    page = history_page(*history)
+    slot = pos % (page.slot_count + 2)  # the last choice is out of range
+    expected = outcome(loop_insert, Page(bytearray(page.data)), slot, new)
+    assert outcome(Page.insert_records, page, slot, new) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(_history, st.integers(min_value=0, max_value=40), st.integers(min_value=0))
+def test_delete_records_matches_the_per_row_loop(history, pos, pick):
+    page = history_page(*history)
+    slot = pos % (page.slot_count + 1)
+    count = pick % (page.slot_count - slot + 2)  # the last choice overruns
+    expected = outcome(loop_delete, Page(bytearray(page.data)), slot, count)
+    assert outcome(Page.delete_records, page, slot, count) == expected
+
+
+def fragmented_page() -> Page:
+    """Twelve 12-byte rows with every other one deleted: 84 bytes of
+    garbage beside a 20-byte contiguous gap."""
+    page = Page(bytearray(BULK_SIZE))
+    page.format(3, PageType.BTREE)
+    loop_insert(page, 0, [bytes([i]) * 12 for i in range(12)])
+    for slot in range(10, -1, -2):
+        page.delete_record(slot)
+    return page
+
+
+def test_a_bulk_insert_that_must_compact_compacts_where_the_loop_does():
+    page = fragmented_page()
+    gap, free = page.contiguous_free(), page.total_free()
+    rows = [b"a" * 4, b"b" * 20, b"c" * 20]
+    assert 4 + 4 <= gap < 8 + 24 <= free  # the second row compacts
+    expected = outcome(loop_insert, Page(bytearray(page.data)), 2, rows)
+    assert expected[1] is None
+    assert outcome(Page.insert_records, page, 2, rows) == expected
+    assert page.records()[2:5] == rows
+
+
+def test_rows_that_do_not_fit_raise_after_the_rows_that_do():
+    page = fragmented_page()
+    free = page.total_free()
+    rows = [b"a" * 20, b"b" * (free - 24 - 4 + 1), b"c"]
+    expected = outcome(loop_insert, Page(bytearray(page.data)), 0, rows)
+    assert expected[1] is not None and expected[1][0] is PageFullError
+    got = outcome(Page.insert_records, page, 0, rows)
+    assert got == expected
+    assert page.records()[0] == rows[0]  # the first row landed, compacted in
 
 
 # ---------------------------------------------------------------------------

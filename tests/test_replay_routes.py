@@ -401,6 +401,91 @@ class TestRestoredCopyContract:
 
 
 # ----------------------------------------------------------------------
+# A restore's analysis window: read only with someone in flight
+# ----------------------------------------------------------------------
+
+
+def _quiet_scenario(engine, db):
+    """:func:`_scenario` with nobody in flight at the mark."""
+    fill_items(db, 20)
+    full = take_full_backup(db)
+    engine.backup_database(db.name)
+    db.env.clock.advance(10)
+    with db.transaction() as txn:
+        db.update(txn, "items", (1,), {"qty": 1001})
+    mark = db.env.clock.now()
+    db.env.clock.advance(10)
+    with db.transaction() as txn:
+        db.update(txn, "items", (2,), {"qty": -2})
+    fill_items(db, 5, start=100)
+    db.env.clock.advance(10)
+
+    def pitr(name):
+        return restore_point_in_time(engine, full, db, mark, name)
+
+    def archive(name):
+        return engine.restore_from_archive(db.name, mark, name)
+
+    return {"pitr": pitr, "archive": archive}, mark
+
+
+def _header_scans(monkeypatch) -> list[int]:
+    """The start LSN of every header scan of any log from here on."""
+    starts: list[int] = []
+    scan_headers = LogManager.scan_headers
+
+    def counted(self, from_lsn, *args, **kwargs):
+        starts.append(from_lsn)
+        return scan_headers(self, from_lsn, *args, **kwargs)
+
+    monkeypatch.setattr(LogManager, "scan_headers", counted)
+    return starts
+
+
+@pytest.mark.parametrize("route", ["pitr", "archive"])
+class TestRestoreAnalysisWindow:
+    def test_a_loser_in_flight_is_read_and_rolled_back(
+        self, engine, items_db, route, monkeypatch
+    ):
+        restores, mark = _scenario(engine, items_db)
+        split = find_split_lsn(items_db, mark)
+        (begin,) = items_db.log.in_flight(split).values()
+        with engine.query_as_of(items_db.name, mark) as snap:
+            expected = list(snap.scan("items"))
+        starts = _header_scans(monkeypatch)
+        restored = restores[route]("copy")
+        assert starts == [begin]  # the window opens at the loser's BEGIN
+        assert restored.get("items", (2,))[2] == 20  # the loser was undone
+        assert list(restored.scan("items")) == expected
+
+    def test_with_nobody_in_flight_no_window_is_read(
+        self, engine, items_db, route, monkeypatch
+    ):
+        restores, mark = _quiet_scenario(engine, items_db)
+        assert not items_db.log.in_flight(find_split_lsn(items_db, mark))
+        with engine.query_as_of(items_db.name, mark) as snap:
+            expected = list(snap.scan("items"))
+        starts = _header_scans(monkeypatch)
+        restored = restores[route]("copy")
+        assert starts == []
+        assert restored.get("items", (1,))[2] == 1001
+        assert restored.get("items", (2,))[2] == 20
+        assert list(restored.scan("items")) == expected
+        assert check_database(restored).ok
+
+    def test_two_losers_in_flight_match_asof(self, history, reference, route, monkeypatch):
+        """Both losers of :class:`History`'s first mark, the one begun
+        before the checkpoint included, roll back on both restores."""
+        split = find_split_lsn(history.db, history.marks[0])
+        begins = history.db.log.in_flight(split).values()
+        assert len(begins) == 2
+        starts = _header_scans(monkeypatch)
+        restore = {"pitr": history.backup_restore, "archive": history.archive_restore}[route]
+        assert _rows(restore(history.marks[0])) == reference[0]
+        assert starts == [min(begins)]
+
+
+# ----------------------------------------------------------------------
 # Redo: create-on-format
 # ----------------------------------------------------------------------
 

@@ -22,6 +22,8 @@ from repro import (
     TableSchema,
 )
 from repro.replication import LogFrame, LogShipper
+from repro.wal.lsn import FIRST_LSN, NULL_LSN
+from repro.wal.records import CommitRecord
 from repro.workload import TpccDriver, TpccScale, load_tpcc, stock_level
 from tests.conftest import pool_entries
 
@@ -315,6 +317,55 @@ class TestDelayedApply:
         engine.replication_tick()
         assert replica.lag_bytes() == 0
         assert list(replica.scan("items")) == list(db.scan("items"))
+
+    def test_applied_commit_is_the_newest_decoded_commit_applied(self, engine):
+        """Apply takes the applied commit's LSN and wall from the commit
+        directory; they equal what decoding the applied commits gives, at
+        a stop inside a transaction, at one whose range holds no commit,
+        at one on a commit (which it leaves out) and at the end."""
+        db, replica = self._build(engine, delay_s=1e9)
+        clock = engine.env.clock
+        fill(db, 5)
+        open_txn = db.begin()
+        db.insert(open_txn, "items", (100, "open", 0))
+        clock.advance(1.0)
+        fill(db, 3, start=10)  # commits while ``open_txn`` is in flight
+        inside = clock.now()
+        clock.advance(1.0)
+        db.insert(open_txn, "items", (101, "open", 1))
+        no_commit = db.log.end_lsn  # after a page change, before any commit
+        clock.advance(1.0)
+        fill(db, 3, start=20)
+        at_commit = db.log.last_commit_lsn  # a stop at a commit leaves it out
+        db.commit(open_txn)
+        clock.advance(1.0)
+        engine.replication_tick()
+        assert replica.applied_commit_lsn == NULL_LSN
+
+        def decoded() -> tuple[int, float]:
+            commits = [
+                rec
+                for rec in replica.db.log.scan(FIRST_LSN, replica.applied_lsn)
+                if isinstance(rec, CommitRecord)
+            ]
+            return commits[-1].lsn, commits[-1].wall_clock
+
+        replica.ensure_applied_through(inside)
+        assert replica.applied_lsn < no_commit
+        assert db.log.in_flight(replica.applied_lsn - 1).keys() == {open_txn.txn_id}
+        assert (replica.applied_commit_lsn, replica.applied_wall) == decoded()
+        stopped = replica.applied_commit_lsn
+        replica._apply_range(no_commit)
+        assert replica.applied_lsn == no_commit
+        assert (replica.applied_commit_lsn, replica.applied_wall) == decoded()
+        assert replica.applied_commit_lsn == stopped
+        replica._apply_range(at_commit)
+        assert (replica.applied_commit_lsn, replica.applied_wall) == decoded()
+        assert replica.applied_commit_lsn == stopped < at_commit
+        replica.ensure_applied_through(clock.now())
+        assert replica.applied_lsn == replica.received_lsn
+        assert (replica.applied_commit_lsn, replica.applied_wall) == decoded()
+        assert replica.applied_commit_lsn == db.log.last_commit_lsn
 
     def test_recovers_dropped_table_past_primary_retention(self, engine):
         db, replica = self._build(engine)

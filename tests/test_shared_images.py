@@ -60,7 +60,10 @@ MUTATIONS = {
     "restore": lambda page: page.restore(bytes(len(page.data))),
     "_place": lambda page: page._place(b"x"),
     "insert_record": lambda page: page.insert_record(0, b"new"),
+    "insert_records": lambda page: page.insert_records(1, (b"new", b"rows")),
+    "_insert_run": lambda page: page._insert_run(0, (b"x",)),
     "delete_record": lambda page: page.delete_record(0),
+    "delete_records": lambda page: page.delete_records(0, 2),
     "update_record": lambda page: page.update_record(0, b"changed"),
     "splice_record": lambda page: page.splice_record(0, 1, b"L", 5),
     "compact": lambda page: page.compact(),

@@ -118,7 +118,8 @@ class TestFileManager:
         t_write = clock.now()
         out = fm.read_sequential(list(pages))
         assert len(out) == 5
-        assert stats.backup_write_bytes == 5 * PAGE_SIZE
+        assert stats.restore_write_bytes == 5 * PAGE_SIZE
+        assert stats.backup_write_bytes == 0  # a lay-down takes no backup
         assert stats.backup_read_bytes == 5 * PAGE_SIZE
         # One streaming charge, not five random ones.
         assert clock.now() - t_write < 5 * SAS_10K.rand_read_time(PAGE_SIZE)
