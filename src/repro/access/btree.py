@@ -97,6 +97,26 @@ def decode_entry(payload: bytes) -> tuple[int, bytes | None]:
     return child, payload[_ENTRY_CHILD.size :]
 
 
+def object_page_ids(fetch, root_page_id: int) -> list[int]:
+    """Every page of the table rooted at ``root_page_id``, root first: a
+    B-tree's pages depth first through its interior entries, a heap's
+    chain in order. ``fetch(page_id)`` is pinned page access; dropping a
+    table and rolling back its ``CREATE`` free what this finds."""
+    result = []
+    stack = [root_page_id]
+    while stack:
+        pid = stack.pop()
+        result.append(pid)
+        with fetch(pid) as guard:
+            page = guard.page
+            if page.page_type is PageType.HEAP:
+                if page.next_page != NULL_PAGE:
+                    stack.append(page.next_page)
+            elif page.level > 0:
+                stack.extend(decode_entry(payload)[0] for payload in page.records())
+    return result
+
+
 @dataclass
 class BTreeServices:
     """Everything a tree needs from its hosting context.
@@ -258,21 +278,6 @@ class BTree:
     def count(self) -> int:
         """Number of rows (full scan)."""
         return sum(1 for _row in self.scan())
-
-    def page_ids(self) -> list[int]:
-        """All page ids of this tree (root included), for drop/backup."""
-        result = []
-        stack = [self.root_page_id]
-        while stack:
-            pid = stack.pop()
-            result.append(pid)
-            with self.services.fetch(pid) as guard:
-                page = guard.page
-                if page.level > 0:
-                    for payload in page.records():
-                        child, _kb = decode_entry(payload)
-                        stack.append(child)
-        return result
 
     # ------------------------------------------------------------------
     # Writes
@@ -677,9 +682,10 @@ class BTree:
                     )
                     self.services.modifier.apply(txn, left_guard, links)
             # Reformat the (now empty) root one level up. The preformat is
-            # forced (independent of the extension switch): rollback of a
-            # mid-flight root split needs the pre-format image to restore
-            # the page before re-inserting the moved rows.
+            # forced (independent of the extension switch): it keeps the
+            # root's chain walkable across the reformat, so an as-of read
+            # from before the split reaches the rows the root held. A
+            # rollback of the split needs no image: it sets the level back.
             self.services.modifier.format_page(
                 txn,
                 root_guard,

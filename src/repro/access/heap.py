@@ -137,13 +137,3 @@ class Heap:
 
     def count(self) -> int:
         return sum(1 for _row in self.scan())
-
-    def page_ids(self) -> list[int]:
-        """All page ids of the heap chain (for drop/backup)."""
-        result = []
-        pid = self.first_page_id
-        while pid != NULL_PAGE:
-            result.append(pid)
-            with self.services.fetch(pid) as guard:
-                pid = guard.page.next_page
-        return result

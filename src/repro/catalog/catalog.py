@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.access.btree import BTree, BTreeServices
+from repro.access.btree import BTree, BTreeServices, object_page_ids
 from repro.access.heap import Heap
 from repro.catalog.schema import Column, ColumnType, TableSchema
 from repro.errors import CatalogError
@@ -232,7 +232,7 @@ class Catalog:
         info = self.require(name)
         if info.kind == KIND_SYSTEM:
             raise CatalogError(f"cannot drop system table {name!r}")
-        pages = self.accessor(info, self.load_schema(info)).page_ids()
+        pages = object_page_ids(self.services.fetch, info.root_page)
         self.sys_objects.delete(txn, (info.object_id,))
         lo = (info.object_id, -(2**62))
         hi = (info.object_id, 2**62)

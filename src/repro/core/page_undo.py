@@ -100,8 +100,7 @@ def prepare_page_version(
     at the page's LSN, apply its inverse, follow ``prevPageLSN`` — one
     block-cached log read per record (Figure 11's access pattern).
     Returns ``None`` for a page with no chain to walk (unformatted, no
-    LSN). A page a rolled-back format left unformatted still carries the
-    LSN of that compensation, and is walked back through it. Raises
+    LSN). Raises
     :class:`~repro.errors.LogTruncatedError` when the chain leaves the
     retention window and :class:`~repro.errors.MissingUndoInfoError` when
     a record on the path cannot be inverted (a re-allocation logged

@@ -27,6 +27,20 @@ BOOT_PAGE_ID = 0
 FIRST_MAP_PAGE_ID = 1
 
 
+def map_page_for(page_id: int, pages_per_map: int) -> tuple[int, int]:
+    """(map page id, local bit index) covering ``page_id``, where a map
+    page covers ``pages_per_map`` pages (:func:`alloc_bitmap_geometry`)."""
+    if page_id <= BOOT_PAGE_ID:
+        raise AllocationError(f"page {page_id} is not allocatable")
+    stride = pages_per_map + 1
+    group = (page_id - FIRST_MAP_PAGE_ID) // stride
+    map_pid = FIRST_MAP_PAGE_ID + group * stride
+    local = page_id - map_pid - 1
+    if local < 0:
+        raise AllocationError(f"page {page_id} is an allocation map page")
+    return map_pid, local
+
+
 class AllocationManager:
     """Allocator over the map pages of one database."""
 
@@ -49,22 +63,6 @@ class AllocationManager:
     def clear_hints(self) -> None:
         """Drop the soft allocation-search hints (crash simulation)."""
         self._hints.clear()
-
-    # ------------------------------------------------------------------
-    # Geometry
-    # ------------------------------------------------------------------
-
-    def map_page_for(self, page_id: int) -> tuple[int, int]:
-        """(map page id, local bit index) covering ``page_id``."""
-        if page_id <= BOOT_PAGE_ID:
-            raise AllocationError(f"page {page_id} is not allocatable")
-        stride = self.pages_per_map + 1
-        group = (page_id - FIRST_MAP_PAGE_ID) // stride
-        map_pid = FIRST_MAP_PAGE_ID + group * stride
-        local = page_id - map_pid - 1
-        if local < 0:
-            raise AllocationError(f"page {page_id} is an allocation map page")
-        return map_pid, local
 
     # ------------------------------------------------------------------
     # Map page lifecycle
@@ -142,7 +140,7 @@ class AllocationManager:
 
     def deallocate(self, txn, page_id: int) -> None:
         """Free a page; its content stays on disk for preformat to find."""
-        map_pid, local = self.map_page_for(page_id)
+        map_pid, local = map_page_for(page_id, self.pages_per_map)
         with self.buffer.fetch(map_pid) as guard:
             if not guard.page.get_body_bit(local):
                 raise AllocationError(f"page {page_id} is not allocated")
@@ -157,14 +155,14 @@ class AllocationManager:
     # ------------------------------------------------------------------
 
     def is_allocated(self, page_id: int) -> bool:
-        map_pid, local = self.map_page_for(page_id)
+        map_pid, local = map_page_for(page_id, self.pages_per_map)
         with self.buffer.fetch(map_pid) as guard:
             if not guard.page.is_formatted():
                 return False
             return guard.page.get_body_bit(local)
 
     def was_ever_allocated(self, page_id: int) -> bool:
-        map_pid, local = self.map_page_for(page_id)
+        map_pid, local = map_page_for(page_id, self.pages_per_map)
         with self.buffer.fetch(map_pid) as guard:
             if not guard.page.is_formatted():
                 return False

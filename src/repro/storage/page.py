@@ -142,7 +142,7 @@ class Page:
     last_image_lsn = _header_field("last_image_lsn", settable=True)
     object_id = _header_field("object_id")
     index_id = _header_field("index_id")
-    level = _header_field("level", doc="B-tree level; 0 means leaf.")
+    level = _header_field("level", settable=True, doc="B-tree level; 0 means leaf.")
     prev_page = _header_field("prev_page", settable=True)
     next_page = _header_field("next_page", settable=True)
     slot_count = _header_field("slot_count")

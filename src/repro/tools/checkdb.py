@@ -3,7 +3,8 @@
 Walks the whole database verifying the invariants the engine relies on:
 
 * allocation maps vs reality — every catalog-reachable page is allocated,
-  no page belongs to two objects;
+  no page belongs to two objects, and (on a primary) every allocated page
+  but the boot and map pages is reachable: none has leaked;
 * B-tree structure — keys sorted within pages, separator keys bound their
   subtrees, leaf sibling links symmetric, levels consistent;
 * page headers — object ids match the catalog, page ids match positions;
@@ -21,7 +22,8 @@ from dataclasses import dataclass, field
 
 from repro.access.btree import decode_entry
 from repro.errors import StorageError
-from repro.storage.page import NULL_PAGE, PageType
+from repro.storage.allocation import FIRST_MAP_PAGE_ID, AllocationManager
+from repro.storage.page import NULL_PAGE, Page, PageType
 
 
 @dataclass
@@ -220,15 +222,29 @@ def _check_heap(target, info, schema, claimed, report) -> None:
 
 
 def _check_allocation(target, claimed, report) -> None:
-    """Catalog-reachable pages must be allocated (primary databases only;
+    """Catalog-reachable pages must be allocated, and every allocated page
+    but the boot and map pages catalog-reachable (primary databases only;
     snapshots have no live allocator view worth checking)."""
     alloc = getattr(target, "alloc", None)
-    if alloc is None or not hasattr(alloc, "is_allocated"):
-        return
-    if type(alloc).__name__ == "SnapshotAllocator":
+    if not isinstance(alloc, AllocationManager):
         return
     for page_id, object_id in claimed.items():
         if not alloc.is_allocated(page_id):
             report.complain(
                 f"page {page_id} (object {object_id}) reachable but not allocated"
             )
+    # Every allocated page is reachable: none has leaked. Each map page is
+    # read where it lies, its frame or its written bytes, so the walk
+    # charges and counts nothing; it ends at the first map page that is
+    # neither in the pool nor written out, or is unformatted.
+    buffer, files = target.buffer, target.buffer.file_manager
+    map_pid = FIRST_MAP_PAGE_ID
+    while (frame := buffer.peek(map_pid)) is not None or map_pid < files.page_count:
+        page = frame.page if frame is not None else Page(files.read_page_raw(map_pid))
+        if not page.is_formatted():
+            return
+        for local in range(alloc.pages_per_map):
+            page_id = map_pid + 1 + local
+            if page.get_body_bit(local) and page_id not in claimed:
+                report.complain(f"page {page_id} allocated but reachable from no object")
+        map_pid += alloc.pages_per_map + 1

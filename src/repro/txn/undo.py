@@ -18,6 +18,18 @@ Every compensation is a :class:`ClrRecord` whose nested ``comp`` record
 embeds its own undo information (section 4.2), keeping the page chain
 physically undoable through the rollback.
 
+A rollback never rewrites a formatted page. A page's format is undone by
+the undo of the allocation that preceded it in the same transaction: the
+page is freed and keeps its content, as a dropped table's pages do. First,
+though, every page committed structure modifications hung below it (a
+rolled-back ``CREATE TABLE``'s splits, a heap's grown chain) is freed:
+each free is a CLR of the format whose ``undo_next_lsn`` is the format
+itself, so a rollback cut short by a crash re-enters the format's undo
+and frees only the pages still allocated. A format of a page its
+transaction did not allocate is either a root split's in-place reformat,
+compensated by a :class:`SetLevelRecord` back to the level below, or a
+map or boot page's first format, which needs no undo.
+
 The same machinery runs against an as-of snapshot (with an unlogged
 modifier and snapshot-backed trees) to implement section 5.2's background
 logical undo of transactions in flight at the SplitLSN.
@@ -29,7 +41,10 @@ recovery): analysis names the losers, this rolls them back.
 
 from __future__ import annotations
 
+from repro.access.btree import object_page_ids
 from repro.errors import RecoveryError
+from repro.storage.allocation import map_page_for
+from repro.storage.page import alloc_bitmap_geometry
 from repro.txn.transaction import RecoveredTransaction, Transaction
 from repro.wal.lsn import NULL_LSN
 from repro.wal.records import (
@@ -37,15 +52,13 @@ from repro.wal.records import (
     BeginRecord,
     ClrRecord,
     DeallocPageRecord,
-    DeformatPageRecord,
     DeleteRowRecord,
     DeleteRowsRecord,
     FormatPageRecord,
     InsertRowRecord,
     InsertRowsRecord,
     LogRecord,
-    PageImageRecord,
-    PreformatPageRecord,
+    SetLevelRecord,
     SetLinksRecord,
     UpdateBytesRecord,
 )
@@ -118,42 +131,23 @@ class LogicalUndo:
                 object_id=rec.object_id,
                 flags=rec.flags,
             )
-            self._apply_clr(txn, rec, comp, rec.page_id)
+            self._apply_clr(txn, rec, comp)
         elif isinstance(rec, FormatPageRecord):
-            comp = None
-            if rec.prev_page_lsn != NULL_LSN:
-                prior = self.ctx.log.read(rec.prev_page_lsn)
-                if isinstance(prior, PreformatPageRecord):
-                    # In-place reformat (root split) or re-allocation: the
-                    # page held real content before the format — restore it.
-                    comp = PageImageRecord(
-                        image=prior.image,
-                        page_id=rec.page_id,
-                        object_id=rec.object_id,
-                    )
-            if comp is None:
-                comp = DeformatPageRecord(
-                    page_type=rec.page_type,
-                    index_id=rec.index_id,
-                    level=rec.level,
-                    page_id=rec.page_id,
-                    object_id=rec.object_id,
-                )
-            self._apply_clr(txn, rec, comp, rec.page_id)
+            self._undo_format(txn, rec)
         elif isinstance(rec, AllocPageRecord):
             # The ever-allocated bit stays set even when this undoes a
             # first allocation: the page held data while the transaction
             # ran, so a re-allocation must preformat it to keep the chain
             # an as-of read from inside that window walks.
             comp = DeallocPageRecord(target_page=rec.target_page, page_id=rec.page_id)
-            self._apply_clr(txn, rec, comp, rec.page_id)
+            self._apply_clr(txn, rec, comp)
         elif isinstance(rec, DeallocPageRecord):
             comp = AllocPageRecord(
                 target_page=rec.target_page,
                 was_ever_allocated=True,
                 page_id=rec.page_id,
             )
-            self._apply_clr(txn, rec, comp, rec.page_id)
+            self._apply_clr(txn, rec, comp)
         else:
             raise RecoveryError(
                 f"no undo handler for {type(rec).__name__} at lsn {rec.lsn:#x}"
@@ -163,17 +157,46 @@ class LogicalUndo:
     # Undo flavors
     # ------------------------------------------------------------------
 
-    def _apply_clr(self, txn, rec: LogRecord, comp: LogRecord, page_id: int) -> None:
+    def _apply_clr(self, txn, rec: LogRecord, comp: LogRecord, undo_next_lsn=None) -> None:
         clr = ClrRecord(
             compensated_lsn=rec.lsn,
-            undo_next_lsn=rec.prev_txn_lsn,
+            undo_next_lsn=rec.prev_txn_lsn if undo_next_lsn is None else undo_next_lsn,
             comp=comp,
-            page_id=page_id,
+            page_id=comp.page_id,
             object_id=comp.object_id,
             flags=rec.flags,
         )
-        with self.ctx.fetch_page(page_id) as guard:
+        with self.ctx.fetch_page(comp.page_id) as guard:
             self.ctx.modifier.apply(txn, guard, clr)
+
+    def _undo_format(self, txn, rec: FormatPageRecord) -> None:
+        """Undo a format without rewriting the page (module docstring)."""
+        prior = self.ctx.log.read(rec.prev_txn_lsn)
+        if isinstance(prior, AllocPageRecord) and prior.target_page == rec.page_id:
+            # Free what committed SMOs hung below the page, the page itself
+            # last by its allocation's undo. Each free leads back here.
+            fetch = self.ctx.fetch_page
+            below = object_page_ids(fetch, rec.page_id)[1:]
+            with fetch(rec.page_id) as guard:
+                pages_per_map = alloc_bitmap_geometry(guard.page.page_size)
+            for page_id in below:
+                map_pid, local = map_page_for(page_id, pages_per_map)
+                with fetch(map_pid) as guard:
+                    allocated = guard.page.get_body_bit(local)
+                if allocated:
+                    comp = DeallocPageRecord(target_page=page_id, page_id=map_pid)
+                    self._apply_clr(txn, rec, comp, undo_next_lsn=rec.lsn)
+        elif rec.level:
+            # A root split's in-place reformat: the root, emptied again by
+            # the undo of the entries posted into it, goes one level down.
+            comp = SetLevelRecord(
+                old_level=rec.level,
+                new_level=rec.level - 1,
+                page_id=rec.page_id,
+                object_id=rec.object_id,
+                flags=rec.flags,
+            )
+            self._apply_clr(txn, rec, comp)
 
     def _undo_physical_row(self, txn, rec) -> None:
         """Slot-exact inverse on the original page (SMO / boot records)."""
@@ -203,7 +226,7 @@ class LogicalUndo:
                 object_id=rec.object_id,
                 flags=rec.flags,
             )
-        self._apply_clr(txn, rec, comp, rec.page_id)
+        self._apply_clr(txn, rec, comp)
 
     def _undo_row_move(self, txn, rec) -> None:
         """Slot-exact inverse of one half of a B-tree row move (always an
@@ -227,7 +250,7 @@ class LogicalUndo:
                 object_id=rec.object_id,
                 flags=rec.flags,
             )
-        self._apply_clr(txn, rec, comp, rec.page_id)
+        self._apply_clr(txn, rec, comp)
 
     def _undo_heap_insert(self, txn, rec: InsertRowRecord) -> None:
         """Tombstone the heap slot (heap slots are stable, never shifted)."""
@@ -240,7 +263,7 @@ class LogicalUndo:
             object_id=rec.object_id,
             flags=rec.flags,
         )
-        self._apply_clr(txn, rec, comp, rec.page_id)
+        self._apply_clr(txn, rec, comp)
 
     def _undo_logical_row(self, txn, rec) -> None:
         """Key-based undo through the object's B-tree."""

@@ -150,9 +150,10 @@ class PageModifier:
         extension the chain simply breaks (paper Figure 1), and as-of
         queries older than the re-allocation fail.
 
-        ``force_preformat`` bypasses the extension switch: in-place
-        reformats of live pages (B-tree root splits) need the pre-image for
-        crash-safe rollback regardless of as-of support.
+        ``force_preformat`` bypasses the extension switch: an in-place
+        reformat of a live page (a B-tree root split) logs the pre-image
+        whatever the switch says, so the page's chain walk crosses the
+        reformat. Rollback never reads it (``repro.txn.undo``).
         """
         page = frame.page
         if self.cow_hooks:
@@ -161,8 +162,7 @@ class PageModifier:
         if was_ever_allocated and (
             self.extensions.preformat_on_realloc or force_preformat
         ):
-            # A page a rolled-back format left unformatted still carries
-            # that compensation's LSN: the chain continues through it.
+            # The prior content's pageLSN: the chain continues through it.
             pre = PreformatPageRecord(
                 image=page.clone_bytes(),
                 page_id=frame.page_id,

@@ -8,11 +8,10 @@ LSN before this modification — forming the per-page back-chain that
   roll-forward). Physiological: a logical operation on an identified page.
 * ``physical_undo(page, fetch)`` — exactly invert the modification on the
   page, used by page-oriented undo while walking the chain in reverse.
-  Every record carries what its inverse needs but two: a B-tree row
-  move's delete, which derives its rows from its paired insert, and a
-  CLR that restored a page image, which redoes the format it
-  compensated. ``fetch`` is the callable ``lsn -> LogRecord`` they read
-  that other record with, one more log read each.
+  Every record carries what its inverse needs but one: a B-tree row
+  move's delete, which derives its rows from its paired insert.
+  ``fetch`` is the callable ``lsn -> LogRecord`` it reads that insert
+  with, one more log read.
 
 Transaction rollback does **not** use ``physical_undo`` for ordinary row
 operations; it performs *logical* undo (re-locating the row by key) because
@@ -23,7 +22,8 @@ have moved rows to other pages. Rollback lives in
 
 A row update is logged as the bytes that changed,
 :class:`UpdateBytesRecord` (type 19). Type 11, the whole-row update it
-replaced, is retired and never reused: a stream that holds one fails to
+replaced, and type 15, the deformat a rolled-back format was compensated
+with, are retired and never reused: a stream that holds one fails to
 decode as an unknown record type.
 """
 
@@ -188,11 +188,12 @@ class RecordType(enum.IntEnum):
     SET_LINKS = 12
     ALLOC_PAGE = 13
     DEALLOC_PAGE = 14
-    DEFORMAT_PAGE = 15
+    # 15, the deformat compensation of a format, is retired and never reused.
     CLR = 16
     INSERT_ROWS = 17
     DELETE_ROWS = 18
     UPDATE_BYTES = 19
+    SET_LEVEL = 20
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +285,9 @@ def _read_rows(view, pos: int, n: int) -> tuple:
 def _nested(value):
     if not isinstance(value, LogRecord):
         raise WalError("CLR requires a compensation operation")
+    if isinstance(value, PageImageRecord):
+        # Its physical undo is a no-op: the CLR would not invert.
+        raise WalError("a page image cannot be a CLR's compensation")
     return value
 
 
@@ -358,7 +362,10 @@ def decode_span(
                         f"{cls.__name__} at offset {offset}: "
                         f"body does not fill its {fields[0]} bytes"
                     )
-                record = cls(*values, *fields[2:-1])
+                try:
+                    record = cls(*values, *fields[2:-1])
+                except WalError as exc:  # a body the constructor refuses
+                    raise LogRecordDecodeError(f"{cls.__name__} at offset {offset}: {exc}") from None
                 record.lsn = base_lsn + offset
                 out.append(record)
             offset = end
@@ -633,34 +640,6 @@ class PageImageRecord(LogRecord):
         """No-op: the image did not change the page, it recorded it."""
 
 
-class DeformatPageRecord(LogRecord):
-    """Compensation body for undoing a format (page returns to zeroes).
-
-    Appears only nested inside CLRs; stores the original format parameters
-    so the CLR itself stays physically undoable without derivation.
-    """
-
-    TYPE = RecordType.DEFORMAT_PAGE
-    IS_PAGE_MOD = True
-    FIELDS = (
-        ("page_type", U8, 0),
-        ("index_id", U16, 0),
-        ("level", U8, 0),
-    )
-
-    def redo(self, page: Page) -> None:
-        page.deformat()
-
-    def physical_undo(self, page: Page, fetch=None) -> None:
-        page.format(
-            self.page_id,
-            PageType(self.page_type),
-            object_id=self.object_id,
-            index_id=self.index_id,
-            level=self.level,
-        )
-
-
 # ---------------------------------------------------------------------------
 # Row modification records
 # ---------------------------------------------------------------------------
@@ -905,6 +884,26 @@ class SetLinksRecord(LogRecord):
         page.next_page = self.old_next
 
 
+class SetLevelRecord(LogRecord):
+    """A B-tree page's level changed in place, from ``old_level`` to
+    ``new_level``: the compensation that undoes a root split's in-place
+    reformat (the emptied root goes back one level down). Only CLRs carry
+    it; it holds both levels, so its inverse reads no other record."""
+
+    TYPE = RecordType.SET_LEVEL
+    IS_PAGE_MOD = True
+    FIELDS = (
+        ("old_level", U8, 0),
+        ("new_level", U8, 0),
+    )
+
+    def redo(self, page: Page) -> None:
+        page.level = self.new_level
+
+    def physical_undo(self, page: Page, fetch=None) -> None:
+        page.level = self.old_level
+
+
 # ---------------------------------------------------------------------------
 # Allocation map records
 # ---------------------------------------------------------------------------
@@ -991,11 +990,15 @@ class ClrRecord(LogRecord):
     makes them undoable so page-oriented undo can walk *through* a
     rollback: ``comp`` carries the data that inverts it (the row a
     compensating delete removed, the span a compensating update
-    replaced), and :meth:`physical_undo` is ``comp``'s own. Deriving that
-    data from the compensated record instead is the option the paper
-    rejects "for simplicity". One compensation still reads the
-    compensated record: a restored page image, whose inverse is the
-    format it compensated.
+    replaced, the level a compensating level change left), and
+    :meth:`physical_undo` is ``comp``'s own. Deriving that data from the
+    compensated record instead is the option the paper rejects "for
+    simplicity". A page image, whose physical undo does nothing, is
+    refused as a ``comp``.
+
+    ``undo_next_lsn`` is where rollback resumes: the compensated record's
+    predecessor, except for the frees a rolled-back format's undo logs,
+    which lead back to the format itself (``repro.txn.undo``).
     """
 
     TYPE = RecordType.CLR
@@ -1010,24 +1013,8 @@ class ClrRecord(LogRecord):
     def redo(self, page: Page) -> None:
         self.comp.redo(page)
 
-    def _fetch_compensated(self, fetch):
-        if fetch is None:
-            raise MissingUndoInfoError(
-                f"CLR at {format_lsn(self.lsn)} has no undo info and no log "
-                f"access to derive it"
-            )
-        return fetch(self.compensated_lsn)
-
     def physical_undo(self, page: Page, fetch=None) -> None:
-        comp = self.comp
-        if isinstance(comp, PageImageRecord):
-            # Compensation restored a pre-format image (root-split
-            # rollback). Its inverse is the formatted-empty state the
-            # compensated format record produces.
-            original = self._fetch_compensated(fetch)
-            original.redo(page)
-        else:
-            comp.physical_undo(page, fetch)
+        self.comp.physical_undo(page, fetch)
 
     def __repr__(self) -> str:
         return (

@@ -14,6 +14,7 @@ from repro import (
     SimEnv,
     TableSchema,
 )
+from repro.access.btree import object_page_ids
 from repro.errors import SnapshotReadOnlyError
 from repro.wal.records import RecordType
 
@@ -93,6 +94,11 @@ def items_db(engine):
     database = engine.create_database("itemsdb")
     database.create_table(ITEMS_SCHEMA)
     return database
+
+
+def table_pages(database, name: str) -> list[int]:
+    """Every page of table ``name``, root first (``object_page_ids``)."""
+    return object_page_ids(database.fetch_page, database.catalog.require(name).root_page)
 
 
 def fill_items(database, count: int, start: int = 0) -> None:

@@ -5,23 +5,23 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import AllocationError
-from repro.storage.allocation import FIRST_MAP_PAGE_ID
+from repro.storage.allocation import FIRST_MAP_PAGE_ID, map_page_for
 
 
 class TestGeometry:
     def test_map_page_for(self, db):
         alloc = db.alloc
-        map_pid, local = alloc.map_page_for(2)
+        map_pid, local = map_page_for(2, alloc.pages_per_map)
         assert map_pid == FIRST_MAP_PAGE_ID
         assert local == 0
 
     def test_boot_not_allocatable(self, db):
         with pytest.raises(AllocationError):
-            db.alloc.map_page_for(0)
+            map_page_for(0, db.alloc.pages_per_map)
 
     def test_map_page_not_allocatable(self, db):
         with pytest.raises(AllocationError):
-            db.alloc.map_page_for(FIRST_MAP_PAGE_ID)
+            map_page_for(FIRST_MAP_PAGE_ID, db.alloc.pages_per_map)
 
 
 class TestAllocate:

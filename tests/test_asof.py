@@ -5,8 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro import Column, ColumnType, DatabaseConfig, TableSchema
+from repro.access.btree import object_page_ids
+from repro.catalog.catalog import SYS_COLUMNS_ROOT, SYS_OBJECTS_ROOT
 from repro.core.asof import _VIRTUAL_PAGE_BASE, SnapshotAllocator
-from repro.errors import CatalogError, MissingUndoInfoError, RetentionExceededError, SnapshotError
+from repro.errors import CatalogError, RetentionExceededError, SnapshotError
 from repro.tools.checkdb import check_database
 from tests.conftest import ITEMS_SCHEMA, fill_items
 
@@ -75,7 +77,8 @@ class TestBasicTimeTravel:
         with db.transaction() as txn:
             db.update(txn, "items", (100,), {"qty": 1})
         snap = engine.create_asof_snapshot("lazy", "l", t0)
-        total_pages = len(db.table("items").accessor.page_ids())
+        tree = db.table("items").accessor
+        total_pages = len(object_page_ids(tree.services.fetch, tree.root_page_id))
         snap.get("items", (100,))
         # Only the descent path was prepared, not the whole table.
         assert snap.sparse.page_count < total_pages / 2
@@ -281,30 +284,25 @@ class TestInFlightTransactions:
 class TestRolledBackFormat:
     """Section 4.2's undo information in CLRs, across a rolled-back format.
 
-    ``b`` is created and rolled back twice: first on fresh pages (the
-    format is compensated by a CLR carrying a deformat), then, once ``a``
-    is dropped, on ``a``'s freed pages (a CLR carrying the preformat
-    image). ``c`` then re-uses the freed pages. An as-of read at every
-    instant, including two with ``b`` in flight, walks page chains back
-    through both kinds of CLR and must see exactly the rows committed by
-    then, checkdb-clean.
+    ``b`` is created and rolled back twice: first on fresh pages, then,
+    once ``a`` is dropped, on ``a``'s freed pages (a preformat image
+    precedes ``b``'s format). ``c`` then re-uses the freed pages. An as-of
+    read at every instant, including two with ``b`` in flight, walks page
+    chains back across both rollbacks and must see exactly the rows
+    committed by then, checkdb-clean, through a named snapshot and a
+    pooled lease alike.
 
-    With 400 rows ``b``'s tree splits while it is in flight, and the
-    compensation of its root's format overwrites the page the committed
-    split rebuilt: the chain walk across that CLR breaks (ROADMAP item 1's
-    open bug).
+    With 400 rows ``b``'s tree splits while it is in flight, and a 300-row
+    heap grows its chain: committed structure modifications hang pages
+    below the root the rollback must not rewrite, and must free.
     """
 
     @pytest.mark.parametrize(
-        "b_rows",
-        [
-            8,  # one page: no structure modification commits meanwhile
-            pytest.param(400, marks=pytest.mark.xfail(strict=True, raises=MissingUndoInfoError)),
-        ],
+        "b_rows, heap",
+        [(8, False), (400, False), (300, True)],
+        ids=["8", "400", "heap"],  # 8 rows fit one page: nothing commits below the root
     )
-    def test_asof_before_between_and_after(self, engine, small_config, b_rows):
-        from repro.tools import check_database
-
+    def test_asof_before_between_and_after(self, engine, small_config, b_rows, heap):
         db = engine.create_database("clr", small_config)
         clock = db.env.clock
         committed: dict[str, dict] = {}
@@ -322,13 +320,25 @@ class TestRolledBackFormat:
             clock.advance(1)
 
         def rolled_back_create() -> None:
+            before = db.alloc.allocated_page_ids()
             txn = db.begin()
-            db.create_table(schema("b"), txn)
+            db.create_table(schema("b"), txn, heap=heap)
             for i in range(b_rows):
                 db.insert(txn, "b", (i, f"never-{i}", i))
+            pages = object_page_ids(db.fetch_page, db.catalog.require("b").root_page)
+            assert (len(pages) > 1) == (b_rows > 8)  # the splits or the grown chain
             commit("ticks", [(len(committed["ticks"]), "tick", 0)])  # the split lands with b in flight
             mark()
             db.rollback(txn)
+            # b's columns may split the catalog: those committed pages stay.
+            catalog = {
+                pid
+                for root in (SYS_OBJECTS_ROOT, SYS_COLUMNS_ROOT)
+                for pid in object_page_ids(db.fetch_page, root)
+            }
+            assert set(db.alloc.allocated_page_ids()) == set(before) | catalog
+            report = check_database(db)
+            assert report.ok, report.problems
             mark()  # an abort is no commit: the same split, read after the rollback
 
         def schema(name: str) -> TableSchema:
@@ -339,22 +349,26 @@ class TestRolledBackFormat:
             committed[name] = {}
         commit("a", [(i, f"a-{i}", i) for i in range(60)])
         mark()
-        rolled_back_create()  # fresh pages: a deformat CLR
+        rolled_back_create()  # fresh pages
         db.drop_table("a")
         del committed["a"]
         mark()
-        rolled_back_create()  # a's freed pages: a preformat-image CLR
+        rolled_back_create()  # a's freed pages: a preformat image before b's format
         db.create_table(schema("c"))
         committed["c"] = {}
         commit("c", [(i, f"c-{i}", -i) for i in range(80)])
         mark()
 
-        for index, (instant, expected) in enumerate(instants):
-            snap = engine.create_asof_snapshot("clr", f"at{index}", instant)
+        def check(snap, expected) -> None:
             assert sorted(snap.tables()) == sorted(expected)
             assert {name: sorted(snap.scan(name)) for name in expected} == expected
             report = check_database(snap)
             assert report.ok, report.problems
+
+        for index, (instant, expected) in enumerate(instants):
+            check(engine.create_asof_snapshot("clr", f"at{index}", instant), expected)
+            with engine.query_as_of("clr", instant) as snap:
+                check(snap, expected)
 
 
 class TestSnapshotSemantics:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Engine
-from repro.access.btree import BTree, decode_entry, encode_entry
+from repro.access.btree import BTree, decode_entry, encode_entry, object_page_ids
 from repro.catalog.schema import Column, ColumnType, TableSchema
 from repro.config import CostModel, SimEnv
 from repro.errors import DuplicateKeyError, KeyNotFoundError
@@ -139,7 +139,7 @@ class TestSplits:
         db.create_table(ITEMS_SCHEMA)
         fill_items(db, 500)
         tree = tree_of(db)
-        pids = tree.page_ids()
+        pids = object_page_ids(tree.services.fetch, tree.root_page_id)
         assert tree.root_page_id in pids
         assert len(pids) == len(set(pids))
         assert len(pids) > 3
@@ -186,7 +186,7 @@ class TestScans:
 
 def pages_of(tree: BTree):
     """(page, is_leaf) for every page of ``tree``, each under its pin."""
-    for pid in tree.page_ids():
+    for pid in object_page_ids(tree.services.fetch, tree.root_page_id):
         with tree.services.fetch(pid) as guard:
             yield guard.page, guard.page.level == 0
 

@@ -10,7 +10,7 @@ from repro.catalog.catalog import (
     SYS_OBJECTS_ID,
 )
 from repro.errors import CatalogError
-from tests.conftest import ITEMS_SCHEMA, WIDE_SCHEMA
+from tests.conftest import ITEMS_SCHEMA, WIDE_SCHEMA, table_pages
 
 
 class TestBootstrapState:
@@ -97,7 +97,7 @@ class TestDropTable:
         db = small_db
         db.create_table(ITEMS_SCHEMA)
         fill_items(db, 400)
-        tree_pages = set(db.table("items").accessor.page_ids())
+        tree_pages = set(table_pages(db, "items"))
         assert len(tree_pages) > 3
         db.drop_table("items")
         for pid in tree_pages:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.catalog.schema import Column, ColumnType, TableSchema
 from repro.errors import CatalogError
+from tests.conftest import table_pages
 
 HISTORY_SCHEMA = TableSchema(
     "history",
@@ -37,7 +38,7 @@ class TestHeapBasics:
             for i in range(200):
                 heap_db.insert(txn, "history", (i, "x" * 100))
         table = heap_db.table("history")
-        assert len(table.accessor.page_ids()) > 1
+        assert len(table_pages(heap_db, "history")) > 1
         assert table.count() == 200
 
     def test_duplicate_keys_allowed(self, heap_db):

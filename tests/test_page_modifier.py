@@ -10,7 +10,7 @@ from repro.wal.records import (
     PageImageRecord,
     PreformatPageRecord,
 )
-from tests.conftest import ITEMS_SCHEMA, fill_items
+from tests.conftest import ITEMS_SCHEMA, fill_items, table_pages
 
 
 def image_db(interval: int):
@@ -26,7 +26,7 @@ class TestPageChains:
     def test_prev_page_lsn_links(self, items_db):
         db = items_db
         fill_items(db, 3)
-        leaf = db.table("items").accessor.page_ids()[0]
+        leaf = table_pages(db, "items")[0]
         with db.fetch_page(leaf) as guard:
             lsn = guard.page.page_lsn
         seen = []
@@ -69,7 +69,7 @@ class TestPageImages:
             for i in range(8):
                 db.insert(txn, "items", (i, "x", i))
         # 8 modifications at N=4 → at least 2 images for the leaf.
-        leaf = db.table("items").accessor.page_ids()[0]
+        leaf = table_pages(db, "items")[0]
         with db.fetch_page(leaf) as guard:
             assert guard.page.last_image_lsn > 0
             assert guard.page.mods_since_image < 4
@@ -80,7 +80,7 @@ class TestPageImages:
         with db.transaction() as txn:
             for i in range(10):
                 db.insert(txn, "items", (i, "x", i))
-        leaf = db.table("items").accessor.page_ids()[0]
+        leaf = table_pages(db, "items")[0]
         with db.fetch_page(leaf) as guard:
             image_lsn = guard.page.last_image_lsn
         count = 0
@@ -94,7 +94,7 @@ class TestPageImages:
     def test_no_images_when_disabled(self, items_db):
         fill_items(items_db, 20)
         assert items_db.env.stats.page_image_records == 0
-        leaf = items_db.table("items").accessor.page_ids()[0]
+        leaf = table_pages(items_db, "items")[0]
         with items_db.fetch_page(leaf) as guard:
             assert guard.page.last_image_lsn == 0
 
@@ -110,7 +110,7 @@ class TestPreformat:
         db.create_table(ITEMS_SCHEMA)
         assert db.env.stats.preformat_records >= 1
         # The preformat chains format -> preformat -> old incarnation.
-        leaf = db.table("items").accessor.page_ids()[0]
+        leaf = table_pages(db, "items")[0]
         with db.fetch_page(leaf) as guard:
             lsn = guard.page.page_lsn
         kinds = []
@@ -133,7 +133,7 @@ class TestPreformat:
         db.drop_table("items")
         db.create_table(ITEMS_SCHEMA)
         assert db.env.stats.preformat_records == 0
-        leaf = db.table("items").accessor.page_ids()[0]
+        leaf = table_pages(db, "items")[0]
         with db.fetch_page(leaf) as guard:
             lsn = guard.page.page_lsn
         kinds = []

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import DatabaseConfig, Engine
+from repro.access.btree import object_page_ids
 from repro.config import SimEnv
 from repro.core.page_undo import prepare_page_version
 from repro.errors import LogTruncatedError
@@ -16,7 +17,7 @@ from tests.conftest import ITEMS_SCHEMA, fill_items
 def leaf_page_id(db, table="items"):
     """Page id of the (single) leaf of a small table."""
     tree = db.table(table).accessor
-    pids = tree.page_ids()
+    pids = object_page_ids(tree.services.fetch, tree.root_page_id)
     assert len(pids) == 1
     return pids[0]
 
@@ -224,7 +225,7 @@ class TestFailureModes:
         tree = db.table("items").accessor
         codec = tree.codec
         recovered = []
-        for pid in tree.page_ids():
+        for pid in object_page_ids(tree.services.fetch, tree.root_page_id):
             with db.fetch_page(pid) as guard:
                 page = Page(bytearray(guard.page.data))
             prepare_page_version(page, mark, db.log, db.env)

@@ -188,6 +188,67 @@ class TestStructuralRecovery:
         assert db.table("items").count() == 399
 
 
+class _Cut(Exception):
+    """Stops a rollback where the test says the durable log ends."""
+
+
+class TestRolledBackCreateCrash:
+    """A rolled-back ``CREATE TABLE`` whose splits committed: the crash
+    lands among the CLRs that free the pages below its root."""
+
+    def test_restart_frees_the_rest_once(self, small_db, monkeypatch):
+        from repro.access.btree import object_page_ids
+        from repro.catalog.catalog import SYS_COLUMNS_ROOT, SYS_OBJECTS_ROOT
+        from repro.tools import check_database
+        from repro.wal.lsn import FIRST_LSN
+        from repro.wal.records import DeallocPageRecord
+
+        db = small_db
+        before = set(db.alloc.allocated_page_ids())
+        txn = db.begin()
+        db.create_table(ITEMS_SCHEMA, txn)
+        for i in range(400):
+            db.insert(txn, "items", (i, f"never-{i}", i))
+        root, *below = object_page_ids(db.fetch_page, db.catalog.require("items").root_page)
+        assert len(below) > 3
+
+        apply = db.modifier.apply
+        freed = []
+
+        def cut_after_two_frees(txn, frame, record, **kwargs):
+            lsn = apply(txn, frame, record, **kwargs)
+            comp = getattr(record, "comp", None)
+            if isinstance(comp, DeallocPageRecord) and comp.target_page in below:
+                freed.append(comp.target_page)
+                if len(freed) == 2:
+                    db.log.flush()  # the durable log ends here
+                    raise _Cut
+            return lsn
+
+        monkeypatch.setattr(db.modifier, "apply", cut_after_two_frees)
+        with pytest.raises(_Cut):
+            db.rollback(txn)
+        monkeypatch.undo()
+        crash_and_recover(db)
+
+        assert db.catalog.get_by_name("items") is None
+        catalog = {
+            pid
+            for root in (SYS_OBJECTS_ROOT, SYS_COLUMNS_ROOT)
+            for pid in object_page_ids(db.fetch_page, root)
+        }
+        assert set(db.alloc.allocated_page_ids()) == before | catalog
+        report = check_database(db)
+        assert report.ok, report.problems
+        frees = [
+            rec.comp.target_page
+            for rec in db.log.scan(FIRST_LSN)
+            if isinstance(rec, ClrRecord) and isinstance(rec.comp, DeallocPageRecord)
+        ]
+        assert len(frees) == len(set(frees))  # no page is freed twice
+        assert set(frees) == {*below, root}  # the root by its allocation's undo
+
+
 class TestAnalysis:
     def test_analysis_tracks_dirty_pages(self, items_db):
         items_db.checkpoint()

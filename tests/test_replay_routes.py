@@ -26,12 +26,12 @@ from repro.wal.log_manager import LogManager
 from repro.wal.lsn import FIRST_LSN
 from repro.wal.records import (
     ClrRecord,
-    DeformatPageRecord,
     DeleteRowRecord,
     FormatPageRecord,
     InsertRowRecord,
     PageImageRecord,
     PreformatPageRecord,
+    SetLevelRecord,
     UpdateBytesRecord,
 )
 from tests.conftest import ITEMS_SCHEMA, fill_items, scanned_checkpoints
@@ -594,8 +594,8 @@ GATE_PAGES = (3, 4)
 def _gate_history() -> list:
     """Page modifications of two pages, interleaved, off a bare log: on
     page 3 a format, rows with a full image every third modification, a
-    compensated format (a CLR whose body deformats), a re-format spliced
-    through a preformat, more rows; page 4 alongside."""
+    compensated root reformat (a CLR whose body sets the level back), a
+    re-format spliced through a preformat, more rows; page 4 alongside."""
     env = SimEnv.for_tests()
     log = LogManager(env)
     modifier = PageModifier(log, LoggingExtensions(page_image_interval=3), env)
@@ -611,12 +611,12 @@ def _gate_history() -> list:
         modifier.apply(None, frames[pid], update)
         modifier.apply(None, frames[pid], DeleteRowRecord(slot=0, page_id=pid))
 
-    first = modifier.format_page(None, frames[3], PageType.HEAP, object_id=7)
+    first = modifier.format_page(None, frames[3], PageType.BTREE, object_id=7, level=1)
     modifier.format_page(None, frames[4], PageType.HEAP, object_id=8)
     rows(3, 5, "a")
     rows(4, 4, "b")
-    deformat = DeformatPageRecord(page_type=int(PageType.HEAP), page_id=3, object_id=7)
-    modifier.apply(None, frames[3], ClrRecord(compensated_lsn=first, comp=deformat, page_id=3))
+    set_level = SetLevelRecord(old_level=1, new_level=0, page_id=3, object_id=7)
+    modifier.apply(None, frames[3], ClrRecord(compensated_lsn=first, comp=set_level, page_id=3))
     modifier.format_page(None, frames[3], PageType.HEAP, object_id=9, was_ever_allocated=True)
     rows(3, 6, "c")
     rows(4, 3, "d")

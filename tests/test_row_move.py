@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import DatabaseConfig, Engine, SimEnv
+from repro.access.btree import object_page_ids
 from repro.errors import MissingUndoInfoError
 from repro.storage.page import Page, PageType
 from repro.tools.checkdb import check_database
@@ -202,9 +203,9 @@ def split_point(root: bool) -> int:
     _engine, db = new_db()
     tree = tree_of(db)
     for count, key in enumerate(KEYS):
-        pages, levels = len(tree.page_ids()), height(tree)
+        pages, levels = len(object_page_ids(tree.services.fetch, tree.root_page_id)), height(tree)
         insert_keys(db, [key])
-        if len(tree.page_ids()) > pages and (height(tree) > levels) == root and levels > 1 - root:
+        if len(object_page_ids(tree.services.fetch, tree.root_page_id)) > pages and (height(tree) > levels) == root and levels > 1 - root:
             return count
     raise AssertionError("no such split")
 

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import DatabaseConfig, Engine, SimEnv
-from repro.access.btree import BTree, decode_entry, encode_entry
+from repro.access.btree import BTree, decode_entry, encode_entry, object_page_ids
 from repro.catalog.schema import Column, ColumnType, TableSchema
 from repro.errors import StorageError
 from repro.storage.page import Page, PageType
@@ -123,14 +123,14 @@ def test_a_post_patches_the_parent_instead_of_rebuilding_it():
     insert_keys(db, range(0, 3000, 10))
     tree = tree_of(db)
     assert height(tree) >= 2 and check_interiors(tree)
-    pages = len(tree.page_ids())
+    pages = len(object_page_ids(tree.services.fetch, tree.root_page_id))
     decodes = []
     real = tree.key_codec.decode
     tree.key_codec.decode = lambda *args: decodes.append(args) or real(*args)
     for key in range(1501, 1510):  # into the leaf holding 1500, which splits
         insert_keys(db, [key])
     tree.key_codec.decode = real
-    splits = len(tree.page_ids()) - pages
+    splits = len(object_page_ids(tree.services.fetch, tree.root_page_id)) - pages
     assert splits >= 1 and len(decodes) == splits
     for page, is_leaf in pages_of(tree):
         if not is_leaf:

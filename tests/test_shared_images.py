@@ -72,7 +72,7 @@ MUTATIONS = {
 
 #: Every settable header field.
 SETTABLE = (
-    "flags", "page_lsn", "last_image_lsn", "prev_page", "next_page",
+    "flags", "page_lsn", "last_image_lsn", "level", "prev_page", "next_page",
     "mods_since_image", "checksum",
 )
 

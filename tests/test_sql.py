@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import DatabaseConfig, Engine
+from repro.access.btree import object_page_ids
 from repro.config import SimEnv
 from repro.errors import (
     CatalogError,
@@ -576,7 +577,7 @@ def test_asof_point_query_prepares_only_its_leaf():
     session.execute("UPDATE t SET qty = qty + 1")
     tree = db.table("t").accessor
     leaves = 0
-    for pid in tree.page_ids():
+    for pid in object_page_ids(tree.services.fetch, tree.root_page_id):
         with tree.services.fetch(pid) as guard:
             leaves += guard.page.level == 0
     assert leaves > 5

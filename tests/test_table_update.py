@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import DatabaseConfig, Engine, SimEnv
+from repro.access.btree import object_page_ids
 from repro.config import CostModel
 from repro.errors import KeyNotFoundError, StorageError
 from repro.txn.locks import LockMode
@@ -58,7 +59,7 @@ def _database(name: str):
 def _pages(db) -> list[bytes]:
     tree = db.table("wide").accessor
     pages = []
-    for page_id in sorted(tree.page_ids()):
+    for page_id in sorted(object_page_ids(tree.services.fetch, tree.root_page_id)):
         with db.fetch_page(page_id) as guard:
             pages.append(bytes(guard.page.data))
     return pages

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.storage.allocation import FIRST_MAP_PAGE_ID
 from repro.storage.page import HEADER_FIELDS
 from repro.tools import check_database, describe_record, transaction_history
 from repro.tools.loginspect import main as loginspect_main
@@ -19,7 +20,7 @@ from repro.wal.records import (
     UpdateBytesRecord,
 )
 from repro.workload import TpccDriver, TpccScale, load_tpcc
-from tests.conftest import ITEMS_SCHEMA, fill_items
+from tests.conftest import ITEMS_SCHEMA, fill_items, table_pages
 
 
 def page_chain(db, page_id: int) -> list:
@@ -46,7 +47,7 @@ class TestLogInspect:
     def test_page_history_newest_first(self, items_db):
         db = items_db
         fill_items(db, 3)
-        leaf = db.table("items").accessor.page_ids()[0]
+        leaf = table_pages(db, "items")[0]
         chain = page_chain(db, leaf)
         assert len(chain) >= 4  # format + 3 inserts
         lsns = [rec.lsn for rec in chain]
@@ -58,11 +59,11 @@ class TestLogInspect:
         db = engine.create_database("hist", small_config)
         db.create_table(ITEMS_SCHEMA)
         fill_items(db, 100)
-        pages_before = set(db.table("items").accessor.page_ids())
+        pages_before = set(table_pages(db, "items"))
         db.drop_table("items")
         db.create_table(ITEMS_SCHEMA)
         fill_items(db, 100)
-        reused = set(db.table("items").accessor.page_ids()) & pages_before
+        reused = set(table_pages(db, "items")) & pages_before
         assert reused
         chain = page_chain(db, sorted(reused)[0])
         kinds = [type(rec).__name__ for rec in chain]
@@ -190,6 +191,23 @@ class TestCheckDb:
         report = check_database(db)
         assert report.ok, report.problems
 
+    def test_detects_a_leaked_page(self, small_db):
+        """An allocated page no object reaches is reported, its map page in
+        the pool or only on disk; the map page past the last one written
+        is never read."""
+        db = small_db
+        db.create_table(ITEMS_SCHEMA)
+        fill_items(db, 100)
+        with db.transaction() as txn:
+            leaked, _was_ever = db.alloc.allocate(txn)
+        problem = f"page {leaked} allocated but reachable from no object"
+        assert check_database(db).problems == [problem]
+        db.buffer.flush_all()
+        db.buffer.crash()  # the map page only on disk
+        assert check_database(db).problems == [problem]
+        never_written = FIRST_MAP_PAGE_ID + db.alloc.pages_per_map + 1
+        assert db.buffer.peek(never_written) is None
+
     def test_snapshot_is_consistent_database(self, engine, small_db):
         """The strongest end-to-end check: a rewound view passes the same
         structural validation as a live database."""
@@ -211,7 +229,7 @@ class TestCheckDb:
     def test_detects_corruption(self, items_db):
         db = items_db
         fill_items(db, 20)
-        leaf = db.table("items").accessor.page_ids()[0]
+        leaf = table_pages(db, "items")[0]
         with db.fetch_page(leaf) as guard:
             # Swap two records to break key order.
             a = guard.page.record(0)
@@ -226,7 +244,7 @@ class TestCheckDb:
     def test_detects_undecodable_row(self, items_db):
         db = items_db
         fill_items(db, 5)
-        leaf = db.table("items").accessor.page_ids()[0]
+        leaf = table_pages(db, "items")[0]
         with db.fetch_page(leaf) as guard:
             guard.page.update_record(2, guard.page.record(2)[:-3])
             guard.mark_dirty()
@@ -237,7 +255,7 @@ class TestCheckDb:
     def test_detects_wrong_object(self, items_db):
         db = items_db
         fill_items(db, 5)
-        leaf = db.table("items").accessor.page_ids()[0]
+        leaf = table_pages(db, "items")[0]
         with db.fetch_page(leaf) as guard:
             plan, offset = HEADER_FIELDS["object_id"]
             plan.pack_into(guard.page.data, offset, 424242)  # clobber it

@@ -36,7 +36,6 @@ from repro.wal.records import (
     ClrRecord,
     CommitRecord,
     DeallocPageRecord,
-    DeformatPageRecord,
     DeleteRowRecord,
     DeleteRowsRecord,
     FormatPageRecord,
@@ -46,6 +45,7 @@ from repro.wal.records import (
     PageImageRecord,
     PreformatPageRecord,
     RecordType,
+    SetLevelRecord,
     SetLinksRecord,
     UpdateBytesRecord,
     decode_record,
@@ -172,9 +172,9 @@ class TestSerialization:
         rec = roundtrip(DeallocPageRecord(target_page=9, clear_ever=True, page_id=1))
         assert rec.clear_ever
 
-    def test_deformat(self):
-        rec = roundtrip(DeformatPageRecord(page_type=4, index_id=1, level=2, page_id=5))
-        assert rec.level == 2
+    def test_set_level(self):
+        rec = roundtrip(SetLevelRecord(old_level=2, new_level=1, page_id=5))
+        assert (rec.old_level, rec.new_level) == (2, 1)
 
     def test_clr_nested(self):
         comp = DeleteRowRecord(slot=4, row=b"undo-me", page_id=5)
@@ -189,6 +189,28 @@ class TestSerialization:
     def test_clr_requires_comp(self):
         with pytest.raises(WalError):
             ClrRecord(compensated_lsn=1, undo_next_lsn=0, comp=None)
+
+    def test_a_page_image_is_no_compensation(self):
+        """Its physical undo does nothing, so a CLR carrying one would not
+        invert: refused when built, and when read back from bytes."""
+        image = PageImageRecord(image=bytes(range(16)), page_id=5, object_id=10)
+        with pytest.raises(WalError, match="page image"):
+            ClrRecord(compensated_lsn=10, undo_next_lsn=6, comp=image, page_id=5)
+        clr = ClrRecord.__new__(ClrRecord)  # the bytes a foreign writer could produce
+        for name in HEADER_FIELDS:
+            setattr(clr, name, 0)
+        clr.page_id, clr.compensated_lsn, clr.undo_next_lsn, clr.comp = 5, 10, 6, image
+        with pytest.raises(LogRecordDecodeError, match="page image"):
+            decode_record(clr.serialize(), 0)
+
+    def test_type_15_is_retired(self):
+        """The deformat compensation's bytes (type 15) no longer decode."""
+        blob = bytes.fromhex(
+            "2e0000000f00000000000000000000000000000000000500000000000000000000000a00"
+            "000019e8b0d304010002"
+        )
+        with pytest.raises(LogRecordDecodeError, match="unknown record type 15"):
+            decode_record(blob, 0)
 
     def test_flags_roundtrip(self):
         rec = roundtrip(InsertRowRecord(slot=0, row=b"r", page_id=5, flags=FLAG_SMO | FLAG_HEAP))
@@ -495,9 +517,9 @@ GOLDEN = [
         "0000125061c80900000000",
     ),
     (
-        DeformatPageRecord(page_type=4, index_id=1, level=2, page_id=5, object_id=10),
-        "2e0000000f00000000000000000000000000000000000500000000000000000000000a00"
-        "000019e8b0d304010002",
+        SetLevelRecord(old_level=2, new_level=1, page_id=5, object_id=10, flags=FLAG_SMO),
+        "2c0000001401000000000000000000000000000000000500000000000000000000000a00"
+        "0000d72391970201",
     ),
     (
         InsertRowsRecord(
@@ -632,32 +654,36 @@ GOLDEN = [
         ClrRecord(
             compensated_lsn=10,
             undo_next_lsn=6,
-            comp=PageImageRecord(image=bytes(range(16)), page_id=5, object_id=10),
+            comp=SetLevelRecord(
+                old_level=2, new_level=1, page_id=5, object_id=10, flags=FLAG_SMO
+            ),
             page_id=5,
             txn_id=3,
             prev_txn_lsn=10,
             prev_page_lsn=10,
             object_id=10,
+            flags=FLAG_SMO,
         ),
-        "84000000100003000000000000000a00000000000000050000000a000000000000000a00"
-        "0000cec8a4cb0a0000000000000006000000000000004600000046000000080000000000"
-        "0000000000000000000000000500000000000000000000000a000000dd65356300000000"
-        "0000000010000000000102030405060708090a0b0c0d0e0f",
+        "6a000000100103000000000000000a00000000000000050000000a000000000000000a00"
+        "0000f1174d700a0000000000000006000000000000002c0000002c000000140100000000"
+        "0000000000000000000000000500000000000000000000000a000000d72391970201",
     ),
     (
+        # A page a rolled-back format's undo frees: the CLR leads back to
+        # the format it compensates (undo_next_lsn == compensated_lsn).
         ClrRecord(
             compensated_lsn=10,
-            undo_next_lsn=6,
-            comp=DeformatPageRecord(page_type=4, index_id=1, level=2, page_id=5, object_id=10),
-            page_id=5,
+            undo_next_lsn=10,
+            comp=DeallocPageRecord(target_page=9, page_id=1),
+            page_id=1,
             txn_id=3,
-            prev_txn_lsn=10,
-            prev_page_lsn=10,
-            object_id=10,
+            prev_txn_lsn=12,
+            prev_page_lsn=11,
         ),
-        "6c000000100003000000000000000a00000000000000050000000a000000000000000a00"
-        "000001a78ad20a0000000000000006000000000000002e0000002e0000000f0000000000"
-        "0000000000000000000000000500000000000000000000000a00000019e8b0d304010002",
+        "6d000000100003000000000000000c00000000000000010000000b000000000000000000"
+        "00002cf0deff0a000000000000000a000000000000002f0000002f0000000e0000000000"
+        "00000000000000000000000001000000000000000000000000000000b0e7282b09000000"
+        "00",
     ),
     (
         ClrRecord(
@@ -792,27 +818,17 @@ def carries_its_inverse(comp) -> bool:
     return getattr(comp, "row", b"") is not None and getattr(comp, "old", b"") is not None
 
 
-def clr_scene(clr):
-    """A page ``clr``'s compensation applies to, and the ``fetch`` its
-    physical undo gets: none, but for a restored page image, whose undo
-    redoes the format it compensated (the image itself becomes a whole
-    page's)."""
+def clr_scene(clr) -> Page:
+    """A page ``clr``'s compensation applies to."""
     comp = clr.comp
     page = tree_page(comp.page_id)
-    if isinstance(comp, PageImageRecord):
-        prior = tree_page(comp.page_id)
-        prior.insert_record(0, b"prior incarnation")
-        comp.image = prior.clone_bytes()
-        fmt = FormatPageRecord(page_type=int(PageType.BTREE), page_id=comp.page_id, object_id=10)
-        return page, {clr.compensated_lsn: fmt}.__getitem__
     if isinstance(comp, (AllocPageRecord, DeallocPageRecord)):
         page.format(comp.page_id, PageType.ALLOC_MAP)
         AllocPageRecord(target_page=comp.target_page, page_id=comp.page_id).redo(page)
         if isinstance(comp, AllocPageRecord):  # freed, once allocated
             DeallocPageRecord(target_page=comp.target_page, page_id=comp.page_id).redo(page)
-    elif isinstance(comp, DeformatPageRecord):
-        page.format(comp.page_id, PageType(comp.page_type), object_id=comp.object_id,
-                    index_id=comp.index_id, level=comp.level)
+    elif isinstance(comp, SetLevelRecord):
+        page.level = comp.old_level
     elif isinstance(comp, SetLinksRecord):
         page.prev_page, page.next_page = comp.old_prev, comp.old_next
     else:  # a row compensation: rows in every slot before it, its own in place
@@ -826,7 +842,7 @@ def clr_scene(clr):
             rows.append(comp.old.rjust(comp.offset + len(comp.old), b".").ljust(size, b"."))
         for at, row in enumerate(rows):
             page.insert_record(at, row)
-    return page, None
+    return page
 
 class TestClrSemantics:
     def test_clr_redo_applies_comp(self):
@@ -893,14 +909,13 @@ class TestClrSemantics:
         gets it back: redo, then physical undo without log access, gives
         the page back: its rows and links, and every byte of a page whose
         rows did not move (a slot's bytes may come back elsewhere in a
-        page). A restored page image alone reads the format it
-        compensated."""
+        page)."""
         clr, _end = decode_record(bytes.fromhex(hexed), 0)
-        page, fetch = clr_scene(clr)
+        page = clr_scene(clr)
         before = Page(bytearray(page.data))
         clr.redo(page)
         assert page.clone_bytes() != before.clone_bytes()
-        clr.physical_undo(page, fetch)
+        clr.physical_undo(page)
         assert page.records() == before.records()
         assert (page.prev_page, page.next_page) == (before.prev_page, before.next_page)
         if not isinstance(clr.comp, ROW_COMPS):
@@ -939,7 +954,7 @@ class TestGoldenBytes:
         comps = {type(rec.comp) for rec, _ in GOLDEN if isinstance(rec, ClrRecord)}
         assert comps == {
             DeleteRowRecord, InsertRowRecord, SetLinksRecord,
-            PageImageRecord, DeformatPageRecord, DeallocPageRecord, AllocPageRecord,
+            SetLevelRecord, DeallocPageRecord, AllocPageRecord,
             InsertRowsRecord, DeleteRowsRecord, UpdateBytesRecord,
         }
         optional = ((DeleteRowRecord, "row"), (UpdateBytesRecord, "old"))
@@ -1065,7 +1080,8 @@ def records_of(cls):
     fields = dict(HEADER_STRATEGIES)
     for name, kind, _default in cls.FIELDS:
         if kind is RECORD:
-            leaves = [leaf for leaf in RECORD_CLASSES if leaf is not cls]
+            # A page image is no compensation (ClrRecord refuses one).
+            leaves = [leaf for leaf in RECORD_CLASSES if leaf not in (cls, PageImageRecord)]
             fields[name] = st.sampled_from(leaves).flatmap(records_of)
         else:
             fields[name] = KIND_STRATEGIES[kind]
